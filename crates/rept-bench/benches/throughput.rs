@@ -83,7 +83,7 @@ fn bench_rept_scaling(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(procs), &procs, |b, &procs| {
             b.iter(|| {
                 let cfg = ReptConfig::new(10, procs).with_seed(3).with_locals(false);
-                Rept::new(cfg).run_sequential(stream.iter().copied()).global
+                Rept::new(cfg).run(Engine::PerWorker, &stream).global
             })
         });
     }

@@ -12,7 +12,7 @@
 //! Run: `cargo run --release -p rept-bench --bin ablation_combine`
 
 use rept_bench::{Args, ExperimentContext};
-use rept_core::{Rept, ReptConfig};
+use rept_core::{Engine, Rept, ReptConfig};
 use rept_gen::DatasetId;
 use rept_metrics::report::{fmt_num, Table};
 use rept_metrics::ErrorStats;
@@ -46,7 +46,7 @@ fn main() {
             let cfg = ReptConfig::new(m, c)
                 .with_seed(args.seed + t)
                 .with_locals(false);
-            let est = Rept::new(cfg).run_sequential(stream.iter().copied());
+            let est = Rept::new(cfg).run(Engine::PerWorker, stream);
             gd.push(est.global);
             // Pooled from the same run's raw counters.
             let sum: u64 = est.diagnostics.per_processor_tau.iter().sum();

@@ -18,7 +18,7 @@
 //! Run: `cargo run --release -p rept-bench --bin ablation_eta`
 
 use rept_bench::{Args, ExperimentContext};
-use rept_core::{EtaMode, Rept, ReptConfig};
+use rept_core::{Engine, EtaMode, Rept, ReptConfig};
 use rept_gen::DatasetId;
 use rept_metrics::report::{fmt_num, Table};
 use rept_metrics::{ErrorStats, Welford};
@@ -56,7 +56,7 @@ fn main() {
                     .with_locals(false)
                     .with_eta(true)
                     .with_eta_mode(mode);
-                let est = Rept::new(cfg).run_sequential(stream.iter().copied());
+                let est = Rept::new(cfg).run(Engine::PerWorker, stream);
                 eta_acc.push(est.eta_hat.expect("η tracking enabled"));
                 taus.push(est.global);
             }

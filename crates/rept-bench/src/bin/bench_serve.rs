@@ -13,12 +13,12 @@
 //!
 //! Layouts: `m = 64` at `c = 64` (full partition — REPT's
 //! lowest-variance point, one hash group) and `c = 256` (four full
-//! groups — the sorted engine's shared-structure path), locals tracked,
+//! groups — the fused engine's shared-structure path), locals tracked,
 //! snapshots published every 4096 edges.
 //!
 //! A third section measures **tenant scaling**: sustained `INGEST * …`
 //! fan-out throughput of the multi-tenant router at 1/2/4 tenants
-//! (fused-sorted, `m = 64, c = 64`) — each stream edge is applied once
+//! (default engine, `m = 64, c = 64`) — each stream edge is applied once
 //! *per tenant*, so the per-tenant rate divided into the single-tenant
 //! rate shows the fan-out cost.
 //!
@@ -467,6 +467,9 @@ fn main() {
 
     // Hand-rolled JSON, matching the workspace's no-serde convention.
     let mut json = String::new();
+    // The tenant, journal, metrics and shard sections run the default
+    // engine (their configs never set one).
+    let default_engine = Engine::default().name();
     json.push_str("{\n");
     json.push_str("  \"bench\": \"serve\",\n");
     json.push_str(&format!(
@@ -498,7 +501,7 @@ fn main() {
     }
     json.push_str("  ],\n");
     json.push_str(&format!(
-        "  \"tenant_scaling\": {{\"engine\": \"fused-sorted\", \"m\": {M}, \"c\": {M}, \
+        "  \"tenant_scaling\": {{\"engine\": \"{default_engine}\", \"m\": {M}, \"c\": {M}, \
          \"transport\": \"tcp-loopback\", \"host_cores\": {host_cores}, \"rows\": [\n"
     ));
     for (i, (tenants, secs, stream_rate)) in tenant_rows.iter().enumerate() {
@@ -512,7 +515,7 @@ fn main() {
     }
     json.push_str("  ]},\n");
     json.push_str(&format!(
-        "  \"journal_overhead\": {{\"engine\": \"fused-sorted\", \"m\": {M}, \"c\": {M}, \
+        "  \"journal_overhead\": {{\"engine\": \"{default_engine}\", \"m\": {M}, \"c\": {M}, \
          \"batch_edges\": {JOURNAL_CHUNK}, \"transport\": \"in-process\", \"rows\": [\n"
     ));
     for (i, (journal, producers, secs, rate, journal_bytes)) in journal_rows.iter().enumerate() {
@@ -539,7 +542,7 @@ fn main() {
     }
     json.push_str("  ]},\n");
     json.push_str(&format!(
-        "  \"metrics_overhead\": {{\"engine\": \"fused-sorted\", \"m\": {M}, \"c\": {M}, \
+        "  \"metrics_overhead\": {{\"engine\": \"{default_engine}\", \"m\": {M}, \"c\": {M}, \
          \"batch_edges\": {INGEST_CHUNK}, \"transport\": \"in-process\", \"rows\": [\n"
     ));
     for (i, (label, secs, rate)) in metrics_rows.iter().enumerate() {
@@ -553,7 +556,7 @@ fn main() {
         "  ], \"instrumented_over_baseline\": {metrics_ratio:.4}}},\n"
     ));
     json.push_str(&format!(
-        "  \"shard_scaling\": {{\"engine\": \"fused-sorted\", \"m\": {M}, \"c\": {shard_c}, \
+        "  \"shard_scaling\": {{\"engine\": \"{default_engine}\", \"m\": {M}, \"c\": {shard_c}, \
          \"transport\": \"tcp-loopback\", \"host_cores\": {host_cores}, \"rows\": [\n"
     ));
     for (i, (shards, secs, stream_rate)) in shard_rows.iter().enumerate() {

@@ -1,34 +1,20 @@
 //! Machine-readable engine-throughput benchmark.
 //!
-//! Measures end-to-end edges/second of every execution engine
-//! (per-worker reference, fused over the hash layout, fused over the
-//! sorted struct-of-arrays layout, fused over the hybrid
-//! sorted-vec/blocked-bitmap layout) on a fixed Barabási–Albert stream —
-//! an engine × layout matrix at `c ∈ {8, 64, 200, 256}` processors
-//! with `m = 64` — and writes the results as JSON so the performance
-//! trajectory stays comparable across PRs. `c = 8` exercises the
-//! single-group `c ≤ m` path, `c = 64` the full-partition `c = m`
-//! point where REPT's variance is lowest, `c = 200` three full groups
-//! plus a `c mod m = 8` remainder group (the masked-remainder sharing
-//! path), and `c = 256` four full groups (Algorithm 2).
+//! Measures end-to-end edges/second of both execution engines (the
+//! per-worker reference and the fused hybrid sorted-vec/blocked-bitmap
+//! engine) on a fixed Barabási–Albert stream at `c ∈ {8, 64, 200, 256}`
+//! processors with `m = 64`, and writes the results as JSON so the
+//! performance trajectory stays comparable across PRs. `c = 8`
+//! exercises the single-group `c ≤ m` path, `c = 64` the full-partition
+//! `c = m` point where REPT's variance is lowest, `c = 200` three full
+//! groups plus a `c mod m = 8` remainder group (the masked-remainder
+//! sharing path), and `c = 256` four full groups (Algorithm 2).
 //!
-//! A second section isolates the masked remainder structure at
-//! `c = 200`: the fused-sorted core with the remainder folded into the
-//! shared structure walk (`MaskedSortedTaggedAdjacency`) versus the
-//! same core with an independent remainder adjacency — the layout's
-//! previous execution shape.
-//!
-//! A third section measures `run_fused_threaded` on the single-group
-//! `c = m` layout at 1 vs several threads — the within-group
-//! parallelism path, which only shows a wall-clock win when the host
-//! actually has multiple cores (the JSON records `host_cores` so the
-//! numbers can be read in context).
-//!
-//! A fourth section sweeps the hybrid layout's dense-promotion degree
+//! A second section sweeps the hybrid layout's dense-promotion degree
 //! threshold on the shared multi-tag structure (width 4, the `c = 256`
 //! hot path): every stream edge replayed through `match_then_insert`
-//! at several thresholds, `usize::MAX` as the never-promote (all
-//! sorted-vec) baseline.
+//! at several thresholds, the `never` row (`usize::MAX`, all sorted
+//! vecs) being the no-bitmap baseline.
 //!
 //! Run: `cargo run --release --bin bench_throughput [-- --out FILE]`
 //! (default output: `BENCH_throughput.json`). `--nodes N` scales the
@@ -39,19 +25,14 @@
 use std::io::Write as _;
 use std::time::Instant;
 
-use rept_core::{CoreOptions, Engine, EngineCore, Rept, ReptConfig};
+use rept_core::{Engine, Rept, ReptConfig};
 use rept_gen::{barabasi_albert, GeneratorConfig};
 use rept_graph::hybrid_tagged::MultiHybridTaggedAdjacency;
-use rept_graph::{CellTag, Edge, MultiSortedTaggedAdjacency};
+use rept_graph::{CellTag, Edge};
 
 const M: u64 = 64;
 const PROCESSOR_COUNTS: [u64; 4] = [8, 64, 200, 256];
-/// The `c mod m > 1` layout the masked-remainder section isolates
-/// (c₁ = 3 full groups, c₂ = 8 remainder processors).
-const C_MASKED: u64 = 200;
 const REPS: usize = 3;
-/// Threads for the within-group parallelism measurement.
-const SPLIT_THREADS: usize = 4;
 
 struct Measurement {
     engine: Engine,
@@ -135,68 +116,19 @@ fn main() {
 
     // Per-engine comparison table (stderr, human-readable).
     eprintln!(
-        "\n  {:>5} {:>14} {:>14} {:>14} {:>14} {:>8} {:>8} {:>8}",
-        "c", "per-worker", "fused-hash", "fused-sorted", "fused-hybrid", "s/h", "s/w", "y/s"
+        "\n  {:>5} {:>14} {:>14} {:>8}",
+        "c", "per-worker", "fused-hybrid", "y/w"
     );
     for &c in &PROCESSOR_COUNTS {
-        let (w, h, s, y) = (
-            rate(c, Engine::PerWorker),
-            rate(c, Engine::FusedHash),
-            rate(c, Engine::FusedSorted),
-            rate(c, Engine::FusedHybrid),
-        );
-        eprintln!(
-            "  {c:>5} {w:>12.3e}/s {h:>12.3e}/s {s:>12.3e}/s {y:>12.3e}/s {:>7.2}x {:>7.2}x {:>7.2}x",
-            s / h,
-            s / w,
-            y / s
-        );
+        let (w, y) = (rate(c, Engine::PerWorker), rate(c, Engine::FusedHybrid));
+        eprintln!("  {c:>5} {w:>12.3e}/s {y:>12.3e}/s {:>7.2}x", y / w);
     }
-
-    // Masked remainder structure vs the independent remainder path, on
-    // the c mod m > 1 layout — everything else (shared full groups,
-    // stream, batching) identical.
-    let masked_rept = Rept::new(ReptConfig::new(M, C_MASKED).with_seed(7).with_locals(false));
-    let run_core = |masked: bool| {
-        let mut core = EngineCore::with_options(
-            masked_rept.clone(),
-            Engine::FusedSorted,
-            CoreOptions {
-                masked_remainder: masked,
-            },
-        );
-        core.ingest_batch(&stream);
-        core.into_estimate().global
-    };
-    let t_masked = best_of(|| run_core(true));
-    let t_independent = best_of(|| run_core(false));
-    eprintln!(
-        "\n  masked remainder (m = {M}, c = {C_MASKED}, c mod m = {}): \
-         masked {t_masked:.3} s, independent {t_independent:.3} s ({:.2}x)",
-        C_MASKED % M,
-        t_independent / t_masked
-    );
-
-    // Within-group parallelism: single hash group (c = m), the layout
-    // that used to be pinned to one thread.
-    let single_group = Rept::new(ReptConfig::new(M, M).with_seed(7).with_locals(false));
-    let t1 = best_of(|| single_group.run_fused_threaded(&stream, 1).global);
-    let tn = best_of(|| {
-        single_group
-            .run_fused_threaded(&stream, SPLIT_THREADS)
-            .global
-    });
-    eprintln!(
-        "\n  single group (m = c = {M}), fused-sorted: 1 thread {t1:.3} s, \
-         {SPLIT_THREADS} threads {tn:.3} s ({:.2}x; host has {host_cores} core(s))",
-        t1 / tn
-    );
 
     // Dense-promotion threshold sweep: the shared hybrid structure at
     // width 4 (the c = 256 layout), every stream edge replayed through
     // match_then_insert with synthetic per-group cell tags, compaction
     // at engine batch granularity. usize::MAX never promotes, so it is
-    // the all-sorted-vec baseline the other thresholds are read against.
+    // the no-bitmap baseline the other thresholds are read against.
     const SWEEP_WIDTH: usize = 4;
     const SWEEP_COMPACT_EVERY: usize = 4096;
     let sweep_tags = |e: Edge| -> [CellTag; SWEEP_WIDTH] {
@@ -224,29 +156,14 @@ fn main() {
         });
         sweep.push((threshold, seconds, stream.len() as f64 / seconds));
     }
-    // Same replay over the sorted multi-tag structure: the reference the
-    // sweep rows are read against.
-    let t_sorted_base = best_of(|| {
-        let mut adj = MultiSortedTaggedAdjacency::new(SWEEP_WIDTH);
-        let mut matches = 0u64;
-        for (i, &e) in stream.iter().enumerate() {
-            adj.match_then_insert(e, Some(&sweep_tags(e)), |_, _, _| matches += 1);
-            if (i + 1) % SWEEP_COMPACT_EVERY == 0 {
-                adj.compact();
-            }
-        }
-        matches as f64
-    });
-    let sorted_base_eps = stream.len() as f64 / t_sorted_base;
     eprintln!("\n  hybrid dense-promotion threshold (width {SWEEP_WIDTH}, shared structure):");
     for &(threshold, seconds, eps) in &sweep {
         if threshold == usize::MAX {
-            eprintln!("    never (all sorted) {seconds:>9.3} s {eps:>12.3e}/s");
+            eprintln!("    never (no bitmaps) {seconds:>9.3} s {eps:>12.3e}/s");
         } else {
             eprintln!("    {threshold:>18} {seconds:>9.3} s {eps:>12.3e}/s");
         }
     }
-    eprintln!("    MultiSorted (ref.) {t_sorted_base:>9.3} s {sorted_base_eps:>12.3e}/s");
 
     // Hand-rolled JSON, matching the workspace's no-serde convention.
     let mut json = String::new();
@@ -271,59 +188,15 @@ fn main() {
         ));
     }
     json.push_str("  ],\n");
-    for (key, base, target) in [
-        (
-            "speedup_fused_hash_over_per_worker",
-            Engine::PerWorker,
-            Engine::FusedHash,
-        ),
-        (
-            "speedup_fused_sorted_over_per_worker",
-            Engine::PerWorker,
-            Engine::FusedSorted,
-        ),
-        (
-            "speedup_fused_sorted_over_fused_hash",
-            Engine::FusedHash,
-            Engine::FusedSorted,
-        ),
-        (
-            "speedup_fused_hybrid_over_per_worker",
-            Engine::PerWorker,
-            Engine::FusedHybrid,
-        ),
-        (
-            "speedup_fused_hybrid_over_fused_sorted",
-            Engine::FusedSorted,
-            Engine::FusedHybrid,
-        ),
-    ] {
-        json.push_str(&format!("  \"{key}\": {{"));
-        let mut first = true;
-        for &c in &PROCESSOR_COUNTS {
-            if !first {
-                json.push_str(", ");
-            }
-            first = false;
-            json.push_str(&format!("\"{c}\": {:.3}", rate(c, target) / rate(c, base)));
-        }
-        json.push_str("},\n");
+    json.push_str("  \"speedup_fused_hybrid_over_per_worker\": {");
+    for (i, &c) in PROCESSOR_COUNTS.iter().enumerate() {
+        let sep = if i == 0 { "" } else { ", " };
+        json.push_str(&format!(
+            "{sep}\"{c}\": {:.3}",
+            rate(c, Engine::FusedHybrid) / rate(c, Engine::PerWorker)
+        ));
     }
-    json.push_str(&format!(
-        "  \"masked_remainder\": {{\"engine\": \"fused-sorted\", \"m\": {M}, \"c\": {C_MASKED}, \
-         \"c_mod_m\": {}, \"seconds_masked\": {t_masked:.6}, \
-         \"seconds_independent\": {t_independent:.6}, \"speedup\": {:.3}}},\n",
-        C_MASKED % M,
-        t_independent / t_masked
-    ));
-    json.push_str(&format!(
-        "  \"single_group_threads\": {{\"engine\": \"fused-sorted\", \"m\": {M}, \"c\": {M}, \
-         \"seconds_1_thread\": {t1:.6}, \"seconds_{SPLIT_THREADS}_threads\": {tn:.6}, \
-         \"speedup\": {:.3}, \"note\": \"within-group parallelism only wins wall-clock on \
-         multi-core hosts; speedup < 1 on a 1-core host is thread overhead, not a \
-         regression — read against host_cores\"}},\n",
-        t1 / tn
-    ));
+    json.push_str("},\n");
     json.push_str("  \"hybrid_threshold_sweep\": {\n");
     json.push_str(&format!(
         "    \"structure\": \"MultiHybridTaggedAdjacency\", \"width\": {SWEEP_WIDTH}, \
@@ -341,11 +214,7 @@ fn main() {
             if i + 1 < sweep.len() { "," } else { "" }
         ));
     }
-    json.push_str("    ],\n");
-    json.push_str(&format!(
-        "    \"sorted_baseline\": {{\"structure\": \"MultiSortedTaggedAdjacency\", \
-         \"seconds\": {t_sorted_base:.6}, \"edges_per_sec\": {sorted_base_eps:.1}}}\n"
-    ));
+    json.push_str("    ]\n");
     json.push_str("  }\n");
     json.push_str("}\n");
 

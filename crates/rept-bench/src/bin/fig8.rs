@@ -12,7 +12,7 @@
 //!
 //! REPT's accuracy cells don't need per-processor timing, so they run
 //! through [`rept_cell_with_engine`] on the engine selected by
-//! `--engine` (default: fused-sorted); only the runtime panels keep the
+//! `--engine` (default: fused-hybrid); only the runtime panels keep the
 //! per-worker engine, whose independent per-processor work is what the
 //! simulated wall-clock model times. The engine used for each row is
 //! recorded in the CSV (`-` for the single-threaded baselines).

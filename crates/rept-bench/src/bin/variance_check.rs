@@ -13,7 +13,7 @@
 
 use rept_bench::{Args, ExperimentContext};
 use rept_core::variance::{parallel_mascot_variance, rept_variance};
-use rept_core::{Rept, ReptConfig};
+use rept_core::{Engine, Rept, ReptConfig};
 use rept_gen::DatasetId;
 use rept_metrics::report::{fmt_num, Table};
 use rept_metrics::Welford;
@@ -71,7 +71,7 @@ fn main() {
                 let cfg = ReptConfig::new(m, c)
                     .with_seed(args.seed + t)
                     .with_locals(false);
-                acc.push(Rept::new(cfg).run_sequential(stream.iter().copied()).global);
+                acc.push(Rept::new(cfg).run(Engine::PerWorker, stream).global);
             }
         }
         let empirical = acc.variance().unwrap_or(0.0);

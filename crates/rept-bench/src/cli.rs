@@ -8,8 +8,9 @@
 //! * `--full` — run all eight registry datasets at full scale;
 //! * `--seed S` — base seed for the trial sequence;
 //! * `--out DIR` — output directory for CSV files (default `results/`);
-//! * `--engine E` — REPT execution engine (`per-worker`, `fused-hash`,
-//!   `fused-sorted`) for binaries whose cells go through
+//! * `--engine E` — REPT execution engine (`per-worker`, `fused-hybrid`;
+//!   `fused`, `fused-hash` and `fused-sorted` are aliases of the
+//!   latter) for binaries whose cells go through
 //!   [`rept_cell_with_engine`](crate::runners::rept_cell_with_engine);
 //!   all engines are bit-identical, so this only affects runtime, and
 //!   the chosen name is recorded in the CSV output.
@@ -259,10 +260,12 @@ mod tests {
             assert_eq!(a.engine, Some(engine));
             assert_eq!(a.engine_or_default(), engine);
         }
-        // Legacy alias from the PR 1 result files.
-        assert_eq!(
-            parse(&["--engine", "fused"]).unwrap().engine,
-            Some(Engine::FusedSorted)
-        );
+        // Retired fused-layout names are aliases of the fused engine.
+        for alias in ["fused", "fused-hash", "fused-sorted"] {
+            assert_eq!(
+                parse(&["--engine", alias]).unwrap().engine,
+                Some(Engine::FusedHybrid)
+            );
+        }
     }
 }

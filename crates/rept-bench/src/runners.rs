@@ -30,7 +30,7 @@ pub struct CellOptions {
     pub base_seed: u64,
 }
 
-/// Evaluates REPT at `(m, c)` with the default engine (fused-sorted —
+/// Evaluates REPT at `(m, c)` with the default engine (fused-hybrid —
 /// all engines are bit-identical, so accuracy cells just take the fast
 /// one).
 pub fn rept_cell(
@@ -234,7 +234,7 @@ mod tests {
         let o = opts(6, true);
         for (m, c) in [(3u64, 4u64), (3, 3), (2, 5)] {
             let a = rept_cell_with_engine(&stream, &gt, m, c, o, Engine::PerWorker);
-            for engine in [Engine::FusedHash, Engine::FusedSorted] {
+            for engine in Engine::all() {
                 let b = rept_cell_with_engine(&stream, &gt, m, c, o, engine);
                 assert_eq!(a.global.nrmse, b.global.nrmse, "m={m} c={c} {engine:?}");
                 assert_eq!(a.local_nrmse, b.local_nrmse, "m={m} c={c} {engine:?}");

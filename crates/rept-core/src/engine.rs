@@ -7,8 +7,8 @@
 //! third on top of that. This module collapses them into one type:
 //!
 //! * [`EngineCore`] owns the engine-specific state of a run — per-worker
-//!   workers, fused hash groups, or the fused sorted layout with its
-//!   shared full-group / masked-remainder structures — behind four
+//!   workers, or the fused layout with its shared full-group /
+//!   masked-remainder structures — behind four
 //!   operations: [`EngineCore::ingest_batch`] (apply stream edges),
 //!   [`EngineCore::compact`] (fold pending insertions into
 //!   query-optimal form), [`EngineCore::snapshot_counters`] (anytime,
@@ -33,39 +33,28 @@
 //! compaction runs, a pure representation change), which is what makes
 //! checkpoint/resume at any batch boundary exact.
 //!
-//! ## The sorted engine's shared structures
+//! ## The fused engine's shared structures
 //!
-//! A fused-sorted core picks the strongest sharing the layout admits:
+//! A fused core picks the strongest sharing the layout admits:
 //!
 //! * `c₂ = 0`, ≥ 2 full groups — one `FusedFullGroups` walk serves
-//!   every full group ([`MultiSortedTaggedAdjacency`]).
+//!   every full group ([`MultiHybridTaggedAdjacency`]).
 //! * `c₂ ≠ 0`, ≥ 1 full group — one `FusedMaskedGroups` walk serves
 //!   the full groups **and** the remainder group
-//!   ([`MaskedSortedTaggedAdjacency`]'s masked tag column marks the
-//!   remainder's stored subset), deleting the second structure walk the
-//!   remainder used to pay. [`CoreOptions::masked_remainder`] disables
-//!   this (benchmark comparisons only).
+//!   ([`MaskedHybridTaggedAdjacency`]'s masked tag column marks the
+//!   remainder's stored subset), so the remainder pays no second
+//!   structure walk.
 //! * otherwise — one independent `FusedGroup` per group.
 //!
-//! [`MultiSortedTaggedAdjacency`]: rept_graph::multi_tagged::MultiSortedTaggedAdjacency
-//! [`MaskedSortedTaggedAdjacency`]: rept_graph::masked_tagged::MaskedSortedTaggedAdjacency
+//! [`MultiHybridTaggedAdjacency`]: rept_graph::hybrid_tagged::MultiHybridTaggedAdjacency
+//! [`MaskedHybridTaggedAdjacency`]: rept_graph::hybrid_tagged::MaskedHybridTaggedAdjacency
 
-use rept_graph::cell_tagged::{CellTaggedAdjacency, TaggedAdjacency};
 use rept_graph::edge::Edge;
-use rept_graph::hybrid_tagged::{
-    HybridTaggedAdjacency, MaskedHybridTaggedAdjacency, MultiHybridTaggedAdjacency,
-};
-use rept_graph::masked_tagged::MaskedSortedTaggedAdjacency;
-use rept_graph::multi_tagged::MultiSortedTaggedAdjacency;
-use rept_graph::sorted_tagged::SortedTaggedAdjacency;
 
 use crate::config::ReptConfig;
 use crate::estimate::ReptEstimate;
 use crate::estimator::{Engine, GroupAggregate, GroupSpec, Rept};
-use crate::fused::{
-    BatchScratch, FusedFullGroups, FusedGroup, FusedMaskedGroups, SharedMaskedAdjacency,
-    SharedMultiAdjacency,
-};
+use crate::fused::{FusedFullGroups, FusedGroup, FusedMaskedGroups};
 use crate::worker::SemiTriangleWorker;
 
 /// Edges per batch in the group-major fused drivers: small enough to
@@ -74,52 +63,18 @@ use crate::worker::SemiTriangleWorker;
 /// batches internally, so callers may pass streams of any size.
 pub(crate) const FUSED_BATCH: usize = 4096;
 
-/// Edges per batch in the within-group split driver: larger than
-/// `FUSED_BATCH` because every batch pays one thread-scope fork/join
-/// per group, and the sequential store phase touches the intra-batch
-/// delta rather than the whole adjacency anyway.
-pub(crate) const SPLIT_BATCH: usize = 16384;
-
-/// Tuning knobs of an [`EngineCore`]. The defaults are right for every
-/// production caller; the switches exist so benchmarks can measure a
-/// sharing level against its predecessor on identical streams.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CoreOptions {
-    /// Fold the remainder group (`c mod m ≠ 0` layouts) into the full
-    /// groups' shared structure walk via the masked tag column. `false`
-    /// reverts to an independent remainder adjacency — bit-identical,
-    /// but one extra structure walk per stream edge.
-    pub masked_remainder: bool,
-}
-
-impl Default for CoreOptions {
-    fn default() -> Self {
-        Self {
-            masked_remainder: true,
-        }
-    }
-}
-
-/// A shared-structure engine's shared state: all full groups over one
-/// multi-tag structure, or full groups *plus* the remainder over one
-/// masked structure. Generic over the multi/masked layout pair so the
-/// sorted and hybrid engines run the identical group-fusion logic over
-/// their respective structures.
+/// The fused engine's shared state: all full groups over one multi-tag
+/// structure, or full groups *plus* the remainder over one masked
+/// structure.
 #[derive(Debug, Clone)]
-pub(crate) enum SharedState<M: SharedMultiAdjacency, K: SharedMaskedAdjacency> {
+pub(crate) enum SharedState {
     /// ≥ 2 full groups, no remainder folded in.
-    Full(Box<FusedFullGroups<M>>),
+    Full(Box<FusedFullGroups>),
     /// ≥ 1 full group and the remainder group.
-    Masked(Box<FusedMaskedGroups<K>>),
+    Masked(Box<FusedMaskedGroups>),
 }
 
-/// The sorted engine's shared-structure state.
-pub(crate) type SharedSorted = SharedState<MultiSortedTaggedAdjacency, MaskedSortedTaggedAdjacency>;
-
-/// The hybrid engine's shared-structure state (blocked-bitmap layouts).
-pub(crate) type SharedHybrid = SharedState<MultiHybridTaggedAdjacency, MaskedHybridTaggedAdjacency>;
-
-impl<M: SharedMultiAdjacency, K: SharedMaskedAdjacency> SharedState<M, K> {
+impl SharedState {
     #[inline]
     fn process(&mut self, e: Edge) {
         match self {
@@ -165,20 +120,11 @@ pub(crate) enum CoreState {
     /// One [`SemiTriangleWorker`] per processor — the paper's cost
     /// model executed literally; the reference oracle.
     PerWorker { workers: Vec<SemiTriangleWorker> },
-    /// One independent hash-layout group per hash group.
-    FusedHash(Vec<FusedGroup<CellTaggedAdjacency>>),
-    /// The sorted layout: optional shared structure plus independent
-    /// groups for whatever the sharing cannot cover.
-    FusedSorted {
-        shared: Option<SharedSorted>,
-        rest: Vec<FusedGroup<SortedTaggedAdjacency>>,
-    },
-    /// The hybrid sorted-vec / blocked-bitmap layout — same sharing
-    /// structure as the sorted engine, bit-parallel intersections on
-    /// high-degree nodes.
-    FusedHybrid {
-        shared: Option<SharedHybrid>,
-        rest: Vec<FusedGroup<HybridTaggedAdjacency>>,
+    /// The fused hybrid layout: optional shared structure plus
+    /// independent groups for whatever the sharing cannot cover.
+    Fused {
+        shared: Option<SharedState>,
+        rest: Vec<FusedGroup>,
     },
 }
 
@@ -252,11 +198,11 @@ impl GroupSlice {
 ///
 /// let stream = [Edge::new(0, 1), Edge::new(1, 2), Edge::new(0, 2)];
 /// let rept = Rept::new(ReptConfig::new(2, 2).with_seed(1));
-/// let mut core = EngineCore::with_engine(rept.clone(), Engine::FusedSorted);
+/// let mut core = EngineCore::with_engine(rept.clone(), Engine::FusedHybrid);
 /// core.ingest_batch(&stream);
 /// let est = core.into_estimate();
 /// // … which is exactly what the whole-stream driver does:
-/// assert_eq!(est.global, rept.run(Engine::FusedSorted, &stream).global);
+/// assert_eq!(est.global, rept.run(Engine::FusedHybrid, &stream).global);
 /// ```
 #[derive(Debug, Clone)]
 pub struct EngineCore {
@@ -269,7 +215,7 @@ pub struct EngineCore {
 
 impl EngineCore {
     /// Creates a core over every group of the layout, on the default
-    /// engine ([`Engine::FusedSorted`]).
+    /// engine ([`Engine::FusedHybrid`]).
     pub fn new(rept: Rept) -> Self {
         Self::with_engine(rept, Engine::default())
     }
@@ -277,12 +223,7 @@ impl EngineCore {
     /// Creates a core over every group of the layout on the given
     /// engine.
     pub fn with_engine(rept: Rept, engine: Engine) -> Self {
-        Self::with_options(rept, engine, CoreOptions::default())
-    }
-
-    /// Creates a core with explicit [`CoreOptions`].
-    pub fn with_options(rept: Rept, engine: Engine, opts: CoreOptions) -> Self {
-        Self::with_slice(rept, engine, opts, GroupSlice::FULL)
+        Self::with_slice(rept, engine, GroupSlice::FULL)
     }
 
     /// Assembles a core from restored parts — the checkpoint decoder's
@@ -306,9 +247,9 @@ impl EngineCore {
     /// Creates a core owning only the groups its [`GroupSlice`] keeps —
     /// the construction the threaded batch driver uses to spread groups
     /// over threads, and a sharded deployment uses to split one
-    /// configuration's processors across processes. All four engines
-    /// slice (the per-worker engine allocates its full worker vector
-    /// but only drives the kept groups' workers).
+    /// configuration's processors across processes. Both engines slice
+    /// (the per-worker engine allocates its full worker vector but only
+    /// drives the kept groups' workers).
     ///
     /// A sliced core's own [`Self::estimate`] is a *local view*: groups
     /// it does not own contribute zero, so the value is biased low.
@@ -319,7 +260,7 @@ impl EngineCore {
     ///
     /// Panics if the slice keeps none of the layout's groups (more
     /// slices than groups at this index).
-    pub fn with_slice(rept: Rept, engine: Engine, opts: CoreOptions, slice: GroupSlice) -> Self {
+    pub fn with_slice(rept: Rept, engine: Engine, slice: GroupSlice) -> Self {
         let cfg = *rept.config();
         let kept: Vec<GroupSpec> = rept
             .groups()
@@ -339,16 +280,9 @@ impl EngineCore {
             Engine::PerWorker => CoreState::PerWorker {
                 workers: make_workers(&cfg),
             },
-            Engine::FusedHash => {
-                CoreState::FusedHash(kept.iter().map(|g| FusedGroup::new(*g, &cfg)).collect())
-            }
-            Engine::FusedSorted => {
-                let (shared, rest) = build_shared_state(&cfg, &kept, opts);
-                CoreState::FusedSorted { shared, rest }
-            }
             Engine::FusedHybrid => {
-                let (shared, rest) = build_shared_state(&cfg, &kept, opts);
-                CoreState::FusedHybrid { shared, rest }
+                let (shared, rest) = build_shared_state(&cfg, &kept);
+                CoreState::Fused { shared, rest }
             }
         };
         Self {
@@ -412,20 +346,7 @@ impl EngineCore {
                     }
                 }
             }
-            CoreState::FusedHash(groups) => {
-                for g in groups.iter_mut() {
-                    g.process(e);
-                }
-            }
-            CoreState::FusedSorted { shared, rest } => {
-                if let Some(shared) = shared {
-                    shared.process(e);
-                }
-                for g in rest.iter_mut() {
-                    g.process(e);
-                }
-            }
-            CoreState::FusedHybrid { shared, rest } => {
+            CoreState::Fused { shared, rest } => {
                 if let Some(shared) = shared {
                     shared.process(e);
                 }
@@ -436,12 +357,11 @@ impl EngineCore {
         }
     }
 
-    /// Processes a batch of arriving edges. Fused engines re-chunk into
-    /// `FUSED_BATCH`-edge sub-batches and run group-major within each
-    /// (one group's adjacency stays cache-hot while the sub-batch drains
-    /// against it), compacting at every boundary so steady-state
-    /// matching runs on fully sorted state. Results are independent of
-    /// how the stream is split into batches.
+    /// Processes a batch of arriving edges. The fused engine re-chunks
+    /// into `FUSED_BATCH`-edge sub-batches and runs group-major within
+    /// each (one group's adjacency stays cache-hot while the sub-batch
+    /// drains against it), compacting at every boundary. Results are
+    /// independent of how the stream is split into batches.
     pub fn ingest_batch(&mut self, batch: &[Edge]) {
         match &mut self.state {
             CoreState::PerWorker { .. } => {
@@ -450,12 +370,7 @@ impl EngineCore {
                 }
                 return;
             }
-            CoreState::FusedHash(groups) => {
-                for chunk in batch.chunks(FUSED_BATCH) {
-                    drive_groups(groups, chunk);
-                }
-            }
-            CoreState::FusedSorted { shared, rest } => {
+            CoreState::Fused { shared, rest } => {
                 for chunk in batch.chunks(FUSED_BATCH) {
                     if let Some(shared) = shared.as_mut() {
                         for &e in chunk {
@@ -465,47 +380,6 @@ impl EngineCore {
                     }
                     drive_groups(rest, chunk);
                 }
-            }
-            CoreState::FusedHybrid { shared, rest } => {
-                for chunk in batch.chunks(FUSED_BATCH) {
-                    if let Some(shared) = shared.as_mut() {
-                        for &e in chunk {
-                            shared.process(e);
-                        }
-                        shared.compact();
-                    }
-                    drive_groups(rest, chunk);
-                }
-            }
-        }
-        self.position += batch.len() as u64;
-    }
-
-    /// Processes one batch through the split match/apply pipeline: a
-    /// parallel read-only matching phase over `threads` OS threads
-    /// followed by the sequential store phase (see [`crate::fused`]).
-    /// Only meaningful for single-group fused layouts — the layouts the
-    /// group-parallel driver cannot speed up; shared multi-group states
-    /// fall back to [`Self::ingest_batch`].
-    pub(crate) fn ingest_batch_split(
-        &mut self,
-        batch: &[Edge],
-        scratch: &mut BatchScratch,
-        threads: usize,
-    ) {
-        match &mut self.state {
-            CoreState::FusedHash(groups) => {
-                split_drive_groups(groups, batch, scratch, threads);
-            }
-            CoreState::FusedSorted { shared: None, rest } => {
-                split_drive_groups(rest, batch, scratch, threads);
-            }
-            CoreState::FusedHybrid { shared: None, rest } => {
-                split_drive_groups(rest, batch, scratch, threads);
-            }
-            _ => {
-                self.ingest_batch(batch);
-                return;
             }
         }
         self.position += batch.len() as u64;
@@ -518,20 +392,7 @@ impl EngineCore {
     pub fn compact(&mut self) {
         match &mut self.state {
             CoreState::PerWorker { .. } => {}
-            CoreState::FusedHash(groups) => {
-                for g in groups.iter_mut() {
-                    g.compact();
-                }
-            }
-            CoreState::FusedSorted { shared, rest } => {
-                if let Some(shared) = shared {
-                    shared.compact();
-                }
-                for g in rest.iter_mut() {
-                    g.compact();
-                }
-            }
-            CoreState::FusedHybrid { shared, rest } => {
+            CoreState::Fused { shared, rest } => {
                 if let Some(shared) = shared {
                     shared.compact();
                 }
@@ -551,21 +412,10 @@ impl EngineCore {
             CoreState::PerWorker { workers } => self
                 .rept
                 .aggregate_workers_for(workers, |gi| self.slice.keeps(gi)),
-            CoreState::FusedHash(groups) => {
-                groups.iter().map(FusedGroup::snapshot_aggregate).collect()
-            }
-            CoreState::FusedSorted { shared, rest } => {
+            CoreState::Fused { shared, rest } => {
                 let mut aggregates = shared
                     .as_ref()
-                    .map(SharedSorted::snapshot_aggregates)
-                    .unwrap_or_default();
-                aggregates.extend(rest.iter().map(FusedGroup::snapshot_aggregate));
-                aggregates
-            }
-            CoreState::FusedHybrid { shared, rest } => {
-                let mut aggregates = shared
-                    .as_ref()
-                    .map(SharedHybrid::snapshot_aggregates)
+                    .map(SharedState::snapshot_aggregates)
                     .unwrap_or_default();
                 aggregates.extend(rest.iter().map(FusedGroup::snapshot_aggregate));
                 aggregates
@@ -587,20 +437,8 @@ impl EngineCore {
             CoreState::PerWorker { workers } => {
                 rept.aggregate_workers_for(&workers, |gi| slice.keeps(gi))
             }
-            CoreState::FusedHash(groups) => {
-                groups.into_iter().map(FusedGroup::into_aggregate).collect()
-            }
-            CoreState::FusedSorted { shared, rest } => {
-                let mut aggregates = shared
-                    .map(SharedSorted::into_aggregates)
-                    .unwrap_or_default();
-                aggregates.extend(rest.into_iter().map(FusedGroup::into_aggregate));
-                aggregates
-            }
-            CoreState::FusedHybrid { shared, rest } => {
-                let mut aggregates = shared
-                    .map(SharedHybrid::into_aggregates)
-                    .unwrap_or_default();
+            CoreState::Fused { shared, rest } => {
+                let mut aggregates = shared.map(SharedState::into_aggregates).unwrap_or_default();
                 aggregates.extend(rest.into_iter().map(FusedGroup::into_aggregate));
                 aggregates
             }
@@ -610,7 +448,7 @@ impl EngineCore {
     /// Bytes of adjacency storage currently held by this core, summed
     /// over every structure the engine maintains — the quantity a
     /// serving-tier memory quota governs. Cheap (no counter cloning):
-    /// each layout reports its own `approx_bytes`, and shared sorted
+    /// each layout reports its own `approx_bytes`, and shared
     /// structures are counted once, matching what is actually resident.
     ///
     /// Counter maps (`τ̂_v`, η) are *not* included: their size is
@@ -622,13 +460,8 @@ impl EngineCore {
             CoreState::PerWorker { workers } => {
                 workers.iter().map(SemiTriangleWorker::stored_bytes).sum()
             }
-            CoreState::FusedHash(groups) => groups.iter().map(|g| g.adj.approx_bytes()).sum(),
-            CoreState::FusedSorted { shared, rest } => {
-                let shared_bytes = shared.as_ref().map_or(0, SharedSorted::stored_bytes);
-                shared_bytes + rest.iter().map(|g| g.adj.approx_bytes()).sum::<usize>()
-            }
-            CoreState::FusedHybrid { shared, rest } => {
-                let shared_bytes = shared.as_ref().map_or(0, SharedHybrid::stored_bytes);
+            CoreState::Fused { shared, rest } => {
+                let shared_bytes = shared.as_ref().map_or(0, SharedState::stored_bytes);
                 shared_bytes + rest.iter().map(|g| g.adj.approx_bytes()).sum::<usize>()
             }
         }
@@ -694,14 +527,13 @@ pub(crate) fn make_workers(cfg: &ReptConfig) -> Vec<SemiTriangleWorker> {
 
 /// Splits specs into full groups (size = `m`) and the rest, preserving
 /// order (full groups always precede any remainder group in
-/// [`Rept::groups`] order) — the one classification every sorted-layout
+/// [`Rept::groups`] order) — the one classification every fused-layout
 /// decision builds on, shared with the checkpoint codec.
 pub(crate) fn split_full_partial(m: u64, specs: &[GroupSpec]) -> (Vec<GroupSpec>, Vec<GroupSpec>) {
     specs.iter().copied().partition(|g| g.size as u64 == m)
 }
 
-/// The structure sharing the shared-layout engines pick for a set of
-/// groups. Construction ([`build_shared_state`]) and checkpoint restore
+/// The structure sharing the fused engine picks for a set of groups. Construction ([`build_shared_state`]) and checkpoint restore
 /// ([`crate::resume`]) both consult this single rule, so a resumed run
 /// always lands in the same layout a fresh run would build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -717,12 +549,8 @@ pub(crate) enum SortedLayout {
 
 /// Picks the strongest sharing `full_count` full groups and
 /// `partial_count` partial groups admit.
-pub(crate) fn sorted_layout(
-    full_count: usize,
-    partial_count: usize,
-    masked_remainder: bool,
-) -> SortedLayout {
-    if masked_remainder && partial_count == 1 && full_count >= 1 {
+pub(crate) fn sorted_layout(full_count: usize, partial_count: usize) -> SortedLayout {
+    if partial_count == 1 && full_count >= 1 {
         SortedLayout::Masked
     } else if full_count >= 2 {
         SortedLayout::SharedFull
@@ -731,30 +559,22 @@ pub(crate) fn sorted_layout(
     }
 }
 
-/// Builds a shared-structure engine's state for the kept groups,
-/// picking the strongest sharing the subset admits (see the module
-/// docs). Generic over the layout triple so the sorted and hybrid
-/// engines share the one construction rule.
-fn build_shared_state<A, M, K>(
+/// Builds the fused engine's state for the kept groups, picking the
+/// strongest sharing the subset admits (see the module docs).
+fn build_shared_state(
     cfg: &ReptConfig,
     kept: &[GroupSpec],
-    opts: CoreOptions,
-) -> (Option<SharedState<M, K>>, Vec<FusedGroup<A>>)
-where
-    A: TaggedAdjacency,
-    M: SharedMultiAdjacency,
-    K: SharedMaskedAdjacency,
-{
+) -> (Option<SharedState>, Vec<FusedGroup>) {
     let (full, partial) = split_full_partial(cfg.m, kept);
-    match sorted_layout(full.len(), partial.len(), opts.masked_remainder) {
+    match sorted_layout(full.len(), partial.len()) {
         SortedLayout::Masked => (
-            Some(SharedState::Masked(Box::new(FusedMaskedGroups::<K>::new(
+            Some(SharedState::Masked(Box::new(FusedMaskedGroups::new(
                 &full, partial[0], cfg,
             )))),
             Vec::new(),
         ),
         SortedLayout::SharedFull => (
-            Some(SharedState::Full(Box::new(FusedFullGroups::<M>::new(
+            Some(SharedState::Full(Box::new(FusedFullGroups::new(
                 &full, cfg,
             )))),
             partial.iter().map(|g| FusedGroup::new(*g, cfg)).collect(),
@@ -768,7 +588,7 @@ where
 
 /// Drains one sub-batch against a set of independent fused groups,
 /// group-major, compacting each group at the boundary.
-fn drive_groups<A: TaggedAdjacency>(groups: &mut [FusedGroup<A>], batch: &[Edge]) {
+fn drive_groups(groups: &mut [FusedGroup], batch: &[Edge]) {
     for g in groups.iter_mut() {
         for &e in batch {
             g.process(e);
@@ -777,80 +597,49 @@ fn drive_groups<A: TaggedAdjacency>(groups: &mut [FusedGroup<A>], batch: &[Edge]
     }
 }
 
-/// One split match/apply round over independent groups.
-fn split_drive_groups<A: TaggedAdjacency>(
-    groups: &mut [FusedGroup<A>],
-    batch: &[Edge],
-    scratch: &mut BatchScratch,
-    threads: usize,
-) {
-    for g in groups.iter_mut() {
-        g.match_batch(batch, &mut scratch.lists, threads);
-        g.apply_batch(batch, scratch);
-        g.compact();
-    }
-}
-
-/// The whole-stream batch driver every fused [`Rept`] method funnels
-/// into: construct core(s), ingest the stream, combine the aggregates.
+/// The whole-stream batch driver behind [`Rept::run`] and the fused
+/// half of [`Rept::run_threaded`]: construct core(s), ingest the
+/// stream, combine the aggregates.
 ///
-/// * One thread — a single core over every group.
+/// * One thread or one group — a single core over every group.
 /// * Several threads, several groups — groups spread round-robin over
 ///   `min(threads, groups)` cores, one per thread; each thread ingests
 ///   the whole stream against its groups only (REPT groups never
 ///   communicate mid-stream). Threads may finish in any interleaving;
 ///   [`Rept::finalize_groups`] re-orders aggregates by group start.
-/// * Several threads, one group — within-group parallelism: each
-///   `SPLIT_BATCH`-edge batch is matched read-only across all
-///   threads, then stored sequentially, keeping the counters
-///   bit-identical.
 ///
 /// # Panics
 ///
 /// Panics if `threads == 0`.
 pub(crate) fn drive(rept: &Rept, engine: Engine, stream: &[Edge], threads: usize) -> ReptEstimate {
     assert!(threads > 0, "need at least one thread");
-    let opts = CoreOptions::default();
-    let n_groups = rept.groups().len();
-    if threads == 1 || engine == Engine::PerWorker {
-        // Single worker: run inline — a thread scope would be pure
-        // overhead for the Monte-Carlo callers running one trial per
-        // seed. (The per-worker engine's threaded driver parallelises
-        // over workers, not groups; it lives on `Rept` directly.)
-        let mut core = EngineCore::with_options(rept.clone(), engine, opts);
+    let n_threads = threads.min(rept.groups().len());
+    if n_threads == 1 {
+        // Run inline — a thread scope would be pure overhead for the
+        // Monte-Carlo callers running one trial per seed.
+        let mut core = EngineCore::with_engine(rept.clone(), engine);
         core.ingest_batch(stream);
         return core.into_estimate();
     }
-    if n_groups > 1 {
-        let n_threads = threads.min(n_groups);
-        let aggregates: Vec<GroupAggregate> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(n_threads);
-            for t in 0..n_threads {
-                let mut core = EngineCore::with_slice(
-                    rept.clone(),
-                    engine,
-                    opts,
-                    GroupSlice::new(t as u32, n_threads as u32),
-                );
-                handles.push(scope.spawn(move || {
-                    core.ingest_batch(stream);
-                    core.finalize()
-                }));
-            }
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("REPT fused thread panicked"))
-                .collect()
-        });
-        return rept.finalize_groups(aggregates);
-    }
-    // One group, several threads: split match/apply batches.
-    let mut core = EngineCore::with_options(rept.clone(), engine, opts);
-    let mut scratch = BatchScratch::default();
-    for batch in stream.chunks(SPLIT_BATCH) {
-        core.ingest_batch_split(batch, &mut scratch, threads);
-    }
-    core.into_estimate()
+    let aggregates: Vec<GroupAggregate> = std::thread::scope(|scope| {
+        let mut handles = Vec::with_capacity(n_threads);
+        for t in 0..n_threads {
+            let mut core = EngineCore::with_slice(
+                rept.clone(),
+                engine,
+                GroupSlice::new(t as u32, n_threads as u32),
+            );
+            handles.push(scope.spawn(move || {
+                core.ingest_batch(stream);
+                core.finalize()
+            }));
+        }
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("REPT fused thread panicked"))
+            .collect()
+    });
+    rept.finalize_groups(aggregates)
 }
 
 #[cfg(test)]
@@ -888,6 +677,40 @@ mod tests {
     }
 
     #[test]
+    fn masked_sharing_is_bit_identical_to_per_worker() {
+        // Layouts with a remainder group take the masked shared path;
+        // its estimate equals the per-worker oracle's field for field.
+        let stream = barabasi_albert(&GeneratorConfig::new(300, 2), 4);
+        for (m, c) in [(4u64, 11u64), (3, 4), (4, 9)] {
+            let cfg = ReptConfig::new(m, c).with_seed(9).with_eta(true);
+            let rept = Rept::new(cfg);
+            let mut fused = EngineCore::with_engine(rept.clone(), Engine::FusedHybrid);
+            let mut oracle = EngineCore::with_engine(rept.clone(), Engine::PerWorker);
+            assert!(
+                matches!(
+                    fused.state,
+                    CoreState::Fused {
+                        shared: Some(SharedState::Masked(_)),
+                        ..
+                    }
+                ),
+                "remainder layouts take the masked path, m={m} c={c}"
+            );
+            fused.ingest_batch(&stream);
+            oracle.ingest_batch(&stream);
+            let (a, b) = (fused.into_estimate(), oracle.into_estimate());
+            assert_eq!(a.global, b.global, "m={m} c={c}");
+            assert_eq!(a.locals, b.locals);
+            assert_eq!(a.eta_hat, b.eta_hat);
+            assert_eq!(
+                a.diagnostics.per_processor_tau,
+                b.diagnostics.per_processor_tau
+            );
+            assert_eq!(a.diagnostics.stored_edges, b.diagnostics.stored_edges);
+        }
+    }
+
+    #[test]
     fn disjoint_slices_recombine_to_the_full_run() {
         // The sharding contract: cores over disjoint slices of one
         // layout, each fed the whole stream, recombine bit-identically
@@ -909,7 +732,6 @@ mod tests {
                         let mut shard = EngineCore::with_slice(
                             rept.clone(),
                             engine,
-                            CoreOptions::default(),
                             GroupSlice::new(index, count),
                         );
                         shard.ingest_batch(&stream);
@@ -930,50 +752,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn masked_remainder_off_is_bit_identical() {
-        let stream = barabasi_albert(&GeneratorConfig::new(300, 2), 4);
-        for (m, c) in [(4u64, 11u64), (3, 4), (4, 9)] {
-            let cfg = ReptConfig::new(m, c).with_seed(9).with_eta(true);
-            let rept = Rept::new(cfg);
-            let mut on = EngineCore::with_options(
-                rept.clone(),
-                Engine::FusedSorted,
-                CoreOptions {
-                    masked_remainder: true,
-                },
-            );
-            let mut off = EngineCore::with_options(
-                rept.clone(),
-                Engine::FusedSorted,
-                CoreOptions {
-                    masked_remainder: false,
-                },
-            );
-            assert!(
-                matches!(
-                    on.state,
-                    CoreState::FusedSorted {
-                        shared: Some(SharedSorted::Masked(_)),
-                        ..
-                    }
-                ),
-                "remainder layouts take the masked path, m={m} c={c}"
-            );
-            on.ingest_batch(&stream);
-            off.ingest_batch(&stream);
-            let (a, b) = (on.into_estimate(), off.into_estimate());
-            assert_eq!(a.global, b.global, "m={m} c={c}");
-            assert_eq!(a.locals, b.locals);
-            assert_eq!(a.eta_hat, b.eta_hat);
-            assert_eq!(
-                a.diagnostics.per_processor_tau,
-                b.diagnostics.per_processor_tau
-            );
-            assert_eq!(a.diagnostics.stored_edges, b.diagnostics.stored_edges);
         }
     }
 
@@ -1019,7 +797,7 @@ mod tests {
         core.compact();
         assert_eq!(core.position(), stream.len() as u64);
         assert_eq!(core.config().c, 7);
-        assert_eq!(core.engine(), Engine::FusedSorted);
+        assert_eq!(core.engine(), Engine::FusedHybrid);
         let aggregates = core.snapshot_counters();
         assert_eq!(aggregates.len(), core.rept().groups().len());
         let est = core.into_estimate();

@@ -9,30 +9,25 @@
 //! from the same seeded family, so group estimates are independent and the
 //! paper's Graybill–Deal combination applies.
 //!
-//! Three execution [`Engine`]s produce **bit-identical** results:
+//! Two execution [`Engine`]s produce **bit-identical** results:
 //!
 //! * **Per-worker** — every processor is a
 //!   [`SemiTriangleWorker`] with its own adjacency; each stream edge costs
 //!   one intersection *per processor*. This is the paper's cost model
 //!   executed literally and serves as the reference oracle.
-//!   Drivers: [`Rept::run_sequential`], [`Rept::run_threaded`].
-//! * **Fused** — each hash group keeps one shared cell-tagged adjacency
-//!   ([`crate::fused`]) and recovers all of its workers' counters from a
-//!   single matching-common-neighbor pass per edge. Two storage layouts
-//!   exist behind the same [`TaggedAdjacency`](rept_graph::cell_tagged::TaggedAdjacency) contract: the original
-//!   hash-map-of-hash-maps ([`Engine::FusedHash`]) and the sorted
-//!   struct-of-arrays layout with merge/galloping intersection
-//!   ([`Engine::FusedSorted`], the default and fastest engine).
-//!   Drivers: [`Rept::run_fused`], [`Rept::run_fused_threaded`],
-//!   [`Rept::run_threaded_with`].
+//! * **Fused hybrid** — each hash group keeps one shared cell-tagged
+//!   adjacency ([`crate::fused`]) and recovers all of its workers'
+//!   counters from a single matching-common-neighbor pass per edge; all
+//!   full groups (and the remainder, through a masked tag column) share
+//!   one structure walk. Low-degree nodes keep sorted neighbor vecs,
+//!   high-degree nodes promote to blocked bitmaps
+//!   ([`rept_graph::hybrid_tagged`]). The default and fast engine.
 //!
-//! Threaded fused runs parallelise over hash groups whenever the layout
-//! has more than one group (threads clamped to the group count — each
-//! group's full match-and-store pipeline runs concurrently); only
-//! single-group layouts — every `c ≤ m` configuration — switch to
-//! *within-group* parallelism, splitting each batch into a parallel
-//! read-only matching phase and a sequential store phase (see
-//! [`crate::fused`]).
+//! Both run through [`Rept::run`] (one thread) and
+//! [`Rept::run_threaded`]: the per-worker engine spreads its processors
+//! over the threads, the fused engine spreads its hash groups (threads
+//! clamped to the group count, so a single-group layout — every
+//! `c ≤ m` configuration — runs on one thread).
 //!
 //! Every driver here is a thin adapter over the unified incremental
 //! execution core ([`crate::engine::EngineCore`]): batch execution is
@@ -41,8 +36,8 @@
 //! batch, resume and serve bit-identical by construction. The group
 //! build/drain machinery lives entirely in [`crate::engine`] and
 //! [`crate::fused`]; what remains *here* is the configuration-derived
-//! group layout ([`Rept::new`] caches it), the per-worker reference
-//! drivers, and the combination arithmetic
+//! group layout ([`Rept::new`] caches it), the per-worker threaded
+//! driver, and the combination arithmetic
 //! ([`Rept::finalize_groups`] turns any engine's [`GroupAggregate`]s
 //! into a [`ReptEstimate`] via the paper's Graybill–Deal weights).
 //!
@@ -55,7 +50,7 @@ use rept_hash::fx::FxHashMap;
 
 use crate::combine::{graybill_deal, Combined};
 use crate::config::ReptConfig;
-use crate::engine::{self, EngineCore};
+use crate::engine;
 use crate::estimate::{CombinationPath, Diagnostics, ReptEstimate};
 use crate::worker::SemiTriangleWorker;
 
@@ -75,7 +70,7 @@ pub(crate) struct GroupSpec {
 /// per-*group* sums of the per-node maps (split by group for the
 /// Graybill–Deal locals), so this is the natural combination boundary —
 /// and the exchange format between an
-/// [`EngineCore`] and the combination
+/// [`EngineCore`](crate::engine::EngineCore) and the combination
 /// arithmetic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroupAggregate {
@@ -95,7 +90,7 @@ pub struct GroupAggregate {
     pub eta_v: Option<FxHashMap<NodeId, u64>>,
 }
 
-/// Which execution engine drives a run. All produce bit-identical
+/// Which execution engine drives a run. Both produce bit-identical
 /// estimates; they differ only in cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
@@ -103,21 +98,12 @@ pub enum Engine {
     /// paper's cost model executed literally. Reference oracle.
     PerWorker,
     /// One shared cell-tagged adjacency and one intersection per hash
-    /// *group* per edge (see [`crate::fused`]), stored as
-    /// hash-map-of-hash-maps. PR 1's fused engine, kept as the
-    /// layout-comparison baseline.
-    FusedHash,
-    /// The fused engine over the sorted struct-of-arrays layout with
-    /// merge/galloping intersection
-    /// ([`rept_graph::sorted_tagged::SortedTaggedAdjacency`]). The fast
-    /// default.
+    /// *group* per edge (see [`crate::fused`]), over the hybrid
+    /// sorted-vec / blocked-bitmap layout ([`rept_graph::hybrid_tagged`]):
+    /// low-degree nodes keep sorted vecs, high-degree nodes promote to
+    /// `u64` bitmaps so hub intersections run bit-parallel
+    /// (`AND` + `count_ones`). The fast default.
     #[default]
-    FusedSorted,
-    /// The fused engine over the hybrid sorted-vec / blocked-bitmap
-    /// layout ([`rept_graph::hybrid_tagged`]): low-degree nodes keep
-    /// the sorted layout, high-degree nodes promote to chunked `u64`
-    /// bitmaps so hub intersections run bit-parallel
-    /// (`AND` + `count_ones`). Fastest on skewed streams.
     FusedHybrid,
 }
 
@@ -126,31 +112,23 @@ impl Engine {
     pub fn name(self) -> &'static str {
         match self {
             Engine::PerWorker => "per-worker",
-            Engine::FusedHash => "fused-hash",
-            Engine::FusedSorted => "fused-sorted",
             Engine::FusedHybrid => "fused-hybrid",
         }
     }
 
     /// Every engine, reference oracle first (benchmark iteration order).
-    pub fn all() -> [Engine; 4] {
-        [
-            Engine::PerWorker,
-            Engine::FusedHash,
-            Engine::FusedSorted,
-            Engine::FusedHybrid,
-        ]
+    pub fn all() -> [Engine; 2] {
+        [Engine::PerWorker, Engine::FusedHybrid]
     }
 
-    /// Parses a [`Self::name`] back to an engine. Accepts the pre-layout
-    /// name `"fused"` as an alias for the default fused engine so older
-    /// scripts keep working.
+    /// Parses a [`Self::name`] back to an engine. The names of the
+    /// retired fused layouts — `"fused"`, `"fused-hash"` and
+    /// `"fused-sorted"` — are aliases of the fused engine, so older
+    /// scripts, tenant manifests and wire commands keep working.
     pub fn from_name(name: &str) -> Option<Engine> {
         match name {
             "per-worker" => Some(Engine::PerWorker),
-            "fused-hash" => Some(Engine::FusedHash),
-            "fused-sorted" | "fused" => Some(Engine::FusedSorted),
-            "fused-hybrid" => Some(Engine::FusedHybrid),
+            "fused-hybrid" | "fused" | "fused-hash" | "fused-sorted" => Some(Engine::FusedHybrid),
             _ => None,
         }
     }
@@ -159,7 +137,7 @@ impl Engine {
 /// The REPT estimator.
 ///
 /// ```
-/// use rept_core::{Rept, ReptConfig};
+/// use rept_core::{Engine, Rept, ReptConfig};
 /// use rept_graph::Edge;
 ///
 /// // A triangle plus a dangling edge.
@@ -169,7 +147,7 @@ impl Engine {
 /// let mean: f64 = (0..200)
 ///     .map(|seed| {
 ///         Rept::new(ReptConfig::new(2, 2).with_seed(seed))
-///             .run_sequential(stream.iter().copied())
+///             .run(Engine::PerWorker, &stream)
 ///             .global
 ///     })
 ///     .sum::<f64>() / 200.0;
@@ -178,7 +156,7 @@ impl Engine {
 #[derive(Debug, Clone)]
 pub struct Rept {
     cfg: ReptConfig,
-    /// Group layout, built once at construction — `run_*` and
+    /// Group layout, built once at construction — the `run` drivers and
     /// `processor_assignments` are called per trial in Monte-Carlo loops,
     /// so rebuilding the hash family each time was measurable waste.
     groups: Vec<GroupSpec>,
@@ -242,45 +220,32 @@ impl Rept {
 
     /// Runs the selected engine single-threaded over a stream. Batch
     /// execution on the unified core: ingest everything, then finalize
-    /// — fused engines run group-major in cache-resident sub-batches
-    /// (see [`EngineCore::ingest_batch`]).
+    /// — the fused engine runs group-major in cache-resident sub-batches
+    /// (see [`crate::engine::EngineCore::ingest_batch`]). Deterministic given
+    /// `cfg.seed`.
     pub fn run(&self, engine: Engine, stream: &[Edge]) -> ReptEstimate {
         engine::drive(self, engine, stream, 1)
     }
 
-    /// Runs the selected engine over `threads` OS threads.
-    pub fn run_threaded_with(
-        &self,
-        engine: Engine,
-        stream: &[Edge],
-        threads: usize,
-    ) -> ReptEstimate {
-        match engine {
-            Engine::PerWorker => self.run_threaded(stream, threads),
-            Engine::FusedHash | Engine::FusedSorted | Engine::FusedHybrid => {
-                engine::drive(self, engine, stream, threads)
-            }
-        }
-    }
-
-    /// Runs the per-worker engine over a stream in one thread, simulating
-    /// all `c` processors. Deterministic given `cfg.seed`.
-    pub fn run_sequential<I: IntoIterator<Item = Edge>>(&self, stream: I) -> ReptEstimate {
-        let mut core = EngineCore::with_engine(self.clone(), Engine::PerWorker);
-        for e in stream {
-            core.ingest(e);
-        }
-        core.into_estimate()
-    }
-
-    /// Runs the per-worker engine with processors spread over `threads` OS
-    /// threads. Produces exactly the same estimate as
-    /// [`Self::run_sequential`].
+    /// Runs the selected engine over `threads` OS threads, producing
+    /// exactly the same estimate as [`Self::run`]. The per-worker engine
+    /// spreads its processors over the threads; the fused engine spreads
+    /// its hash groups round-robin over `min(threads, groups)` threads
+    /// (see [`crate::engine`]), so a single-group layout runs on one.
     ///
     /// # Panics
     ///
     /// Panics if `threads == 0`.
-    pub fn run_threaded(&self, stream: &[Edge], threads: usize) -> ReptEstimate {
+    pub fn run_threaded(&self, engine: Engine, stream: &[Edge], threads: usize) -> ReptEstimate {
+        match engine {
+            Engine::PerWorker => self.run_workers_threaded(stream, threads),
+            Engine::FusedHybrid => engine::drive(self, engine, stream, threads),
+        }
+    }
+
+    /// The per-worker engine with processors spread over `threads` OS
+    /// threads.
+    fn run_workers_threaded(&self, stream: &[Edge], threads: usize) -> ReptEstimate {
         assert!(threads > 0, "need at least one thread");
         let groups = self.groups();
         let mut workers = engine::make_workers(&self.cfg);
@@ -332,39 +297,6 @@ impl Rept {
             }
         });
         self.finalize(workers)
-    }
-
-    /// Runs the default fused engine (sorted layout) over a stream in one
-    /// thread: one shared structure walk per hash group — or per *set*
-    /// of groups sharing a structure — per edge. Bit-identical to
-    /// [`Self::run_sequential`].
-    ///
-    /// Accepts any edge iterator, processing edge-major across groups —
-    /// the right shape for true streaming callers that never materialise
-    /// the stream. When you already hold a slice, prefer
-    /// [`Self::run`] / [`Self::run_fused_threaded`], whose group-major
-    /// batching keeps one group's adjacency cache-hot at a time.
-    pub fn run_fused<I: IntoIterator<Item = Edge>>(&self, stream: I) -> ReptEstimate {
-        let mut core = EngineCore::with_engine(self.clone(), Engine::FusedSorted);
-        for e in stream {
-            core.ingest(e);
-        }
-        core.into_estimate()
-    }
-
-    /// Runs the default fused engine (sorted layout) over `threads` OS
-    /// threads. Produces exactly the same estimate as [`Self::run_fused`].
-    ///
-    /// Multi-group layouts (`⌈c/m⌉ > 1`) spread groups round-robin over
-    /// `min(threads, groups)` threads; single-group layouts — every
-    /// `c ≤ m` configuration — switch to *within-group* parallelism
-    /// instead (see [`crate::engine`] for both shapes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn run_fused_threaded(&self, stream: &[Edge], threads: usize) -> ReptEstimate {
-        engine::drive(self, Engine::FusedSorted, stream, threads)
     }
 
     /// Assembles the final estimate from finished per-worker state.
@@ -432,7 +364,8 @@ impl Rept {
     /// makes them bit-identical by construction: the combination
     /// arithmetic runs on exactly the same integer sums. Public so
     /// aggregates gathered elsewhere (e.g. from a distributed fleet of
-    /// [`EngineCore`]s) can be combined the same way.
+    /// [`EngineCore`](crate::engine::EngineCore)s) can be combined the
+    /// same way.
     pub fn finalize_groups(&self, mut groups: Vec<GroupAggregate>) -> ReptEstimate {
         groups.sort_by_key(|g| g.start);
         let m = self.cfg.m as f64;
@@ -618,7 +551,7 @@ mod tests {
         let mean: f64 = (0..trials)
             .map(|s| {
                 Rept::new(ReptConfig::new(m, c).with_seed(s))
-                    .run_sequential(stream.iter().copied())
+                    .run(Engine::PerWorker, &stream)
                     .global
             })
             .sum::<f64>()
@@ -637,7 +570,7 @@ mod tests {
         let mean: f64 = (0..trials)
             .map(|s| {
                 Rept::new(ReptConfig::new(4, 2).with_seed(s))
-                    .run_sequential(stream.iter().copied())
+                    .run(Engine::PerWorker, &stream)
                     .global
             })
             .sum::<f64>()
@@ -653,7 +586,7 @@ mod tests {
         let mean: f64 = (0..trials)
             .map(|s| {
                 Rept::new(ReptConfig::new(3, 6).with_seed(s)) // c = 2m
-                    .run_sequential(stream.iter().copied())
+                    .run(Engine::PerWorker, &stream)
                     .global
             })
             .sum::<f64>()
@@ -669,7 +602,7 @@ mod tests {
         let mean: f64 = (0..trials)
             .map(|s| {
                 Rept::new(ReptConfig::new(3, 7).with_seed(s)) // c1=2, c2=1
-                    .run_sequential(stream.iter().copied())
+                    .run(Engine::PerWorker, &stream)
                     .global
             })
             .sum::<f64>()
@@ -683,8 +616,7 @@ mod tests {
         // Σ_v τ̂_v should be ≈ 3τ̂ for the single-group path (each
         // semi-triangle contributes to exactly 3 nodes with equal scaling).
         let stream = complete(10);
-        let est =
-            Rept::new(ReptConfig::new(3, 3).with_seed(5)).run_sequential(stream.iter().copied());
+        let est = Rept::new(ReptConfig::new(3, 3).with_seed(5)).run(Engine::PerWorker, &stream);
         let local_sum: f64 = est.locals.values().sum();
         assert!(
             (local_sum - 3.0 * est.global).abs() < 1e-6,
@@ -699,9 +631,9 @@ mod tests {
         let stream = rept_gen::barabasi_albert(&cfg, 4);
         for (m, c) in [(4u64, 3u64), (3, 3), (3, 7), (2, 8)] {
             let r = Rept::new(ReptConfig::new(m, c).with_seed(42).with_eta(true));
-            let seq = r.run_sequential(stream.iter().copied());
+            let seq = r.run(Engine::PerWorker, &stream);
             for threads in [1, 2, 5] {
-                let thr = r.run_threaded(&stream, threads);
+                let thr = r.run_threaded(Engine::PerWorker, &stream, threads);
                 assert_eq!(seq.global, thr.global, "m={m} c={c} threads={threads}");
                 assert_eq!(seq.eta_hat, thr.eta_hat);
                 assert_eq!(seq.locals, thr.locals);
@@ -711,16 +643,16 @@ mod tests {
 
     #[test]
     fn fused_matches_sequential_bit_for_bit() {
-        // Both fused engines against the per-worker oracle on every
-        // combination path, with η and locals on, all drivers. Thread
-        // counts above the group count exercise the within-group split
-        // path (every layout here has ≤ 4 groups).
+        // The fused engine against the per-worker oracle on every
+        // combination path, with η and locals on, through both drivers.
+        // Thread counts above the group count are clamped (every layout
+        // here has ≤ 4 groups).
         let cfg = GeneratorConfig::new(300, 11);
         let stream = rept_gen::barabasi_albert(&cfg, 4);
         for (m, c) in [(4u64, 3u64), (3, 3), (3, 7), (2, 8), (6, 1)] {
             let r = Rept::new(ReptConfig::new(m, c).with_seed(42).with_eta(true));
-            let seq = r.run_sequential(stream.iter().copied());
-            let fused = r.run_fused(stream.iter().copied());
+            let seq = r.run(Engine::PerWorker, &stream);
+            let fused = r.run(Engine::FusedHybrid, &stream);
             assert_eq!(seq.global, fused.global, "m={m} c={c}");
             assert_eq!(seq.eta_hat, fused.eta_hat, "m={m} c={c}");
             assert_eq!(seq.locals, fused.locals, "m={m} c={c}");
@@ -729,36 +661,29 @@ mod tests {
                 "per-processor τ must agree, m={m} c={c}"
             );
             assert_eq!(seq.diagnostics.stored_edges, fused.diagnostics.stored_edges);
-            for engine in [Engine::FusedHash, Engine::FusedSorted] {
-                for threads in [1, 2, 5] {
-                    let thr = r.run_threaded_with(engine, &stream, threads);
-                    assert_eq!(
-                        seq.global,
-                        thr.global,
-                        "m={m} c={c} threads={threads} {}",
-                        engine.name()
-                    );
-                    assert_eq!(seq.eta_hat, thr.eta_hat);
-                    assert_eq!(seq.locals, thr.locals);
-                    assert_eq!(
-                        seq.diagnostics.per_processor_tau,
-                        thr.diagnostics.per_processor_tau
-                    );
-                }
+            for threads in [1, 2, 5] {
+                let thr = r.run_threaded(Engine::FusedHybrid, &stream, threads);
+                assert_eq!(seq.global, thr.global, "m={m} c={c} threads={threads}");
+                assert_eq!(seq.eta_hat, thr.eta_hat);
+                assert_eq!(seq.locals, thr.locals);
+                assert_eq!(
+                    seq.diagnostics.per_processor_tau,
+                    thr.diagnostics.per_processor_tau
+                );
             }
         }
     }
 
     #[test]
     fn within_group_threads_match_on_single_group_layout() {
-        // c ≤ m ⇒ one hash group; any threads > 1 must take the split
-        // match/apply path and still be bit-identical.
+        // c ≤ m ⇒ one hash group; the threaded driver clamps to one
+        // thread, and every thread count must stay bit-identical.
         let stream = rept_gen::barabasi_albert(&GeneratorConfig::new(400, 9), 5);
         let r = Rept::new(ReptConfig::new(8, 6).with_seed(13).with_eta(true));
         assert_eq!(r.groups().len(), 1);
-        let one = r.run_fused_threaded(&stream, 1);
+        let one = r.run_threaded(Engine::FusedHybrid, &stream, 1);
         for threads in [2usize, 3, 8] {
-            let par = r.run_fused_threaded(&stream, threads);
+            let par = r.run_threaded(Engine::FusedHybrid, &stream, threads);
             assert_eq!(one.global, par.global, "threads={threads}");
             assert_eq!(one.eta_hat, par.eta_hat);
             assert_eq!(one.locals, par.locals);
@@ -775,20 +700,25 @@ mod tests {
         let stream = complete(10);
         let r = Rept::new(ReptConfig::new(3, 3).with_seed(5));
         let a = r.run(Engine::PerWorker, &stream);
-        for engine in [Engine::FusedHash, Engine::FusedSorted] {
+        for engine in Engine::all() {
             let b = r.run(engine, &stream);
-            let c = r.run_threaded_with(engine, &stream, 2);
+            let c = r.run_threaded(engine, &stream, 2);
             assert_eq!(a.global, b.global, "{}", engine.name());
             assert_eq!(a.global, c.global, "{}", engine.name());
         }
-        assert_eq!(Engine::default(), Engine::FusedSorted);
-        assert_eq!(Engine::FusedSorted.name(), "fused-sorted");
-        assert_eq!(Engine::FusedHash.name(), "fused-hash");
+        assert_eq!(Engine::default(), Engine::FusedHybrid);
+        assert_eq!(Engine::FusedHybrid.name(), "fused-hybrid");
         assert_eq!(Engine::PerWorker.name(), "per-worker");
         for engine in Engine::all() {
             assert_eq!(Engine::from_name(engine.name()), Some(engine));
         }
-        assert_eq!(Engine::from_name("fused"), Some(Engine::FusedSorted));
+        for alias in ["fused", "fused-hash", "fused-sorted"] {
+            assert_eq!(
+                Engine::from_name(alias),
+                Some(Engine::FusedHybrid),
+                "{alias}"
+            );
+        }
         assert_eq!(Engine::from_name("bogus"), None);
     }
 
@@ -814,7 +744,7 @@ mod tests {
 
     #[test]
     fn empty_stream_estimates_zero() {
-        let est = Rept::new(ReptConfig::new(5, 13).with_seed(0)).run_sequential(std::iter::empty());
+        let est = Rept::new(ReptConfig::new(5, 13).with_seed(0)).run(Engine::PerWorker, &[]);
         assert_eq!(est.global, 0.0);
         assert!(est.locals.is_empty());
     }
@@ -822,18 +752,17 @@ mod tests {
     #[test]
     fn empty_stream_fused_estimates_zero() {
         let r = Rept::new(ReptConfig::new(5, 13).with_seed(0));
-        let est = r.run_fused(std::iter::empty());
+        let est = r.run(Engine::FusedHybrid, &[]);
         assert_eq!(est.global, 0.0);
         assert!(est.locals.is_empty());
-        let est = r.run_fused_threaded(&[], 4);
+        let est = r.run_threaded(Engine::FusedHybrid, &[], 4);
         assert_eq!(est.global, 0.0);
     }
 
     #[test]
     fn triangle_free_stream_estimates_zero() {
         let stream = rept_gen::star(50);
-        let est =
-            Rept::new(ReptConfig::new(4, 4).with_seed(3)).run_sequential(stream.iter().copied());
+        let est = Rept::new(ReptConfig::new(4, 4).with_seed(3)).run(Engine::PerWorker, &stream);
         assert_eq!(est.global, 0.0);
     }
 
@@ -841,7 +770,7 @@ mod tests {
     fn locals_disabled_yields_empty_map() {
         let stream = complete(8);
         let est = Rept::new(ReptConfig::new(3, 3).with_seed(1).with_locals(false))
-            .run_sequential(stream.iter().copied());
+            .run(Engine::PerWorker, &stream);
         assert!(est.locals.is_empty());
         assert!(est.global > 0.0);
     }
@@ -850,8 +779,7 @@ mod tests {
     fn stored_edges_partition_the_sampled_stream() {
         // Across one full group (c = m) every edge is stored exactly once.
         let stream = complete(20); // 190 edges
-        let est =
-            Rept::new(ReptConfig::new(5, 5).with_seed(9)).run_sequential(stream.iter().copied());
+        let est = Rept::new(ReptConfig::new(5, 5).with_seed(9)).run(Engine::PerWorker, &stream);
         let total: usize = est.diagnostics.stored_edges.iter().sum();
         assert_eq!(total, 190);
     }
@@ -859,8 +787,7 @@ mod tests {
     #[test]
     fn c_le_m_stores_c_over_m_fraction() {
         let stream = complete(40); // 780 edges
-        let est =
-            Rept::new(ReptConfig::new(10, 3).with_seed(2)).run_sequential(stream.iter().copied());
+        let est = Rept::new(ReptConfig::new(10, 3).with_seed(2)).run(Engine::PerWorker, &stream);
         let total: usize = est.diagnostics.stored_edges.iter().sum();
         let expected = 780.0 * 3.0 / 10.0;
         assert!(

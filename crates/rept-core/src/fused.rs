@@ -7,69 +7,42 @@
 //! performs `size` hash-probing passes over what is collectively **one**
 //! partitioned edge set. This module fuses those passes: a
 //! `FusedGroup` stores the group's sampled edges once in a
-//! [`TaggedAdjacency`] (each neighbor entry tagged with its edge's
+//! [`HybridTaggedAdjacency`] (each neighbor entry tagged with its edge's
 //! partition cell) and recovers *every* worker's counters from a single
 //! common-neighbor pass — a common neighbor `w` of an arriving edge
 //! `(u, v)` closes a semi-triangle for worker `i` iff
 //! `cell(u, w) == cell(v, w) == i`.
 //!
+//! Sharing goes further across groups. Every *full* group (size = `m`)
+//! stores every stream edge, so `FusedFullGroups` keeps all of them
+//! over one [`MultiHybridTaggedAdjacency`] with a tag column per group,
+//! and `FusedMaskedGroups` folds the remainder group into the same walk
+//! through the masked column of a [`MaskedHybridTaggedAdjacency`].
+//!
 //! Per edge the cost drops from
 //! `O(Σᵢ |N⁽ⁱ⁾_u ∩ N⁽ⁱ⁾_v| probes)` — `size` lookups of (mostly tiny)
 //! per-worker neighbor sets plus `size` intersections — to **one**
-//! intersection over the union adjacency. The storage layout is generic:
-//! [`CellTaggedAdjacency`](rept_graph::cell_tagged::CellTaggedAdjacency)
-//! is the original hash-map backend,
-//! [`SortedTaggedAdjacency`](rept_graph::sorted_tagged::SortedTaggedAdjacency)
-//! the cache-friendly sorted struct-of-arrays one. The counters either
-//! backend produces (`τ⁽ⁱ⁾`, group-summed `τ⁽ⁱ⁾_v`, `η⁽ⁱ⁾`, `η⁽ⁱ⁾_v`,
+//! intersection over the union adjacency. The counters
+//! (`τ⁽ⁱ⁾`, group-summed `τ⁽ⁱ⁾_v`, `η⁽ⁱ⁾`, `η⁽ⁱ⁾_v`,
 //! per-edge `τ⁽ⁱ⁾_(u,v)`) are **bit-identical** to the per-worker
 //! engine's: every counter is an exact `u64` sum over the same multiset
-//! of increments (match *order* may differ per layout, but within one
-//! arriving edge distinct common neighbors touch disjoint per-edge
-//! counters, so every fold commutes), and duplicate-edge and
+//! of increments (match *order* differs from the per-worker engine, but
+//! within one arriving edge distinct common neighbors touch disjoint
+//! per-edge counters, so every fold commutes), and duplicate-edge and
 //! η-initialisation rules mirror
 //! [`SemiTriangleWorker::store`](crate::worker::SemiTriangleWorker::store)
 //! statement for statement. The integration proptests assert this across
 //! all three combination paths.
-//!
-//! # Within-group parallelism
-//!
-//! Group state is inherently sequential — edge `t`'s matching must see
-//! every stored edge `< t` — so the estimator's threaded driver used to
-//! parallelise over hash groups only, leaving `c ≤ m` layouts (one
-//! group) on a single thread. `FusedGroup::match_batch` /
-//! `FusedGroup::apply_batch` split each stream batch into
-//!
-//! 1. a **parallel, read-only matching phase**: every edge's matches
-//!    against the *batch-start snapshot* of the adjacency are collected
-//!    concurrently (no counter or adjacency mutation, so any number of
-//!    threads may share `&self`), and
-//! 2. a **sequential store phase**: edges are replayed in stream order,
-//!    folding the precomputed snapshot matches plus the matches through
-//!    edges stored *earlier in the same batch* (tracked in a small
-//!    `DeltaAdjacency`) into the counters, then storing owned edges.
-//!
-//! The intra-batch fix-up enumerates, for edge `(u, v)`, the delta
-//! neighbors of `u` against the full adjacency and the delta neighbors
-//! of `v` against the snapshot-only part — exactly the matches the
-//! snapshot pass missed, each exactly once — so the counter stream is
-//! identical to fully sequential processing, which keeps the η counters
-//! (whose updates read-then-increment and are therefore order-sensitive
-//! *across* edges) bit-identical.
 
-use rept_graph::cell_tagged::{CellTag, TaggedAdjacency};
 use rept_graph::edge::{Edge, NodeId};
-use rept_graph::hybrid_tagged::{MaskedHybridTaggedAdjacency, MultiHybridTaggedAdjacency};
-use rept_graph::masked_tagged::MaskedSortedTaggedAdjacency;
-use rept_graph::multi_tagged::MultiSortedTaggedAdjacency;
-use rept_hash::fx::{table_bytes, FxHashMap, FxHashSet};
+use rept_graph::hybrid_tagged::{
+    CellTag, HybridTaggedAdjacency, MaskedHybridTaggedAdjacency, MultiHybridTaggedAdjacency,
+};
+use rept_hash::fx::{table_bytes, FxHashMap};
 
 use crate::config::{EtaMode, ReptConfig};
 use crate::estimator::{GroupAggregate, GroupSpec};
 use crate::worker::update_eta_pair;
-
-/// The matches of one stream edge against a batch-start snapshot.
-pub(crate) type MatchList = Vec<(NodeId, CellTag)>;
 
 /// One hash group's shared state under the fused engine: the cell-tagged
 /// union adjacency plus all `size` workers' counters.
@@ -77,10 +50,10 @@ pub(crate) type MatchList = Vec<(NodeId, CellTag)>;
 /// Fields are `pub(crate)` so [`crate::resume`] can serialise and restore
 /// the full group state for engine-aware checkpoints.
 #[derive(Debug, Clone)]
-pub(crate) struct FusedGroup<A: TaggedAdjacency> {
+pub(crate) struct FusedGroup {
     pub(crate) spec: GroupSpec,
     /// The union of all workers' `E⁽ⁱ⁾`, tagged by cell.
-    pub(crate) adj: A,
+    pub(crate) adj: HybridTaggedAdjacency,
     /// All counter state, split out so the matching pass can read `adj`
     /// while folding into the counters.
     pub(crate) counters: GroupCounters,
@@ -153,10 +126,9 @@ impl GroupCounters {
     }
 
     /// Folds one matched common neighbor `w` of the arriving edge
-    /// `(u, v)` into every counter — the single statement sequence both
-    /// the fully-sequential and the split match/apply drivers funnel
-    /// through, so the bit-identical invariant cannot drift between
-    /// them. `closed_owner` accumulates `|N⁽ᵒʷⁿᵉʳ⁾_{u,v}|` for the
+    /// `(u, v)` into every counter — the single statement sequence every
+    /// fused layout funnels through, so the bit-identical invariant
+    /// cannot drift between them. `closed_owner` accumulates `|N⁽ᵒʷⁿᵉʳ⁾_{u,v}|` for the
     /// paper-faithful η initialisation of the stored edge.
     #[inline]
     fn fold_match(
@@ -206,52 +178,7 @@ impl GroupCounters {
     }
 }
 
-/// The edges one batch has stored so far, indexed both ways — the
-/// sequential store phase's record of what the parallel snapshot
-/// matching could not see. Bounded by the batch size and cleared per
-/// batch.
-#[derive(Debug, Default)]
-pub(crate) struct DeltaAdjacency {
-    by_node: FxHashMap<NodeId, Vec<(NodeId, CellTag)>>,
-    edges: FxHashSet<Edge>,
-}
-
-impl DeltaAdjacency {
-    fn insert(&mut self, e: Edge, cell: CellTag) {
-        let (u, v) = e.endpoints();
-        self.edges.insert(e);
-        self.by_node.entry(u).or_default().push((v, cell));
-        self.by_node.entry(v).or_default().push((u, cell));
-    }
-
-    fn contains(&self, e: Edge) -> bool {
-        self.edges.contains(&e)
-    }
-
-    fn for_each_neighbor<F: FnMut(NodeId, CellTag)>(&self, n: NodeId, mut f: F) {
-        if let Some(nbrs) = self.by_node.get(&n) {
-            for &(w, cell) in nbrs {
-                f(w, cell);
-            }
-        }
-    }
-
-    fn clear(&mut self) {
-        self.by_node.clear();
-        self.edges.clear();
-    }
-}
-
-/// Reusable scratch state of the split match/apply driver: the per-edge
-/// snapshot match lists (allocation reused across batches and groups)
-/// and the intra-batch delta.
-#[derive(Debug, Default)]
-pub(crate) struct BatchScratch {
-    pub(crate) lists: Vec<MatchList>,
-    delta: DeltaAdjacency,
-}
-
-impl<A: TaggedAdjacency> FusedGroup<A> {
+impl FusedGroup {
     /// Creates the fused state for one group of `spec.size` workers.
     pub(crate) fn new(spec: GroupSpec, cfg: &ReptConfig) -> Self {
         assert!(
@@ -261,7 +188,7 @@ impl<A: TaggedAdjacency> FusedGroup<A> {
         );
         Self {
             spec,
-            adj: A::default(),
+            adj: HybridTaggedAdjacency::new(),
             counters: GroupCounters::new(spec.size, cfg),
         }
     }
@@ -278,7 +205,7 @@ impl<A: TaggedAdjacency> FusedGroup<A> {
     /// edge if its cell is owned (`cell < size` — cells `size..m` are
     /// REPT's subsampling and belong to no worker). Matching and store
     /// run through the layout's fused
-    /// [`TaggedAdjacency::match_then_insert`], which lets it resolve
+    /// [`HybridTaggedAdjacency::match_then_insert`], which resolves
     /// per-endpoint state once; a duplicate stream edge fails the insert
     /// and is ignored, exactly like `SemiTriangleWorker::store`.
     #[inline]
@@ -296,101 +223,8 @@ impl<A: TaggedAdjacency> FusedGroup<A> {
         }
     }
 
-    /// The store half of split batch processing: a duplicate stream edge
-    /// fails the insert and is ignored, exactly like
-    /// `SemiTriangleWorker::store`; fresh stores are also recorded in the
-    /// batch delta.
-    #[inline]
-    fn store_if_owned(
-        &mut self,
-        e: Edge,
-        owner: u64,
-        closed_owner: u64,
-        delta: &mut DeltaAdjacency,
-    ) {
-        if (owner as usize) < self.spec.size && self.adj.insert(e, owner as CellTag) {
-            self.counters.record_store(e, owner as usize, closed_owner);
-            delta.insert(e, owner as CellTag);
-        }
-    }
-
-    /// Phase 1 of split batch processing: collects every batch edge's
-    /// matches against the **current** (batch-start) adjacency into
-    /// `lists`, fanning the read-only intersections out over `threads`
-    /// OS threads. Mutates nothing but the output lists.
-    pub(crate) fn match_batch(&self, batch: &[Edge], lists: &mut Vec<MatchList>, threads: usize) {
-        if lists.len() < batch.len() {
-            lists.resize_with(batch.len(), Vec::new);
-        }
-        let lists = &mut lists[..batch.len()];
-        for l in lists.iter_mut() {
-            l.clear();
-        }
-        let adj = &self.adj;
-        let run = |edges: &[Edge], out: &mut [MatchList]| {
-            for (e, list) in edges.iter().zip(out.iter_mut()) {
-                let (u, v) = e.endpoints();
-                adj.for_each_matching_common_neighbor(u, v, |w, cell| list.push((w, cell)));
-            }
-        };
-        if threads <= 1 || batch.len() < 2 {
-            run(batch, lists);
-            return;
-        }
-        let chunk = batch.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (edges, out) in batch.chunks(chunk).zip(lists.chunks_mut(chunk)) {
-                scope.spawn(move || run(edges, out));
-            }
-        });
-    }
-
-    /// Phase 2 of split batch processing: replays the batch in stream
-    /// order, folding each edge's snapshot matches (from
-    /// [`Self::match_batch`]) plus its intra-batch delta matches into the
-    /// counters, then storing owned edges. Sequential by construction —
-    /// this is what keeps the order-sensitive η counters bit-identical to
-    /// [`Self::process`] run edge by edge.
-    pub(crate) fn apply_batch(&mut self, batch: &[Edge], scratch: &mut BatchScratch) {
-        let BatchScratch { lists, delta } = scratch;
-        delta.clear();
-        for (e, snapshot_matches) in batch.iter().zip(lists.iter()) {
-            let (u, v) = e.endpoints();
-            let owner = self.owner_of(*e);
-            let mut closed_owner = 0u64;
-            for &(w, cell) in snapshot_matches {
-                self.counters
-                    .fold_match(u, v, w, cell, owner, &mut closed_owner);
-            }
-            {
-                let adj = &self.adj;
-                let counters = &mut self.counters;
-                // (u,w) stored this batch × (v,w) anywhere. `w == v`
-                // (the edge itself, possible on duplicates) closes
-                // nothing: `v` is never its own neighbor.
-                delta.for_each_neighbor(u, |w, cell_uw| {
-                    if w != v && adj.cell_of(Edge::new(v, w)) == Some(cell_uw) {
-                        counters.fold_match(u, v, w, cell_uw, owner, &mut closed_owner);
-                    }
-                });
-                // (v,w) stored this batch × (u,w) in the snapshot only —
-                // delta × delta pairs were counted by the arm above.
-                delta.for_each_neighbor(v, |w, cell_vw| {
-                    if w == u {
-                        return;
-                    }
-                    let e_uw = Edge::new(u, w);
-                    if adj.cell_of(e_uw) == Some(cell_vw) && !delta.contains(e_uw) {
-                        counters.fold_match(u, v, w, cell_vw, owner, &mut closed_owner);
-                    }
-                });
-            }
-            self.store_if_owned(*e, owner, closed_owner, delta);
-        }
-    }
-
     /// Folds the adjacency's pending insertions into query-optimal form
-    /// (see [`TaggedAdjacency::compact`]) — called by the batch drivers
+    /// (see [`HybridTaggedAdjacency::compact`]) — called by the batch drivers
     /// at batch boundaries so steady-state matching runs on compacted
     /// state. A pure representation change; never affects counters.
     #[inline]
@@ -417,204 +251,20 @@ impl<A: TaggedAdjacency> FusedGroup<A> {
     }
 }
 
-/// The shared multi-tag structure interface [`FusedFullGroups`] is
-/// generic over. The sorted and hybrid layouts expose identical
-/// inherent APIs; this trait names the subset the fused engine and the
-/// checkpoint codec ([`crate::resume`]) actually use, so the group
-/// fusion logic is written once for both.
-pub(crate) trait SharedMultiAdjacency:
-    std::fmt::Debug + Clone + Send + Sync + 'static
-{
-    /// Empty structure with one tag column per full group.
-    fn with_width(width: usize) -> Self;
-    /// Inserts with one tag per group; `false` on a duplicate.
-    fn insert(&mut self, e: Edge, tags: &[CellTag]) -> bool;
-    /// Fused match + optional store — see
-    /// [`MultiSortedTaggedAdjacency::match_then_insert`] for the exact
-    /// contract (`f(g, w, cell)` per group whose tags agree).
-    fn match_then_insert<F: FnMut(usize, NodeId, CellTag)>(
-        &mut self,
-        e: Edge,
-        store: Option<&[CellTag]>,
-        f: F,
-    ) -> bool;
-    /// Batch-boundary compaction (pure representation change).
-    fn compact(&mut self);
-    /// Approximate heap footprint in bytes.
-    fn approx_bytes(&self) -> usize;
-    /// The stored edge set, tags omitted (every group's tag is
-    /// recomputable from its hasher) — the checkpoint enumeration.
-    fn collect_edges(&self) -> Vec<Edge>;
-}
-
-impl SharedMultiAdjacency for MultiSortedTaggedAdjacency {
-    fn with_width(width: usize) -> Self {
-        Self::new(width)
-    }
-    fn insert(&mut self, e: Edge, tags: &[CellTag]) -> bool {
-        MultiSortedTaggedAdjacency::insert(self, e, tags)
-    }
-    fn match_then_insert<F: FnMut(usize, NodeId, CellTag)>(
-        &mut self,
-        e: Edge,
-        store: Option<&[CellTag]>,
-        f: F,
-    ) -> bool {
-        MultiSortedTaggedAdjacency::match_then_insert(self, e, store, f)
-    }
-    fn compact(&mut self) {
-        MultiSortedTaggedAdjacency::compact(self)
-    }
-    fn approx_bytes(&self) -> usize {
-        MultiSortedTaggedAdjacency::approx_bytes(self)
-    }
-    fn collect_edges(&self) -> Vec<Edge> {
-        self.edges().collect()
-    }
-}
-
-impl SharedMultiAdjacency for MultiHybridTaggedAdjacency {
-    fn with_width(width: usize) -> Self {
-        Self::new(width)
-    }
-    fn insert(&mut self, e: Edge, tags: &[CellTag]) -> bool {
-        MultiHybridTaggedAdjacency::insert(self, e, tags)
-    }
-    fn match_then_insert<F: FnMut(usize, NodeId, CellTag)>(
-        &mut self,
-        e: Edge,
-        store: Option<&[CellTag]>,
-        f: F,
-    ) -> bool {
-        MultiHybridTaggedAdjacency::match_then_insert(self, e, store, f)
-    }
-    fn compact(&mut self) {
-        MultiHybridTaggedAdjacency::compact(self)
-    }
-    fn approx_bytes(&self) -> usize {
-        MultiHybridTaggedAdjacency::approx_bytes(self)
-    }
-    fn collect_edges(&self) -> Vec<Edge> {
-        let mut out = Vec::with_capacity(self.edge_count());
-        self.for_each_edge(|e| out.push(e));
-        out
-    }
-}
-
-/// The masked shared structure interface [`FusedMaskedGroups`] is
-/// generic over — the masked analogue of [`SharedMultiAdjacency`],
-/// again implemented by both the sorted and hybrid layouts.
-pub(crate) trait SharedMaskedAdjacency:
-    std::fmt::Debug + Clone + Send + Sync + 'static
-{
-    /// Empty structure with one tag column per full group plus the
-    /// masked column.
-    fn with_full_width(full_width: usize) -> Self;
-    /// Inserts into the union set; `false` on a duplicate.
-    fn insert(&mut self, e: Edge, full: &[CellTag], masked: Option<CellTag>) -> bool;
-    /// Fused match + optional store — see
-    /// [`MaskedSortedTaggedAdjacency::match_then_insert`] (`g ==
-    /// full_width` is the masked group).
-    fn match_then_insert<F: FnMut(usize, NodeId, CellTag)>(
-        &mut self,
-        e: Edge,
-        store: Option<(&[CellTag], Option<CellTag>)>,
-        f: F,
-    ) -> bool;
-    /// Batch-boundary compaction (pure representation change).
-    fn compact(&mut self);
-    /// Number of edges whose masked tag is set.
-    fn masked_edge_count(&self) -> usize;
-    /// Approximate heap footprint in bytes.
-    fn approx_bytes(&self) -> usize;
-    /// The union edge set, tags omitted — the checkpoint enumeration.
-    fn collect_edges(&self) -> Vec<Edge>;
-    /// The masked tag of `e`, if the edge is stored with one set — the
-    /// checkpoint decoder's masked-subset validation hook.
-    fn masked_tag_of(&self, e: Edge) -> Option<CellTag>;
-}
-
-impl SharedMaskedAdjacency for MaskedSortedTaggedAdjacency {
-    fn with_full_width(full_width: usize) -> Self {
-        Self::new(full_width)
-    }
-    fn insert(&mut self, e: Edge, full: &[CellTag], masked: Option<CellTag>) -> bool {
-        MaskedSortedTaggedAdjacency::insert(self, e, full, masked)
-    }
-    fn match_then_insert<F: FnMut(usize, NodeId, CellTag)>(
-        &mut self,
-        e: Edge,
-        store: Option<(&[CellTag], Option<CellTag>)>,
-        f: F,
-    ) -> bool {
-        MaskedSortedTaggedAdjacency::match_then_insert(self, e, store, f)
-    }
-    fn compact(&mut self) {
-        MaskedSortedTaggedAdjacency::compact(self)
-    }
-    fn masked_edge_count(&self) -> usize {
-        MaskedSortedTaggedAdjacency::masked_edge_count(self)
-    }
-    fn approx_bytes(&self) -> usize {
-        MaskedSortedTaggedAdjacency::approx_bytes(self)
-    }
-    fn collect_edges(&self) -> Vec<Edge> {
-        self.edges().collect()
-    }
-    fn masked_tag_of(&self, e: Edge) -> Option<CellTag> {
-        self.tags_of(e).and_then(|(_, m)| m)
-    }
-}
-
-impl SharedMaskedAdjacency for MaskedHybridTaggedAdjacency {
-    fn with_full_width(full_width: usize) -> Self {
-        Self::new(full_width)
-    }
-    fn insert(&mut self, e: Edge, full: &[CellTag], masked: Option<CellTag>) -> bool {
-        MaskedHybridTaggedAdjacency::insert(self, e, full, masked)
-    }
-    fn match_then_insert<F: FnMut(usize, NodeId, CellTag)>(
-        &mut self,
-        e: Edge,
-        store: Option<(&[CellTag], Option<CellTag>)>,
-        f: F,
-    ) -> bool {
-        MaskedHybridTaggedAdjacency::match_then_insert(self, e, store, f)
-    }
-    fn compact(&mut self) {
-        MaskedHybridTaggedAdjacency::compact(self)
-    }
-    fn masked_edge_count(&self) -> usize {
-        MaskedHybridTaggedAdjacency::masked_edge_count(self)
-    }
-    fn approx_bytes(&self) -> usize {
-        MaskedHybridTaggedAdjacency::approx_bytes(self)
-    }
-    fn collect_edges(&self) -> Vec<Edge> {
-        let mut out = Vec::with_capacity(self.edge_count());
-        self.for_each_edge(|e| out.push(e));
-        out
-    }
-    fn masked_tag_of(&self, e: Edge) -> Option<CellTag> {
-        self.tags_of(e).and_then(|(_, m)| m)
-    }
-}
-
 /// All of a layout's **full** hash groups (size = `m`) fused over one
 /// shared neighbor structure. A full group owns every cell of its hash,
 /// so it stores every stream edge — all full groups therefore hold the
 /// identical edge set and differ only in tags, which the shared
-/// structure (sorted [`MultiSortedTaggedAdjacency`] or hybrid
-/// [`MultiHybridTaggedAdjacency`], per the `M` parameter) exploits: one
+/// [`MultiHybridTaggedAdjacency`] exploits: one
 /// structure walk per edge discovers the common neighbors for every
 /// group at once, and only the per-group tag comparisons and counter
 /// folds remain per group. The counters are maintained per group
 /// exactly as `FusedGroup` would, so the result is bit-identical to
 /// running the groups independently.
 #[derive(Debug, Clone)]
-pub(crate) struct FusedFullGroups<M: SharedMultiAdjacency = MultiSortedTaggedAdjacency> {
+pub(crate) struct FusedFullGroups {
     pub(crate) specs: Vec<GroupSpec>,
-    pub(crate) adj: M,
+    pub(crate) adj: MultiHybridTaggedAdjacency,
     pub(crate) counters: Vec<GroupCounters>,
     /// Per-edge scratch: each group's owner cell (always owned — a full
     /// group owns all `m` cells) …
@@ -623,7 +273,7 @@ pub(crate) struct FusedFullGroups<M: SharedMultiAdjacency = MultiSortedTaggedAdj
     closed: Vec<u64>,
 }
 
-impl<M: SharedMultiAdjacency> FusedFullGroups<M> {
+impl FusedFullGroups {
     /// Creates the shared state for the given full groups.
     ///
     /// # Panics
@@ -640,7 +290,7 @@ impl<M: SharedMultiAdjacency> FusedFullGroups<M> {
             );
         }
         Self {
-            adj: M::with_width(specs.len()),
+            adj: MultiHybridTaggedAdjacency::new(specs.len()),
             counters: specs
                 .iter()
                 .map(|g| GroupCounters::new(g.size, cfg))
@@ -728,21 +378,20 @@ impl<M: SharedMultiAdjacency> FusedFullGroups<M> {
 /// masked shared structure. The full groups store every stream edge,
 /// so the union set is theirs; the remainder group's sampled edges are
 /// the subset whose remainder-hash cell is owned (`cell < c₂`), marked
-/// by the masked tag column of the shared structure (sorted
-/// [`MaskedSortedTaggedAdjacency`] or hybrid
-/// [`MaskedHybridTaggedAdjacency`], per the `K` parameter). One
-/// structure walk per arriving edge yields every group's matches —
-/// including the remainder's, which previously paid a second walk over
-/// its own adjacency. Counters are maintained per group exactly as
+/// by the masked tag column of the shared
+/// [`MaskedHybridTaggedAdjacency`]. One structure walk per arriving
+/// edge yields every group's matches — including the remainder's,
+/// which would otherwise pay a second walk over its own adjacency.
+/// Counters are maintained per group exactly as
 /// `FusedGroup` would, so the result is bit-identical to running the
 /// full groups shared and the remainder independently.
 #[derive(Debug, Clone)]
-pub(crate) struct FusedMaskedGroups<K: SharedMaskedAdjacency = MaskedSortedTaggedAdjacency> {
+pub(crate) struct FusedMaskedGroups {
     /// The full groups' specs, in layout order.
     pub(crate) full_specs: Vec<GroupSpec>,
     /// The remainder group's spec (`size < m`).
     pub(crate) rem_spec: GroupSpec,
-    pub(crate) adj: K,
+    pub(crate) adj: MaskedHybridTaggedAdjacency,
     /// Per-group counters: full groups first, remainder **last** —
     /// matching the masked structure's group indexing, where group
     /// `full_specs.len()` is the masked group.
@@ -754,7 +403,7 @@ pub(crate) struct FusedMaskedGroups<K: SharedMaskedAdjacency = MaskedSortedTagge
     closed: Vec<u64>,
 }
 
-impl<K: SharedMaskedAdjacency> FusedMaskedGroups<K> {
+impl FusedMaskedGroups {
     /// Creates the shared state for the given full groups plus the
     /// remainder group.
     ///
@@ -778,7 +427,7 @@ impl<K: SharedMaskedAdjacency> FusedMaskedGroups<K> {
         );
         let n = full_specs.len();
         Self {
-            adj: K::with_full_width(n),
+            adj: MaskedHybridTaggedAdjacency::new(n),
             counters: full_specs
                 .iter()
                 .chain(std::iter::once(&rem_spec))
@@ -892,14 +541,13 @@ mod tests {
     use crate::estimator::Rept;
     use crate::worker::SemiTriangleWorker;
     use rept_gen::{barabasi_albert, GeneratorConfig};
-    use rept_graph::cell_tagged::CellTaggedAdjacency;
-    use rept_graph::sorted_tagged::SortedTaggedAdjacency;
+    use rept_graph::hybrid_tagged::DEFAULT_DENSE_THRESHOLD;
 
     /// The fused group's counters equal the per-worker counters on the
     /// same group, field by field — including the per-edge η counters the
-    /// estimate never exposes directly. Exercised for both adjacency
-    /// backends.
-    fn counters_match_workers_exactly<A: TaggedAdjacency>() {
+    /// estimate never exposes directly. `threshold` is the adjacency's
+    /// promotion threshold, so one body covers every row representation.
+    fn counters_match_workers_exactly(threshold: usize) {
         let stream = barabasi_albert(&GeneratorConfig::new(250, 7), 5);
         for (m, c) in [(4u64, 4u64), (6, 3), (5, 2)] {
             for mode in [EtaMode::PaperInit, EtaMode::StrictNonLast] {
@@ -910,7 +558,8 @@ mod tests {
                 let rept = Rept::new(cfg);
                 let spec = rept.groups()[0];
 
-                let mut fused = FusedGroup::<A>::new(spec, &cfg);
+                let mut fused = FusedGroup::new(spec, &cfg);
+                fused.adj = HybridTaggedAdjacency::with_threshold(threshold);
                 let mut workers: Vec<SemiTriangleWorker> = (0..spec.size)
                     .map(|_| SemiTriangleWorker::new(true, true, mode))
                     .collect();
@@ -957,77 +606,32 @@ mod tests {
         }
     }
 
-    #[test]
-    fn hash_backend_counters_match_workers_exactly() {
-        counters_match_workers_exactly::<CellTaggedAdjacency>();
-    }
-
-    #[test]
-    fn sorted_backend_counters_match_workers_exactly() {
-        counters_match_workers_exactly::<SortedTaggedAdjacency>();
-    }
-
+    /// The engine's own layout: at the default threshold no node of this
+    /// stream is promoted, so every row stays a sorted list.
     #[test]
     fn hybrid_backend_counters_match_workers_exactly() {
-        counters_match_workers_exactly::<rept_graph::hybrid_tagged::HybridTaggedAdjacency>();
+        counters_match_workers_exactly(DEFAULT_DENSE_THRESHOLD);
     }
 
-    /// The split match/apply driver equals edge-by-edge processing on the
-    /// same group, for any batch boundary — including batches containing
-    /// duplicate stream edges (which must store once and keep matching).
+    /// Every row promoted to a bitmap from its first edge: the
+    /// dense×dense kernel carries all matching.
     #[test]
-    fn split_batches_equal_sequential_processing() {
-        let mut stream = barabasi_albert(&GeneratorConfig::new(150, 3), 4);
-        // Duplicate a slice of the stream mid-way so duplicates land both
-        // within one batch and across batches.
-        let dup: Vec<Edge> = stream[10..40].to_vec();
-        stream.splice(60..60, dup);
-        for mode in [EtaMode::PaperInit, EtaMode::StrictNonLast] {
-            let cfg = ReptConfig::new(5, 4)
-                .with_seed(2)
-                .with_eta(true)
-                .with_eta_mode(mode);
-            let rept = Rept::new(cfg);
-            let spec = rept.groups()[0];
-
-            let mut sequential = FusedGroup::<SortedTaggedAdjacency>::new(spec, &cfg);
-            for &e in &stream {
-                sequential.process(e);
-            }
-
-            for batch_len in [1usize, 7, 64, stream.len()] {
-                for threads in [1usize, 3] {
-                    let mut split = FusedGroup::<SortedTaggedAdjacency>::new(spec, &cfg);
-                    let mut scratch = BatchScratch::default();
-                    for batch in stream.chunks(batch_len) {
-                        split.match_batch(batch, &mut scratch.lists, threads);
-                        split.apply_batch(batch, &mut scratch);
-                    }
-                    assert_eq!(
-                        split.counters.tau, sequential.counters.tau,
-                        "τ batch={batch_len} threads={threads} {mode:?}"
-                    );
-                    assert_eq!(split.counters.stored, sequential.counters.stored);
-                    assert_eq!(split.counters.tau_v, sequential.counters.tau_v);
-                    let (se, qe) = (
-                        split.counters.eta.as_ref().unwrap(),
-                        sequential.counters.eta.as_ref().unwrap(),
-                    );
-                    assert_eq!(se.total, qe.total, "η batch={batch_len} {mode:?}");
-                    assert_eq!(se.per_node, qe.per_node);
-                    assert_eq!(se.per_edge, qe.per_edge);
-                    assert_eq!(split.adj.edge_count(), sequential.adj.edge_count());
-                }
-            }
-        }
+    fn dense_rows_counters_match_workers_exactly() {
+        counters_match_workers_exactly(0);
     }
 
-    /// The masked fusion equals the previous layout — shared full
-    /// groups plus an independent remainder group — counter for
-    /// counter, on duplicate-edge streams, both η modes. Generic over
-    /// the shared layout pair so the sorted and hybrid structures are
-    /// held to the identical contract.
-    fn masked_groups_equal_split_layout<M: SharedMultiAdjacency, K: SharedMaskedAdjacency>() {
+    /// Hubs cross the promotion boundary mid-stream while leaves stay
+    /// sparse: the dense×sparse kernel and promotion itself run.
+    #[test]
+    fn mixed_rows_counters_match_workers_exactly() {
+        counters_match_workers_exactly(24);
+    }
+
+    /// The masked fusion equals the split layout — shared full groups
+    /// plus an independent remainder group — counter for counter, on
+    /// duplicate-edge streams, both η modes, with every structure built
+    /// at promotion threshold `threshold`.
+    fn masked_groups_equal_split_layout(threshold: usize) {
         let mut stream = barabasi_albert(&GeneratorConfig::new(200, 5), 4);
         let dup: Vec<Edge> = stream[20..60].to_vec();
         stream.splice(90..90, dup);
@@ -1045,9 +649,12 @@ mod tests {
                     .partition(|g| g.size as u64 == m);
                 assert_eq!(rem.len(), 1, "layouts chosen to have a remainder");
 
-                let mut masked = FusedMaskedGroups::<K>::new(&full, rem[0], &cfg);
-                let mut shared = FusedFullGroups::<M>::new(&full, &cfg);
-                let mut independent = FusedGroup::<SortedTaggedAdjacency>::new(rem[0], &cfg);
+                let mut masked = FusedMaskedGroups::new(&full, rem[0], &cfg);
+                masked.adj = MaskedHybridTaggedAdjacency::with_threshold(full.len(), threshold);
+                let mut shared = FusedFullGroups::new(&full, &cfg);
+                shared.adj = MultiHybridTaggedAdjacency::with_threshold(full.len(), threshold);
+                let mut independent = FusedGroup::new(rem[0], &cfg);
+                independent.adj = HybridTaggedAdjacency::with_threshold(threshold);
                 for (i, &e) in stream.iter().enumerate() {
                     masked.process(e);
                     shared.process(e);
@@ -1058,10 +665,7 @@ mod tests {
                         independent.compact();
                     }
                 }
-                assert_eq!(
-                    masked.adj.collect_edges().len(),
-                    shared.adj.collect_edges().len()
-                );
+                assert_eq!(masked.adj.edge_count(), shared.adj.edge_count());
                 assert_eq!(
                     masked.adj.masked_edge_count(),
                     independent.adj.edge_count(),
@@ -1083,26 +687,28 @@ mod tests {
         }
     }
 
+    /// At the default threshold, as the engine builds it.
     #[test]
     fn masked_groups_equal_full_groups_plus_independent_remainder() {
-        masked_groups_equal_split_layout::<MultiSortedTaggedAdjacency, MaskedSortedTaggedAdjacency>(
-        );
+        masked_groups_equal_split_layout(DEFAULT_DENSE_THRESHOLD);
     }
 
+    /// At a threshold low enough that this stream's hubs are promoted
+    /// mid-stream, so both row representations and the promotion step
+    /// are held to the split layout.
     #[test]
     fn hybrid_masked_groups_equal_full_groups_plus_independent_remainder() {
-        masked_groups_equal_split_layout::<MultiHybridTaggedAdjacency, MaskedHybridTaggedAdjacency>(
-        );
+        masked_groups_equal_split_layout(8);
     }
 
-    /// Unowned cells (`cell ≥ size`) must drop the edge in both engines.
+    /// Unowned cells (`cell ≥ size`) must drop the edge.
     #[test]
     fn unowned_cells_store_nothing() {
         let cfg = ReptConfig::new(8, 2).with_seed(3); // 6 of 8 cells unowned
         let rept = Rept::new(cfg);
         let spec = rept.groups()[0];
         let stream = barabasi_albert(&GeneratorConfig::new(100, 1), 3);
-        let mut fused = FusedGroup::<SortedTaggedAdjacency>::new(spec, &cfg);
+        let mut fused = FusedGroup::new(spec, &cfg);
         for &e in &stream {
             fused.process(e);
         }

@@ -24,7 +24,7 @@ use rept_hash::rng::SplitMix64;
 
 use crate::config::ReptConfig;
 use crate::estimate::ReptEstimate;
-use crate::estimator::Rept;
+use crate::estimator::{Engine, Rept};
 
 /// Per-interval estimation driver.
 #[derive(Debug, Clone, Copy)]
@@ -67,7 +67,7 @@ impl IntervalEstimator {
 
     /// Estimates one interval's stream.
     pub fn run_interval(&self, index: u64, edges: &[Edge]) -> IntervalResult {
-        let est = Rept::new(self.config_for(index)).run_sequential(edges.iter().copied());
+        let est = Rept::new(self.config_for(index)).run(Engine::PerWorker, edges);
         IntervalResult {
             index,
             edges: edges.len(),

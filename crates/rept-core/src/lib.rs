@@ -15,7 +15,7 @@
 //!   tracking switches, η bookkeeping mode.
 //! * [`estimator`] — [`Rept`]: Algorithm 1 (`c ≤ m`) and
 //!   Algorithm 2 (`c > m`, grouped hashes + Graybill–Deal combination),
-//!   sequential and threaded drivers.
+//!   single-threaded and threaded drivers.
 //! * [`engine`] — [`EngineCore`], the **unified incremental execution
 //!   core**: one `ingest → compact → snapshot/finalize` state machine
 //!   behind every driver. Batch execution is "ingest everything, then
@@ -26,40 +26,36 @@
 //!   per-group state, the shared full-group structure, and the masked
 //!   full+remainder structure.
 //!
-//! ## Three execution engines
+//! ## Two execution engines
 //!
-//! The estimator can be driven by three [`Engine`]s that produce
-//! **bit-identical** estimates:
+//! The estimator can be driven by two [`Engine`]s that produce
+//! **bit-identical** estimates, both through [`Rept::run`] and
+//! [`Rept::run_threaded`]:
 //!
-//! * [`Engine::PerWorker`] ([`Rept::run_sequential`] /
-//!   [`Rept::run_threaded`]) gives every processor its own adjacency and
+//! * [`Engine::PerWorker`] gives every processor its own adjacency and
 //!   intersection — the paper's cost model executed literally. Pick it as
 //!   the reference oracle and for per-processor runtime accounting
 //!   (Figs. 7/8 simulate wall-clock from *independent* processor work).
-//! * [`Engine::FusedHash`] and [`Engine::FusedSorted`]
-//!   ([`Rept::run_fused`] / [`Rept::run_fused_threaded`] /
-//!   [`Rept::run_threaded_with`]) share one cell-tagged adjacency per
-//!   hash group and recover all of the group's counters from a single
-//!   common-neighbor pass per edge — over a hash-map-of-hash-maps layout
-//!   and a sorted struct-of-arrays layout with merge/galloping
-//!   intersection, respectively. Pick the (default) sorted engine
-//!   whenever you just want the estimate fast — accuracy experiments,
-//!   production streams, and any `c ≫ 1` configuration, where it is an
-//!   order of magnitude faster because it replaces `c` hash
-//!   intersections per edge with `⌈c/m⌉` sequential array merges.
+//! * [`Engine::FusedHybrid`] (the default) shares one cell-tagged
+//!   adjacency per hash group — one per *set* of full groups, with the
+//!   remainder folded in through a masked tag column — and recovers all
+//!   of the groups' counters from a single common-neighbor pass per
+//!   edge. Low-degree nodes keep sorted neighbor vecs, high-degree nodes
+//!   promote to blocked bitmaps. Pick it whenever you just want the
+//!   estimate fast — accuracy experiments, production streams, and any
+//!   `c ≫ 1` configuration, where it is orders of magnitude faster
+//!   because it replaces `c` hash intersections per edge with one
+//!   structure walk.
 //! * [`combine`] — inverse-variance combination of the two sub-estimates
 //!   with plug-in weights, exactly as §III-B prescribes.
 //! * [`variance`] — closed-form variances (Theorem 3 and §III-B/C) for
 //!   REPT and parallel MASCOT; used by tests and the figure binaries.
 //! * [`estimate`] — result types (notably [`ReptEstimate`]).
-//! * [`cluster`] — a message-passing simulated cluster (the paper's
-//!   "future work: distributed platforms" extension) with per-machine
-//!   memory accounting.
 //! * [`resume`] — [`resume::ResumableRun`], a thin checkpoint/restore
 //!   adapter over [`EngineCore`]: serialises the complete state (RPCK
-//!   v3 — shared edge sets stored once, masked remainder section; v1
-//!   and v2 blobs still restore), so any engine's deployment resumes
-//!   bit-identically. The `rept-serve` crate builds its serving
+//!   — shared edge sets stored once, masked remainder section; every
+//!   earlier version and the retired fused layouts' engine codes still
+//!   restore), so any engine's deployment resumes bit-identically. The `rept-serve` crate builds its serving
 //!   subsystem on it.
 //! * [`reservoir`] — [`ReservoirRun`], the bounded-memory run mode:
 //!   TRIÈST-IMPR reservoir sampling under a hard byte budget, behind
@@ -69,7 +65,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cluster;
 pub mod combine;
 pub mod config;
 pub mod engine;
@@ -84,7 +79,7 @@ pub mod variance;
 pub mod worker;
 
 pub use config::{EtaMode, ReptConfig};
-pub use engine::{CoreOptions, EngineCore, GroupSlice};
+pub use engine::{EngineCore, GroupSlice};
 pub use estimate::ReptEstimate;
 pub use estimator::{Engine, GroupAggregate, Rept};
 pub use reservoir::ReservoirRun;

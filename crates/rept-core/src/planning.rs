@@ -184,7 +184,7 @@ pub fn plan(
 mod tests {
     use super::*;
     use crate::config::ReptConfig;
-    use crate::estimator::Rept;
+    use crate::estimator::{Engine, Rept};
     use rept_gen::complete;
 
     #[test]
@@ -233,7 +233,7 @@ mod tests {
     #[test]
     fn chebyshev_is_wider_than_gaussian() {
         let est = Rept::new(ReptConfig::new(4, 4).with_seed(1).with_eta(true))
-            .run_sequential(complete(14));
+            .run(Engine::PerWorker, &complete(14));
         let g = confidence_interval(&est, 0.95, IntervalMethod::Gaussian);
         let c = confidence_interval(&est, 0.95, IntervalMethod::Chebyshev);
         assert!(c.half_width() > g.half_width());
@@ -251,7 +251,7 @@ mod tests {
         let covered = (0..trials)
             .filter(|&s| {
                 let est = Rept::new(ReptConfig::new(3, 3).with_seed(s).with_eta(true))
-                    .run_sequential(stream.iter().copied());
+                    .run(Engine::PerWorker, &stream);
                 confidence_interval(&est, 0.95, IntervalMethod::Gaussian).contains(tau)
             })
             .count();
@@ -264,7 +264,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "level")]
     fn bad_level_panics() {
-        let est = Rept::new(ReptConfig::new(2, 2)).run_sequential(std::iter::empty());
+        let est = Rept::new(ReptConfig::new(2, 2)).run(Engine::PerWorker, &[]);
         confidence_interval(&est, 1.5, IntervalMethod::Gaussian);
     }
 }

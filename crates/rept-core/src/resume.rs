@@ -1,7 +1,7 @@
 //! Resumable runs: a thin checkpoint/restore adapter over the unified
 //! execution core.
 //!
-//! The batch drivers ([`Rept::run_sequential`] etc.) consume a whole
+//! The batch drivers ([`Rept::run`], [`Rept::run_threaded`]) consume a whole
 //! stream; an operational deployment (the paper's router scenario)
 //! instead receives edges *as they arrive* and must survive restarts.
 //! [`ResumableRun`] wraps an [`EngineCore`] — the same core every batch
@@ -25,19 +25,23 @@
 //! The format is hand-rolled little-endian (no serde-format
 //! dependency): magic, version, config, engine, position, journal
 //! truncation position (version 4), then the engine-core state
-//! section. Version 3 writes the sorted
-//! engine's shared structures the way the core holds them: one union
-//! edge-set section shared by all full hash groups (v2 repeated it per
-//! group) and a *masked remainder section* — the remainder group's
-//! counters plus its stored-edge count, the edges themselves being
-//! recomputable from the remainder hash over the union set. Tags are
-//! never stored anywhere: a stored edge's tag under any group is
-//! `hasher.cell(e)`, so restore recomputes them. Version 2 blobs
-//! (per-group fused sections) and version 1 blobs (per-worker only,
-//! predating engine awareness) are still read and restore into the
-//! current core layout. It is a snapshot format, not an archival one —
-//! the version field guards against reading snapshots across
-//! incompatible releases.
+//! section. Since version 3 the fused engine's shared structures are
+//! written the way the core holds them: one union edge-set section
+//! shared by all full hash groups (v2 repeated it per group) and a
+//! *masked remainder section* — the remainder group's counters plus its
+//! stored-edge count, the edges themselves being recomputable from the
+//! remainder hash over the union set. Tags and representation are never
+//! stored anywhere: a stored edge's tag under any group is
+//! `hasher.cell(e)`, so restore recomputes them and rebuilds the hybrid
+//! layout from the canonical edge sections. That is also why the
+//! engine codes of the retired fused layouts still decode: a code-1
+//! (fused-hash) section list and a v2 code-2 (fused-sorted) one are the
+//! same per-group sections, and a v3+ code-2 blob has exactly the
+//! hybrid layout, so all of them restore into the fused hybrid core.
+//! Version 1 blobs (per-worker only, predating engine awareness) are
+//! still read too. It is a snapshot format, not an archival one — the
+//! version field guards against reading snapshots across incompatible
+//! releases.
 //!
 //! Everything above the core builds on this type: the serving
 //! subsystem's `ServeCore` wraps one `ResumableRun` per instance, and
@@ -50,16 +54,15 @@
 
 use std::path::{Path, PathBuf};
 
-use rept_graph::cell_tagged::{CellTag, CellTaggedAdjacency, TaggedAdjacency};
 use rept_graph::edge::{Edge, NodeId};
+use rept_graph::hybrid_tagged::CellTag;
 
 use crate::config::{EtaMode, ReptConfig};
-use crate::engine::{CoreOptions, CoreState, EngineCore, GroupSlice, SharedState};
+use crate::engine::{CoreState, EngineCore, GroupSlice, SharedState};
 use crate::estimate::ReptEstimate;
 use crate::estimator::{Engine, GroupAggregate, GroupSpec, Rept};
 use crate::fused::{
     FusedEtaCounters, FusedFullGroups, FusedGroup, FusedMaskedGroups, GroupCounters,
-    SharedMaskedAdjacency, SharedMultiAdjacency,
 };
 use crate::reservoir::{ReservoirRun, MIN_MEMORY_BUDGET};
 use crate::worker::SemiTriangleWorker;
@@ -76,7 +79,7 @@ pub const CHECKPOINT_MAGIC: [u8; 4] = *b"RPCK";
 /// truncation position to the header — the stream position up to which
 /// a write-ahead edge journal (if the deployment keeps one) has been
 /// made redundant by this checkpoint, so recovery knows which journal
-/// records are stale. Version 3 stores the sorted engine's shared
+/// records are stale. Version 3 stores the fused engine's shared
 /// full-group edge set once and the masked remainder section; versions
 /// 1 (per-worker only) and 2 (per-group fused sections) are still
 /// readable, and restore with a truncation position equal to their
@@ -93,9 +96,10 @@ const RESERVOIR_CHECKPOINT_VERSION: u32 = 5;
 /// The header version group-sliced engine checkpoints are written at.
 const SLICED_ENGINE_CHECKPOINT_VERSION: u32 = 6;
 /// On-disk engine code of the reservoir run mode (format field, must
-/// never change). Codes 0–2 are the [`Engine`] variants; reservoir
-/// mode is not an `Engine` — `Engine::all()` sweeps must not see it —
-/// so it claims the next code outside that range.
+/// never change). Codes 0–2 belonged to the engines when it was
+/// introduced; reservoir mode is not an `Engine` — `Engine::all()`
+/// sweeps must not see it — so it claimed the next code outside that
+/// range.
 const RESERVOIR_ENGINE_CODE: u8 = 3;
 
 /// Errors from checkpoint decoding.
@@ -246,13 +250,13 @@ fn sorted_edge_entries(map: &rept_hash::fx::FxHashMap<Edge, u64>) -> Vec<(Edge, 
 }
 
 /// Stable on-disk code of an engine (format field, must never change).
-/// Code 3 is taken by the reservoir run mode
-/// ([`RESERVOIR_ENGINE_CODE`]), so the hybrid engine claims 4.
+/// Writers emit 0, 4 and the reservoir mode's 3
+/// ([`RESERVOIR_ENGINE_CODE`]). Codes 1 (fused-hash) and 2
+/// (fused-sorted) were written by the retired fused layouts; readers
+/// decode both into the fused hybrid core.
 fn engine_code(engine: Engine) -> u8 {
     match engine {
         Engine::PerWorker => 0,
-        Engine::FusedHash => 1,
-        Engine::FusedSorted => 2,
         Engine::FusedHybrid => 4,
     }
 }
@@ -260,14 +264,12 @@ fn engine_code(engine: Engine) -> u8 {
 fn engine_from_code(code: u8) -> Result<Engine, SnapshotError> {
     match code {
         0 => Ok(Engine::PerWorker),
-        1 => Ok(Engine::FusedHash),
-        2 => Ok(Engine::FusedSorted),
-        4 => Ok(Engine::FusedHybrid),
+        1 | 2 | 4 => Ok(Engine::FusedHybrid),
         _ => Err(SnapshotError::Invalid("engine code")),
     }
 }
 
-/// Stable on-disk codes of the v3 sorted-engine layout tag.
+/// Stable on-disk codes of the v3 fused-engine layout tag.
 mod layout_tag {
     /// Independent per-group sections only.
     pub const INDEPENDENT: u8 = 0;
@@ -299,7 +301,7 @@ pub struct ResumableRun {
 
 impl ResumableRun {
     /// Starts a fresh run on the default engine
-    /// ([`Engine::FusedSorted`]).
+    /// ([`Engine::FusedHybrid`]).
     pub fn new(rept: Rept) -> Self {
         Self::with_engine(rept, Engine::default())
     }
@@ -323,12 +325,7 @@ impl ResumableRun {
     /// Panics if the slice keeps none of the layout's groups.
     pub fn with_sliced_engine(rept: Rept, engine: Engine, slice: GroupSlice) -> Self {
         Self {
-            state: RunState::Engine(EngineCore::with_slice(
-                rept,
-                engine,
-                CoreOptions::default(),
-                slice,
-            )),
+            state: RunState::Engine(EngineCore::with_slice(rept, engine, slice)),
             journal_truncation: 0,
         }
     }
@@ -506,16 +503,7 @@ impl ResumableRun {
                             w.write_snapshot(&mut out);
                         }
                     }
-                    CoreState::FusedHash(groups) => {
-                        out.extend_from_slice(&(groups.len() as u64).to_le_bytes());
-                        for g in groups {
-                            write_group_section(&mut out, &sorted_group_edges(g), &g.counters);
-                        }
-                    }
-                    CoreState::FusedSorted { shared, rest } => {
-                        write_shared_state_v3(shared.as_ref(), rest, &mut out)
-                    }
-                    CoreState::FusedHybrid { shared, rest } => {
+                    CoreState::Fused { shared, rest } => {
                         write_shared_state_v3(shared.as_ref(), rest, &mut out)
                     }
                 }
@@ -535,8 +523,9 @@ impl ResumableRun {
     }
 
     /// Reconstructs a run from [`Self::checkpoint_bytes`] output (or a
-    /// legacy version-1 / version-2 blob; version 1 resumes on the
-    /// per-worker engine, as those blobs predate engine awareness).
+    /// legacy blob: version 1 resumes on the per-worker engine, as those
+    /// blobs predate engine awareness, and engine codes 1 and 2 of the
+    /// retired fused layouts resume on the fused hybrid engine).
     ///
     /// # Errors
     ///
@@ -637,27 +626,19 @@ impl ResumableRun {
                 }
                 CoreState::PerWorker { workers }
             }
-            Engine::FusedHash => CoreState::FusedHash(read_fused_groups(&mut r, &rept, &kept)?),
-            Engine::FusedSorted => {
-                let decoded = if version == 2 {
-                    read_sorted_sections_v2(&mut r, &rept, &kept)?
-                } else {
-                    read_sorted_sections_v3(&mut r, &rept, &kept)?
-                };
-                let (shared, rest) = build_shared_groups(&rept, &kept, decoded)?;
-                CoreState::FusedSorted { shared, rest }
-            }
             Engine::FusedHybrid => {
-                // The hybrid engine postdates v2 blobs, but its sections
-                // are the same sorted-layout sections — only the rebuild
-                // target differs, so both readers remain usable.
-                let decoded = if version == 2 {
+                // Fused-hash blobs (code 1, any version) and v2 blobs
+                // hold one section per kept group; v3+ blobs of codes 2
+                // and 4 hold the shared layout. Both decode into the
+                // same canonical sections the hybrid core is rebuilt
+                // from.
+                let decoded = if code == 1 || version == 2 {
                     read_sorted_sections_v2(&mut r, &rept, &kept)?
                 } else {
                     read_sorted_sections_v3(&mut r, &rept, &kept)?
                 };
                 let (shared, rest) = build_shared_groups(&rept, &kept, decoded)?;
-                CoreState::FusedHybrid { shared, rest }
+                CoreState::Fused { shared, rest }
             }
         };
         if !r.done() {
@@ -719,7 +700,7 @@ pub fn durable_write_rename(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 // ---- section plumbing -----------------------------------------------------
 
 /// One independent fused group's edges in canonical order.
-fn sorted_group_edges<A: TaggedAdjacency>(g: &FusedGroup<A>) -> Vec<Edge> {
+fn sorted_group_edges(g: &FusedGroup) -> Vec<Edge> {
     let mut edges: Vec<Edge> = Vec::with_capacity(g.adj.edge_count());
     g.adj.for_each_edge(|e, _| edges.push(e));
     edges.sort_unstable();
@@ -882,24 +863,14 @@ fn write_group_section(out: &mut Vec<u8>, edges: &[Edge], counters: &GroupCounte
     write_counter_block(out, counters);
 }
 
-/// Serialises a shared-layout engine's state the way the core holds it
-/// (format version 3): the shared structures' union edge set is written
-/// **once**, followed by one counter block per sharing group; the
-/// masked remainder contributes its counter block plus its stored-edge
-/// count (the edges themselves are the subset of the union the
-/// remainder hash owns — recomputed on restore). Generic over the
-/// layout triple: the sorted and hybrid engines write identical
-/// sections (only the header's engine code distinguishes them), since
-/// tags and representation are both rebuilt on restore.
-fn write_shared_state_v3<M, K, A>(
-    shared: Option<&SharedState<M, K>>,
-    rest: &[FusedGroup<A>],
-    out: &mut Vec<u8>,
-) where
-    M: SharedMultiAdjacency,
-    K: SharedMaskedAdjacency,
-    A: TaggedAdjacency,
-{
+/// Serialises the fused engine's state the way the core holds it
+/// (format version 3 and later): the shared structures' union edge set
+/// is written **once**, followed by one counter block per sharing
+/// group; the masked remainder contributes its counter block plus its
+/// stored-edge count (the edges themselves are the subset of the union
+/// the remainder hash owns — recomputed on restore). Tags and
+/// representation are both rebuilt on restore.
+fn write_shared_state_v3(shared: Option<&SharedState>, rest: &[FusedGroup], out: &mut Vec<u8>) {
     match shared {
         None => {
             out.push(layout_tag::INDEPENDENT);
@@ -908,7 +879,8 @@ fn write_shared_state_v3<M, K, A>(
         Some(SharedState::Full(s)) => {
             out.push(layout_tag::SHARED_FULL);
             out.extend_from_slice(&(s.specs.len() as u64).to_le_bytes());
-            let mut union: Vec<Edge> = s.adj.collect_edges();
+            let mut union = Vec::with_capacity(s.adj.edge_count());
+            s.adj.for_each_edge(|e| union.push(e));
             union.sort_unstable();
             write_edge_list(out, &union);
             for counters in &s.counters {
@@ -919,7 +891,8 @@ fn write_shared_state_v3<M, K, A>(
         Some(SharedState::Masked(s)) => {
             out.push(layout_tag::MASKED);
             out.extend_from_slice(&(s.full_specs.len() as u64).to_le_bytes());
-            let mut union: Vec<Edge> = s.adj.collect_edges();
+            let mut union = Vec::with_capacity(s.adj.edge_count());
+            s.adj.for_each_edge(|e| union.push(e));
             union.sort_unstable();
             write_edge_list(out, &union);
             let (full_counters, rem_counters) = s.counters.split_at(s.full_specs.len());
@@ -969,7 +942,9 @@ fn read_group_counters(
     let mut stored_total = 0usize;
     for s in counters.stored.iter_mut() {
         *s = r.u64()? as usize;
-        stored_total += *s;
+        stored_total = stored_total
+            .checked_add(*s)
+            .ok_or(SnapshotError::Invalid("stored counts overflow"))?;
     }
     if stored_total != edge_count {
         return Err(SnapshotError::Invalid("stored counts/edge set mismatch"));
@@ -997,13 +972,13 @@ fn read_group_counters(
 /// Rebuilds one independent fused group from a decoded section:
 /// re-inserts its edges (tag = `hasher.cell(e)`, the invariant the
 /// engine maintains) and installs the counters.
-fn group_from_section<A: TaggedAdjacency>(
+fn group_from_section(
     cfg: &ReptConfig,
     spec: GroupSpec,
     edges: &[Edge],
     counters: GroupCounters,
-) -> Result<FusedGroup<A>, SnapshotError> {
-    let mut g = FusedGroup::<A>::new(spec, cfg);
+) -> Result<FusedGroup, SnapshotError> {
+    let mut g = FusedGroup::new(spec, cfg);
     for &e in edges {
         let (uu, vv) = e.as_u64_pair();
         if !g.adj.insert(e, spec.hasher.cell(uu, vv) as CellTag) {
@@ -1015,35 +990,6 @@ fn group_from_section<A: TaggedAdjacency>(
     Ok(g)
 }
 
-/// Reads one independent fused group (edge list + counter block).
-fn read_one_group<A: TaggedAdjacency>(
-    r: &mut Reader<'_>,
-    cfg: &ReptConfig,
-    spec: GroupSpec,
-) -> Result<FusedGroup<A>, SnapshotError> {
-    let edges = read_group_edges(r, &spec)?;
-    let counters = read_group_counters(r, cfg, spec.size, edges.len())?;
-    group_from_section(cfg, spec, &edges, counters)
-}
-
-/// Counterpart of the fused-hash section list (identical in v2 and v3;
-/// `kept` is the slice's group subset — the full layout for unsliced
-/// blobs).
-fn read_fused_groups(
-    r: &mut Reader<'_>,
-    rept: &Rept,
-    kept: &[GroupSpec],
-) -> Result<Vec<FusedGroup<CellTaggedAdjacency>>, SnapshotError> {
-    let cfg = *rept.config();
-    let n = r.u64()? as usize;
-    if n != kept.len() {
-        return Err(SnapshotError::Invalid("group count/config mismatch"));
-    }
-    kept.iter()
-        .map(|spec| read_one_group(r, &cfg, *spec))
-        .collect()
-}
-
 /// The remainder group's decoded section, when the layout has one.
 enum RemainderSection {
     /// v1/v2 blobs record the remainder's stored edges explicitly.
@@ -1053,8 +999,8 @@ enum RemainderSection {
     Counted(u64, GroupCounters),
 }
 
-/// The sorted engine's decoded state sections, normalised across format
-/// versions; [`build_shared_groups`] turns this into the core layout.
+/// The fused engine's decoded state sections, normalised across format
+/// versions and engine codes; [`build_shared_groups`] turns this into the core layout.
 struct SortedDecoded {
     /// The full groups' shared edge set (empty when the layout has no
     /// shareable full groups).
@@ -1077,8 +1023,10 @@ fn split_specs(rept: &Rept, kept: &[GroupSpec]) -> (Vec<GroupSpec>, Vec<GroupSpe
     crate::engine::split_full_partial(rept.config().m, kept)
 }
 
-/// Reads a version-2 sorted section list: one section per group in
-/// layout order, full groups carrying identical (repeated) edge sets.
+/// Reads a per-group section list — every version-2 fused blob, and
+/// fused-hash (code 1) blobs at any version: one section per kept group
+/// in layout order, full groups carrying identical (repeated) edge
+/// sets.
 fn read_sorted_sections_v2(
     r: &mut Reader<'_>,
     rept: &Rept,
@@ -1092,7 +1040,7 @@ fn read_sorted_sections_v2(
     let (full, partial) = split_specs(rept, kept);
     // Sharing applies exactly when the current core would share — the
     // one layout rule, consulted through `engine::sorted_layout`.
-    if crate::engine::sorted_layout(full.len(), partial.len(), true)
+    if crate::engine::sorted_layout(full.len(), partial.len())
         == crate::engine::SortedLayout::Independent
     {
         let rest = kept
@@ -1148,7 +1096,7 @@ fn read_sorted_sections_v2(
     })
 }
 
-/// Reads a version-3 sorted section list (see
+/// Reads a version-3+ shared-layout section list (see
 /// [`write_shared_state_v3`]).
 fn read_sorted_sections_v3(
     r: &mut Reader<'_>,
@@ -1218,25 +1166,18 @@ fn read_sorted_sections_v3(
 
 /// Shared state (if any groups share an adjacency) plus the per-group
 /// engine cores rebuilt from a decoded snapshot.
-type SharedGroups<M, K, A> = (Option<SharedState<M, K>>, Vec<FusedGroup<A>>);
+type SharedGroups = (Option<SharedState>, Vec<FusedGroup>);
 
-/// Turns decoded sorted-layout sections into a shared-layout engine's
-/// state, picking the same sharing [`EngineCore`] construction picks —
-/// so a resumed run is the same state a fresh run fed the same edges
-/// would hold, whatever format version (or sharing level) the blob was
-/// written under. Generic over the layout triple: restoring into the
-/// hybrid engine rebuilds the blocked bitmaps from the very same union
-/// edge set a sorted restore would consume.
-fn build_shared_groups<M, K, A>(
+/// Turns decoded fused sections into the fused engine's state, picking
+/// the same sharing [`EngineCore`] construction picks — so a resumed run
+/// is the same state a fresh run fed the same edges would hold, whatever
+/// format version, engine code (or sharing level) the blob was written
+/// under.
+fn build_shared_groups(
     rept: &Rept,
     kept: &[GroupSpec],
     decoded: SortedDecoded,
-) -> Result<SharedGroups<M, K, A>, SnapshotError>
-where
-    M: SharedMultiAdjacency,
-    K: SharedMaskedAdjacency,
-    A: TaggedAdjacency,
-{
+) -> Result<SharedGroups, SnapshotError> {
     let cfg = *rept.config();
     let (full, partial) = split_specs(rept, kept);
     let SortedDecoded {
@@ -1248,7 +1189,7 @@ where
     let mut union = union;
     let mut full_counters = full_counters;
 
-    // Normalise: a v2/v3 blob written without sharing (or with the
+    // Normalise: a per-group section list (or a v3 blob written with the
     // remainder kept independent) still restores into the shared layout
     // when the configuration admits one.
     if !partial.is_empty() && !full.is_empty() && rem.is_none() {
@@ -1296,7 +1237,7 @@ where
         if !rest.is_empty() {
             return Err(SnapshotError::Invalid("masked layout leaves no rest"));
         }
-        let mut shared = FusedMaskedGroups::<K>::new(&full, partial[0], &cfg);
+        let mut shared = FusedMaskedGroups::new(&full, partial[0], &cfg);
         for &e in &union {
             if !shared.insert_restored(e) {
                 return Err(SnapshotError::Invalid("duplicate edge in group"));
@@ -1340,7 +1281,7 @@ where
         if full_counters.len() != full.len() || full.len() < 2 {
             return Err(SnapshotError::Invalid("full group count/config mismatch"));
         }
-        let mut shared = FusedFullGroups::<M>::new(&full, &cfg);
+        let mut shared = FusedFullGroups::new(&full, &cfg);
         for &e in &union {
             if !shared.insert_restored(e) {
                 return Err(SnapshotError::Invalid("duplicate edge in group"));
@@ -1432,7 +1373,7 @@ impl SemiTriangleWorker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::SharedSorted;
+    use crate::engine::SharedState;
     use proptest::collection::vec as prop_vec;
     use proptest::prelude::*;
     use rept_gen::{barabasi_albert, stream_order, GeneratorConfig};
@@ -1461,9 +1402,11 @@ mod tests {
 
     // ---- frozen legacy encoders ------------------------------------------
     //
-    // Byte-for-byte copies of the version-1 and version-2 writers as
-    // they shipped, emitting from the *current* core state. They must
-    // never call the live v3 writer — their whole point is to certify
+    // Byte-for-byte copies of the writers as they shipped — version 1,
+    // version 2, and the retired fused-hash (code 1) and fused-sorted
+    // (code 2) engine writers of versions 3, 4 and 6 — emitting from the
+    // *current* core state (per-worker, or the fused hybrid core). They
+    // must never call the live writer — their whole point is to certify
     // that blobs produced by the old releases still restore through the
     // current reader. Do not "refactor" them to share code with the
     // codec above.
@@ -1578,15 +1521,136 @@ mod tests {
         }
     }
 
-    /// Emits the v2 blob for the current core state: header with engine
-    /// byte, then per-worker sections or one section per hash group in
-    /// layout order — full groups each repeating the shared edge set,
-    /// the remainder listing its own stored edges.
-    fn frozen_v2_blob(run: &ResumableRun) -> Vec<u8> {
+    /// The fused core's edge sets in canonical order: the shared union
+    /// (empty without sharing), the masked remainder subset, and each
+    /// independent group's own set.
+    fn frozen_fused_edges(run: &ResumableRun) -> (Vec<Edge>, Vec<Edge>, Vec<Vec<Edge>>) {
+        let CoreState::Fused { shared, rest } = &run.engine_core().state else {
+            panic!("fused sections need the fused core");
+        };
+        let mut union = Vec::new();
+        let mut masked = Vec::new();
+        match shared {
+            Some(SharedState::Full(s)) => s.adj.for_each_edge(|e| union.push(e)),
+            Some(SharedState::Masked(s)) => {
+                s.adj.for_each_edge(|e| union.push(e));
+                s.adj.for_each_masked_edge(|e, _| masked.push(e));
+            }
+            None => {}
+        }
+        union.sort_unstable();
+        masked.sort_unstable();
+        let rest = rest
+            .iter()
+            .map(|g| {
+                let mut edges = Vec::new();
+                g.adj.for_each_edge(|e, _| edges.push(e));
+                edges.sort_unstable();
+                edges
+            })
+            .collect();
+        (union, masked, rest)
+    }
+
+    /// The per-group section list of v2 blobs and of fused-hash (code 1)
+    /// blobs at every version: group count, then one section per kept
+    /// group in layout order — full groups each repeating the shared
+    /// edge set, the remainder listing its own stored edges.
+    fn frozen_group_sections(run: &ResumableRun, out: &mut Vec<u8>) {
+        let CoreState::Fused { shared, rest } = &run.engine_core().state else {
+            panic!("fused sections need the fused core");
+        };
+        let (union, masked, rest_edges) = frozen_fused_edges(run);
+        let n_shared = match shared {
+            Some(SharedState::Full(s)) => s.specs.len(),
+            Some(SharedState::Masked(s)) => s.full_specs.len() + 1,
+            None => 0,
+        };
+        out.extend_from_slice(&((n_shared + rest.len()) as u64).to_le_bytes());
+        match shared {
+            Some(SharedState::Full(s)) => {
+                for counters in &s.counters {
+                    frozen_v2_group_section(out, &union, counters);
+                }
+            }
+            Some(SharedState::Masked(s)) => {
+                let (full, rem) = s.counters.split_at(s.full_specs.len());
+                for counters in full {
+                    frozen_v2_group_section(out, &union, counters);
+                }
+                frozen_v2_group_section(out, &masked, &rem[0]);
+            }
+            None => {}
+        }
+        for (g, edges) in rest.iter().zip(&rest_edges) {
+            frozen_v2_group_section(out, edges, &g.counters);
+        }
+    }
+
+    /// The v3+ fused-sorted (code 2) shared-layout sections: layout tag,
+    /// the union edge set once, one counter block per sharing group, the
+    /// masked remainder's stored-edge count, then independent groups.
+    fn frozen_v3_shared_sections(run: &ResumableRun, out: &mut Vec<u8>) {
+        let CoreState::Fused { shared, rest } = &run.engine_core().state else {
+            panic!("fused sections need the fused core");
+        };
+        let (union, masked, rest_edges) = frozen_fused_edges(run);
+        let write_edges = |out: &mut Vec<u8>, edges: &[Edge]| {
+            out.extend_from_slice(&(edges.len() as u64).to_le_bytes());
+            for e in edges {
+                out.extend_from_slice(&e.u().to_le_bytes());
+                out.extend_from_slice(&e.v().to_le_bytes());
+            }
+        };
+        // A v2 group section minus its edge list is the counter block.
+        let counter_block = |out: &mut Vec<u8>, counters: &GroupCounters| {
+            let mut section = Vec::new();
+            frozen_v2_group_section(&mut section, &[], counters);
+            out.extend_from_slice(&section[8..]);
+        };
+        match shared {
+            None => {
+                out.push(0);
+                out.extend_from_slice(&(rest.len() as u64).to_le_bytes());
+            }
+            Some(SharedState::Full(s)) => {
+                out.push(1);
+                out.extend_from_slice(&(s.specs.len() as u64).to_le_bytes());
+                write_edges(out, &union);
+                for counters in &s.counters {
+                    counter_block(out, counters);
+                }
+                out.extend_from_slice(&(rest.len() as u64).to_le_bytes());
+            }
+            Some(SharedState::Masked(s)) => {
+                out.push(2);
+                out.extend_from_slice(&(s.full_specs.len() as u64).to_le_bytes());
+                write_edges(out, &union);
+                let (full, rem) = s.counters.split_at(s.full_specs.len());
+                for counters in full {
+                    counter_block(out, counters);
+                }
+                out.extend_from_slice(&(masked.len() as u64).to_le_bytes());
+                counter_block(out, &rem[0]);
+                out.extend_from_slice(&(rest.len() as u64).to_le_bytes());
+            }
+        }
+        for (g, edges) in rest.iter().zip(&rest_edges) {
+            write_edges(out, edges);
+            counter_block(out, &g.counters);
+        }
+    }
+
+    /// Emits a blob as the releases with engine codes 0–2 wrote it:
+    /// the version's header (engine byte `code`; the journal truncation
+    /// from v4, the group slice from v6), then per-worker sections
+    /// (code 0), the per-group section list (code 1, and code 2 at v2),
+    /// or the shared-layout sections (code 2 from v3).
+    fn frozen_blob(run: &ResumableRun, version: u32, code: u8) -> Vec<u8> {
         let cfg = run.config();
         let mut out = Vec::new();
         out.extend_from_slice(b"RPCK");
-        out.extend_from_slice(&2u32.to_le_bytes());
+        out.extend_from_slice(&version.to_le_bytes());
         out.extend_from_slice(&cfg.m.to_le_bytes());
         out.extend_from_slice(&cfg.c.to_le_bytes());
         out.extend_from_slice(&cfg.seed.to_le_bytes());
@@ -1596,69 +1660,56 @@ mod tests {
             EtaMode::PaperInit => 0,
             EtaMode::StrictNonLast => 1,
         });
-        out.push(match run.engine() {
-            Engine::PerWorker => 0,
-            Engine::FusedHash => 1,
-            Engine::FusedSorted => 2,
-            Engine::FusedHybrid => unreachable!("v2 blobs predate the hybrid engine"),
-        });
+        out.push(code);
         out.extend_from_slice(&run.position().to_le_bytes());
-        match &run.engine_core().state {
-            CoreState::PerWorker { workers } => {
+        if version >= 4 {
+            out.extend_from_slice(&run.position().to_le_bytes());
+        }
+        if version >= 6 {
+            let slice = run.group_slice();
+            out.extend_from_slice(&u64::from(slice.index()).to_le_bytes());
+            out.extend_from_slice(&u64::from(slice.count()).to_le_bytes());
+        }
+        match (code, &run.engine_core().state) {
+            (0, CoreState::PerWorker { workers }) => {
                 for w in workers {
                     frozen_worker_section(w, &mut out);
                 }
             }
-            CoreState::FusedHash(groups) => {
-                out.extend_from_slice(&(groups.len() as u64).to_le_bytes());
-                for g in groups {
-                    let mut edges: Vec<Edge> = Vec::new();
-                    g.adj.for_each_edge(|e, _| edges.push(e));
-                    edges.sort_unstable();
-                    frozen_v2_group_section(&mut out, &edges, &g.counters);
-                }
-            }
-            CoreState::FusedSorted { shared, rest } => {
-                let n_shared = match shared {
-                    Some(SharedSorted::Full(s)) => s.specs.len(),
-                    Some(SharedSorted::Masked(s)) => s.full_specs.len() + 1,
-                    None => 0,
-                };
-                out.extend_from_slice(&((n_shared + rest.len()) as u64).to_le_bytes());
-                match shared {
-                    Some(SharedSorted::Full(s)) => {
-                        let mut edges: Vec<Edge> = s.adj.edges().collect();
-                        edges.sort_unstable();
-                        for counters in &s.counters {
-                            frozen_v2_group_section(&mut out, &edges, counters);
-                        }
-                    }
-                    Some(SharedSorted::Masked(s)) => {
-                        let mut union: Vec<Edge> = s.adj.edges().collect();
-                        union.sort_unstable();
-                        let (full, rem) = s.counters.split_at(s.full_specs.len());
-                        for counters in full {
-                            frozen_v2_group_section(&mut out, &union, counters);
-                        }
-                        let mut masked: Vec<Edge> = Vec::new();
-                        s.adj.for_each_masked_edge(|e, _| masked.push(e));
-                        masked.sort_unstable();
-                        frozen_v2_group_section(&mut out, &masked, &rem[0]);
-                    }
-                    None => {}
-                }
-                for g in rest {
-                    let mut edges: Vec<Edge> = Vec::new();
-                    g.adj.for_each_edge(|e, _| edges.push(e));
-                    edges.sort_unstable();
-                    frozen_v2_group_section(&mut out, &edges, &g.counters);
-                }
-            }
-            CoreState::FusedHybrid { .. } => {
-                unreachable!("v2 blobs predate the hybrid engine")
-            }
+            (1, _) => frozen_group_sections(run, &mut out),
+            (2, _) if version == 2 => frozen_group_sections(run, &mut out),
+            (2, _) => frozen_v3_shared_sections(run, &mut out),
+            _ => panic!("code {code} does not match the run's engine"),
         }
         out
+    }
+
+    /// The v2 blob of the current core state, under the code the
+    /// releases of that version wrote for it (fused state as fused-sorted).
+    fn frozen_v2_blob(run: &ResumableRun) -> Vec<u8> {
+        let code = match run.engine() {
+            Engine::PerWorker => 0,
+            Engine::FusedHybrid => 2,
+        };
+        frozen_blob(run, 2, code)
+    }
+
+    /// Restores `blob`, finishes `rest` of the stream on it, and checks
+    /// the result against the uninterrupted oracle.
+    fn assert_blob_finishes(
+        blob: &[u8],
+        engine: Engine,
+        position: usize,
+        rest: &[Edge],
+        oracle: &ReptEstimate,
+        what: &str,
+    ) {
+        let mut resumed = ResumableRun::from_checkpoint_bytes(blob)
+            .unwrap_or_else(|e| panic!("{what} blob must restore: {e}"));
+        assert_eq!(resumed.position(), position as u64, "{what}");
+        assert_eq!(resumed.engine(), engine, "{what}");
+        resumed.process_batch(rest);
+        assert_estimates_equal(&resumed.finalize(), oracle, what);
     }
 
     // ---- tests ------------------------------------------------------------
@@ -1667,7 +1718,7 @@ mod tests {
     fn push_driver_matches_batch_driver_on_every_engine() {
         let stream = stream();
         let rept = Rept::new(cfg());
-        let batch = rept.run_sequential(stream.iter().copied());
+        let batch = rept.run(Engine::PerWorker, &stream);
         for engine in Engine::all() {
             let mut run = ResumableRun::with_engine(rept.clone(), engine);
             assert_eq!(run.engine(), engine);
@@ -1684,7 +1735,7 @@ mod tests {
     fn batched_ingest_matches_edge_by_edge() {
         let stream = stream();
         let rept = Rept::new(cfg());
-        let oracle = rept.run_sequential(stream.iter().copied());
+        let oracle = rept.run(Engine::PerWorker, &stream);
         for engine in Engine::all() {
             for batch_len in [1usize, 17, 1000, stream.len()] {
                 let mut run = ResumableRun::with_engine(rept.clone(), engine);
@@ -1706,7 +1757,7 @@ mod tests {
     fn checkpoint_resume_is_bit_identical_on_every_engine() {
         let stream = stream();
         let rept = Rept::new(cfg());
-        let uninterrupted = rept.run_sequential(stream.iter().copied());
+        let uninterrupted = rept.run(Engine::PerWorker, &stream);
 
         for engine in Engine::all() {
             let mut first = ResumableRun::with_engine(rept.clone(), engine);
@@ -1736,7 +1787,7 @@ mod tests {
         for c in [6u64, 7] {
             let cfg = ReptConfig::new(3, c).with_seed(11).with_eta(true);
             let rept = Rept::new(cfg);
-            let uninterrupted = rept.run_sequential(stream.iter().copied());
+            let uninterrupted = rept.run(Engine::PerWorker, &stream);
             let split = stream.len() / 2;
             for engine in Engine::all() {
                 let mut aggregates = Vec::new();
@@ -1775,7 +1826,7 @@ mod tests {
     fn sliced_blob_slice_fields_are_validated() {
         let rept = Rept::new(cfg());
         let run =
-            ResumableRun::with_sliced_engine(rept, Engine::FusedSorted, GroupSlice::new(1, 2));
+            ResumableRun::with_sliced_engine(rept, Engine::FusedHybrid, GroupSlice::new(1, 2));
         let blob = run.checkpoint_bytes();
         // The slice fields sit right after the 46-byte header (magic 4 +
         // version 4 + m/c/seed 24 + flags 3 + engine 1 + position 8 +
@@ -1817,10 +1868,12 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
-        /// Legacy RPCK blobs — v1 (per-worker, frozen encoder) and v2
-        /// (every engine, frozen encoder) — restore through the current
-        /// reader and finish bit-identical to an uninterrupted run, on
-        /// duplicate-edge streams across all combination paths.
+        /// Legacy RPCK blobs — v1 (per-worker), v2 with engine codes 0,
+        /// 1 and 2, and v3 / v4 / sliced v6 with codes 1 and 2 (all from
+        /// the frozen encoders) — restore through the current reader and
+        /// finish bit-identical to an uninterrupted run, on
+        /// duplicate-edge streams across all combination paths. Codes 1
+        /// and 2 restore into the fused hybrid core.
         #[test]
         fn legacy_blobs_restore_bit_identical(
             pairs in prop_vec((0u32..24, 0u32..24), 1..120),
@@ -1835,40 +1888,59 @@ mod tests {
                 .collect();
             let cfg = ReptConfig::new(m, c).with_seed(seed).with_eta(true);
             let rept = Rept::new(cfg);
-            let uninterrupted = rept.run_sequential(stream.iter().copied());
+            let uninterrupted = rept.run(Engine::PerWorker, &stream);
             let split = (split_sel as usize) % (stream.len() + 1);
+            let (head, tail) = stream.split_at(split);
 
-            for engine in Engine::all() {
-                if engine == Engine::FusedHybrid {
-                    // The hybrid engine postdates v2: no old release ever
-                    // wrote such a blob, so there is nothing to freeze.
-                    continue;
-                }
-                let mut run = ResumableRun::with_engine(rept.clone(), engine);
-                run.process_batch(&stream[..split]);
+            let mut workers = ResumableRun::with_engine(rept.clone(), Engine::PerWorker);
+            workers.process_batch(head);
+            let mut fused = ResumableRun::with_engine(rept.clone(), Engine::FusedHybrid);
+            fused.process_batch(head);
+            let mut blobs = vec![
+                ("v1 code 0", Engine::PerWorker, frozen_v1_blob(&workers)),
+                ("v2 code 0", Engine::PerWorker, frozen_blob(&workers, 2, 0)),
+            ];
+            for (what, version, code) in [
+                ("v2 code 1", 2, 1),
+                ("v2 code 2", 2, 2),
+                ("v3 code 1", 3, 1),
+                ("v3 code 2", 3, 2),
+                ("v4 code 1", 4, 1),
+                ("v4 code 2", 4, 2),
+            ] {
+                blobs.push((what, Engine::FusedHybrid, frozen_blob(&fused, version, code)));
+            }
+            for (what, engine, blob) in blobs {
+                let what = format!("{what} m={m} c={c}");
+                assert_blob_finishes(&blob, engine, split, tail, &uninterrupted, &what);
+            }
 
-                let mut blobs = vec![("v2", frozen_v2_blob(&run))];
-                if engine == Engine::PerWorker {
-                    blobs.push(("v1", frozen_v1_blob(&run)));
-                }
-                for (what, blob) in blobs {
-                    let mut resumed = ResumableRun::from_checkpoint_bytes(&blob)
-                        .unwrap_or_else(|e| panic!("{what} blob must restore: {e}"));
-                    prop_assert_eq!(resumed.position(), split as u64, "{}", what);
-                    prop_assert_eq!(resumed.engine(), engine, "{}", what);
-                    resumed.process_batch(&stream[split..]);
-                    let est = resumed.finalize();
-                    prop_assert_eq!(est.global, uninterrupted.global,
-                        "{} {} m={} c={}", what, engine.name(), m, c);
-                    prop_assert_eq!(&est.locals, &uninterrupted.locals);
-                    prop_assert_eq!(est.eta_hat, uninterrupted.eta_hat);
-                    prop_assert_eq!(
-                        &est.diagnostics.per_processor_tau,
-                        &uninterrupted.diagnostics.per_processor_tau
-                    );
-                    prop_assert_eq!(
-                        &est.diagnostics.stored_edges,
-                        &uninterrupted.diagnostics.stored_edges
+            // Sliced v6 blobs: each shard restores, finishes, and the
+            // shards recombine to the oracle.
+            if rept.groups().len() >= 2 {
+                for code in [1u8, 2] {
+                    let mut aggregates = Vec::new();
+                    for index in 0..2u32 {
+                        let slice = GroupSlice::new(index, 2);
+                        let mut shard = ResumableRun::with_sliced_engine(
+                            rept.clone(),
+                            Engine::FusedHybrid,
+                            slice,
+                        );
+                        shard.process_batch(head);
+                        let mut resumed =
+                            ResumableRun::from_checkpoint_bytes(&frozen_blob(&shard, 6, code))
+                                .unwrap_or_else(|e| panic!("v6 code {code} must restore: {e}"));
+                        prop_assert_eq!(resumed.group_slice(), slice);
+                        prop_assert_eq!(resumed.engine(), Engine::FusedHybrid);
+                        resumed.process_batch(tail);
+                        aggregates.extend(resumed.group_aggregates().expect("engine run"));
+                    }
+                    let est = rept.finalize_groups(aggregates);
+                    assert_estimates_equal(
+                        &est,
+                        &uninterrupted,
+                        &format!("v6 code {code} m={m} c={c}"),
                     );
                 }
             }
@@ -1890,7 +1962,7 @@ mod tests {
                 .collect();
             let cfg = ReptConfig::new(m, c).with_seed(seed).with_eta(true);
             let rept = Rept::new(cfg);
-            let uninterrupted = rept.run_sequential(stream.iter().copied());
+            let uninterrupted = rept.run(Engine::PerWorker, &stream);
             let split = (split_sel as usize) % (stream.len() + 1);
             for engine in Engine::all() {
                 let mut run = ResumableRun::with_engine(rept.clone(), engine);
@@ -1988,6 +2060,29 @@ mod tests {
         assert_eq!(
             ResumableRun::from_checkpoint_bytes(&blob).err(),
             Some(SnapshotError::Invalid("journal truncation beyond position"))
+        );
+    }
+
+    #[test]
+    fn rejects_overflowing_stored_counts() {
+        // Stored counts [u64::MAX, E + 1] wrap to exactly E when summed
+        // unchecked, so the edge-set check alone would accept them (and
+        // a debug build panicked on the overflow instead).
+        let rept = Rept::new(ReptConfig::new(4, 2).with_seed(3));
+        let mut run = ResumableRun::with_engine(rept, Engine::FusedHybrid);
+        run.process_batch(&stream()[..200]);
+        let edges: usize = run.estimate().diagnostics.stored_edges.iter().sum();
+        let mut blob = run.checkpoint_bytes();
+        // Header 52, layout tag 1, group count 8, edge count 8, the
+        // edges, then τ per worker before the stored counts.
+        let at = 52 + 1 + 8 + 8 + 8 * edges + 2 * 8;
+        let field = |b: &[u8], i: usize| u64::from_le_bytes(b[i..i + 8].try_into().unwrap());
+        assert_eq!(field(&blob, at) + field(&blob, at + 8), edges as u64);
+        blob[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        blob[at + 8..at + 16].copy_from_slice(&(edges as u64 + 1).to_le_bytes());
+        assert_eq!(
+            ResumableRun::from_checkpoint_bytes(&blob).err(),
+            Some(SnapshotError::Invalid("stored counts overflow"))
         );
     }
 
@@ -2112,6 +2207,10 @@ mod tests {
         assert_eq!(u32::from_le_bytes(blob[4..8].try_into().unwrap()), 4);
         assert_eq!(run.memory_budget(), None);
         assert!(run.stored_bytes() > 0);
+        // Writers emit engine codes 0 and 4 only (3 is the reservoir).
+        assert_eq!(blob[35], 4, "fused hybrid");
+        let workers = ResumableRun::with_engine(Rept::new(cfg()), Engine::PerWorker);
+        assert_eq!(workers.checkpoint_bytes()[35], 0, "per-worker");
     }
 
     #[test]

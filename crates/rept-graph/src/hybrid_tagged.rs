@@ -1,17 +1,25 @@
-//! Hybrid sorted-vec / blocked-bitmap cell-tagged adjacency — the
-//! bit-parallel fourth backend of the fused execution engine.
+//! Cell-tagged adjacency in a hybrid sorted-vec / blocked-bitmap
+//! layout — the storage of the fused execution engine.
 //!
-//! The sorted layouts ([`crate::sorted_tagged`], [`crate::multi_tagged`],
-//! [`crate::masked_tagged`]) intersect neighbor lists element-at-a-time:
-//! a branchless merge or a gallop, but still one comparison per
-//! candidate neighbor. On skewed (Barabási–Albert-like) streams the
-//! quadratic intersection work concentrates on a few high-degree hubs —
-//! exactly where a bitmap wins. This module keeps each node's neighbor
-//! set in one of two representations:
+//! A hash group of `size` processors partitions the stream by one edge
+//! hash: processor `i` stores exactly the edges in cell `i`. Instead of
+//! `size` separate adjacencies, the fused engine stores that partitioned
+//! edge set once and tags each neighbor entry with its edge's cell: a
+//! common neighbor `w` of an arriving edge `(u, v)` closes a
+//! semi-triangle for processor `i` iff `cell(u, w) == cell(v, w) == i`,
+//! so **one** intersection pass yields every processor's closures. All
+//! *full* hash groups (size = `m`) store the identical edge set, so one
+//! structure carries one tag column per full group; the remainder group
+//! joins the same walk through a masked column whose [`MASKED_NONE`]
+//! sentinel marks the edges its subsampling dropped.
+//!
+//! Each node's neighbor set lives in one of two representations:
 //!
 //! * **sparse** (low degree): a sorted neighbor vec with strided tag
-//!   runs plus a bounded unsorted tail — byte-for-byte the layout of
-//!   [`MultiSortedTaggedAdjacency`](crate::multi_tagged::MultiSortedTaggedAdjacency);
+//!   runs plus a bounded unsorted tail (`TAIL_LIMIT`). Small pairs
+//!   intersect by an all-pairs scan, larger ones by a branchless merge,
+//!   or by galloping when the degrees differ by more than
+//!   `GALLOP_RATIO`;
 //! * **dense** (degree > threshold): a *blocked bitmap* — `u64`
 //!   membership words keyed by `neighbor_id / 64`, reached through a
 //!   paged direct-index block directory, so hub∩hub intersection is
@@ -24,11 +32,10 @@
 //! keeps `u8` elements (the [`MASKED_NONE`] sentinel maps to `0xFF`)
 //! and the whole structure transparently *widens* to `u32` storage the
 //! first time an unrepresentable tag arrives. Packing is what makes
-//! the layout cheap to *maintain*, not just to query: the sorted
-//! layouts' ingest cost is dominated by tail-merge traffic moving
-//! 4-byte neighbor + 4·stride-byte tag entries, and packing shrinks
-//! the tag share of that traffic 4×(8 bytes per entry instead of 20
-//! at stride 4). Dense cores store tag runs *direct-addressed*: bit
+//! the layout cheap to *maintain*, not just to query: ingest cost is
+//! dominated by tail-merge traffic moving 4-byte neighbor + stride tag
+//! entries, and packing shrinks the tag share of that traffic 4×.
+//! Dense cores store tag runs *direct-addressed*: bit
 //! `i` of block `b` owns `tags[(b·64 + i)·stride ..][..stride]`, so a
 //! probe reaches its tags with no rank computation and an insert into
 //! an existing block writes one bit plus `stride` tag bytes in place
@@ -40,27 +47,48 @@
 //! Promotion is automatic and one-way: a node crossing
 //! `dense_threshold` neighbors converts its sorted vec into a blocked
 //! bitmap (demotion never happens — degrees only grow in an insert-only
-//! stream). Sparse nodes keep the sorted layouts' append-heavy
-//! semantics — new neighbors land in a bounded unsorted tail
-//! (`TAIL_LIMIT`), back-merged on overflow — while dense nodes insert
-//! in place, so queries never need `&mut self` and the fused engine's
-//! read-only batch matching still parallelises. Unlike the sorted
-//! layouts, batch-boundary `compact` is lazy here: only tails already
-//! at the overflow bound are merged (see `compact` for why).
+//! stream). Sparse nodes buffer new neighbors in the bounded unsorted
+//! tail, back-merged on overflow, while dense nodes insert in place, so
+//! queries never need `&mut self`. Batch-boundary `compact` is lazy:
+//! only tails already at the overflow bound are merged (see `compact`
+//! for why).
 //!
-//! Three wrappers mirror the three sorted layouts one-for-one:
-//! [`HybridTaggedAdjacency`] (single tag column, implements
-//! [`TaggedAdjacency`]), [`MultiHybridTaggedAdjacency`] (one column per
-//! full hash group) and [`MaskedHybridTaggedAdjacency`] (full columns
-//! plus the [`MASKED_NONE`]-sentinel remainder column). The equivalence
-//! tests below drive each against its sorted counterpart with identical
-//! inserts and assert identical answers at several thresholds, including
-//! the all-dense and all-sparse extremes.
+//! Three wrappers share one core: [`HybridTaggedAdjacency`] (a single
+//! tag column — one independent hash group), [`MultiHybridTaggedAdjacency`]
+//! (one column per full hash group) and [`MaskedHybridTaggedAdjacency`]
+//! (full columns plus the masked remainder column). Every wrapper keeps
+//! the same contract: a duplicate insert returns `false` and leaves the
+//! first tags in place, and a query reports each structural common
+//! neighbor exactly once per agreeing tag column, in unspecified order
+//! (every consumer folds matches into commutative integer sums). The
+//! tests below hold each wrapper to a naive model — a map from edge to
+//! tag run with brute-force common-neighbor enumeration — at several
+//! thresholds, including the all-dense and all-sparse extremes.
 
-use crate::cell_tagged::{CellTag, TaggedAdjacency};
 use crate::edge::{Edge, NodeId};
-use crate::masked_tagged::MASKED_NONE;
-use crate::sorted_tagged::{for_each_common_position, TAIL_LIMIT};
+
+/// The partition cell an edge was hashed to, as stored in neighbor lists.
+///
+/// `u32` bounds the number of processors per group at ~4.3 billion —
+/// far beyond any deployment.
+pub type CellTag = u32;
+
+/// Sentinel tag of the masked column: "not stored by the masked group".
+/// Real remainder tags are cell indices (`< m ≤ u32::MAX`), so the
+/// sentinel can never collide with a stored tag.
+pub const MASKED_NONE: CellTag = CellTag::MAX;
+
+/// Maximum unsorted-tail length per sparse node before the tail is
+/// merged into the sorted prefix. Small enough that tail scans stay in
+/// one or two cache lines; large enough that a node inserted into `k`
+/// times costs `O(k·deg/TAIL_LIMIT)` total merge work instead of
+/// `O(k·deg)`.
+const TAIL_LIMIT: usize = 16;
+
+/// Degree skew at which the sorted–sorted intersection switches from a
+/// linear merge to galloping: gallop when `max/min ≥ GALLOP_RATIO`.
+/// Below that ratio the merge's branchless linear walk wins.
+const GALLOP_RATIO: usize = 8;
 
 /// Comparison budget below which a sparse×sparse intersection uses the
 /// vectorizable all-pairs scan instead of the sorted merge kernel.
@@ -201,8 +229,8 @@ impl<T: TagElem> DenseCore<T> {
 /// One node's neighbor set in either representation.
 ///
 /// Sparse (`dense == None`): `nbrs`/`tags` hold a sorted prefix
-/// `[0, sorted_len)` plus an unsorted tail, exactly like the sorted
-/// layouts. Dense: the whole set lives in `dense` (inserts land in the
+/// `[0, sorted_len)` plus an unsorted tail of at most `TAIL_LIMIT`
+/// entries. Dense: the whole set lives in `dense` (inserts land in the
 /// bitmap directly) and `nbrs`/`tags` stay empty.
 #[derive(Debug, Clone, Default)]
 struct HybridNodeList<T> {
@@ -239,12 +267,7 @@ impl<T: TagElem> HybridNodeList<T> {
         if let Some(d) = &self.dense {
             return d.tag_run_of(w, stride);
         }
-        let pos = match self.nbrs[..self.sorted_len].binary_search(&w) {
-            Ok(pos) => pos,
-            Err(_) => {
-                self.sorted_len + self.nbrs[self.sorted_len..].iter().position(|&x| x == w)?
-            }
-        };
+        let pos = position_in(&self.nbrs, self.sorted_len, w)?;
         Some(&self.tags[pos * stride..(pos + 1) * stride])
     }
 }
@@ -320,8 +343,11 @@ struct HybridCoreImpl<T> {
     /// Per-node lists, indexed by slot.
     lists: Vec<HybridNodeList<T>>,
     edge_count: usize,
-    /// Slots with pending tails (may contain duplicates; see
-    /// [`crate::sorted_tagged::SortedTaggedAdjacency`]).
+    /// Slots whose tail became non-empty since the last compaction —
+    /// lets [`Self::compact`] touch exactly the lists with pending work
+    /// instead of scanning every node. May contain duplicates (a node
+    /// that overflowed `TAIL_LIMIT`, self-merged, and went dirty again);
+    /// a clean or promoted list is skipped, so that is harmless.
     dirty: Vec<u32>,
     /// Reusable sparse-merge scratch (`stride` is runtime-sized).
     scratch_nbrs: Vec<NodeId>,
@@ -432,9 +458,11 @@ impl<T: TagElem> HybridCoreImpl<T> {
         list.dense = Some(Box::new(d));
     }
 
-    /// Merges a sparse slot's unsorted tail into its sorted prefix —
-    /// the same back-merge as the sorted layouts, strided tag runs moved
-    /// alongside their neighbor entries via the reusable scratch.
+    /// Merges a sparse slot's unsorted tail into its sorted prefix: the
+    /// tail is sorted on a stack buffer and back-merged from the highest
+    /// index down (no element is overwritten before it is read), strided
+    /// tag runs moved alongside their neighbor entries via the reusable
+    /// scratch.
     fn merge_sparse(&mut self, slot: usize) {
         let stride = self.stride;
         let list = &mut self.lists[slot];
@@ -480,15 +508,13 @@ impl<T: TagElem> HybridCoreImpl<T> {
         list.sorted_len = n;
     }
 
-    /// Batch-boundary compaction (a pure representation change). Unlike
-    /// the sorted layouts, which back-merge every pending tail here,
-    /// the hybrid layout merges only tails that have already reached
-    /// `TAIL_LIMIT`: a back-merge costs O(list length) however short
-    /// the tail, while probing a bounded tail costs a few comparisons
-    /// per match — so eagerly merging 1–2 entry tails at every batch
-    /// boundary is the single largest avoidable cost of the sorted
-    /// policy on ingest-bound streams (measured: ~15% of the hybrid
-    /// ingest+match loop on the benchmark stream). Skipped slots stay
+    /// Batch-boundary compaction (a pure representation change). Only
+    /// tails that have already reached `TAIL_LIMIT` are merged: a
+    /// back-merge costs O(list length) however short the tail, while
+    /// probing a bounded tail costs a few comparisons per match — so
+    /// eagerly merging 1–2 entry tails at every batch boundary was the
+    /// single largest avoidable cost on ingest-bound streams (measured:
+    /// ~15% of the ingest+match loop on the benchmark stream). Skipped slots stay
     /// registered; their tails remain bounded by `TAIL_LIMIT` through
     /// the overflow merge in [`Self::push_entry`] regardless.
     fn compact(&mut self) {
@@ -606,8 +632,8 @@ impl<T: TagElem> HybridCoreImpl<T> {
 
     /// The structural intersection of two slots, dispatched by
     /// representation: an all-pairs equality scan (small sparse×sparse,
-    /// under the [`BRUTE_LIMIT`] comparison budget) or the shared
-    /// sorted kernel (larger sparse×sparse — its
+    /// under the [`BRUTE_LIMIT`] comparison budget) or the sorted
+    /// merge/gallop kernel (larger sparse×sparse — its
     /// tail legs cover both lists' pending tails), bitmap∧bitmap
     /// (dense×dense), or a directory probe per sparse entry
     /// (dense×sparse — dense lists have no tail and the O(1) probe
@@ -627,8 +653,8 @@ impl<T: TagElem> HybridCoreImpl<T> {
                 // is a pure `|=`-reduction over one short u32 slice),
                 // and needs no sorted order, so pending tails cost
                 // nothing extra. The comparison budget is bounded by
-                // `BRUTE_LIMIT`; bigger pairs take the shared sorted
-                // kernel with its merge/gallop split.
+                // `BRUTE_LIMIT`; bigger pairs take the sorted kernel
+                // with its merge/gallop split.
                 if la.nbrs.len() * lb.nbrs.len() <= BRUTE_LIMIT {
                     let (sm, lg, flip) = if la.nbrs.len() <= lb.nbrs.len() {
                         (la, lb, false)
@@ -874,6 +900,111 @@ impl HybridCore {
     }
 }
 
+/// First index `≥ start` in sorted `arr` whose value is `≥ target`,
+/// found by exponential probing then binary search within the bracketed
+/// run — `O(log gap)` where `gap` is the distance advanced, which is
+/// what makes repeated searches with a moving `start` total
+/// `O(min·log(max/min))` over an intersection.
+#[inline]
+fn gallop_lower_bound(arr: &[NodeId], target: NodeId, start: usize) -> usize {
+    if start >= arr.len() {
+        return arr.len();
+    }
+    let mut step = 1usize;
+    let mut lo = start;
+    let mut probe = start;
+    while probe < arr.len() && arr[probe] < target {
+        lo = probe + 1;
+        probe += step;
+        step *= 2;
+    }
+    let hi = probe.min(arr.len());
+    lo + arr[lo..hi].partition_point(|&x| x < target)
+}
+
+/// Position of `w` in a `(neighbors, sorted_len)` list: binary search in
+/// the sorted prefix, linear scan of the tail.
+#[inline]
+fn position_in(nbrs: &[NodeId], sorted_len: usize, w: NodeId) -> Option<usize> {
+    if let Ok(pos) = nbrs[..sorted_len].binary_search(&w) {
+        return Some(pos);
+    }
+    nbrs[sorted_len..]
+        .iter()
+        .position(|&x| x == w)
+        .map(|off| sorted_len + off)
+}
+
+/// Calls `f(pos_a, pos_b, w)` for every **structural** common neighbor
+/// of two sparse `(neighbors, sorted_len)` lists. Covers every
+/// (prefix|tail) × (prefix|tail) pairing exactly once: sorted×sorted by
+/// merge/gallop, `a`'s tail against all of `b`, `b`'s tail against `a`'s
+/// sorted prefix only. Tag filtering is the caller's job, via the
+/// emitted positions.
+#[inline]
+fn for_each_common_position<F: FnMut(usize, usize, NodeId)>(
+    a_nbrs: &[NodeId],
+    a_sorted: usize,
+    b_nbrs: &[NodeId],
+    b_sorted: usize,
+    f: &mut F,
+) {
+    // Sorted prefix × sorted prefix: merge or gallop by skew.
+    let (pa, pb) = (&a_nbrs[..a_sorted], &b_nbrs[..b_sorted]);
+    let a_is_small = pa.len() <= pb.len();
+    let (small, large) = if a_is_small { (pa, pb) } else { (pb, pa) };
+    if !small.is_empty() {
+        if small.len() * GALLOP_RATIO < large.len() {
+            let mut from = 0usize;
+            for (i, &w) in small.iter().enumerate() {
+                let pos = gallop_lower_bound(large, w, from);
+                if pos == large.len() {
+                    break;
+                }
+                if large[pos] == w {
+                    let (qa, qb) = if a_is_small { (i, pos) } else { (pos, i) };
+                    f(qa, qb, w);
+                    from = pos + 1;
+                } else {
+                    from = pos;
+                }
+            }
+        } else {
+            // Linear merge with *branchless* pointer advance: the
+            // `x < y` / `y < x` steps compile to setcc/add instead of a
+            // data-dependent jump, which matters because the comparison
+            // outcome is essentially random (one branch mispredict per
+            // element otherwise). Only the rare equality case takes a
+            // real branch.
+            let (mut i, mut j) = (0usize, 0usize);
+            while i < small.len() && j < large.len() {
+                let (x, y) = (small[i], large[j]);
+                if x == y {
+                    let (qa, qb) = if a_is_small { (i, j) } else { (j, i) };
+                    f(qa, qb, x);
+                    i += 1;
+                    j += 1;
+                } else {
+                    i += usize::from(x < y);
+                    j += usize::from(y < x);
+                }
+            }
+        }
+    }
+
+    // a's tail × all of b, then b's tail × a's sorted prefix only.
+    for (k, &w) in a_nbrs.iter().enumerate().skip(a_sorted) {
+        if let Some(pos) = position_in(b_nbrs, b_sorted, w) {
+            f(k, pos, w);
+        }
+    }
+    for (k, &w) in b_nbrs.iter().enumerate().skip(b_sorted) {
+        if let Ok(pos) = pa.binary_search(&w) {
+            f(pos, k, w);
+        }
+    }
+}
+
 /// Bitmap ∧ bitmap intersection: linear merge over the 64×-compressed
 /// block keys; on a shared key, `AND` the words and walk the surviving
 /// bits ascending, recovering each side's rank with one masked popcount.
@@ -982,10 +1113,8 @@ fn adapt_masked<'a, T: TagElem + 'a, F: FnMut(usize, NodeId, CellTag)>(
     }
 }
 
-/// A mutable undirected graph whose edges carry their partition cell,
-/// backed by the hybrid sorted-vec / blocked-bitmap layout. Drop-in
-/// alternative to
-/// [`SortedTaggedAdjacency`](crate::sorted_tagged::SortedTaggedAdjacency).
+/// A mutable undirected graph whose edges carry their partition cell —
+/// the shared sampled graph of one independent hash group.
 #[derive(Debug, Clone)]
 pub struct HybridTaggedAdjacency {
     core: HybridCore,
@@ -1025,18 +1154,27 @@ impl HybridTaggedAdjacency {
     pub fn degree(&self, n: NodeId) -> usize {
         self.core.degree(n)
     }
-}
 
-impl TaggedAdjacency for HybridTaggedAdjacency {
-    const NAME: &'static str = "hybrid";
+    /// Number of stored edges.
+    pub fn edge_count(&self) -> usize {
+        self.core.edge_count()
+    }
 
-    fn insert(&mut self, e: Edge, cell: CellTag) -> bool {
+    /// Inserts the edge tagged with `cell`; returns `false` (leaving the
+    /// existing tag untouched) if the edge was already present.
+    pub fn insert(&mut self, e: Edge, cell: CellTag) -> bool {
         self.core.insert_run(e, &[cell])
     }
-    fn cell_of(&self, e: Edge) -> Option<CellTag> {
+
+    /// The cell tag of the edge, if present.
+    pub fn cell_of(&self, e: Edge) -> Option<CellTag> {
         self.core.tag_col_of_edge(e, 0)
     }
-    fn for_each_matching_common_neighbor<F: FnMut(NodeId, CellTag)>(
+
+    /// Calls `f(w, cell)` for every common neighbor `w` of `u` and `v`
+    /// whose two incident edges carry the same tag; returns the match
+    /// count.
+    pub fn for_each_matching_common_neighbor<F: FnMut(NodeId, CellTag)>(
         &self,
         u: NodeId,
         v: NodeId,
@@ -1050,20 +1188,31 @@ impl TaggedAdjacency for HybridTaggedAdjacency {
         on_core!(&self.core, c => c.match_runs(u, v, &mut adapt_single(&mut count)));
         matches
     }
-    fn edge_count(&self) -> usize {
-        self.core.edge_count()
-    }
-    fn for_each_edge<F: FnMut(Edge, CellTag)>(&self, f: F) {
+
+    /// Calls `f(e, cell)` for every stored edge (arbitrary order) —
+    /// checkpointing enumerates the sampled set through this.
+    pub fn for_each_edge<F: FnMut(Edge, CellTag)>(&self, f: F) {
         self.core.for_each_edge_col(0, f);
     }
-    fn approx_bytes(&self) -> usize {
+
+    /// Approximate heap footprint in bytes.
+    pub fn approx_bytes(&self) -> usize {
         self.core.approx_bytes()
     }
-    fn compact(&mut self) {
+
+    /// Merges every tail already at the overflow bound (a pure
+    /// representation change — answers are identical before and after).
+    pub fn compact(&mut self) {
         self.core.compact();
     }
 
-    fn match_then_insert<F: FnMut(NodeId, CellTag)>(
+    /// Processes one stream edge in a single call: matches common
+    /// neighbors exactly like [`Self::for_each_matching_common_neighbor`]
+    /// (against the state *before* any insertion), then — when `store`
+    /// carries the edge's owned cell — inserts the edge, resolving each
+    /// endpoint's slot once. Returns whether the edge was freshly stored
+    /// (`false` for `store == None` and for duplicates).
+    pub fn match_then_insert<F: FnMut(NodeId, CellTag)>(
         &mut self,
         e: Edge,
         store: Option<CellTag>,
@@ -1083,9 +1232,9 @@ impl TaggedAdjacency for HybridTaggedAdjacency {
 }
 
 /// A mutable undirected graph whose edges carry one partition-cell tag
-/// per full hash group, stored once in the hybrid layout and shared by
-/// all groups. Drop-in alternative to
-/// [`MultiSortedTaggedAdjacency`](crate::multi_tagged::MultiSortedTaggedAdjacency).
+/// per full hash group, stored once and shared by all groups: a full
+/// group owns every cell of its hash, so every full group stores every
+/// stream edge and the groups differ only in tags.
 #[derive(Debug, Clone)]
 pub struct MultiHybridTaggedAdjacency {
     core: HybridCore,
@@ -1171,9 +1320,9 @@ impl MultiHybridTaggedAdjacency {
     /// Matches, then (when `store` carries the per-group owner tags)
     /// inserts, in one call — `f(g, w, cell)` fires for every structural
     /// common neighbor `w` and every group `g` whose two tags agree,
-    /// exactly like
-    /// [`MultiSortedTaggedAdjacency::match_then_insert`](crate::multi_tagged::MultiSortedTaggedAdjacency::match_then_insert).
-    /// Returns whether the edge was freshly stored.
+    /// matched against the state *before* the insertion. Returns whether
+    /// the edge was freshly stored (`false` for `store == None` and for
+    /// duplicates).
     ///
     /// # Panics
     ///
@@ -1195,8 +1344,7 @@ impl MultiHybridTaggedAdjacency {
     }
 
     /// Heap footprint in bytes — the *shared* footprint across all
-    /// groups (see
-    /// [`MultiSortedTaggedAdjacency::approx_bytes`](crate::multi_tagged::MultiSortedTaggedAdjacency::approx_bytes)).
+    /// groups.
     pub fn approx_bytes(&self) -> usize {
         self.core.approx_bytes()
     }
@@ -1204,9 +1352,9 @@ impl MultiHybridTaggedAdjacency {
 
 /// A mutable undirected graph storing the union edge set once in the
 /// hybrid layout, with one tag per full hash group and a masked
-/// remainder tag per edge. Drop-in alternative to
-/// [`MaskedSortedTaggedAdjacency`](crate::masked_tagged::MaskedSortedTaggedAdjacency);
-/// the sentinel is the same [`MASKED_NONE`].
+/// remainder tag per edge ([`MASKED_NONE`] when the remainder group's
+/// subsampling dropped the edge), so the remainder group joins the full
+/// groups' single structure walk.
 #[derive(Debug, Clone)]
 pub struct MaskedHybridTaggedAdjacency {
     core: HybridCore,
@@ -1224,8 +1372,9 @@ impl MaskedHybridTaggedAdjacency {
     ///
     /// # Panics
     ///
-    /// Panics if `full_width == 0` (see
-    /// [`MaskedSortedTaggedAdjacency::new`](crate::masked_tagged::MaskedSortedTaggedAdjacency::new)).
+    /// Panics if `full_width == 0`: without a full group the union set
+    /// is not stored by anyone, and the remainder alone is an
+    /// independent group.
     pub fn new(full_width: usize) -> Self {
         Self::with_threshold(full_width, DEFAULT_DENSE_THRESHOLD)
     }
@@ -1354,10 +1503,9 @@ impl MaskedHybridTaggedAdjacency {
     /// Matches, then (when `store` carries the groups' owner tags)
     /// inserts, in one call — `f(g, w, cell)` fires per full group `g <
     /// full_width()` on plain tag equality and for `g == full_width()`
-    /// (the masked group) iff **both** masked tags are set and equal,
-    /// exactly like
-    /// [`MaskedSortedTaggedAdjacency::match_then_insert`](crate::masked_tagged::MaskedSortedTaggedAdjacency::match_then_insert).
-    /// Returns whether the edge was freshly stored into the union set.
+    /// (the masked group) iff **both** masked tags are set and equal (a
+    /// [`MASKED_NONE`] on either side never matches). Returns whether
+    /// the edge was freshly stored into the union set.
     ///
     /// # Panics
     ///
@@ -1399,27 +1547,98 @@ impl MaskedHybridTaggedAdjacency {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::masked_tagged::MaskedSortedTaggedAdjacency;
-    use crate::multi_tagged::MultiSortedTaggedAdjacency;
-    use crate::sorted_tagged::SortedTaggedAdjacency;
     use rept_hash::rng::SplitMix64;
+    use std::collections::{BTreeMap, BTreeSet};
 
     /// Thresholds covering all-dense, mixed and all-sparse operation.
     const THRESHOLDS: [usize; 3] = [0, 24, usize::MAX];
 
+    fn edge(u: NodeId, v: NodeId) -> Edge {
+        Edge::new(u, v)
+    }
+
+    /// The naive reference every wrapper is held to: a sorted map from
+    /// each stored edge to its tag run (first insert wins), queries
+    /// answered by brute force over the whole edge set.
+    #[derive(Default)]
+    struct Model {
+        edges: BTreeMap<Edge, Vec<CellTag>>,
+    }
+
+    impl Model {
+        fn insert(&mut self, e: Edge, run: &[CellTag]) -> bool {
+            if self.edges.contains_key(&e) {
+                return false;
+            }
+            self.edges.insert(e, run.to_vec());
+            true
+        }
+
+        fn tags_of(&self, e: Edge) -> Option<&[CellTag]> {
+            self.edges.get(&e).map(Vec::as_slice)
+        }
+
+        fn degree(&self, n: NodeId) -> usize {
+            self.edges
+                .keys()
+                .filter(|e| e.u() == n || e.v() == n)
+                .count()
+        }
+
+        fn node_count(&self) -> usize {
+            let nodes: BTreeSet<NodeId> = self.edges.keys().flat_map(|e| [e.u(), e.v()]).collect();
+            nodes.len()
+        }
+
+        /// `(w, run(u, w), run(v, w))` for every common neighbor `w`.
+        fn common(&self, u: NodeId, v: NodeId) -> Vec<(NodeId, &[CellTag], &[CellTag])> {
+            self.edges
+                .iter()
+                .filter_map(|(e, run_u)| {
+                    let w = if e.u() == u {
+                        e.v()
+                    } else if e.v() == u {
+                        e.u()
+                    } else {
+                        return None;
+                    };
+                    let run_v = self.tags_of(Edge::try_new(v, w)?)?;
+                    Some((w, run_u.as_slice(), run_v))
+                })
+                .collect()
+        }
+
+        /// The per-column matches `(g, w, tag)` of a query: full
+        /// columns on plain equality, column `masked` (if any) only when
+        /// both tags are set.
+        fn matches(&self, q: Edge, masked: Option<usize>) -> Vec<(usize, NodeId, CellTag)> {
+            let mut out = Vec::new();
+            for (w, ru, rv) in self.common(q.u(), q.v()) {
+                for g in 0..ru.len() {
+                    let set = Some(g) != masked || ru[g] != MASKED_NONE;
+                    if ru[g] == rv[g] && set {
+                        out.push((g, w, ru[g]));
+                    }
+                }
+            }
+            out.sort_unstable();
+            out
+        }
+    }
+
     /// The defining property: at any threshold, on any insert sequence,
-    /// the hybrid layout answers every query exactly like the sorted
-    /// layout — including hub nodes that crossed the promotion boundary
-    /// and unmerged tails on both representations.
+    /// the single-column layout answers every query exactly like the
+    /// sorted-map model — including hub nodes that crossed the promotion
+    /// boundary and unmerged tails on both representations.
     #[test]
     fn single_equivalent_to_sorted_on_random_streams() {
         for threshold in THRESHOLDS {
             let rng = SplitMix64::new(0xB17B17);
             let mut hybrid = HybridTaggedAdjacency::with_threshold(threshold);
-            let mut sorted = SortedTaggedAdjacency::new();
+            let mut model = Model::default();
             // Hub-heavy stream: node 0 collects a large degree so
-            // hub–leaf probes exercise the dense×sparse kernel (and the
-            // gallop path on the sorted side).
+            // hub–leaf probes exercise the dense×sparse kernel and the
+            // gallop path.
             let mut edges = Vec::new();
             for i in 0..1500u64 {
                 let r = rng.fork(i).next_u64();
@@ -1435,54 +1654,50 @@ mod tests {
             let (stored, queries) = edges.split_at(edges.len() * 2 / 3);
             for (k, &(e, cell)) in stored.iter().enumerate() {
                 assert_eq!(
-                    TaggedAdjacency::insert(&mut hybrid, e, cell),
-                    sorted.insert(e, cell),
+                    hybrid.insert(e, cell),
+                    model.insert(e, &[cell]),
                     "{e} threshold {threshold}"
                 );
                 if k % 97 == 0 {
-                    TaggedAdjacency::compact(&mut hybrid);
+                    hybrid.compact();
                 }
             }
-            assert_eq!(TaggedAdjacency::edge_count(&hybrid), sorted.edge_count());
-            assert_eq!(hybrid.node_count(), sorted.node_count());
+            assert_eq!(hybrid.edge_count(), model.edges.len());
+            assert_eq!(hybrid.node_count(), model.node_count());
             for &(q, _) in queries.iter().chain(stored) {
                 assert_eq!(
-                    TaggedAdjacency::cell_of(&hybrid, q),
-                    sorted.cell_of(q),
+                    hybrid.cell_of(q),
+                    model.tags_of(q).map(|run| run[0]),
                     "cell_of {q} threshold {threshold}"
                 );
                 let mut mh = Vec::new();
                 let nh = hybrid.for_each_matching_common_neighbor(q.u(), q.v(), |w, c| {
-                    mh.push((w, c));
-                });
-                let mut ms = Vec::new();
-                let ns = sorted.for_each_matching_common_neighbor(q.u(), q.v(), |w, c| {
-                    ms.push((w, c));
+                    mh.push((0, w, c));
                 });
                 mh.sort_unstable();
-                ms.sort_unstable();
-                assert_eq!(nh, ns, "match count for {q} threshold {threshold}");
+                let ms = model.matches(q, None);
+                assert_eq!(nh, ms.len(), "match count for {q} threshold {threshold}");
                 assert_eq!(mh, ms, "match set for {q} threshold {threshold}");
-                assert_eq!(hybrid.degree(q.u()), sorted.degree(q.u()));
+                assert_eq!(hybrid.degree(q.u()), model.degree(q.u()));
             }
             let mut he: Vec<(Edge, CellTag)> = Vec::new();
             hybrid.for_each_edge(|e, c| he.push((e, c)));
-            let mut se: Vec<(Edge, CellTag)> = sorted.edges().collect();
             he.sort_unstable();
-            se.sort_unstable();
-            assert_eq!(he, se, "edge enumeration at threshold {threshold}");
+            let me: Vec<(Edge, CellTag)> = model.edges.iter().map(|(&e, r)| (e, r[0])).collect();
+            assert_eq!(he, me, "edge enumeration at threshold {threshold}");
         }
     }
 
-    /// A `width`-column hybrid answers exactly like the `width`-column
-    /// sorted multi structure on identical inserts, at every threshold.
+    /// A `width`-column hybrid answers exactly like the sorted-map model
+    /// holding `width` tags per edge on identical inserts, at every
+    /// threshold.
     #[test]
     fn multi_equivalent_to_multi_sorted() {
         for width in [1usize, 2, 4] {
             for threshold in THRESHOLDS {
                 let rng = SplitMix64::new(99 + width as u64);
                 let mut hybrid = MultiHybridTaggedAdjacency::with_threshold(width, threshold);
-                let mut multi = MultiSortedTaggedAdjacency::new(width);
+                let mut model = Model::default();
                 let mut edges = Vec::new();
                 for i in 0..900u64 {
                     let r = rng.fork(i).next_u64();
@@ -1503,43 +1718,192 @@ mod tests {
                 for (k, (e, tags)) in stored.iter().enumerate() {
                     assert_eq!(
                         hybrid.insert(*e, tags),
-                        multi.insert(*e, tags),
+                        model.insert(*e, tags),
                         "{e} width {width} threshold {threshold}"
                     );
                     if k % 111 == 0 {
                         hybrid.compact();
                     }
                 }
-                assert_eq!(hybrid.edge_count(), multi.edge_count());
-                assert_eq!(hybrid.node_count(), multi.node_count());
+                assert_eq!(hybrid.edge_count(), model.edges.len());
+                assert_eq!(hybrid.node_count(), model.node_count());
                 for (q, _) in queries.iter().chain(stored.iter()) {
-                    assert_eq!(hybrid.contains(*q), multi.contains(*q), "contains {q}");
+                    assert_eq!(
+                        hybrid.contains(*q),
+                        model.tags_of(*q).is_some(),
+                        "contains {q}"
+                    );
                     assert_eq!(
                         hybrid.tags_of(*q).as_deref(),
-                        multi.tags_of(*q),
+                        model.tags_of(*q),
                         "tags_of {q}"
                     );
                     let mut a = Vec::new();
                     hybrid.match_then_insert(*q, None, |g, w, c| a.push((g, w, c)));
-                    let mut b = Vec::new();
-                    multi.match_then_insert(*q, None, |g, w, c| b.push((g, w, c)));
                     a.sort_unstable();
-                    b.sort_unstable();
-                    assert_eq!(a, b, "matches of {q} width {width} threshold {threshold}");
+                    assert_eq!(
+                        a,
+                        model.matches(*q, None),
+                        "matches of {q} width {width} threshold {threshold}"
+                    );
                 }
             }
         }
     }
 
-    /// A masked hybrid answers exactly like the masked sorted structure
-    /// on identical inserts, at every threshold.
+    /// Column independence: a `width`-column structure answers exactly
+    /// like `width` independent single-column structures fed the same
+    /// edges with their respective tags, at every threshold.
+    #[test]
+    fn multi_equivalent_to_independent_single_group_structures() {
+        for width in [1usize, 2, 4] {
+            for threshold in THRESHOLDS {
+                let rng = SplitMix64::new(99 + width as u64);
+                let mut multi = MultiHybridTaggedAdjacency::with_threshold(width, threshold);
+                let mut singles: Vec<HybridTaggedAdjacency> = (0..width)
+                    .map(|_| HybridTaggedAdjacency::with_threshold(threshold))
+                    .collect();
+                let mut edges = Vec::new();
+                for i in 0..900u64 {
+                    let r = rng.fork(i).next_u64();
+                    let (u, v) = ((r % 60) as u32, ((r >> 16) % 60) as u32);
+                    if let Some(e) = Edge::try_new(u, v) {
+                        let tags: Vec<CellTag> = (0..width)
+                            .map(|g| ((r >> (8 * g)) % 5) as CellTag)
+                            .collect();
+                        edges.push((e, tags));
+                    }
+                }
+                let (stored, queries) = edges.split_at(edges.len() / 2);
+                for (k, (e, tags)) in stored.iter().enumerate() {
+                    let fresh = multi.insert(*e, tags);
+                    for (g, s) in singles.iter_mut().enumerate() {
+                        assert_eq!(s.insert(*e, tags[g]), fresh, "{e} group {g}");
+                    }
+                    if k % 111 == 0 {
+                        multi.compact();
+                    }
+                }
+                assert_eq!(multi.edge_count(), singles[0].edge_count());
+                assert_eq!(multi.node_count(), singles[0].node_count());
+                for (q, _) in queries.iter().chain(stored.iter()) {
+                    assert_eq!(
+                        multi.contains(*q),
+                        singles[0].cell_of(*q).is_some(),
+                        "contains {q} width {width}"
+                    );
+                    if let Some(tags) = multi.tags_of(*q) {
+                        for (g, s) in singles.iter().enumerate() {
+                            assert_eq!(s.cell_of(*q), Some(tags[g]), "{q} group {g}");
+                        }
+                    }
+                    let mut got: Vec<Vec<(NodeId, CellTag)>> = vec![Vec::new(); width];
+                    multi.match_then_insert(*q, None, |g, w, c| got[g].push((w, c)));
+                    for (g, s) in singles.iter().enumerate() {
+                        let mut want = Vec::new();
+                        s.for_each_matching_common_neighbor(q.u(), q.v(), |w, c| {
+                            want.push((w, c));
+                        });
+                        got[g].sort_unstable();
+                        want.sort_unstable();
+                        assert_eq!(
+                            got[g], want,
+                            "matches of {q} group {g} width {width} threshold {threshold}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// A masked structure answers exactly like a `full_width`-column
+    /// structure fed every edge plus an independent single-column
+    /// structure fed only the masked-stored edges with their masked
+    /// tags, at every threshold.
+    #[test]
+    fn masked_equivalent_to_multi_plus_independent_masked_structure() {
+        for full_width in [1usize, 2, 4] {
+            for threshold in THRESHOLDS {
+                let rng = SplitMix64::new(17 + full_width as u64);
+                let mut masked_adj =
+                    MaskedHybridTaggedAdjacency::with_threshold(full_width, threshold);
+                let mut multi = MultiHybridTaggedAdjacency::with_threshold(full_width, threshold);
+                let mut rem = HybridTaggedAdjacency::with_threshold(threshold);
+                let mut edges = Vec::new();
+                for i in 0..900u64 {
+                    let r = rng.fork(i).next_u64();
+                    let (u, v) = ((r % 60) as u32, ((r >> 16) % 60) as u32);
+                    if let Some(e) = Edge::try_new(u, v) {
+                        let full: Vec<CellTag> = (0..full_width)
+                            .map(|g| ((r >> (8 * g)) % 5) as CellTag)
+                            .collect();
+                        // Deterministic per-edge masked decision (~1/3
+                        // stored), mimicking a remainder hash with c₂ < m.
+                        let cell = (r >> 48) % 6;
+                        let masked = (cell < 2).then_some(cell as CellTag);
+                        edges.push((e, full, masked));
+                    }
+                }
+                let (stored, queries) = edges.split_at(edges.len() / 2);
+                for (k, (e, full, m)) in stored.iter().enumerate() {
+                    let fresh = masked_adj.insert(*e, full, *m);
+                    assert_eq!(multi.insert(*e, full), fresh, "{e} union insert");
+                    if fresh {
+                        if let Some(tag) = m {
+                            assert!(rem.insert(*e, *tag), "{e} masked insert");
+                        }
+                    }
+                    if k % 97 == 0 {
+                        masked_adj.compact();
+                    }
+                }
+                assert_eq!(masked_adj.edge_count(), multi.edge_count());
+                assert_eq!(masked_adj.masked_edge_count(), rem.edge_count());
+                assert_eq!(masked_adj.node_count(), multi.node_count());
+                for (q, _, _) in queries.iter().chain(stored.iter()) {
+                    assert_eq!(masked_adj.contains(*q), multi.contains(*q), "contains {q}");
+                    if let Some((full, m)) = masked_adj.tags_of(*q) {
+                        assert_eq!(Some(full), multi.tags_of(*q), "full tags of {q}");
+                        assert_eq!(m, rem.cell_of(*q), "masked tag of {q}");
+                    }
+                    let mut got: Vec<Vec<(NodeId, CellTag)>> = vec![Vec::new(); full_width + 1];
+                    masked_adj.match_then_insert(*q, None, |g, w, c| got[g].push((w, c)));
+                    for (g, got_g) in got.iter_mut().enumerate().take(full_width) {
+                        let mut want = Vec::new();
+                        multi.match_then_insert(*q, None, |gg, w, c| {
+                            if gg == g {
+                                want.push((w, c));
+                            }
+                        });
+                        got_g.sort_unstable();
+                        want.sort_unstable();
+                        assert_eq!(*got_g, want, "full group {g} matches of {q}");
+                    }
+                    let mut want = Vec::new();
+                    rem.for_each_matching_common_neighbor(q.u(), q.v(), |w, c| {
+                        want.push((w, c));
+                    });
+                    got[full_width].sort_unstable();
+                    want.sort_unstable();
+                    assert_eq!(
+                        got[full_width], want,
+                        "masked matches of {q} threshold {threshold}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A masked hybrid answers exactly like the sorted-map model (the
+    /// masked column carrying [`MASKED_NONE`] for dropped edges) on
+    /// identical inserts, at every threshold.
     #[test]
     fn masked_equivalent_to_masked_sorted() {
         for full_width in [1usize, 2, 4] {
             for threshold in THRESHOLDS {
                 let rng = SplitMix64::new(17 + full_width as u64);
                 let mut hybrid = MaskedHybridTaggedAdjacency::with_threshold(full_width, threshold);
-                let mut masked_adj = MaskedSortedTaggedAdjacency::new(full_width);
+                let mut model = Model::default();
                 let mut edges = Vec::new();
                 for i in 0..900u64 {
                     let r = rng.fork(i).next_u64();
@@ -1559,46 +1923,311 @@ mod tests {
                 }
                 let (stored, queries) = edges.split_at(edges.len() / 2);
                 for (k, (e, full, m)) in stored.iter().enumerate() {
+                    let mut run = full.clone();
+                    run.push(m.unwrap_or(MASKED_NONE));
                     assert_eq!(
                         hybrid.insert(*e, full, *m),
-                        masked_adj.insert(*e, full, *m),
+                        model.insert(*e, &run),
                         "{e} full_width {full_width} threshold {threshold}"
                     );
                     if k % 97 == 0 {
                         hybrid.compact();
                     }
                 }
-                assert_eq!(hybrid.edge_count(), masked_adj.edge_count());
-                assert_eq!(hybrid.masked_edge_count(), masked_adj.masked_edge_count());
-                assert_eq!(hybrid.node_count(), masked_adj.node_count());
+                let masked_of = |e: Edge| {
+                    model
+                        .tags_of(e)
+                        .map(|run| run[full_width])
+                        .filter(|&t| t != MASKED_NONE)
+                };
+                let mut sm: Vec<(Edge, CellTag)> = model
+                    .edges
+                    .keys()
+                    .filter_map(|&e| Some((e, masked_of(e)?)))
+                    .collect();
+                assert_eq!(hybrid.edge_count(), model.edges.len());
+                assert_eq!(hybrid.masked_edge_count(), sm.len());
+                assert_eq!(hybrid.node_count(), model.node_count());
                 for (q, _, _) in queries.iter().chain(stored.iter()) {
-                    assert_eq!(hybrid.contains(*q), masked_adj.contains(*q));
+                    assert_eq!(hybrid.contains(*q), model.tags_of(*q).is_some());
                     assert_eq!(
                         hybrid.tags_of(*q),
-                        masked_adj.tags_of(*q).map(|(full, m)| (full.to_vec(), m)),
+                        model
+                            .tags_of(*q)
+                            .map(|run| (run[..full_width].to_vec(), masked_of(*q))),
                         "tags_of {q}"
                     );
-                    assert_eq!(
-                        hybrid.masked_tag_of(*q),
-                        masked_adj.tags_of(*q).and_then(|(_, m)| m),
-                        "masked_tag_of {q}"
-                    );
+                    assert_eq!(hybrid.masked_tag_of(*q), masked_of(*q), "masked_tag_of {q}");
                     let mut a = Vec::new();
                     hybrid.match_then_insert(*q, None, |g, w, c| a.push((g, w, c)));
-                    let mut b = Vec::new();
-                    masked_adj.match_then_insert(*q, None, |g, w, c| b.push((g, w, c)));
                     a.sort_unstable();
-                    b.sort_unstable();
-                    assert_eq!(a, b, "matches of {q} threshold {threshold}");
+                    assert_eq!(
+                        a,
+                        model.matches(*q, Some(full_width)),
+                        "matches of {q} threshold {threshold}"
+                    );
                 }
                 let mut hm = Vec::new();
                 hybrid.for_each_masked_edge(|e, t| hm.push((e, t)));
-                let mut sm = Vec::new();
-                masked_adj.for_each_masked_edge(|e, t| sm.push((e, t)));
                 hm.sort_unstable();
                 sm.sort_unstable();
                 assert_eq!(hm, sm, "masked subset at threshold {threshold}");
             }
+        }
+    }
+
+    // The small single-column checks below each run twice: on `new()`,
+    // which keeps these tiny graphs in sorted rows, and on threshold 0,
+    // which promotes every row to a bitmap from its first edge.
+
+    fn check_insert_and_tags(mut a: HybridTaggedAdjacency) {
+        assert!(a.insert(edge(1, 2), 3));
+        assert!(!a.insert(edge(2, 1), 9), "duplicate in reverse order");
+        assert_eq!(a.cell_of(edge(1, 2)), Some(3), "first tag wins");
+        assert_eq!(a.edge_count(), 1);
+        assert_eq!(a.node_count(), 2);
+        assert_eq!(a.degree(1), 1);
+        assert_eq!(a.cell_of(edge(1, 3)), None);
+    }
+
+    #[test]
+    fn insert_and_tags() {
+        check_insert_and_tags(HybridTaggedAdjacency::new());
+    }
+
+    #[test]
+    fn dense_rows_insert_and_tags() {
+        check_insert_and_tags(HybridTaggedAdjacency::with_threshold(0));
+    }
+
+    fn check_matching_requires_equal_tags(mut a: HybridTaggedAdjacency) {
+        // Wedge 2–1–3 with both edges in cell 0, plus wedge 2–4–3 split
+        // across cells: only node 1 matches for the arriving edge (2,3).
+        a.insert(edge(1, 2), 0);
+        a.insert(edge(1, 3), 0);
+        a.insert(edge(4, 2), 0);
+        a.insert(edge(4, 3), 1);
+        let mut hits = Vec::new();
+        let n = a.for_each_matching_common_neighbor(2, 3, |w, c| hits.push((w, c)));
+        assert_eq!(n, 1);
+        assert_eq!(hits, vec![(1, 0)]);
+    }
+
+    #[test]
+    fn matching_requires_equal_tags() {
+        check_matching_requires_equal_tags(HybridTaggedAdjacency::new());
+    }
+
+    #[test]
+    fn dense_rows_matching_requires_equal_tags() {
+        check_matching_requires_equal_tags(HybridTaggedAdjacency::with_threshold(0));
+    }
+
+    fn check_matching_of_unknown_nodes_is_empty(mut a: HybridTaggedAdjacency) {
+        assert_eq!(
+            a.for_each_matching_common_neighbor(5, 6, |_, _| panic!()),
+            0
+        );
+        // One known endpoint is not enough either.
+        a.insert(edge(1, 2), 0);
+        a.insert(edge(1, 3), 0);
+        for (u, v) in [(5, 6), (2, 7), (7, 2), (1, 7)] {
+            assert_eq!(
+                a.for_each_matching_common_neighbor(u, v, |_, _| panic!()),
+                0,
+                "({u}, {v})"
+            );
+        }
+    }
+
+    #[test]
+    fn matching_of_unknown_nodes_is_empty() {
+        check_matching_of_unknown_nodes_is_empty(HybridTaggedAdjacency::new());
+    }
+
+    #[test]
+    fn dense_rows_matching_of_unknown_nodes_is_empty() {
+        check_matching_of_unknown_nodes_is_empty(HybridTaggedAdjacency::with_threshold(0));
+    }
+
+    #[test]
+    fn matches_per_cell_equal_split_adjacencies() {
+        // Matches with tag i over the shared structure == common
+        // neighbors in the cell-i-only adjacency, on every
+        // representation.
+        use crate::adjacency::DynamicAdjacency;
+        use rept_hash::{EdgeHashFamily, PartitionHasher};
+        let cells = 4u64;
+        let ph = PartitionHasher::new(EdgeHashFamily::new(5).member(0), cells);
+        let mut edges = Vec::new();
+        for u in 0..12u32 {
+            for v in (u + 1)..12 {
+                edges.push(edge(u, v));
+            }
+        }
+        // Store the first half, query with the second half.
+        let (stored, queries) = edges.split_at(edges.len() / 2);
+        for threshold in THRESHOLDS {
+            let mut fused = HybridTaggedAdjacency::with_threshold(threshold);
+            let mut split: Vec<DynamicAdjacency> =
+                (0..cells).map(|_| DynamicAdjacency::new()).collect();
+            for &e in stored {
+                let cell = ph.cell(u64::from(e.u()), u64::from(e.v()));
+                fused.insert(e, cell as CellTag);
+                split[cell as usize].insert(e);
+            }
+            for &q in queries {
+                let mut per_cell = vec![0usize; cells as usize];
+                fused.for_each_matching_common_neighbor(q.u(), q.v(), |_, c| {
+                    per_cell[c as usize] += 1;
+                });
+                for (i, s) in split.iter().enumerate() {
+                    assert_eq!(
+                        per_cell[i],
+                        s.for_each_common_neighbor(q.u(), q.v(), |_| {}),
+                        "cell {i} query {q:?} threshold {threshold}"
+                    );
+                }
+            }
+        }
+    }
+
+    fn check_edges_roundtrip_with_tags(mut a: HybridTaggedAdjacency) {
+        a.insert(edge(1, 2), 0);
+        a.insert(edge(2, 3), 1);
+        a.insert(edge(4, 5), 2);
+        let mut got: Vec<(Edge, CellTag)> = Vec::new();
+        a.for_each_edge(|e, c| got.push((e, c)));
+        got.sort();
+        assert_eq!(got, vec![(edge(1, 2), 0), (edge(2, 3), 1), (edge(4, 5), 2)]);
+        assert_eq!(got.iter().filter(|&&(_, c)| c == 1).count(), 1);
+    }
+
+    #[test]
+    fn edges_roundtrip_with_tags() {
+        check_edges_roundtrip_with_tags(HybridTaggedAdjacency::new());
+    }
+
+    #[test]
+    fn dense_rows_edges_roundtrip_with_tags() {
+        check_edges_roundtrip_with_tags(HybridTaggedAdjacency::with_threshold(0));
+    }
+
+    fn check_bytes_grow_with_inserts(mut a: HybridTaggedAdjacency) {
+        let empty = a.approx_bytes();
+        for i in 0..500u32 {
+            a.insert(edge(i, i + 1), i % 7);
+        }
+        assert!(a.approx_bytes() > empty);
+        assert_eq!(a.edge_count(), 500);
+        assert_eq!(a.node_count(), 501);
+    }
+
+    #[test]
+    fn bytes_grow_with_inserts() {
+        check_bytes_grow_with_inserts(HybridTaggedAdjacency::new());
+    }
+
+    #[test]
+    fn dense_rows_bytes_grow_with_inserts() {
+        check_bytes_grow_with_inserts(HybridTaggedAdjacency::with_threshold(0));
+    }
+
+    /// The two row representations are interchangeable: on any insert
+    /// sequence a never-promoting structure (sorted rows only) answers
+    /// every query exactly like an always-promoting one (bitmap rows
+    /// only) — including skewed degrees (galloping path) and unmerged
+    /// tails.
+    #[test]
+    fn sparse_rows_equivalent_to_dense_rows_on_random_streams() {
+        let rng = SplitMix64::new(0xC0FFEE);
+        let mut sparse = HybridTaggedAdjacency::with_threshold(usize::MAX);
+        let mut dense = HybridTaggedAdjacency::with_threshold(0);
+        // Hub-heavy edge distribution: node 0 collects a large degree so
+        // hub–leaf intersections exercise the gallop path.
+        let mut edges = Vec::new();
+        for i in 0..1500u64 {
+            let r = rng.fork(i).next_u64();
+            let (u, v) = if r.is_multiple_of(3) {
+                (0u32, 1 + (r >> 8) as u32 % 400)
+            } else {
+                (1 + (r >> 8) as u32 % 60, 1 + (r >> 40) as u32 % 400)
+            };
+            if u != v {
+                edges.push((Edge::new(u, v), (r >> 16) as CellTag % 7));
+            }
+        }
+        let (stored, queries) = edges.split_at(edges.len() * 2 / 3);
+        for &(e, cell) in stored {
+            assert_eq!(sparse.insert(e, cell), dense.insert(e, cell), "{e}");
+        }
+        assert_eq!(sparse.edge_count(), dense.edge_count());
+        assert_eq!(sparse.node_count(), dense.node_count());
+        for &(q, _) in queries.iter().chain(stored) {
+            assert_eq!(sparse.cell_of(q), dense.cell_of(q), "cell_of {q}");
+            let mut ms = Vec::new();
+            let ns = sparse.for_each_matching_common_neighbor(q.u(), q.v(), |w, c| {
+                ms.push((w, c));
+            });
+            let mut md = Vec::new();
+            let nd = dense.for_each_matching_common_neighbor(q.u(), q.v(), |w, c| {
+                md.push((w, c));
+            });
+            ms.sort_unstable();
+            md.sort_unstable();
+            assert_eq!(ns, nd, "match count for {q}");
+            assert_eq!(ms, md, "match set for {q}");
+        }
+        dense.for_each_edge(|e, _| {
+            assert_eq!(sparse.degree(e.u()), dense.degree(e.u()));
+        });
+    }
+
+    #[test]
+    fn gallop_lower_bound_agrees_with_partition_point() {
+        let arr: Vec<NodeId> = (0..200).map(|i| i * 3).collect();
+        for target in 0..620 {
+            for start in [0usize, 5, 150, 199, 200] {
+                let got = gallop_lower_bound(&arr, target, start);
+                let want = start + arr[start.min(arr.len())..].partition_point(|&x| x < target);
+                assert_eq!(got, want, "target {target} start {start}");
+            }
+        }
+    }
+
+    /// Single-column `match_then_insert` ≡
+    /// `for_each_matching_common_neighbor` followed by `insert`, for
+    /// owned, unowned, and duplicate edges alike, at every threshold.
+    #[test]
+    fn single_match_then_insert_equals_split_calls() {
+        for threshold in THRESHOLDS {
+            let rng = SplitMix64::new(7);
+            let mut fused = HybridTaggedAdjacency::with_threshold(threshold);
+            let mut split = HybridTaggedAdjacency::with_threshold(threshold);
+            for i in 0..800u64 {
+                let r = rng.fork(i).next_u64();
+                let (u, v) = ((r % 50) as u32, ((r >> 16) % 50) as u32);
+                let Some(e) = Edge::try_new(u, v) else {
+                    continue;
+                };
+                let cell = ((r >> 32) % 5) as CellTag;
+                let store = (!r.is_multiple_of(3)).then_some(cell);
+
+                let mut a = Vec::new();
+                let stored_a = fused.match_then_insert(e, store, |w, c| a.push((w, c)));
+                let mut b = Vec::new();
+                split.for_each_matching_common_neighbor(u, v, |w, c| b.push((w, c)));
+                let stored_b = store.is_some_and(|c| split.insert(e, c));
+                a.sort_unstable();
+                b.sort_unstable();
+                assert_eq!(a, b, "matches at step {i} threshold {threshold}");
+                assert_eq!(stored_a, stored_b, "store outcome at step {i}");
+                if i % 97 == 0 {
+                    fused.compact();
+                    split.compact();
+                }
+            }
+            assert_eq!(fused.edge_count(), split.edge_count());
         }
     }
 
@@ -1607,10 +2236,22 @@ mod tests {
     /// boundary.
     #[test]
     fn match_then_insert_equals_split_calls() {
+        check_multi_match_then_insert(16);
+    }
+
+    /// The same on all-dense, mixed and all-sparse rows.
+    #[test]
+    fn multi_match_then_insert_equals_split_calls() {
+        for threshold in THRESHOLDS {
+            check_multi_match_then_insert(threshold);
+        }
+    }
+
+    fn check_multi_match_then_insert(threshold: usize) {
         let width = 3;
         let rng = SplitMix64::new(5);
-        let mut fused = MultiHybridTaggedAdjacency::with_threshold(width, 16);
-        let mut split = MultiHybridTaggedAdjacency::with_threshold(width, 16);
+        let mut fused = MultiHybridTaggedAdjacency::with_threshold(width, threshold);
+        let mut split = MultiHybridTaggedAdjacency::with_threshold(width, threshold);
         for i in 0..700u64 {
             let r = rng.fork(i).next_u64();
             let Some(e) = Edge::try_new((r % 40) as u32, ((r >> 16) % 40) as u32) else {
@@ -1626,7 +2267,7 @@ mod tests {
             let sb = split.insert(e, &tags);
             a.sort_unstable();
             b.sort_unstable();
-            assert_eq!(a, b, "step {i}");
+            assert_eq!(a, b, "step {i} threshold {threshold}");
             assert_eq!(sa, sb, "store outcome, step {i}");
             if i % 131 == 0 {
                 fused.compact();
@@ -1634,6 +2275,67 @@ mod tests {
             }
         }
         assert_eq!(fused.edge_count(), split.edge_count());
+    }
+
+    /// Masked `match_then_insert` with store tags equals match-only
+    /// followed by `insert`, including duplicate edges (first tags win
+    /// everywhere), at every threshold.
+    #[test]
+    fn masked_match_then_insert_equals_split_calls() {
+        let full_width = 2;
+        for threshold in THRESHOLDS {
+            let rng = SplitMix64::new(3);
+            let mut fused = MaskedHybridTaggedAdjacency::with_threshold(full_width, threshold);
+            let mut split = MaskedHybridTaggedAdjacency::with_threshold(full_width, threshold);
+            for i in 0..700u64 {
+                let r = rng.fork(i).next_u64();
+                let Some(e) = Edge::try_new((r % 40) as u32, ((r >> 16) % 40) as u32) else {
+                    continue;
+                };
+                let full: Vec<CellTag> = (0..full_width)
+                    .map(|g| ((r >> (4 * g)) % 6) as CellTag)
+                    .collect();
+                let cell = (r >> 40) % 7;
+                let masked = (cell < 3).then_some(cell as CellTag);
+                let mut a = Vec::new();
+                let sa =
+                    fused.match_then_insert(e, Some((&full, masked)), |g, w, c| a.push((g, w, c)));
+                let mut b = Vec::new();
+                split.match_then_insert(e, None, |g, w, c| b.push((g, w, c)));
+                let sb = split.insert(e, &full, masked);
+                a.sort_unstable();
+                b.sort_unstable();
+                assert_eq!(a, b, "step {i} threshold {threshold}");
+                assert_eq!(sa, sb, "store outcome, step {i}");
+                if i % 131 == 0 {
+                    fused.compact();
+                    split.compact();
+                }
+            }
+            assert_eq!(fused.edge_count(), split.edge_count());
+            assert_eq!(fused.masked_edge_count(), split.masked_edge_count());
+        }
+    }
+
+    /// Sparse tail maintenance: far more than `TAIL_LIMIT` neighbors of
+    /// one never-promoted node in descending order (worst case for the
+    /// back-merge), with duplicates sprinkled in.
+    #[test]
+    fn tail_merge_keeps_prefix_sorted_and_lookups_exact() {
+        let mut a = HybridTaggedAdjacency::with_threshold(usize::MAX);
+        let mut inserted = 0;
+        for v in (1..100u32).rev() {
+            assert!(a.insert(edge(0, v), v % 5));
+            inserted += 1;
+            if v % 7 == 0 {
+                assert!(!a.insert(edge(0, v), 9), "duplicate {v}");
+            }
+        }
+        assert_eq!(a.degree(0), inserted);
+        for v in 1..100u32 {
+            assert_eq!(a.cell_of(edge(0, v)), Some(v % 5), "lookup {v}");
+        }
+        assert_eq!(a.cell_of(edge(0, 100)), None);
     }
 
     /// Dense-core maintenance across many tail merges: one hub receives
@@ -1645,27 +2347,20 @@ mod tests {
         let mut a = HybridTaggedAdjacency::with_threshold(10);
         let mut inserted = 0;
         for v in (1..600u32).rev() {
-            assert!(TaggedAdjacency::insert(&mut a, Edge::new(0, v), v % 5));
+            assert!(a.insert(Edge::new(0, v), v % 5));
             inserted += 1;
             if v % 7 == 0 {
-                assert!(
-                    !TaggedAdjacency::insert(&mut a, Edge::new(0, v), 9),
-                    "duplicate {v}"
-                );
+                assert!(!a.insert(Edge::new(0, v), 9), "duplicate {v}");
             }
         }
         assert_eq!(a.degree(0), inserted);
         for v in 1..600u32 {
-            assert_eq!(
-                TaggedAdjacency::cell_of(&a, Edge::new(0, v)),
-                Some(v % 5),
-                "lookup {v}"
-            );
+            assert_eq!(a.cell_of(Edge::new(0, v)), Some(v % 5), "lookup {v}");
         }
-        assert_eq!(TaggedAdjacency::cell_of(&a, Edge::new(0, 600)), None);
-        TaggedAdjacency::compact(&mut a);
+        assert_eq!(a.cell_of(Edge::new(0, 600)), None);
+        a.compact();
         for v in 1..600u32 {
-            assert_eq!(TaggedAdjacency::cell_of(&a, Edge::new(0, v)), Some(v % 5));
+            assert_eq!(a.cell_of(Edge::new(0, v)), Some(v % 5));
         }
     }
 
@@ -1707,8 +2402,68 @@ mod tests {
         assert_eq!(eager.edge_count(), before);
     }
 
+    /// The same on the single-column structure with promotion off — the
+    /// sorted-row layout alone: eager vs lazy compaction answer
+    /// identically, and a compacted structure keeps every sparse tail
+    /// below the overflow bound.
+    #[test]
+    fn single_compact_is_a_pure_representation_change() {
+        let mut eager = HybridTaggedAdjacency::with_threshold(usize::MAX);
+        let mut lazy = HybridTaggedAdjacency::with_threshold(usize::MAX);
+        let edges: Vec<(Edge, CellTag)> = (0..300u32)
+            .map(|i| (Edge::new(i % 40, 40 + (i * 7) % 90), i % 6))
+            .collect();
+        for (i, &(e, cell)) in edges.iter().enumerate() {
+            assert_eq!(eager.insert(e, cell), lazy.insert(e, cell));
+            if i % 23 == 0 {
+                eager.compact();
+            }
+        }
+        eager.compact();
+        let tails_bounded = on_core!(&eager.core, c => c
+            .lists
+            .iter()
+            .all(|l| l.dense.is_none() && l.nbrs.len() - l.sorted_len < TAIL_LIMIT));
+        assert!(tails_bounded);
+        assert_eq!(eager.edge_count(), lazy.edge_count());
+        for u in 0..40u32 {
+            for v in 40..130u32 {
+                let q = Edge::new(u, v);
+                assert_eq!(eager.cell_of(q), lazy.cell_of(q), "{q}");
+            }
+            for w in (u + 1)..40 {
+                let mut a = Vec::new();
+                let mut b = Vec::new();
+                eager.for_each_matching_common_neighbor(u, w, |x, c| a.push((x, c)));
+                lazy.for_each_matching_common_neighbor(u, w, |x, c| b.push((x, c)));
+                a.sort_unstable();
+                b.sort_unstable();
+                assert_eq!(a, b, "matches of ({u}, {w})");
+            }
+        }
+        // compact on an already-clean structure is a no-op.
+        let before = eager.edge_count();
+        eager.compact();
+        assert_eq!(eager.edge_count(), before);
+    }
+
     #[test]
     fn rejects_bad_widths_sentinel_and_zero_width() {
+        check_multi_rejections();
+        check_masked_rejections();
+    }
+
+    #[test]
+    fn multi_rejects_wrong_tag_width_and_zero_width() {
+        check_multi_rejections();
+    }
+
+    #[test]
+    fn masked_rejects_bad_widths_sentinel_and_zero_width() {
+        check_masked_rejections();
+    }
+
+    fn check_multi_rejections() {
         let mut m = MultiHybridTaggedAdjacency::new(2);
         assert!(m.insert(Edge::new(1, 2), &[0, 1]));
         assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1716,8 +2471,15 @@ mod tests {
         }))
         .is_err());
         assert!(std::panic::catch_unwind(|| MultiHybridTaggedAdjacency::new(0)).is_err());
+    }
+
+    fn check_masked_rejections() {
         let mut k = MaskedHybridTaggedAdjacency::new(2);
         assert!(k.insert(Edge::new(1, 2), &[0, 1], None));
+        assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            k.insert(Edge::new(2, 3), &[0], None);
+        }))
+        .is_err());
         assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             k.insert(Edge::new(2, 3), &[0, 1], Some(MASKED_NONE));
         }))
@@ -1727,15 +2489,15 @@ mod tests {
 
     /// A tag that cannot pack into the byte store arriving mid-stream
     /// widens the whole structure in place; every tag stored before and
-    /// after keeps answering exactly like the sorted layout.
+    /// after keeps answering exactly like the naive model.
     #[test]
     fn widening_preserves_all_tags() {
         for threshold in THRESHOLDS {
             let rng = SplitMix64::new(0x81D);
             let mut hybrid = MultiHybridTaggedAdjacency::with_threshold(2, threshold);
-            let mut multi = MultiSortedTaggedAdjacency::new(2);
+            let mut multi = Model::default();
             let mut masked_h = MaskedHybridTaggedAdjacency::with_threshold(1, threshold);
-            let mut masked_s = MaskedSortedTaggedAdjacency::new(1);
+            let mut masked_s = Model::default();
             for i in 0..800u64 {
                 let r = rng.fork(i).next_u64();
                 let Some(e) = Edge::try_new((r % 50) as u32, ((r >> 16) % 90) as u32) else {
@@ -1752,7 +2514,7 @@ mod tests {
                 let m = (r >> 40).is_multiple_of(3).then_some(tags[0]);
                 assert_eq!(
                     masked_h.insert(e, &tags[1..], m),
-                    masked_s.insert(e, &tags[1..], m),
+                    masked_s.insert(e, &[tags[1], m.unwrap_or(MASKED_NONE)]),
                     "{e} masked"
                 );
                 if i % 101 == 0 {
@@ -1770,14 +2532,65 @@ mod tests {
                     );
                     assert_eq!(
                         masked_h.tags_of(q),
-                        masked_s.tags_of(q).map(|(f, m)| (f.to_vec(), m)),
+                        masked_s.tags_of(q).map(|run| (
+                            run[..1].to_vec(),
+                            (run[1] != MASKED_NONE).then_some(run[1])
+                        )),
                         "{q} masked threshold {threshold}"
                     );
                 }
             }
-            assert_eq!(hybrid.edge_count(), multi.edge_count());
-            assert_eq!(masked_h.masked_edge_count(), masked_s.masked_edge_count());
+            assert_eq!(hybrid.edge_count(), multi.edges.len());
+            let masked_count = masked_s
+                .edges
+                .values()
+                .filter(|run| run[1] != MASKED_NONE)
+                .count();
+            assert_eq!(masked_h.masked_edge_count(), masked_count);
         }
+    }
+
+    #[test]
+    fn masked_edges_enumerate_exactly_the_stored_subset() {
+        let mut a = MaskedHybridTaggedAdjacency::new(1);
+        a.insert(Edge::new(1, 2), &[0], Some(1));
+        a.insert(Edge::new(2, 3), &[1], None);
+        a.insert(Edge::new(3, 4), &[2], Some(0));
+        let mut got = Vec::new();
+        a.for_each_masked_edge(|e, tag| got.push((e, tag)));
+        got.sort_unstable();
+        assert_eq!(got, vec![(Edge::new(1, 2), 1), (Edge::new(3, 4), 0)]);
+        assert_eq!(a.masked_edge_count(), 2);
+        let mut all = Vec::new();
+        a.for_each_edge(|e| all.push(e));
+        all.sort_unstable();
+        assert_eq!(all, vec![Edge::new(1, 2), Edge::new(2, 3), Edge::new(3, 4)]);
+    }
+
+    #[test]
+    fn bytes_grow_and_duplicates_keep_first_tags() {
+        let mut a = MaskedHybridTaggedAdjacency::new(3);
+        let empty = a.approx_bytes();
+        for i in 0..200u32 {
+            a.insert(Edge::new(i, i + 1), &[0, 1, 2], (i % 2 == 0).then_some(5));
+        }
+        assert!(a.approx_bytes() > empty);
+        assert!(!a.insert(Edge::new(0, 1), &[9, 9, 9], Some(9)), "duplicate");
+        assert_eq!(a.tags_of(Edge::new(0, 1)), Some((vec![0, 1, 2], Some(5))));
+        assert_eq!(a.degree(1), 2);
+        assert_eq!(a.full_width(), 3);
+    }
+
+    #[test]
+    fn multi_bytes_grow_and_width_reported() {
+        let mut a = MultiHybridTaggedAdjacency::new(4);
+        let empty = a.approx_bytes();
+        for i in 0..200u32 {
+            a.insert(Edge::new(i, i + 1), &[0, 1, 2, 3]);
+        }
+        assert!(a.approx_bytes() > empty);
+        assert_eq!(a.width(), 4);
+        assert_eq!(a.degree(1), 2);
     }
 
     #[test]
@@ -1792,6 +2605,5 @@ mod tests {
         assert_eq!(a.degree(0), 200);
         let h = HybridTaggedAdjacency::new();
         assert_eq!(h.dense_threshold(), DEFAULT_DENSE_THRESHOLD);
-        assert_eq!(HybridTaggedAdjacency::NAME, "hybrid");
     }
 }

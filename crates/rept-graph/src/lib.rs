@@ -14,27 +14,15 @@
 //! * [`adjacency`] — [`adjacency::DynamicAdjacency`], the
 //!   hash-based incremental adjacency used by every streaming algorithm
 //!   (common-neighbor queries are the inner loop of the whole system).
-//! * [`cell_tagged`] — [`cell_tagged::CellTaggedAdjacency`], the shared
-//!   cell-tagged adjacency of one REPT hash group, powering the fused
-//!   execution engine (one intersection pass serves all processors), and
-//!   the [`cell_tagged::TaggedAdjacency`] trait both fused backends
-//!   implement.
-//! * [`sorted_tagged`] — [`sorted_tagged::SortedTaggedAdjacency`], the
-//!   sorted struct-of-arrays backend with merge/galloping intersection
-//!   (the fast fused layout).
-//! * [`multi_tagged`] — [`multi_tagged::MultiSortedTaggedAdjacency`],
-//!   the shared neighbor structure with one tag column per full hash
-//!   group (all full groups store the same edge set, so the structure
-//!   walk is paid once for all of them).
-//! * [`masked_tagged`] — [`masked_tagged::MaskedSortedTaggedAdjacency`],
-//!   the shared structure extended with a masked tag column so the
-//!   subsampled *remainder* group (whose cells `c₂..m` drop edges)
-//!   joins the same single structure walk.
-//! * [`hybrid_tagged`] — the hybrid sorted-vec / blocked-bitmap family
-//!   ([`hybrid_tagged::HybridTaggedAdjacency`] and its multi/masked
-//!   variants): low-degree nodes keep sorted vecs, high-degree nodes
-//!   promote to chunked `u64` bitmaps so hub intersections run as
-//!   `AND` + `count_ones` (64-way bit-parallel, zero `unsafe`).
+//! * [`hybrid_tagged`] — the cell-tagged adjacency of the fused
+//!   execution engine ([`hybrid_tagged::HybridTaggedAdjacency`] for one
+//!   hash group, [`hybrid_tagged::MultiHybridTaggedAdjacency`] shared by
+//!   every full group, [`hybrid_tagged::MaskedHybridTaggedAdjacency`]
+//!   with the remainder group's masked column): each stored neighbor
+//!   carries its edge's partition cell, low-degree nodes keep sorted
+//!   vecs, high-degree nodes promote to blocked `u64` bitmaps so hub
+//!   intersections run as `AND` + `count_ones` (64-way bit-parallel,
+//!   zero `unsafe`).
 //! * [`csr`] — [`csr::CsrGraph`], a compact sorted-neighbor static
 //!   graph for the exact forward algorithm and statistics.
 //! * [`builder`] — [`builder::GraphBuilder`] normalises raw
@@ -47,27 +35,19 @@
 
 pub mod adjacency;
 pub mod builder;
-pub mod cell_tagged;
 pub mod csr;
 pub mod duplicates;
 pub mod edge;
 pub mod hybrid_tagged;
 pub mod io;
-pub mod masked_tagged;
-pub mod multi_tagged;
-pub mod sorted_tagged;
 pub mod stats;
 pub mod stream;
 pub mod timed;
 
 pub use adjacency::DynamicAdjacency;
 pub use builder::GraphBuilder;
-pub use cell_tagged::{CellTag, CellTaggedAdjacency, TaggedAdjacency};
 pub use csr::CsrGraph;
 pub use edge::{Edge, NodeId};
 pub use hybrid_tagged::{
-    HybridTaggedAdjacency, MaskedHybridTaggedAdjacency, MultiHybridTaggedAdjacency,
+    CellTag, HybridTaggedAdjacency, MaskedHybridTaggedAdjacency, MultiHybridTaggedAdjacency,
 };
-pub use masked_tagged::MaskedSortedTaggedAdjacency;
-pub use multi_tagged::MultiSortedTaggedAdjacency;
-pub use sorted_tagged::SortedTaggedAdjacency;

@@ -205,7 +205,7 @@ pub struct ServeConfig {
     /// ([`ReptConfig::with_eta`]) if global queries should always carry
     /// a confidence interval.
     pub rept: ReptConfig,
-    /// Execution engine (default: [`Engine::FusedSorted`]).
+    /// Execution engine (default: [`Engine::FusedHybrid`]).
     pub engine: Engine,
     /// Edges between automatic snapshot publications. Snapshot assembly
     /// clones the counter state, so this trades query freshness against
@@ -270,7 +270,7 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Defaults: fused-sorted engine, snapshot every 8192 edges, top-100
+    /// Defaults: fused-hybrid engine, snapshot every 8192 edges, top-100
     /// index, 16-batch channel, no checkpointing, keep 1 checkpoint, no
     /// journal.
     pub fn new(rept: ReptConfig) -> Self {
@@ -1338,7 +1338,7 @@ mod tests {
     #[test]
     fn ingest_then_flush_matches_batch_run() {
         let stream = stream();
-        let oracle = Rept::new(base_cfg()).run_sequential(stream.iter().copied());
+        let oracle = Rept::new(base_cfg()).run(Engine::PerWorker, &stream);
         let core = ServeCore::start(ServeConfig::new(base_cfg())).expect("start");
         for chunk in stream.chunks(97) {
             core.ingest(chunk.to_vec()).expect("ingest");
@@ -1375,7 +1375,7 @@ mod tests {
     #[test]
     fn checkpoint_restart_resumes_bit_identically() {
         let stream = stream();
-        let oracle = Rept::new(base_cfg()).run_sequential(stream.iter().copied());
+        let oracle = Rept::new(base_cfg()).run(Engine::PerWorker, &stream);
         let path = temp_ckpt("core-resume");
         std::fs::remove_file(&path).ok();
 
@@ -1607,7 +1607,7 @@ mod tests {
         // state a kill leaves when no checkpoint ever fired — and let
         // the core recover: every journaled edge must be replayed.
         let stream = stream();
-        let oracle = Rept::new(base_cfg()).run_sequential(stream.iter().copied());
+        let oracle = Rept::new(base_cfg()).run(Engine::PerWorker, &stream);
         let dir = std::env::temp_dir().join(format!("rept-jnl-replay-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("serve.rpck");

@@ -292,7 +292,7 @@ mod tests {
         m.record_query("global", Duration::from_micros(7));
         TenantScrape {
             tenant: tenant.to_string(),
-            engine: "fused-sorted",
+            engine: "fused-hybrid",
             health: Health {
                 degraded: false,
                 queue_depth: 1,
@@ -312,7 +312,7 @@ mod tests {
     fn exposition_labels_every_tenant() {
         let text = render_exposition(&[scrape("default", 10), scrape("alpha", 5)], false);
         assert!(text.contains("# TYPE rept_tenant_info gauge"));
-        assert!(text.contains("rept_tenant_info{tenant=\"default\",engine=\"fused-sorted\"} 1"));
+        assert!(text.contains("rept_tenant_info{tenant=\"default\",engine=\"fused-hybrid\"} 1"));
         assert!(text.contains("# TYPE rept_ingest_edges_total counter"));
         assert!(text.contains("rept_ingest_edges_total{tenant=\"default\"} 10"));
         assert!(text.contains("rept_ingest_edges_total{tenant=\"alpha\"} 5"));

@@ -58,7 +58,8 @@ pub enum Scope {
 /// Unset fields inherit the router's base configuration.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TenantOptions {
-    /// `engine=<per-worker|fused-hash|fused-sorted|fused-hybrid>`.
+    /// `engine=<per-worker|fused-hybrid>` (the retired names `fused`,
+    /// `fused-hash` and `fused-sorted` are aliases of `fused-hybrid`).
     pub engine: Option<rept_core::Engine>,
     /// `m=<partition size>`.
     pub m: Option<u64>,
@@ -1008,8 +1009,8 @@ mod tests {
     #[test]
     fn stats_formatting_uses_live_durability() {
         let cfg = rept_core::ReptConfig::new(2, 2).with_seed(3);
-        let est = rept_core::Rept::new(cfg).run_sequential(std::iter::empty());
-        let snap = Snapshot::from_estimate(&est, &cfg, Engine::FusedSorted, 0, 0, 0, 5);
+        let est = rept_core::Rept::new(cfg).run(Engine::PerWorker, &[]);
+        let snap = Snapshot::from_estimate(&est, &cfg, Engine::FusedHybrid, 0, 0, 0, 5);
         let live = LiveStats {
             stored_bytes: 0,
             journal_bytes: 123,

@@ -208,8 +208,8 @@ mod tests {
             Edge::new(0, 4),
         ];
         let cfg = ReptConfig::new(2, 2).with_seed(3).with_eta(true);
-        let est = Rept::new(cfg).run_sequential(stream.iter().copied());
-        let snap = Snapshot::from_estimate(&est, &cfg, Engine::FusedSorted, 6, 1, 0, 2);
+        let est = Rept::new(cfg).run(Engine::PerWorker, &stream);
+        let snap = Snapshot::from_estimate(&est, &cfg, Engine::FusedHybrid, 6, 1, 0, 2);
         assert_eq!(snap.position, 6);
         assert!(snap.top_k.len() <= 2);
         for pair in snap.top_k.windows(2) {
@@ -236,11 +236,11 @@ mod tests {
             Edge::new(0, 4),
         ];
         let cfg = ReptConfig::new(2, 2).with_seed(3);
-        let est = Rept::new(cfg).run_sequential(stream.iter().copied());
-        let a = Snapshot::from_estimate(&est, &cfg, Engine::FusedSorted, 6, 1, 0, 3);
+        let est = Rept::new(cfg).run(Engine::PerWorker, &stream);
+        let a = Snapshot::from_estimate(&est, &cfg, Engine::FusedHybrid, 6, 1, 0, 3);
         let cfg_b = ReptConfig::new(2, 2).with_seed(9);
-        let est_b = Rept::new(cfg_b).run_sequential(stream.iter().copied());
-        let b = Snapshot::from_estimate(&est_b, &cfg_b, Engine::FusedSorted, 6, 1, 0, 3);
+        let est_b = Rept::new(cfg_b).run(Engine::PerWorker, &stream);
+        let b = Snapshot::from_estimate(&est_b, &cfg_b, Engine::FusedHybrid, 6, 1, 0, 3);
 
         let merged = merge_top_k([("a", &a), ("b", &b)].into_iter(), 4);
         assert!(merged.len() <= 4);
@@ -257,15 +257,14 @@ mod tests {
 
     #[test]
     fn confidence_interval_presence_follows_eta() {
-        let est_no_eta =
-            Rept::new(ReptConfig::new(4, 2).with_seed(1)).run_sequential(std::iter::empty());
+        let est_no_eta = Rept::new(ReptConfig::new(4, 2).with_seed(1)).run(Engine::PerWorker, &[]);
         // c < m without η: variance needs η̂ → no interval.
         let cfg = ReptConfig::new(4, 2).with_seed(1);
         let snap = Snapshot::from_estimate(&est_no_eta, &cfg, Engine::PerWorker, 0, 0, 0, 5);
         assert!(snap.confidence95.is_none());
         // c = m: η-free variance → interval always present.
         let cfg = ReptConfig::new(2, 2).with_seed(1);
-        let est = Rept::new(cfg).run_sequential(std::iter::empty());
+        let est = Rept::new(cfg).run(Engine::PerWorker, &[]);
         let snap = Snapshot::from_estimate(&est, &cfg, Engine::PerWorker, 0, 0, 0, 5);
         let (lo, hi) = snap.confidence95.expect("eta-free layout");
         assert!(lo <= est.global && est.global <= hi);

@@ -175,11 +175,12 @@ impl TenantRouter {
                     let core = match ServeCore::start(serve) {
                         Ok(core) => core,
                         // A manifest torn mid-value can still *parse* —
-                        // e.g. an `engine=fused-hash` tail cut down to
-                        // the `fused` alias — and then contradict the
-                        // checkpoint it resumes. The checkpoint header
-                        // is CRC-guarded; the manifest is not: trust
-                        // the checkpoint and retry under its config.
+                        // e.g. a `memory_budget=1048576` tail cut down
+                        // to `memory_budget=1048` — and then contradict
+                        // the checkpoint it resumes. The checkpoint file
+                        // is replaced atomically (`durable_write_rename`),
+                        // so its header is whole whenever the file
+                        // exists: trust it and retry under its config.
                         Err(e) => {
                             let ckpt = dir.join(TENANT_CHECKPOINT);
                             if !ckpt.is_file() {
@@ -937,13 +938,13 @@ mod tests {
         // under the tenant's resolved config.
         let base = base_serve().rept;
         let alpha_cfg = ReptConfig { seed: 99, ..base };
-        let alpha_oracle = Rept::new(alpha_cfg).run_sequential(stream.iter().copied());
+        let alpha_oracle = Rept::new(alpha_cfg).run(Engine::PerWorker, &stream);
         let alpha = router.tenant("alpha").expect("alpha").snapshot();
         assert_eq!(alpha.global, alpha_oracle.global);
         assert_eq!(alpha.locals, alpha_oracle.locals);
 
         let win_cfg = IntervalEstimator::new(base).config_for(3);
-        let win_oracle = Rept::new(win_cfg).run_sequential(stream.iter().copied());
+        let win_oracle = Rept::new(win_cfg).run(Engine::PerWorker, &stream);
         let win = router.tenant("win3").expect("win3").snapshot();
         assert_eq!(win.global, win_oracle.global);
         assert_ne!(win_cfg.seed, base.seed, "interval seed is derived");
@@ -1153,12 +1154,12 @@ mod tests {
         resumed.flush_all();
 
         let base = base_serve().rept;
-        let default_oracle = Rept::new(base).run_sequential(stream.iter().copied());
+        let default_oracle = Rept::new(base).run(Engine::PerWorker, &stream);
         let snap = resumed.tenant(DEFAULT_TENANT).unwrap().snapshot();
         assert_eq!(snap.global, default_oracle.global);
         assert_eq!(snap.locals, default_oracle.locals);
         let win_cfg = IntervalEstimator::new(base).config_for(1);
-        let win_oracle = Rept::new(win_cfg).run_sequential(stream.iter().copied());
+        let win_oracle = Rept::new(win_cfg).run(Engine::PerWorker, &stream);
         assert_eq!(
             resumed.tenant("win1").unwrap().snapshot().global,
             win_oracle.global
@@ -1175,29 +1176,29 @@ mod tests {
         let router = TenantRouter::start(cfg.clone()).expect("start");
         router
             .create(
-                "hash",
+                "pw",
                 &TenantOptions {
-                    engine: Some(Engine::FusedHash),
+                    engine: Some(Engine::PerWorker),
                     seed: Some(5),
                     ..TenantOptions::default()
                 },
             )
             .expect("create");
         router
-            .tenant("hash")
+            .tenant("pw")
             .unwrap()
             .ingest(stream()[..40].to_vec())
             .expect("ingest");
         router.checkpoint_all().expect("checkpoint");
         router.shutdown();
         // Simulate a pre-manifest directory.
-        std::fs::remove_file(root.join("hash").join(TENANT_META)).expect("remove meta");
+        std::fs::remove_file(root.join("pw").join(TENANT_META)).expect("remove meta");
 
         let resumed = TenantRouter::start(cfg).expect("resume");
         {
             // Scoped: `shutdown` drains outstanding tenant handles.
-            let core = resumed.tenant("hash").expect("recovered from checkpoint");
-            assert_eq!(core.config().engine, Engine::FusedHash);
+            let core = resumed.tenant("pw").expect("recovered from checkpoint");
+            assert_eq!(core.config().engine, Engine::PerWorker);
             assert_eq!(core.config().rept.seed, 5);
             assert_eq!(core.position(), 40);
         }

@@ -12,7 +12,7 @@
 //!
 //! Run: `cargo run --release --example anomaly_detection`
 
-use rept::core::{Rept, ReptConfig};
+use rept::core::{Engine, Rept, ReptConfig};
 use rept::exact::GroundTruth;
 use rept::gen::{erdos_renyi, planted_cliques, stream_order, GeneratorConfig};
 use rept::graph::edge::Edge;
@@ -49,7 +49,7 @@ fn main() {
                 .with_seed(9 + i as u64)
                 .with_locals(false),
         );
-        let est = rept.run_sequential(interval.iter().copied()).global;
+        let est = rept.run(Engine::PerWorker, interval).global;
         let exact = GroundTruth::compute(interval).tau;
 
         // Robust threshold: 5× the median of past intervals (needs ≥ 2).

@@ -9,7 +9,7 @@
 //! Run: `cargo run --release --example clustering_coefficients`
 
 use rept::core::planning::{confidence_interval, IntervalMethod};
-use rept::core::{Rept, ReptConfig};
+use rept::core::{Engine, Rept, ReptConfig};
 use rept::exact::clustering::global_clustering;
 use rept::gen::{watts_strogatz, GeneratorConfig};
 use rept::graph::csr::CsrGraph;
@@ -33,7 +33,7 @@ fn main() {
             .with_locals(false)
             .with_eta(true),
     );
-    let est = rept.run_sequential(stream.iter().copied());
+    let est = rept.run(Engine::PerWorker, &stream);
     let ci = confidence_interval(&est, 0.95, IntervalMethod::Gaussian);
 
     let c_hat = 3.0 * est.global / stats.wedges as f64;

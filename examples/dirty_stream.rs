@@ -10,7 +10,7 @@
 //!
 //! Run: `cargo run --release --example dirty_stream`
 
-use rept::core::{Rept, ReptConfig};
+use rept::core::{Engine, Rept, ReptConfig};
 use rept::exact::GroundTruth;
 use rept::gen::{barabasi_albert, stream_order, GeneratorConfig};
 use rept::graph::duplicates::{BloomDedup, ExactDedup};
@@ -41,7 +41,7 @@ fn main() {
 
     let run = |stream: &[Edge], seed: u64| {
         Rept::new(ReptConfig::new(6, 6).with_seed(seed).with_locals(false))
-            .run_sequential(stream.iter().copied())
+            .run(Engine::PerWorker, stream)
             .global
     };
 

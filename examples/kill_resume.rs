@@ -21,7 +21,7 @@ fn main() {
     // locals on so every counter the engines maintain is exercised.
     let cfg = ReptConfig::new(16, 41).with_seed(77).with_eta(true);
     let rept = Rept::new(cfg);
-    let uninterrupted = rept.run_sequential(stream.iter().copied());
+    let uninterrupted = rept.run(Engine::PerWorker, &stream);
     let split = stream.len() / 2;
     let path = std::env::temp_dir().join(format!("rept-kill-resume-{}.rpck", std::process::id()));
 

@@ -46,7 +46,7 @@ fn main() {
     // Same layout as the kill_resume smoke: three full hash groups plus
     // a c mod m = 9 remainder group, η and locals on.
     let cfg = ReptConfig::new(16, 41).with_seed(77).with_eta(true);
-    let uninterrupted = Rept::new(cfg).run_sequential(stream.iter().copied());
+    let uninterrupted = Rept::new(cfg).run(Engine::PerWorker, &stream);
     let kill_at = stream.len() * 2 / 3;
 
     for engine in Engine::all() {

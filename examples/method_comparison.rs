@@ -11,7 +11,7 @@ use rept::baselines::parallel::ParallelAveraged;
 use rept::baselines::traits::StreamingTriangleCounter;
 use rept::baselines::{Gps, Mascot, TriestImpr};
 use rept::core::variance::{nrmse_of_unbiased, parallel_mascot_variance, rept_variance};
-use rept::core::{Rept, ReptConfig};
+use rept::core::{Engine, Rept, ReptConfig};
 use rept::exact::GroundTruth;
 use rept::gen::DatasetId;
 use rept::hash::SplitMix64;
@@ -49,7 +49,7 @@ fn main() {
     let rept_est: Vec<f64> = (0..TRIALS)
         .map(|t| {
             let cfg = ReptConfig::new(M, C).with_seed(t).with_locals(false);
-            Rept::new(cfg).run_sequential(stream.iter().copied()).global
+            Rept::new(cfg).run(Engine::PerWorker, stream).global
         })
         .collect();
 

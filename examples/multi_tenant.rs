@@ -84,18 +84,9 @@ fn main() {
     let spam_cfg = ReptConfig { seed: 99, ..base };
     let win3_cfg = IntervalEstimator::new(base).config_for(3);
     let oracles = [
-        (
-            "default",
-            Rept::new(base).run_sequential(stream.iter().copied()),
-        ),
-        (
-            "spam",
-            Rept::new(spam_cfg).run_sequential(stream.iter().copied()),
-        ),
-        (
-            "win3",
-            Rept::new(win3_cfg).run_sequential(stream.iter().copied()),
-        ),
+        ("default", Rept::new(base).run(Engine::PerWorker, &stream)),
+        ("spam", Rept::new(spam_cfg).run(Engine::PerWorker, &stream)),
+        ("win3", Rept::new(win3_cfg).run(Engine::PerWorker, &stream)),
     ];
 
     // ---- phase 1: create tenants, fan out, query, checkpoint.

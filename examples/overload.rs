@@ -14,7 +14,7 @@
 //!
 //! Run: `cargo run --release --example overload`
 
-use rept::core::{Rept, ReptConfig};
+use rept::core::{Engine, Rept, ReptConfig};
 use rept::gen::{barabasi_albert, GeneratorConfig};
 use rept::serve::{Client, RouterConfig, ServeConfig, Server};
 
@@ -32,7 +32,7 @@ fn health_field(health: &str, key: &str) -> u64 {
 fn main() {
     let stream = barabasi_albert(&GeneratorConfig::new(3000, 33), 5);
     let cfg = ReptConfig::new(16, 16).with_seed(9);
-    let oracle = Rept::new(cfg).run_sequential(stream.iter().copied());
+    let oracle = Rept::new(cfg).run(Engine::PerWorker, &stream);
 
     let root = std::env::temp_dir().join(format!("rept-overload-{}", std::process::id()));
     std::fs::remove_dir_all(&root).ok();

@@ -16,7 +16,7 @@
 //! `examples/live_serving.rs` and `examples/multi_tenant.rs` for the
 //! online-serving versions of the same loop.
 
-use rept::core::{Rept, ReptConfig};
+use rept::core::{Engine, Rept, ReptConfig};
 use rept::exact::GroundTruth;
 use rept::gen::{barabasi_albert, stream_order, GeneratorConfig};
 
@@ -39,7 +39,7 @@ fn main() {
     // 3. REPT: p = 1/10, c = 10 processors (the covariance-free c = m
     //    sweet spot), sequential driver.
     let rept = Rept::new(ReptConfig::new(10, 10).with_seed(42));
-    let est = rept.run_sequential(stream.iter().copied());
+    let est = rept.run(Engine::PerWorker, &stream);
     let rel = (est.global - gt.tau as f64).abs() / gt.tau as f64;
     println!(
         "REPT:   τ̂ = {:.0} (relative error {:.2}%)",

@@ -11,11 +11,6 @@
 //! buffer, and final bit-identical equality with an uninterrupted
 //! standalone run.
 //!
-//! The in-process *simulation* of distributing REPT lives in
-//! `examples/distributed_cluster.rs` (contiguous worker ranges, no
-//! sockets, no durability); this example is the deployable tier it
-//! grew into.
-//!
 //! Run: `cargo run --release --example sharded_cluster`
 
 use rept::core::{GroupSlice, ReptConfig};

@@ -9,7 +9,7 @@
 //!
 //! Run: `cargo run --release --example spam_ranking`
 
-use rept::core::{Rept, ReptConfig};
+use rept::core::{Engine, Rept, ReptConfig};
 use rept::exact::GroundTruth;
 use rept::gen::{chung_lu, planted_cliques, stream_order, GeneratorConfig};
 use rept::graph::edge::NodeId;
@@ -39,7 +39,7 @@ fn main() {
 
     // Estimate local counts with REPT (m = 5, c = 5 — covariance-free).
     let rept = Rept::new(ReptConfig::new(5, 5).with_seed(1));
-    let est = rept.run_sequential(stream.iter().copied());
+    let est = rept.run(Engine::PerWorker, &stream);
 
     // Rank nodes by estimated local triangle count and score the ranking
     // against exact local counts with the library's ranking metrics.

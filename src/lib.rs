@@ -28,8 +28,8 @@
 //!
 //! Every way of running the estimator drives the same type —
 //! [`rept_core::engine::EngineCore`] — which owns the engine-specific
-//! state of a run (per-worker workers, fused hash groups, or the fused
-//! sorted layout with its shared structures) behind four operations:
+//! state of a run (per-worker workers, or the fused hybrid layout with
+//! its shared structures) behind four operations:
 //! `ingest_batch`, `compact`, `snapshot_counters`, `finalize`.
 //!
 //! * **Batch** (`Rept::run*`, the figure binaries, the benches):
@@ -47,17 +47,17 @@
 //! bit-identical agreement holds by construction; the proptests pin it
 //! down across engines and duplicate-edge streams.
 //!
-//! On the sorted engine the core also picks the strongest structure
+//! On the fused engine the core also picks the strongest structure
 //! sharing a layout admits: all *full* hash groups share one neighbor
 //! structure walk (tag column per group), and a *remainder* group
 //! (`c mod m ≠ 0`) is folded into that same walk through a masked tag
-//! column ([`rept_graph::masked_tagged::MaskedSortedTaggedAdjacency`])
+//! column ([`rept_graph::hybrid_tagged::MaskedHybridTaggedAdjacency`])
 //! instead of paying its own structure walk per edge.
 //!
 //! ## Quickstart: batch estimation
 //!
 //! ```
-//! use rept::core::{Rept, ReptConfig};
+//! use rept::core::{Engine, Rept, ReptConfig};
 //! use rept::gen::{GeneratorConfig, barabasi_albert};
 //! use rept::exact::StreamingExact;
 //!
@@ -70,7 +70,7 @@
 //!
 //! // REPT with m = 4 (sampling probability 1/4) and c = 4 processors.
 //! let cfg = ReptConfig::new(4, 4).with_seed(7);
-//! let est = Rept::new(cfg).run_sequential(stream.iter().copied());
+//! let est = Rept::new(cfg).run(Engine::PerWorker, &stream);
 //!
 //! let tau = exact.global() as f64;
 //! let rel_err = (est.global - tau).abs() / tau;
@@ -79,9 +79,9 @@
 //!
 //! ## Engine selection
 //!
-//! The three engines are interchangeable and **bit-identical**; they
+//! The two engines are interchangeable and **bit-identical**; they
 //! differ only in cost (see `BENCH_throughput.json` for measurements).
-//! `Engine::FusedSorted` is the default; `Engine::PerWorker` is the
+//! `Engine::FusedHybrid` is the default; `Engine::PerWorker` is the
 //! paper's cost model and the reference oracle:
 //!
 //! ```
@@ -97,7 +97,8 @@
 //!     assert_eq!(est.global, oracle.global, "{}", engine.name());
 //!     assert_eq!(est.locals, oracle.locals);
 //! }
-//! # assert_eq!(Engine::from_name("fused-sorted"), Some(Engine::default()));
+//! // The retired fused-layout names are aliases of the default.
+//! assert_eq!(Engine::from_name("fused-sorted"), Some(Engine::default()));
 //! ```
 //!
 //! ## A serve round-trip
@@ -107,13 +108,13 @@
 //! bit-identically (shortest-roundtrip float formatting):
 //!
 //! ```
-//! use rept::core::{Rept, ReptConfig};
+//! use rept::core::{Engine, Rept, ReptConfig};
 //! use rept::graph::edge::Edge;
 //! use rept::serve::{Client, ServeConfig, Server};
 //!
 //! let stream = [Edge::new(0, 1), Edge::new(1, 2), Edge::new(0, 2)];
 //! let cfg = ReptConfig::new(2, 2).with_seed(7);
-//! let oracle = Rept::new(cfg).run_sequential(stream.iter().copied());
+//! let oracle = Rept::new(cfg).run(Engine::PerWorker, &stream);
 //!
 //! let server = Server::start(
 //!     ServeConfig::new(cfg).with_snapshot_every(1),

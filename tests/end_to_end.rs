@@ -2,8 +2,7 @@
 
 use rept::baselines::traits::StreamingTriangleCounter;
 use rept::baselines::{Mascot, ParallelAveraged, TriestImpr};
-use rept::core::cluster::{run_cluster, ClusterConfig};
-use rept::core::{Rept, ReptConfig};
+use rept::core::{Engine, Rept, ReptConfig};
 use rept::exact::GroundTruth;
 use rept::gen::{DatasetId, GeneratorConfig};
 use rept::metrics::montecarlo::{run_trials, TrialOutput};
@@ -22,7 +21,7 @@ fn full_pipeline_produces_consistent_estimates() {
 
     let result = run_trials(30, 0, &gt, |seed| {
         let cfg = ReptConfig::new(5, 5).with_seed(seed);
-        let est = Rept::new(cfg).run_sequential(stream.iter().copied());
+        let est = Rept::new(cfg).run(Engine::PerWorker, &stream);
         TrialOutput {
             global: est.global,
             locals: est.locals,
@@ -45,13 +44,10 @@ fn all_drivers_agree_bit_for_bit() {
     let stream = test_stream();
     for (m, c) in [(4u64, 3u64), (4, 4), (3, 9), (3, 11)] {
         let rept = Rept::new(ReptConfig::new(m, c).with_seed(77));
-        let seq = rept.run_sequential(stream.iter().copied());
-        let thr = rept.run_threaded(&stream, 4);
-        let clu = run_cluster(&rept, &stream, &ClusterConfig::default());
+        let seq = rept.run(Engine::PerWorker, &stream);
+        let thr = rept.run_threaded(Engine::PerWorker, &stream, 4);
         assert_eq!(seq.global, thr.global, "threaded (m={m}, c={c})");
-        assert_eq!(seq.global, clu.estimate.global, "cluster (m={m}, c={c})");
         assert_eq!(seq.locals, thr.locals);
-        assert_eq!(seq.locals, clu.estimate.locals);
     }
 }
 
@@ -86,7 +82,7 @@ fn rept_and_baselines_are_all_roughly_unbiased_on_a_registry_stream() {
 
     let rept_mean = mean_of(&mut |s| {
         Rept::new(ReptConfig::new(4, 4).with_seed(s).with_locals(false))
-            .run_sequential(dataset.stream.iter().copied())
+            .run(Engine::PerWorker, &dataset.stream)
             .global
     });
     let mascot_mean = mean_of(&mut |s| {
@@ -132,7 +128,7 @@ fn eta_hat_estimates_eta_on_real_streams() {
                 .with_eta(true)
                 .with_eta_mode(rept::core::EtaMode::StrictNonLast);
             Rept::new(cfg)
-                .run_sequential(stream.iter().copied())
+                .run(Engine::PerWorker, &stream)
                 .eta_hat
                 .expect("eta tracked")
         })
@@ -153,7 +149,7 @@ fn windowed_streams_compose_with_estimators() {
     for (i, window) in rept::graph::stream::windows(&stream, 400).enumerate() {
         let gt = GroundTruth::compute(window);
         let est = Rept::new(ReptConfig::new(3, 3).with_seed(i as u64).with_locals(false))
-            .run_sequential(window.iter().copied());
+            .run(Engine::PerWorker, window);
         if gt.tau > 200 {
             let rel = (est.global - gt.tau as f64).abs() / gt.tau as f64;
             assert!(
@@ -162,6 +158,68 @@ fn windowed_streams_compose_with_estimators() {
                 est.global,
                 gt.tau
             );
+        }
+    }
+}
+
+/// Skewed streams that take hubs well past the hybrid layout's
+/// promotion threshold: per-worker and fused-hybrid agree bit for bit on
+/// every combination path, through both drivers, and through a
+/// checkpoint cut taken after promotion. At 6 000 edges (max degree
+/// 557) hubs meet sparse nodes; at 20 000 edges several hubs share
+/// neighbors, so bitmap∧bitmap intersections run too.
+#[test]
+fn hub_promotion_matches_the_oracle() {
+    use rept::core::resume::ResumableRun;
+    use rept::core::ReptEstimate;
+    use rept::graph::hybrid_tagged::DEFAULT_DENSE_THRESHOLD;
+
+    let same = |a: &ReptEstimate, b: &ReptEstimate, what: &str| {
+        assert_eq!(a.global, b.global, "{what}: global");
+        assert_eq!(a.locals, b.locals, "{what}: locals");
+        assert_eq!(a.eta_hat, b.eta_hat, "{what}: eta");
+        assert_eq!(
+            a.diagnostics.per_processor_tau, b.diagnostics.per_processor_tau,
+            "{what}: per-processor tau"
+        );
+        assert_eq!(
+            a.diagnostics.stored_edges, b.diagnostics.stored_edges,
+            "{what}: stored edges"
+        );
+    };
+    for edges in [6000, 20_000] {
+        let stream = rept::gen::chung_lu(&GeneratorConfig::new(2000, 5), edges, 2.1, 0.0);
+        let cut = stream.len() * 3 / 4;
+        let mut degree = std::collections::HashMap::new();
+        for e in &stream[..cut] {
+            *degree.entry(e.u()).or_insert(0usize) += 1;
+            *degree.entry(e.v()).or_insert(0usize) += 1;
+        }
+        let hub = degree.values().copied().max().unwrap_or(0);
+        // Even a group storing 3 of 4 cells holds > threshold hub edges
+        // before the cut.
+        assert!(hub >= 2 * DEFAULT_DENSE_THRESHOLD, "hub degree {hub}");
+
+        // c ≤ m, c₂ = 0 and Graybill–Deal layouts.
+        for (m, c) in [(4u64, 3u64), (4, 8), (4, 10)] {
+            let rept = Rept::new(ReptConfig::new(m, c).with_seed(19).with_eta(true));
+            let oracle = rept.run(Engine::PerWorker, &stream);
+            let what = format!("{edges} edges m={m} c={c}");
+            same(&oracle, &rept.run(Engine::FusedHybrid, &stream), &what);
+            for engine in Engine::all() {
+                let threaded = rept.run_threaded(engine, &stream, 2);
+                same(
+                    &oracle,
+                    &threaded,
+                    &format!("threaded {} {what}", engine.name()),
+                );
+            }
+            let mut run = ResumableRun::with_engine(rept.clone(), Engine::FusedHybrid);
+            run.process_batch(&stream[..cut]);
+            let mut resumed = ResumableRun::from_checkpoint_bytes(&run.checkpoint_bytes())
+                .expect("checkpoint restores");
+            resumed.process_batch(&stream[cut..]);
+            same(&oracle, &resumed.finalize(), &format!("resumed {what}"));
         }
     }
 }

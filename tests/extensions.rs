@@ -5,7 +5,7 @@
 use rept::baselines::traits::StreamingTriangleCounter;
 use rept::core::planning::{confidence_interval, plan, IntervalMethod};
 use rept::core::worker::SemiTriangleWorker;
-use rept::core::{EtaMode, Rept, ReptConfig};
+use rept::core::{Engine, EtaMode, Rept, ReptConfig};
 use rept::exact::node_iterator::node_iterator_count;
 use rept::exact::{forward_count, GroundTruth};
 use rept::gen::{barabasi_albert, stream_order, GeneratorConfig};
@@ -56,7 +56,7 @@ fn planner_output_is_achievable() {
                     .with_seed(s)
                     .with_locals(false),
             )
-            .run_sequential(stream.iter().copied());
+            .run(Engine::PerWorker, &stream);
             (est.global - gt.tau as f64).powi(2)
         })
         .sum::<f64>()
@@ -77,7 +77,7 @@ fn confidence_intervals_have_reasonable_coverage_on_graph_streams() {
     let covered = (0..trials as u64)
         .filter(|&s| {
             let est = Rept::new(ReptConfig::new(4, 4).with_seed(s).with_eta(true))
-                .run_sequential(stream.iter().copied());
+                .run(Engine::PerWorker, &stream);
             confidence_interval(&est, 0.95, IntervalMethod::Gaussian).contains(gt.tau as f64)
         })
         .count();
@@ -183,7 +183,7 @@ fn memory_accounting_is_comparable_across_methods() {
     for &e in &stream {
         mascot.process(e);
     }
-    let est = Rept::new(ReptConfig::new(4, 4).with_seed(3)).run_sequential(stream.iter().copied());
+    let est = Rept::new(ReptConfig::new(4, 4).with_seed(3)).run(Engine::PerWorker, &stream);
     let rept_per_proc = est.diagnostics.total_bytes / 4;
     let ratio = rept_per_proc as f64 / mascot.memory_bytes() as f64;
     assert!(

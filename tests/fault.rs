@@ -3,7 +3,7 @@
 //! never acked, after a checkpoint, *between* the checkpoint rename and
 //! the journal-segment truncation — and prove recovery yields exactly
 //! the acked prefix, bit-identical to an uninterrupted run, across all
-//! three engines and multi-tenant routers. Plus byte-level torn-write
+//! both engines and multi-tenant routers. Plus byte-level torn-write
 //! sweeps: the journal's final record truncated at every byte boundary
 //! and CRC-corrupted mid-file, and the tenant manifest truncated at
 //! every byte boundary (checkpoint-header fallback). The shard tier
@@ -99,7 +99,7 @@ proptest! {
         batch_sel in any::<u64>(),
     ) {
         let cfg = ReptConfig::new(m, c).with_seed(seed).with_eta(true);
-        let full_oracle = Rept::new(cfg).run_sequential(stream.iter().copied());
+        let full_oracle = Rept::new(cfg).run(Engine::PerWorker, &stream);
         let batch = 1 + (batch_sel % 17) as usize;
         let ckpt_at = (ckpt_sel as usize) % (stream.len() + 1);
         let kill_at = ckpt_at + (kill_sel as usize) % (stream.len() - ckpt_at + 1);
@@ -144,7 +144,7 @@ proptest! {
                 "journal tail above the checkpoint replayed"
             );
             let prefix_oracle =
-                Rept::new(cfg).run_sequential(stream[..kill_at].iter().copied());
+                Rept::new(cfg).run(Engine::PerWorker, &stream[..kill_at]);
             prop_assert_eq!(snap.global, prefix_oracle.global, "{}", engine.name());
             prop_assert_eq!(&snap.locals, &prefix_oracle.locals);
 
@@ -217,12 +217,12 @@ proptest! {
         }
         resumed.flush_all();
         let default_oracle =
-            Rept::new(base).run_sequential(stream[..kill_at].iter().copied());
+            Rept::new(base).run(Engine::PerWorker, &stream[..kill_at]);
         let snap = resumed.tenant("default").unwrap().snapshot();
         prop_assert_eq!(snap.global, default_oracle.global);
         prop_assert_eq!(&snap.locals, &default_oracle.locals);
         let alpha_oracle = Rept::new(base.with_seed(seed ^ 0x9e37_79b9))
-            .run_sequential(stream[..kill_at].iter().copied());
+            .run(Engine::PerWorker, &stream[..kill_at]);
         let snap = resumed.tenant("alpha").unwrap().snapshot();
         prop_assert_eq!(snap.global, alpha_oracle.global);
         prop_assert_eq!(&snap.locals, &alpha_oracle.locals);
@@ -308,7 +308,7 @@ fn stale_journal_surviving_a_checkpoint_is_skipped() {
         );
         resumed.ingest(stream[8..].to_vec()).expect("acked");
         resumed.flush();
-        let oracle = Rept::new(cfg).run_sequential(stream.iter().copied());
+        let oracle = Rept::new(cfg).run(Engine::PerWorker, &stream);
         let snap = resumed.snapshot();
         assert_eq!(snap.global, oracle.global, "{}", engine.name());
         assert_eq!(snap.locals, oracle.locals);
@@ -358,7 +358,7 @@ fn torn_journal_tail_drops_exactly_the_torn_record() {
     );
     let oracles: Vec<_> = [0usize, 5, 9, 12]
         .iter()
-        .map(|&n| Rept::new(cfg).run_sequential(stream[..n].iter().copied()))
+        .map(|&n| Rept::new(cfg).run(Engine::PerWorker, &stream[..n]))
         .collect();
 
     for cut in 0..full {
@@ -423,7 +423,7 @@ fn crc_corrupt_record_is_dropped_with_its_suffix() {
     let resumed = ServeCore::start(serve_cfg).expect("corruption is not fatal");
     assert_eq!(resumed.position(), 5, "only the first record replays");
     resumed.flush();
-    let oracle = Rept::new(cfg).run_sequential(stream[..5].iter().copied());
+    let oracle = Rept::new(cfg).run(Engine::PerWorker, &stream[..5]);
     let snap = resumed.snapshot();
     assert_eq!(snap.global, oracle.global);
     assert_eq!(snap.locals, oracle.locals);
@@ -472,16 +472,16 @@ fn torn_tenant_manifest_falls_back_to_the_checkpoint_header() {
     let router = TenantRouter::start(cfg.clone()).expect("start");
     router
         .create(
-            "hash",
+            "pw",
             &TenantOptions {
-                engine: Some(Engine::FusedHash),
+                engine: Some(Engine::PerWorker),
                 seed: Some(5),
                 ..TenantOptions::default()
             },
         )
         .expect("create");
     router
-        .tenant("hash")
+        .tenant("pw")
         .unwrap()
         .ingest(stream.clone())
         .expect("ingest");
@@ -489,7 +489,7 @@ fn torn_tenant_manifest_falls_back_to_the_checkpoint_header() {
     router.shutdown();
     let frozen = freeze_dir(&root);
 
-    let meta = root.join("hash").join("tenant.meta");
+    let meta = root.join("pw").join("tenant.meta");
     let full = frozen
         .iter()
         .find(|(p, _)| p == &meta)
@@ -507,13 +507,80 @@ fn torn_tenant_manifest_falls_back_to_the_checkpoint_header() {
         let resumed = TenantRouter::start(cfg.clone())
             .unwrap_or_else(|e| panic!("cut at byte {cut}: startup failed: {e}"));
         {
-            let core = resumed.tenant("hash").expect("tenant recovered");
-            assert_eq!(core.config().engine, Engine::FusedHash, "cut at {cut}");
+            let core = resumed.tenant("pw").expect("tenant recovered");
+            assert_eq!(core.config().engine, Engine::PerWorker, "cut at {cut}");
             assert_eq!(core.config().rept.seed, 5, "cut at {cut}");
             assert_eq!(core.position(), stream.len() as u64, "cut at {cut}");
         }
         resumed.shutdown();
     }
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// A tenant directory as the previous release left it — `tenant.meta`
+/// naming `engine=fused-sorted`, an RPCK checkpoint carrying engine
+/// byte 2, and a journal tail above it — resumes at router startup on
+/// the fused hybrid engine and answers `QUERY GLOBAL` and `TOPK` byte
+/// for byte like a fresh fused-hybrid tenant fed the same edges.
+#[test]
+fn parent_format_tenant_directory_resumes_on_the_hybrid_engine() {
+    use rept::gen::{barabasi_albert, GeneratorConfig};
+    use rept::serve::protocol::{format_global, format_top_k};
+
+    let stream = barabasi_albert(&GeneratorConfig::new(300, 9), 4);
+    let (head, tail) = stream.split_at(stream.len() / 2);
+    let root = unique_root("parent-format");
+    std::fs::remove_dir_all(&root).ok();
+    let base = ServeConfig::new(fixed_cfg()).with_journal();
+    let cfg = RouterConfig::new(base).with_root_dir(root.clone());
+    let router = TenantRouter::start(cfg.clone()).expect("start");
+    router
+        .create("legacy", &TenantOptions::default())
+        .expect("create");
+    let tenant = router.tenant("legacy").unwrap();
+    tenant.ingest(head.to_vec()).expect("ingest");
+    router.checkpoint_all().expect("checkpoint");
+    tenant.ingest(tail.to_vec()).expect("journal tail");
+    drop(tenant);
+    let frozen = freeze_dir(&root);
+    router.shutdown();
+    restore_dir(&root, &frozen);
+
+    // Rewrite the directory into the previous release's names.
+    let dir = root.join("legacy");
+    let meta = std::fs::read_to_string(dir.join("tenant.meta")).expect("manifest");
+    assert!(meta.contains("engine=fused-hybrid\n"), "{meta}");
+    let meta = meta.replace("engine=fused-hybrid", "engine=fused-sorted");
+    std::fs::write(dir.join("tenant.meta"), meta).expect("write manifest");
+    let mut blob = std::fs::read(dir.join("serve.rpck")).expect("checkpoint");
+    // Engine byte: magic 4 + version 4 + m/c/seed 24 + flags 3.
+    assert_eq!(blob[35], 4, "written as fused-hybrid");
+    blob[35] = 2;
+    std::fs::write(dir.join("serve.rpck"), blob).expect("write checkpoint");
+
+    let resumed = TenantRouter::start(cfg.clone()).expect("resume");
+    let (rept, engine) = resumed
+        .resolve_options(&TenantOptions::default())
+        .expect("resolve");
+    assert_eq!(engine, Engine::FusedHybrid);
+    let fresh = ServeCore::start(ServeConfig::new(rept).with_engine(engine)).expect("fresh");
+    fresh.ingest(stream.clone()).expect("ingest");
+    fresh.flush();
+    {
+        let legacy = resumed.tenant("legacy").expect("tenant resumed");
+        assert_eq!(legacy.config().engine, Engine::FusedHybrid);
+        assert_eq!(
+            legacy.position(),
+            stream.len() as u64,
+            "journal tail replayed"
+        );
+        legacy.flush();
+        let (a, b) = (legacy.snapshot(), fresh.snapshot());
+        assert_eq!(format_global(&a), format_global(&b));
+        assert_eq!(format_top_k(&a, 10), format_top_k(&b, 10));
+    }
+    fresh.shutdown();
+    resumed.shutdown();
     std::fs::remove_dir_all(&root).ok();
 }
 

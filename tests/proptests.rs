@@ -106,20 +106,19 @@ proptest! {
         threads in 1usize..5,
     ) {
         let rept = Rept::new(ReptConfig::new(m, c).with_seed(seed));
-        let seq = rept.run_sequential(stream.iter().copied());
-        let thr = rept.run_threaded(&stream, threads);
+        let seq = rept.run(Engine::PerWorker, &stream);
+        let thr = rept.run_threaded(Engine::PerWorker, &stream, threads);
         prop_assert_eq!(seq.global, thr.global);
         prop_assert_eq!(seq.locals, thr.locals);
     }
 
-    /// Both fused engines — single-threaded and threaded — are
+    /// Every fused engine — single-threaded and threaded — is
     /// bit-identical to the per-worker oracle for arbitrary streams and
     /// processor layouts. `m ∈ [2, 6)` × `c ∈ [1, 14)` covers all three
     /// combination paths (`c ≤ m`, `c₂ = 0`, mixed Graybill–Deal), and η
     /// plus locals are force-enabled so every counter the engines
     /// maintain is exercised, not just the ones the layout strictly
-    /// needs. Thread counts above the group count take the within-group
-    /// split match/apply path.
+    /// needs. Thread counts above the group count are clamped to it.
     #[test]
     fn fused_engines_agree_with_sequential(
         stream in arb_stream(30, 120),
@@ -131,8 +130,8 @@ proptest! {
         let rept = Rept::new(
             ReptConfig::new(m, c).with_seed(seed).with_eta(true).with_locals(true),
         );
-        let seq = rept.run_sequential(stream.iter().copied());
-        for engine in [Engine::FusedHash, Engine::FusedSorted, Engine::FusedHybrid] {
+        let seq = rept.run(Engine::PerWorker, &stream);
+        for engine in Engine::all() {
             let fused = rept.run(engine, &stream);
             prop_assert_eq!(seq.global, fused.global);
             prop_assert_eq!(&seq.locals, &fused.locals);
@@ -141,21 +140,19 @@ proptest! {
                 &seq.diagnostics.per_processor_tau,
                 &fused.diagnostics.per_processor_tau
             );
-            let thr = rept.run_threaded_with(engine, &stream, threads);
+            let thr = rept.run_threaded(engine, &stream, threads);
             prop_assert_eq!(seq.global, thr.global);
             prop_assert_eq!(&seq.locals, &thr.locals);
             prop_assert_eq!(seq.eta_hat, thr.eta_hat);
         }
     }
 
-    /// The sorted- and hybrid-adjacency engines stay bit-identical to
-    /// both the hash fused engine and the per-worker oracle on streams
-    /// that contain **duplicate edges** — the duplicate-store rule
-    /// ("first insert wins, duplicates are ignored"), the unowned-cell
-    /// drop (`c < m` layouts), and every counter (η, locals,
-    /// per-processor τ, stored-edge counts) must agree across all three
-    /// combination paths and all drivers, including the within-group
-    /// threaded one.
+    /// Every engine stays bit-identical to the per-worker oracle on
+    /// streams that contain **duplicate edges** — the duplicate-store
+    /// rule ("first insert wins, duplicates are ignored"), the
+    /// unowned-cell drop (`c < m` layouts), and every counter (η,
+    /// locals, per-processor τ, stored-edge counts) must agree across
+    /// all three combination paths and both drivers.
     #[test]
     fn shared_engines_bit_identical_on_duplicate_streams(
         stream in arb_stream_with_dups(20, 100),
@@ -167,11 +164,9 @@ proptest! {
         let rept = Rept::new(
             ReptConfig::new(m, c).with_seed(seed).with_eta(true).with_locals(true),
         );
-        let oracle = rept.run_sequential(stream.iter().copied());
-        let hash = rept.run(Engine::FusedHash, &stream);
-        let sorted = rept.run(Engine::FusedSorted, &stream);
-        let hybrid = rept.run(Engine::FusedHybrid, &stream);
-        for fused in [&hash, &sorted, &hybrid] {
+        let oracle = rept.run(Engine::PerWorker, &stream);
+        for engine in Engine::all() {
+            let fused = rept.run(engine, &stream);
             prop_assert_eq!(oracle.global, fused.global);
             prop_assert_eq!(&oracle.locals, &fused.locals);
             prop_assert_eq!(oracle.eta_hat, fused.eta_hat);
@@ -184,8 +179,8 @@ proptest! {
                 &fused.diagnostics.stored_edges
             );
         }
-        for engine in [Engine::FusedSorted, Engine::FusedHybrid] {
-            let thr = rept.run_threaded_with(engine, &stream, threads);
+        for engine in Engine::all() {
+            let thr = rept.run_threaded(engine, &stream, threads);
             prop_assert_eq!(oracle.global, thr.global);
             prop_assert_eq!(&oracle.locals, &thr.locals);
             prop_assert_eq!(oracle.eta_hat, thr.eta_hat);
@@ -214,7 +209,7 @@ proptest! {
         use rept::core::resume::ResumableRun;
         let cut = cut.min(stream.len());
         let cfg = ReptConfig::new(m, c).with_seed(seed).with_eta(true).with_locals(true);
-        let oracle = Rept::new(cfg).run_sequential(stream.iter().copied());
+        let oracle = Rept::new(cfg).run(Engine::PerWorker, &stream);
 
         let mut unbroken = ResumableRun::with_engine(Rept::new(cfg), Engine::FusedHybrid);
         let mut run = ResumableRun::with_engine(Rept::new(cfg), Engine::FusedHybrid);
@@ -245,7 +240,7 @@ proptest! {
     #[test]
     fn estimates_are_sane(stream in arb_stream(30, 100), seed in any::<u64>()) {
         let est = Rept::new(ReptConfig::new(3, 5).with_seed(seed))
-            .run_sequential(stream.iter().copied());
+            .run(Engine::PerWorker, &stream);
         prop_assert!(est.global >= 0.0);
         let gt = GroundTruth::compute(&stream);
         if gt.tau == 0 {

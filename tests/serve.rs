@@ -41,8 +41,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Kill-and-resume at an arbitrary batch boundary under the serve
-    /// driver is bit-identical to an uninterrupted run, across all
-    /// three engines and duplicate-edge streams. The kill is simulated
+    /// driver is bit-identical to an uninterrupted run, across both
+    /// engines and duplicate-edge streams. The kill is simulated
     /// faithfully: the checkpoint file is frozen at its mid-stream
     /// state, edges ingested after it are *lost* with the process, and
     /// the restarted producer replays from the resumed position.
@@ -56,7 +56,7 @@ proptest! {
         batch_sel in any::<u64>(),
     ) {
         let cfg = ReptConfig::new(m, c).with_seed(seed).with_eta(true);
-        let oracle = Rept::new(cfg).run_sequential(stream.iter().copied());
+        let oracle = Rept::new(cfg).run(Engine::PerWorker, &stream);
         let batch = 1 + (batch_sel % 37) as usize;
         let split = (split_sel as usize) % (stream.len() + 1);
 
@@ -180,7 +180,7 @@ proptest! {
 
         // Tenant specs: `default` plus up to three extras — a
         // per-worker tenant on another seed, an interval-derived
-        // tenant, and a fused-hash tenant on a different layout.
+        // tenant, and a tenant on a different layout.
         let extras: Vec<(&str, TenantOptions)> = [
             ("pw", TenantOptions {
                 engine: Some(Engine::PerWorker),
@@ -188,8 +188,7 @@ proptest! {
                 ..TenantOptions::default()
             }),
             ("win2", TenantOptions { interval: Some(2), ..TenantOptions::default() }),
-            ("hash", TenantOptions {
-                engine: Some(Engine::FusedHash),
+            ("wide", TenantOptions {
                 c: Some(c + 1),
                 ..TenantOptions::default()
             }),
@@ -285,7 +284,7 @@ fn v1_clients_work_unchanged_against_the_router_default_tenant() {
     // and receive different data.
     let stream = barabasi_albert(&GeneratorConfig::new(400, 9), 4);
     let base = ReptConfig::new(3, 5).with_seed(21).with_eta(true);
-    let oracle = Rept::new(base).run_sequential(stream.iter().copied());
+    let oracle = Rept::new(base).run(Engine::PerWorker, &stream);
 
     let server = Server::start_router(
         RouterConfig::new(
@@ -387,7 +386,7 @@ fn tcp_tenant_commands_round_trip() {
     // USE routes the v1 verbs to the selected tenant.
     client.use_tenant("alpha").expect("use alpha");
     let alpha_cfg = base; // alpha inherited the base config
-    let alpha_oracle = Rept::new(alpha_cfg).run_sequential(stream.iter().copied());
+    let alpha_oracle = Rept::new(alpha_cfg).run(Engine::PerWorker, &stream);
     assert_eq!(
         client.query_global().expect("global").tau,
         alpha_oracle.global
@@ -434,7 +433,7 @@ fn tcp_tenant_commands_round_trip() {
 fn tcp_server_end_to_end() {
     let stream = barabasi_albert(&GeneratorConfig::new(500, 7), 4);
     let cfg = ReptConfig::new(4, 6).with_seed(11).with_eta(true);
-    let oracle = Rept::new(cfg).run_sequential(stream.iter().copied());
+    let oracle = Rept::new(cfg).run(Engine::PerWorker, &stream);
 
     let serve_cfg = ServeConfig::new(cfg)
         .with_snapshot_every(256)
@@ -470,7 +469,7 @@ fn tcp_server_end_to_end() {
 
     // Stats carry the layout.
     let stats = client.stats().expect("stats");
-    assert!(stats.contains("engine=fused-sorted"), "{stats}");
+    assert!(stats.contains("engine=fused-hybrid"), "{stats}");
     assert!(stats.contains("checkpoints=0"), "{stats}");
     assert!(stats.contains("m=4"), "{stats}");
     assert!(stats.contains("c=6"), "{stats}");

@@ -4,7 +4,7 @@
 use rept::baselines::traits::StreamingTriangleCounter;
 use rept::baselines::{Mascot, ParallelAveraged};
 use rept::core::variance::{parallel_mascot_variance, rept_variance};
-use rept::core::{Rept, ReptConfig};
+use rept::core::{Engine, Rept, ReptConfig};
 use rept::exact::GroundTruth;
 use rept::gen::{planted_cliques, stream_order, GeneratorConfig};
 use rept::graph::Edge;
@@ -39,7 +39,7 @@ fn theorem3_variance_c_less_than_m() {
     let (m, c) = (4u64, 2u64);
     let (mean, var) = empirical_variance(900, |s| {
         Rept::new(ReptConfig::new(m, c).with_seed(s).with_locals(false))
-            .run_sequential(stream.iter().copied())
+            .run(Engine::PerWorker, &stream)
             .global
     });
     let theory = rept_variance(gt.tau as f64, gt.eta as f64, m, c);
@@ -57,7 +57,7 @@ fn theorem3_variance_c_equals_m_eliminates_covariance() {
     let m = 4u64;
     let (mean, var) = empirical_variance(900, |s| {
         Rept::new(ReptConfig::new(m, m).with_seed(s).with_locals(false))
-            .run_sequential(stream.iter().copied())
+            .run(Engine::PerWorker, &stream)
             .global
     });
     let theory = gt.tau as f64 * (m as f64 - 1.0);
@@ -82,7 +82,7 @@ fn full_groups_variance_scales_as_one_over_c1() {
     let m = 3u64;
     let (_, var1) = empirical_variance(700, |s| {
         Rept::new(ReptConfig::new(m, m).with_seed(s).with_locals(false))
-            .run_sequential(stream.iter().copied())
+            .run(Engine::PerWorker, &stream)
             .global
     });
     let (_, var3) = empirical_variance(700, |s| {
@@ -91,7 +91,7 @@ fn full_groups_variance_scales_as_one_over_c1() {
                 .with_seed(s + 10_000)
                 .with_locals(false),
         )
-        .run_sequential(stream.iter().copied())
+        .run(Engine::PerWorker, &stream)
         .global
     });
     let ratio = var1 / var3;
@@ -112,7 +112,7 @@ fn mixed_case_beats_its_components() {
     let (m, c) = (4u64, 10u64); // c₁ = 2, c₂ = 2
     let (mean, var) = empirical_variance(900, |s| {
         Rept::new(ReptConfig::new(m, c).with_seed(s).with_locals(false))
-            .run_sequential(stream.iter().copied())
+            .run(Engine::PerWorker, &stream)
             .global
     });
     let theory_optimal = rept_variance(gt.tau as f64, gt.eta as f64, m, c);
@@ -156,7 +156,7 @@ fn rept_empirically_beats_parallel_mascot() {
     let trials = 500;
     let (_, rept_var) = empirical_variance(trials, |s| {
         Rept::new(ReptConfig::new(m, c).with_seed(s).with_locals(false))
-            .run_sequential(stream.iter().copied())
+            .run(Engine::PerWorker, &stream)
             .global
     });
     let (_, mascot_var) = empirical_variance(trials, |t| {
@@ -188,8 +188,7 @@ fn local_estimates_are_unbiased_too() {
     let trials = 600;
     let mut acc = Welford::new();
     for s in 0..trials {
-        let est =
-            Rept::new(ReptConfig::new(4, 4).with_seed(s)).run_sequential(stream.iter().copied());
+        let est = Rept::new(ReptConfig::new(4, 4).with_seed(s)).run(Engine::PerWorker, &stream);
         acc.push(est.local(star_node));
     }
     let mean = acc.mean();
