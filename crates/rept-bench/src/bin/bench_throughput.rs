@@ -10,7 +10,13 @@
 //! groups plus a `c mod m = 8` remainder group (the masked-remainder
 //! sharing path), and `c = 256` four full groups (Algorithm 2).
 //!
-//! A second section sweeps the hybrid layout's dense-promotion degree
+//! A `batch_split` section feeds the same stream to the fused-hybrid
+//! engine at `c ∈ {64, 256}` in 256-edge [`EngineCore::ingest_batch`]
+//! calls — the size of one serving-tier `INGEST` line — beside the
+//! whole-stream rate, so any per-batch fixed cost shows as a gap
+//! between the two.
+//!
+//! A third section sweeps the hybrid layout's dense-promotion degree
 //! threshold on the shared multi-tag structure (width 4, the `c = 256`
 //! hot path): every stream edge replayed through `match_then_insert`
 //! at several thresholds, the `never` row (`usize::MAX`, all sorted
@@ -25,7 +31,7 @@
 use std::io::Write as _;
 use std::time::Instant;
 
-use rept_core::{Engine, Rept, ReptConfig};
+use rept_core::{Engine, EngineCore, Rept, ReptConfig};
 use rept_gen::{barabasi_albert, GeneratorConfig};
 use rept_graph::hybrid_tagged::MultiHybridTaggedAdjacency;
 use rept_graph::{CellTag, Edge};
@@ -33,6 +39,11 @@ use rept_graph::{CellTag, Edge};
 const M: u64 = 64;
 const PROCESSOR_COUNTS: [u64; 4] = [8, 64, 200, 256];
 const REPS: usize = 3;
+/// Processor counts of the batch-split section.
+const SPLIT_COUNTS: [u64; 2] = [64, 256];
+/// Edges per `ingest_batch` call in the batch-split section (the
+/// serving tier's `INGEST` line size).
+const SPLIT_BATCH: usize = 256;
 
 struct Measurement {
     engine: Engine,
@@ -124,6 +135,37 @@ fn main() {
         eprintln!("  {c:>5} {w:>12.3e}/s {y:>12.3e}/s {:>7.2}x", y / w);
     }
 
+    // Batch split: the fused-hybrid engine fed in serving-tier-sized
+    // batches beside the whole-stream rate, repetitions interleaved.
+    let mut split: Vec<(u64, f64, f64)> = Vec::new();
+    for &c in &SPLIT_COUNTS {
+        let rept = Rept::new(ReptConfig::new(M, c).with_seed(7).with_locals(false));
+        let (mut whole, mut batched) = (f64::INFINITY, f64::INFINITY);
+        let mut sink = 0.0;
+        for _ in 0..REPS {
+            let start = Instant::now();
+            sink += rept.run(Engine::FusedHybrid, &stream).global;
+            whole = whole.min(start.elapsed().as_secs_f64());
+            let start = Instant::now();
+            let mut core = EngineCore::with_engine(rept.clone(), Engine::FusedHybrid);
+            for batch in stream.chunks(SPLIT_BATCH) {
+                core.ingest_batch(batch);
+            }
+            sink += core.into_estimate().global;
+            batched = batched.min(start.elapsed().as_secs_f64());
+        }
+        assert!(sink.is_finite());
+        let n = stream.len() as f64;
+        split.push((c, n / whole, n / batched));
+    }
+    eprintln!("\n  fused-hybrid, whole stream vs {SPLIT_BATCH}-edge ingest_batch calls:");
+    for &(c, whole, batched) in &split {
+        eprintln!(
+            "  {c:>5} {whole:>12.3e}/s {batched:>12.3e}/s {:>7.2}x",
+            batched / whole
+        );
+    }
+
     // Dense-promotion threshold sweep: the shared hybrid structure at
     // width 4 (the c = 256 layout), every stream edge replayed through
     // match_then_insert with synthetic per-group cell tags, compaction
@@ -197,6 +239,18 @@ fn main() {
         ));
     }
     json.push_str("},\n");
+    json.push_str(&format!(
+        "  \"batch_split\": {{\"engine\": \"fused-hybrid\", \"batch\": {SPLIT_BATCH}, \"results\": [\n"
+    ));
+    for (i, &(c, whole, batched)) in split.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{\"c\": {c}, \"whole_stream_edges_per_sec\": {whole:.1}, \
+             \"batch_edges_per_sec\": {batched:.1}, \"batch_over_whole\": {:.3}}}{}\n",
+            batched / whole,
+            if i + 1 < split.len() { "," } else { "" }
+        ));
+    }
+    json.push_str("  ]},\n");
     json.push_str("  \"hybrid_threshold_sweep\": {\n");
     json.push_str(&format!(
         "    \"structure\": \"MultiHybridTaggedAdjacency\", \"width\": {SWEEP_WIDTH}, \

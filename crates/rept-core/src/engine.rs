@@ -447,9 +447,12 @@ impl EngineCore {
 
     /// Bytes of adjacency storage currently held by this core, summed
     /// over every structure the engine maintains — the quantity a
-    /// serving-tier memory quota governs. Cheap (no counter cloning):
-    /// each layout reports its own `approx_bytes`, and shared
-    /// structures are counted once, matching what is actually resident.
+    /// serving-tier memory quota governs. Each structure reports its
+    /// own `approx_bytes`, and shared structures are counted once,
+    /// matching what is actually resident. On the fused-hybrid engine
+    /// this is O(1) per structure (a running total), so the serving
+    /// tier reads it after every batch; the per-worker oracle walks
+    /// every worker's hash sets, which no served workload runs.
     ///
     /// Counter maps (`τ̂_v`, η) are *not* included: their size is
     /// governed by `track_locals` / η tracking, not by admission

@@ -1776,6 +1776,41 @@ mod tests {
         }
     }
 
+    /// An RPCK restore rebuilds the fused structures edge by edge, and
+    /// `stored_bytes` stays the O(1) running count through it — debug
+    /// builds check that count against the full walk on every call —
+    /// and through later batches and a clone, on the independent,
+    /// full-group and masked layouts, with hubs past the promotion
+    /// threshold. Two restores of one blob account identically.
+    #[test]
+    fn restore_keeps_the_running_byte_count_exact() {
+        let stream = rept_gen::chung_lu(&GeneratorConfig::new(1000, 5), 6000, 2.1, 0.0);
+        let split = stream.len() / 2;
+        let hub_degree = stream[..split]
+            .iter()
+            .filter(|e| e.u() == 0 || e.v() == 0)
+            .count();
+        assert!(
+            hub_degree > 2 * 128,
+            "node 0 is a hub before the cut: {hub_degree}"
+        );
+        for c in [2u64, 3, 6, 7] {
+            let rept = Rept::new(ReptConfig::new(3, c).with_seed(5));
+            let mut first = ResumableRun::with_engine(rept, Engine::FusedHybrid);
+            first.process_batch(&stream[..split]);
+            let blob = first.checkpoint_bytes();
+            let mut a = ResumableRun::from_checkpoint_bytes(&blob).expect("valid blob");
+            let mut b = ResumableRun::from_checkpoint_bytes(&blob).expect("valid blob");
+            assert_eq!(a.stored_bytes(), b.stored_bytes(), "c={c} restored");
+            for batch in stream[split..].chunks(256) {
+                a.process_batch(batch);
+                b.process_batch(batch);
+                assert_eq!(a.stored_bytes(), b.stored_bytes(), "c={c} resumed");
+            }
+            assert!(a.clone().stored_bytes() <= a.stored_bytes(), "c={c} clone");
+        }
+    }
+
     #[test]
     fn sliced_checkpoint_resume_is_bit_identical_on_every_engine() {
         // The distributed contract end to end inside one process: each

@@ -266,7 +266,9 @@ impl SemiTriangleWorker {
     }
 
     /// Bytes of adjacency storage alone (no counter maps) — the
-    /// admission-controlled share of [`Self::approx_bytes`].
+    /// admission-controlled share of [`Self::approx_bytes`]. Walks every
+    /// neighbor set: the per-worker engine is the reference oracle, and
+    /// no served workload runs it.
     pub fn stored_bytes(&self) -> usize {
         self.adj.approx_bytes()
     }

@@ -51,7 +51,15 @@
 //! tail, back-merged on overflow, while dense nodes insert in place, so
 //! queries never need `&mut self`. Batch-boundary `compact` is lazy:
 //! only tails already at the overflow bound are merged (see `compact`
-//! for why).
+//! for why), and the inserts register exactly those slots as they
+//! fill, so a boundary costs O(batch), not O(nodes).
+//!
+//! Byte accounting is O(1) as well: every structure keeps a running
+//! total of its lists' heap bytes, updated only where a capacity can
+//! change (a new list, a sparse push that reallocates, a new dense
+//! block, a promotion) and recounted once when a clone or the packed →
+//! wide switch rebuilds the arena, so `approx_bytes` — read after
+//! every serving-tier batch — never walks the graph.
 //!
 //! Three wrappers share one core: [`HybridTaggedAdjacency`] (a single
 //! tag column — one independent hash group), [`MultiHybridTaggedAdjacency`]
@@ -207,15 +215,20 @@ impl<T: TagElem> DenseCore<T> {
 
     /// Sets neighbor `w` (caller has verified it absent) with an
     /// already-packed tag run, appending its block on first touch.
-    fn insert_packed(&mut self, w: NodeId, run: &[T], stride: usize) {
+    /// Returns the heap bytes the insert added — non-zero only when a
+    /// new block grew the vecs or the directory.
+    fn insert_packed(&mut self, w: NodeId, run: &[T], stride: usize) -> usize {
+        let mut grown = 0;
         let b = match self.dir.get(w >> 6) {
             Some(b) => b as usize,
             None => {
+                let before = self.heap_bytes();
                 let b = self.keys.len();
                 *self.dir.entry(w >> 6) = b as u32;
                 self.keys.push(w >> 6);
                 self.words.push(0);
                 self.tags.resize((b + 1) * 64 * stride, T::default());
+                grown = self.heap_bytes() - before;
                 b
             }
         };
@@ -223,6 +236,17 @@ impl<T: TagElem> DenseCore<T> {
         let base = (b * 64 + (w & 63) as usize) * stride;
         self.tags[base..base + stride].copy_from_slice(run);
         self.len += 1;
+        grown
+    }
+
+    /// Heap footprint of the boxed core in bytes, in O(1).
+    fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        size_of::<Self>()
+            + self.keys.capacity() * size_of::<NodeId>()
+            + self.words.capacity() * size_of::<u64>()
+            + self.tags.capacity() * size_of::<T>()
+            + self.dir.approx_bytes()
     }
 }
 
@@ -270,6 +294,22 @@ impl<T: TagElem> HybridNodeList<T> {
         let pos = position_in(&self.nbrs, self.sorted_len, w)?;
         Some(&self.tags[pos * stride..(pos + 1) * stride])
     }
+
+    /// Heap bytes this list owns (its vecs and, once promoted, its
+    /// dense core), in O(1).
+    #[inline]
+    fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.nbrs.capacity() * size_of::<NodeId>()
+            + self.tags.capacity() * size_of::<T>()
+            + self.dense.as_ref().map_or(0, |d| d.heap_bytes())
+    }
+}
+
+/// Sum of [`HybridNodeList::heap_bytes`] over an arena — the one-time
+/// recount behind the running total when a whole arena is rebuilt.
+fn list_bytes<T: TagElem>(lists: &[HybridNodeList<T>]) -> usize {
+    lists.iter().map(HybridNodeList::heap_bytes).sum()
 }
 
 /// Sentinel marking an index key with no assigned value.
@@ -285,6 +325,10 @@ const NO_SLOT: u32 = u32::MAX;
 #[derive(Debug, Clone, Default)]
 struct PagedIndex<const PAGE_BITS: u32> {
     pages: Vec<Option<Box<[u32]>>>,
+    /// Allocated pages, counted so [`Self::approx_bytes`] need not scan
+    /// `pages` (whose length follows the largest key, not the key
+    /// count).
+    allocated: usize,
 }
 
 impl<const PAGE_BITS: u32> PagedIndex<PAGE_BITS> {
@@ -306,13 +350,25 @@ impl<const PAGE_BITS: u32> PagedIndex<PAGE_BITS> {
         if pi >= self.pages.len() {
             self.pages.resize(pi + 1, None);
         }
-        let page =
-            self.pages[pi].get_or_insert_with(|| vec![NO_SLOT; Self::PAGE].into_boxed_slice());
+        let allocated = &mut self.allocated;
+        let page = self.pages[pi].get_or_insert_with(|| {
+            *allocated += 1;
+            vec![NO_SLOT; Self::PAGE].into_boxed_slice()
+        });
         &mut page[(n & (Self::PAGE as u32 - 1)) as usize]
     }
 
-    /// Heap footprint in bytes.
+    /// Heap footprint in bytes, in O(1).
     fn approx_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.pages.capacity() * size_of::<Option<Box<[u32]>>>()
+            + self.allocated * Self::PAGE * size_of::<u32>()
+    }
+
+    /// [`Self::approx_bytes`] by scanning the page vector — the
+    /// reference the page count is checked against.
+    #[cfg(any(test, debug_assertions))]
+    fn recount_bytes(&self) -> usize {
         use std::mem::size_of;
         self.pages.capacity() * size_of::<Option<Box<[u32]>>>()
             + self.pages.iter().flatten().count() * Self::PAGE * size_of::<u32>()
@@ -330,7 +386,7 @@ type BlockDir = PagedIndex<9>;
 /// tag-store element): a node arena of [`HybridNodeList`]s with a
 /// runtime tag `stride`, duplicate-free edge insertion, exactly-once
 /// tag-filtered intersection and lazily compacted tails.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct HybridCoreImpl<T> {
     /// Tags per neighbor entry (1 / width / full_width + 1).
     stride: usize,
@@ -342,16 +398,40 @@ struct HybridCoreImpl<T> {
     nodes: Vec<NodeId>,
     /// Per-node lists, indexed by slot.
     lists: Vec<HybridNodeList<T>>,
+    /// Running sum of [`HybridNodeList::heap_bytes`] over `lists`,
+    /// updated wherever a list's capacity can change, so
+    /// [`Self::approx_bytes`] never walks the arena.
+    list_bytes: usize,
     edge_count: usize,
-    /// Slots whose tail became non-empty since the last compaction —
-    /// lets [`Self::compact`] touch exactly the lists with pending work
-    /// instead of scanning every node. May contain duplicates (a node
-    /// that overflowed `TAIL_LIMIT`, self-merged, and went dirty again);
-    /// a clean or promoted list is skipped, so that is harmless.
-    dirty: Vec<u32>,
+    /// Slots whose tail reached exactly `TAIL_LIMIT` since the last
+    /// compaction — the only tails [`Self::compact`] merges, so its
+    /// work follows the batch rather than the node count. At most one
+    /// entry per push; a slot registered twice (it overflowed,
+    /// self-merged and filled again) or promoted since is skipped.
+    full_tails: Vec<u32>,
     /// Reusable sparse-merge scratch (`stride` is runtime-sized).
     scratch_nbrs: Vec<NodeId>,
     scratch_tags: Vec<T>,
+}
+
+/// Cloning shrinks every cloned `Vec` to its length, so the clone
+/// recounts its list bytes once instead of copying the running total.
+impl<T: TagElem> Clone for HybridCoreImpl<T> {
+    fn clone(&self) -> Self {
+        let lists = self.lists.clone();
+        Self {
+            stride: self.stride,
+            threshold: self.threshold,
+            slots: self.slots.clone(),
+            nodes: self.nodes.clone(),
+            list_bytes: list_bytes(&lists),
+            lists,
+            edge_count: self.edge_count,
+            full_tails: self.full_tails.clone(),
+            scratch_nbrs: self.scratch_nbrs.clone(),
+            scratch_tags: self.scratch_tags.clone(),
+        }
+    }
 }
 
 impl<T: TagElem> HybridCoreImpl<T> {
@@ -363,8 +443,9 @@ impl<T: TagElem> HybridCoreImpl<T> {
             slots: SlotTable::default(),
             nodes: Vec::new(),
             lists: Vec::new(),
+            list_bytes: 0,
             edge_count: 0,
-            dirty: Vec::new(),
+            full_tails: Vec::new(),
             scratch_nbrs: Vec::new(),
             scratch_tags: Vec::new(),
         }
@@ -380,12 +461,14 @@ impl<T: TagElem> HybridCoreImpl<T> {
         let next = self.lists.len() as u32;
         *self.slots.entry(n) = next;
         self.nodes.push(n);
-        self.lists.push(HybridNodeList {
+        let list = HybridNodeList {
             nbrs: Vec::with_capacity(8),
             tags: Vec::with_capacity(8 * self.stride),
             sorted_len: 0,
             dense: None,
-        });
+        };
+        self.list_bytes += list.heap_bytes();
+        self.lists.push(list);
         next as usize
     }
 
@@ -406,8 +489,9 @@ impl<T: TagElem> HybridCoreImpl<T> {
     /// Appends `(w, run)` to the slot's list (packing the tags). Dense
     /// lists take the entry in place; sparse lists buffer it in the
     /// tail, merging on overflow and promoting past the threshold.
-    /// Returns `true` when the push left a newly non-empty tail — the
-    /// caller's cue to register the slot dirty.
+    /// Returns `true` when the push filled the tail to exactly
+    /// `TAIL_LIMIT` — the caller's cue to register the slot for
+    /// [`Self::compact`].
     #[inline]
     fn push_entry(&mut self, slot: usize, w: NodeId, run: &[CellTag]) -> bool {
         let stride = self.stride;
@@ -415,29 +499,31 @@ impl<T: TagElem> HybridCoreImpl<T> {
         let list = &mut self.lists[slot];
         if let Some(d) = list.dense.as_deref_mut() {
             let mut packed = [T::default(); 8];
-            if stride <= packed.len() {
+            self.list_bytes += if stride <= packed.len() {
                 for (pt, &t) in packed.iter_mut().zip(run) {
                     *pt = T::pack(t);
                 }
-                d.insert_packed(w, &packed[..stride], stride);
+                d.insert_packed(w, &packed[..stride], stride)
             } else {
                 self.scratch_tags.clear();
                 self.scratch_tags.extend(run.iter().map(|&t| T::pack(t)));
-                d.insert_packed(w, &self.scratch_tags, stride);
-            }
+                d.insert_packed(w, &self.scratch_tags, stride)
+            };
             return false;
         }
-        let was_clean = list.sorted_len == list.nbrs.len();
+        let before = list.heap_bytes();
         list.nbrs.push(w);
         list.tags.extend(run.iter().map(|&t| T::pack(t)));
+        self.list_bytes += list.heap_bytes() - before;
+        let tail = list.nbrs.len() - list.sorted_len;
         if list.nbrs.len() > threshold {
             self.promote(slot);
             false
-        } else if list.nbrs.len() - list.sorted_len > TAIL_LIMIT {
+        } else if tail > TAIL_LIMIT {
             self.merge_sparse(slot);
             false
         } else {
-            was_clean
+            tail == TAIL_LIMIT
         }
     }
 
@@ -448,6 +534,7 @@ impl<T: TagElem> HybridCoreImpl<T> {
     fn promote(&mut self, slot: usize) {
         let stride = self.stride;
         let list = &mut self.lists[slot];
+        let sparse_bytes = list.heap_bytes();
         let mut d = DenseCore::default();
         for (pos, &w) in list.nbrs.iter().enumerate() {
             d.insert_packed(w, &list.tags[pos * stride..(pos + 1) * stride], stride);
@@ -456,6 +543,7 @@ impl<T: TagElem> HybridCoreImpl<T> {
         list.tags = Vec::new();
         list.sorted_len = 0;
         list.dense = Some(Box::new(d));
+        self.list_bytes = self.list_bytes - sparse_bytes + list.heap_bytes();
     }
 
     /// Merges a sparse slot's unsorted tail into its sorted prefix: the
@@ -514,31 +602,25 @@ impl<T: TagElem> HybridCoreImpl<T> {
     /// probing a bounded tail costs a few comparisons per match — so
     /// eagerly merging 1–2 entry tails at every batch boundary was the
     /// single largest avoidable cost on ingest-bound streams (measured:
-    /// ~15% of the ingest+match loop on the benchmark stream). Skipped slots stay
-    /// registered; their tails remain bounded by `TAIL_LIMIT` through
-    /// the overflow merge in [`Self::push_entry`] regardless.
+    /// ~15% of the ingest+match loop on the benchmark stream). Shorter
+    /// tails stay bounded by the overflow merge in [`Self::push_entry`].
+    ///
+    /// The overflow merge also means a tail never *exceeds*
+    /// `TAIL_LIMIT`, so the mergeable tails are exactly those that
+    /// reached it during this batch — the slots `push_entry` registered
+    /// in `full_tails`. Compaction visits those and nothing else: its
+    /// cost is O(pushes in the batch), never O(nodes).
     fn compact(&mut self) {
-        let mut keep = 0usize;
-        for i in 0..self.dirty.len() {
-            let slot = self.dirty[i] as usize;
+        for i in 0..self.full_tails.len() {
+            let slot = self.full_tails[i] as usize;
             let list = &self.lists[slot];
-            // A slot may have been promoted after going dirty; dense
-            // lists have nothing pending.
-            if list.dense.is_some() {
-                continue;
-            }
-            let tail = list.nbrs.len() - list.sorted_len;
-            if tail == 0 {
-                continue;
-            }
-            if tail >= TAIL_LIMIT {
+            // A registered slot may have overflowed (and self-merged)
+            // or been promoted since; only a still-full tail merges.
+            if list.dense.is_none() && list.nbrs.len() - list.sorted_len == TAIL_LIMIT {
                 self.merge_sparse(slot);
-            } else {
-                self.dirty[keep] = slot as u32;
-                keep += 1;
             }
         }
-        self.dirty.truncate(keep);
+        self.full_tails.clear();
     }
 
     /// True if the edge `(u, v)` is already stored. A dense endpoint
@@ -569,10 +651,10 @@ impl<T: TagElem> HybridCoreImpl<T> {
             return false;
         }
         if self.push_entry(su, v, run) {
-            self.dirty.push(su as u32);
+            self.full_tails.push(su as u32);
         }
         if self.push_entry(sv, u, run) {
-            self.dirty.push(sv as u32);
+            self.full_tails.push(sv as u32);
         }
         self.edge_count += 1;
         true
@@ -621,10 +703,10 @@ impl<T: TagElem> HybridCoreImpl<T> {
             return false;
         }
         if self.push_entry(su, v, run) {
-            self.dirty.push(su as u32);
+            self.full_tails.push(su as u32);
         }
         if self.push_entry(sv, u, run) {
-            self.dirty.push(sv as u32);
+            self.full_tails.push(sv as u32);
         }
         self.edge_count += 1;
         true
@@ -722,8 +804,30 @@ impl<T: TagElem> HybridCoreImpl<T> {
     }
 
     /// Heap footprint in bytes — every allocation the structure owns
-    /// (lists, dense cores, arena, id table, dirty work list, scratch).
+    /// (lists, dense cores, arena, id table, compaction work list,
+    /// scratch). O(1): the lists' share is the running `list_bytes`.
     fn approx_bytes(&self) -> usize {
+        let bytes = self.list_bytes + self.slots.approx_bytes() + self.vec_bytes();
+        #[cfg(debug_assertions)]
+        assert_eq!(bytes, self.recount_bytes(), "running byte count drifted");
+        bytes
+    }
+
+    /// The arena, compaction work list and scratch — capacity reads.
+    fn vec_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let arena = self.lists.capacity() * size_of::<HybridNodeList<T>>()
+            + self.nodes.capacity() * size_of::<NodeId>();
+        let work = self.full_tails.capacity() * size_of::<u32>();
+        let scratch = self.scratch_nbrs.capacity() * size_of::<NodeId>()
+            + self.scratch_tags.capacity() * size_of::<T>();
+        arena + work + scratch
+    }
+
+    /// [`Self::approx_bytes`] by walking every list, dense core and id
+    /// page — the reference the running count is checked against.
+    #[cfg(any(test, debug_assertions))]
+    fn recount_bytes(&self) -> usize {
         use std::mem::size_of;
         let mut vecs = 0usize;
         for l in &self.lists {
@@ -733,16 +837,10 @@ impl<T: TagElem> HybridCoreImpl<T> {
                     + d.keys.capacity() * size_of::<NodeId>()
                     + d.words.capacity() * size_of::<u64>()
                     + d.tags.capacity() * size_of::<T>()
-                    + d.dir.approx_bytes();
+                    + d.dir.recount_bytes();
             }
         }
-        let arena = self.lists.capacity() * size_of::<HybridNodeList<T>>()
-            + self.nodes.capacity() * size_of::<NodeId>();
-        let ids = self.slots.approx_bytes();
-        let dirty = self.dirty.capacity() * size_of::<u32>();
-        let scratch = self.scratch_nbrs.capacity() * size_of::<NodeId>()
-            + self.scratch_tags.capacity() * size_of::<T>();
-        vecs + arena + ids + dirty + scratch
+        vecs + self.slots.recount_bytes() + self.vec_bytes()
     }
 }
 
@@ -754,31 +852,33 @@ impl HybridCoreImpl<u8> {
         fn wide(tags: Vec<u8>) -> Vec<CellTag> {
             tags.into_iter().map(TagElem::unpack).collect()
         }
+        let lists: Vec<HybridNodeList<CellTag>> = self
+            .lists
+            .into_iter()
+            .map(|l| HybridNodeList {
+                nbrs: l.nbrs,
+                tags: wide(l.tags),
+                sorted_len: l.sorted_len,
+                dense: l.dense.map(|d| {
+                    Box::new(DenseCore {
+                        keys: d.keys,
+                        words: d.words,
+                        tags: wide(d.tags),
+                        dir: d.dir,
+                        len: d.len,
+                    })
+                }),
+            })
+            .collect();
         HybridCoreImpl {
             stride: self.stride,
             threshold: self.threshold,
             slots: self.slots,
             nodes: self.nodes,
-            lists: self
-                .lists
-                .into_iter()
-                .map(|l| HybridNodeList {
-                    nbrs: l.nbrs,
-                    tags: wide(l.tags),
-                    sorted_len: l.sorted_len,
-                    dense: l.dense.map(|d| {
-                        Box::new(DenseCore {
-                            keys: d.keys,
-                            words: d.words,
-                            tags: wide(d.tags),
-                            dir: d.dir,
-                            len: d.len,
-                        })
-                    }),
-                })
-                .collect(),
+            list_bytes: list_bytes(&lists),
+            lists,
             edge_count: self.edge_count,
-            dirty: self.dirty,
+            full_tails: self.full_tails,
             scratch_nbrs: Vec::new(),
             scratch_tags: Vec::new(),
         }
@@ -1201,7 +1301,8 @@ impl HybridTaggedAdjacency {
     }
 
     /// Merges every tail already at the overflow bound (a pure
-    /// representation change — answers are identical before and after).
+    /// representation change — answers are identical before and after)
+    /// in time proportional to the inserts since the last call.
     pub fn compact(&mut self) {
         self.core.compact();
     }
@@ -1301,7 +1402,9 @@ impl MultiHybridTaggedAdjacency {
         self.core.for_each_edge_plain(f);
     }
 
-    /// Merges every pending tail (a pure representation change).
+    /// Merges every tail already at the overflow bound (a pure
+    /// representation change) in time proportional to the inserts
+    /// since the last call.
     pub fn compact(&mut self) {
         self.core.compact();
     }
@@ -1458,7 +1561,9 @@ impl MaskedHybridTaggedAdjacency {
         });
     }
 
-    /// Merges every pending tail (a pure representation change).
+    /// Merges every tail already at the overflow bound (a pure
+    /// representation change) in time proportional to the inserts
+    /// since the last call.
     pub fn compact(&mut self) {
         self.core.compact();
     }
@@ -1547,6 +1652,8 @@ impl MaskedHybridTaggedAdjacency {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
     use rept_hash::rng::SplitMix64;
     use std::collections::{BTreeMap, BTreeSet};
 
@@ -2605,5 +2712,162 @@ mod tests {
         assert_eq!(a.degree(0), 200);
         let h = HybridTaggedAdjacency::new();
         assert_eq!(h.dense_threshold(), DEFAULT_DENSE_THRESHOLD);
+    }
+
+    /// The running byte count next to the full walk it replaces.
+    fn byte_counts(core: &HybridCore) -> (usize, usize) {
+        (core.approx_bytes(), on_core!(core, c => c.recount_bytes()))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// `approx_bytes` is O(1) yet equals the walk over every list,
+        /// dense core and id page after every insert — on all three
+        /// wrappers, at every threshold, through promotions, overflow
+        /// merges, compactions, the packed → wide switch (cells past one
+        /// byte from `wide_from` on), `clone()` (whose vecs shrink to
+        /// their lengths) and a rebuild from the edge enumeration (what
+        /// an RPCK restore does).
+        #[test]
+        fn running_byte_count_equals_recount(
+            pairs in vec((0u32..12, 0u32..160), 1..500),
+            seed in any::<u64>(),
+            wide_from in 0usize..700,
+        ) {
+            let rng = SplitMix64::new(seed);
+            for threshold in THRESHOLDS {
+                let mut single = HybridTaggedAdjacency::with_threshold(threshold);
+                let mut multi = MultiHybridTaggedAdjacency::with_threshold(3, threshold);
+                let mut masked = MaskedHybridTaggedAdjacency::with_threshold(2, threshold);
+                for (i, &(u, v)) in pairs.iter().enumerate() {
+                    let Some(e) = Edge::try_new(u, v) else {
+                        continue;
+                    };
+                    let r = rng.fork(i as u64).next_u64();
+                    let wide = if i >= wide_from { 300 } else { 0 };
+                    let cell = |k: u32| wide + ((r >> (8 * k)) % 7) as CellTag;
+                    if r.is_multiple_of(2) {
+                        single.insert(e, cell(0));
+                        multi.insert(e, &[cell(0), cell(1), cell(2)]);
+                    } else {
+                        single.match_then_insert(e, Some(cell(0)), |_, _| {});
+                        let run = [cell(0), cell(1), cell(2)];
+                        multi.match_then_insert(e, Some(&run), |_, _, _| {});
+                    }
+                    masked.insert(e, &[cell(0), cell(1)], r.is_multiple_of(3).then(|| cell(3)));
+                    for core in [&single.core, &multi.core, &masked.core] {
+                        let (running, walked) = byte_counts(core);
+                        prop_assert_eq!(running, walked, "edge {} threshold {}", i, threshold);
+                    }
+                    if r.is_multiple_of(29) {
+                        single.compact();
+                        multi.compact();
+                        masked.compact();
+                    }
+                }
+                for core in [&single.core, &multi.core, &masked.core] {
+                    let copy = core.clone();
+                    let (running, walked) = byte_counts(&copy);
+                    prop_assert_eq!(running, walked, "clone at threshold {}", threshold);
+                    prop_assert!(running <= core.approx_bytes(), "a clone never grows");
+                }
+                let mut copy = multi.clone();
+                for &(u, v) in &pairs {
+                    if let Some(e) = Edge::try_new(v + 200, u) {
+                        copy.insert(e, &[0, 1, 2]);
+                    }
+                }
+                let (running, walked) = byte_counts(&copy.core);
+                prop_assert_eq!(running, walked, "clone grown at threshold {}", threshold);
+                let mut rebuilt = MultiHybridTaggedAdjacency::with_threshold(3, threshold);
+                multi.for_each_edge(|e| {
+                    rebuilt.insert(e, &multi.tags_of(e).expect("enumerated edge"));
+                });
+                rebuilt.compact();
+                let (running, walked) = byte_counts(&rebuilt.core);
+                prop_assert_eq!(running, walked, "rebuild at threshold {}", threshold);
+            }
+        }
+    }
+
+    /// The reference compaction: scan every node and merge each sparse
+    /// tail of at least `TAIL_LIMIT` entries.
+    fn full_scan_compact<T: TagElem>(c: &mut HybridCoreImpl<T>) {
+        for slot in 0..c.lists.len() {
+            let l = &c.lists[slot];
+            if l.dense.is_none() && l.nbrs.len() - l.sorted_len >= TAIL_LIMIT {
+                c.merge_sparse(slot);
+            }
+        }
+    }
+
+    /// Every slot's `(nbrs, tags, sorted_len, promoted)`, tags unpacked.
+    type SlotContents = Vec<(Vec<NodeId>, Vec<CellTag>, usize, bool)>;
+
+    fn slot_contents(core: &HybridCore) -> SlotContents {
+        on_core!(core, c => c
+            .lists
+            .iter()
+            .map(|l| {
+                let tags = l.tags.iter().map(|&t| t.unpack()).collect();
+                (l.nbrs.clone(), tags, l.sorted_len, l.dense.is_some())
+            })
+            .collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Compaction work follows the batch, not the graph: before
+        /// each `compact()` its work list holds at most two entries per
+        /// edge the batch stored (one per endpoint push), after it the
+        /// list is empty, and every slot equals what the full scan makes
+        /// of a clone — so the representation after every batch, and
+        /// with it every checkpoint blob, is the one a full scan yields.
+        #[test]
+        fn compaction_is_bounded_by_the_batch_and_merges_what_a_full_scan_merges(
+            pairs in vec((0u32..10, 0u32..240), 1..700),
+            batches in vec(1usize..90, 1..12),
+            stride in 1usize..4,
+        ) {
+            let edges: Vec<Edge> = pairs
+                .iter()
+                .filter_map(|&(u, v)| Edge::try_new(u, v))
+                .collect();
+            for threshold in THRESHOLDS {
+                let mut core = HybridCore::new(stride, threshold);
+                let (mut at, mut k) = (0usize, 0usize);
+                while at < edges.len() {
+                    let n = batches[k % batches.len()].min(edges.len() - at);
+                    let mut stored = 0usize;
+                    for (i, &e) in edges[at..at + n].iter().enumerate() {
+                        let run: Vec<CellTag> =
+                            (0..stride).map(|g| ((i + g) % 5) as CellTag).collect();
+                        stored += usize::from(core.insert_run(e, &run));
+                    }
+                    let pending = on_core!(&core, c => c.full_tails.len());
+                    prop_assert!(
+                        pending <= 2 * stored,
+                        "{} pending for {} stored edges",
+                        pending,
+                        stored
+                    );
+                    let mut reference = core.clone();
+                    on_core!(&mut reference, c => full_scan_compact(c));
+                    core.compact();
+                    prop_assert!(on_core!(&core, c => c.full_tails.is_empty()));
+                    prop_assert_eq!(
+                        slot_contents(&core),
+                        slot_contents(&reference),
+                        "batch {} threshold {}",
+                        k,
+                        threshold
+                    );
+                    at += n;
+                    k += 1;
+                }
+            }
+        }
     }
 }

@@ -570,6 +570,9 @@ impl Client {
 
     /// Sends a request whose reply is `OK <verb> … lines=<n>` followed
     /// by `n` body lines, and returns the header and those body lines.
+    /// `n` is the peer's claim, so the body grows as lines arrive
+    /// rather than being sized from the header: a bogus count costs a
+    /// typed error, not an allocation.
     ///
     /// # Errors
     ///
@@ -578,7 +581,7 @@ impl Client {
     fn request_block(&mut self, line: &str) -> std::io::Result<(String, Vec<String>)> {
         let header = self.request(line)?;
         let n: usize = Self::field(&header, "lines")?;
-        let mut body = Vec::with_capacity(n);
+        let mut body = Vec::new();
         for _ in 0..n {
             let mut l = String::new();
             if self.reader.read_line(&mut l)? == 0 {

@@ -165,4 +165,8 @@ fn readme_bench_tables_cite_committed_results() {
     );
     let throughput = read("BENCH_throughput.json");
     assert!(throughput.contains("\"host_cores\""));
+    assert!(
+        throughput.contains("\"batch_split\""),
+        "BENCH_throughput.json lost its batch_split section"
+    );
 }

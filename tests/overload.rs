@@ -4,7 +4,8 @@
 //! reservoir kill/resume, dead-letter capture + `DLQ REPLAY` over the
 //! wire, and the client's retry discipline against a flaky server
 //! (`ERR BUSY` retried with backoff, `ERR QUOTA` never retried,
-//! transport failures reconnected only when asked).
+//! transport failures reconnected only when asked, block-reply line
+//! counts never trusted as allocation sizes).
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -312,6 +313,8 @@ fn quota_rejections_are_typed_dead_lettered_and_replayable() {
 enum Act {
     /// Reply with this line.
     Reply(&'static str),
+    /// Reply with this line, then close the connection.
+    ReplyThenHangup(&'static str),
     /// Close the connection without replying (transport failure).
     Hangup,
 }
@@ -356,15 +359,16 @@ impl ScriptedServer {
                         Ok(0) | Err(_) => break,
                         Ok(_) => {
                             let i = requests.fetch_add(1, Ordering::SeqCst) as usize;
-                            match script[i.min(script.len() - 1)] {
-                                Act::Reply(reply) => {
-                                    if writer.write_all(reply.as_bytes()).is_err()
-                                        || writer.write_all(b"\n").is_err()
-                                    {
-                                        break;
-                                    }
-                                }
+                            let (reply, hangup) = match script[i.min(script.len() - 1)] {
+                                Act::Reply(reply) => (reply, false),
+                                Act::ReplyThenHangup(reply) => (reply, true),
                                 Act::Hangup => break,
+                            };
+                            if writer.write_all(reply.as_bytes()).is_err()
+                                || writer.write_all(b"\n").is_err()
+                                || hangup
+                            {
+                                break;
                             }
                         }
                     }
@@ -459,6 +463,35 @@ fn client_reconnects_through_transport_failures_only_when_asked() {
         Client::connect_with(server.addr, fast_retry().with_io_retries(2)).expect("connect");
     client.ingest(&[Edge::new(1, 2)]).expect("reconnected");
     assert_eq!(server.requests(), 2, "one hangup, one success");
+}
+
+/// A block reply's `lines=` count is the peer's claim, not an
+/// allocation size: a server (or, behind the coordinator, a shard)
+/// announcing 2^40 or `u64::MAX` body lines and then hanging up costs
+/// the client a typed I/O error — not an aborted process.
+#[test]
+fn block_reply_line_counts_are_not_allocation_sizes() {
+    for (aggregate, metrics) in [
+        (
+            "OK AGGREGATE position=0 lines=1099511627776",
+            "OK METRICS lines=1099511627776",
+        ),
+        (
+            "OK AGGREGATE position=0 lines=18446744073709551615",
+            "OK METRICS lines=18446744073709551615",
+        ),
+    ] {
+        let server = ScriptedServer::start(vec![Act::ReplyThenHangup(aggregate)]);
+        let mut client = Client::connect(server.addr).expect("connect");
+        let e = client.aggregates().expect_err("no body follows");
+        assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof, "{e}");
+        drop(client);
+
+        let server = ScriptedServer::start(vec![Act::ReplyThenHangup(metrics)]);
+        let mut client = Client::connect(server.addr).expect("connect");
+        let e = client.metrics().expect_err("no body follows");
+        assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof, "{e}");
+    }
 }
 
 #[test]

@@ -10,7 +10,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use rept::core::{Engine, Rept, ReptConfig};
+use rept::core::resume::ResumableRun;
+use rept::core::{Engine, EngineCore, Rept, ReptConfig};
 use rept::gen::{barabasi_albert, GeneratorConfig};
 use rept::graph::edge::Edge;
 use rept::serve::protocol::{self, Scope, TenantOptions};
@@ -498,6 +499,76 @@ fn tcp_server_end_to_end() {
     let final_est = server.shutdown();
     assert_eq!(final_est.global, oracle.global);
     assert_eq!(final_est.locals, oracle.locals);
+}
+
+/// The `bytes=` field of a `HEALTH` reply.
+fn health_bytes(client: &mut Client) -> usize {
+    let health = client.health().expect("health");
+    protocol::reply_field(&health, "bytes")
+        .and_then(|b| b.parse().ok())
+        .unwrap_or_else(|| panic!("no bytes= in {health:?}"))
+}
+
+/// `HEALTH bytes=` is the engine's own account, refreshed after every
+/// batch: after `FLUSH` it equals `EngineCore::stored_bytes()` of an
+/// in-process core fed the same 256-edge `INGEST` lines. It does so
+/// again after a kill and a checkpoint + journal resume, against a
+/// core restored from the same checkpoint that replays the same
+/// journal tail (recovery applies the tail as one batch).
+#[test]
+fn health_bytes_equal_the_engine_account_across_kill_and_resume() {
+    let stream = rept::gen::chung_lu(&GeneratorConfig::new(2000, 3), 12_000, 2.1, 0.0);
+    let cfg = ReptConfig::new(4, 9).with_seed(3);
+    let root = unique_root("health-bytes");
+    std::fs::create_dir_all(&root).expect("mk root");
+    let ckpt = root.join("serve.rpck");
+    let serve_cfg = ServeConfig::new(cfg)
+        .with_checkpoint(ckpt.clone(), None)
+        .with_journal();
+    let (head, rest) = stream.split_at(5000);
+    let (tail, after) = rest.split_at(3000);
+
+    let server = Server::start(serve_cfg.clone(), "127.0.0.1:0", 2).expect("bind");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let mut fresh = EngineCore::with_engine(Rept::new(cfg), Engine::FusedHybrid);
+    client.ingest(head).expect("ingest");
+    for line in head.chunks(256) {
+        fresh.ingest_batch(line);
+    }
+    client.flush().expect("flush");
+    assert_eq!(health_bytes(&mut client), fresh.stored_bytes(), "fresh");
+
+    // Checkpoint, journal a tail, then kill: the disk image is frozen
+    // and the shutdown checkpoint is lost with the process.
+    client.checkpoint().expect("checkpoint");
+    let checkpoint = std::fs::read(&ckpt).expect("checkpoint on disk");
+    client.ingest(tail).expect("ingest tail");
+    client.flush().expect("flush");
+    let frozen = freeze_dir(&root);
+    drop(client);
+    drop(server);
+    restore_dir(&root, &frozen);
+
+    let server = Server::start(serve_cfg, "127.0.0.1:0", 2).expect("resume");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let mut resumed = ResumableRun::from_checkpoint_bytes(&checkpoint).expect("valid blob");
+    resumed.process_batch(tail);
+    client.flush().expect("flush");
+    assert_eq!(health_bytes(&mut client), resumed.stored_bytes(), "resumed");
+
+    client.ingest(after).expect("ingest after resume");
+    for line in after.chunks(256) {
+        resumed.process_batch(line);
+    }
+    client.flush().expect("flush");
+    assert_eq!(
+        health_bytes(&mut client),
+        resumed.stored_bytes(),
+        "after resume"
+    );
+    drop(client);
+    server.shutdown();
+    std::fs::remove_dir_all(&root).ok();
 }
 
 #[test]
