@@ -7,7 +7,8 @@
 //! client honours the distinction:
 //!
 //! * **`ERR BUSY …`** — transient backpressure (the tenant's ingest
-//!   queue is full). The request was *not* applied; the client retries
+//!   queue stayed full for the server's hold bound). The request was
+//!   *not* applied; the client retries
 //!   it in place, up to [`ClientConfig::busy_retries`] times, sleeping
 //!   a jittered exponential backoff between attempts.
 //! * **`ERR QUOTA …`** — a durable quota refusal. Retrying cannot
@@ -121,6 +122,9 @@ impl ClientConfig {
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
+    /// The request being sent, `\n` included — reused across requests,
+    /// so an `INGEST` line costs its bytes and no allocation.
+    out: Vec<u8>,
     cfg: ClientConfig,
     /// Resolved once at connect time so reconnects cannot silently land
     /// on a different host after a DNS change mid-session.
@@ -154,6 +158,7 @@ impl Client {
         Ok(Self {
             reader: BufReader::new(stream),
             writer,
+            out: Vec::new(),
             cfg,
             addrs,
             rng,
@@ -235,10 +240,18 @@ impl Client {
     /// Socket errors, protocol errors reported by the server
     /// ([`std::io::ErrorKind::Other`], message = the `ERR` payload).
     pub fn request(&mut self, line: &str) -> std::io::Result<String> {
+        self.out.clear();
+        self.out.extend_from_slice(line.as_bytes());
+        self.out.push(b'\n');
+        self.send()
+    }
+
+    /// [`Self::request`] for the line already in `self.out`.
+    fn send(&mut self) -> std::io::Result<String> {
         let mut busy_attempts = 0u32;
         let mut io_attempts = 0u32;
         loop {
-            match self.request_once(line) {
+            match self.request_once() {
                 Ok(reply) => return Ok(reply),
                 Err(e) if Self::is_busy(&e) && busy_attempts < self.cfg.busy_retries => {
                     busy_attempts += 1;
@@ -263,11 +276,10 @@ impl Client {
         }
     }
 
-    /// One request/reply exchange without retry.
-    fn request_once(&mut self, line: &str) -> std::io::Result<String> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
+    /// One request/reply exchange without retry: the whole line in one
+    /// write.
+    fn request_once(&mut self) -> std::io::Result<String> {
+        self.writer.write_all(&self.out)?;
         let mut reply = String::new();
         if self.reader.read_line(&mut reply)? == 0 {
             return Err(std::io::Error::new(
@@ -300,13 +312,22 @@ impl Client {
     ///
     /// Socket/protocol errors.
     pub fn ingest(&mut self, edges: &[Edge]) -> std::io::Result<usize> {
+        self.ingest_lines("INGEST", edges)
+    }
+
+    /// Sends `edges` as `head u v …` lines of [`INGEST_CHUNK`] edges.
+    fn ingest_lines(&mut self, head: &str, edges: &[Edge]) -> std::io::Result<usize> {
         for chunk in edges.chunks(INGEST_CHUNK) {
-            let mut line = String::with_capacity(8 * chunk.len() + 7);
-            line.push_str("INGEST");
+            self.out.clear();
+            self.out.extend_from_slice(head.as_bytes());
             for e in chunk {
-                line.push_str(&format!(" {} {}", e.u(), e.v()));
+                self.out.push(b' ');
+                push_decimal(&mut self.out, e.u());
+                self.out.push(b' ');
+                push_decimal(&mut self.out, e.v());
             }
-            self.request(&line)?;
+            self.out.push(b'\n');
+            self.send()?;
         }
         Ok(edges.len())
     }
@@ -497,16 +518,7 @@ impl Client {
     ///
     /// Socket/protocol errors.
     pub fn ingest_to(&mut self, scope: &str, edges: &[Edge]) -> std::io::Result<usize> {
-        for chunk in edges.chunks(INGEST_CHUNK) {
-            let mut line = String::with_capacity(8 * chunk.len() + 8 + scope.len());
-            line.push_str("INGEST ");
-            line.push_str(scope);
-            for e in chunk {
-                line.push_str(&format!(" {} {}", e.u(), e.v()));
-            }
-            self.request(&line)?;
-        }
-        Ok(edges.len())
+        self.ingest_lines(&format!("INGEST {scope}"), edges)
     }
 
     /// `TOPK k *` — the k largest local estimates across all tenants,
@@ -650,5 +662,95 @@ impl Client {
     pub fn dlq_replay(&mut self) -> std::io::Result<(u64, u64)> {
         let reply = self.request("DLQ REPLAY")?;
         Ok((Self::field(&reply, "n")?, Self::field(&reply, "failed")?))
+    }
+}
+
+/// Appends the decimal digits of `x` — what `format!("{x}")` writes,
+/// without the formatter or an allocation.
+fn push_decimal(out: &mut Vec<u8>, mut x: NodeId) {
+    let mut digits = [0u8; 10];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (x % 10) as u8;
+        x /= 10;
+        if x == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::net::TcpListener;
+
+    /// A line server that answers `OK INGEST` to every line and returns
+    /// every byte it received once the client hangs up.
+    fn record_ingest(send: impl FnOnce(&mut Client)) -> Vec<u8> {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accept");
+            let mut writer = stream.try_clone().expect("clone");
+            let mut reader = BufReader::new(stream);
+            let mut seen = Vec::new();
+            loop {
+                let before = seen.len();
+                if reader.read_until(b'\n', &mut seen).expect("read") == 0 {
+                    return seen;
+                }
+                let edges = seen[before..].split(u8::is_ascii_whitespace).count() / 2;
+                writer
+                    .write_all(format!("OK INGEST {edges}\n").as_bytes())
+                    .expect("reply");
+            }
+        });
+        let mut client = Client::connect(addr).expect("connect");
+        send(&mut client);
+        drop(client);
+        server.join().expect("recording server")
+    }
+
+    /// An endpoint: 0, `u32::MAX` or any id.
+    fn endpoint(pick: u32, x: u32) -> NodeId {
+        match pick {
+            0 => 0,
+            1 => NodeId::MAX,
+            _ => x,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn ingest_writes_the_formatted_lines_byte_for_byte(
+            ends in proptest::collection::vec((0..4u32, any::<u32>(), 0..4u32, any::<u32>()), 0..700),
+        ) {
+            let edges: Vec<Edge> = ends
+                .iter()
+                .filter_map(|&(pu, u, pv, v)| Edge::try_new(endpoint(pu, u), endpoint(pv, v)))
+                .collect();
+            let seen = record_ingest(|client| {
+                assert_eq!(client.ingest(&edges).expect("ingest"), edges.len());
+                assert_eq!(client.ingest_to("alpha,beta", &edges).expect("scoped"), edges.len());
+            });
+            // The encoding the client used to build with `format!`, one
+            // `\n` per line.
+            let mut want = String::new();
+            for head in ["INGEST", "INGEST alpha,beta"] {
+                for chunk in edges.chunks(INGEST_CHUNK) {
+                    want.push_str(head);
+                    for e in chunk {
+                        want.push_str(&format!(" {} {}", e.u(), e.v()));
+                    }
+                    want.push('\n');
+                }
+            }
+            prop_assert_eq!(String::from_utf8(seen).expect("ASCII"), want);
+        }
     }
 }

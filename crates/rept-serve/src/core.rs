@@ -60,6 +60,9 @@ use crate::snapshot::{DurabilityStats, Published, Snapshot};
 /// Slow-op trace ring capacity per tenant (events, not bytes).
 const TRACE_CAPACITY: usize = 256;
 
+/// How often [`ServeCore::try_ingest_within`] retries a full queue.
+const HOLD_POLL: Duration = Duration::from_micros(100);
+
 /// What happens to ingest once a tenant with a
 /// [`ServeConfig::memory_budget`] reaches it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -113,8 +116,10 @@ impl QuotaPolicy {
 /// operator action will fail again, and clients must *not* retry it).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IngestError {
-    /// The bounded ingest channel was full ([`ServeCore::try_ingest`]
-    /// only — the blocking [`ServeCore::ingest`] waits instead).
+    /// The bounded ingest channel was full ([`ServeCore::try_ingest`]),
+    /// or stayed full for the hold bound
+    /// ([`ServeCore::try_ingest_within`]) — the blocking
+    /// [`ServeCore::ingest`] waits instead.
     Busy,
     /// The tenant's memory budget refused the batch
     /// ([`QuotaPolicy::Reject`] / [`QuotaPolicy::Degrade`]).
@@ -672,47 +677,80 @@ impl ServeCore {
 
     /// Like [`Self::ingest`], but a full channel returns
     /// [`IngestError::Busy`] immediately instead of blocking — the
-    /// server's backpressure path (`ERR BUSY` tells the client to back
-    /// off and retry, in contrast to `ERR QUOTA` which it must not).
+    /// backpressure path (`ERR BUSY` tells the client to back off and
+    /// retry, in contrast to `ERR QUOTA` which it must not).
     ///
     /// # Errors
     ///
     /// [`IngestError::Busy`] (queue full), plus everything
     /// [`Self::ingest`] can return.
     pub fn try_ingest(&self, edges: Vec<Edge>) -> Result<(), IngestError> {
+        self.try_ingest_within(edges, Duration::ZERO)
+    }
+
+    /// Like [`Self::try_ingest`], but a full channel is retried every
+    /// 100 µs for up to `hold` before the batch is refused — the
+    /// wire's `INGEST` path, which holds a line for the moment a busy
+    /// ingest thread needs to free a slot instead of bouncing it back
+    /// to a client that would sleep far longer. A held batch records
+    /// its wait in [`ServeMetrics::ingest_hold_micros`] and counts in
+    /// [`ServeMetrics::ingest_held`] while it waits; an unheld one
+    /// reads no extra clock.
+    ///
+    /// # Errors
+    ///
+    /// [`IngestError::Busy`] (queue still full after `hold`), plus
+    /// everything [`Self::ingest`] can return.
+    pub fn try_ingest_within(&self, edges: Vec<Edge>, hold: Duration) -> Result<(), IngestError> {
         if edges.is_empty() {
             return Ok(());
         }
-        if !self.needs_ack() {
-            return match self
-                .tx
-                .try_send(Control::Ingest(edges, None, Instant::now()))
-            {
-                Ok(()) => {
-                    self.gauges.queue_depth.fetch_add(1, Ordering::Relaxed);
-                    Ok(())
-                }
-                Err(TrySendError::Full(_)) => {
-                    self.metrics.busy_rejections.inc();
-                    Err(IngestError::Busy)
-                }
+        let (ack, verdict) = if self.needs_ack() {
+            let (tx, rx) = sync_channel(1);
+            (Some(tx), Some(rx))
+        } else {
+            (None, None)
+        };
+        let mut msg = Control::Ingest(edges, ack, Instant::now());
+        let mut held: Option<Instant> = None;
+        let sent = loop {
+            msg = match self.tx.try_send(msg) {
+                Ok(()) => break true,
+                Err(TrySendError::Full(msg)) => msg,
                 Err(TrySendError::Disconnected(_)) => panic!("ingest thread alive"),
             };
+            if hold.is_zero() {
+                break false;
+            }
+            let since = *held.get_or_insert_with(|| {
+                self.metrics.ingest_held.add(1);
+                Instant::now()
+            });
+            if since.elapsed() >= hold {
+                break false;
+            }
+            std::thread::sleep(HOLD_POLL);
+            // Queue wait is measured from the enqueue that succeeds.
+            if let Control::Ingest(_, _, queued_at) = &mut msg {
+                *queued_at = Instant::now();
+            }
+        };
+        if let Some(since) = held {
+            self.metrics.ingest_held.sub(1);
+            if self.cfg.metrics {
+                self.metrics
+                    .ingest_hold_micros
+                    .record_duration(since.elapsed());
+            }
         }
-        let (ack_tx, ack_rx) = sync_channel(1);
-        match self
-            .tx
-            .try_send(Control::Ingest(edges, Some(ack_tx), Instant::now()))
-        {
-            Ok(()) => {
-                self.gauges.queue_depth.fetch_add(1, Ordering::Relaxed);
-                ack_rx.recv().expect("ingest thread acks")
-            }
-            Err(TrySendError::Full(_)) => {
-                self.metrics.busy_rejections.inc();
-                Err(IngestError::Busy)
-            }
-            Err(TrySendError::Disconnected(_)) => panic!("ingest thread alive"),
+        if !sent {
+            self.metrics.busy_rejections.inc();
+            return Err(IngestError::Busy);
+        }
+        self.gauges.queue_depth.fetch_add(1, Ordering::Relaxed);
+        match verdict {
+            Some(rx) => rx.recv().expect("ingest thread acks"),
+            None => Ok(()),
         }
     }
 
@@ -1316,6 +1354,20 @@ fn ingest_loop(
         durability_stats(journal.as_ref(), cfg.journal, replayed),
     );
     run
+}
+
+#[cfg(test)]
+impl ServeCore {
+    /// Parks the ingest thread on a flush barrier whose reply waits
+    /// until the returned receiver is read or dropped — a test's handle
+    /// on "the ingest thread is busy" that no clock decides.
+    pub(crate) fn park(&self) -> std::sync::mpsc::Receiver<u64> {
+        let (tx, rx) = sync_channel(0);
+        self.tx
+            .send(Control::Flush(tx))
+            .expect("ingest thread alive");
+        rx
+    }
 }
 
 #[cfg(test)]

@@ -29,7 +29,9 @@
 //! * [`server::Server`] — a line-oriented TCP front-end over a thread
 //!   pool; [`client::Client`] is the matching blocking client. Each
 //!   connection is scoped to one *current tenant* (`USE`), starting at
-//!   `default` — so v1 clients work unchanged.
+//!   `default` — so v1 clients work unchanged. The transport underneath,
+//!   [`server::LineServer`] (bounded lines, one write per reply,
+//!   timeouts), is shared with the `rept-shard` coordinator.
 //! * **Crash safety** — periodic / on-demand / at-shutdown checkpoints
 //!   in the RPCK v4 format (write-then-rename; v1–v3 blobs still
 //!   restore), resume-on-startup, and optional rotation keeping the
@@ -54,17 +56,19 @@
 //!   stored bytes never exceed the budget, accuracy degrades
 //!   gracefully); under `reject`/`degrade` the full engine runs and
 //!   writes past the budget come back as typed **`ERR QUOTA`**
-//!   rejections (dead-lettered, never retried by the client). A full
-//!   ingest queue surfaces as **`ERR BUSY`** backpressure instead of
-//!   blocking the connection handler — transient, retried by the
-//!   client with jittered exponential backoff. `HEALTH` reports the
+//!   rejections (dead-lettered, never retried by the client). A wire
+//!   `INGEST` that finds its tenant's queue full is held for up to
+//!   [`server::INGEST_HOLD`] (10 ms) for a slot; a queue that stays full
+//!   surfaces as **`ERR BUSY`** backpressure instead of pinning the
+//!   connection handler — transient, retried by the client with
+//!   jittered exponential backoff. `HEALTH` reports the
 //!   pressure gauges; `DLQ REPLAY` feeds the dead-letter file back
 //!   through ingest. Under the per-record sync policy, concurrent
 //!   producers' appends are **group-committed**: batches queued while
 //!   an fsync would be in flight share one durability barrier.
 //! * **Observability** — every core owns a [`metrics::ServeMetrics`]
 //!   set of lock-free counters, gauges and log₂-bucket histograms
-//!   (queue wait, apply, journal append/fsync, group-commit size,
+//!   (ingest hold, queue wait, apply, journal append/fsync, group-commit size,
 //!   checkpoint, snapshot publication, per-verb query latency, typed
 //!   error counts) plus a slow-op trace ring. `METRICS` serves
 //!   Prometheus-style text with `tenant=` labels (`METRICS *` adds a
@@ -106,9 +110,9 @@
 //! | `TRACE TAIL <n>`           | `OK TRACE lines=<k>` + k slow-op events (drains the ring)     |
 //! | `SHUTDOWN`                 | `OK BYE` — server stops accepting and drains                  |
 //!
-//! Two `ERR` classes carry retry semantics: `ERR BUSY …` (ingest queue
-//! full — transient, retry with backoff; the batch was not applied and
-//! is **not** dead-lettered) and `ERR QUOTA …` (memory budget refusal —
+//! Two `ERR` classes carry retry semantics: `ERR BUSY …` (the ingest
+//! queue stayed full for the hold bound — transient, retry with backoff;
+//! the batch was not applied and is **not** dead-lettered) and `ERR QUOTA …` (memory budget refusal —
 //! durable, never retry; the line **is** dead-lettered for `DLQ
 //! REPLAY`). Every other `ERR` is a grammar or state error.
 //!

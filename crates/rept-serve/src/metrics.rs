@@ -38,7 +38,8 @@ pub struct ServeMetrics {
     pub ingest_batches: Counter,
     /// Individual edges applied.
     pub ingest_edges: Counter,
-    /// Batches rejected at the door with `BUSY` (queue full).
+    /// Batches refused with `ERR BUSY` after the queue stayed full for
+    /// the hold bound (immediately, for `try_ingest`).
     pub busy_rejections: Counter,
     /// Batches rejected by the tenant quota (`QUOTA`).
     pub quota_rejections: Counter,
@@ -58,6 +59,12 @@ pub struct ServeMetrics {
     pub journal_fsyncs: Counter,
     /// Size, in batches, of the most recent group commit.
     pub last_group_commit: Gauge,
+    /// Wire batches currently held on a full queue, waiting for a slot.
+    pub ingest_held: Gauge,
+    /// Time a wire batch was held on a full queue before it was
+    /// enqueued or refused (µs); batches that found a free slot are not
+    /// recorded.
+    pub ingest_hold_micros: Histogram,
     /// Time an ingest batch waited in the control queue (µs).
     pub queue_wait_micros: Histogram,
     /// Time to apply one batch to the estimator (µs).
@@ -94,6 +101,8 @@ impl ServeMetrics {
             journal_appends: Counter::new(),
             journal_fsyncs: Counter::new(),
             last_group_commit: Gauge::new(),
+            ingest_held: Gauge::new(),
+            ingest_hold_micros: Histogram::new(),
             queue_wait_micros: Histogram::new(),
             apply_micros: Histogram::new(),
             journal_append_micros: Histogram::new(),
@@ -170,9 +179,11 @@ const GAUGES: &[GaugeColumn] = &[
     ("rept_last_group_commit", |s| {
         s.metrics.last_group_commit.get()
     }),
+    ("rept_ingest_held", |s| s.metrics.ingest_held.get()),
 ];
 
 const HISTOGRAMS: &[HistogramColumn] = &[
+    ("rept_ingest_hold_micros", |m| &m.ingest_hold_micros),
     ("rept_queue_wait_micros", |m| &m.queue_wait_micros),
     ("rept_apply_micros", |m| &m.apply_micros),
     ("rept_journal_append_micros", |m| &m.journal_append_micros),

@@ -216,41 +216,9 @@ pub fn parse(line: &str) -> Result<Command, String> {
     let mut tokens = line.split_ascii_whitespace();
     let verb = tokens.next().ok_or("empty command")?;
     match verb {
-        "INGEST" => {
-            let mut rest: Vec<&str> = tokens.collect();
-            if rest.is_empty() {
-                return Err("INGEST needs at least one edge".into());
-            }
-            // v2 scoped form: the leading token is a scope only when it
-            // *could* be one — `*` or something starting with a letter
-            // (tenant names must). Anything else (digits, and oddities
-            // like `+1` that u32 parsing accepts) flows through the v1
-            // node-id path unchanged, preserving exact v1 behaviour.
-            let scope = if rest[0] == "*" || rest[0].as_bytes()[0].is_ascii_alphabetic() {
-                let scope_tok = rest.remove(0);
-                parse_scope(scope_tok)?
-            } else {
-                Scope::Current
-            };
-            if rest.is_empty() {
-                return Err("INGEST needs at least one edge".into());
-            }
-            if !rest.len().is_multiple_of(2) {
-                return Err("INGEST needs an even number of node ids".into());
-            }
-            let mut edges = Vec::with_capacity(rest.len() / 2);
-            for pair in rest.chunks(2) {
-                let u: NodeId = pair[0]
-                    .parse()
-                    .map_err(|_| format!("bad node id {:?}", pair[0]))?;
-                let v: NodeId = pair[1]
-                    .parse()
-                    .map_err(|_| format!("bad node id {:?}", pair[1]))?;
-                let e = Edge::try_new(u, v).ok_or(format!("self-loop {u}-{v} rejected"))?;
-                edges.push(e);
-            }
-            Ok(Command::Ingest(scope, edges))
-        }
+        // The first token starts the trimmed line, so the arguments are
+        // what follows it.
+        "INGEST" => parse_ingest(&line.trim_ascii_start()[verb.len()..]),
         "QUERY" => match tokens.next() {
             Some("GLOBAL") => expect_end(tokens, Command::QueryGlobal),
             Some("LOCAL") => {
@@ -322,6 +290,96 @@ pub fn parse(line: &str) -> Result<Command, String> {
         "AGGREGATE" => expect_end(tokens, Command::Aggregate),
         other => Err(format!("unknown command {other:?}")),
     }
+}
+
+/// Parses the arguments of an `INGEST` line, `[scope] u1 v1 [u2 v2 …]`,
+/// in one pass over the bytes and without collecting the tokens.
+///
+/// The errors, and which one wins, are those of a parse that splits the
+/// whole line first: no edge, then a bad scope, then an odd id count,
+/// then, for the first pair that fails, a bad `u`, a bad `v` or a
+/// self-loop. So the scan notes the first failing pair and keeps
+/// counting tokens, and builds the message only if it returns it.
+fn parse_ingest(args: &str) -> Result<Command, String> {
+    /// The first failure of the pair scan, formatted only when returned.
+    enum Bad<'a> {
+        Id(&'a str),
+        SelfLoop(NodeId, NodeId),
+    }
+    let mut at = 0;
+    let mut next = || next_token(args, &mut at);
+    let mut first = next().ok_or("INGEST needs at least one edge")?;
+    // v2 scoped form: the leading token is a scope only when it *could*
+    // be one — `*` or something starting with a letter (tenant names
+    // must). Anything else (digits, and oddities like `+1` that u32
+    // parsing accepts) flows through the v1 node-id path unchanged,
+    // preserving exact v1 behaviour.
+    let scope = if first.0 == "*" || first.0.as_bytes()[0].is_ascii_alphabetic() {
+        let scope = parse_scope(first.0)?;
+        first = next().ok_or("INGEST needs at least one edge")?;
+        scope
+    } else {
+        Scope::Current
+    };
+    let mut edges = Vec::new();
+    let mut bad = None;
+    let mut u = first;
+    loop {
+        let Some(v) = next() else {
+            return Err("INGEST needs an even number of node ids".into());
+        };
+        if bad.is_none() {
+            let id = |(tok, plain): (&str, Option<NodeId>)| plain.or_else(|| tok.parse().ok());
+            bad = match (id(u), id(v)) {
+                (None, _) => Some(Bad::Id(u.0)),
+                (_, None) => Some(Bad::Id(v.0)),
+                (Some(u), Some(v)) => match Edge::try_new(u, v) {
+                    Some(e) => {
+                        edges.push(e);
+                        None
+                    }
+                    None => Some(Bad::SelfLoop(u, v)),
+                },
+            };
+        }
+        match next() {
+            Some(tok) => u = tok,
+            None => break,
+        }
+    }
+    match bad {
+        None => Ok(Command::Ingest(scope, edges)),
+        Some(Bad::Id(tok)) => Err(format!("bad node id {tok:?}")),
+        Some(Bad::SelfLoop(u, v)) => Err(format!("self-loop {u}-{v} rejected")),
+    }
+}
+
+/// The next ASCII-whitespace-separated token of `text` at or after
+/// byte `*at`, with its value when it is a plain run of
+/// 1–9 ASCII digits — short enough that it cannot overflow a
+/// [`NodeId`]. Other tokens are left to `str::parse`, which decides
+/// what `+5`, ten-digit values or overflow mean.
+fn next_token<'a>(text: &'a str, at: &mut usize) -> Option<(&'a str, Option<NodeId>)> {
+    let bytes = text.as_bytes();
+    let mut i = *at;
+    while i < bytes.len() && bytes[i].is_ascii_whitespace() {
+        i += 1;
+    }
+    if i == bytes.len() {
+        *at = i;
+        return None;
+    }
+    let start = i;
+    let mut value: NodeId = 0;
+    let mut plain = true;
+    while i < bytes.len() && !bytes[i].is_ascii_whitespace() {
+        let digit = bytes[i].wrapping_sub(b'0');
+        plain &= digit < 10 && i - start < 9;
+        value = value.wrapping_mul(10).wrapping_add(NodeId::from(digit));
+        i += 1;
+    }
+    *at = i;
+    Some((&text[start..i], plain.then_some(value)))
 }
 
 /// Parses an ingest scope token: `*` or a comma-separated tenant list.
@@ -1091,6 +1149,132 @@ mod tests {
             parse_aggregate_reply(header, &bad).is_err(),
             "tau/stored length mismatch"
         );
+    }
+
+    /// The `INGEST` arm as it stood before the one-pass scanner: split
+    /// the whole line into a token vector, then parse pair by pair. The
+    /// oracle [`parse`] must agree with, error text included (it
+    /// becomes the dead-letter reason).
+    fn reference_ingest(line: &str) -> Result<Command, String> {
+        let mut tokens = line.split_ascii_whitespace();
+        assert_eq!(
+            tokens.next(),
+            Some("INGEST"),
+            "reference covers INGEST only"
+        );
+        let mut rest: Vec<&str> = tokens.collect();
+        if rest.is_empty() {
+            return Err("INGEST needs at least one edge".into());
+        }
+        let scope = if rest[0] == "*" || rest[0].as_bytes()[0].is_ascii_alphabetic() {
+            let scope_tok = rest.remove(0);
+            parse_scope(scope_tok)?
+        } else {
+            Scope::Current
+        };
+        if rest.is_empty() {
+            return Err("INGEST needs at least one edge".into());
+        }
+        if !rest.len().is_multiple_of(2) {
+            return Err("INGEST needs an even number of node ids".into());
+        }
+        let mut edges = Vec::with_capacity(rest.len() / 2);
+        for pair in rest.chunks(2) {
+            let u: NodeId = pair[0]
+                .parse()
+                .map_err(|_| format!("bad node id {:?}", pair[0]))?;
+            let v: NodeId = pair[1]
+                .parse()
+                .map_err(|_| format!("bad node id {:?}", pair[1]))?;
+            let e = Edge::try_new(u, v).ok_or(format!("self-loop {u}-{v} rejected"))?;
+            edges.push(e);
+        }
+        Ok(Command::Ingest(scope, edges))
+    }
+
+    /// Runs of ASCII whitespace in every form `split_ascii_whitespace`
+    /// accepts.
+    const SEPARATORS: &[&str] = &[" ", "\t", "\r", "\x0C", "\n", "  ", " \t\r\n"];
+
+    /// One `INGEST` argument of kind `kind` (mod 20) drawn with `x`.
+    fn ingest_token(kind: usize, x: u32) -> String {
+        let near_max = u64::from(u32::MAX) - 3 + u64::from(x % 8);
+        match kind % 20 {
+            // Small ids, so repeats and self-loops are common.
+            0..=7 => (x % 5).to_string(),
+            8 => x.to_string(),
+            9 => format!("00{}", x % 1000),
+            10 => format!("+{}", x % 100),
+            11 => format!("-{}", x % 100),
+            // 9, 10 and 11 digits around the plain-digit fast path and
+            // u32::MAX.
+            12 => (100_000_000 + x % 900_000_000).to_string(),
+            13 => near_max.to_string(),
+            14 => format!("0{}", 100_000_000 + x % 900_000_000),
+            15 => (10_000_000_000 + u64::from(x)).to_string(),
+            16 => ["١٢", "５", "²", "7\u{663}", "٣"][x as usize % 5].to_string(),
+            17 => SCOPES[x as usize % SCOPES.len()].to_string(),
+            18 => [
+                "1x",
+                "x",
+                "0x10",
+                "1.0",
+                "1\x0B2",
+                "é",
+                "4294967295",
+                "4294967296",
+            ][x as usize % 8]
+                .to_string(),
+            _ => ["999999999", "1000000000", "0000000000", "000000000"][x as usize % 4].to_string(),
+        }
+    }
+
+    /// Scope tokens: all tenants, names, and bad or duplicate names.
+    const SCOPES: &[&str] = &[
+        "*",
+        "alpha",
+        "alpha,beta",
+        "alpha,alpha",
+        "b-1_x",
+        "a/b",
+        "a,",
+        "alpha,9b",
+        "**",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(3000))]
+
+        #[test]
+        fn one_pass_ingest_parse_equals_the_split_reference(
+            scope in 0..27usize,
+            pairs in proptest::collection::vec(
+                (
+                    (0..20usize, proptest::prelude::any::<u32>(), 0..7usize),
+                    (0..20usize, proptest::prelude::any::<u32>(), 0..7usize),
+                ),
+                0..6,
+            ),
+            odd in (0..20usize, proptest::prelude::any::<u32>(), 0..28usize),
+            ends in (0..3usize, 0..3usize),
+        ) {
+            let mut line = ["", " ", "\t "][ends.0].to_string();
+            line.push_str("INGEST");
+            if let Some(tok) = SCOPES.get(scope) {
+                line.push(' ');
+                line.push_str(tok);
+            }
+            let mut tokens: Vec<_> = pairs.iter().flat_map(|&(a, b)| [a, b]).collect();
+            if odd.2 < SEPARATORS.len() {
+                tokens.push(odd);
+            }
+            for (kind, x, sep) in tokens {
+                line.push_str(SEPARATORS[sep]);
+                line.push_str(&ingest_token(kind, x));
+            }
+            line.push_str(["", "\n", " \r\n"][ends.1]);
+            proptest::prop_assert_eq!(parse(&line), reference_ingest(&line), "line {:?}", line);
+        }
     }
 
     #[test]

@@ -1,13 +1,18 @@
-//! The TCP front-end: a thread-pool server speaking the line protocol
-//! over a [`TenantRouter`].
+//! The TCP front-end: [`LineServer`], the transport every tier shares,
+//! and the tenant protocol a [`Server`] speaks over a [`TenantRouter`].
 //!
 //! `handlers` OS threads each own a clone of the listener and serve one
 //! connection at a time (further connections wait in the OS accept
-//! backlog — the pool size bounds concurrent protocol work, mirroring
-//! the bounded-channel idiom of the cluster simulation). Ingest
-//! commands feed the selected tenants' [`ServeCore`] channels and feel
-//! their backpressure; query commands read published snapshots and
-//! never touch an ingest thread.
+//! backlog — the pool size bounds concurrent protocol work). Request
+//! lines are capped at [`MAX_LINE_BYTES`]; each reply goes out in one
+//! write, its `\n` included. What a line *means* is the [`LineHandler`]'s
+//! business: [`TenantRouter`] here, the shard coordinator in `rept-shard`.
+//!
+//! Ingest commands feed the selected tenants' [`ServeCore`] channels and
+//! feel their backpressure: a line that finds its tenant's queue full is
+//! held for up to [`INGEST_HOLD`] before it is refused with `ERR BUSY`.
+//! Query commands read published snapshots and never touch an ingest
+//! thread.
 //!
 //! Every connection carries one piece of state: its **current tenant**,
 //! which starts as `default` and is switched by `USE`. A v1 client —
@@ -15,7 +20,7 @@
 //! the `default` tenant, exactly as it did against the single-core
 //! server.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -28,6 +33,18 @@ use crate::core::{IngestError, ServeConfig, ServeCore};
 use crate::metrics::{render_exposition, TenantScrape};
 use crate::protocol::{self, Command, Scope, DEFAULT_TENANT};
 use crate::tenant::{RouterConfig, TenantRouter};
+
+/// Longest request line, in bytes before its `\n` — about 400× the
+/// 256-edge `INGEST` lines [`crate::Client`] writes. A connection that
+/// sends more without a newline gets `ERR line longer than <N> bytes` and
+/// is closed: the rest of its line cannot be told from the next request.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// How long a wire `INGEST` holds a line that finds its tenant's queue
+/// full before answering `ERR BUSY` — the size of the client's first
+/// backoff sleep, so a tenant that stays stuck costs a producer what a
+/// refusal did, while one that frees a slot in time costs no round trip.
+pub const INGEST_HOLD: Duration = Duration::from_millis(10);
 
 /// How often an idle connection re-checks the shutdown flag.
 const READ_TIMEOUT: Duration = Duration::from_millis(100);
@@ -61,20 +78,199 @@ impl Default for ServerTuning {
     }
 }
 
+/// A line protocol served by [`LineServer`]: one reply line per request
+/// line, in order.
+pub trait LineHandler: Send + Sync + 'static {
+    /// Per-connection protocol state.
+    type Session;
+
+    /// The state a freshly accepted connection starts with.
+    fn session(&self) -> Self::Session;
+
+    /// Executes one request line (with its trailing `\n`, when it had
+    /// one) and returns the reply, without its `\n`, and whether the
+    /// request was a shutdown: the server then closes this connection
+    /// after the reply and stops accepting new ones.
+    fn execute(&self, line: &str, session: &mut Self::Session) -> (String, bool);
+}
+
+/// A running line server: the accept threads of one listener, serving a
+/// [`LineHandler`]. Dropping it (or calling [`Self::stop`]) stops the
+/// acceptors and joins them.
+#[derive(Debug)]
+pub struct LineServer {
+    addr: SocketAddr,
+    stop: Arc<AtomicBool>,
+    handlers: Vec<JoinHandle<()>>,
+}
+
+impl LineServer {
+    /// Binds `addr` (use port 0 for an ephemeral port) and serves
+    /// `handler` with `threads` connection threads named
+    /// `<name>-<i>`.
+    ///
+    /// # Errors
+    ///
+    /// Socket errors.
+    pub fn start<H: LineHandler>(
+        handler: Arc<H>,
+        addr: impl ToSocketAddrs,
+        threads: usize,
+        name: &str,
+    ) -> std::io::Result<Self> {
+        Self::start_tuned(handler, addr, threads, name, ServerTuning::default())
+    }
+
+    fn start_tuned<H: LineHandler>(
+        handler: Arc<H>,
+        addr: impl ToSocketAddrs,
+        threads: usize,
+        name: &str,
+        tuning: ServerTuning,
+    ) -> std::io::Result<Self> {
+        let listener = TcpListener::bind(addr)?;
+        let addr = listener.local_addr()?;
+        let stop = Arc::new(AtomicBool::new(false));
+        let mut handlers = Vec::new();
+        for i in 0..threads.max(1) {
+            let listener = listener.try_clone()?;
+            let handler = Arc::clone(&handler);
+            let stop = Arc::clone(&stop);
+            handlers.push(
+                std::thread::Builder::new()
+                    .name(format!("{name}-{i}"))
+                    .spawn(move || accept_loop(listener, handler, stop, tuning))
+                    .expect("spawn handler thread"),
+            );
+        }
+        Ok(Self {
+            addr,
+            stop,
+            handlers,
+        })
+    }
+
+    /// The bound address (the port clients connect to).
+    pub fn local_addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Sets the stop flag, wakes every acceptor blocked in `accept`, and
+    /// joins the handler threads (each finishes its current request
+    /// first). Idempotent.
+    pub fn stop(&mut self) {
+        self.stop.store(true, Ordering::SeqCst);
+        for _ in 0..self.handlers.len() {
+            let _ = TcpStream::connect(self.addr);
+        }
+        for h in self.handlers.drain(..) {
+            h.join().expect("handler thread panicked");
+        }
+    }
+}
+
+impl Drop for LineServer {
+    fn drop(&mut self) {
+        self.stop();
+    }
+}
+
+fn accept_loop<H: LineHandler>(
+    listener: TcpListener,
+    handler: Arc<H>,
+    stop: Arc<AtomicBool>,
+    tuning: ServerTuning,
+) {
+    loop {
+        if stop.load(Ordering::SeqCst) {
+            return;
+        }
+        let Ok((stream, _)) = listener.accept() else {
+            std::thread::sleep(tuning.accept_retry);
+            continue;
+        };
+        if stop.load(Ordering::SeqCst) {
+            return; // the wake-up connection from `stop`
+        }
+        let _ = serve_connection(stream, &*handler, &stop, tuning);
+    }
+}
+
+/// Serves one connection until EOF, a shutdown request, an over-long
+/// line, or the stop flag.
+fn serve_connection<H: LineHandler>(
+    stream: TcpStream,
+    handler: &H,
+    stop: &AtomicBool,
+    tuning: ServerTuning,
+) -> std::io::Result<()> {
+    stream.set_read_timeout(Some(tuning.read_timeout))?;
+    stream.set_write_timeout(Some(tuning.write_timeout))?;
+    stream.set_nodelay(true).ok();
+    let mut writer = stream.try_clone()?;
+    let mut reader = BufReader::new(stream);
+    let mut session = handler.session();
+    // The line buffer persists across timeout retries: a read may have
+    // consumed a partial line when the timer fires, and clearing it
+    // would drop those bytes. Reading stops one byte past the cap.
+    let mut line = Vec::new();
+    loop {
+        let room = (MAX_LINE_BYTES + 1 - line.len()) as u64;
+        match reader.by_ref().take(room).read_until(b'\n', &mut line) {
+            Ok(_) if line.is_empty() => return Ok(()), // EOF
+            Ok(_) if line.len() > MAX_LINE_BYTES && line.last() != Some(&b'\n') => {
+                let reply = format!("ERR line longer than {MAX_LINE_BYTES} bytes\n");
+                return writer.write_all(reply.as_bytes());
+            }
+            // A whole line, or the unterminated last one before EOF.
+            Ok(_) => {
+                let text = std::str::from_utf8(&line).map_err(|_| {
+                    std::io::Error::new(
+                        std::io::ErrorKind::InvalidData,
+                        "stream did not contain valid UTF-8",
+                    )
+                })?;
+                let (mut reply, shutdown) = handler.execute(text, &mut session);
+                if shutdown {
+                    stop.store(true, Ordering::SeqCst);
+                }
+                reply.push('\n');
+                writer.write_all(reply.as_bytes())?;
+                line.clear();
+                // Re-check between requests, not only on idle timeouts:
+                // a client streaming lines back-to-back must not be able
+                // to pin this handler past a shutdown (its own included).
+                if stop.load(Ordering::SeqCst) {
+                    return Ok(());
+                }
+            }
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) =>
+            {
+                if stop.load(Ordering::SeqCst) {
+                    return Ok(());
+                }
+            }
+            Err(e) => return Err(e),
+        }
+    }
+}
+
 /// A running TCP server over a [`TenantRouter`]. Prefer an explicit
 /// [`Self::shutdown`] (it returns the final estimate); a plain drop
 /// still stops the acceptors and every tenant's ingest thread.
 #[derive(Debug)]
 pub struct Server {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    router: Option<Arc<TenantRouter>>,
+    lines: LineServer,
     /// Kept so [`Self::core`] can lend `&ServeCore` — a borrow the
     /// compiler ends before `shutdown(self)` can run, which makes
     /// holding a core across shutdown a compile error instead of a
-    /// drain wait. Released (taken) before the router shuts down.
-    default_core: Option<Arc<ServeCore>>,
-    handlers: Vec<JoinHandle<()>>,
+    /// drain wait. Released before the router shuts down.
+    default_core: Arc<ServeCore>,
+    router: Arc<TenantRouter>,
 }
 
 impl Server {
@@ -121,43 +317,32 @@ impl Server {
             Arc::new(TenantRouter::start(cfg).map_err(|e| {
                 std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
             })?);
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-
-        let mut threads = Vec::new();
-        for i in 0..handlers.max(1) {
-            let listener = listener.try_clone()?;
-            let router = Arc::clone(&router);
-            let stop = Arc::clone(&stop);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("rept-serve-handler-{i}"))
-                    .spawn(move || accept_loop(listener, router, stop, tuning))
-                    .expect("spawn handler thread"),
-            );
-        }
+        let lines = LineServer::start_tuned(
+            Arc::clone(&router),
+            addr,
+            handlers,
+            "rept-serve-handler",
+            tuning,
+        )?;
         let default_core = router
             .tenant(DEFAULT_TENANT)
             .expect("default tenant always exists");
         Ok(Self {
-            addr,
-            stop,
-            router: Some(router),
-            default_core: Some(default_core),
-            handlers: threads,
+            lines,
+            default_core,
+            router,
         })
     }
 
     /// The bound address (the port clients connect to).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.lines.local_addr()
     }
 
     /// The tenant router (in-process tenant management and queries
     /// without a socket).
     pub fn router(&self) -> &TenantRouter {
-        self.router.as_ref().expect("router present until shutdown")
+        &self.router
     }
 
     /// Direct access to the `default` tenant's serving core (in-process
@@ -166,21 +351,7 @@ impl Server {
     /// use [`TenantRouter::tenant`] for an owned handle (and drop it
     /// before shutting down — see [`TenantRouter::shutdown`]).
     pub fn core(&self) -> &ServeCore {
-        self.default_core
-            .as_deref()
-            .expect("core present until shutdown")
-    }
-
-    /// Sets the stop flag, wakes every acceptor blocked in `accept`, and
-    /// joins the handler threads.
-    fn stop_accepting(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        for _ in 0..self.handlers.len() {
-            let _ = TcpStream::connect(self.addr);
-        }
-        for h in self.handlers.drain(..) {
-            h.join().expect("handler thread panicked");
-        }
+        &self.default_core
     }
 
     /// Stops accepting, joins the handler threads, shuts every tenant
@@ -206,109 +377,42 @@ impl Server {
     /// Stops accepting, joins the handler threads, and shuts every
     /// tenant down, returning `(tenant, final estimate)` pairs sorted
     /// by name.
-    pub fn shutdown_all(mut self) -> Vec<(String, ReptEstimate)> {
-        self.stop_accepting();
-        self.default_core.take(); // release the `core()` handle
-        let router = self.router.take().expect("shutdown runs once");
+    pub fn shutdown_all(self) -> Vec<(String, ReptEstimate)> {
+        let Self {
+            mut lines,
+            default_core,
+            router,
+        } = self;
+        lines.stop();
+        drop(default_core); // release the `core()` handle
         let router = Arc::try_unwrap(router).expect("handlers dropped their router handles");
         router.shutdown()
     }
 }
 
-impl Drop for Server {
-    fn drop(&mut self) {
-        // `shutdown` already drained the handlers; a plain drop must not
-        // leak acceptor threads, ingest threads, or the bound port.
-        // Dropping the last router Arc afterwards stops every tenant
-        // (with final checkpoints) via `ServeCore`'s own Drop.
-        if !self.handlers.is_empty() {
-            self.stop_accepting();
-        }
-    }
-}
+/// The tenant protocol: each connection's session is its current tenant.
+impl LineHandler for TenantRouter {
+    type Session = String;
 
-fn accept_loop(
-    listener: TcpListener,
-    router: Arc<TenantRouter>,
-    stop: Arc<AtomicBool>,
-    tuning: ServerTuning,
-) {
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let Ok((stream, _)) = listener.accept() else {
-            std::thread::sleep(tuning.accept_retry);
-            continue;
-        };
-        if stop.load(Ordering::SeqCst) {
-            return; // the wake-up connection from `shutdown`
-        }
-        let _ = serve_connection(stream, &router, &stop, tuning);
+    fn session(&self) -> String {
+        DEFAULT_TENANT.to_string()
     }
-}
 
-/// Serves one connection until EOF, a `SHUTDOWN` command, or the stop
-/// flag.
-fn serve_connection(
-    stream: TcpStream,
-    router: &TenantRouter,
-    stop: &AtomicBool,
-    tuning: ServerTuning,
-) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(tuning.read_timeout))?;
-    stream.set_write_timeout(Some(tuning.write_timeout))?;
-    stream.set_nodelay(true).ok();
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    // Per-connection protocol state: the tenant `USE` selected.
-    let mut tenant = DEFAULT_TENANT.to_string();
-    // The line buffer persists across timeout retries: `read_line` may
-    // have consumed a partial line when the timer fires, and clearing it
-    // would drop those bytes.
-    let mut line = String::new();
-    loop {
-        match reader.read_line(&mut line) {
-            Ok(0) => return Ok(()), // EOF
-            Ok(_) => {
-                let (reply, close) = execute(&line, router, &mut tenant, stop);
-                writer.write_all(reply.as_bytes())?;
-                writer.write_all(b"\n")?;
-                if close {
-                    return Ok(());
-                }
-                line.clear();
-                // Re-check between requests, not only on idle timeouts:
-                // a client streaming lines back-to-back must not be able
-                // to pin this handler past `Server::shutdown`.
-                if stop.load(Ordering::SeqCst) {
-                    return Ok(());
-                }
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if stop.load(Ordering::SeqCst) {
-                    return Ok(());
-                }
-            }
-            Err(e) => return Err(e),
-        }
+    fn execute(&self, line: &str, tenant: &mut String) -> (String, bool) {
+        execute(line, self, tenant, INGEST_HOLD)
     }
 }
 
 /// Parses and executes one request line, producing the reply line and
-/// whether the connection should close (a parsed `SHUTDOWN` — keyed off
-/// the command, not the raw text, so `ERR` replies to malformed
-/// shutdown-like lines keep the connection open).
+/// whether the request was a shutdown (keyed off the parsed command,
+/// not the raw text, so `ERR` replies to malformed shutdown-like lines
+/// keep the connection open). A current-tenant `INGEST` that finds the
+/// queue full waits up to `hold` for a slot.
 fn execute(
     line: &str,
     router: &TenantRouter,
     tenant: &mut String,
-    stop: &AtomicBool,
+    hold: Duration,
 ) -> (String, bool) {
     // Current-tenant commands resolve the core per request, so a tenant
     // dropped mid-connection turns into an `ERR unknown tenant` reply
@@ -342,10 +446,11 @@ fn execute(
         Ok(Command::Ingest(Scope::Current, edges)) => match router.tenant(tenant) {
             Some(core) => {
                 let n = edges.len();
-                // Non-blocking: a full ingest queue surfaces as `ERR
-                // BUSY` backpressure instead of pinning the handler
-                // thread (and its connection slot) on a slow tenant.
-                match core.try_ingest(edges) {
+                // Bounded: a queue that stays full for `hold` surfaces
+                // as `ERR BUSY` backpressure instead of pinning the
+                // handler thread (and its connection slot) on a slow
+                // tenant.
+                match core.try_ingest_within(edges, hold) {
                     Ok(()) => format!("OK INGEST {n}"),
                     // BUSY is transient — the client retries, so the
                     // line does NOT go to the dead-letter file (it
@@ -490,10 +595,7 @@ fn execute(
                 format!("ERR unknown tenant {name:?}")
             }
         }
-        Ok(Command::Shutdown) => {
-            stop.store(true, Ordering::SeqCst);
-            return ("OK BYE".into(), true);
-        }
+        Ok(Command::Shutdown) => return ("OK BYE".into(), true),
         Err(msg) => {
             // Malformed lines that were *meant* to carry edges go to the
             // current tenant's dead-letter file, verbatim, with the
@@ -513,8 +615,10 @@ fn execute(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Client, ClientConfig};
     use rept_core::ReptConfig;
     use rept_gen::{barabasi_albert, GeneratorConfig};
+    use rept_graph::edge::Edge;
 
     fn tight_tuning() -> ServerTuning {
         ServerTuning {
@@ -604,5 +708,127 @@ mod tests {
         drop(stalled);
         drop(fresh);
         server.shutdown();
+    }
+
+    /// A one-slot tenant queue: a single parked batch fills it.
+    fn one_slot(cfg: ServeConfig) -> ServeConfig {
+        let mut cfg = cfg;
+        cfg.channel_capacity = 1;
+        cfg
+    }
+
+    fn no_busy_retry() -> ClientConfig {
+        ClientConfig::default().with_busy_retries(0)
+    }
+
+    /// The tenant protocol with a hold no scheduler delay can outlast,
+    /// so the test, not the clock, decides when the slot frees.
+    struct Patient(Arc<TenantRouter>);
+
+    impl LineHandler for Patient {
+        type Session = String;
+
+        fn session(&self) -> String {
+            self.0.session()
+        }
+
+        fn execute(&self, line: &str, tenant: &mut String) -> (String, bool) {
+            execute(line, &self.0, tenant, Duration::from_secs(120))
+        }
+    }
+
+    #[test]
+    fn held_line_is_accepted_when_a_slot_frees_within_the_bound() {
+        let cfg = one_slot(ServeConfig::new(ReptConfig::new(2, 2).with_seed(7)));
+        let router = Arc::new(TenantRouter::start(RouterConfig::new(cfg)).expect("router"));
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let stop = Arc::new(AtomicBool::new(false));
+        let acceptor = {
+            let handler = Arc::new(Patient(Arc::clone(&router)));
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || accept_loop(listener, handler, stop, tight_tuning()))
+        };
+        let core = router.tenant(DEFAULT_TENANT).expect("default tenant");
+
+        // The ingest thread sits on a barrier and a first batch fills
+        // the only slot behind it.
+        let parked = core.park();
+        core.ingest(vec![Edge::new(1, 2)]).expect("queued");
+        let producer = std::thread::spawn(move || {
+            let mut client = Client::connect_with(addr, no_busy_retry()).expect("connect");
+            client.ingest(&[Edge::new(3, 4)])
+        });
+        // The wire line is held on the full queue …
+        while core.metrics().ingest_held.get() == 0 {
+            assert!(!producer.is_finished(), "the line must wait for a slot");
+            std::thread::yield_now();
+        }
+        // … and goes in once the ingest thread frees the slot.
+        drop(parked);
+        assert_eq!(
+            producer
+                .join()
+                .expect("producer")
+                .expect("accepted, not BUSY"),
+            1
+        );
+        let metrics = core.metrics();
+        assert_eq!(metrics.busy_rejections.get(), 0);
+        assert_eq!(metrics.ingest_hold_micros.count(), 1, "one line was held");
+        assert_eq!(metrics.ingest_held.get(), 0);
+        assert_eq!(core.flush(), 2, "both batches applied");
+
+        stop.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(addr); // wake the acceptor
+        acceptor.join().expect("acceptor exits on the stop flag");
+        drop(core);
+        Arc::try_unwrap(router).expect("sole owner").shutdown();
+    }
+
+    #[test]
+    fn line_still_blocked_past_the_bound_gets_busy() {
+        let root = std::env::temp_dir().join(format!("rept-hold-busy-{}", std::process::id()));
+        std::fs::remove_dir_all(&root).ok();
+        let cfg = one_slot(ServeConfig::new(ReptConfig::new(2, 2).with_seed(7)).with_journal());
+        let server = Server::start_router(
+            RouterConfig::new(cfg).with_root_dir(root.clone()),
+            "127.0.0.1:0",
+            1,
+        )
+        .expect("start");
+        let core = server.core();
+        // Parked ingest thread, and a second barrier in the only slot:
+        // nothing frees it until the test says so.
+        let parked = core.park();
+        let filler = core.park();
+        let mut client =
+            Client::connect_with(server.local_addr(), no_busy_retry()).expect("connect");
+        let edge = [Edge::new(1, 2)];
+        let refused = client.ingest(&edge).expect_err("queue full past the bound");
+        assert!(refused.to_string().starts_with("BUSY"), "{refused}");
+        let metrics = core.metrics();
+        assert_eq!(metrics.busy_rejections.get(), 1, "counted");
+        assert_eq!(metrics.ingest_hold_micros.count(), 1);
+        let held = metrics.ingest_hold_micros.max();
+        let bound = INGEST_HOLD.as_micros() as u64;
+        assert!(held >= bound, "held for the whole bound first: {held} µs");
+        assert!(held < 100 * bound, "and then gave up: {held} µs");
+        assert_eq!(core.dlq_count(), 0, "BUSY is never dead-lettered");
+
+        drop(parked);
+        drop(filler);
+        assert_eq!(
+            client.flush().expect("flush"),
+            0,
+            "the refused line was not applied"
+        );
+        client
+            .ingest(&edge)
+            .expect("a retry lands once the queue drains");
+        assert_eq!(client.flush().expect("flush"), 1);
+        drop(client);
+        server.shutdown_all();
+        std::fs::remove_dir_all(&root).ok();
     }
 }

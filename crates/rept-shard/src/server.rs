@@ -2,13 +2,13 @@
 //! servers speak, served *above* them — a client cannot tell a cluster
 //! from a single [`rept_serve::Server`] on the distributed verbs.
 //!
-//! The thread-pool/accept idiom mirrors [`rept_serve::server`]: N
-//! handler threads each own a clone of the listener and serve one
-//! connection at a time; an idle connection re-checks the stop flag on
-//! a read timeout. Requests lock the one [`ShardCoordinator`] — the
-//! coordinator's work per verb is a handful of line-protocol exchanges
-//! with the shards, which is the serialization point by design (the
-//! shards do the heavy lifting concurrently in their own processes).
+//! The transport is the serve tier's own [`LineServer`]: the same
+//! thread pool, line cap, timeouts and one-write replies, so this module
+//! holds only what the coordinator does with a line. Requests lock the
+//! one [`ShardCoordinator`] — the coordinator's work per verb is a
+//! handful of line-protocol exchanges with the shards, which is the
+//! serialization point by design (the shards do the heavy lifting
+//! concurrently in their own processes).
 //!
 //! Verbs that don't distribute reply with typed errors instead of
 //! pretending: tenancy (`TENANT *`, `USE` of anything but `default`,
@@ -20,36 +20,36 @@
 //! concatenates every live shard's exposition body under `# shard=<i>`
 //! comment markers.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 use rept_serve::protocol::{self, Command, Scope, DEFAULT_TENANT};
+use rept_serve::server::{LineHandler, LineServer};
 use rept_serve::LiveStats;
 
 use crate::coordinator::{format_cluster_health, ShardCoordinator};
-
-/// How often an idle connection re-checks the shutdown flag.
-const READ_TIMEOUT: Duration = Duration::from_millis(100);
-
-/// Backoff after a failed `accept` — mirrors the serve front-end.
-const ACCEPT_RETRY: Duration = Duration::from_millis(50);
-
-/// Cap on how long a reply write may block on a stalled client.
-const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// A running coordinator front-end. [`Self::shutdown`] stops accepting
 /// and returns the coordinator (so the caller can drain or inspect the
 /// cluster); a plain drop stops the acceptors too.
 #[derive(Debug)]
 pub struct CoordinatorServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    coordinator: Arc<Mutex<ShardCoordinator>>,
-    handlers: Vec<JoinHandle<()>>,
+    lines: LineServer,
+    front: Arc<Front>,
+}
+
+/// The coordinator as a [`LineHandler`]; connections carry no state.
+#[derive(Debug)]
+struct Front(Mutex<ShardCoordinator>);
+
+impl LineHandler for Front {
+    type Session = ();
+
+    fn session(&self) {}
+
+    fn execute(&self, line: &str, _: &mut ()) -> (String, bool) {
+        execute(line, &self.0)
+    }
 }
 
 impl CoordinatorServer {
@@ -64,150 +64,30 @@ impl CoordinatorServer {
         addr: impl ToSocketAddrs,
         handlers: usize,
     ) -> std::io::Result<Self> {
-        let coordinator = Arc::new(Mutex::new(coordinator));
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut threads = Vec::new();
-        for i in 0..handlers.max(1) {
-            let listener = listener.try_clone()?;
-            let coordinator = Arc::clone(&coordinator);
-            let stop = Arc::clone(&stop);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("rept-shard-handler-{i}"))
-                    .spawn(move || accept_loop(listener, coordinator, stop))
-                    .expect("spawn handler thread"),
-            );
-        }
-        Ok(Self {
-            addr,
-            stop,
-            coordinator,
-            handlers: threads,
-        })
+        let front = Arc::new(Front(Mutex::new(coordinator)));
+        let lines = LineServer::start(Arc::clone(&front), addr, handlers, "rept-shard-handler")?;
+        Ok(Self { lines, front })
     }
 
     /// The bound address (the port clients connect to).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.lines.local_addr()
     }
 
     /// In-process access to the coordinator (tests drive `kill_shard` /
     /// `revive_shard` through this while clients talk TCP).
     pub fn coordinator(&self) -> &Mutex<ShardCoordinator> {
-        &self.coordinator
-    }
-
-    /// Sets the stop flag, wakes every acceptor, joins the handlers.
-    fn stop_accepting(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        for _ in 0..self.handlers.len() {
-            let _ = TcpStream::connect(self.addr);
-        }
-        for h in self.handlers.drain(..) {
-            h.join().expect("handler thread panicked");
-        }
+        &self.front.0
     }
 
     /// Stops accepting, joins the handler threads, and hands the
     /// coordinator back (the shards keep running — shut them down
     /// through their own servers/cores).
-    pub fn shutdown(mut self) -> ShardCoordinator {
-        self.stop_accepting();
-        let coordinator = Arc::try_unwrap(std::mem::replace(
-            &mut self.coordinator,
-            Arc::new(Mutex::new(placeholder())),
-        ));
-        match coordinator {
-            Ok(mutex) => mutex.into_inner().expect("coordinator lock poisoned"),
-            Err(_) => unreachable!("handlers dropped their coordinator handles"),
-        }
-    }
-}
-
-/// A throwaway value for `shutdown`'s `mem::replace`; never observable.
-fn placeholder() -> ShardCoordinator {
-    use crate::coordinator::{CoordinatorConfig, ShardLink};
-    use rept_core::ReptConfig;
-    use rept_serve::{ServeConfig, ServeCore};
-    let cfg = ReptConfig::new(2, 1);
-    let core = ServeCore::start(ServeConfig::new(cfg)).expect("in-memory core");
-    ShardCoordinator::start(
-        CoordinatorConfig::new(cfg),
-        vec![ShardLink::local(Arc::new(core))],
-    )
-    .expect("single-shard placeholder")
-}
-
-impl Drop for CoordinatorServer {
-    fn drop(&mut self) {
-        if !self.handlers.is_empty() {
-            self.stop_accepting();
-        }
-    }
-}
-
-fn accept_loop(
-    listener: TcpListener,
-    coordinator: Arc<Mutex<ShardCoordinator>>,
-    stop: Arc<AtomicBool>,
-) {
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let Ok((stream, _)) = listener.accept() else {
-            std::thread::sleep(ACCEPT_RETRY);
-            continue;
-        };
-        if stop.load(Ordering::SeqCst) {
-            return; // the wake-up connection from `shutdown`
-        }
-        let _ = serve_connection(stream, &coordinator, &stop);
-    }
-}
-
-fn serve_connection(
-    stream: TcpStream,
-    coordinator: &Mutex<ShardCoordinator>,
-    stop: &AtomicBool,
-) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(READ_TIMEOUT))?;
-    stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
-    stream.set_nodelay(true).ok();
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    // The line buffer persists across timeout retries — `read_line` may
-    // have consumed a partial line when the timer fired.
-    let mut line = String::new();
-    loop {
-        match reader.read_line(&mut line) {
-            Ok(0) => return Ok(()), // EOF
-            Ok(_) => {
-                let (reply, close) = execute(&line, coordinator, stop);
-                writer.write_all(reply.as_bytes())?;
-                writer.write_all(b"\n")?;
-                if close {
-                    return Ok(());
-                }
-                line.clear();
-                if stop.load(Ordering::SeqCst) {
-                    return Ok(());
-                }
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if stop.load(Ordering::SeqCst) {
-                    return Ok(());
-                }
-            }
-            Err(e) => return Err(e),
-        }
+    pub fn shutdown(self) -> ShardCoordinator {
+        let Self { mut lines, front } = self;
+        lines.stop();
+        let front = Arc::try_unwrap(front).expect("handlers dropped their coordinator handles");
+        front.0.into_inner().expect("coordinator lock poisoned")
     }
 }
 
@@ -219,7 +99,7 @@ fn lock(coordinator: &Mutex<ShardCoordinator>) -> MutexGuard<'_, ShardCoordinato
 /// distributed verbs produce the same reply bytes a standalone server
 /// would (shared format functions over the recombined snapshot); the
 /// rest are typed errors documented in the module docs.
-fn execute(line: &str, coordinator: &Mutex<ShardCoordinator>, stop: &AtomicBool) -> (String, bool) {
+fn execute(line: &str, coordinator: &Mutex<ShardCoordinator>) -> (String, bool) {
     let reply = match protocol::parse(line) {
         Ok(Command::Ingest(Scope::Current, edges)) => {
             let n = edges.len();
@@ -291,10 +171,7 @@ fn execute(line: &str, coordinator: &Mutex<ShardCoordinator>, stop: &AtomicBool)
         Ok(Command::TraceTail(_)) => {
             "ERR trace rings live on the shards; send TRACE TAIL to a shard server".into()
         }
-        Ok(Command::Shutdown) => {
-            stop.store(true, Ordering::SeqCst);
-            return ("OK BYE".into(), true);
-        }
+        Ok(Command::Shutdown) => return ("OK BYE".into(), true),
         Err(e) => format!("ERR {e}"),
     };
     (reply, false)

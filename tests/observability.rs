@@ -87,6 +87,8 @@ fn metrics_scrape_covers_required_series() {
         "rept_dlq_depth",
         "rept_degraded",
         "rept_last_group_commit",
+        "rept_ingest_held",
+        "rept_ingest_hold_micros_count",
     ] {
         assert!(
             sample(&text, series, "default").is_some(),

@@ -644,3 +644,51 @@ fn tcp_shutdown_command_stops_the_acceptors() {
     let est = server.shutdown();
     assert!(est.global >= 0.0);
 }
+
+#[test]
+fn over_long_lines_are_refused_and_their_connection_closed() {
+    use rept::serve::server::MAX_LINE_BYTES;
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
+    use std::time::Duration;
+
+    let cfg = ReptConfig::new(2, 2).with_seed(5);
+    let server = Server::start(ServeConfig::new(cfg), "127.0.0.1:0", 1).expect("bind");
+    let connect = || {
+        let conn = TcpStream::connect(server.local_addr()).expect("connect");
+        conn.set_read_timeout(Some(Duration::from_secs(60)))
+            .expect("timeout");
+        (conn.try_clone().expect("clone"), BufReader::new(conn))
+    };
+
+    // A line of exactly the cap is still a request.
+    let (mut writer, mut reader) = connect();
+    let mut at_cap = b"QUERY GLOBAL".to_vec();
+    at_cap.resize(MAX_LINE_BYTES, b' ');
+    at_cap.push(b'\n');
+    writer.write_all(&at_cap).expect("send");
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("reply");
+    assert!(reply.starts_with("OK GLOBAL"), "{reply}");
+
+    // One byte more, with no newline in sight: a typed error, then the
+    // server hangs up, since the rest of that line cannot be resynced.
+    writer
+        .write_all(&vec![b'7'; MAX_LINE_BYTES + 1])
+        .expect("send");
+    reply.clear();
+    reader.read_line(&mut reply).expect("reply");
+    assert_eq!(
+        reply,
+        format!("ERR line longer than {MAX_LINE_BYTES} bytes\n")
+    );
+    reply.clear();
+    assert_eq!(reader.read_line(&mut reply).expect("EOF"), 0, "closed");
+
+    // The handler is free for the next connection.
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    client.ingest(&[Edge::new(1, 2)]).expect("served");
+    assert_eq!(client.flush().expect("flush"), 1);
+    drop(client);
+    server.shutdown();
+}
