@@ -448,7 +448,14 @@ impl Rept {
         if !self.cfg.track_locals {
             return FxHashMap::default();
         }
-        let mut acc: FxHashMap<NodeId, u64> = FxHashMap::default();
+        // The largest group's map bounds the merged node count from
+        // below: reserving it up front saves the map's regrowth.
+        let largest = groups
+            .iter()
+            .filter_map(|g| g.tau_v.as_ref())
+            .map(FxHashMap::len);
+        let mut acc: FxHashMap<NodeId, u64> =
+            FxHashMap::with_capacity_and_hasher(largest.max().unwrap_or(0), Default::default());
         for g in groups {
             if let Some(tv) = &g.tau_v {
                 for (&v, &count) in tv {
@@ -477,7 +484,12 @@ impl Rept {
             sum2: u64,
             eta_sum: u64,
         }
-        let mut acc: FxHashMap<NodeId, NodeAcc> = FxHashMap::default();
+        let largest = groups
+            .iter()
+            .flat_map(|g| g.tau_v.iter().chain(&g.eta_v))
+            .map(FxHashMap::len);
+        let mut acc: FxHashMap<NodeId, NodeAcc> =
+            FxHashMap::with_capacity_and_hasher(largest.max().unwrap_or(0), Default::default());
         for g in groups {
             if let Some(tv) = &g.tau_v {
                 for (&v, &count) in tv {

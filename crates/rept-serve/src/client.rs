@@ -22,6 +22,15 @@
 //! server in fact executed — at-least-once, not exactly-once — so
 //! `io_retries` defaults to 0 and should only be raised for idempotent
 //! traffic or streams that tolerate duplicates.
+//!
+//! ## Halves
+//!
+//! Every exchange is a write half ([`Client::start_request`],
+//! [`Client::start_ingest`]) and a read half ([`Client::finish`],
+//! [`Client::finish_aggregates`]) that applies the retry policy above.
+//! The convenience calls run the two back to back; the shard
+//! coordinator starts a line on every shard's client before it finishes
+//! any, so the shards work on it at once.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -34,8 +43,9 @@ use rept_hash::SplitMix64;
 use crate::protocol::reply_field;
 
 /// Edges per `INGEST` line — keeps request lines comfortably small
-/// while amortising the round trip.
-const INGEST_CHUNK: usize = 256;
+/// while amortising the round trip. [`Client::ingest`] and the shard
+/// coordinator both cut batches at this size.
+pub const INGEST_CHUNK: usize = 256;
 
 /// A global-estimate reply.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -240,18 +250,67 @@ impl Client {
     /// Socket errors, protocol errors reported by the server
     /// ([`std::io::ErrorKind::Other`], message = the `ERR` payload).
     pub fn request(&mut self, line: &str) -> std::io::Result<String> {
+        let sent = self.start_request(line);
+        self.finish(sent)
+    }
+
+    /// The write half of [`Self::request`]: sends `line` and returns
+    /// without reading the reply. Hand the result to [`Self::finish`]
+    /// (or [`Self::finish_aggregates`]) before starting another request
+    /// on this client — one request is in flight at a time, so a retried
+    /// `ERR BUSY` cannot reorder the stream.
+    ///
+    /// # Errors
+    ///
+    /// The socket error of the write.
+    pub fn start_request(&mut self, line: &str) -> std::io::Result<()> {
         self.out.clear();
         self.out.extend_from_slice(line.as_bytes());
         self.out.push(b'\n');
-        self.send()
+        self.send_once()
     }
 
-    /// [`Self::request`] for the line already in `self.out`.
-    fn send(&mut self) -> std::io::Result<String> {
+    /// The write half of one `INGEST` line carrying `line` (callers cut
+    /// batches at [`INGEST_CHUNK`] edges); finish it with
+    /// [`Self::finish`], as for [`Self::start_request`].
+    ///
+    /// # Errors
+    ///
+    /// The socket error of the write.
+    pub fn start_ingest(&mut self, line: &[Edge]) -> std::io::Result<()> {
+        self.start_ingest_line("INGEST", line)
+    }
+
+    /// Encodes `head u v …` into `self.out` and sends it.
+    fn start_ingest_line(&mut self, head: &str, line: &[Edge]) -> std::io::Result<()> {
+        self.out.clear();
+        self.out.extend_from_slice(head.as_bytes());
+        for e in line {
+            self.out.push(b' ');
+            push_decimal(&mut self.out, u64::from(e.u()));
+            self.out.push(b' ');
+            push_decimal(&mut self.out, u64::from(e.v()));
+        }
+        self.out.push(b'\n');
+        self.send_once()
+    }
+
+    /// The read half: settles the request the last `start_*` sent, whose
+    /// outcome is `sent`, and returns its reply payload. A failed write
+    /// settles like a failed read, so the two halves back to back are
+    /// exactly [`Self::request`] and share its retry policy: `ERR BUSY`
+    /// backs off and resends the same line, a transport failure
+    /// reconnects and resends within `io_retries`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::request`].
+    pub fn finish(&mut self, sent: std::io::Result<()>) -> std::io::Result<String> {
+        let mut result = sent.and_then(|()| self.read_reply());
         let mut busy_attempts = 0u32;
         let mut io_attempts = 0u32;
         loop {
-            match self.request_once() {
+            match result {
                 Ok(reply) => return Ok(reply),
                 Err(e) if Self::is_busy(&e) && busy_attempts < self.cfg.busy_retries => {
                     busy_attempts += 1;
@@ -263,8 +322,8 @@ impl Client {
                     let sleep = self.backoff(io_attempts);
                     std::thread::sleep(sleep);
                     // A failed reconnect consumes the attempt and loops
-                    // (the next request_once fails fast on the dead
-                    // socket if the re-dial keeps failing).
+                    // (the resend fails fast on the dead socket if the
+                    // re-dial keeps failing).
                     if let Err(re) = self.reconnect() {
                         if io_attempts >= self.cfg.io_retries {
                             return Err(re);
@@ -273,13 +332,17 @@ impl Client {
                 }
                 Err(e) => return Err(e),
             }
+            result = self.send_once().and_then(|()| self.read_reply());
         }
     }
 
-    /// One request/reply exchange without retry: the whole line in one
-    /// write.
-    fn request_once(&mut self) -> std::io::Result<String> {
-        self.writer.write_all(&self.out)?;
+    /// Writes the request in `self.out` — the whole line in one write.
+    fn send_once(&mut self) -> std::io::Result<()> {
+        self.writer.write_all(&self.out)
+    }
+
+    /// Reads one reply line; `ERR …` becomes an error.
+    fn read_reply(&mut self) -> std::io::Result<String> {
         let mut reply = String::new();
         if self.reader.read_line(&mut reply)? == 0 {
             return Err(std::io::Error::new(
@@ -317,17 +380,9 @@ impl Client {
 
     /// Sends `edges` as `head u v …` lines of [`INGEST_CHUNK`] edges.
     fn ingest_lines(&mut self, head: &str, edges: &[Edge]) -> std::io::Result<usize> {
-        for chunk in edges.chunks(INGEST_CHUNK) {
-            self.out.clear();
-            self.out.extend_from_slice(head.as_bytes());
-            for e in chunk {
-                self.out.push(b' ');
-                push_decimal(&mut self.out, e.u());
-                self.out.push(b' ');
-                push_decimal(&mut self.out, e.v());
-            }
-            self.out.push(b'\n');
-            self.send()?;
+        for line in edges.chunks(INGEST_CHUNK) {
+            let sent = self.start_ingest_line(head, line);
+            self.finish(sent)?;
         }
         Ok(edges.len())
     }
@@ -591,7 +646,16 @@ impl Client {
     /// Socket/protocol errors, a malformed header, or a connection
     /// closed mid-body.
     fn request_block(&mut self, line: &str) -> std::io::Result<(String, Vec<String>)> {
-        let header = self.request(line)?;
+        let sent = self.start_request(line);
+        self.finish_block(sent)
+    }
+
+    /// The read half of [`Self::request_block`].
+    fn finish_block(
+        &mut self,
+        sent: std::io::Result<()>,
+    ) -> std::io::Result<(String, Vec<String>)> {
+        let header = self.finish(sent)?;
         let n: usize = Self::field(&header, "lines")?;
         let mut body = Vec::new();
         for _ in 0..n {
@@ -602,7 +666,8 @@ impl Client {
                     "server closed the connection mid-reply",
                 ));
             }
-            body.push(l.trim_end().to_string());
+            l.truncate(l.trim_end().len());
+            body.push(l);
         }
         Ok((header, body))
     }
@@ -618,7 +683,21 @@ impl Client {
     /// Socket/protocol errors, or `ERR …` for reservoir tenants (no
     /// group structure).
     pub fn aggregates(&mut self) -> std::io::Result<(u64, Vec<GroupAggregate>)> {
-        let (header, body) = self.request_block("AGGREGATE")?;
+        let sent = self.start_request("AGGREGATE");
+        self.finish_aggregates(sent)
+    }
+
+    /// The read half of [`Self::aggregates`]: settles an `AGGREGATE`
+    /// started with [`Self::start_request`] and parses its block.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::aggregates`].
+    pub fn finish_aggregates(
+        &mut self,
+        sent: std::io::Result<()>,
+    ) -> std::io::Result<(u64, Vec<GroupAggregate>)> {
+        let (header, body) = self.finish_block(sent)?;
         crate::protocol::parse_aggregate_reply(&header, &body).map_err(std::io::Error::other)
     }
 
@@ -666,9 +745,10 @@ impl Client {
 }
 
 /// Appends the decimal digits of `x` — what `format!("{x}")` writes,
-/// without the formatter or an allocation.
-fn push_decimal(out: &mut Vec<u8>, mut x: NodeId) {
-    let mut digits = [0u8; 10];
+/// without the formatter or an allocation. Shared by the `INGEST`
+/// encoder and [`crate::protocol::format_aggregate`].
+pub(crate) fn push_decimal(out: &mut Vec<u8>, mut x: u64) {
+    let mut digits = [0u8; 20];
     let mut at = digits.len();
     loop {
         at -= 1;

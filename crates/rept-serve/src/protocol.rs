@@ -32,6 +32,7 @@ use rept_core::GroupAggregate;
 use rept_graph::edge::{Edge, NodeId};
 use rept_hash::fx::FxHashMap;
 
+use crate::client::push_decimal;
 use crate::core::{Health, LiveStats, QuotaPolicy};
 use crate::snapshot::Snapshot;
 use rept_metrics::trace::TraceEvent;
@@ -624,47 +625,55 @@ pub fn format_dlq_replayed(n: u64, failed: u64) -> String {
 /// [`GroupAggregate`]s the server held. The per-node maps are emitted
 /// sorted by node id, making the reply deterministic (the maps
 /// themselves iterate in hash order).
+///
+/// The reply is written into one buffer with a digit routine, so it
+/// costs its bytes plus one sort per map — nothing per counter.
 pub fn format_aggregate(position: u64, groups: &[GroupAggregate]) -> String {
-    let csv = |it: &mut dyn Iterator<Item = u64>| {
-        let mut s = String::new();
-        for (i, x) in it.enumerate() {
+    fn csv(out: &mut Vec<u8>, values: impl Iterator<Item = u64>) {
+        for (i, x) in values.enumerate() {
             if i > 0 {
-                s.push(',');
+                out.push(b',');
             }
-            s.push_str(&x.to_string());
+            push_decimal(out, x);
         }
-        s
-    };
-    let map_line = |tag: &str, map: Option<&FxHashMap<NodeId, u64>>| match map {
-        None => format!("\n{tag} none"),
-        Some(m) => {
-            let mut entries: Vec<(NodeId, u64)> = m.iter().map(|(&v, &t)| (v, t)).collect();
-            entries.sort_unstable();
-            let mut line = format!("\n{tag}");
-            for (v, t) in entries {
-                line.push_str(&format!(" {v}:{t}"));
-            }
-            line
-        }
-    };
-    let mut out = format!(
-        "OK AGGREGATE position={position} groups={} lines={}",
-        groups.len(),
-        groups.len() * 3
-    );
-    for g in groups {
-        out.push_str(&format!(
-            "\nG start={} bytes={} eta={} tau={} stored={}",
-            g.start,
-            g.bytes,
-            g.eta_total,
-            csv(&mut g.tau.iter().copied()),
-            csv(&mut g.stored.iter().map(|&s| s as u64)),
-        ));
-        out.push_str(&map_line("TV", g.tau_v.as_ref()));
-        out.push_str(&map_line("EV", g.eta_v.as_ref()));
     }
-    out
+    let mut out = Vec::new();
+    out.extend_from_slice(b"OK AGGREGATE position=");
+    push_decimal(&mut out, position);
+    out.extend_from_slice(b" groups=");
+    push_decimal(&mut out, groups.len() as u64);
+    out.extend_from_slice(b" lines=");
+    push_decimal(&mut out, groups.len() as u64 * 3);
+    let mut entries: Vec<(NodeId, u64)> = Vec::new();
+    for g in groups {
+        out.extend_from_slice(b"\nG start=");
+        push_decimal(&mut out, g.start as u64);
+        out.extend_from_slice(b" bytes=");
+        push_decimal(&mut out, g.bytes as u64);
+        out.extend_from_slice(b" eta=");
+        push_decimal(&mut out, g.eta_total);
+        out.extend_from_slice(b" tau=");
+        csv(&mut out, g.tau.iter().copied());
+        out.extend_from_slice(b" stored=");
+        csv(&mut out, g.stored.iter().map(|&s| s as u64));
+        for (tag, map) in [(&b"\nTV"[..], &g.tau_v), (&b"\nEV"[..], &g.eta_v)] {
+            out.extend_from_slice(tag);
+            let Some(map) = map else {
+                out.extend_from_slice(b" none");
+                continue;
+            };
+            entries.clear();
+            entries.extend(map.iter().map(|(&v, &t)| (v, t)));
+            entries.sort_unstable();
+            for &(v, t) in &entries {
+                out.push(b' ');
+                push_decimal(&mut out, u64::from(v));
+                out.push(b':');
+                push_decimal(&mut out, t);
+            }
+        }
+    }
+    String::from_utf8(out).expect("the AGGREGATE reply is ASCII")
 }
 
 /// Parses an `AGGREGATE` reply — the client half of
@@ -686,11 +695,11 @@ pub fn parse_aggregate_reply(
     };
     let position = field("position")?;
     let n_groups = field("groups")? as usize;
-    if body.len() != n_groups * 3 {
+    let expected = n_groups.saturating_mul(3);
+    if body.len() != expected {
         return Err(format!(
-            "AGGREGATE body has {} lines, expected {}",
+            "AGGREGATE body has {} lines, expected {expected}",
             body.len(),
-            n_groups * 3
         ));
     }
     let parse_csv = |s: &str| -> Result<Vec<u64>, String> {
@@ -700,25 +709,6 @@ pub fn parse_aggregate_reply(
         s.split(',')
             .map(|t| t.parse::<u64>().map_err(|_| format!("bad counter {t:?}")))
             .collect()
-    };
-    let parse_map = |line: &str, tag: &str| -> Result<Option<FxHashMap<NodeId, u64>>, String> {
-        let rest = line
-            .strip_prefix(tag)
-            .ok_or_else(|| format!("expected {tag} line, got {line:?}"))?;
-        let rest = rest.trim_start();
-        if rest == "none" {
-            return Ok(None);
-        }
-        let mut map = FxHashMap::default();
-        for tok in rest.split_ascii_whitespace() {
-            let (v, t) = tok
-                .split_once(':')
-                .ok_or_else(|| format!("bad {tag} entry {tok:?}"))?;
-            let v: NodeId = v.parse().map_err(|_| format!("bad node id {v:?}"))?;
-            let t: u64 = t.parse().map_err(|_| format!("bad count {t:?}"))?;
-            map.insert(v, t);
-        }
-        Ok(Some(map))
     };
     let mut groups = Vec::with_capacity(n_groups);
     for chunk in body.chunks(3) {
@@ -743,11 +733,76 @@ pub fn parse_aggregate_reply(
             stored: stored.into_iter().map(|s| s as usize).collect(),
             bytes: gfield("bytes")? as usize,
             eta_total: gfield("eta")?,
-            tau_v: parse_map(&chunk[1], "TV")?,
-            eta_v: parse_map(&chunk[2], "EV")?,
+            tau_v: parse_counter_map(&chunk[1], "TV")?,
+            eta_v: parse_counter_map(&chunk[2], "EV")?,
         });
     }
     Ok((position, groups))
+}
+
+/// Parses a `TV`/`EV` line of an `AGGREGATE` reply (`<tag> none` or
+/// `<tag> <node>:<count> …`) in one pass over its bytes. A token of
+/// plain digits is read inline; any other token takes the `str::parse`
+/// path, which fixes what it accepts (`+5`, leading zeros) and every
+/// error text. The map's capacity comes from the line's length — an
+/// entry takes at least 4 bytes (` v:t`) — so it stays bounded by the
+/// input.
+fn parse_counter_map(line: &str, tag: &str) -> Result<Option<FxHashMap<NodeId, u64>>, String> {
+    let rest = line
+        .strip_prefix(tag)
+        .ok_or_else(|| format!("expected {tag} line, got {line:?}"))?
+        .trim_start();
+    if rest == "none" {
+        return Ok(None);
+    }
+    let mut map = FxHashMap::with_capacity_and_hasher(rest.len().div_ceil(4), Default::default());
+    let bytes = rest.as_bytes();
+    let mut at = 0;
+    loop {
+        while bytes.get(at).is_some_and(u8::is_ascii_whitespace) {
+            at += 1;
+        }
+        if at == bytes.len() {
+            return Ok(Some(map));
+        }
+        let start = at;
+        // Plain digits, a ':' and plain digits, ending the token: at most
+        // 10 digits for the id and 19 for the count cannot have wrapped.
+        let (v, v_digits) = digit_run(bytes, &mut at);
+        let colon = bytes.get(at) == Some(&b':');
+        at += usize::from(colon);
+        let (t, t_digits) = digit_run(bytes, &mut at);
+        let ends = bytes.get(at).is_none_or(u8::is_ascii_whitespace);
+        if let (true, 1..=10, 1..=19, true, Ok(v)) =
+            (colon, v_digits, t_digits, ends, NodeId::try_from(v))
+        {
+            map.insert(v, t);
+            continue;
+        }
+        while bytes.get(at).is_some_and(|b| !b.is_ascii_whitespace()) {
+            at += 1;
+        }
+        // ASCII whitespace and the line's ends are char boundaries.
+        let tok = &rest[start..at];
+        let (v, t) = tok
+            .split_once(':')
+            .ok_or_else(|| format!("bad {tag} entry {tok:?}"))?;
+        let v: NodeId = v.parse().map_err(|_| format!("bad node id {v:?}"))?;
+        let t: u64 = t.parse().map_err(|_| format!("bad count {t:?}"))?;
+        map.insert(v, t);
+    }
+}
+
+/// Reads the run of ASCII digits at `*at`, advancing past it: the value
+/// (wrapped past 19 digits) and the run's length.
+fn digit_run(bytes: &[u8], at: &mut usize) -> (u64, usize) {
+    let from = *at;
+    let mut x = 0u64;
+    while let Some(d) = bytes.get(*at).filter(|b| b.is_ascii_digit()) {
+        x = x.wrapping_mul(10).wrapping_add(u64::from(d - b'0'));
+        *at += 1;
+    }
+    (x, *at - from)
 }
 
 /// Extracts the value of a `key=value` token from a reply line — the
@@ -762,6 +817,7 @@ pub fn reply_field<'a>(reply: &'a str, key: &str) -> Option<&'a str> {
 mod tests {
     use super::*;
     use rept_core::Engine;
+    use rept_hash::SplitMix64;
 
     #[test]
     fn parses_every_v1_verb() {
@@ -1149,6 +1205,337 @@ mod tests {
             parse_aggregate_reply(header, &bad).is_err(),
             "tau/stored length mismatch"
         );
+    }
+
+    /// [`format_aggregate`] as it stood before the one-buffer encoder:
+    /// `format!` per line and per map entry, `to_string` per counter.
+    fn reference_format_aggregate(position: u64, groups: &[GroupAggregate]) -> String {
+        let csv = |it: &mut dyn Iterator<Item = u64>| {
+            let mut s = String::new();
+            for (i, x) in it.enumerate() {
+                if i > 0 {
+                    s.push(',');
+                }
+                s.push_str(&x.to_string());
+            }
+            s
+        };
+        let map_line = |tag: &str, map: Option<&FxHashMap<NodeId, u64>>| match map {
+            None => format!("\n{tag} none"),
+            Some(m) => {
+                let mut entries: Vec<(NodeId, u64)> = m.iter().map(|(&v, &t)| (v, t)).collect();
+                entries.sort_unstable();
+                let mut line = format!("\n{tag}");
+                for (v, t) in entries {
+                    line.push_str(&format!(" {v}:{t}"));
+                }
+                line
+            }
+        };
+        let mut out = format!(
+            "OK AGGREGATE position={position} groups={} lines={}",
+            groups.len(),
+            groups.len() * 3
+        );
+        for g in groups {
+            out.push_str(&format!(
+                "\nG start={} bytes={} eta={} tau={} stored={}",
+                g.start,
+                g.bytes,
+                g.eta_total,
+                csv(&mut g.tau.iter().copied()),
+                csv(&mut g.stored.iter().map(|&s| s as u64)),
+            ));
+            out.push_str(&map_line("TV", g.tau_v.as_ref()));
+            out.push_str(&map_line("EV", g.eta_v.as_ref()));
+        }
+        out
+    }
+
+    /// [`parse_aggregate_reply`] as it stood before the one-pass map
+    /// reader: split every map line into tokens and grow the map from
+    /// empty. The oracle the lean parser must agree with, error texts
+    /// included.
+    fn reference_parse_aggregate_reply(
+        header: &str,
+        body: &[String],
+    ) -> Result<(u64, Vec<GroupAggregate>), String> {
+        let field = |key: &str| -> Result<u64, String> {
+            reply_field(header, key)
+                .ok_or_else(|| format!("AGGREGATE header missing {key}="))?
+                .parse::<u64>()
+                .map_err(|_| format!("bad {key} in AGGREGATE header"))
+        };
+        let position = field("position")?;
+        let n_groups = field("groups")? as usize;
+        if body.len() != n_groups * 3 {
+            return Err(format!(
+                "AGGREGATE body has {} lines, expected {}",
+                body.len(),
+                n_groups * 3
+            ));
+        }
+        let parse_csv = |s: &str| -> Result<Vec<u64>, String> {
+            if s.is_empty() {
+                return Ok(Vec::new());
+            }
+            s.split(',')
+                .map(|t| t.parse::<u64>().map_err(|_| format!("bad counter {t:?}")))
+                .collect()
+        };
+        let parse_map = |line: &str, tag: &str| -> Result<Option<FxHashMap<NodeId, u64>>, String> {
+            let rest = line
+                .strip_prefix(tag)
+                .ok_or_else(|| format!("expected {tag} line, got {line:?}"))?;
+            let rest = rest.trim_start();
+            if rest == "none" {
+                return Ok(None);
+            }
+            let mut map = FxHashMap::default();
+            for tok in rest.split_ascii_whitespace() {
+                let (v, t) = tok
+                    .split_once(':')
+                    .ok_or_else(|| format!("bad {tag} entry {tok:?}"))?;
+                let v: NodeId = v.parse().map_err(|_| format!("bad node id {v:?}"))?;
+                let t: u64 = t.parse().map_err(|_| format!("bad count {t:?}"))?;
+                map.insert(v, t);
+            }
+            Ok(Some(map))
+        };
+        let mut groups = Vec::with_capacity(n_groups);
+        for chunk in body.chunks(3) {
+            let g = &chunk[0];
+            if !g.starts_with("G ") {
+                return Err(format!("expected G line, got {g:?}"));
+            }
+            let gfield = |key: &str| -> Result<u64, String> {
+                reply_field(g, key)
+                    .ok_or_else(|| format!("G line missing {key}="))?
+                    .parse::<u64>()
+                    .map_err(|_| format!("bad {key} in G line"))
+            };
+            let tau = parse_csv(reply_field(g, "tau").ok_or("G line missing tau=")?)?;
+            let stored = parse_csv(reply_field(g, "stored").ok_or("G line missing stored=")?)?;
+            if tau.len() != stored.len() {
+                return Err("tau and stored lengths differ".into());
+            }
+            groups.push(GroupAggregate {
+                start: gfield("start")? as usize,
+                tau,
+                stored: stored.into_iter().map(|s| s as usize).collect(),
+                bytes: gfield("bytes")? as usize,
+                eta_total: gfield("eta")?,
+                tau_v: parse_map(&chunk[1], "TV")?,
+                eta_v: parse_map(&chunk[2], "EV")?,
+            });
+        }
+        Ok((position, groups))
+    }
+
+    /// A counter: 0, `u64::MAX`, small or any.
+    fn arb_count(rng: &mut SplitMix64) -> u64 {
+        match rng.next_below(4) {
+            0 => 0,
+            1 => u64::MAX,
+            2 => rng.next_below(100),
+            _ => rng.next_u64(),
+        }
+    }
+
+    /// A node map: `None`, empty, or entries with node 0 and `u32::MAX`
+    /// among small and random ids.
+    fn arb_counter_map(rng: &mut SplitMix64) -> Option<FxHashMap<NodeId, u64>> {
+        let entries = match rng.next_below(4) {
+            0 => return None,
+            1 => 0,
+            _ => rng.next_below(12),
+        };
+        let mut map = FxHashMap::default();
+        for _ in 0..entries {
+            let v = match rng.next_below(4) {
+                0 => 0,
+                1 => NodeId::MAX,
+                2 => rng.next_below(50) as NodeId,
+                _ => rng.next_u64() as NodeId,
+            };
+            map.insert(v, arb_count(rng));
+        }
+        Some(map)
+    }
+
+    fn arb_aggregates(rng: &mut SplitMix64) -> Vec<GroupAggregate> {
+        (0..rng.next_below(4))
+            .map(|_| {
+                // 0 processors gives the empty `tau=`/`stored=` lists.
+                let size = rng.next_below(4);
+                GroupAggregate {
+                    start: arb_count(rng) as usize,
+                    tau: (0..size).map(|_| arb_count(rng)).collect(),
+                    stored: (0..size).map(|_| arb_count(rng) as usize).collect(),
+                    bytes: arb_count(rng) as usize,
+                    eta_total: arb_count(rng),
+                    tau_v: arb_counter_map(rng),
+                    eta_v: arb_counter_map(rng),
+                }
+            })
+            .collect()
+    }
+
+    /// Text spliced into a body line: signs, 20- and 21-digit counts, ids
+    /// past `u32::MAX`, ASCII separators (and `\x0B`, which is not one),
+    /// stray colons and `none`s, a non-ASCII digit.
+    const SPLICES: &[&str] = &[
+        "+5",
+        "-1",
+        "18446744073709551615",
+        "18446744073709551616",
+        "00000000000000000001",
+        "000000000000000000001",
+        "100000000000000000000",
+        "4294967295",
+        "4294967296",
+        "99999999999",
+        "0000000000",
+        " ",
+        "  ",
+        "\t",
+        "\r",
+        "\x0C",
+        "\x0B",
+        ":",
+        "none",
+        " none",
+        "\u{663}",
+        "\u{a0}",
+    ];
+
+    /// Whole `TV`/`EV` lines around `none` and the empty map.
+    const NONE_LINES: &[&str] = &[
+        " none",
+        "  none",
+        "none",
+        " none ",
+        " None",
+        "\tnone",
+        " none 1:2",
+        "",
+        " ",
+        "\x0Bnone",
+        "\u{a0}none",
+        "1:2",
+        " 1:2 ",
+    ];
+
+    /// A char boundary of `line` near byte `at`.
+    fn boundary(line: &str, mut at: usize) -> usize {
+        at = at.min(line.len());
+        while !line.is_char_boundary(at) {
+            at -= 1;
+        }
+        at
+    }
+
+    /// One mutation of a reply line, of the first `kinds` kinds (the
+    /// first two — truncation and a byte flip — also suit the header).
+    fn mutate_line(line: &mut String, rng: &mut SplitMix64, kinds: u64) {
+        let at = boundary(line, rng.next_below(line.len() as u64 + 1) as usize);
+        match rng.next_below(kinds) {
+            0 => line.truncate(at),
+            1 => {
+                // Flip one ASCII byte.
+                const BYTES: &[u8] = b"0123456789: \t\r\x0C\x0B+-x,=N";
+                if line.as_bytes().get(at).is_some_and(u8::is_ascii) {
+                    let b = BYTES[rng.next_below(BYTES.len() as u64) as usize];
+                    line.replace_range(at..at + 1, &char::from(b).to_string());
+                }
+            }
+            2 => line.insert_str(at, SPLICES[rng.next_below(SPLICES.len() as u64) as usize]),
+            3 => {
+                // Replace the id or the count of one entry.
+                if let Some(colon) = line
+                    .match_indices(':')
+                    .map(|(i, _)| i)
+                    .nth(rng.next_below(4) as usize)
+                {
+                    let splice = SPLICES[rng.next_below(11) as usize];
+                    let (from, to) = if rng.next_below(2) == 0 {
+                        let from = line[..colon].rfind(' ').map_or(0, |s| s + 1);
+                        (from, colon)
+                    } else {
+                        let to = line[colon..].find(' ').map_or(line.len(), |s| colon + s);
+                        (colon + 1, to)
+                    };
+                    line.replace_range(from..to, splice);
+                }
+            }
+            4 => {
+                // Drop a colon.
+                if let Some(colon) = line[at..].find(':') {
+                    line.remove(at + colon);
+                }
+            }
+            5 => {
+                // Another separator in place of a space.
+                const SEPARATORS: &[&str] = &["\t", "\r", "\x0C", "\x0B", "  ", "\t\r"];
+                if let Some(space) = line[at..].find(' ') {
+                    let sep = SEPARATORS[rng.next_below(SEPARATORS.len() as u64) as usize];
+                    line.replace_range(at + space..at + space + 1, sep);
+                }
+            }
+            _ => {
+                let tag = if line.starts_with("EV") { "EV" } else { "TV" };
+                *line = format!(
+                    "{tag}{}",
+                    NONE_LINES[rng.next_below(NONE_LINES.len() as u64) as usize]
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1500))]
+
+        #[test]
+        fn lean_aggregate_codec_equals_the_reference(seed in proptest::prelude::any::<u64>()) {
+            let mut rng = SplitMix64::new(seed);
+            let groups = arb_aggregates(&mut rng);
+            let position = arb_count(&mut rng);
+            let reply = format_aggregate(position, &groups);
+            proptest::prop_assert_eq!(&reply, &reference_format_aggregate(position, &groups));
+            let mut lines = reply.split('\n').map(str::to_string);
+            let header = lines.next().expect("header line");
+            let body: Vec<String> = lines.collect();
+            proptest::prop_assert_eq!(
+                parse_aggregate_reply(&header, &body),
+                Ok((position, groups.clone()))
+            );
+            for _ in 0..12 {
+                let mut header = header.clone();
+                let mut body = body.clone();
+                for _ in 0..=rng.next_below(3) {
+                    let lines = body.len();
+                    let pick = rng.next_below(lines as u64 + 2) as usize;
+                    match body.get_mut(pick) {
+                        Some(line) => mutate_line(line, &mut rng, 7),
+                        // No splices into the header: a long `groups=`
+                        // would overflow the reference's `× 3`.
+                        None if pick == lines => mutate_line(&mut header, &mut rng, 2),
+                        None => {
+                            if body.pop().is_none() {
+                                body.push("TV none".into());
+                            }
+                        }
+                    }
+                }
+                proptest::prop_assert_eq!(
+                    parse_aggregate_reply(&header, &body),
+                    reference_parse_aggregate_reply(&header, &body),
+                    "header {:?} body {:?}",
+                    header,
+                    body
+                );
+            }
+        }
     }
 
     /// The `INGEST` arm as it stood before the one-pass scanner: split

@@ -88,9 +88,17 @@ impl Snapshot {
         let confidence95 = (eta_free || est.eta_hat.is_some()).then(|| {
             plugin_confidence_interval(est.global, est.eta_hat.unwrap_or(0.0), cfg.m, cfg.c, 1.96)
         });
+        // Select the k largest, then sort only those: O(n + k log k)
+        // rather than a sort of every local on every publication.
+        let order = |a: &(NodeId, f64), b: &(NodeId, f64)| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0));
         let mut top_k: Vec<(NodeId, f64)> = est.locals.iter().map(|(&v, &t)| (v, t)).collect();
-        top_k.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        top_k.truncate(k);
+        if k == 0 {
+            top_k.clear();
+        } else if k < top_k.len() {
+            top_k.select_nth_unstable_by(k - 1, order);
+            top_k.truncate(k);
+        }
+        top_k.sort_unstable_by(order);
         Self {
             position,
             seq,
@@ -223,6 +231,38 @@ mod tests {
             assert_eq!(snap.local(v), t);
         }
         assert_eq!(snap.local(999), 0.0);
+    }
+
+    /// The top-k index as a full sort of every local built it.
+    fn reference_top_k(locals: &FxHashMap<NodeId, f64>, k: usize) -> Vec<(NodeId, u64)> {
+        let mut all: Vec<(NodeId, f64)> = locals.iter().map(|(&v, &t)| (v, t)).collect();
+        all.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        all.truncate(k);
+        all.into_iter().map(|(v, t)| (v, t.to_bits())).collect()
+    }
+
+    /// Local values drawn from a few, so ties break by node id; zeros of
+    /// both signs and a NaN pin the total order at its edges.
+    const VALUES: [f64; 8] = [0.0, -0.0, 0.5, 1.0, 1.0, 2.5, 1e12, f64::NAN];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(400))]
+
+        #[test]
+        fn top_k_selection_equals_the_full_sort(
+            locals in proptest::collection::vec((0..400u32, 0..8usize), 0..300),
+            pick in 0..5usize,
+        ) {
+            let cfg = ReptConfig::new(2, 2).with_seed(1);
+            let mut est = Rept::new(cfg).run(Engine::PerWorker, &[]);
+            est.locals = locals.iter().map(|&(v, t)| (v, VALUES[t])).collect();
+            let len = est.locals.len();
+            let k = [0, 1, len.saturating_sub(1), len, len + 3][pick];
+            let snap = Snapshot::from_estimate(&est, &cfg, Engine::PerWorker, 0, 0, 0, k);
+            let got: Vec<(NodeId, u64)> =
+                snap.top_k.iter().map(|&(v, t)| (v, t.to_bits())).collect();
+            proptest::prop_assert_eq!(got, reference_top_k(&est.locals, k), "k = {}", k);
+        }
     }
 
     #[test]

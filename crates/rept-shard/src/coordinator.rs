@@ -32,6 +32,7 @@ use std::sync::Arc;
 
 use rept_core::{Engine, GroupAggregate, Rept, ReptConfig};
 use rept_graph::edge::Edge;
+use rept_serve::client::INGEST_CHUNK;
 use rept_serve::snapshot::Snapshot;
 use rept_serve::{Client, ServeCore};
 
@@ -62,16 +63,19 @@ impl ShardLink {
     }
 
     /// Sends a batch of edges to the shard (blocking, with the link's
-    /// backpressure semantics).
+    /// backpressure semantics), one [`INGEST_CHUNK`]-edge line at a
+    /// time: the two halves the coordinator overlaps across shards, back
+    /// to back.
     ///
     /// # Errors
     ///
     /// A description of the refusal or transport failure.
     pub fn ingest(&mut self, edges: &[Edge]) -> Result<(), String> {
-        match self {
-            Self::Local(core) => core.ingest(edges.to_vec()).map_err(|e| e.to_string()),
-            Self::Tcp(client) => client.ingest(edges).map(|_| ()).map_err(|e| e.to_string()),
+        for line in edges.chunks(INGEST_CHUNK) {
+            let sent = self.start_ingest(line);
+            self.finish_ingest(line, sent)?;
         }
+        Ok(())
     }
 
     /// Barrier + aggregate exchange: applies everything queued on the
@@ -81,9 +85,45 @@ impl ShardLink {
     ///
     /// A description of the failure.
     pub fn aggregates(&mut self) -> Result<(u64, Vec<GroupAggregate>), String> {
+        let sent = self.start_aggregates();
+        self.finish_aggregates(sent)
+    }
+
+    /// The first half of ingesting one line: a TCP link writes it and
+    /// returns the write's outcome; a local link waits for the second
+    /// half.
+    fn start_ingest(&mut self, line: &[Edge]) -> std::io::Result<()> {
+        match self {
+            Self::Local(_) => Ok(()),
+            Self::Tcp(client) => client.start_ingest(line),
+        }
+    }
+
+    /// The second half: the shard's verdict on `line`, whose first half
+    /// returned `sent`. A local link makes its whole call here.
+    fn finish_ingest(&mut self, line: &[Edge], sent: std::io::Result<()>) -> Result<(), String> {
+        match self {
+            Self::Local(core) => core.ingest(line.to_vec()).map_err(|e| e.to_string()),
+            Self::Tcp(client) => client.finish(sent).map(drop).map_err(|e| e.to_string()),
+        }
+    }
+
+    /// The first half of an `AGGREGATE` exchange.
+    fn start_aggregates(&mut self) -> std::io::Result<()> {
+        match self {
+            Self::Local(_) => Ok(()),
+            Self::Tcp(client) => client.start_request("AGGREGATE"),
+        }
+    }
+
+    /// The second half: the shard's position and counters.
+    fn finish_aggregates(
+        &mut self,
+        sent: std::io::Result<()>,
+    ) -> Result<(u64, Vec<GroupAggregate>), String> {
         match self {
             Self::Local(core) => core.aggregates(),
-            Self::Tcp(client) => client.aggregates().map_err(|e| e.to_string()),
+            Self::Tcp(client) => client.finish_aggregates(sent).map_err(|e| e.to_string()),
         }
     }
 
@@ -391,8 +431,10 @@ impl ShardCoordinator {
 
     /// Fans a batch to every live shard and advances the publication
     /// cadence — the same `snapshot_every` arithmetic as a standalone
-    /// core's ingest loop, so `seq=` counters stay identical. A shard
-    /// that refuses the batch is marked dead (degradation, not outage);
+    /// core's ingest loop, so `seq=` counters stay identical. The batch
+    /// goes out in [`INGEST_CHUNK`]-edge lines, each started on every
+    /// live shard before any shard's reply is read. A shard that refuses
+    /// a line is marked dead (degradation, not outage);
     /// batches are buffered for its revival from the moment any shard
     /// is down. Returns the number of edges accepted.
     ///
@@ -415,19 +457,34 @@ impl ShardCoordinator {
         if buffered {
             self.replay.push((start, edges.clone()));
         }
-        for (i, shard) in self.shards.iter_mut().enumerate() {
-            if !shard.alive {
-                continue;
-            }
-            if let Err(e) = shard.link.ingest(&edges) {
-                // The shard may have applied a prefix of the batch; its
-                // own journal knows exactly how much. Buffer from this
-                // batch on so a revival can replay the difference.
-                shard.alive = false;
-                eprintln!("rept-shard: shard {i} refused ingest ({e}); marked dead");
-                if !buffered {
-                    self.replay.push((start, edges.clone()));
-                    buffered = true;
+        let mut sent = Vec::with_capacity(self.shards.len());
+        for line in edges.chunks(INGEST_CHUNK) {
+            // Every live shard gets the line before any reply is read, so
+            // a line costs the slowest shard's ack, not the sum of them.
+            // Each shard still has one request in flight at a time, so a
+            // retried ERR BUSY cannot reorder its stream.
+            sent.clear();
+            sent.extend(
+                self.shards
+                    .iter_mut()
+                    .map(|s| s.alive.then(|| s.link.start_ingest(line))),
+            );
+            for (i, (shard, sent)) in self.shards.iter_mut().zip(sent.drain(..)).enumerate() {
+                let Some(sent) = sent else {
+                    continue;
+                };
+                if let Err(e) = shard.link.finish_ingest(line, sent) {
+                    // The shard may have applied a prefix of the batch;
+                    // its own journal knows exactly how much. Buffer from
+                    // this batch on so a revival can replay the
+                    // difference. The other shards' replies are still
+                    // read, so their connections stay in step.
+                    shard.alive = false;
+                    eprintln!("rept-shard: shard {i} refused ingest ({e}); marked dead");
+                    if !buffered {
+                        self.replay.push((start, edges.clone()));
+                        buffered = true;
+                    }
                 }
             }
         }
@@ -570,17 +627,24 @@ impl ShardCoordinator {
     }
 
     /// Collects the aggregate exchange from every live shard, in layout
-    /// order. A shard that fails mid-collection is marked dead and
-    /// skipped — degradation, not outage.
+    /// order, with the `AGGREGATE` in flight on every shard at once. A
+    /// shard that fails mid-collection is marked dead and skipped —
+    /// degradation, not outage.
     fn collect(&mut self) -> Result<Vec<GroupAggregate>, String> {
         let expect = self.position;
         let mut all: Vec<GroupAggregate> = Vec::new();
         let mut any = false;
-        for (i, shard) in self.shards.iter_mut().enumerate() {
-            if !shard.alive {
+        // Every shard encodes its reply while the others do theirs.
+        let sent: Vec<_> = self
+            .shards
+            .iter_mut()
+            .map(|s| s.alive.then(|| s.link.start_aggregates()))
+            .collect();
+        for (i, (shard, sent)) in self.shards.iter_mut().zip(sent).enumerate() {
+            let Some(sent) = sent else {
                 continue;
-            }
-            match shard.link.aggregates() {
+            };
+            match shard.link.finish_aggregates(sent) {
                 Ok((pos, aggregates)) if pos == expect => {
                     all.extend(aggregates);
                     any = true;

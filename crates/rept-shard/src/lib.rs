@@ -14,7 +14,9 @@
 //! * [`coordinator::ShardCoordinator`] — owns N [`coordinator::ShardLink`]s
 //!   (in-process [`rept_serve::ServeCore`] handles or TCP
 //!   [`rept_serve::Client`]s — both speak the same protocol), fans
-//!   ingest batches to all of them, replicates the standalone core's
+//!   ingest batches to all of them (each 256-edge line in flight on
+//!   every shard at once, one request per shard), replicates the
+//!   standalone core's
 //!   snapshot cadence so `seq=`/`checkpoints=` counters match, and
 //!   orchestrates cluster-wide checkpoints (the counter advances only
 //!   when *every* shard's slice is durable).

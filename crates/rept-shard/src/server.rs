@@ -17,9 +17,12 @@
 //! durability/observability introspection (`JOURNAL STATS`,
 //! `DLQ REPLAY`, `TRACE TAIL`) because that state lives on the shards —
 //! ask a shard server directly. `METRICS` *is* distributed: the reply
-//! concatenates every live shard's exposition body under `# shard=<i>`
-//! comment markers.
+//! is one valid exposition of every live shard's series — each family's
+//! `# TYPE` line once, followed by every shard's samples of it with a
+//! `shard="<i>"` label added.
 
+use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -144,13 +147,8 @@ fn execute(line: &str, coordinator: &Mutex<ShardCoordinator>) -> (String, bool) 
              run one cluster per tenant"
         ),
         Ok(Command::Metrics | Command::MetricsAll) => {
-            let mut body = String::new();
-            for (shard, exposition) in lock(coordinator).metrics_bodies() {
-                body.push_str(&format!("# shard={shard}\n"));
-                body.push_str(&exposition);
-                body.push('\n');
-            }
-            protocol::format_metrics(body.trim_end_matches('\n'))
+            let bodies = lock(coordinator).metrics_bodies();
+            protocol::format_metrics(&merge_expositions(&bodies))
         }
         Ok(Command::TenantCreate(..) | Command::TenantList | Command::TenantDrop(_)) => {
             "ERR tenancy is not distributed: the coordinator is single-tenant; \
@@ -175,4 +173,83 @@ fn execute(line: &str, coordinator: &Mutex<ShardCoordinator>) -> (String, bool) 
         Err(e) => format!("ERR {e}"),
     };
     (reply, false)
+}
+
+/// Joins the shards' exposition bodies, keyed by shard index, into one
+/// valid exposition: each family's `# TYPE` line once (families in the
+/// order first met), followed by every shard's samples of that family
+/// with `shard="<i>"` as their first label. Other comment lines are
+/// dropped; samples met before any `# TYPE` keep their untyped place at
+/// the top.
+fn merge_expositions(bodies: &[(usize, String)]) -> String {
+    // (the family's `# TYPE` line, its relabelled samples)
+    let mut families: Vec<(&str, String)> = vec![("", String::new())];
+    let mut index: HashMap<&str, usize> = HashMap::new();
+    for (shard, body) in bodies {
+        let mut family = 0;
+        for line in body.lines() {
+            if let Some(typed) = line.strip_prefix("# TYPE ") {
+                let name = typed.split(' ').next().unwrap_or(typed);
+                family = *index.entry(name).or_insert_with(|| {
+                    families.push((line, String::new()));
+                    families.len() - 1
+                });
+            } else if !line.starts_with('#') && !line.is_empty() {
+                let samples = &mut families[family].1;
+                let name_end = line.find(['{', ' ']).unwrap_or(line.len());
+                let (name, rest) = line.split_at(name_end);
+                samples.push_str(name);
+                let _ = match rest.strip_prefix('{') {
+                    Some(labels) => writeln!(samples, "{{shard=\"{shard}\",{labels}"),
+                    None => writeln!(samples, "{{shard=\"{shard}\"}}{rest}"),
+                };
+            }
+        }
+    }
+    let mut out = String::new();
+    for (typed, samples) in &families {
+        if !typed.is_empty() {
+            out.push_str(typed);
+            out.push('\n');
+        }
+        out.push_str(samples);
+    }
+    out.truncate(out.trim_end_matches('\n').len());
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn merged_exposition_types_each_family_once_and_labels_every_shard() {
+        let shard = |ingested: u64, p50: u64| {
+            format!(
+                "# TYPE rept_ingest_edges_total counter\n\
+                 rept_ingest_edges_total{{tenant=\"default\"}} {ingested}\n\
+                 # TYPE rept_apply_micros summary\n\
+                 rept_apply_micros{{tenant=\"default\",quantile=\"0.5\"}} {p50}\n\
+                 rept_apply_micros_count{{tenant=\"default\"}} 3"
+            )
+        };
+        let merged = merge_expositions(&[(0, shard(10, 64)), (2, shard(10, 32))]);
+        assert_eq!(
+            merged,
+            "# TYPE rept_ingest_edges_total counter\n\
+             rept_ingest_edges_total{shard=\"0\",tenant=\"default\"} 10\n\
+             rept_ingest_edges_total{shard=\"2\",tenant=\"default\"} 10\n\
+             # TYPE rept_apply_micros summary\n\
+             rept_apply_micros{shard=\"0\",tenant=\"default\",quantile=\"0.5\"} 64\n\
+             rept_apply_micros_count{shard=\"0\",tenant=\"default\"} 3\n\
+             rept_apply_micros{shard=\"2\",tenant=\"default\",quantile=\"0.5\"} 32\n\
+             rept_apply_micros_count{shard=\"2\",tenant=\"default\"} 3"
+        );
+        // An unlabelled sample gains a label set; no body, no lines.
+        assert_eq!(
+            merge_expositions(&[(1, "# TYPE up gauge\nup 1".into())]),
+            "# TYPE up gauge\nup{shard=\"1\"} 1"
+        );
+        assert_eq!(merge_expositions(&[]), "");
+    }
 }

@@ -2,19 +2,22 @@
 //! required series per tenant, `METRICS *` aggregates correctly into
 //! `tenant="_all"` rows, `TRACE TAIL` drains slow-op events over the
 //! wire, grammar errors come back as `ERR` lines, scraping never blocks
-//! ingest, and histogram merging is exactly equivalent to recording
-//! into a single histogram.
+//! ingest, every scrape (a shard coordinator's included) is a valid
+//! Prometheus exposition, and histogram merging is exactly equivalent
+//! to recording into a single histogram.
 
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use rept::core::ReptConfig;
+use rept::core::{GroupSlice, ReptConfig};
 use rept::graph::edge::Edge;
 use rept::metrics::registry::Histogram;
 use rept::serve::{Client, RouterConfig, ServeConfig, Server};
+use rept::shard::{CoordinatorConfig, CoordinatorServer, ShardCoordinator, ShardLink};
 
 /// A per-test unique scratch directory.
 fn unique_root(tag: &str) -> std::path::PathBuf {
@@ -30,6 +33,130 @@ fn sample(text: &str, name: &str, tenant: &str) -> Option<u64> {
     text.lines()
         .find_map(|l| l.strip_prefix(&prefix))
         .map(|v| v.parse().expect("integer sample"))
+}
+
+/// A small Prometheus text-exposition checker: every `# TYPE` line
+/// names a new family, every sample follows its own family's `# TYPE`
+/// (a summary's `_sum`/`_count` included) with no other family in
+/// between, no name plus label set repeats, and every value parses.
+fn check_exposition(text: &str) -> Result<(), String> {
+    let mut families = HashSet::new();
+    let mut series = HashSet::new();
+    let mut current: Option<&str> = None;
+    for line in text.lines() {
+        if let Some(typed) = line.strip_prefix("# TYPE ") {
+            let name = typed.split(' ').next().unwrap_or(typed);
+            if !families.insert(name) {
+                return Err(format!("repeated # TYPE for {name}"));
+            }
+            current = Some(name);
+            continue;
+        }
+        if line.starts_with('#') {
+            continue;
+        }
+        let (key, value) = line
+            .rsplit_once(' ')
+            .ok_or_else(|| format!("sample without a value: {line:?}"))?;
+        value
+            .parse::<f64>()
+            .map_err(|_| format!("bad value in {line:?}"))?;
+        let (name, labels) = key.split_once('{').unwrap_or((key, "}"));
+        let family = [
+            name,
+            name.strip_suffix("_sum").unwrap_or(name),
+            name.strip_suffix("_count").unwrap_or(name),
+        ];
+        if !current.is_some_and(|c| family.contains(&c)) {
+            return Err(format!("sample {line:?} outside its family's # TYPE block"));
+        }
+        let mut label_set: Vec<&str> = labels
+            .strip_suffix('}')
+            .ok_or_else(|| format!("unclosed labels in {line:?}"))?
+            .split(',')
+            .filter(|l| !l.is_empty())
+            .collect();
+        label_set.sort_unstable();
+        if !series.insert((name.to_string(), label_set.join(","))) {
+            return Err(format!("repeated series {key}"));
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn exposition_checker_rejects_what_prometheus_would() {
+    let ok = "# TYPE a counter\na{x=\"1\"} 1\na{x=\"2\"} 2\n# TYPE b summary\nb{q=\"1\"} 3\nb_sum 4\nb_count 1";
+    assert_eq!(check_exposition(ok), Ok(()));
+    for bad in [
+        // Two shard bodies joined under comments: the old coordinator scrape.
+        "# shard=0\n# TYPE a counter\na{t=\"d\"} 1\n# shard=1\n# TYPE a counter\na{t=\"d\"} 1",
+        "# TYPE a counter\na{t=\"d\"} 1\na{t=\"d\"} 2",
+        "# TYPE a counter\na{x=\"1\",y=\"2\"} 1\na{y=\"2\",x=\"1\"} 2",
+        "a 1\n# TYPE a counter",
+        "# TYPE a counter\n# TYPE b counter\na 1",
+        "# TYPE a counter\na x",
+    ] {
+        assert!(check_exposition(bad).is_err(), "{bad:?} must be rejected");
+    }
+}
+
+/// `METRICS` from a standalone server, `METRICS *` from a two-tenant
+/// router and `METRICS` from a 3-shard coordinator are all valid
+/// expositions; the coordinator's carries every shard's samples under a
+/// `shard` label.
+#[test]
+fn every_scrape_is_a_valid_exposition() {
+    let root = unique_root("valid");
+    let base = ServeConfig::new(ReptConfig::new(2, 2).with_seed(23)).with_snapshot_every(1);
+    let server = Server::start_router(
+        RouterConfig::new(base).with_root_dir(root.clone()),
+        "127.0.0.1:0",
+        1,
+    )
+    .expect("bind");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let triangle = [Edge::new(0, 1), Edge::new(1, 2), Edge::new(0, 2)];
+    client.ingest(&triangle).expect("ingest");
+    client.query_global().expect("query");
+    check_exposition(&client.metrics().expect("scrape")).expect("standalone METRICS");
+    client.tenant_create("alpha", "").expect("create");
+    check_exposition(&client.metrics_all().expect("scrape all")).expect("METRICS *");
+    drop(client);
+    server.shutdown();
+    std::fs::remove_dir_all(&root).ok();
+
+    let cfg = ReptConfig::new(2, 6).with_seed(29); // 3 hash groups
+    let shards: Vec<Server> = (0..3)
+        .map(|i| {
+            let sc = ServeConfig::new(cfg).with_group_slice(GroupSlice::new(i, 3));
+            Server::start(sc, "127.0.0.1:0", 1).expect("shard server")
+        })
+        .collect();
+    let links = shards
+        .iter()
+        .map(|s| ShardLink::connect(s.local_addr()).expect("link"))
+        .collect();
+    let coordinator =
+        ShardCoordinator::start(CoordinatorConfig::new(cfg), links).expect("coordinator");
+    let front = CoordinatorServer::start(coordinator, "127.0.0.1:0", 1).expect("front end");
+    let mut client = Client::connect(front.local_addr()).expect("connect");
+    client.ingest(&triangle).expect("ingest");
+    client.flush().expect("flush");
+    for text in [client.metrics(), client.metrics_all()] {
+        let text = text.expect("coordinator scrape");
+        check_exposition(&text).expect("coordinator METRICS");
+        for shard in 0..3 {
+            let edges =
+                format!("rept_ingest_edges_total{{shard=\"{shard}\",tenant=\"default\"}} 3");
+            assert!(text.contains(&edges), "shard {shard} missing:\n{text}");
+        }
+    }
+    drop(client);
+    front.shutdown();
+    for shard in shards {
+        shard.shutdown();
+    }
 }
 
 #[test]

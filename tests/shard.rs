@@ -6,18 +6,23 @@
 //! all-shard journal-replay resume. Plus the degradation contract: a
 //! killed shard turns `HEALTH` into `state=degraded shards=<k>/<n>`
 //! while queries keep answering from the survivors, and a revived
-//! shard replays the buffered tail and restores bit-identicality.
+//! shard replays the buffered tail and restores bit-identicality. The
+//! concurrent exchange is pinned over TCP too: multi-line batches over
+//! real shard servers, and scripted shards that answer `ERR BUSY` or
+//! close their connection while the other shard's line is in flight.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rept::core::{Engine, GroupSlice, ReptConfig};
 use rept::graph::edge::Edge;
+use rept::serve::client::INGEST_CHUNK;
 use rept::serve::protocol;
 use rept::serve::{LiveStats, ServeConfig, ServeCore, Server, Snapshot};
 use rept::shard::{
@@ -31,7 +36,15 @@ const SHARD_COUNTS: [u32; 4] = [1, 2, 3, 5];
 /// Strategy: a raw stream that KEEPS duplicate edges (only self-loops
 /// are dropped) — duplicate handling must shard exactly too.
 fn arb_stream_with_dups(n: u32, max_edges: usize) -> impl Strategy<Value = Vec<Edge>> {
-    vec((0..n, 0..n), 1..max_edges).prop_map(|pairs| {
+    arb_long_stream_with_dups(n, 1..max_edges)
+}
+
+/// [`arb_stream_with_dups`] with a floor on the length too.
+fn arb_long_stream_with_dups(
+    n: u32,
+    len: std::ops::Range<usize>,
+) -> impl Strategy<Value = Vec<Edge>> {
+    vec((0..n, 0..n), len).prop_map(|pairs| {
         pairs
             .into_iter()
             .filter_map(|(u, v)| Edge::try_new(u, v))
@@ -171,15 +184,133 @@ fn stats_reply(snap: &Snapshot) -> String {
 
 const QUERY_NODES: [u32; 4] = [0, 3, 7, 23];
 
+/// How the coordinator reaches its shards in an equivalence run.
+#[derive(Debug, Clone, Copy)]
+enum Links {
+    /// In-process `ServeCore` handles.
+    Local,
+    /// TCP shard servers.
+    Tcp,
+}
+
+/// The tentpole equivalence for one stream: for every engine and shard
+/// count, a cluster fed the same batches as a standalone core produces
+/// byte-identical `QUERY GLOBAL` / `QUERY LOCAL` / `TOPK` replies,
+/// byte-identical canonicalized `STATS` (including the `seq=` cadence
+/// counter — the coordinator replicates the standalone publication
+/// arithmetic), and the same merged raw aggregates.
+fn assert_cluster_matches_standalone(
+    stream: &[Edge],
+    cfg: ReptConfig,
+    batch: usize,
+    every: u64,
+    links: Links,
+) -> Result<(), TestCaseError> {
+    for engine in Engine::all() {
+        let standalone = ServeCore::start(
+            ServeConfig::new(cfg)
+                .with_engine(engine)
+                .with_snapshot_every(every),
+        )
+        .expect("standalone");
+        for chunk in stream.chunks(batch) {
+            standalone.ingest(chunk.to_vec()).expect("ingest");
+        }
+        standalone.flush();
+        let want_snap = standalone.snapshot();
+        let want = query_replies(&want_snap, &QUERY_NODES);
+        let want_stats = canonical_stats(&stats_reply(&want_snap), false);
+        let (want_pos, want_aggs) = standalone.aggregates().expect("aggregates");
+        standalone.shutdown();
+
+        for &shards in &SHARD_COUNTS {
+            let cores = sliced_cores(cfg, engine, shards, every, None);
+            let mut servers = Vec::new();
+            let mut coord = match links {
+                Links::Local => coordinator_over(&cores, cfg, engine, every),
+                Links::Tcp => {
+                    servers = sliced_servers(cfg, engine, shards, every);
+                    let links = servers
+                        .iter()
+                        .map(|s| ShardLink::connect(s.local_addr()).expect("link"))
+                        .collect();
+                    let ccfg = CoordinatorConfig::new(cfg)
+                        .with_engine(engine)
+                        .with_snapshot_every(every);
+                    ShardCoordinator::start(ccfg, links).expect("coordinator")
+                }
+            };
+            for chunk in stream.chunks(batch) {
+                coord.ingest(chunk.to_vec()).expect("ingest");
+            }
+            prop_assert_eq!(coord.flush(), stream.len() as u64);
+            prop_assert_eq!(coord.alive_count(), shards as usize);
+            let snap = coord.snapshot();
+            prop_assert_eq!(
+                &query_replies(&snap, &QUERY_NODES),
+                &want,
+                "engine {} shards {} {:?}",
+                engine.name(),
+                shards,
+                links
+            );
+            prop_assert_eq!(
+                canonical_stats(&stats_reply(&snap), false),
+                want_stats.clone(),
+                "engine {} shards {} {:?}",
+                engine.name(),
+                shards,
+                links
+            );
+            // The merged aggregate exchange equals the standalone one
+            // field-for-field (bytes excluded: physical layout).
+            let (pos, aggs) = coord.aggregates().expect("merged aggregates");
+            prop_assert_eq!(pos, want_pos);
+            prop_assert_eq!(aggs.len(), want_aggs.len());
+            for (got, want) in aggs.iter().zip(&want_aggs) {
+                prop_assert_eq!(got.start, want.start);
+                prop_assert_eq!(&got.tau, &want.tau);
+                prop_assert_eq!(&got.stored, &want.stored);
+                prop_assert_eq!(got.eta_total, want.eta_total);
+                prop_assert_eq!(&got.tau_v, &want.tau_v);
+                prop_assert_eq!(&got.eta_v, &want.eta_v);
+            }
+            drop(coord);
+            for server in servers {
+                server.shutdown();
+            }
+        }
+    }
+    Ok(())
+}
+
+/// One sliced shard server per shard, round-robin over the groups.
+fn sliced_servers(cfg: ReptConfig, engine: Engine, shards: u32, every: u64) -> Vec<Server> {
+    (0..shards)
+        .map(|i| {
+            let sc = ServeConfig::new(cfg)
+                .with_engine(engine)
+                .with_snapshot_every(every)
+                .with_group_slice(GroupSlice::new(i, shards));
+            Server::start(sc, "127.0.0.1:0", 1).expect("shard server")
+        })
+        .collect()
+}
+
+/// A layout with ≥ 5 hash groups, so every shard count in
+/// `SHARD_COUNTS` has work; `rem_sel` adds a remainder group (the
+/// c₂ = c mod m layout).
+fn equivalence_config(m: u64, rem_sel: u64, seed: u64) -> ReptConfig {
+    ReptConfig::new(m, m * 5 + (rem_sel % m))
+        .with_seed(seed)
+        .with_eta(true)
+        .with_locals(true)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The tentpole equivalence: for every engine and shard count, a
-    /// cluster fed the same batches as a standalone core produces
-    /// byte-identical `QUERY GLOBAL` / `QUERY LOCAL` / `TOPK` replies,
-    /// byte-identical canonicalized `STATS` (including the `seq=`
-    /// cadence counter — the coordinator replicates the standalone
-    /// publication arithmetic), and the same merged raw aggregates.
+    /// The equivalence over in-process shards with small batches.
     #[test]
     fn coordinator_replies_are_byte_identical_to_standalone(
         stream in arb_stream_with_dups(24, 100),
@@ -188,66 +319,31 @@ proptest! {
         seed in any::<u64>(),
         batch_sel in any::<u64>(),
     ) {
-        // ≥ 5 hash groups so every shard count in SHARD_COUNTS has work;
-        // rem > 0 adds a remainder group (the c₂ = c mod m layout).
-        let c = m * 5 + (rem_sel % m);
-        let cfg = ReptConfig::new(m, c)
-            .with_seed(seed)
-            .with_eta(true)
-            .with_locals(true);
+        let cfg = equivalence_config(m, rem_sel, seed);
         let batch = 1 + (batch_sel % 23) as usize;
-        let every = 16u64;
+        assert_cluster_matches_standalone(&stream, cfg, batch, 16, Links::Local)?;
+    }
+}
 
-        for engine in Engine::all() {
-            let standalone =
-                ServeCore::start(ServeConfig::new(cfg).with_engine(engine).with_snapshot_every(every))
-                    .expect("standalone");
-            for chunk in stream.chunks(batch) {
-                standalone.ingest(chunk.to_vec()).expect("ingest");
-            }
-            standalone.flush();
-            let want_snap = standalone.snapshot();
-            let want = query_replies(&want_snap, &QUERY_NODES);
-            let want_stats = canonical_stats(&stats_reply(&want_snap), false);
-            let (want_pos, want_aggs) = standalone.aggregates().expect("aggregates");
-            standalone.shutdown();
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
 
-            for &shards in &SHARD_COUNTS {
-                let cores = sliced_cores(cfg, engine, shards, every, None);
-                let mut coord = coordinator_over(&cores, cfg, engine, every);
-                for chunk in stream.chunks(batch) {
-                    coord.ingest(chunk.to_vec()).expect("ingest");
-                }
-                prop_assert_eq!(coord.flush(), stream.len() as u64);
-                let snap = coord.snapshot();
-                prop_assert_eq!(
-                    &query_replies(&snap, &QUERY_NODES),
-                    &want,
-                    "engine {} shards {}",
-                    engine.name(),
-                    shards
-                );
-                prop_assert_eq!(
-                    canonical_stats(&stats_reply(&snap), false),
-                    want_stats.clone(),
-                    "engine {} shards {}",
-                    engine.name(),
-                    shards
-                );
-                // The merged aggregate exchange equals the standalone
-                // one field-for-field (bytes excluded: physical layout).
-                let (pos, aggs) = coord.aggregates().expect("merged aggregates");
-                prop_assert_eq!(pos, want_pos);
-                prop_assert_eq!(aggs.len(), want_aggs.len());
-                for (got, want) in aggs.iter().zip(&want_aggs) {
-                    prop_assert_eq!(got.start, want.start);
-                    prop_assert_eq!(&got.tau, &want.tau);
-                    prop_assert_eq!(&got.stored, &want.stored);
-                    prop_assert_eq!(got.eta_total, want.eta_total);
-                    prop_assert_eq!(&got.tau_v, &want.tau_v);
-                    prop_assert_eq!(&got.eta_v, &want.eta_v);
-                }
-            }
+    /// The equivalence over TCP shard servers as well as in-process
+    /// ones, with batches of up to 700 edges: the coordinator cuts a
+    /// batch into 256-edge lines and has each line in flight on every
+    /// shard at once.
+    #[test]
+    fn multi_line_batches_over_tcp_shards_are_byte_identical_to_standalone(
+        stream in arb_long_stream_with_dups(40, 300..900),
+        m in 2u64..4,
+        rem_sel in 0u64..4,
+        seed in any::<u64>(),
+        batch_sel in 0usize..700,
+    ) {
+        let cfg = equivalence_config(m, rem_sel, seed);
+        let batch = 1 + batch_sel.max(200);
+        for links in [Links::Tcp, Links::Local] {
+            assert_cluster_matches_standalone(&stream, cfg, batch, 64, links)?;
         }
     }
 }
@@ -577,6 +673,310 @@ fn tcp_front_end_is_indistinguishable_from_a_standalone_server() {
     assert_eq!(coord.position(), stream.len() as u64);
     standalone.shutdown();
     for server in shard_servers {
+        server.shutdown();
+    }
+}
+
+/// What a scripted shard does with one request line.
+enum Act {
+    /// Relay the line to the real shard server and its reply back.
+    Forward,
+    /// Answer `ERR BUSY` without relaying (the line is not applied).
+    Busy,
+    /// Close the connection without a reply.
+    Close,
+}
+
+/// A scripted shard: accepts one connection and relays each request
+/// line, and its reply block, to a real shard server at `target`,
+/// except where `script` says otherwise. Signals `closed` once it has
+/// closed the connection. Returns every line it received.
+fn scripted_shard(
+    target: std::net::SocketAddr,
+    mut script: impl FnMut(&str) -> Act + Send + 'static,
+    closed: Option<mpsc::Sender<()>>,
+) -> (std::net::SocketAddr, std::thread::JoinHandle<Vec<String>>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let relay = std::thread::spawn(move || {
+        let (conn, _) = listener.accept().expect("accept");
+        let mut down = conn.try_clone().expect("clone");
+        let mut from_coordinator = BufReader::new(conn);
+        let upstream = TcpStream::connect(target).expect("connect upstream");
+        let mut up = upstream.try_clone().expect("clone");
+        let mut from_shard = BufReader::new(upstream);
+        let mut seen = Vec::new();
+        loop {
+            let mut line = String::new();
+            if from_coordinator.read_line(&mut line).expect("request") == 0 {
+                return seen;
+            }
+            seen.push(line.trim_end().to_string());
+            match script(line.trim_end()) {
+                Act::Forward => {
+                    up.write_all(line.as_bytes()).expect("relay request");
+                    let mut reply = String::new();
+                    from_shard.read_line(&mut reply).expect("reply");
+                    let body = protocol::reply_field(reply.trim_end(), "lines")
+                        .map_or(0, |n| n.parse().expect("lines="));
+                    for _ in 0..body {
+                        from_shard.read_line(&mut reply).expect("body line");
+                    }
+                    down.write_all(reply.as_bytes()).expect("relay reply");
+                }
+                Act::Busy => down.write_all(b"ERR BUSY scripted\n").expect("busy reply"),
+                Act::Close => {
+                    drop(down);
+                    drop(from_coordinator);
+                    if let Some(closed) = closed {
+                        closed.send(()).expect("closed signal");
+                    }
+                    return seen;
+                }
+            }
+        }
+    });
+    (addr, relay)
+}
+
+/// How long a scripted shard waits for the other shard's side of an
+/// interleaving before it gives up (and the test fails).
+const INTERLEAVE_WAIT: Duration = Duration::from_secs(20);
+
+/// The real shard servers behind two scripted shards, and the batches
+/// the coordinator feeds through them.
+struct Scripted {
+    cfg: ReptConfig,
+    servers: Vec<Server>,
+    batches: Vec<Vec<Edge>>,
+}
+
+impl Scripted {
+    /// Two real shard servers and a stream of three-line batches.
+    fn new() -> Self {
+        let cfg = ReptConfig::new(2, 8)
+            .with_seed(11)
+            .with_eta(true)
+            .with_locals(true);
+        let servers = sliced_servers(cfg, Engine::default(), 2, 64);
+        let stream = fixed_stream(800);
+        let batches = stream.chunks(700).map(<[Edge]>::to_vec).collect();
+        Self {
+            cfg,
+            servers,
+            batches,
+        }
+    }
+
+    fn coordinator(&self, links: Vec<ShardLink>) -> ShardCoordinator {
+        ShardCoordinator::start(
+            CoordinatorConfig::new(self.cfg).with_snapshot_every(64),
+            links,
+        )
+        .expect("coordinator")
+    }
+
+    /// The request lines a shard should receive for the whole stream.
+    fn ingest_lines(&self) -> Vec<String> {
+        let mut lines = Vec::new();
+        for batch in &self.batches {
+            for line in batch.chunks(INGEST_CHUNK) {
+                let mut text = "INGEST".to_string();
+                for e in line {
+                    text.push_str(&format!(" {} {}", e.u(), e.v()));
+                }
+                lines.push(text);
+            }
+        }
+        lines
+    }
+}
+
+/// A shard that answers one `INGEST` line with `ERR BUSY` while the
+/// other shard has the same line in flight: only that shard gets the
+/// line again, no shard is marked dead, and the replies still match a
+/// standalone core's.
+#[test]
+fn busy_shard_gets_only_its_line_again_and_no_shard_dies() {
+    let cluster = Scripted::new();
+    const REFUSED: usize = 2; // the third INGEST line: the first batch's last
+    let (in_flight, on_shard_one) = mpsc::channel::<()>();
+    let mut lines_seen = 0;
+    let (zero, zero_relay) = scripted_shard(
+        cluster.servers[0].local_addr(),
+        move |line| {
+            if !line.starts_with("INGEST") {
+                return Act::Forward;
+            }
+            lines_seen += 1;
+            if lines_seen - 1 != REFUSED {
+                return Act::Forward;
+            }
+            // Refuse only once the other shard has this line too.
+            on_shard_one
+                .recv_timeout(INTERLEAVE_WAIT)
+                .expect("the line was not in flight on both shards");
+            Act::Busy
+        },
+        None,
+    );
+    let mut lines_seen_one = 0;
+    let (one, one_relay) = scripted_shard(
+        cluster.servers[1].local_addr(),
+        move |line| {
+            if line.starts_with("INGEST") {
+                if lines_seen_one == REFUSED {
+                    in_flight.send(()).expect("signal shard 0");
+                }
+                lines_seen_one += 1;
+            }
+            Act::Forward
+        },
+        None,
+    );
+    let links = [zero, one]
+        .iter()
+        .map(|&a| ShardLink::connect(a).expect("link"))
+        .collect();
+    let mut coord = cluster.coordinator(links);
+    for batch in &cluster.batches {
+        coord.ingest(batch.clone()).expect("ingest");
+    }
+    coord.flush();
+    assert_eq!(coord.alive_count(), 2, "a busy shard is not a dead one");
+    let snap = coord.snapshot();
+    drop(coord);
+
+    let want = cluster.ingest_lines();
+    let zero_lines: Vec<String> = zero_relay.join().expect("shard 0 relay");
+    let one_lines: Vec<String> = one_relay.join().expect("shard 1 relay");
+    let ingests = |seen: &[String]| -> Vec<String> {
+        seen.iter()
+            .filter(|l| l.starts_with("INGEST"))
+            .cloned()
+            .collect()
+    };
+    let mut retried = want.clone();
+    retried.insert(REFUSED, want[REFUSED].clone());
+    assert_eq!(
+        ingests(&zero_lines),
+        retried,
+        "shard 0 gets the refused line twice, in place"
+    );
+    assert_eq!(ingests(&one_lines), want, "shard 1 gets every line once");
+
+    let standalone = ServeCore::start(ServeConfig::new(cluster.cfg).with_snapshot_every(64))
+        .expect("standalone");
+    for batch in &cluster.batches {
+        standalone.ingest(batch.clone()).expect("ingest");
+    }
+    standalone.flush();
+    let want_snap = standalone.snapshot();
+    standalone.shutdown();
+    assert_eq!(
+        query_replies(&snap, &QUERY_NODES),
+        query_replies(&want_snap, &QUERY_NODES)
+    );
+    assert_eq!(
+        canonical_stats(&stats_reply(&snap), false),
+        canonical_stats(&stats_reply(&want_snap), false)
+    );
+    for server in cluster.servers {
+        server.shutdown();
+    }
+}
+
+/// A shard that closes its connection while the other shard's line is
+/// in flight is marked dead (`shards=1/2`); the survivor's reply to that
+/// line is still read, so its next request gets its own reply, and the
+/// degraded answers are exactly those of a cluster that lost the shard
+/// outright.
+#[test]
+fn shard_closing_mid_line_is_marked_dead_and_the_survivor_stays_in_step() {
+    let cluster = Scripted::new();
+    const DIES_AT: usize = 1; // the second INGEST line, mid-batch
+    let (in_flight, on_shard_one) = mpsc::channel::<()>();
+    let (closed, on_close) = mpsc::channel::<()>();
+    let mut lines_seen = 0;
+    let (zero, zero_relay) = scripted_shard(
+        cluster.servers[0].local_addr(),
+        move |line| {
+            if !line.starts_with("INGEST") {
+                return Act::Forward;
+            }
+            lines_seen += 1;
+            if lines_seen - 1 != DIES_AT {
+                return Act::Forward;
+            }
+            // Die only once the other shard has this line too.
+            on_shard_one
+                .recv_timeout(INTERLEAVE_WAIT)
+                .expect("the line was not in flight on both shards");
+            Act::Close
+        },
+        Some(closed),
+    );
+    let mut lines_seen_one = 0;
+    let (one, one_relay) = scripted_shard(
+        cluster.servers[1].local_addr(),
+        move |line| {
+            if line.starts_with("INGEST") {
+                if lines_seen_one == DIES_AT {
+                    // Hold the survivor's reply until shard 0 is gone.
+                    in_flight.send(()).expect("signal shard 0");
+                    on_close
+                        .recv_timeout(INTERLEAVE_WAIT)
+                        .expect("shard 0 closed its connection");
+                }
+                lines_seen_one += 1;
+            }
+            Act::Forward
+        },
+        None,
+    );
+    let links = [zero, one]
+        .iter()
+        .map(|&a| ShardLink::connect(a).expect("link"))
+        .collect();
+    let mut coord = cluster.coordinator(links);
+    let mut position = 0;
+    for batch in &cluster.batches {
+        position += coord
+            .ingest(batch.clone())
+            .expect("a survivor keeps ingest up") as u64;
+    }
+    // The survivor's next request after the death is this barrier's
+    // AGGREGATE: a stale INGEST reply here would fail its parse and
+    // take the last shard down too.
+    assert_eq!(coord.flush(), position);
+    let health = format_cluster_health(&coord.health());
+    assert!(health.contains("state=degraded shards=1/2"), "{health}");
+    let degraded = coord.snapshot();
+    assert_eq!(degraded.position, position);
+    drop(coord);
+    zero_relay.join().expect("shard 0 relay");
+    let one_lines = one_relay.join().expect("shard 1 relay");
+    assert_eq!(
+        one_lines.iter().filter(|l| l.starts_with("INGEST")).count(),
+        cluster.ingest_lines().len(),
+        "the survivor got every line once"
+    );
+
+    // The same cluster losing shard 0 before the stream starts.
+    let cores = sliced_cores(cluster.cfg, Engine::default(), 2, 64, None);
+    let mut reference = coordinator_over(&cores, cluster.cfg, Engine::default(), 64);
+    reference.kill_shard(0);
+    for batch in &cluster.batches {
+        reference.ingest(batch.clone()).expect("ingest");
+    }
+    reference.flush();
+    let want = reference.snapshot();
+    assert_eq!(
+        query_replies(&degraded, &QUERY_NODES),
+        query_replies(&want, &QUERY_NODES)
+    );
+    assert_eq!(degraded.c, want.c);
+    for server in cluster.servers {
         server.shutdown();
     }
 }
