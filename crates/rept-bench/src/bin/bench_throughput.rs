@@ -17,10 +17,11 @@
 //! between the two.
 //!
 //! A third section sweeps the hybrid layout's dense-promotion degree
-//! threshold on the shared multi-tag structure (width 4, the `c = 256`
-//! hot path): every stream edge replayed through `match_then_insert`
-//! at several thresholds, the `never` row (`usize::MAX`, all sorted
-//! vecs) being the no-bitmap baseline.
+//! threshold on the fused engine's one structure
+//! (`HybridTaggedAdjacency` at width 4, the `c = 256` hot path): every
+//! stream edge replayed through `match_then_insert` at several
+//! thresholds, the `never` row (`usize::MAX`, all sorted vecs) being
+//! the no-bitmap baseline.
 //!
 //! Run: `cargo run --release --bin bench_throughput [-- --out FILE]`
 //! (default output: `BENCH_throughput.json`). `--nodes N` scales the
@@ -33,8 +34,7 @@ use std::time::Instant;
 
 use rept_core::{Engine, EngineCore, Rept, ReptConfig};
 use rept_gen::{barabasi_albert, GeneratorConfig};
-use rept_graph::hybrid_tagged::MultiHybridTaggedAdjacency;
-use rept_graph::{CellTag, Edge};
+use rept_graph::{CellTag, Edge, HybridTaggedAdjacency};
 
 const M: u64 = 64;
 const PROCESSOR_COUNTS: [u64; 4] = [8, 64, 200, 256];
@@ -186,7 +186,7 @@ fn main() {
     let mut sweep: Vec<(usize, f64, f64)> = Vec::new();
     for &threshold in &thresholds {
         let seconds = best_of(|| {
-            let mut adj = MultiHybridTaggedAdjacency::with_threshold(SWEEP_WIDTH, threshold);
+            let mut adj = HybridTaggedAdjacency::with_threshold(SWEEP_WIDTH, threshold);
             let mut matches = 0u64;
             for (i, &e) in stream.iter().enumerate() {
                 adj.match_then_insert(e, Some(&sweep_tags(e)), |_, _, _| matches += 1);
@@ -253,7 +253,7 @@ fn main() {
     json.push_str("  ]},\n");
     json.push_str("  \"hybrid_threshold_sweep\": {\n");
     json.push_str(&format!(
-        "    \"structure\": \"MultiHybridTaggedAdjacency\", \"width\": {SWEEP_WIDTH}, \
+        "    \"structure\": \"HybridTaggedAdjacency\", \"width\": {SWEEP_WIDTH}, \
          \"compact_every\": {SWEEP_COMPACT_EVERY},\n"
     ));
     json.push_str("    \"results\": [\n");

@@ -7,8 +7,7 @@
 //! third on top of that. This module collapses them into one type:
 //!
 //! * [`EngineCore`] owns the engine-specific state of a run — per-worker
-//!   workers, or the fused layout with its shared full-group /
-//!   masked-remainder structures — behind four
+//!   workers, or the fused layout's one shared structure — behind four
 //!   operations: [`EngineCore::ingest_batch`] (apply stream edges),
 //!   [`EngineCore::compact`] (fold pending insertions into
 //!   query-optimal form), [`EngineCore::snapshot_counters`] (anytime,
@@ -33,84 +32,30 @@
 //! compaction runs, a pure representation change), which is what makes
 //! checkpoint/resume at any batch boundary exact.
 //!
-//! ## The fused engine's shared structures
+//! ## The fused engine's one structure
 //!
-//! A fused core picks the strongest sharing the layout admits:
+//! A fused core keeps every group it owns as one tag column of a single
+//! [`HybridTaggedAdjacency`]: a column holds the edge's cell where its
+//! group keeps the edge and [`MASKED_NONE`] where the group's
+//! subsampling drops it, so a `c ≤ m` group, `k` full groups, `k` full
+//! groups plus the remainder, and any [`GroupSlice`] of these all run
+//! one structure walk per edge through the same code path.
 //!
-//! * `c₂ = 0`, ≥ 2 full groups — one `FusedFullGroups` walk serves
-//!   every full group ([`MultiHybridTaggedAdjacency`]).
-//! * `c₂ ≠ 0`, ≥ 1 full group — one `FusedMaskedGroups` walk serves
-//!   the full groups **and** the remainder group
-//!   ([`MaskedHybridTaggedAdjacency`]'s masked tag column marks the
-//!   remainder's stored subset), so the remainder pays no second
-//!   structure walk.
-//! * otherwise — one independent `FusedGroup` per group.
-//!
-//! [`MultiHybridTaggedAdjacency`]: rept_graph::hybrid_tagged::MultiHybridTaggedAdjacency
-//! [`MaskedHybridTaggedAdjacency`]: rept_graph::hybrid_tagged::MaskedHybridTaggedAdjacency
+//! [`HybridTaggedAdjacency`]: rept_graph::hybrid_tagged::HybridTaggedAdjacency
+//! [`MASKED_NONE`]: rept_graph::hybrid_tagged::MASKED_NONE
 
 use rept_graph::edge::Edge;
 
 use crate::config::ReptConfig;
 use crate::estimate::ReptEstimate;
 use crate::estimator::{Engine, GroupAggregate, GroupSpec, Rept};
-use crate::fused::{FusedFullGroups, FusedGroup, FusedMaskedGroups};
+use crate::fused::FusedGroups;
 use crate::worker::SemiTriangleWorker;
 
-/// Edges per batch in the group-major fused drivers: small enough to
-/// keep a batch L1/L2-resident, large enough to amortise the per-batch
-/// group-loop overhead. [`EngineCore::ingest_batch`] re-chunks larger
-/// batches internally, so callers may pass streams of any size.
+/// Edges between the fused engine's compactions inside one
+/// [`EngineCore::ingest_batch`] call, which re-chunks larger batches
+/// internally, so callers may pass streams of any size.
 pub(crate) const FUSED_BATCH: usize = 4096;
-
-/// The fused engine's shared state: all full groups over one multi-tag
-/// structure, or full groups *plus* the remainder over one masked
-/// structure.
-#[derive(Debug, Clone)]
-pub(crate) enum SharedState {
-    /// ≥ 2 full groups, no remainder folded in.
-    Full(Box<FusedFullGroups>),
-    /// ≥ 1 full group and the remainder group.
-    Masked(Box<FusedMaskedGroups>),
-}
-
-impl SharedState {
-    #[inline]
-    fn process(&mut self, e: Edge) {
-        match self {
-            SharedState::Full(s) => s.process(e),
-            SharedState::Masked(s) => s.process(e),
-        }
-    }
-
-    fn compact(&mut self) {
-        match self {
-            SharedState::Full(s) => s.compact(),
-            SharedState::Masked(s) => s.compact(),
-        }
-    }
-
-    fn snapshot_aggregates(&self) -> Vec<GroupAggregate> {
-        match self {
-            SharedState::Full(s) => s.snapshot_aggregates(),
-            SharedState::Masked(s) => s.snapshot_aggregates(),
-        }
-    }
-
-    fn stored_bytes(&self) -> usize {
-        match self {
-            SharedState::Full(s) => s.adj.approx_bytes(),
-            SharedState::Masked(s) => s.adj.approx_bytes(),
-        }
-    }
-
-    fn into_aggregates(self) -> Vec<GroupAggregate> {
-        match self {
-            SharedState::Full(s) => s.into_aggregates(),
-            SharedState::Masked(s) => s.into_aggregates(),
-        }
-    }
-}
 
 /// The engine-specific half of a core: what [`EngineCore`] mutates per
 /// edge. `pub(crate)` so the checkpoint codec in [`crate::resume`] can
@@ -120,12 +65,9 @@ pub(crate) enum CoreState {
     /// One [`SemiTriangleWorker`] per processor — the paper's cost
     /// model executed literally; the reference oracle.
     PerWorker { workers: Vec<SemiTriangleWorker> },
-    /// The fused hybrid layout: optional shared structure plus
-    /// independent groups for whatever the sharing cannot cover.
-    Fused {
-        shared: Option<SharedState>,
-        rest: Vec<FusedGroup>,
-    },
+    /// The fused hybrid layout: every kept group a column of one
+    /// structure.
+    Fused(Box<FusedGroups>),
 }
 
 /// A round-robin slice of a layout's hash groups — which groups a core
@@ -280,10 +222,7 @@ impl EngineCore {
             Engine::PerWorker => CoreState::PerWorker {
                 workers: make_workers(&cfg),
             },
-            Engine::FusedHybrid => {
-                let (shared, rest) = build_shared_state(&cfg, &kept);
-                CoreState::Fused { shared, rest }
-            }
+            Engine::FusedHybrid => CoreState::Fused(Box::new(FusedGroups::new(&kept, &cfg))),
         };
         Self {
             rept,
@@ -346,22 +285,14 @@ impl EngineCore {
                     }
                 }
             }
-            CoreState::Fused { shared, rest } => {
-                if let Some(shared) = shared {
-                    shared.process(e);
-                }
-                for g in rest.iter_mut() {
-                    g.process(e);
-                }
-            }
+            CoreState::Fused(groups) => groups.process(e),
         }
     }
 
     /// Processes a batch of arriving edges. The fused engine re-chunks
-    /// into `FUSED_BATCH`-edge sub-batches and runs group-major within
-    /// each (one group's adjacency stays cache-hot while the sub-batch
-    /// drains against it), compacting at every boundary. Results are
-    /// independent of how the stream is split into batches.
+    /// into `FUSED_BATCH`-edge sub-batches, compacting at every
+    /// boundary. Results are independent of how the stream is split
+    /// into batches.
     pub fn ingest_batch(&mut self, batch: &[Edge]) {
         match &mut self.state {
             CoreState::PerWorker { .. } => {
@@ -370,15 +301,12 @@ impl EngineCore {
                 }
                 return;
             }
-            CoreState::Fused { shared, rest } => {
+            CoreState::Fused(groups) => {
                 for chunk in batch.chunks(FUSED_BATCH) {
-                    if let Some(shared) = shared.as_mut() {
-                        for &e in chunk {
-                            shared.process(e);
-                        }
-                        shared.compact();
+                    for &e in chunk {
+                        groups.process(e);
                     }
-                    drive_groups(rest, chunk);
+                    groups.compact();
                 }
             }
         }
@@ -392,14 +320,7 @@ impl EngineCore {
     pub fn compact(&mut self) {
         match &mut self.state {
             CoreState::PerWorker { .. } => {}
-            CoreState::Fused { shared, rest } => {
-                if let Some(shared) = shared {
-                    shared.compact();
-                }
-                for g in rest.iter_mut() {
-                    g.compact();
-                }
-            }
+            CoreState::Fused(groups) => groups.compact(),
         }
     }
 
@@ -412,14 +333,7 @@ impl EngineCore {
             CoreState::PerWorker { workers } => self
                 .rept
                 .aggregate_workers_for(workers, |gi| self.slice.keeps(gi)),
-            CoreState::Fused { shared, rest } => {
-                let mut aggregates = shared
-                    .as_ref()
-                    .map(SharedState::snapshot_aggregates)
-                    .unwrap_or_default();
-                aggregates.extend(rest.iter().map(FusedGroup::snapshot_aggregate));
-                aggregates
-            }
+            CoreState::Fused(groups) => groups.snapshot_aggregates(),
         }
     }
 
@@ -437,22 +351,16 @@ impl EngineCore {
             CoreState::PerWorker { workers } => {
                 rept.aggregate_workers_for(&workers, |gi| slice.keeps(gi))
             }
-            CoreState::Fused { shared, rest } => {
-                let mut aggregates = shared.map(SharedState::into_aggregates).unwrap_or_default();
-                aggregates.extend(rest.into_iter().map(FusedGroup::into_aggregate));
-                aggregates
-            }
+            CoreState::Fused(groups) => groups.into_aggregates(),
         }
     }
 
-    /// Bytes of adjacency storage currently held by this core, summed
-    /// over every structure the engine maintains — the quantity a
-    /// serving-tier memory quota governs. Each structure reports its
-    /// own `approx_bytes`, and shared structures are counted once,
-    /// matching what is actually resident. On the fused-hybrid engine
-    /// this is O(1) per structure (a running total), so the serving
-    /// tier reads it after every batch; the per-worker oracle walks
-    /// every worker's hash sets, which no served workload runs.
+    /// Bytes of adjacency storage currently held by this core — the
+    /// quantity a serving-tier memory quota governs. The fused engine's
+    /// one structure is counted once, matching what is actually
+    /// resident, in O(1) (a running total), so the serving tier reads
+    /// it after every batch; the per-worker oracle walks every worker's
+    /// hash sets, which no served workload runs.
     ///
     /// Counter maps (`τ̂_v`, η) are *not* included: their size is
     /// governed by `track_locals` / η tracking, not by admission
@@ -463,10 +371,7 @@ impl EngineCore {
             CoreState::PerWorker { workers } => {
                 workers.iter().map(SemiTriangleWorker::stored_bytes).sum()
             }
-            CoreState::Fused { shared, rest } => {
-                let shared_bytes = shared.as_ref().map_or(0, SharedState::stored_bytes);
-                shared_bytes + rest.iter().map(|g| g.adj.approx_bytes()).sum::<usize>()
-            }
+            CoreState::Fused(groups) => groups.adj.approx_bytes(),
         }
     }
 
@@ -528,78 +433,6 @@ pub(crate) fn make_workers(cfg: &ReptConfig) -> Vec<SemiTriangleWorker> {
         .collect()
 }
 
-/// Splits specs into full groups (size = `m`) and the rest, preserving
-/// order (full groups always precede any remainder group in
-/// [`Rept::groups`] order) — the one classification every fused-layout
-/// decision builds on, shared with the checkpoint codec.
-pub(crate) fn split_full_partial(m: u64, specs: &[GroupSpec]) -> (Vec<GroupSpec>, Vec<GroupSpec>) {
-    specs.iter().copied().partition(|g| g.size as u64 == m)
-}
-
-/// The structure sharing the fused engine picks for a set of groups. Construction ([`build_shared_state`]) and checkpoint restore
-/// ([`crate::resume`]) both consult this single rule, so a resumed run
-/// always lands in the same layout a fresh run would build.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SortedLayout {
-    /// Full groups and the remainder share one masked structure.
-    Masked,
-    /// Full groups share one multi-tag structure; the rest (if any)
-    /// runs independently.
-    SharedFull,
-    /// Every group runs its own structure.
-    Independent,
-}
-
-/// Picks the strongest sharing `full_count` full groups and
-/// `partial_count` partial groups admit.
-pub(crate) fn sorted_layout(full_count: usize, partial_count: usize) -> SortedLayout {
-    if partial_count == 1 && full_count >= 1 {
-        SortedLayout::Masked
-    } else if full_count >= 2 {
-        SortedLayout::SharedFull
-    } else {
-        SortedLayout::Independent
-    }
-}
-
-/// Builds the fused engine's state for the kept groups, picking the
-/// strongest sharing the subset admits (see the module docs).
-fn build_shared_state(
-    cfg: &ReptConfig,
-    kept: &[GroupSpec],
-) -> (Option<SharedState>, Vec<FusedGroup>) {
-    let (full, partial) = split_full_partial(cfg.m, kept);
-    match sorted_layout(full.len(), partial.len()) {
-        SortedLayout::Masked => (
-            Some(SharedState::Masked(Box::new(FusedMaskedGroups::new(
-                &full, partial[0], cfg,
-            )))),
-            Vec::new(),
-        ),
-        SortedLayout::SharedFull => (
-            Some(SharedState::Full(Box::new(FusedFullGroups::new(
-                &full, cfg,
-            )))),
-            partial.iter().map(|g| FusedGroup::new(*g, cfg)).collect(),
-        ),
-        SortedLayout::Independent => (
-            None,
-            kept.iter().map(|g| FusedGroup::new(*g, cfg)).collect(),
-        ),
-    }
-}
-
-/// Drains one sub-batch against a set of independent fused groups,
-/// group-major, compacting each group at the boundary.
-fn drive_groups(groups: &mut [FusedGroup], batch: &[Edge]) {
-    for g in groups.iter_mut() {
-        for &e in batch {
-            g.process(e);
-        }
-        g.compact();
-    }
-}
-
 /// The whole-stream batch driver behind [`Rept::run`] and the fused
 /// half of [`Rept::run_threaded`]: construct core(s), ingest the
 /// stream, combine the aggregates.
@@ -650,15 +483,49 @@ mod tests {
     use super::*;
     use rept_gen::{barabasi_albert, GeneratorConfig};
 
+    /// The stored-edge count a fused core over `slice` must hold: the
+    /// union of the kept groups' stored edge sets in a per-worker core
+    /// fed the same stream. An edge no kept group owns never matches, so
+    /// storing one would pass every counter check.
+    fn kept_union_len(oracle: &EngineCore, slice: GroupSlice) -> usize {
+        let CoreState::PerWorker { workers } = &oracle.state else {
+            panic!("the oracle runs per worker");
+        };
+        let mut union = std::collections::BTreeSet::new();
+        for (gi, g) in oracle.rept().groups().iter().enumerate() {
+            if slice.keeps(gi) {
+                for w in &workers[g.start..g.start + g.size] {
+                    union.extend(w.stored_edge_list());
+                }
+            }
+        }
+        union.len()
+    }
+
+    /// The number of edges a core stores: its one structure's on the
+    /// fused engine, `None` on the per-worker one.
+    fn fused_edge_count(core: &EngineCore) -> Option<usize> {
+        match &core.state {
+            CoreState::Fused(groups) => Some(groups.adj.edge_count()),
+            CoreState::PerWorker { .. } => None,
+        }
+    }
+
     #[test]
     fn batch_split_is_irrelevant_to_the_result() {
         let stream = barabasi_albert(&GeneratorConfig::new(250, 7), 4);
-        for (m, c) in [(4u64, 3u64), (3, 7), (4, 11)] {
+        for (m, c) in [(4u64, 3u64), (4, 4), (3, 7), (4, 11)] {
             let cfg = ReptConfig::new(m, c).with_seed(5).with_eta(true);
             let rept = Rept::new(cfg);
+            let mut workers = EngineCore::with_engine(rept.clone(), Engine::PerWorker);
+            workers.ingest_batch(&stream);
+            let kept_union = kept_union_len(&workers, GroupSlice::FULL);
             for engine in Engine::all() {
                 let mut whole = EngineCore::with_engine(rept.clone(), engine);
                 whole.ingest_batch(&stream);
+                if let Some(stored) = fused_edge_count(&whole) {
+                    assert_eq!(stored, kept_union, "stored edges m={m} c={c}");
+                }
                 let oracle = whole.into_estimate();
                 for batch_len in [1usize, 13, 1000] {
                     let mut chunked = EngineCore::with_engine(rept.clone(), engine);
@@ -666,6 +533,9 @@ mod tests {
                         chunked.ingest_batch(chunk);
                     }
                     assert_eq!(chunked.position(), stream.len() as u64);
+                    if let Some(stored) = fused_edge_count(&chunked) {
+                        assert_eq!(stored, kept_union, "stored edges b={batch_len}");
+                    }
                     let est = chunked.estimate();
                     assert_eq!(oracle.global, est.global, "{} b={batch_len}", engine.name());
                     assert_eq!(oracle.locals, est.locals);
@@ -681,23 +551,22 @@ mod tests {
 
     #[test]
     fn masked_sharing_is_bit_identical_to_per_worker() {
-        // Layouts with a remainder group take the masked shared path;
-        // its estimate equals the per-worker oracle's field for field.
+        // Layouts with a remainder group keep it as the last column of
+        // the full groups' one structure; the estimate equals the
+        // per-worker oracle's field for field.
         let stream = barabasi_albert(&GeneratorConfig::new(300, 2), 4);
         for (m, c) in [(4u64, 11u64), (3, 4), (4, 9)] {
             let cfg = ReptConfig::new(m, c).with_seed(9).with_eta(true);
             let rept = Rept::new(cfg);
             let mut fused = EngineCore::with_engine(rept.clone(), Engine::FusedHybrid);
             let mut oracle = EngineCore::with_engine(rept.clone(), Engine::PerWorker);
+            let CoreState::Fused(groups) = &fused.state else {
+                panic!("a fused core");
+            };
             assert!(
-                matches!(
-                    fused.state,
-                    CoreState::Fused {
-                        shared: Some(SharedState::Masked(_)),
-                        ..
-                    }
-                ),
-                "remainder layouts take the masked path, m={m} c={c}"
+                groups.adj.width() == rept.groups().len()
+                    && (groups.specs[groups.specs.len() - 1].size as u64) < m,
+                "the remainder is a column of the one structure, m={m} c={c}"
             );
             fused.ingest_batch(&stream);
             oracle.ingest_batch(&stream);
@@ -724,20 +593,28 @@ mod tests {
             let cfg = ReptConfig::new(m, c).with_seed(5).with_eta(true);
             let rept = Rept::new(cfg);
             let n_groups = rept.groups().len();
+            let mut workers = EngineCore::with_engine(rept.clone(), Engine::PerWorker);
+            workers.ingest_batch(&stream);
             for engine in Engine::all() {
                 let mut whole = EngineCore::with_engine(rept.clone(), engine);
                 whole.ingest_batch(&stream);
+                if let Some(stored) = fused_edge_count(&whole) {
+                    let kept_union = kept_union_len(&workers, GroupSlice::FULL);
+                    assert_eq!(stored, kept_union, "stored edges m={m} c={c}");
+                }
                 let oracle = whole.into_estimate();
                 for count in [2u32, 3] {
                     assert!((count as usize) <= n_groups, "m={m} c={c}");
                     let mut aggregates = Vec::new();
                     for index in 0..count {
-                        let mut shard = EngineCore::with_slice(
-                            rept.clone(),
-                            engine,
-                            GroupSlice::new(index, count),
-                        );
+                        let slice = GroupSlice::new(index, count);
+                        let mut shard = EngineCore::with_slice(rept.clone(), engine, slice);
                         shard.ingest_batch(&stream);
+                        // A shard stores exactly its kept groups' edges.
+                        if let Some(stored) = fused_edge_count(&shard) {
+                            let kept_union = kept_union_len(&workers, slice);
+                            assert_eq!(stored, kept_union, "m={m} c={c} slice {index}/{count}");
+                        }
                         // The shard's own estimate is the padded local
                         // view — it must be *defined* (no panic) on
                         // every layout, full, exact, and mixed.

@@ -15,11 +15,10 @@
 //!   [`SemiTriangleWorker`] with its own adjacency; each stream edge costs
 //!   one intersection *per processor*. This is the paper's cost model
 //!   executed literally and serves as the reference oracle.
-//! * **Fused hybrid** — each hash group keeps one shared cell-tagged
-//!   adjacency ([`crate::fused`]) and recovers all of its workers'
-//!   counters from a single matching-common-neighbor pass per edge; all
-//!   full groups (and the remainder, through a masked tag column) share
-//!   one structure walk. Low-degree nodes keep sorted neighbor vecs,
+//! * **Fused hybrid** — every hash group is one tag column of a shared
+//!   cell-tagged adjacency ([`crate::fused`]), and a single
+//!   matching-common-neighbor pass per edge recovers all of the groups'
+//!   workers' counters. Low-degree nodes keep sorted neighbor vecs,
 //!   high-degree nodes promote to blocked bitmaps
 //!   ([`rept_graph::hybrid_tagged`]). The default and fast engine.
 //!
@@ -97,8 +96,8 @@ pub enum Engine {
     /// One adjacency and one intersection per processor per edge — the
     /// paper's cost model executed literally. Reference oracle.
     PerWorker,
-    /// One shared cell-tagged adjacency and one intersection per hash
-    /// *group* per edge (see [`crate::fused`]), over the hybrid
+    /// One shared cell-tagged adjacency and one intersection per edge
+    /// for all hash groups (see [`crate::fused`]), over the hybrid
     /// sorted-vec / blocked-bitmap layout ([`rept_graph::hybrid_tagged`]):
     /// low-degree nodes keep sorted vecs, high-degree nodes promote to
     /// `u64` bitmaps so hub intersections run bit-parallel
@@ -220,8 +219,8 @@ impl Rept {
 
     /// Runs the selected engine single-threaded over a stream. Batch
     /// execution on the unified core: ingest everything, then finalize
-    /// — the fused engine runs group-major in cache-resident sub-batches
-    /// (see [`crate::engine::EngineCore::ingest_batch`]). Deterministic given
+    /// — the fused engine compacts at its sub-batch boundaries (see
+    /// [`crate::engine::EngineCore::ingest_batch`]). Deterministic given
     /// `cfg.seed`.
     pub fn run(&self, engine: Engine, stream: &[Edge]) -> ReptEstimate {
         engine::drive(self, engine, stream, 1)

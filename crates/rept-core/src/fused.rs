@@ -5,24 +5,26 @@
 //! its own adjacency over its partition cell and runs its own
 //! `N_u ∩ N_v` intersection per stream edge, so a group of `size` workers
 //! performs `size` hash-probing passes over what is collectively **one**
-//! partitioned edge set. This module fuses those passes: a
-//! `FusedGroup` stores the group's sampled edges once in a
-//! [`HybridTaggedAdjacency`] (each neighbor entry tagged with its edge's
-//! partition cell) and recovers *every* worker's counters from a single
-//! common-neighbor pass — a common neighbor `w` of an arriving edge
-//! `(u, v)` closes a semi-triangle for worker `i` iff
-//! `cell(u, w) == cell(v, w) == i`.
+//! partitioned edge set. This module fuses those passes: `FusedGroups`
+//! stores every kept group's sampled edges once in a
+//! [`HybridTaggedAdjacency`] with one tag column per group (each neighbor
+//! entry tagged with its edge's partition cell under every group's hash)
+//! and recovers *every* worker's counters from a single common-neighbor
+//! pass — a common neighbor `w` of an arriving edge `(u, v)` closes a
+//! semi-triangle for worker `i` of group `g` iff column `g` tags both
+//! `(u, w)` and `(v, w)` with cell `i`.
 //!
-//! Sharing goes further across groups. Every *full* group (size = `m`)
-//! stores every stream edge, so `FusedFullGroups` keeps all of them
-//! over one [`MultiHybridTaggedAdjacency`] with a tag column per group,
-//! and `FusedMaskedGroups` folds the remainder group into the same walk
-//! through the masked column of a [`MaskedHybridTaggedAdjacency`].
+//! One layout serves every shape: a `c ≤ m` group, `k` full groups, `k`
+//! full groups plus the remainder, and any shard's slice of these. A
+//! column holds [`MASKED_NONE`] where its group's subsampling drops the
+//! edge (cells `size..m` belong to no worker), so a full group's column
+//! is always set and a remainder or `c < m` group's column marks the
+//! subset it keeps. An edge is stored iff some column keeps it.
 //!
 //! Per edge the cost drops from
 //! `O(Σᵢ |N⁽ⁱ⁾_u ∩ N⁽ⁱ⁾_v| probes)` — `size` lookups of (mostly tiny)
-//! per-worker neighbor sets plus `size` intersections — to **one**
-//! intersection over the union adjacency. The counters
+//! per-worker neighbor sets plus `size` intersections, per group — to
+//! **one** intersection over the union adjacency. The counters
 //! (`τ⁽ⁱ⁾`, group-summed `τ⁽ⁱ⁾_v`, `η⁽ⁱ⁾`, `η⁽ⁱ⁾_v`,
 //! per-edge `τ⁽ⁱ⁾_(u,v)`) are **bit-identical** to the per-worker
 //! engine's: every counter is an exact `u64` sum over the same multiset
@@ -35,32 +37,18 @@
 //! all three combination paths.
 
 use rept_graph::edge::{Edge, NodeId};
-use rept_graph::hybrid_tagged::{
-    CellTag, HybridTaggedAdjacency, MaskedHybridTaggedAdjacency, MultiHybridTaggedAdjacency,
-};
+use rept_graph::hybrid_tagged::{CellTag, HybridTaggedAdjacency, MASKED_NONE};
 use rept_hash::fx::{table_bytes, FxHashMap};
 
 use crate::config::{EtaMode, ReptConfig};
 use crate::estimator::{GroupAggregate, GroupSpec};
 use crate::worker::update_eta_pair;
 
-/// One hash group's shared state under the fused engine: the cell-tagged
-/// union adjacency plus all `size` workers' counters.
+/// The counters of one hash group's `size` workers under the fused
+/// engine (everything `process` mutates besides the adjacency itself).
 ///
 /// Fields are `pub(crate)` so [`crate::resume`] can serialise and restore
 /// the full group state for engine-aware checkpoints.
-#[derive(Debug, Clone)]
-pub(crate) struct FusedGroup {
-    pub(crate) spec: GroupSpec,
-    /// The union of all workers' `E⁽ⁱ⁾`, tagged by cell.
-    pub(crate) adj: HybridTaggedAdjacency,
-    /// All counter state, split out so the matching pass can read `adj`
-    /// while folding into the counters.
-    pub(crate) counters: GroupCounters,
-}
-
-/// The counter half of a fused group (everything `process` mutates
-/// besides the adjacency itself).
 #[derive(Debug, Clone)]
 pub(crate) struct GroupCounters {
     /// `τ⁽ⁱ⁾` per worker (indexed by cell offset).
@@ -127,9 +115,10 @@ impl GroupCounters {
 
     /// Folds one matched common neighbor `w` of the arriving edge
     /// `(u, v)` into every counter — the single statement sequence every
-    /// fused layout funnels through, so the bit-identical invariant
-    /// cannot drift between them. `closed_owner` accumulates `|N⁽ᵒʷⁿᵉʳ⁾_{u,v}|` for the
-    /// paper-faithful η initialisation of the stored edge.
+    /// match funnels through, so the bit-identical invariant cannot
+    /// drift between layouts. `closed_owner` accumulates
+    /// `|N⁽ᵒʷⁿᵉʳ⁾_{u,v}|` for the paper-faithful η initialisation of the
+    /// stored edge.
     #[inline]
     fn fold_match(
         &mut self,
@@ -178,360 +167,169 @@ impl GroupCounters {
     }
 }
 
-impl FusedGroup {
-    /// Creates the fused state for one group of `spec.size` workers.
-    pub(crate) fn new(spec: GroupSpec, cfg: &ReptConfig) -> Self {
-        assert!(
-            spec.size <= CellTag::MAX as usize,
-            "group size {} exceeds cell-tag range",
-            spec.size
-        );
-        Self {
-            spec,
-            adj: HybridTaggedAdjacency::new(),
-            counters: GroupCounters::new(spec.size, cfg),
-        }
-    }
-
-    /// The edge's partition cell under this group's hash.
-    #[inline]
-    fn owner_of(&self, e: Edge) -> u64 {
-        let (u, v) = e.as_u64_pair();
-        self.spec.hasher.cell(u, v)
-    }
-
-    /// Processes one stream edge: counts every worker's semi-triangle
-    /// closures in a single matching-common-neighbor pass, then stores the
-    /// edge if its cell is owned (`cell < size` — cells `size..m` are
-    /// REPT's subsampling and belong to no worker). Matching and store
-    /// run through the layout's fused
-    /// [`HybridTaggedAdjacency::match_then_insert`], which resolves
-    /// per-endpoint state once; a duplicate stream edge fails the insert
-    /// and is ignored, exactly like `SemiTriangleWorker::store`.
-    #[inline]
-    pub(crate) fn process(&mut self, e: Edge) {
-        let (u, v) = e.endpoints();
-        let owner = self.owner_of(e);
-        let store = ((owner as usize) < self.spec.size).then_some(owner as CellTag);
-        let mut closed_owner = 0u64;
-        let counters = &mut self.counters;
-        let stored = self.adj.match_then_insert(e, store, |w, cell| {
-            counters.fold_match(u, v, w, cell, owner, &mut closed_owner);
-        });
-        if stored {
-            self.counters.record_store(e, owner as usize, closed_owner);
-        }
-    }
-
-    /// Folds the adjacency's pending insertions into query-optimal form
-    /// (see [`HybridTaggedAdjacency::compact`]) — called by the batch drivers
-    /// at batch boundaries so steady-state matching runs on compacted
-    /// state. A pure representation change; never affects counters.
-    #[inline]
-    pub(crate) fn compact(&mut self) {
-        self.adj.compact();
-    }
-
-    /// Finishes the group, yielding the aggregate the estimator combines.
-    pub(crate) fn into_aggregate(self) -> GroupAggregate {
-        let adj_bytes = self.adj.approx_bytes();
-        let mut agg = self.counters.into_aggregate(self.spec.start);
-        agg.bytes += adj_bytes;
-        agg
-    }
-
-    /// Non-consuming version of [`Self::into_aggregate`] — clones the
-    /// counter state so an *anytime* estimate can be produced mid-stream
-    /// without stopping ingestion (the serving subsystem's query path).
-    pub(crate) fn snapshot_aggregate(&self) -> GroupAggregate {
-        let adj_bytes = self.adj.approx_bytes();
-        let mut agg = self.counters.clone().into_aggregate(self.spec.start);
-        agg.bytes += adj_bytes;
-        agg
-    }
-}
-
-/// All of a layout's **full** hash groups (size = `m`) fused over one
-/// shared neighbor structure. A full group owns every cell of its hash,
-/// so it stores every stream edge — all full groups therefore hold the
-/// identical edge set and differ only in tags, which the shared
-/// [`MultiHybridTaggedAdjacency`] exploits: one
-/// structure walk per edge discovers the common neighbors for every
-/// group at once, and only the per-group tag comparisons and counter
-/// folds remain per group. The counters are maintained per group
-/// exactly as `FusedGroup` would, so the result is bit-identical to
-/// running the groups independently.
+/// Every kept hash group of a fused core over one shared neighbor
+/// structure: column `g` of [`Self::adj`] is group `g`'s stored edge set,
+/// tagged by cell. One structure walk per arriving edge discovers the
+/// common neighbors for every group at once; only the per-column tag
+/// comparisons and counter folds remain per group, and the counters are
+/// maintained per group exactly as each group run alone would keep them.
 #[derive(Debug, Clone)]
-pub(crate) struct FusedFullGroups {
+pub(crate) struct FusedGroups {
+    /// The kept groups, in layout order.
     pub(crate) specs: Vec<GroupSpec>,
-    pub(crate) adj: MultiHybridTaggedAdjacency,
+    /// The union of every kept group's stored edges, one column per
+    /// group.
+    pub(crate) adj: HybridTaggedAdjacency,
+    /// Per-group counters, in column order.
     pub(crate) counters: Vec<GroupCounters>,
-    /// Per-edge scratch: each group's owner cell (always owned — a full
-    /// group owns all `m` cells) …
-    owners: Vec<CellTag>,
-    /// … and each group's `|N⁽ᵒʷⁿᵉʳ⁾_{u,v}|` for η initialisation.
+    /// Per-edge scratch: each group's raw cell …
+    cells: Vec<u64>,
+    /// … its column entry (the cell where the group owns it, else
+    /// [`MASKED_NONE`]) …
+    row: Vec<CellTag>,
+    /// … and each group's `|N⁽ᵒʷⁿᵉʳ⁾_{u,v}|` for η initialisation
+    /// (zero between edges).
     closed: Vec<u64>,
 }
 
-impl FusedFullGroups {
-    /// Creates the shared state for the given full groups.
+impl FusedGroups {
+    /// Creates the fused state for the given groups.
     ///
     /// # Panics
     ///
-    /// Panics if any group does not own all `m` cells of its hasher —
-    /// the sharing argument only holds for full groups.
+    /// Panics if `specs` is empty or a group is too large for a cell tag.
     pub(crate) fn new(specs: &[GroupSpec], cfg: &ReptConfig) -> Self {
-        assert!(!specs.is_empty());
         for g in specs {
-            assert_eq!(
-                g.size as u64,
-                g.hasher.cells(),
-                "shared full-group state requires every cell to be owned"
+            assert!(
+                g.size <= CellTag::MAX as usize,
+                "group size {} exceeds cell-tag range",
+                g.size
             );
         }
+        let n = specs.len();
         Self {
-            adj: MultiHybridTaggedAdjacency::new(specs.len()),
+            adj: HybridTaggedAdjacency::new(n),
             counters: specs
                 .iter()
                 .map(|g| GroupCounters::new(g.size, cfg))
                 .collect(),
-            owners: vec![0; specs.len()],
-            closed: vec![0; specs.len()],
+            cells: vec![0; n],
+            row: vec![MASKED_NONE; n],
+            closed: vec![0; n],
             specs: specs.to_vec(),
         }
     }
 
-    /// Processes one stream edge for every full group in a single
-    /// structural matching pass; the edge is always stored (every cell
-    /// is owned) unless it is a duplicate.
+    /// Hashes the edge under every group into the scratch row; returns
+    /// whether some group owns it (`cell < size` — cells `size..m` are
+    /// REPT's subsampling and belong to no worker).
+    #[inline]
+    fn fill_row(&mut self, e: Edge) -> bool {
+        let (uu, vv) = e.as_u64_pair();
+        let mut owned = false;
+        for ((spec, cell), tag) in self.specs.iter().zip(&mut self.cells).zip(&mut self.row) {
+            *cell = spec.hasher.cell(uu, vv);
+            *tag = if (*cell as usize) < spec.size {
+                *cell as CellTag
+            } else {
+                MASKED_NONE
+            };
+            owned |= *tag != MASKED_NONE;
+        }
+        owned
+    }
+
+    /// Processes one stream edge: counts every worker's semi-triangle
+    /// closures in a single matching-common-neighbor pass, then stores the
+    /// edge if some group owns it, through the structure's fused
+    /// [`HybridTaggedAdjacency::match_then_insert`], which resolves
+    /// per-endpoint state once. A duplicate stream edge fails the insert
+    /// and is ignored, exactly like `SemiTriangleWorker::store`.
     #[inline]
     pub(crate) fn process(&mut self, e: Edge) {
         let (u, v) = e.endpoints();
-        let (uu, vv) = e.as_u64_pair();
-        for (owner, spec) in self.owners.iter_mut().zip(&self.specs) {
-            *owner = spec.hasher.cell(uu, vv) as CellTag;
-        }
-        self.closed.fill(0);
+        let owned = self.fill_row(e);
         let counters = &mut self.counters;
         let closed = &mut self.closed;
-        let owners = &self.owners;
-        let stored = self.adj.match_then_insert(e, Some(owners), |g, w, cell| {
-            counters[g].fold_match(u, v, w, cell, u64::from(owners[g]), &mut closed[g]);
+        let cells = &self.cells;
+        let store = owned.then_some(&self.row[..]);
+        let stored = self.adj.match_then_insert(e, store, |g, w, cell| {
+            counters[g].fold_match(u, v, w, cell, cells[g], &mut closed[g]);
         });
-        if stored {
-            for g in 0..self.specs.len() {
-                self.counters[g].record_store(e, self.owners[g] as usize, self.closed[g]);
+        // Only an owning group's count can have moved (a matched cell is
+        // always owned), so settling those columns leaves `closed` zero
+        // for the next edge.
+        if owned {
+            for (g, &tag) in self.row.iter().enumerate() {
+                if tag != MASKED_NONE {
+                    if stored {
+                        self.counters[g].record_store(e, tag as usize, self.closed[g]);
+                    }
+                    self.closed[g] = 0;
+                }
             }
         }
     }
 
-    /// Batch-boundary compaction (see [`FusedGroup::compact`]).
+    /// Folds the adjacency's pending insertions into query-optimal form
+    /// (see [`HybridTaggedAdjacency::compact`]) — called by the batch
+    /// driver at batch boundaries so steady-state matching runs on
+    /// compacted state. A pure representation change; never affects
+    /// counters.
     #[inline]
     pub(crate) fn compact(&mut self) {
         self.adj.compact();
     }
 
-    /// Finishes all groups. The shared structure's bytes are split
-    /// evenly across the groups so layout-wide totals stay meaningful.
+    /// Finishes all groups, yielding the aggregates the estimator
+    /// combines. The shared structure's bytes are split evenly across the
+    /// groups so layout-wide totals stay meaningful.
     pub(crate) fn into_aggregates(self) -> Vec<GroupAggregate> {
-        let shared_bytes = self.adj.approx_bytes() / self.specs.len();
+        let shared = self.adj.approx_bytes() / self.specs.len();
         self.specs
             .iter()
             .zip(self.counters)
             .map(|(spec, counters)| {
                 let mut agg = counters.into_aggregate(spec.start);
-                agg.bytes += shared_bytes;
+                agg.bytes += shared;
                 agg
             })
             .collect()
     }
 
-    /// Non-consuming version of [`Self::into_aggregates`] — anytime
-    /// estimates for the incremental driver.
+    /// Non-consuming version of [`Self::into_aggregates`] — clones the
+    /// counter state so an *anytime* estimate can be produced mid-stream
+    /// without stopping ingestion (the serving subsystem's query path).
     pub(crate) fn snapshot_aggregates(&self) -> Vec<GroupAggregate> {
-        let shared_bytes = self.adj.approx_bytes() / self.specs.len();
+        let shared = self.adj.approx_bytes() / self.specs.len();
         self.specs
             .iter()
             .zip(&self.counters)
             .map(|(spec, counters)| {
                 let mut agg = counters.clone().into_aggregate(spec.start);
-                agg.bytes += shared_bytes;
+                agg.bytes += shared;
                 agg
             })
             .collect()
     }
 
-    /// Restores one stored edge during checkpoint decode: recomputes
-    /// every group's tag from its hasher and inserts **without
-    /// counting** (the counters are restored separately). Returns
-    /// `false` on a duplicate.
-    pub(crate) fn insert_restored(&mut self, e: Edge) -> bool {
-        let (uu, vv) = e.as_u64_pair();
-        for (owner, spec) in self.owners.iter_mut().zip(&self.specs) {
-            *owner = spec.hasher.cell(uu, vv) as CellTag;
-        }
-        self.adj.insert(e, &self.owners)
-    }
-}
-
-/// All full hash groups **and** the remainder group fused over one
-/// masked shared structure. The full groups store every stream edge,
-/// so the union set is theirs; the remainder group's sampled edges are
-/// the subset whose remainder-hash cell is owned (`cell < c₂`), marked
-/// by the masked tag column of the shared
-/// [`MaskedHybridTaggedAdjacency`]. One structure walk per arriving
-/// edge yields every group's matches — including the remainder's,
-/// which would otherwise pay a second walk over its own adjacency.
-/// Counters are maintained per group exactly as
-/// `FusedGroup` would, so the result is bit-identical to running the
-/// full groups shared and the remainder independently.
-#[derive(Debug, Clone)]
-pub(crate) struct FusedMaskedGroups {
-    /// The full groups' specs, in layout order.
-    pub(crate) full_specs: Vec<GroupSpec>,
-    /// The remainder group's spec (`size < m`).
-    pub(crate) rem_spec: GroupSpec,
-    pub(crate) adj: MaskedHybridTaggedAdjacency,
-    /// Per-group counters: full groups first, remainder **last** —
-    /// matching the masked structure's group indexing, where group
-    /// `full_specs.len()` is the masked group.
-    pub(crate) counters: Vec<GroupCounters>,
-    /// Per-edge scratch: each full group's owner cell …
-    full_owners: Vec<CellTag>,
-    /// … and each group's `|N⁽ᵒʷⁿᵉʳ⁾_{u,v}|` for η initialisation
-    /// (remainder last).
-    closed: Vec<u64>,
-}
-
-impl FusedMaskedGroups {
-    /// Creates the shared state for the given full groups plus the
-    /// remainder group.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `full_specs` is empty, a full group does not own all
-    /// `m` cells, or the remainder group does (a full remainder is a
-    /// full group and belongs in `full_specs`).
-    pub(crate) fn new(full_specs: &[GroupSpec], rem_spec: GroupSpec, cfg: &ReptConfig) -> Self {
-        assert!(!full_specs.is_empty(), "masked sharing needs a full group");
-        for g in full_specs {
-            assert_eq!(
-                g.size as u64,
-                g.hasher.cells(),
-                "shared full-group state requires every cell to be owned"
-            );
-        }
-        assert!(
-            (rem_spec.size as u64) < rem_spec.hasher.cells(),
-            "a remainder group must leave cells unowned"
-        );
-        let n = full_specs.len();
-        Self {
-            adj: MaskedHybridTaggedAdjacency::new(n),
-            counters: full_specs
-                .iter()
-                .chain(std::iter::once(&rem_spec))
-                .map(|g| GroupCounters::new(g.size, cfg))
-                .collect(),
-            full_owners: vec![0; n],
-            closed: vec![0; n + 1],
-            full_specs: full_specs.to_vec(),
-            rem_spec,
-        }
-    }
-
-    /// Processes one stream edge for every group in a single structural
-    /// matching pass. The edge always enters the union set (each full
-    /// group owns every cell) unless it is a duplicate; its masked tag
-    /// is set iff the remainder group owns its remainder cell.
-    #[inline]
-    pub(crate) fn process(&mut self, e: Edge) {
-        let (u, v) = e.endpoints();
-        let (uu, vv) = e.as_u64_pair();
-        for (owner, spec) in self.full_owners.iter_mut().zip(&self.full_specs) {
-            *owner = spec.hasher.cell(uu, vv) as CellTag;
-        }
-        let rem_owner = self.rem_spec.hasher.cell(uu, vv);
-        let masked = ((rem_owner as usize) < self.rem_spec.size).then_some(rem_owner as CellTag);
-        self.closed.fill(0);
-        let n = self.full_specs.len();
-        let counters = &mut self.counters;
-        let closed = &mut self.closed;
-        let owners = &self.full_owners;
-        let stored = self
-            .adj
-            .match_then_insert(e, Some((owners, masked)), |g, w, cell| {
-                let owner = if g < n {
-                    u64::from(owners[g])
-                } else {
-                    rem_owner
-                };
-                counters[g].fold_match(u, v, w, cell, owner, &mut closed[g]);
-            });
-        if stored {
-            for g in 0..n {
-                self.counters[g].record_store(e, self.full_owners[g] as usize, self.closed[g]);
+    /// Restores the stored edges during checkpoint decode: inserts each
+    /// edge with every column's tag recomputed from its group's hasher,
+    /// **without counting** (the counters are restored separately), and
+    /// returns how many edges each column keeps — `None` on a duplicate
+    /// or an edge no group owns.
+    pub(crate) fn restore_edges(&mut self, edges: &[Edge]) -> Option<Vec<usize>> {
+        let mut kept = vec![0; self.specs.len()];
+        for &e in edges {
+            if !(self.fill_row(e) && self.adj.insert(e, &self.row)) {
+                return None;
             }
-            if masked.is_some() {
-                self.counters[n].record_store(e, rem_owner as usize, self.closed[n]);
+            for (k, &tag) in kept.iter_mut().zip(&self.row) {
+                *k += usize::from(tag != MASKED_NONE);
             }
         }
-    }
-
-    /// Batch-boundary compaction (see [`FusedGroup::compact`]).
-    #[inline]
-    pub(crate) fn compact(&mut self) {
-        self.adj.compact();
-    }
-
-    /// Every spec in counter order (full groups, then the remainder).
-    fn specs(&self) -> impl Iterator<Item = &GroupSpec> {
-        self.full_specs
-            .iter()
-            .chain(std::iter::once(&self.rem_spec))
-    }
-
-    /// Finishes all groups. The shared structure's bytes are split
-    /// evenly across the groups so layout-wide totals stay meaningful.
-    pub(crate) fn into_aggregates(self) -> Vec<GroupAggregate> {
-        let shared_bytes = self.adj.approx_bytes() / self.counters.len();
-        let starts: Vec<usize> = self.specs().map(|s| s.start).collect();
-        starts
-            .into_iter()
-            .zip(self.counters)
-            .map(|(start, counters)| {
-                let mut agg = counters.into_aggregate(start);
-                agg.bytes += shared_bytes;
-                agg
-            })
-            .collect()
-    }
-
-    /// Non-consuming version of [`Self::into_aggregates`] — anytime
-    /// estimates for the incremental driver.
-    pub(crate) fn snapshot_aggregates(&self) -> Vec<GroupAggregate> {
-        let shared_bytes = self.adj.approx_bytes() / self.counters.len();
-        self.specs()
-            .zip(&self.counters)
-            .map(|(spec, counters)| {
-                let mut agg = counters.clone().into_aggregate(spec.start);
-                agg.bytes += shared_bytes;
-                agg
-            })
-            .collect()
-    }
-
-    /// Restores one union-set edge during checkpoint decode: recomputes
-    /// every group's tag (masked tag included) from the hashers and
-    /// inserts **without counting**. Returns `false` on a duplicate.
-    pub(crate) fn insert_restored(&mut self, e: Edge) -> bool {
-        let (uu, vv) = e.as_u64_pair();
-        for (owner, spec) in self.full_owners.iter_mut().zip(&self.full_specs) {
-            *owner = spec.hasher.cell(uu, vv) as CellTag;
-        }
-        let rem_owner = self.rem_spec.hasher.cell(uu, vv);
-        let masked = ((rem_owner as usize) < self.rem_spec.size).then_some(rem_owner as CellTag);
-        self.adj.insert(e, &self.full_owners, masked)
+        self.compact();
+        Some(kept)
     }
 }
 
@@ -558,8 +356,8 @@ mod tests {
                 let rept = Rept::new(cfg);
                 let spec = rept.groups()[0];
 
-                let mut fused = FusedGroup::new(spec, &cfg);
-                fused.adj = HybridTaggedAdjacency::with_threshold(threshold);
+                let mut fused = FusedGroups::new(&[spec], &cfg);
+                fused.adj = HybridTaggedAdjacency::with_threshold(1, threshold);
                 let mut workers: Vec<SemiTriangleWorker> = (0..spec.size)
                     .map(|_| SemiTriangleWorker::new(true, true, mode))
                     .collect();
@@ -577,8 +375,8 @@ mod tests {
 
                 // Per-worker τ and stored-edge counts.
                 for (i, w) in workers.iter().enumerate() {
-                    assert_eq!(fused.counters.tau[i], w.tau(), "τ({i}) m={m} c={c}");
-                    assert_eq!(fused.counters.stored[i], w.stored_edges(), "stored({i})");
+                    assert_eq!(fused.counters[0].tau[i], w.tau(), "τ({i}) m={m} c={c}");
+                    assert_eq!(fused.counters[0].stored[i], w.stored_edges(), "stored({i})");
                 }
                 // Group sums of the per-node and per-edge maps.
                 let mut tau_v: FxHashMap<NodeId, u64> = FxHashMap::default();
@@ -597,9 +395,9 @@ mod tests {
                         *per_edge.entry(e).or_insert(0) += x;
                     }
                 }
-                let eta = fused.counters.eta.as_ref().unwrap();
+                let eta = fused.counters[0].eta.as_ref().unwrap();
                 assert_eq!(eta.total, eta_total, "η m={m} c={c} {mode:?}");
-                assert_eq!(fused.counters.tau_v.as_ref().unwrap(), &tau_v);
+                assert_eq!(fused.counters[0].tau_v.as_ref().unwrap(), &tau_v);
                 assert_eq!(&eta.per_node, &eta_v);
                 assert_eq!(&eta.per_edge, &per_edge);
             }
@@ -627,10 +425,11 @@ mod tests {
         counters_match_workers_exactly(24);
     }
 
-    /// The masked fusion equals the split layout — shared full groups
-    /// plus an independent remainder group — counter for counter, on
-    /// duplicate-edge streams, both η modes, with every structure built
-    /// at promotion threshold `threshold`.
+    /// The remainder as a column of the full groups' structure equals
+    /// the split layout — the full groups alone plus the remainder group
+    /// alone — counter for counter, on duplicate-edge streams, both η
+    /// modes, with every structure built at promotion threshold
+    /// `threshold`.
     fn masked_groups_equal_split_layout(threshold: usize) {
         let mut stream = barabasi_albert(&GeneratorConfig::new(200, 5), 4);
         let dup: Vec<Edge> = stream[20..60].to_vec();
@@ -649,12 +448,12 @@ mod tests {
                     .partition(|g| g.size as u64 == m);
                 assert_eq!(rem.len(), 1, "layouts chosen to have a remainder");
 
-                let mut masked = FusedMaskedGroups::new(&full, rem[0], &cfg);
-                masked.adj = MaskedHybridTaggedAdjacency::with_threshold(full.len(), threshold);
-                let mut shared = FusedFullGroups::new(&full, &cfg);
-                shared.adj = MultiHybridTaggedAdjacency::with_threshold(full.len(), threshold);
-                let mut independent = FusedGroup::new(rem[0], &cfg);
-                independent.adj = HybridTaggedAdjacency::with_threshold(threshold);
+                let mut masked = FusedGroups::new(rept.groups(), &cfg);
+                masked.adj = HybridTaggedAdjacency::with_threshold(full.len() + 1, threshold);
+                let mut shared = FusedGroups::new(&full, &cfg);
+                shared.adj = HybridTaggedAdjacency::with_threshold(full.len(), threshold);
+                let mut independent = FusedGroups::new(&rem, &cfg);
+                independent.adj = HybridTaggedAdjacency::with_threshold(1, threshold);
                 for (i, &e) in stream.iter().enumerate() {
                     masked.process(e);
                     shared.process(e);
@@ -666,14 +465,14 @@ mod tests {
                     }
                 }
                 assert_eq!(masked.adj.edge_count(), shared.adj.edge_count());
-                assert_eq!(
-                    masked.adj.masked_edge_count(),
-                    independent.adj.edge_count(),
-                    "m={m} c={c}"
-                );
+                let mut remainder_kept = 0;
+                masked
+                    .adj
+                    .for_each_edge_in(full.len(), |_, _| remainder_kept += 1);
+                assert_eq!(remainder_kept, independent.adj.edge_count(), "m={m} c={c}");
                 let got = masked.into_aggregates();
                 let mut want = shared.into_aggregates();
-                want.push(independent.into_aggregate());
+                want.extend(independent.into_aggregates());
                 assert_eq!(got.len(), want.len());
                 for (g, w) in got.iter().zip(&want) {
                     assert_eq!(g.start, w.start, "m={m} c={c}");
@@ -708,7 +507,7 @@ mod tests {
         let rept = Rept::new(cfg);
         let spec = rept.groups()[0];
         let stream = barabasi_albert(&GeneratorConfig::new(100, 1), 3);
-        let mut fused = FusedGroup::new(spec, &cfg);
+        let mut fused = FusedGroups::new(&[spec], &cfg);
         for &e in &stream {
             fused.process(e);
         }
@@ -717,6 +516,6 @@ mod tests {
             .filter(|e| spec.hasher.cell(u64::from(e.u()), u64::from(e.v())) < 2)
             .count();
         assert_eq!(fused.adj.edge_count(), expected);
-        assert_eq!(fused.counters.stored.iter().sum::<usize>(), expected);
+        assert_eq!(fused.counters[0].stored.iter().sum::<usize>(), expected);
     }
 }

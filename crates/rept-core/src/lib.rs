@@ -23,8 +23,8 @@
 //!   batch by batch, so all execution paths are bit-identical by
 //!   construction.
 //! * [`fused`] — the fused group execution machinery the core drives:
-//!   per-group state, the shared full-group structure, and the masked
-//!   full+remainder structure.
+//!   every kept hash group as one tag column of a single shared
+//!   structure, plus each group's counters.
 //!
 //! ## Two execution engines
 //!
@@ -36,11 +36,10 @@
 //!   intersection — the paper's cost model executed literally. Pick it as
 //!   the reference oracle and for per-processor runtime accounting
 //!   (Figs. 7/8 simulate wall-clock from *independent* processor work).
-//! * [`Engine::FusedHybrid`] (the default) shares one cell-tagged
-//!   adjacency per hash group — one per *set* of full groups, with the
-//!   remainder folded in through a masked tag column — and recovers all
-//!   of the groups' counters from a single common-neighbor pass per
-//!   edge. Low-degree nodes keep sorted neighbor vecs, high-degree nodes
+//! * [`Engine::FusedHybrid`] (the default) keeps one cell-tagged
+//!   adjacency for all of a run's hash groups — a tag column per group,
+//!   full, remainder or `c < m` alike — and recovers all of the groups'
+//!   counters from a single common-neighbor pass per edge. Low-degree nodes keep sorted neighbor vecs, high-degree nodes
 //!   promote to blocked bitmaps. Pick it whenever you just want the
 //!   estimate fast — accuracy experiments, production streams, and any
 //!   `c ≫ 1` configuration, where it is orders of magnitude faster
@@ -53,9 +52,9 @@
 //! * [`estimate`] — result types (notably [`ReptEstimate`]).
 //! * [`resume`] — [`resume::ResumableRun`], a thin checkpoint/restore
 //!   adapter over [`EngineCore`]: serialises the complete state (RPCK
-//!   — shared edge sets stored once, masked remainder section; every
-//!   earlier version and the retired fused layouts' engine codes still
-//!   restore), so any engine's deployment resumes bit-identically. The `rept-serve` crate builds its serving
+//!   — the union edge set stored once, a counted remainder section;
+//!   every earlier version and the retired fused layouts' engine codes
+//!   still restore), so any engine's deployment resumes bit-identically. The `rept-serve` crate builds its serving
 //!   subsystem on it.
 //! * [`reservoir`] — [`ReservoirRun`], the bounded-memory run mode:
 //!   TRIÈST-IMPR reservoir sampling under a hard byte budget, behind

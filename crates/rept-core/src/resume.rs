@@ -24,20 +24,22 @@
 //!
 //! The format is hand-rolled little-endian (no serde-format
 //! dependency): magic, version, config, engine, position, journal
-//! truncation position (version 4), then the engine-core state
-//! section. Since version 3 the fused engine's shared structures are
-//! written the way the core holds them: one union edge-set section
-//! shared by all full hash groups (v2 repeated it per group) and a
-//! *masked remainder section* — the remainder group's counters plus its
-//! stored-edge count, the edges themselves being recomputable from the
-//! remainder hash over the union set. Tags and representation are never
-//! stored anywhere: a stored edge's tag under any group is
-//! `hasher.cell(e)`, so restore recomputes them and rebuilds the hybrid
-//! layout from the canonical edge sections. That is also why the
-//! engine codes of the retired fused layouts still decode: a code-1
-//! (fused-hash) section list and a v2 code-2 (fused-sorted) one are the
-//! same per-group sections, and a v3+ code-2 blob has exactly the
-//! hybrid layout, so all of them restore into the fused hybrid core.
+//! truncation position (version 4), group slice (version 6), then the
+//! engine-core state section. Since version 3 the fused engine's state
+//! opens with a layout tag picked from the kept groups: a single group
+//! writes its edge list and counters; full groups write the union edge
+//! set **once** (v2 repeated it per group) plus a counter block each;
+//! and a remainder adds its counter block and stored-edge count — its
+//! edges are the union edges the remainder hash owns. Tags and
+//! representation are never stored anywhere: a stored edge's tag under
+//! any group is `hasher.cell(e)`, so restore inserts the union of every
+//! listed edge set into the one cell-tagged structure, recomputing each
+//! group's column, and checks each column's kept count against that
+//! group's stored counters. That is also why the engine codes of the
+//! retired fused layouts still decode: a code-1 (fused-hash) section
+//! list and a v2 code-2 (fused-sorted) one are the same per-group
+//! sections, and a v3+ code-2 blob has exactly the hybrid layout, so
+//! all of them restore into the fused hybrid core.
 //! Version 1 blobs (per-worker only, predating engine awareness) are
 //! still read too. It is a snapshot format, not an archival one — the
 //! version field guards against reading snapshots across incompatible
@@ -55,15 +57,12 @@
 use std::path::{Path, PathBuf};
 
 use rept_graph::edge::{Edge, NodeId};
-use rept_graph::hybrid_tagged::CellTag;
 
 use crate::config::{EtaMode, ReptConfig};
-use crate::engine::{CoreState, EngineCore, GroupSlice, SharedState};
+use crate::engine::{CoreState, EngineCore, GroupSlice};
 use crate::estimate::ReptEstimate;
 use crate::estimator::{Engine, GroupAggregate, GroupSpec, Rept};
-use crate::fused::{
-    FusedEtaCounters, FusedFullGroups, FusedGroup, FusedMaskedGroups, GroupCounters,
-};
+use crate::fused::{FusedEtaCounters, FusedGroups, GroupCounters};
 use crate::reservoir::{ReservoirRun, MIN_MEMORY_BUDGET};
 use crate::worker::SemiTriangleWorker;
 
@@ -271,11 +270,12 @@ fn engine_from_code(code: u8) -> Result<Engine, SnapshotError> {
 
 /// Stable on-disk codes of the v3 fused-engine layout tag.
 mod layout_tag {
-    /// Independent per-group sections only.
+    /// Per-group sections only (written for a single kept group).
     pub const INDEPENDENT: u8 = 0;
-    /// Shared full groups (union edge set once), independent rest.
+    /// Full groups (union edge set once), then per-group sections for
+    /// any other group (written for full groups only).
     pub const SHARED_FULL: u8 = 1;
-    /// Shared full groups plus the masked remainder section.
+    /// Full groups plus the counted remainder section.
     pub const MASKED: u8 = 2;
 }
 
@@ -417,11 +417,11 @@ impl ResumableRun {
         }
     }
 
-    /// Processes a batch of arriving edges — fused engines run
-    /// group-major within cache-resident sub-batches and compact at the
-    /// boundaries (see [`EngineCore::ingest_batch`]). Results are
-    /// independent of how the stream is split into batches, which is
-    /// what makes checkpoint/resume at any batch boundary bit-identical.
+    /// Processes a batch of arriving edges — the fused engine compacts
+    /// at its sub-batch boundaries (see [`EngineCore::ingest_batch`]).
+    /// Results are independent of how the stream is split into batches,
+    /// which is what makes checkpoint/resume at any batch boundary
+    /// bit-identical.
     pub fn process_batch(&mut self, batch: &[Edge]) {
         match &mut self.state {
             RunState::Engine(core) => core.ingest_batch(batch),
@@ -503,9 +503,7 @@ impl ResumableRun {
                             w.write_snapshot(&mut out);
                         }
                     }
-                    CoreState::Fused { shared, rest } => {
-                        write_shared_state_v3(shared.as_ref(), rest, &mut out)
-                    }
+                    CoreState::Fused(groups) => write_fused_state(groups, &mut out),
                 }
             }
             RunState::Reservoir(run) => {
@@ -599,6 +597,16 @@ impl ResumableRun {
             GroupSlice::FULL
         };
         let engine = engine_from_code(code)?;
+        // A per-worker blob serialises every processor (48 bytes at
+        // least) and an unsliced fused one a τ and a stored counter per
+        // processor, so a header naming more processors than the rest of
+        // the blob can hold is corrupt: refuse it before sizing anything
+        // by `c`. (A sliced fused blob holds only its kept groups.)
+        if (engine == Engine::PerWorker || slice.is_full())
+            && c.saturating_mul(16) > r.remaining() as u64
+        {
+            return Err(SnapshotError::Invalid("processor count beyond the blob"));
+        }
         let rept = Rept::new(cfg);
         let kept: Vec<GroupSpec> = rept
             .groups()
@@ -626,20 +634,15 @@ impl ResumableRun {
                 }
                 CoreState::PerWorker { workers }
             }
-            Engine::FusedHybrid => {
-                // Fused-hash blobs (code 1, any version) and v2 blobs
-                // hold one section per kept group; v3+ blobs of codes 2
-                // and 4 hold the shared layout. Both decode into the
-                // same canonical sections the hybrid core is rebuilt
-                // from.
-                let decoded = if code == 1 || version == 2 {
-                    read_sorted_sections_v2(&mut r, &rept, &kept)?
-                } else {
-                    read_sorted_sections_v3(&mut r, &rept, &kept)?
-                };
-                let (shared, rest) = build_shared_groups(&rept, &kept, decoded)?;
-                CoreState::Fused { shared, rest }
-            }
+            // Fused-hash blobs (code 1, any version) and v2 blobs hold
+            // one section per kept group; v3+ blobs of codes 2 and 4
+            // hold the shared layout.
+            Engine::FusedHybrid => CoreState::Fused(Box::new(read_fused_state(
+                &mut r,
+                &cfg,
+                &kept,
+                code == 1 || version == 2,
+            )?)),
         };
         if !r.done() {
             return Err(SnapshotError::Invalid("trailing bytes"));
@@ -698,14 +701,6 @@ pub fn durable_write_rename(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 }
 
 // ---- section plumbing -----------------------------------------------------
-
-/// One independent fused group's edges in canonical order.
-fn sorted_group_edges(g: &FusedGroup) -> Vec<Edge> {
-    let mut edges: Vec<Edge> = Vec::with_capacity(g.adj.edge_count());
-    g.adj.for_each_edge(|e, _| edges.push(e));
-    edges.sort_unstable();
-    edges
-}
 
 /// Writes one edge list: count, then `(u, v)` pairs.
 fn write_edge_list(out: &mut Vec<u8>, edges: &[Edge]) {
@@ -857,60 +852,53 @@ fn write_counter_block(out: &mut Vec<u8>, counters: &GroupCounters) {
     }
 }
 
-/// Writes one independent group section: edge list then counter block.
-fn write_group_section(out: &mut Vec<u8>, edges: &[Edge], counters: &GroupCounters) {
-    write_edge_list(out, edges);
-    write_counter_block(out, counters);
-}
-
-/// Serialises the fused engine's state the way the core holds it
-/// (format version 3 and later): the shared structures' union edge set
-/// is written **once**, followed by one counter block per sharing
-/// group; the masked remainder contributes its counter block plus its
-/// stored-edge count (the edges themselves are the subset of the union
-/// the remainder hash owns — recomputed on restore). Tags and
+/// Serialises the fused engine's state (format version 3 and later)
+/// under the layout tag its kept groups call for: a single group writes
+/// its section (edge list, then counter block); full groups write the
+/// union edge set **once** and a counter block each; a remainder after
+/// them adds its counter block and stored-edge count — its edges are
+/// the union edges its column keeps, recomputed on restore. Tags and
 /// representation are both rebuilt on restore.
-fn write_shared_state_v3(shared: Option<&SharedState>, rest: &[FusedGroup], out: &mut Vec<u8>) {
-    match shared {
-        None => {
-            out.push(layout_tag::INDEPENDENT);
-            out.extend_from_slice(&(rest.len() as u64).to_le_bytes());
-        }
-        Some(SharedState::Full(s)) => {
-            out.push(layout_tag::SHARED_FULL);
-            out.extend_from_slice(&(s.specs.len() as u64).to_le_bytes());
-            let mut union = Vec::with_capacity(s.adj.edge_count());
-            s.adj.for_each_edge(|e| union.push(e));
-            union.sort_unstable();
-            write_edge_list(out, &union);
-            for counters in &s.counters {
-                write_counter_block(out, counters);
-            }
-            out.extend_from_slice(&(rest.len() as u64).to_le_bytes());
-        }
-        Some(SharedState::Masked(s)) => {
-            out.push(layout_tag::MASKED);
-            out.extend_from_slice(&(s.full_specs.len() as u64).to_le_bytes());
-            let mut union = Vec::with_capacity(s.adj.edge_count());
-            s.adj.for_each_edge(|e| union.push(e));
-            union.sort_unstable();
-            write_edge_list(out, &union);
-            let (full_counters, rem_counters) = s.counters.split_at(s.full_specs.len());
-            for counters in full_counters {
-                write_counter_block(out, counters);
-            }
-            out.extend_from_slice(&(s.adj.masked_edge_count() as u64).to_le_bytes());
-            write_counter_block(out, &rem_counters[0]);
-            out.extend_from_slice(&(rest.len() as u64).to_le_bytes());
-        }
+fn write_fused_state(groups: &FusedGroups, out: &mut Vec<u8>) {
+    let mut union = Vec::with_capacity(groups.adj.edge_count());
+    groups.adj.for_each_edge(|e| union.push(e));
+    union.sort_unstable();
+    let counters = &groups.counters;
+    if let [only] = &counters[..] {
+        out.push(layout_tag::INDEPENDENT);
+        out.extend_from_slice(&1u64.to_le_bytes());
+        write_edge_list(out, &union);
+        write_counter_block(out, only);
+        return;
     }
-    for g in rest {
-        write_group_section(out, &sorted_group_edges(g), &g.counters);
+    // Full groups own every cell and precede the remainder.
+    let full = groups
+        .specs
+        .iter()
+        .take_while(|g| g.size as u64 == g.hasher.cells())
+        .count();
+    let (full_counters, rem) = counters.split_at(full);
+    out.push(if rem.is_empty() {
+        layout_tag::SHARED_FULL
+    } else {
+        layout_tag::MASKED
+    });
+    out.extend_from_slice(&(full as u64).to_le_bytes());
+    write_edge_list(out, &union);
+    for c in full_counters {
+        write_counter_block(out, c);
     }
+    if let [rem] = rem {
+        let stored: usize = rem.stored.iter().sum();
+        out.extend_from_slice(&(stored as u64).to_le_bytes());
+        write_counter_block(out, rem);
+    }
+    // No per-group sections follow.
+    out.extend_from_slice(&0u64.to_le_bytes());
 }
 
-/// Reads one group's edge list, validating each edge lands in a cell the
-/// group owns.
+/// Reads one group's edge list in canonical order, validating that each
+/// edge lands in a cell the group owns and appears once.
 fn read_group_edges(r: &mut Reader<'_>, spec: &GroupSpec) -> Result<Vec<Edge>, SnapshotError> {
     let edge_count = r.u64()?;
     let mut edges = Vec::with_capacity(r.capacity_for(edge_count, 8));
@@ -923,6 +911,10 @@ fn read_group_edges(r: &mut Reader<'_>, spec: &GroupSpec) -> Result<Vec<Edge>, S
             return Err(SnapshotError::Invalid("edge outside owned cells"));
         }
         edges.push(e);
+    }
+    edges.sort_unstable();
+    if edges.windows(2).any(|w| w[0] == w[1]) {
+        return Err(SnapshotError::Invalid("duplicate edge in group"));
     }
     Ok(edges)
 }
@@ -969,342 +961,77 @@ fn read_group_counters(
     Ok(counters)
 }
 
-/// Rebuilds one independent fused group from a decoded section:
-/// re-inserts its edges (tag = `hasher.cell(e)`, the invariant the
-/// engine maintains) and installs the counters.
-fn group_from_section(
+/// Reads the fused engine's sections back into the one layout:
+/// `per_group` section lists (every v2 blob, and code-1 blobs at any
+/// version) hold an edge list and a counter block per kept group, and
+/// shared-layout blobs (v3+, see [`write_fused_state`]) the union edge
+/// set once. Restore inserts the union of every listed edge set, then
+/// checks each column's kept count against its group's stored counters —
+/// so a listed group edge set must be exactly the union edges its
+/// column keeps, whatever format version or engine code wrote it.
+fn read_fused_state(
+    r: &mut Reader<'_>,
     cfg: &ReptConfig,
-    spec: GroupSpec,
-    edges: &[Edge],
-    counters: GroupCounters,
-) -> Result<FusedGroup, SnapshotError> {
-    let mut g = FusedGroup::new(spec, cfg);
-    for &e in edges {
-        let (uu, vv) = e.as_u64_pair();
-        if !g.adj.insert(e, spec.hasher.cell(uu, vv) as CellTag) {
-            return Err(SnapshotError::Invalid("duplicate edge in group"));
-        }
-    }
-    g.adj.compact();
-    g.counters = counters;
-    Ok(g)
-}
-
-/// The remainder group's decoded section, when the layout has one.
-enum RemainderSection {
-    /// v1/v2 blobs record the remainder's stored edges explicitly.
-    Edges(Vec<Edge>, GroupCounters),
-    /// v3 blobs record only the count — the edges are the subset of the
-    /// union set the remainder hash owns, recomputed on restore.
-    Counted(u64, GroupCounters),
-}
-
-/// The fused engine's decoded state sections, normalised across format
-/// versions and engine codes; [`build_shared_groups`] turns this into the core layout.
-struct SortedDecoded {
-    /// The full groups' shared edge set (empty when the layout has no
-    /// shareable full groups).
-    union: Vec<Edge>,
-    /// One counter block per full group, in layout order.
-    full_counters: Vec<GroupCounters>,
-    /// The remainder group's section, when full groups exist to share
-    /// its structure with.
-    rem: Option<RemainderSection>,
-    /// Independent group sections (everything the sharing cannot cover),
-    /// with their specs, in layout order.
-    rest: Vec<(GroupSpec, Vec<Edge>, GroupCounters)>,
-}
-
-/// Splits a kept-group set into its full groups (size = `m`) and the
-/// rest — the same classification the core's construction uses
-/// ([`crate::engine::split_full_partial`]), so restore and fresh
-/// construction can never disagree about a layout.
-fn split_specs(rept: &Rept, kept: &[GroupSpec]) -> (Vec<GroupSpec>, Vec<GroupSpec>) {
-    crate::engine::split_full_partial(rept.config().m, kept)
-}
-
-/// Reads a per-group section list — every version-2 fused blob, and
-/// fused-hash (code 1) blobs at any version: one section per kept group
-/// in layout order, full groups carrying identical (repeated) edge
-/// sets.
-fn read_sorted_sections_v2(
-    r: &mut Reader<'_>,
-    rept: &Rept,
     kept: &[GroupSpec],
-) -> Result<SortedDecoded, SnapshotError> {
-    let cfg = *rept.config();
-    let n = r.u64()? as usize;
-    if n != kept.len() {
-        return Err(SnapshotError::Invalid("group count/config mismatch"));
-    }
-    let (full, partial) = split_specs(rept, kept);
-    // Sharing applies exactly when the current core would share — the
-    // one layout rule, consulted through `engine::sorted_layout`.
-    if crate::engine::sorted_layout(full.len(), partial.len())
-        == crate::engine::SortedLayout::Independent
-    {
-        let rest = kept
-            .iter()
-            .map(|spec| {
-                let edges = read_group_edges(r, spec)?;
-                let counters = read_group_counters(r, &cfg, spec.size, edges.len())?;
-                Ok((*spec, edges, counters))
-            })
-            .collect::<Result<_, _>>()?;
-        return Ok(SortedDecoded {
-            union: Vec::new(),
-            full_counters: Vec::new(),
-            rem: None,
-            rest,
-        });
-    }
-    let mut union: Vec<Edge> = Vec::new();
-    let mut full_counters = Vec::with_capacity(full.len());
-    for (gi, spec) in full.iter().enumerate() {
-        let edges = read_group_edges(r, spec)?;
-        if gi == 0 {
-            union = edges;
-            // Canonical order lets the repeated sets compare as slices.
-            union.sort_unstable();
-        } else {
-            let mut edges = edges;
-            edges.sort_unstable();
-            // Every full group stores every stream edge, so all full
-            // groups hold the identical edge set; a blob violating that
-            // cannot have come from any real run.
-            if edges != union {
-                return Err(SnapshotError::Invalid(
-                    "full groups must share one edge set",
-                ));
-            }
-        }
-        full_counters.push(read_group_counters(r, &cfg, spec.size, union.len())?);
-    }
-    let rem = match partial.first() {
-        Some(spec) => {
-            let edges = read_group_edges(r, spec)?;
-            let counters = read_group_counters(r, &cfg, spec.size, edges.len())?;
-            Some(RemainderSection::Edges(edges, counters))
-        }
-        None => None,
+    per_group: bool,
+) -> Result<FusedGroups, SnapshotError> {
+    let full = kept.iter().take_while(|g| g.size as u64 == cfg.m).count();
+    let mut edges = Vec::new();
+    let mut counters = Vec::with_capacity(kept.len());
+    // The groups whose own section (edge list, counter block) follows.
+    let mut listed = kept;
+    let tag = if per_group {
+        layout_tag::INDEPENDENT
+    } else {
+        r.u8()?
     };
-    Ok(SortedDecoded {
-        union,
-        full_counters,
-        rem,
-        rest: Vec::new(),
-    })
-}
-
-/// Reads a version-3+ shared-layout section list (see
-/// [`write_shared_state_v3`]).
-fn read_sorted_sections_v3(
-    r: &mut Reader<'_>,
-    rept: &Rept,
-    kept: &[GroupSpec],
-) -> Result<SortedDecoded, SnapshotError> {
-    let cfg = *rept.config();
-    let (full, partial) = split_specs(rept, kept);
-    let tag = r.u8()?;
-    let mut decoded = SortedDecoded {
-        union: Vec::new(),
-        full_counters: Vec::new(),
-        rem: None,
-        rest: Vec::new(),
-    };
-    let rest_specs: Vec<GroupSpec> = match tag {
+    match tag {
         layout_tag::INDEPENDENT => {
-            let n = r.u64()? as usize;
-            if n != kept.len() {
+            if r.u64()? != kept.len() as u64 {
                 return Err(SnapshotError::Invalid("group count/config mismatch"));
             }
-            kept.to_vec()
         }
         layout_tag::SHARED_FULL | layout_tag::MASKED => {
-            let full_count = r.u64()? as usize;
-            if full_count != full.len() || full.is_empty() {
+            if full == 0 || r.u64()? != full as u64 {
                 return Err(SnapshotError::Invalid("full group count/config mismatch"));
             }
-            decoded.union = read_group_edges(r, &full[0])?;
-            for spec in &full {
-                decoded.full_counters.push(read_group_counters(
-                    r,
-                    &cfg,
-                    spec.size,
-                    decoded.union.len(),
-                )?);
+            edges = read_group_edges(r, &kept[0])?;
+            for spec in &kept[..full] {
+                counters.push(read_group_counters(r, cfg, spec.size, edges.len())?);
             }
+            listed = &kept[full..];
             if tag == layout_tag::MASKED {
-                let Some(rem_spec) = partial.first() else {
+                let [rem] = listed else {
                     return Err(SnapshotError::Invalid("masked section without remainder"));
                 };
-                let masked_count = r.u64()?;
-                let counters = read_group_counters(r, &cfg, rem_spec.size, masked_count as usize)?;
-                decoded.rem = Some(RemainderSection::Counted(masked_count, counters));
-                let rest_count = r.u64()? as usize;
-                if rest_count != 0 {
-                    return Err(SnapshotError::Invalid("masked layout leaves no rest"));
-                }
-                Vec::new()
-            } else {
-                let rest_count = r.u64()? as usize;
-                if rest_count != partial.len() {
-                    return Err(SnapshotError::Invalid("rest count/config mismatch"));
-                }
-                partial.clone()
+                let count = r.u64()? as usize;
+                counters.push(read_group_counters(r, cfg, rem.size, count)?);
+                listed = &[];
+            }
+            if r.u64()? != listed.len() as u64 {
+                return Err(SnapshotError::Invalid("rest count/config mismatch"));
             }
         }
         _ => return Err(SnapshotError::Invalid("sorted layout tag")),
-    };
-    for spec in rest_specs {
-        let edges = read_group_edges(r, &spec)?;
-        let counters = read_group_counters(r, &cfg, spec.size, edges.len())?;
-        decoded.rest.push((spec, edges, counters));
     }
-    Ok(decoded)
-}
-
-/// Shared state (if any groups share an adjacency) plus the per-group
-/// engine cores rebuilt from a decoded snapshot.
-type SharedGroups = (Option<SharedState>, Vec<FusedGroup>);
-
-/// Turns decoded fused sections into the fused engine's state, picking
-/// the same sharing [`EngineCore`] construction picks — so a resumed run
-/// is the same state a fresh run fed the same edges would hold, whatever
-/// format version, engine code (or sharing level) the blob was written
-/// under.
-fn build_shared_groups(
-    rept: &Rept,
-    kept: &[GroupSpec],
-    decoded: SortedDecoded,
-) -> Result<SharedGroups, SnapshotError> {
-    let cfg = *rept.config();
-    let (full, partial) = split_specs(rept, kept);
-    let SortedDecoded {
-        union,
-        full_counters,
-        mut rem,
-        mut rest,
-    } = decoded;
-    let mut union = union;
-    let mut full_counters = full_counters;
-
-    // Normalise: a per-group section list (or a v3 blob written with the
-    // remainder kept independent) still restores into the shared layout
-    // when the configuration admits one.
-    if !partial.is_empty() && !full.is_empty() && rem.is_none() {
-        // The remainder section is the last independent one.
-        if let Some(pos) = rest
-            .iter()
-            .position(|(spec, _, _)| (spec.size as u64) < cfg.m)
-        {
-            let (_, edges, counters) = rest.remove(pos);
-            rem = Some(RemainderSection::Edges(edges, counters));
+    for spec in listed {
+        let list = read_group_edges(r, spec)?;
+        counters.push(read_group_counters(r, cfg, spec.size, list.len())?);
+        edges.extend(list);
+    }
+    edges.sort_unstable();
+    edges.dedup();
+    let mut groups = FusedGroups::new(kept, cfg);
+    let kept_counts = groups
+        .restore_edges(&edges)
+        .ok_or(SnapshotError::Invalid("edge outside owned cells"))?;
+    for (count, c) in kept_counts.into_iter().zip(&counters) {
+        if count != c.stored.iter().sum::<usize>() {
+            return Err(SnapshotError::Invalid("stored counts/edge set mismatch"));
         }
     }
-    if full_counters.is_empty() && !full.is_empty() && (rem.is_some() || full.len() >= 2) {
-        // Lift independent full-group sections into the shared form.
-        let mut lifted_union: Option<Vec<Edge>> = None;
-        let mut lifted = Vec::new();
-        let mut kept = Vec::new();
-        for (spec, mut edges, counters) in rest {
-            if spec.size as u64 == cfg.m {
-                edges.sort_unstable();
-                match &lifted_union {
-                    None => lifted_union = Some(edges),
-                    Some(u) if *u == edges => {}
-                    Some(_) => {
-                        return Err(SnapshotError::Invalid(
-                            "full groups must share one edge set",
-                        ))
-                    }
-                }
-                lifted.push(counters);
-            } else {
-                kept.push((spec, edges, counters));
-            }
-        }
-        union = lifted_union.unwrap_or_default();
-        full_counters = lifted;
-        rest = kept;
-    }
-
-    if let Some(rem_section) = rem {
-        // Masked layout: full groups + remainder over one structure.
-        if full_counters.len() != full.len() || partial.len() != 1 {
-            return Err(SnapshotError::Invalid("masked layout/config mismatch"));
-        }
-        if !rest.is_empty() {
-            return Err(SnapshotError::Invalid("masked layout leaves no rest"));
-        }
-        let mut shared = FusedMaskedGroups::new(&full, partial[0], &cfg);
-        for &e in &union {
-            if !shared.insert_restored(e) {
-                return Err(SnapshotError::Invalid("duplicate edge in group"));
-            }
-        }
-        shared.compact();
-        let (expected_count, rem_counters) = match rem_section {
-            RemainderSection::Counted(count, counters) => (count as usize, counters),
-            RemainderSection::Edges(edges, counters) => {
-                // The recomputed masked subset must be exactly the edges
-                // the blob recorded as remainder-stored: every listed
-                // edge distinct (a duplicate plus the count check below
-                // could otherwise mask an omitted edge) and inside the
-                // subset; distinct ⊆ + equal counts ⇒ set equality.
-                let mut sorted = edges.clone();
-                sorted.sort_unstable();
-                if sorted.windows(2).any(|w| w[0] == w[1]) {
-                    return Err(SnapshotError::Invalid("duplicate edge in group"));
-                }
-                for e in &edges {
-                    if shared.adj.masked_tag_of(*e).is_none() {
-                        return Err(SnapshotError::Invalid(
-                            "remainder edge outside the masked subset",
-                        ));
-                    }
-                }
-                (edges.len(), counters)
-            }
-        };
-        if shared.adj.masked_edge_count() != expected_count {
-            return Err(SnapshotError::Invalid("masked edge count mismatch"));
-        }
-        let mut counters = full_counters;
-        counters.push(rem_counters);
-        shared.counters = counters;
-        return Ok((Some(SharedState::Masked(Box::new(shared))), Vec::new()));
-    }
-
-    if !full_counters.is_empty() {
-        // Shared full groups, independent rest.
-        if full_counters.len() != full.len() || full.len() < 2 {
-            return Err(SnapshotError::Invalid("full group count/config mismatch"));
-        }
-        let mut shared = FusedFullGroups::new(&full, &cfg);
-        for &e in &union {
-            if !shared.insert_restored(e) {
-                return Err(SnapshotError::Invalid("duplicate edge in group"));
-            }
-        }
-        shared.compact();
-        shared.counters = full_counters;
-        let rest = rest
-            .into_iter()
-            .map(|(spec, edges, counters)| group_from_section(&cfg, spec, &edges, counters))
-            .collect::<Result<_, _>>()?;
-        return Ok((Some(SharedState::Full(Box::new(shared))), rest));
-    }
-
-    // No sharing: independent groups only.
-    if rest.len() != kept.len() {
-        return Err(SnapshotError::Invalid("group count/config mismatch"));
-    }
-    let rest = rest
-        .into_iter()
-        .map(|(spec, edges, counters)| group_from_section(&cfg, spec, &edges, counters))
-        .collect::<Result<_, _>>()?;
-    Ok((None, rest))
+    groups.counters = counters;
+    Ok(groups)
 }
 
 // ---- worker snapshot plumbing -------------------------------------------
@@ -1373,7 +1100,6 @@ impl SemiTriangleWorker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::SharedState;
     use proptest::collection::vec as prop_vec;
     use proptest::prelude::*;
     use rept_gen::{barabasi_albert, stream_order, GeneratorConfig};
@@ -1521,35 +1247,25 @@ mod tests {
         }
     }
 
-    /// The fused core's edge sets in canonical order: the shared union
-    /// (empty without sharing), the masked remainder subset, and each
-    /// independent group's own set.
-    fn frozen_fused_edges(run: &ResumableRun) -> (Vec<Edge>, Vec<Edge>, Vec<Vec<Edge>>) {
-        let CoreState::Fused { shared, rest } = &run.engine_core().state else {
+    /// The fused core's groups, its union edge set and each kept
+    /// group's own edge set (the union edges its column keeps), in
+    /// canonical order.
+    fn frozen_fused_edges(run: &ResumableRun) -> (&FusedGroups, Vec<Edge>, Vec<Vec<Edge>>) {
+        let CoreState::Fused(groups) = &run.engine_core().state else {
             panic!("fused sections need the fused core");
         };
         let mut union = Vec::new();
-        let mut masked = Vec::new();
-        match shared {
-            Some(SharedState::Full(s)) => s.adj.for_each_edge(|e| union.push(e)),
-            Some(SharedState::Masked(s)) => {
-                s.adj.for_each_edge(|e| union.push(e));
-                s.adj.for_each_masked_edge(|e, _| masked.push(e));
-            }
-            None => {}
-        }
+        groups.adj.for_each_edge(|e| union.push(e));
         union.sort_unstable();
-        masked.sort_unstable();
-        let rest = rest
-            .iter()
+        let per_group = (0..groups.specs.len())
             .map(|g| {
                 let mut edges = Vec::new();
-                g.adj.for_each_edge(|e, _| edges.push(e));
+                groups.adj.for_each_edge_in(g, |e, _| edges.push(e));
                 edges.sort_unstable();
                 edges
             })
             .collect();
-        (union, masked, rest)
+        (groups, union, per_group)
     }
 
     /// The per-group section list of v2 blobs and of fused-hash (code 1)
@@ -1557,44 +1273,20 @@ mod tests {
     /// group in layout order — full groups each repeating the shared
     /// edge set, the remainder listing its own stored edges.
     fn frozen_group_sections(run: &ResumableRun, out: &mut Vec<u8>) {
-        let CoreState::Fused { shared, rest } = &run.engine_core().state else {
-            panic!("fused sections need the fused core");
-        };
-        let (union, masked, rest_edges) = frozen_fused_edges(run);
-        let n_shared = match shared {
-            Some(SharedState::Full(s)) => s.specs.len(),
-            Some(SharedState::Masked(s)) => s.full_specs.len() + 1,
-            None => 0,
-        };
-        out.extend_from_slice(&((n_shared + rest.len()) as u64).to_le_bytes());
-        match shared {
-            Some(SharedState::Full(s)) => {
-                for counters in &s.counters {
-                    frozen_v2_group_section(out, &union, counters);
-                }
-            }
-            Some(SharedState::Masked(s)) => {
-                let (full, rem) = s.counters.split_at(s.full_specs.len());
-                for counters in full {
-                    frozen_v2_group_section(out, &union, counters);
-                }
-                frozen_v2_group_section(out, &masked, &rem[0]);
-            }
-            None => {}
-        }
-        for (g, edges) in rest.iter().zip(&rest_edges) {
-            frozen_v2_group_section(out, edges, &g.counters);
+        let (groups, _, per_group) = frozen_fused_edges(run);
+        out.extend_from_slice(&(groups.counters.len() as u64).to_le_bytes());
+        for (edges, counters) in per_group.iter().zip(&groups.counters) {
+            frozen_v2_group_section(out, edges, counters);
         }
     }
 
-    /// The v3+ fused-sorted (code 2) shared-layout sections: layout tag,
-    /// the union edge set once, one counter block per sharing group, the
-    /// masked remainder's stored-edge count, then independent groups.
+    /// The v3+ fused-sorted (code 2) shared-layout sections: layout tag
+    /// (0 for one kept group, 1 for full groups only, 2 for full groups
+    /// and the remainder), then the single group's section, or the union
+    /// edge set once, one counter block per full group, the remainder's
+    /// stored-edge count and counter block, and an empty section list.
     fn frozen_v3_shared_sections(run: &ResumableRun, out: &mut Vec<u8>) {
-        let CoreState::Fused { shared, rest } = &run.engine_core().state else {
-            panic!("fused sections need the fused core");
-        };
-        let (union, masked, rest_edges) = frozen_fused_edges(run);
+        let (groups, union, per_group) = frozen_fused_edges(run);
         let write_edges = |out: &mut Vec<u8>, edges: &[Edge]| {
             out.extend_from_slice(&(edges.len() as u64).to_le_bytes());
             for e in edges {
@@ -1608,37 +1300,27 @@ mod tests {
             frozen_v2_group_section(&mut section, &[], counters);
             out.extend_from_slice(&section[8..]);
         };
-        match shared {
-            None => {
-                out.push(0);
-                out.extend_from_slice(&(rest.len() as u64).to_le_bytes());
-            }
-            Some(SharedState::Full(s)) => {
-                out.push(1);
-                out.extend_from_slice(&(s.specs.len() as u64).to_le_bytes());
-                write_edges(out, &union);
-                for counters in &s.counters {
-                    counter_block(out, counters);
-                }
-                out.extend_from_slice(&(rest.len() as u64).to_le_bytes());
-            }
-            Some(SharedState::Masked(s)) => {
-                out.push(2);
-                out.extend_from_slice(&(s.full_specs.len() as u64).to_le_bytes());
-                write_edges(out, &union);
-                let (full, rem) = s.counters.split_at(s.full_specs.len());
-                for counters in full {
-                    counter_block(out, counters);
-                }
-                out.extend_from_slice(&(masked.len() as u64).to_le_bytes());
-                counter_block(out, &rem[0]);
-                out.extend_from_slice(&(rest.len() as u64).to_le_bytes());
-            }
+        let n = groups.counters.len();
+        if n == 1 {
+            out.push(0);
+            out.extend_from_slice(&1u64.to_le_bytes());
+            write_edges(out, &per_group[0]);
+            counter_block(out, &groups.counters[0]);
+            return;
         }
-        for (g, edges) in rest.iter().zip(&rest_edges) {
-            write_edges(out, edges);
-            counter_block(out, &g.counters);
+        let m = run.config().m;
+        let full = groups.specs.iter().filter(|g| g.size as u64 == m).count();
+        out.push(if full == n { 1 } else { 2 });
+        out.extend_from_slice(&(full as u64).to_le_bytes());
+        write_edges(out, &union);
+        for counters in &groups.counters[..full] {
+            counter_block(out, counters);
         }
+        if full < n {
+            out.extend_from_slice(&(per_group[full].len() as u64).to_le_bytes());
+            counter_block(out, &groups.counters[full]);
+        }
+        out.extend_from_slice(&0u64.to_le_bytes());
     }
 
     /// Emits a blob as the releases with engine codes 0–2 wrote it:
@@ -1981,6 +1663,53 @@ mod tests {
             }
         }
 
+        /// The live fused writer emits, byte for byte, what the frozen
+        /// fused-sorted (code 2) encoder of the shared layout emits once
+        /// its engine byte reads 4 — at `c < m`, `c = m`, `c = k·m` and
+        /// `c = k·m + r`, unsliced (v4) and in every 2-way group slice
+        /// (v6). A round trip alone would pass a writer that moved the
+        /// on-disk layout.
+        #[test]
+        fn fused_blobs_keep_the_shared_layout_bytes(
+            pairs in prop_vec((0u32..24, 0u32..24), 1..120),
+            m in 2u64..6,
+            k in 1u64..4,
+            r_sel in any::<u64>(),
+            seed in any::<u64>(),
+            split_sel in any::<u64>(),
+        ) {
+            let stream: Vec<Edge> = pairs
+                .into_iter()
+                .filter_map(|(u, v)| Edge::try_new(u, v))
+                .collect();
+            let split = (split_sel as usize) % (stream.len() + 1);
+            let r = 1 + r_sel % (m - 1);
+            for c in [r, m, (k + 1) * m, k * m + r] {
+                let cfg = ReptConfig::new(m, c).with_seed(seed).with_eta(true);
+                let rept = Rept::new(cfg);
+                let mut slices = vec![GroupSlice::FULL];
+                if rept.groups().len() >= 2 {
+                    slices.extend([GroupSlice::new(0, 2), GroupSlice::new(1, 2)]);
+                }
+                for slice in slices {
+                    let mut run =
+                        ResumableRun::with_sliced_engine(rept.clone(), Engine::FusedHybrid, slice);
+                    run.process_batch(&stream[..split]);
+                    let version = if slice.is_full() { 4 } else { 6 };
+                    let mut want = frozen_blob(&run, version, 2);
+                    want[35] = 4;
+                    prop_assert!(
+                        run.checkpoint_bytes() == want,
+                        "m={} c={} slice {}/{}",
+                        m,
+                        c,
+                        slice.index(),
+                        slice.count()
+                    );
+                }
+            }
+        }
+
         /// The current writer/reader round-trips mid-stream state on
         /// every engine, and the resumed run finishes bit-identical.
         #[test]
@@ -2119,6 +1848,48 @@ mod tests {
             ResumableRun::from_checkpoint_bytes(&blob).err(),
             Some(SnapshotError::Invalid("stored counts overflow"))
         );
+    }
+
+    #[test]
+    fn rejects_processor_counts_the_blob_cannot_hold() {
+        // A bare 52-byte v4 header naming m = 2, c = 2^34: restore used
+        // to size the layout by `c` before reading any state, and
+        // aborted on the allocation. Every engine blob holds 16 bytes
+        // per processor at least.
+        let bound = Some(SnapshotError::Invalid("processor count beyond the blob"));
+        for code in [0u8, 4] {
+            let mut blob = Vec::new();
+            blob.extend_from_slice(b"RPCK");
+            blob.extend_from_slice(&4u32.to_le_bytes());
+            blob.extend_from_slice(&2u64.to_le_bytes());
+            blob.extend_from_slice(&(1u64 << 34).to_le_bytes());
+            blob.extend_from_slice(&0u64.to_le_bytes());
+            blob.extend_from_slice(&[0, 0, 0, code]);
+            blob.extend_from_slice(&[0; 16]);
+            assert_eq!(blob.len(), 52);
+            assert_eq!(
+                ResumableRun::from_checkpoint_bytes(&blob).err(),
+                bound,
+                "code {code}"
+            );
+        }
+        // A real blob whose processor count was raised past what its
+        // state can hold (the count field sits after magic, version, m).
+        for engine in Engine::all() {
+            let mut run = ResumableRun::with_engine(Rept::new(cfg()), engine);
+            run.process_batch(&stream()[..100]);
+            let blob = run.checkpoint_bytes();
+            for c in [(blob.len() as u64 - 52) / 16 + 1, 1 << 40, u64::MAX] {
+                let mut raised = blob.clone();
+                raised[16..24].copy_from_slice(&c.to_le_bytes());
+                assert_eq!(
+                    ResumableRun::from_checkpoint_bytes(&raised).err(),
+                    bound,
+                    "{} c={c}",
+                    engine.name()
+                );
+            }
+        }
     }
 
     #[test]

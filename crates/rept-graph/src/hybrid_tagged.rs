@@ -7,11 +7,14 @@
 //! edge set once and tags each neighbor entry with its edge's cell: a
 //! common neighbor `w` of an arriving edge `(u, v)` closes a
 //! semi-triangle for processor `i` iff `cell(u, w) == cell(v, w) == i`,
-//! so **one** intersection pass yields every processor's closures. All
-//! *full* hash groups (size = `m`) store the identical edge set, so one
-//! structure carries one tag column per full group; the remainder group
-//! joins the same walk through a masked column whose [`MASKED_NONE`]
-//! sentinel marks the edges its subsampling dropped.
+//! so **one** intersection pass yields every processor's closures. The
+//! groups of a layout share that pass too: [`HybridTaggedAdjacency`]
+//! carries one tag *column* per group, holding the edge's cell where the
+//! group keeps the edge and the [`MASKED_NONE`] sentinel where its
+//! subsampling drops it. An edge is stored iff some column keeps it, and
+//! a common neighbor matches for every column whose two tags are equal
+//! and set. A full group (size `m`) keeps every edge; a remainder group,
+//! or the single group of a `c < m` layout, keeps a subset.
 //!
 //! Each node's neighbor set lives in one of two representations:
 //!
@@ -61,17 +64,14 @@
 //! wide switch rebuilds the arena, so `approx_bytes` — read after
 //! every serving-tier batch — never walks the graph.
 //!
-//! Three wrappers share one core: [`HybridTaggedAdjacency`] (a single
-//! tag column — one independent hash group), [`MultiHybridTaggedAdjacency`]
-//! (one column per full hash group) and [`MaskedHybridTaggedAdjacency`]
-//! (full columns plus the masked remainder column). Every wrapper keeps
-//! the same contract: a duplicate insert returns `false` and leaves the
-//! first tags in place, and a query reports each structural common
-//! neighbor exactly once per agreeing tag column, in unspecified order
-//! (every consumer folds matches into commutative integer sums). The
-//! tests below hold each wrapper to a naive model — a map from edge to
-//! tag run with brute-force common-neighbor enumeration — at several
-//! thresholds, including the all-dense and all-sparse extremes.
+//! Every call keeps one contract: a duplicate insert returns `false`
+//! and leaves the first tags in place, and a query reports each
+//! structural common neighbor exactly once per agreeing column, in
+//! unspecified order (every consumer folds matches into commutative
+//! integer sums). The tests below hold the structure to a naive model —
+//! a map from edge to tag row with brute-force common-neighbor
+//! enumeration — at several widths and thresholds, including the
+//! all-dense and all-sparse extremes.
 
 use crate::edge::{Edge, NodeId};
 
@@ -81,9 +81,9 @@ use crate::edge::{Edge, NodeId};
 /// far beyond any deployment.
 pub type CellTag = u32;
 
-/// Sentinel tag of the masked column: "not stored by the masked group".
-/// Real remainder tags are cell indices (`< m ≤ u32::MAX`), so the
-/// sentinel can never collide with a stored tag.
+/// Sentinel tag of a column whose group does not keep the edge. A kept
+/// tag is an owned cell (`< size ≤ u32::MAX`), so the sentinel can never
+/// collide with one.
 pub const MASKED_NONE: CellTag = CellTag::MAX;
 
 /// Maximum unsorted-tail length per sparse node before the tail is
@@ -382,13 +382,13 @@ type SlotTable = PagedIndex<12>;
 /// neighbor ids).
 type BlockDir = PagedIndex<9>;
 
-/// The shared engine of all three hybrid wrappers (monomorphized per
+/// The engine under [`HybridTaggedAdjacency`] (monomorphized per
 /// tag-store element): a node arena of [`HybridNodeList`]s with a
 /// runtime tag `stride`, duplicate-free edge insertion, exactly-once
-/// tag-filtered intersection and lazily compacted tails.
+/// intersection and lazily compacted tails.
 #[derive(Debug)]
 struct HybridCoreImpl<T> {
-    /// Tags per neighbor entry (1 / width / full_width + 1).
+    /// Tags per neighbor entry (one per column).
     stride: usize,
     /// Degree above which a node is promoted to the dense core.
     threshold: usize,
@@ -662,7 +662,7 @@ impl<T: TagElem> HybridCoreImpl<T> {
 
     /// Read-only intersection: `f(run_u, run_v, w)` fires once per
     /// structural common neighbor `w` of `u` and `v` with both entries'
-    /// full tag runs. Tag filtering is the wrapper's job.
+    /// full tag runs. Tag filtering is the caller's job.
     #[inline]
     fn match_runs<F: FnMut(&[T], &[T], NodeId)>(&self, u: NodeId, v: NodeId, f: &mut F) {
         let (Some(su), Some(sv)) = (self.slots.get(u), self.slots.get(v)) else {
@@ -896,7 +896,7 @@ macro_rules! on_core {
     };
 }
 
-/// The tag-width dispatcher every wrapper holds: packed single-byte tag
+/// The tag-width dispatcher the structure holds: packed single-byte tag
 /// storage until a tag that cannot pack arrives, then widened `u32`
 /// storage for the rest of the structure's life. Exactly one branch per
 /// public call; the hot loops underneath are fully monomorphized.
@@ -906,98 +906,6 @@ enum HybridCore {
     Packed(HybridCoreImpl<u8>),
     /// Widened storage (some tag required the full `u32`).
     Wide(HybridCoreImpl<CellTag>),
-}
-
-impl HybridCore {
-    fn new(stride: usize, threshold: usize) -> Self {
-        HybridCore::Packed(HybridCoreImpl::new(stride, threshold))
-    }
-
-    /// Widens the structure in place if any tag of `run` cannot pack.
-    #[inline]
-    fn widen_for(&mut self, run: &[CellTag]) {
-        if let HybridCore::Packed(c) = self {
-            if !run.iter().all(|&t| <u8 as TagElem>::fits(t)) {
-                let packed = std::mem::replace(c, HybridCoreImpl::new(1, 0));
-                *self = HybridCore::Wide(packed.widen());
-            }
-        }
-    }
-
-    fn stride(&self) -> usize {
-        on_core!(self, c => c.stride)
-    }
-
-    fn threshold(&self) -> usize {
-        on_core!(self, c => c.threshold)
-    }
-
-    fn edge_count(&self) -> usize {
-        on_core!(self, c => c.edge_count)
-    }
-
-    fn node_count(&self) -> usize {
-        on_core!(self, c => c.lists.len())
-    }
-
-    fn degree(&self, n: NodeId) -> usize {
-        on_core!(self, c => c.degree(n))
-    }
-
-    fn compact(&mut self) {
-        on_core!(self, c => c.compact());
-    }
-
-    fn approx_bytes(&self) -> usize {
-        on_core!(self, c => c.approx_bytes())
-    }
-
-    /// True if the edge is present (tag-free membership probe).
-    fn contains_edge(&self, e: Edge) -> bool {
-        on_core!(self, c => c
-            .slots
-            .get(e.u())
-            .is_some_and(|s| c.lists[s as usize].contains(e.v())))
-    }
-
-    /// Tag column `col` of the edge, unpacked, if the edge is present.
-    fn tag_col_of_edge(&self, e: Edge, col: usize) -> Option<CellTag> {
-        on_core!(self, c => c.tag_run_of_edge(e).map(|run| run[col].unpack()))
-    }
-
-    /// The edge's full tag run, unpacked into an owned vec (the packed
-    /// store has no contiguous `CellTag` run to borrow).
-    fn tags_of_edge(&self, e: Edge) -> Option<Vec<CellTag>> {
-        on_core!(self, c => c
-            .tag_run_of_edge(e)
-            .map(|run| run.iter().map(|&t| t.unpack()).collect()))
-    }
-
-    /// Inserts the edge with its full tag run; returns `false` (leaving
-    /// existing tags untouched) if the edge was already present.
-    fn insert_run(&mut self, e: Edge, run: &[CellTag]) -> bool {
-        self.widen_for(run);
-        on_core!(self, c => c.insert_run(e, run))
-    }
-
-    /// Calls `f(e)` for every stored edge.
-    fn for_each_edge_plain<F: FnMut(Edge)>(&self, mut f: F) {
-        on_core!(self, c => c.for_each_entry(|u, w, _| {
-            if u < w {
-                f(Edge::new(u, w));
-            }
-        }));
-    }
-
-    /// Calls `f(e, tag)` with column `col`'s unpacked tag for every
-    /// stored edge.
-    fn for_each_edge_col<F: FnMut(Edge, CellTag)>(&self, col: usize, mut f: F) {
-        on_core!(self, c => c.for_each_entry(|u, w, run| {
-            if u < w {
-                f(Edge::new(u, w), run[col].unpack());
-            }
-        }));
-    }
 }
 
 /// First index `≥ start` in sorted `arr` whose value is `≥ target`,
@@ -1166,183 +1074,35 @@ fn dense_sparse<T: TagElem, F: FnMut(&[T], &[T], NodeId)>(
     }
 }
 
-/// Adapts a single-column wrapper callback to the core's packed-run
-/// callback: fires on tag equality with the unpacked tag.
-fn adapt_single<T: TagElem, F: FnMut(NodeId, CellTag)>(
-    f: &mut F,
-) -> impl FnMut(&[T], &[T], NodeId) + '_ {
-    move |ta, tb, w| {
-        if ta[0] == tb[0] {
-            f(w, ta[0].unpack());
-        }
-    }
-}
-
-/// Adapts a per-group wrapper callback: fires per column on equality.
-fn adapt_multi<T: TagElem, F: FnMut(usize, NodeId, CellTag)>(
-    width: usize,
-    f: &mut F,
-) -> impl FnMut(&[T], &[T], NodeId) + '_ {
-    move |ta, tb, w| {
-        for g in 0..width {
-            if ta[g] == tb[g] {
-                f(g, w, ta[g].unpack());
-            }
-        }
-    }
-}
-
-/// Adapts the masked wrapper callback: full columns on plain equality,
-/// the masked column only when both sides are set (packing is
-/// injective, so comparing packed sentinels is exact).
-fn adapt_masked<'a, T: TagElem + 'a, F: FnMut(usize, NodeId, CellTag)>(
-    fw: usize,
+/// Adapts a column callback to the core's packed-run callback: fires
+/// `f(g, w, tag)` for every column `g` whose two tags agree and are set
+/// (packing is injective, so comparing packed sentinels is exact).
+#[inline]
+fn matching_columns<'a, T: TagElem + 'a, F: FnMut(usize, NodeId, CellTag)>(
     f: &'a mut F,
 ) -> impl FnMut(&[T], &[T], NodeId) + 'a {
     let none = T::pack(MASKED_NONE);
     move |ta, tb, w| {
-        for g in 0..fw {
-            if ta[g] == tb[g] {
-                f(g, w, ta[g].unpack());
+        for (g, (&a, &b)) in ta.iter().zip(tb).enumerate() {
+            if a == b && a != none {
+                f(g, w, a.unpack());
             }
-        }
-        let (ma, mb) = (ta[fw], tb[fw]);
-        if ma == mb && ma != none {
-            f(fw, w, ma.unpack());
         }
     }
 }
 
-/// A mutable undirected graph whose edges carry their partition cell —
-/// the shared sampled graph of one independent hash group.
+/// A mutable undirected graph whose edges carry one partition-cell tag
+/// per hash group — the stored edge sets of every group of a fused core,
+/// held once. Column `g` holds the edge's cell where group `g` keeps the
+/// edge and [`MASKED_NONE`] where its subsampling drops it; an edge is
+/// stored iff some column keeps it.
 #[derive(Debug, Clone)]
 pub struct HybridTaggedAdjacency {
     core: HybridCore,
 }
 
-impl Default for HybridTaggedAdjacency {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl HybridTaggedAdjacency {
-    /// Creates an empty structure with [`DEFAULT_DENSE_THRESHOLD`].
-    pub fn new() -> Self {
-        Self::with_threshold(DEFAULT_DENSE_THRESHOLD)
-    }
-
-    /// Creates an empty structure promoting nodes whose degree exceeds
-    /// `threshold` (0 = everything dense, `usize::MAX` = never promote).
-    pub fn with_threshold(threshold: usize) -> Self {
-        Self {
-            core: HybridCore::new(1, threshold),
-        }
-    }
-
-    /// The promotion threshold this structure was built with.
-    pub fn dense_threshold(&self) -> usize {
-        self.core.threshold()
-    }
-
-    /// Number of nodes with at least one incident edge.
-    pub fn node_count(&self) -> usize {
-        self.core.node_count()
-    }
-
-    /// The degree of `n` (0 if unseen).
-    pub fn degree(&self, n: NodeId) -> usize {
-        self.core.degree(n)
-    }
-
-    /// Number of stored edges.
-    pub fn edge_count(&self) -> usize {
-        self.core.edge_count()
-    }
-
-    /// Inserts the edge tagged with `cell`; returns `false` (leaving the
-    /// existing tag untouched) if the edge was already present.
-    pub fn insert(&mut self, e: Edge, cell: CellTag) -> bool {
-        self.core.insert_run(e, &[cell])
-    }
-
-    /// The cell tag of the edge, if present.
-    pub fn cell_of(&self, e: Edge) -> Option<CellTag> {
-        self.core.tag_col_of_edge(e, 0)
-    }
-
-    /// Calls `f(w, cell)` for every common neighbor `w` of `u` and `v`
-    /// whose two incident edges carry the same tag; returns the match
-    /// count.
-    pub fn for_each_matching_common_neighbor<F: FnMut(NodeId, CellTag)>(
-        &self,
-        u: NodeId,
-        v: NodeId,
-        mut f: F,
-    ) -> usize {
-        let mut matches = 0usize;
-        let mut count = |w, cell| {
-            f(w, cell);
-            matches += 1;
-        };
-        on_core!(&self.core, c => c.match_runs(u, v, &mut adapt_single(&mut count)));
-        matches
-    }
-
-    /// Calls `f(e, cell)` for every stored edge (arbitrary order) —
-    /// checkpointing enumerates the sampled set through this.
-    pub fn for_each_edge<F: FnMut(Edge, CellTag)>(&self, f: F) {
-        self.core.for_each_edge_col(0, f);
-    }
-
-    /// Approximate heap footprint in bytes.
-    pub fn approx_bytes(&self) -> usize {
-        self.core.approx_bytes()
-    }
-
-    /// Merges every tail already at the overflow bound (a pure
-    /// representation change — answers are identical before and after)
-    /// in time proportional to the inserts since the last call.
-    pub fn compact(&mut self) {
-        self.core.compact();
-    }
-
-    /// Processes one stream edge in a single call: matches common
-    /// neighbors exactly like [`Self::for_each_matching_common_neighbor`]
-    /// (against the state *before* any insertion), then — when `store`
-    /// carries the edge's owned cell — inserts the edge, resolving each
-    /// endpoint's slot once. Returns whether the edge was freshly stored
-    /// (`false` for `store == None` and for duplicates).
-    pub fn match_then_insert<F: FnMut(NodeId, CellTag)>(
-        &mut self,
-        e: Edge,
-        store: Option<CellTag>,
-        mut f: F,
-    ) -> bool {
-        if let Some(cell) = store {
-            self.core.widen_for(&[cell]);
-        }
-        on_core!(&mut self.core, c => {
-            let mut adapter = adapt_single(&mut f);
-            match store {
-                Some(cell) => c.match_then_insert_runs(e, Some(&[cell]), &mut adapter),
-                None => c.match_then_insert_runs(e, None, &mut adapter),
-            }
-        })
-    }
-}
-
-/// A mutable undirected graph whose edges carry one partition-cell tag
-/// per full hash group, stored once and shared by all groups: a full
-/// group owns every cell of its hash, so every full group stores every
-/// stream edge and the groups differ only in tags.
-#[derive(Debug, Clone)]
-pub struct MultiHybridTaggedAdjacency {
-    core: HybridCore,
-}
-
-impl MultiHybridTaggedAdjacency {
-    /// Creates an empty structure carrying `width` tag columns with
+    /// Creates an empty structure with `width` tag columns at
     /// [`DEFAULT_DENSE_THRESHOLD`].
     ///
     /// # Panics
@@ -1352,300 +1112,161 @@ impl MultiHybridTaggedAdjacency {
         Self::with_threshold(width, DEFAULT_DENSE_THRESHOLD)
     }
 
-    /// Creates an empty structure carrying `width` tag columns with an
-    /// explicit promotion threshold.
+    /// Creates an empty structure with `width` tag columns, promoting
+    /// nodes whose degree exceeds `threshold` (0 = everything dense,
+    /// `usize::MAX` = never promote).
     ///
     /// # Panics
     ///
     /// Panics if `width == 0`.
     pub fn with_threshold(width: usize, threshold: usize) -> Self {
         Self {
-            core: HybridCore::new(width, threshold),
+            core: HybridCore::Packed(HybridCoreImpl::new(width, threshold)),
         }
     }
 
     /// Number of tag columns.
     pub fn width(&self) -> usize {
-        self.core.stride()
+        on_core!(&self.core, c => c.stride)
     }
 
-    /// Number of stored edges.
-    pub fn edge_count(&self) -> usize {
-        self.core.edge_count()
+    /// The promotion threshold this structure was built with.
+    pub fn dense_threshold(&self) -> usize {
+        on_core!(&self.core, c => c.threshold)
     }
 
     /// Number of nodes with at least one incident edge.
     pub fn node_count(&self) -> usize {
-        self.core.node_count()
+        on_core!(&self.core, c => c.lists.len())
     }
 
     /// The degree of `n` (0 if unseen).
     pub fn degree(&self, n: NodeId) -> usize {
-        self.core.degree(n)
+        on_core!(&self.core, c => c.degree(n))
     }
 
-    /// The tag column of the edge under every group, if present —
-    /// owned, because the packed tag store has no contiguous
-    /// [`CellTag`] run to borrow.
-    pub fn tags_of(&self, e: Edge) -> Option<Vec<CellTag>> {
-        self.core.tags_of_edge(e)
+    /// Number of stored edges (the union of every column's edges).
+    pub fn edge_count(&self) -> usize {
+        on_core!(&self.core, c => c.edge_count)
     }
 
-    /// True if the edge is present.
+    /// True if the edge is stored.
     pub fn contains(&self, e: Edge) -> bool {
-        self.core.contains_edge(e)
+        on_core!(&self.core, c => c
+            .slots
+            .get(e.u())
+            .is_some_and(|s| c.lists[s as usize].contains(e.v())))
+    }
+
+    /// The edge's tag row, if stored — owned, because the packed tag
+    /// store has no contiguous [`CellTag`] run to borrow.
+    pub fn tags_of(&self, e: Edge) -> Option<Vec<CellTag>> {
+        on_core!(&self.core, c => c
+            .tag_run_of_edge(e)
+            .map(|run| run.iter().map(|&t| t.unpack()).collect()))
     }
 
     /// Calls `f(e)` for every stored edge (arbitrary order, tags omitted
-    /// — every group's tag is recomputable from its hasher).
-    pub fn for_each_edge<F: FnMut(Edge)>(&self, f: F) {
-        self.core.for_each_edge_plain(f);
+    /// — every column's tag is recomputable from its group's hasher).
+    pub fn for_each_edge<F: FnMut(Edge)>(&self, mut f: F) {
+        on_core!(&self.core, c => c.for_each_entry(|u, w, _| {
+            if u < w {
+                f(Edge::new(u, w));
+            }
+        }));
     }
 
-    /// Merges every tail already at the overflow bound (a pure
-    /// representation change) in time proportional to the inserts
-    /// since the last call.
-    pub fn compact(&mut self) {
-        self.core.compact();
+    /// Calls `f(e, tag)` for every stored edge column `col` keeps
+    /// (arbitrary order).
+    pub fn for_each_edge_in<F: FnMut(Edge, CellTag)>(&self, col: usize, mut f: F) {
+        on_core!(&self.core, c => c.for_each_entry(|u, w, run| {
+            let tag = run[col].unpack();
+            if u < w && tag != MASKED_NONE {
+                f(Edge::new(u, w), tag);
+            }
+        }));
     }
 
-    /// Inserts the edge with one tag per group; returns `false` (leaving
-    /// the existing tags untouched) if the edge was already present.
+    /// Inserts the edge with its tag row; returns `false` (leaving the
+    /// existing tags untouched) if the edge was already present.
     ///
     /// # Panics
     ///
-    /// Panics if `tags.len() != width()`.
-    pub fn insert(&mut self, e: Edge, tags: &[CellTag]) -> bool {
-        assert_eq!(tags.len(), self.core.stride(), "one tag per group required");
-        self.core.insert_run(e, tags)
+    /// Panics if `row.len() != width()` or no column keeps the edge.
+    pub fn insert(&mut self, e: Edge, row: &[CellTag]) -> bool {
+        self.prepare_row(row);
+        on_core!(&mut self.core, c => c.insert_run(e, row))
     }
 
-    /// Matches, then (when `store` carries the per-group owner tags)
-    /// inserts, in one call — `f(g, w, cell)` fires for every structural
-    /// common neighbor `w` and every group `g` whose two tags agree,
-    /// matched against the state *before* the insertion. Returns whether
-    /// the edge was freshly stored (`false` for `store == None` and for
-    /// duplicates).
+    /// Calls `f(g, w, tag)` for every common neighbor `w` of `u` and `v`
+    /// and every column `g` whose tags on the two incident edges are
+    /// equal and set; returns the number of calls.
+    pub fn for_each_matching_common_neighbor<F: FnMut(usize, NodeId, CellTag)>(
+        &self,
+        u: NodeId,
+        v: NodeId,
+        mut f: F,
+    ) -> usize {
+        let mut matches = 0usize;
+        let mut count = |g, w, tag| {
+            f(g, w, tag);
+            matches += 1;
+        };
+        on_core!(&self.core, c => c.match_runs(u, v, &mut matching_columns(&mut count)));
+        matches
+    }
+
+    /// Processes one stream edge in a single call: matches exactly like
+    /// [`Self::for_each_matching_common_neighbor`] (against the state
+    /// *before* any insertion), then — when `store` carries the edge's
+    /// tag row — inserts the edge, resolving each endpoint's slot once.
+    /// Returns whether the edge was freshly stored (`false` for
+    /// `store == None` and for duplicates).
     ///
     /// # Panics
     ///
-    /// Panics if `store` carries a run with `len() != width()`.
+    /// Panics on a `store` row [`Self::insert`] rejects.
     pub fn match_then_insert<F: FnMut(usize, NodeId, CellTag)>(
         &mut self,
         e: Edge,
         store: Option<&[CellTag]>,
         mut f: F,
     ) -> bool {
-        if let Some(tags) = store {
-            assert_eq!(tags.len(), self.core.stride(), "one tag per group required");
-            self.core.widen_for(tags);
+        if let Some(row) = store {
+            self.prepare_row(row);
         }
-        let width = self.core.stride();
         on_core!(&mut self.core, c => {
-            c.match_then_insert_runs(e, store, &mut adapt_multi(width, &mut f))
+            c.match_then_insert_runs(e, store, &mut matching_columns(&mut f))
         })
     }
 
-    /// Heap footprint in bytes — the *shared* footprint across all
-    /// groups.
+    /// Heap footprint in bytes — the footprint shared by every column.
     pub fn approx_bytes(&self) -> usize {
-        self.core.approx_bytes()
-    }
-}
-
-/// A mutable undirected graph storing the union edge set once in the
-/// hybrid layout, with one tag per full hash group and a masked
-/// remainder tag per edge ([`MASKED_NONE`] when the remainder group's
-/// subsampling dropped the edge), so the remainder group joins the full
-/// groups' single structure walk.
-#[derive(Debug, Clone)]
-pub struct MaskedHybridTaggedAdjacency {
-    core: HybridCore,
-    full_width: usize,
-    /// Edges whose masked tag is set (the remainder group's stored set).
-    masked_edge_count: usize,
-    /// Reusable per-insert row buffer (`full_width + 1` tags), so
-    /// building the strided run allocates nothing per edge.
-    row: Vec<CellTag>,
-}
-
-impl MaskedHybridTaggedAdjacency {
-    /// Creates an empty structure with `full_width` unconditional tag
-    /// columns plus the masked column, at [`DEFAULT_DENSE_THRESHOLD`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `full_width == 0`: without a full group the union set
-    /// is not stored by anyone, and the remainder alone is an
-    /// independent group.
-    pub fn new(full_width: usize) -> Self {
-        Self::with_threshold(full_width, DEFAULT_DENSE_THRESHOLD)
-    }
-
-    /// Creates an empty structure with an explicit promotion threshold.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `full_width == 0`.
-    pub fn with_threshold(full_width: usize, threshold: usize) -> Self {
-        assert!(full_width > 0, "need at least one full tag column");
-        Self {
-            core: HybridCore::new(full_width + 1, threshold),
-            full_width,
-            masked_edge_count: 0,
-            row: Vec::with_capacity(full_width + 1),
-        }
-    }
-
-    /// Number of unconditional tag columns.
-    pub fn full_width(&self) -> usize {
-        self.full_width
-    }
-
-    /// Number of stored edges (the union set).
-    pub fn edge_count(&self) -> usize {
-        self.core.edge_count()
-    }
-
-    /// Number of edges whose masked tag is set — the masked (remainder)
-    /// group's stored subset.
-    pub fn masked_edge_count(&self) -> usize {
-        self.masked_edge_count
-    }
-
-    /// Number of nodes with at least one incident edge.
-    pub fn node_count(&self) -> usize {
-        self.core.node_count()
-    }
-
-    /// The degree of `n` in the union set (0 if unseen).
-    pub fn degree(&self, n: NodeId) -> usize {
-        self.core.degree(n)
-    }
-
-    /// The edge's full-group tag columns (owned — the packed tag store
-    /// has no contiguous [`CellTag`] run to borrow) and masked tag, if
-    /// present.
-    pub fn tags_of(&self, e: Edge) -> Option<(Vec<CellTag>, Option<CellTag>)> {
-        let mut run = self.core.tags_of_edge(e)?;
-        let masked = run.pop().expect("stride = full_width + 1");
-        Some((run, (masked != MASKED_NONE).then_some(masked)))
-    }
-
-    /// The edge's masked tag, if the edge is stored with one set — the
-    /// allocation-free probe for the remainder group's subset.
-    pub fn masked_tag_of(&self, e: Edge) -> Option<CellTag> {
-        self.core
-            .tag_col_of_edge(e, self.full_width)
-            .filter(|&t| t != MASKED_NONE)
-    }
-
-    /// True if the edge is present in the union set.
-    pub fn contains(&self, e: Edge) -> bool {
-        self.core.contains_edge(e)
-    }
-
-    /// Calls `f(e)` for every stored edge of the union set (arbitrary
-    /// order, tags omitted).
-    pub fn for_each_edge<F: FnMut(Edge)>(&self, f: F) {
-        self.core.for_each_edge_plain(f);
-    }
-
-    /// Calls `f(e, tag)` for every edge whose masked tag is set — the
-    /// masked group's stored subset, in arbitrary order.
-    pub fn for_each_masked_edge<F: FnMut(Edge, CellTag)>(&self, mut f: F) {
-        self.core.for_each_edge_col(self.full_width, |e, tag| {
-            if tag != MASKED_NONE {
-                f(e, tag);
-            }
-        });
+        on_core!(&self.core, c => c.approx_bytes())
     }
 
     /// Merges every tail already at the overflow bound (a pure
-    /// representation change) in time proportional to the inserts
-    /// since the last call.
+    /// representation change — answers are identical before and after)
+    /// in time proportional to the inserts since the last call.
     pub fn compact(&mut self) {
-        self.core.compact();
+        on_core!(&mut self.core, c => c.compact());
     }
 
+    /// Checks a row about to be stored, and widens the tag store in
+    /// place if any of its tags cannot pack.
     #[inline]
-    fn encode_masked(masked: Option<CellTag>) -> CellTag {
-        match masked {
-            Some(tag) => {
-                assert_ne!(tag, MASKED_NONE, "masked tag collides with sentinel");
-                tag
+    fn prepare_row(&mut self, row: &[CellTag]) {
+        assert_eq!(row.len(), self.width(), "one tag per column required");
+        assert!(
+            row.iter().any(|&t| t != MASKED_NONE),
+            "a stored edge needs a column that keeps it"
+        );
+        if let HybridCore::Packed(c) = &mut self.core {
+            if !row.iter().all(|&t| <u8 as TagElem>::fits(t)) {
+                let packed = std::mem::replace(c, HybridCoreImpl::new(1, 0));
+                self.core = HybridCore::Wide(packed.widen());
             }
-            None => MASKED_NONE,
         }
-    }
-
-    /// Fills the reusable row buffer with `full` plus the encoded masked
-    /// tag.
-    #[inline]
-    fn build_row(&mut self, full: &[CellTag], masked: Option<CellTag>) {
-        assert_eq!(full.len(), self.full_width, "one tag per full group");
-        self.row.clear();
-        self.row.extend_from_slice(full);
-        self.row.push(Self::encode_masked(masked));
-    }
-
-    /// Inserts the edge with one tag per full group and an optional
-    /// masked tag (`None` = the masked group dropped this edge); returns
-    /// `false` (leaving all existing tags untouched) if the edge was
-    /// already present.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `full.len() != full_width()` or a masked tag equals
-    /// [`MASKED_NONE`].
-    pub fn insert(&mut self, e: Edge, full: &[CellTag], masked: Option<CellTag>) -> bool {
-        self.build_row(full, masked);
-        let fresh = self.core.insert_run(e, &self.row);
-        self.masked_edge_count += usize::from(fresh && masked.is_some());
-        fresh
-    }
-
-    /// Matches, then (when `store` carries the groups' owner tags)
-    /// inserts, in one call — `f(g, w, cell)` fires per full group `g <
-    /// full_width()` on plain tag equality and for `g == full_width()`
-    /// (the masked group) iff **both** masked tags are set and equal (a
-    /// [`MASKED_NONE`] on either side never matches). Returns whether
-    /// the edge was freshly stored into the union set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `store`'s full run has `len() != full_width()` or its
-    /// masked tag equals [`MASKED_NONE`].
-    pub fn match_then_insert<F: FnMut(usize, NodeId, CellTag)>(
-        &mut self,
-        e: Edge,
-        store: Option<(&[CellTag], Option<CellTag>)>,
-        mut f: F,
-    ) -> bool {
-        let fw = self.full_width;
-        if let Some((full, masked)) = store {
-            self.build_row(full, masked);
-            self.core.widen_for(&self.row);
-        }
-        let row = &self.row;
-        let masked_count = &mut self.masked_edge_count;
-        on_core!(&mut self.core, c => {
-            let mut adapter = adapt_masked(fw, &mut f);
-            match store {
-                Some((_, masked)) => {
-                    let fresh = c.match_then_insert_runs(e, Some(row), &mut adapter);
-                    *masked_count += usize::from(fresh && masked.is_some());
-                    fresh
-                }
-                None => c.match_then_insert_runs(e, None, &mut adapter),
-            }
-        })
-    }
-
-    /// Heap footprint in bytes — the *shared* footprint across all
-    /// groups.
-    pub fn approx_bytes(&self) -> usize {
-        self.core.approx_bytes() + self.row.capacity() * std::mem::size_of::<CellTag>()
     }
 }
 
@@ -1664,8 +1285,43 @@ mod tests {
         Edge::new(u, v)
     }
 
-    /// The naive reference every wrapper is held to: a sorted map from
-    /// each stored edge to its tag run (first insert wins), queries
+    /// Column `col`'s tag of the edge, if stored and kept by the column.
+    fn column_tag(a: &HybridTaggedAdjacency, e: Edge, col: usize) -> Option<CellTag> {
+        a.tags_of(e)
+            .map(|run| run[col])
+            .filter(|&t| t != MASKED_NONE)
+    }
+
+    /// How many stored edges column `col` keeps.
+    fn kept(a: &HybridTaggedAdjacency, col: usize) -> usize {
+        let mut n = 0;
+        a.for_each_edge_in(col, |_, _| n += 1);
+        n
+    }
+
+    /// The tag of a one-column structure's edge.
+    fn cell_of(a: &HybridTaggedAdjacency, e: Edge) -> Option<CellTag> {
+        column_tag(a, e, 0)
+    }
+
+    /// A row of `full` tags plus a last column that keeps the edge iff
+    /// `masked` is set.
+    fn masked_row(full: &[CellTag], masked: Option<CellTag>) -> Vec<CellTag> {
+        let mut row = full.to_vec();
+        row.push(masked.unwrap_or(MASKED_NONE));
+        row
+    }
+
+    /// A row split into its first `full` columns and its last column's
+    /// tag, if set.
+    fn split_row(mut row: Vec<CellTag>, full: usize) -> (Vec<CellTag>, Option<CellTag>) {
+        let last = row.pop().filter(|&t| t != MASKED_NONE);
+        assert_eq!(row.len(), full);
+        (row, last)
+    }
+
+    /// The naive reference the structure is held to: a sorted map from
+    /// each stored edge to its tag row (first insert wins), queries
     /// answered by brute force over the whole edge set.
     #[derive(Default)]
     struct Model {
@@ -1715,15 +1371,13 @@ mod tests {
                 .collect()
         }
 
-        /// The per-column matches `(g, w, tag)` of a query: full
-        /// columns on plain equality, column `masked` (if any) only when
-        /// both tags are set.
-        fn matches(&self, q: Edge, masked: Option<usize>) -> Vec<(usize, NodeId, CellTag)> {
+        /// The per-column matches `(g, w, tag)` of a query: a column
+        /// matches when both tags are equal and set.
+        fn matches(&self, q: Edge) -> Vec<(usize, NodeId, CellTag)> {
             let mut out = Vec::new();
             for (w, ru, rv) in self.common(q.u(), q.v()) {
                 for g in 0..ru.len() {
-                    let set = Some(g) != masked || ru[g] != MASKED_NONE;
-                    if ru[g] == rv[g] && set {
+                    if ru[g] == rv[g] && ru[g] != MASKED_NONE {
                         out.push((g, w, ru[g]));
                     }
                 }
@@ -1741,7 +1395,7 @@ mod tests {
     fn single_equivalent_to_sorted_on_random_streams() {
         for threshold in THRESHOLDS {
             let rng = SplitMix64::new(0xB17B17);
-            let mut hybrid = HybridTaggedAdjacency::with_threshold(threshold);
+            let mut hybrid = HybridTaggedAdjacency::with_threshold(1, threshold);
             let mut model = Model::default();
             // Hub-heavy stream: node 0 collects a large degree so
             // hub–leaf probes exercise the dense×sparse kernel and the
@@ -1761,7 +1415,7 @@ mod tests {
             let (stored, queries) = edges.split_at(edges.len() * 2 / 3);
             for (k, &(e, cell)) in stored.iter().enumerate() {
                 assert_eq!(
-                    hybrid.insert(e, cell),
+                    hybrid.insert(e, &[cell]),
                     model.insert(e, &[cell]),
                     "{e} threshold {threshold}"
                 );
@@ -1773,22 +1427,22 @@ mod tests {
             assert_eq!(hybrid.node_count(), model.node_count());
             for &(q, _) in queries.iter().chain(stored) {
                 assert_eq!(
-                    hybrid.cell_of(q),
+                    cell_of(&hybrid, q),
                     model.tags_of(q).map(|run| run[0]),
                     "cell_of {q} threshold {threshold}"
                 );
                 let mut mh = Vec::new();
-                let nh = hybrid.for_each_matching_common_neighbor(q.u(), q.v(), |w, c| {
-                    mh.push((0, w, c));
+                let nh = hybrid.for_each_matching_common_neighbor(q.u(), q.v(), |g, w, c| {
+                    mh.push((g, w, c));
                 });
                 mh.sort_unstable();
-                let ms = model.matches(q, None);
+                let ms = model.matches(q);
                 assert_eq!(nh, ms.len(), "match count for {q} threshold {threshold}");
                 assert_eq!(mh, ms, "match set for {q} threshold {threshold}");
                 assert_eq!(hybrid.degree(q.u()), model.degree(q.u()));
             }
             let mut he: Vec<(Edge, CellTag)> = Vec::new();
-            hybrid.for_each_edge(|e, c| he.push((e, c)));
+            hybrid.for_each_edge_in(0, |e, c| he.push((e, c)));
             he.sort_unstable();
             let me: Vec<(Edge, CellTag)> = model.edges.iter().map(|(&e, r)| (e, r[0])).collect();
             assert_eq!(he, me, "edge enumeration at threshold {threshold}");
@@ -1803,7 +1457,7 @@ mod tests {
         for width in [1usize, 2, 4] {
             for threshold in THRESHOLDS {
                 let rng = SplitMix64::new(99 + width as u64);
-                let mut hybrid = MultiHybridTaggedAdjacency::with_threshold(width, threshold);
+                let mut hybrid = HybridTaggedAdjacency::with_threshold(width, threshold);
                 let mut model = Model::default();
                 let mut edges = Vec::new();
                 for i in 0..900u64 {
@@ -1850,7 +1504,7 @@ mod tests {
                     a.sort_unstable();
                     assert_eq!(
                         a,
-                        model.matches(*q, None),
+                        model.matches(*q),
                         "matches of {q} width {width} threshold {threshold}"
                     );
                 }
@@ -1866,9 +1520,9 @@ mod tests {
         for width in [1usize, 2, 4] {
             for threshold in THRESHOLDS {
                 let rng = SplitMix64::new(99 + width as u64);
-                let mut multi = MultiHybridTaggedAdjacency::with_threshold(width, threshold);
+                let mut multi = HybridTaggedAdjacency::with_threshold(width, threshold);
                 let mut singles: Vec<HybridTaggedAdjacency> = (0..width)
-                    .map(|_| HybridTaggedAdjacency::with_threshold(threshold))
+                    .map(|_| HybridTaggedAdjacency::with_threshold(1, threshold))
                     .collect();
                 let mut edges = Vec::new();
                 for i in 0..900u64 {
@@ -1885,7 +1539,7 @@ mod tests {
                 for (k, (e, tags)) in stored.iter().enumerate() {
                     let fresh = multi.insert(*e, tags);
                     for (g, s) in singles.iter_mut().enumerate() {
-                        assert_eq!(s.insert(*e, tags[g]), fresh, "{e} group {g}");
+                        assert_eq!(s.insert(*e, &[tags[g]]), fresh, "{e} group {g}");
                     }
                     if k % 111 == 0 {
                         multi.compact();
@@ -1896,19 +1550,19 @@ mod tests {
                 for (q, _) in queries.iter().chain(stored.iter()) {
                     assert_eq!(
                         multi.contains(*q),
-                        singles[0].cell_of(*q).is_some(),
+                        cell_of(&singles[0], *q).is_some(),
                         "contains {q} width {width}"
                     );
                     if let Some(tags) = multi.tags_of(*q) {
                         for (g, s) in singles.iter().enumerate() {
-                            assert_eq!(s.cell_of(*q), Some(tags[g]), "{q} group {g}");
+                            assert_eq!(cell_of(s, *q), Some(tags[g]), "{q} group {g}");
                         }
                     }
                     let mut got: Vec<Vec<(NodeId, CellTag)>> = vec![Vec::new(); width];
                     multi.match_then_insert(*q, None, |g, w, c| got[g].push((w, c)));
                     for (g, s) in singles.iter().enumerate() {
                         let mut want = Vec::new();
-                        s.for_each_matching_common_neighbor(q.u(), q.v(), |w, c| {
+                        s.for_each_matching_common_neighbor(q.u(), q.v(), |_, w, c| {
                             want.push((w, c));
                         });
                         got[g].sort_unstable();
@@ -1933,9 +1587,9 @@ mod tests {
             for threshold in THRESHOLDS {
                 let rng = SplitMix64::new(17 + full_width as u64);
                 let mut masked_adj =
-                    MaskedHybridTaggedAdjacency::with_threshold(full_width, threshold);
-                let mut multi = MultiHybridTaggedAdjacency::with_threshold(full_width, threshold);
-                let mut rem = HybridTaggedAdjacency::with_threshold(threshold);
+                    HybridTaggedAdjacency::with_threshold(full_width + 1, threshold);
+                let mut multi = HybridTaggedAdjacency::with_threshold(full_width, threshold);
+                let mut rem = HybridTaggedAdjacency::with_threshold(1, threshold);
                 let mut edges = Vec::new();
                 for i in 0..900u64 {
                     let r = rng.fork(i).next_u64();
@@ -1953,11 +1607,11 @@ mod tests {
                 }
                 let (stored, queries) = edges.split_at(edges.len() / 2);
                 for (k, (e, full, m)) in stored.iter().enumerate() {
-                    let fresh = masked_adj.insert(*e, full, *m);
+                    let fresh = masked_adj.insert(*e, &masked_row(full, *m));
                     assert_eq!(multi.insert(*e, full), fresh, "{e} union insert");
                     if fresh {
                         if let Some(tag) = m {
-                            assert!(rem.insert(*e, *tag), "{e} masked insert");
+                            assert!(rem.insert(*e, &[*tag]), "{e} masked insert");
                         }
                     }
                     if k % 97 == 0 {
@@ -1965,13 +1619,15 @@ mod tests {
                     }
                 }
                 assert_eq!(masked_adj.edge_count(), multi.edge_count());
-                assert_eq!(masked_adj.masked_edge_count(), rem.edge_count());
+                assert_eq!(kept(&masked_adj, full_width), rem.edge_count());
                 assert_eq!(masked_adj.node_count(), multi.node_count());
                 for (q, _, _) in queries.iter().chain(stored.iter()) {
                     assert_eq!(masked_adj.contains(*q), multi.contains(*q), "contains {q}");
-                    if let Some((full, m)) = masked_adj.tags_of(*q) {
+                    if let Some((full, m)) =
+                        masked_adj.tags_of(*q).map(|r| split_row(r, full_width))
+                    {
                         assert_eq!(Some(full), multi.tags_of(*q), "full tags of {q}");
-                        assert_eq!(m, rem.cell_of(*q), "masked tag of {q}");
+                        assert_eq!(m, cell_of(&rem, *q), "masked tag of {q}");
                     }
                     let mut got: Vec<Vec<(NodeId, CellTag)>> = vec![Vec::new(); full_width + 1];
                     masked_adj.match_then_insert(*q, None, |g, w, c| got[g].push((w, c)));
@@ -1987,7 +1643,7 @@ mod tests {
                         assert_eq!(*got_g, want, "full group {g} matches of {q}");
                     }
                     let mut want = Vec::new();
-                    rem.for_each_matching_common_neighbor(q.u(), q.v(), |w, c| {
+                    rem.for_each_matching_common_neighbor(q.u(), q.v(), |_, w, c| {
                         want.push((w, c));
                     });
                     got[full_width].sort_unstable();
@@ -2009,7 +1665,7 @@ mod tests {
         for full_width in [1usize, 2, 4] {
             for threshold in THRESHOLDS {
                 let rng = SplitMix64::new(17 + full_width as u64);
-                let mut hybrid = MaskedHybridTaggedAdjacency::with_threshold(full_width, threshold);
+                let mut hybrid = HybridTaggedAdjacency::with_threshold(full_width + 1, threshold);
                 let mut model = Model::default();
                 let mut edges = Vec::new();
                 for i in 0..900u64 {
@@ -2030,10 +1686,9 @@ mod tests {
                 }
                 let (stored, queries) = edges.split_at(edges.len() / 2);
                 for (k, (e, full, m)) in stored.iter().enumerate() {
-                    let mut run = full.clone();
-                    run.push(m.unwrap_or(MASKED_NONE));
+                    let run = masked_row(full, *m);
                     assert_eq!(
-                        hybrid.insert(*e, full, *m),
+                        hybrid.insert(*e, &run),
                         model.insert(*e, &run),
                         "{e} full_width {full_width} threshold {threshold}"
                     );
@@ -2053,29 +1708,29 @@ mod tests {
                     .filter_map(|&e| Some((e, masked_of(e)?)))
                     .collect();
                 assert_eq!(hybrid.edge_count(), model.edges.len());
-                assert_eq!(hybrid.masked_edge_count(), sm.len());
+                assert_eq!(kept(&hybrid, full_width), sm.len());
                 assert_eq!(hybrid.node_count(), model.node_count());
                 for (q, _, _) in queries.iter().chain(stored.iter()) {
                     assert_eq!(hybrid.contains(*q), model.tags_of(*q).is_some());
                     assert_eq!(
-                        hybrid.tags_of(*q),
+                        hybrid.tags_of(*q).map(|r| split_row(r, full_width)),
                         model
                             .tags_of(*q)
                             .map(|run| (run[..full_width].to_vec(), masked_of(*q))),
                         "tags_of {q}"
                     );
-                    assert_eq!(hybrid.masked_tag_of(*q), masked_of(*q), "masked_tag_of {q}");
+                    assert_eq!(
+                        column_tag(&hybrid, *q, full_width),
+                        masked_of(*q),
+                        "masked_tag_of {q}"
+                    );
                     let mut a = Vec::new();
                     hybrid.match_then_insert(*q, None, |g, w, c| a.push((g, w, c)));
                     a.sort_unstable();
-                    assert_eq!(
-                        a,
-                        model.matches(*q, Some(full_width)),
-                        "matches of {q} threshold {threshold}"
-                    );
+                    assert_eq!(a, model.matches(*q), "matches of {q} threshold {threshold}");
                 }
                 let mut hm = Vec::new();
-                hybrid.for_each_masked_edge(|e, t| hm.push((e, t)));
+                hybrid.for_each_edge_in(full_width, |e, t| hm.push((e, t)));
                 hm.sort_unstable();
                 sm.sort_unstable();
                 assert_eq!(hm, sm, "masked subset at threshold {threshold}");
@@ -2083,64 +1738,64 @@ mod tests {
         }
     }
 
-    // The small single-column checks below each run twice: on `new()`,
+    // The small single-column checks below each run twice: on `new(1)`,
     // which keeps these tiny graphs in sorted rows, and on threshold 0,
     // which promotes every row to a bitmap from its first edge.
 
     fn check_insert_and_tags(mut a: HybridTaggedAdjacency) {
-        assert!(a.insert(edge(1, 2), 3));
-        assert!(!a.insert(edge(2, 1), 9), "duplicate in reverse order");
-        assert_eq!(a.cell_of(edge(1, 2)), Some(3), "first tag wins");
+        assert!(a.insert(edge(1, 2), &[3]));
+        assert!(!a.insert(edge(2, 1), &[9]), "duplicate in reverse order");
+        assert_eq!(cell_of(&a, edge(1, 2)), Some(3), "first tag wins");
         assert_eq!(a.edge_count(), 1);
         assert_eq!(a.node_count(), 2);
         assert_eq!(a.degree(1), 1);
-        assert_eq!(a.cell_of(edge(1, 3)), None);
+        assert_eq!(cell_of(&a, edge(1, 3)), None);
     }
 
     #[test]
     fn insert_and_tags() {
-        check_insert_and_tags(HybridTaggedAdjacency::new());
+        check_insert_and_tags(HybridTaggedAdjacency::new(1));
     }
 
     #[test]
     fn dense_rows_insert_and_tags() {
-        check_insert_and_tags(HybridTaggedAdjacency::with_threshold(0));
+        check_insert_and_tags(HybridTaggedAdjacency::with_threshold(1, 0));
     }
 
     fn check_matching_requires_equal_tags(mut a: HybridTaggedAdjacency) {
         // Wedge 2–1–3 with both edges in cell 0, plus wedge 2–4–3 split
         // across cells: only node 1 matches for the arriving edge (2,3).
-        a.insert(edge(1, 2), 0);
-        a.insert(edge(1, 3), 0);
-        a.insert(edge(4, 2), 0);
-        a.insert(edge(4, 3), 1);
+        a.insert(edge(1, 2), &[0]);
+        a.insert(edge(1, 3), &[0]);
+        a.insert(edge(4, 2), &[0]);
+        a.insert(edge(4, 3), &[1]);
         let mut hits = Vec::new();
-        let n = a.for_each_matching_common_neighbor(2, 3, |w, c| hits.push((w, c)));
+        let n = a.for_each_matching_common_neighbor(2, 3, |_, w, c| hits.push((w, c)));
         assert_eq!(n, 1);
         assert_eq!(hits, vec![(1, 0)]);
     }
 
     #[test]
     fn matching_requires_equal_tags() {
-        check_matching_requires_equal_tags(HybridTaggedAdjacency::new());
+        check_matching_requires_equal_tags(HybridTaggedAdjacency::new(1));
     }
 
     #[test]
     fn dense_rows_matching_requires_equal_tags() {
-        check_matching_requires_equal_tags(HybridTaggedAdjacency::with_threshold(0));
+        check_matching_requires_equal_tags(HybridTaggedAdjacency::with_threshold(1, 0));
     }
 
     fn check_matching_of_unknown_nodes_is_empty(mut a: HybridTaggedAdjacency) {
         assert_eq!(
-            a.for_each_matching_common_neighbor(5, 6, |_, _| panic!()),
+            a.for_each_matching_common_neighbor(5, 6, |_, _, _| panic!()),
             0
         );
         // One known endpoint is not enough either.
-        a.insert(edge(1, 2), 0);
-        a.insert(edge(1, 3), 0);
+        a.insert(edge(1, 2), &[0]);
+        a.insert(edge(1, 3), &[0]);
         for (u, v) in [(5, 6), (2, 7), (7, 2), (1, 7)] {
             assert_eq!(
-                a.for_each_matching_common_neighbor(u, v, |_, _| panic!()),
+                a.for_each_matching_common_neighbor(u, v, |_, _, _| panic!()),
                 0,
                 "({u}, {v})"
             );
@@ -2149,12 +1804,12 @@ mod tests {
 
     #[test]
     fn matching_of_unknown_nodes_is_empty() {
-        check_matching_of_unknown_nodes_is_empty(HybridTaggedAdjacency::new());
+        check_matching_of_unknown_nodes_is_empty(HybridTaggedAdjacency::new(1));
     }
 
     #[test]
     fn dense_rows_matching_of_unknown_nodes_is_empty() {
-        check_matching_of_unknown_nodes_is_empty(HybridTaggedAdjacency::with_threshold(0));
+        check_matching_of_unknown_nodes_is_empty(HybridTaggedAdjacency::with_threshold(1, 0));
     }
 
     #[test]
@@ -2175,17 +1830,17 @@ mod tests {
         // Store the first half, query with the second half.
         let (stored, queries) = edges.split_at(edges.len() / 2);
         for threshold in THRESHOLDS {
-            let mut fused = HybridTaggedAdjacency::with_threshold(threshold);
+            let mut fused = HybridTaggedAdjacency::with_threshold(1, threshold);
             let mut split: Vec<DynamicAdjacency> =
                 (0..cells).map(|_| DynamicAdjacency::new()).collect();
             for &e in stored {
                 let cell = ph.cell(u64::from(e.u()), u64::from(e.v()));
-                fused.insert(e, cell as CellTag);
+                fused.insert(e, &[cell as CellTag]);
                 split[cell as usize].insert(e);
             }
             for &q in queries {
                 let mut per_cell = vec![0usize; cells as usize];
-                fused.for_each_matching_common_neighbor(q.u(), q.v(), |_, c| {
+                fused.for_each_matching_common_neighbor(q.u(), q.v(), |_, _, c| {
                     per_cell[c as usize] += 1;
                 });
                 for (i, s) in split.iter().enumerate() {
@@ -2200,11 +1855,11 @@ mod tests {
     }
 
     fn check_edges_roundtrip_with_tags(mut a: HybridTaggedAdjacency) {
-        a.insert(edge(1, 2), 0);
-        a.insert(edge(2, 3), 1);
-        a.insert(edge(4, 5), 2);
+        a.insert(edge(1, 2), &[0]);
+        a.insert(edge(2, 3), &[1]);
+        a.insert(edge(4, 5), &[2]);
         let mut got: Vec<(Edge, CellTag)> = Vec::new();
-        a.for_each_edge(|e, c| got.push((e, c)));
+        a.for_each_edge_in(0, |e, c| got.push((e, c)));
         got.sort();
         assert_eq!(got, vec![(edge(1, 2), 0), (edge(2, 3), 1), (edge(4, 5), 2)]);
         assert_eq!(got.iter().filter(|&&(_, c)| c == 1).count(), 1);
@@ -2212,18 +1867,18 @@ mod tests {
 
     #[test]
     fn edges_roundtrip_with_tags() {
-        check_edges_roundtrip_with_tags(HybridTaggedAdjacency::new());
+        check_edges_roundtrip_with_tags(HybridTaggedAdjacency::new(1));
     }
 
     #[test]
     fn dense_rows_edges_roundtrip_with_tags() {
-        check_edges_roundtrip_with_tags(HybridTaggedAdjacency::with_threshold(0));
+        check_edges_roundtrip_with_tags(HybridTaggedAdjacency::with_threshold(1, 0));
     }
 
     fn check_bytes_grow_with_inserts(mut a: HybridTaggedAdjacency) {
         let empty = a.approx_bytes();
         for i in 0..500u32 {
-            a.insert(edge(i, i + 1), i % 7);
+            a.insert(edge(i, i + 1), &[i % 7]);
         }
         assert!(a.approx_bytes() > empty);
         assert_eq!(a.edge_count(), 500);
@@ -2232,12 +1887,12 @@ mod tests {
 
     #[test]
     fn bytes_grow_with_inserts() {
-        check_bytes_grow_with_inserts(HybridTaggedAdjacency::new());
+        check_bytes_grow_with_inserts(HybridTaggedAdjacency::new(1));
     }
 
     #[test]
     fn dense_rows_bytes_grow_with_inserts() {
-        check_bytes_grow_with_inserts(HybridTaggedAdjacency::with_threshold(0));
+        check_bytes_grow_with_inserts(HybridTaggedAdjacency::with_threshold(1, 0));
     }
 
     /// The two row representations are interchangeable: on any insert
@@ -2248,8 +1903,8 @@ mod tests {
     #[test]
     fn sparse_rows_equivalent_to_dense_rows_on_random_streams() {
         let rng = SplitMix64::new(0xC0FFEE);
-        let mut sparse = HybridTaggedAdjacency::with_threshold(usize::MAX);
-        let mut dense = HybridTaggedAdjacency::with_threshold(0);
+        let mut sparse = HybridTaggedAdjacency::with_threshold(1, usize::MAX);
+        let mut dense = HybridTaggedAdjacency::with_threshold(1, 0);
         // Hub-heavy edge distribution: node 0 collects a large degree so
         // hub–leaf intersections exercise the gallop path.
         let mut edges = Vec::new();
@@ -2266,18 +1921,18 @@ mod tests {
         }
         let (stored, queries) = edges.split_at(edges.len() * 2 / 3);
         for &(e, cell) in stored {
-            assert_eq!(sparse.insert(e, cell), dense.insert(e, cell), "{e}");
+            assert_eq!(sparse.insert(e, &[cell]), dense.insert(e, &[cell]), "{e}");
         }
         assert_eq!(sparse.edge_count(), dense.edge_count());
         assert_eq!(sparse.node_count(), dense.node_count());
         for &(q, _) in queries.iter().chain(stored) {
-            assert_eq!(sparse.cell_of(q), dense.cell_of(q), "cell_of {q}");
+            assert_eq!(cell_of(&sparse, q), cell_of(&dense, q), "cell_of {q}");
             let mut ms = Vec::new();
-            let ns = sparse.for_each_matching_common_neighbor(q.u(), q.v(), |w, c| {
+            let ns = sparse.for_each_matching_common_neighbor(q.u(), q.v(), |_, w, c| {
                 ms.push((w, c));
             });
             let mut md = Vec::new();
-            let nd = dense.for_each_matching_common_neighbor(q.u(), q.v(), |w, c| {
+            let nd = dense.for_each_matching_common_neighbor(q.u(), q.v(), |_, w, c| {
                 md.push((w, c));
             });
             ms.sort_unstable();
@@ -2285,7 +1940,7 @@ mod tests {
             assert_eq!(ns, nd, "match count for {q}");
             assert_eq!(ms, md, "match set for {q}");
         }
-        dense.for_each_edge(|e, _| {
+        dense.for_each_edge(|e| {
             assert_eq!(sparse.degree(e.u()), dense.degree(e.u()));
         });
     }
@@ -2309,8 +1964,8 @@ mod tests {
     fn single_match_then_insert_equals_split_calls() {
         for threshold in THRESHOLDS {
             let rng = SplitMix64::new(7);
-            let mut fused = HybridTaggedAdjacency::with_threshold(threshold);
-            let mut split = HybridTaggedAdjacency::with_threshold(threshold);
+            let mut fused = HybridTaggedAdjacency::with_threshold(1, threshold);
+            let mut split = HybridTaggedAdjacency::with_threshold(1, threshold);
             for i in 0..800u64 {
                 let r = rng.fork(i).next_u64();
                 let (u, v) = ((r % 50) as u32, ((r >> 16) % 50) as u32);
@@ -2318,13 +1973,16 @@ mod tests {
                     continue;
                 };
                 let cell = ((r >> 32) % 5) as CellTag;
-                let store = (!r.is_multiple_of(3)).then_some(cell);
+                let store = (!r.is_multiple_of(3)).then_some([cell]);
 
                 let mut a = Vec::new();
-                let stored_a = fused.match_then_insert(e, store, |w, c| a.push((w, c)));
+                let stored_a =
+                    fused.match_then_insert(e, store.as_ref().map(|s| &s[..]), |_, w, c| {
+                        a.push((w, c));
+                    });
                 let mut b = Vec::new();
-                split.for_each_matching_common_neighbor(u, v, |w, c| b.push((w, c)));
-                let stored_b = store.is_some_and(|c| split.insert(e, c));
+                split.for_each_matching_common_neighbor(u, v, |_, w, c| b.push((w, c)));
+                let stored_b = store.is_some_and(|c| split.insert(e, &c));
                 a.sort_unstable();
                 b.sort_unstable();
                 assert_eq!(a, b, "matches at step {i} threshold {threshold}");
@@ -2357,8 +2015,8 @@ mod tests {
     fn check_multi_match_then_insert(threshold: usize) {
         let width = 3;
         let rng = SplitMix64::new(5);
-        let mut fused = MultiHybridTaggedAdjacency::with_threshold(width, threshold);
-        let mut split = MultiHybridTaggedAdjacency::with_threshold(width, threshold);
+        let mut fused = HybridTaggedAdjacency::with_threshold(width, threshold);
+        let mut split = HybridTaggedAdjacency::with_threshold(width, threshold);
         for i in 0..700u64 {
             let r = rng.fork(i).next_u64();
             let Some(e) = Edge::try_new((r % 40) as u32, ((r >> 16) % 40) as u32) else {
@@ -2392,8 +2050,8 @@ mod tests {
         let full_width = 2;
         for threshold in THRESHOLDS {
             let rng = SplitMix64::new(3);
-            let mut fused = MaskedHybridTaggedAdjacency::with_threshold(full_width, threshold);
-            let mut split = MaskedHybridTaggedAdjacency::with_threshold(full_width, threshold);
+            let mut fused = HybridTaggedAdjacency::with_threshold(full_width + 1, threshold);
+            let mut split = HybridTaggedAdjacency::with_threshold(full_width + 1, threshold);
             for i in 0..700u64 {
                 let r = rng.fork(i).next_u64();
                 let Some(e) = Edge::try_new((r % 40) as u32, ((r >> 16) % 40) as u32) else {
@@ -2403,13 +2061,12 @@ mod tests {
                     .map(|g| ((r >> (4 * g)) % 6) as CellTag)
                     .collect();
                 let cell = (r >> 40) % 7;
-                let masked = (cell < 3).then_some(cell as CellTag);
+                let row = masked_row(&full, (cell < 3).then_some(cell as CellTag));
                 let mut a = Vec::new();
-                let sa =
-                    fused.match_then_insert(e, Some((&full, masked)), |g, w, c| a.push((g, w, c)));
+                let sa = fused.match_then_insert(e, Some(&row), |g, w, c| a.push((g, w, c)));
                 let mut b = Vec::new();
                 split.match_then_insert(e, None, |g, w, c| b.push((g, w, c)));
-                let sb = split.insert(e, &full, masked);
+                let sb = split.insert(e, &row);
                 a.sort_unstable();
                 b.sort_unstable();
                 assert_eq!(a, b, "step {i} threshold {threshold}");
@@ -2420,7 +2077,7 @@ mod tests {
                 }
             }
             assert_eq!(fused.edge_count(), split.edge_count());
-            assert_eq!(fused.masked_edge_count(), split.masked_edge_count());
+            assert_eq!(kept(&fused, full_width), kept(&split, full_width));
         }
     }
 
@@ -2429,20 +2086,20 @@ mod tests {
     /// back-merge), with duplicates sprinkled in.
     #[test]
     fn tail_merge_keeps_prefix_sorted_and_lookups_exact() {
-        let mut a = HybridTaggedAdjacency::with_threshold(usize::MAX);
+        let mut a = HybridTaggedAdjacency::with_threshold(1, usize::MAX);
         let mut inserted = 0;
         for v in (1..100u32).rev() {
-            assert!(a.insert(edge(0, v), v % 5));
+            assert!(a.insert(edge(0, v), &[v % 5]));
             inserted += 1;
             if v % 7 == 0 {
-                assert!(!a.insert(edge(0, v), 9), "duplicate {v}");
+                assert!(!a.insert(edge(0, v), &[9]), "duplicate {v}");
             }
         }
         assert_eq!(a.degree(0), inserted);
         for v in 1..100u32 {
-            assert_eq!(a.cell_of(edge(0, v)), Some(v % 5), "lookup {v}");
+            assert_eq!(cell_of(&a, edge(0, v)), Some(v % 5), "lookup {v}");
         }
-        assert_eq!(a.cell_of(edge(0, 100)), None);
+        assert_eq!(cell_of(&a, edge(0, 100)), None);
     }
 
     /// Dense-core maintenance across many tail merges: one hub receives
@@ -2451,23 +2108,23 @@ mod tests {
     /// exact and first tags must win.
     #[test]
     fn dense_merges_keep_lookups_exact() {
-        let mut a = HybridTaggedAdjacency::with_threshold(10);
+        let mut a = HybridTaggedAdjacency::with_threshold(1, 10);
         let mut inserted = 0;
         for v in (1..600u32).rev() {
-            assert!(a.insert(Edge::new(0, v), v % 5));
+            assert!(a.insert(Edge::new(0, v), &[v % 5]));
             inserted += 1;
             if v % 7 == 0 {
-                assert!(!a.insert(Edge::new(0, v), 9), "duplicate {v}");
+                assert!(!a.insert(Edge::new(0, v), &[9]), "duplicate {v}");
             }
         }
         assert_eq!(a.degree(0), inserted);
         for v in 1..600u32 {
-            assert_eq!(a.cell_of(Edge::new(0, v)), Some(v % 5), "lookup {v}");
+            assert_eq!(cell_of(&a, Edge::new(0, v)), Some(v % 5), "lookup {v}");
         }
-        assert_eq!(a.cell_of(Edge::new(0, 600)), None);
+        assert_eq!(cell_of(&a, Edge::new(0, 600)), None);
         a.compact();
         for v in 1..600u32 {
-            assert_eq!(a.cell_of(Edge::new(0, v)), Some(v % 5));
+            assert_eq!(cell_of(&a, Edge::new(0, v)), Some(v % 5));
         }
     }
 
@@ -2475,8 +2132,8 @@ mod tests {
     /// promotion boundary: eager vs lazy compaction answer identically.
     #[test]
     fn compact_is_a_pure_representation_change() {
-        let mut eager = MultiHybridTaggedAdjacency::with_threshold(2, 20);
-        let mut lazy = MultiHybridTaggedAdjacency::with_threshold(2, 20);
+        let mut eager = HybridTaggedAdjacency::with_threshold(2, 20);
+        let mut lazy = HybridTaggedAdjacency::with_threshold(2, 20);
         let edges: Vec<(Edge, [CellTag; 2])> = (0..300u32)
             .map(|i| (Edge::new(i % 40, 40 + (i * 7) % 90), [i % 6, i % 4]))
             .collect();
@@ -2515,13 +2172,13 @@ mod tests {
     /// below the overflow bound.
     #[test]
     fn single_compact_is_a_pure_representation_change() {
-        let mut eager = HybridTaggedAdjacency::with_threshold(usize::MAX);
-        let mut lazy = HybridTaggedAdjacency::with_threshold(usize::MAX);
+        let mut eager = HybridTaggedAdjacency::with_threshold(1, usize::MAX);
+        let mut lazy = HybridTaggedAdjacency::with_threshold(1, usize::MAX);
         let edges: Vec<(Edge, CellTag)> = (0..300u32)
             .map(|i| (Edge::new(i % 40, 40 + (i * 7) % 90), i % 6))
             .collect();
         for (i, &(e, cell)) in edges.iter().enumerate() {
-            assert_eq!(eager.insert(e, cell), lazy.insert(e, cell));
+            assert_eq!(eager.insert(e, &[cell]), lazy.insert(e, &[cell]));
             if i % 23 == 0 {
                 eager.compact();
             }
@@ -2536,13 +2193,13 @@ mod tests {
         for u in 0..40u32 {
             for v in 40..130u32 {
                 let q = Edge::new(u, v);
-                assert_eq!(eager.cell_of(q), lazy.cell_of(q), "{q}");
+                assert_eq!(cell_of(&eager, q), cell_of(&lazy, q), "{q}");
             }
             for w in (u + 1)..40 {
                 let mut a = Vec::new();
                 let mut b = Vec::new();
-                eager.for_each_matching_common_neighbor(u, w, |x, c| a.push((x, c)));
-                lazy.for_each_matching_common_neighbor(u, w, |x, c| b.push((x, c)));
+                eager.for_each_matching_common_neighbor(u, w, |_, x, c| a.push((x, c)));
+                lazy.for_each_matching_common_neighbor(u, w, |_, x, c| b.push((x, c)));
                 a.sort_unstable();
                 b.sort_unstable();
                 assert_eq!(a, b, "matches of ({u}, {w})");
@@ -2571,27 +2228,29 @@ mod tests {
     }
 
     fn check_multi_rejections() {
-        let mut m = MultiHybridTaggedAdjacency::new(2);
+        let mut m = HybridTaggedAdjacency::new(2);
         assert!(m.insert(Edge::new(1, 2), &[0, 1]));
         assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             m.insert(Edge::new(2, 3), &[0]);
         }))
         .is_err());
-        assert!(std::panic::catch_unwind(|| MultiHybridTaggedAdjacency::new(0)).is_err());
+        assert!(std::panic::catch_unwind(|| HybridTaggedAdjacency::new(0)).is_err());
     }
 
+    /// A last column that drops edges: a row of the wrong width, and a
+    /// row no column keeps (the sentinel everywhere), are refused.
     fn check_masked_rejections() {
-        let mut k = MaskedHybridTaggedAdjacency::new(2);
-        assert!(k.insert(Edge::new(1, 2), &[0, 1], None));
+        let mut k = HybridTaggedAdjacency::new(3);
+        assert!(k.insert(Edge::new(1, 2), &masked_row(&[0, 1], None)));
         assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            k.insert(Edge::new(2, 3), &[0], None);
+            k.insert(Edge::new(2, 3), &masked_row(&[0], None));
         }))
         .is_err());
         assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            k.insert(Edge::new(2, 3), &[0, 1], Some(MASKED_NONE));
+            k.insert(Edge::new(2, 3), &[MASKED_NONE; 3]);
         }))
         .is_err());
-        assert!(std::panic::catch_unwind(|| MaskedHybridTaggedAdjacency::new(0)).is_err());
+        assert!(std::panic::catch_unwind(|| HybridTaggedAdjacency::new(0)).is_err());
     }
 
     /// A tag that cannot pack into the byte store arriving mid-stream
@@ -2601,9 +2260,9 @@ mod tests {
     fn widening_preserves_all_tags() {
         for threshold in THRESHOLDS {
             let rng = SplitMix64::new(0x81D);
-            let mut hybrid = MultiHybridTaggedAdjacency::with_threshold(2, threshold);
+            let mut hybrid = HybridTaggedAdjacency::with_threshold(2, threshold);
             let mut multi = Model::default();
-            let mut masked_h = MaskedHybridTaggedAdjacency::with_threshold(1, threshold);
+            let mut masked_h = HybridTaggedAdjacency::with_threshold(2, threshold);
             let mut masked_s = Model::default();
             for i in 0..800u64 {
                 let r = rng.fork(i).next_u64();
@@ -2620,7 +2279,7 @@ mod tests {
                 assert_eq!(hybrid.insert(e, &tags), multi.insert(e, &tags), "{e}");
                 let m = (r >> 40).is_multiple_of(3).then_some(tags[0]);
                 assert_eq!(
-                    masked_h.insert(e, &tags[1..], m),
+                    masked_h.insert(e, &masked_row(&tags[1..], m)),
                     masked_s.insert(e, &[tags[1], m.unwrap_or(MASKED_NONE)]),
                     "{e} masked"
                 );
@@ -2638,7 +2297,7 @@ mod tests {
                         "{q} threshold {threshold}"
                     );
                     assert_eq!(
-                        masked_h.tags_of(q),
+                        masked_h.tags_of(q).map(|r| split_row(r, 1)),
                         masked_s.tags_of(q).map(|run| (
                             run[..1].to_vec(),
                             (run[1] != MASKED_NONE).then_some(run[1])
@@ -2653,21 +2312,21 @@ mod tests {
                 .values()
                 .filter(|run| run[1] != MASKED_NONE)
                 .count();
-            assert_eq!(masked_h.masked_edge_count(), masked_count);
+            assert_eq!(kept(&masked_h, 1), masked_count);
         }
     }
 
     #[test]
     fn masked_edges_enumerate_exactly_the_stored_subset() {
-        let mut a = MaskedHybridTaggedAdjacency::new(1);
-        a.insert(Edge::new(1, 2), &[0], Some(1));
-        a.insert(Edge::new(2, 3), &[1], None);
-        a.insert(Edge::new(3, 4), &[2], Some(0));
+        let mut a = HybridTaggedAdjacency::new(2);
+        a.insert(Edge::new(1, 2), &masked_row(&[0], Some(1)));
+        a.insert(Edge::new(2, 3), &masked_row(&[1], None));
+        a.insert(Edge::new(3, 4), &masked_row(&[2], Some(0)));
         let mut got = Vec::new();
-        a.for_each_masked_edge(|e, tag| got.push((e, tag)));
+        a.for_each_edge_in(1, |e, tag| got.push((e, tag)));
         got.sort_unstable();
         assert_eq!(got, vec![(Edge::new(1, 2), 1), (Edge::new(3, 4), 0)]);
-        assert_eq!(a.masked_edge_count(), 2);
+        assert_eq!(kept(&a, 1), 2);
         let mut all = Vec::new();
         a.for_each_edge(|e| all.push(e));
         all.sort_unstable();
@@ -2676,21 +2335,27 @@ mod tests {
 
     #[test]
     fn bytes_grow_and_duplicates_keep_first_tags() {
-        let mut a = MaskedHybridTaggedAdjacency::new(3);
+        let mut a = HybridTaggedAdjacency::new(4);
         let empty = a.approx_bytes();
         for i in 0..200u32 {
-            a.insert(Edge::new(i, i + 1), &[0, 1, 2], (i % 2 == 0).then_some(5));
+            a.insert(
+                Edge::new(i, i + 1),
+                &masked_row(&[0, 1, 2], (i % 2 == 0).then_some(5)),
+            );
         }
         assert!(a.approx_bytes() > empty);
-        assert!(!a.insert(Edge::new(0, 1), &[9, 9, 9], Some(9)), "duplicate");
-        assert_eq!(a.tags_of(Edge::new(0, 1)), Some((vec![0, 1, 2], Some(5))));
+        assert!(!a.insert(Edge::new(0, 1), &[9, 9, 9, 9]), "duplicate");
+        assert_eq!(
+            a.tags_of(Edge::new(0, 1)).map(|r| split_row(r, 3)),
+            Some((vec![0, 1, 2], Some(5)))
+        );
         assert_eq!(a.degree(1), 2);
-        assert_eq!(a.full_width(), 3);
+        assert_eq!(a.width() - 1, 3);
     }
 
     #[test]
     fn multi_bytes_grow_and_width_reported() {
-        let mut a = MultiHybridTaggedAdjacency::new(4);
+        let mut a = HybridTaggedAdjacency::new(4);
         let empty = a.approx_bytes();
         for i in 0..200u32 {
             a.insert(Edge::new(i, i + 1), &[0, 1, 2, 3]);
@@ -2702,7 +2367,7 @@ mod tests {
 
     #[test]
     fn bytes_grow_and_parameters_reported() {
-        let mut a = MultiHybridTaggedAdjacency::with_threshold(4, 8);
+        let mut a = HybridTaggedAdjacency::with_threshold(4, 8);
         let empty = a.approx_bytes();
         for i in 0..200u32 {
             a.insert(Edge::new(0, i + 1), &[0, 1, 2, 3]);
@@ -2710,21 +2375,25 @@ mod tests {
         assert!(a.approx_bytes() > empty);
         assert_eq!(a.width(), 4);
         assert_eq!(a.degree(0), 200);
-        let h = HybridTaggedAdjacency::new();
+        let h = HybridTaggedAdjacency::new(1);
         assert_eq!(h.dense_threshold(), DEFAULT_DENSE_THRESHOLD);
     }
 
     /// The running byte count next to the full walk it replaces.
-    fn byte_counts(core: &HybridCore) -> (usize, usize) {
-        (core.approx_bytes(), on_core!(core, c => c.recount_bytes()))
+    fn byte_counts(adj: &HybridTaggedAdjacency) -> (usize, usize) {
+        (
+            adj.approx_bytes(),
+            on_core!(&adj.core, c => c.recount_bytes()),
+        )
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         /// `approx_bytes` is O(1) yet equals the walk over every list,
-        /// dense core and id page after every insert — on all three
-        /// wrappers, at every threshold, through promotions, overflow
+        /// dense core and id page after every insert — at one, three and
+        /// three columns with a last column that drops edges, at every
+        /// threshold, through promotions, overflow
         /// merges, compactions, the packed → wide switch (cells past one
         /// byte from `wide_from` on), `clone()` (whose vecs shrink to
         /// their lengths) and a rebuild from the edge enumeration (what
@@ -2737,9 +2406,9 @@ mod tests {
         ) {
             let rng = SplitMix64::new(seed);
             for threshold in THRESHOLDS {
-                let mut single = HybridTaggedAdjacency::with_threshold(threshold);
-                let mut multi = MultiHybridTaggedAdjacency::with_threshold(3, threshold);
-                let mut masked = MaskedHybridTaggedAdjacency::with_threshold(2, threshold);
+                let mut single = HybridTaggedAdjacency::with_threshold(1, threshold);
+                let mut multi = HybridTaggedAdjacency::with_threshold(3, threshold);
+                let mut masked = HybridTaggedAdjacency::with_threshold(3, threshold);
                 for (i, &(u, v)) in pairs.iter().enumerate() {
                     let Some(e) = Edge::try_new(u, v) else {
                         continue;
@@ -2748,16 +2417,17 @@ mod tests {
                     let wide = if i >= wide_from { 300 } else { 0 };
                     let cell = |k: u32| wide + ((r >> (8 * k)) % 7) as CellTag;
                     if r.is_multiple_of(2) {
-                        single.insert(e, cell(0));
+                        single.insert(e, &[cell(0)]);
                         multi.insert(e, &[cell(0), cell(1), cell(2)]);
                     } else {
-                        single.match_then_insert(e, Some(cell(0)), |_, _| {});
+                        single.match_then_insert(e, Some(&[cell(0)]), |_, _, _| {});
                         let run = [cell(0), cell(1), cell(2)];
                         multi.match_then_insert(e, Some(&run), |_, _, _| {});
                     }
-                    masked.insert(e, &[cell(0), cell(1)], r.is_multiple_of(3).then(|| cell(3)));
-                    for core in [&single.core, &multi.core, &masked.core] {
-                        let (running, walked) = byte_counts(core);
+                    let masked_tag = r.is_multiple_of(3).then(|| cell(3));
+                    masked.insert(e, &masked_row(&[cell(0), cell(1)], masked_tag));
+                    for adj in [&single, &multi, &masked] {
+                        let (running, walked) = byte_counts(adj);
                         prop_assert_eq!(running, walked, "edge {} threshold {}", i, threshold);
                     }
                     if r.is_multiple_of(29) {
@@ -2766,11 +2436,11 @@ mod tests {
                         masked.compact();
                     }
                 }
-                for core in [&single.core, &multi.core, &masked.core] {
-                    let copy = core.clone();
+                for adj in [&single, &multi, &masked] {
+                    let copy = adj.clone();
                     let (running, walked) = byte_counts(&copy);
                     prop_assert_eq!(running, walked, "clone at threshold {}", threshold);
-                    prop_assert!(running <= core.approx_bytes(), "a clone never grows");
+                    prop_assert!(running <= adj.approx_bytes(), "a clone never grows");
                 }
                 let mut copy = multi.clone();
                 for &(u, v) in &pairs {
@@ -2778,14 +2448,14 @@ mod tests {
                         copy.insert(e, &[0, 1, 2]);
                     }
                 }
-                let (running, walked) = byte_counts(&copy.core);
+                let (running, walked) = byte_counts(&copy);
                 prop_assert_eq!(running, walked, "clone grown at threshold {}", threshold);
-                let mut rebuilt = MultiHybridTaggedAdjacency::with_threshold(3, threshold);
+                let mut rebuilt = HybridTaggedAdjacency::with_threshold(3, threshold);
                 multi.for_each_edge(|e| {
                     rebuilt.insert(e, &multi.tags_of(e).expect("enumerated edge"));
                 });
                 rebuilt.compact();
-                let (running, walked) = byte_counts(&rebuilt.core);
+                let (running, walked) = byte_counts(&rebuilt);
                 prop_assert_eq!(running, walked, "rebuild at threshold {}", threshold);
             }
         }
@@ -2836,7 +2506,7 @@ mod tests {
                 .filter_map(|&(u, v)| Edge::try_new(u, v))
                 .collect();
             for threshold in THRESHOLDS {
-                let mut core = HybridCore::new(stride, threshold);
+                let mut adj = HybridTaggedAdjacency::with_threshold(stride, threshold);
                 let (mut at, mut k) = (0usize, 0usize);
                 while at < edges.len() {
                     let n = batches[k % batches.len()].min(edges.len() - at);
@@ -2844,22 +2514,22 @@ mod tests {
                     for (i, &e) in edges[at..at + n].iter().enumerate() {
                         let run: Vec<CellTag> =
                             (0..stride).map(|g| ((i + g) % 5) as CellTag).collect();
-                        stored += usize::from(core.insert_run(e, &run));
+                        stored += usize::from(adj.insert(e, &run));
                     }
-                    let pending = on_core!(&core, c => c.full_tails.len());
+                    let pending = on_core!(&adj.core, c => c.full_tails.len());
                     prop_assert!(
                         pending <= 2 * stored,
                         "{} pending for {} stored edges",
                         pending,
                         stored
                     );
-                    let mut reference = core.clone();
-                    on_core!(&mut reference, c => full_scan_compact(c));
-                    core.compact();
-                    prop_assert!(on_core!(&core, c => c.full_tails.is_empty()));
+                    let mut reference = adj.clone();
+                    on_core!(&mut reference.core, c => full_scan_compact(c));
+                    adj.compact();
+                    prop_assert!(on_core!(&adj.core, c => c.full_tails.is_empty()));
                     prop_assert_eq!(
-                        slot_contents(&core),
-                        slot_contents(&reference),
+                        slot_contents(&adj.core),
+                        slot_contents(&reference.core),
                         "batch {} threshold {}",
                         k,
                         threshold

@@ -14,13 +14,11 @@
 //! * [`adjacency`] — [`adjacency::DynamicAdjacency`], the
 //!   hash-based incremental adjacency used by every streaming algorithm
 //!   (common-neighbor queries are the inner loop of the whole system).
-//! * [`hybrid_tagged`] — the cell-tagged adjacency of the fused
-//!   execution engine ([`hybrid_tagged::HybridTaggedAdjacency`] for one
-//!   hash group, [`hybrid_tagged::MultiHybridTaggedAdjacency`] shared by
-//!   every full group, [`hybrid_tagged::MaskedHybridTaggedAdjacency`]
-//!   with the remainder group's masked column): each stored neighbor
-//!   carries its edge's partition cell, low-degree nodes keep sorted
-//!   vecs, high-degree nodes promote to blocked `u64` bitmaps so hub
+//! * [`hybrid_tagged`] — [`hybrid_tagged::HybridTaggedAdjacency`], the
+//!   cell-tagged adjacency of the fused execution engine: one tag column
+//!   per hash group, holding each stored edge's partition cell where the
+//!   group keeps the edge; low-degree nodes keep sorted vecs,
+//!   high-degree nodes promote to blocked `u64` bitmaps so hub
 //!   intersections run as `AND` + `count_ones` (64-way bit-parallel,
 //!   zero `unsafe`).
 //! * [`csr`] — [`csr::CsrGraph`], a compact sorted-neighbor static
@@ -48,6 +46,4 @@ pub use adjacency::DynamicAdjacency;
 pub use builder::GraphBuilder;
 pub use csr::CsrGraph;
 pub use edge::{Edge, NodeId};
-pub use hybrid_tagged::{
-    CellTag, HybridTaggedAdjacency, MaskedHybridTaggedAdjacency, MultiHybridTaggedAdjacency,
-};
+pub use hybrid_tagged::{CellTag, HybridTaggedAdjacency};

@@ -28,8 +28,8 @@
 //!
 //! Every way of running the estimator drives the same type —
 //! [`rept_core::engine::EngineCore`] — which owns the engine-specific
-//! state of a run (per-worker workers, or the fused hybrid layout with
-//! its shared structures) behind four operations:
+//! state of a run (per-worker workers, or the fused hybrid layout's one
+//! shared structure) behind four operations:
 //! `ingest_batch`, `compact`, `snapshot_counters`, `finalize`.
 //!
 //! * **Batch** (`Rept::run*`, the figure binaries, the benches):
@@ -37,8 +37,9 @@
 //!   runs construct one core per thread over a subset of hash groups
 //!   and combine the finalized aggregates.
 //! * **Resume** ([`rept_core::resume::ResumableRun`]): the same core
-//!   fed batch by batch, plus the RPCK v4 checkpoint codec (v1–v3
-//!   blobs still restore). Results are independent of batch
+//!   fed batch by batch, plus the RPCK checkpoint codec (unsliced engine
+//!   runs write v4, reservoir runs v5, group-sliced shards v6; every
+//!   version from v1 still restores). Results are independent of batch
 //!   boundaries, so kill-and-resume is bit-identical.
 //! * **Serve** ([`rept_serve::ServeCore`]): an ingest thread around a
 //!   resumable run, snapshot-isolated queries, checkpoint rotation.
@@ -47,12 +48,12 @@
 //! bit-identical agreement holds by construction; the proptests pin it
 //! down across engines and duplicate-edge streams.
 //!
-//! On the fused engine the core also picks the strongest structure
-//! sharing a layout admits: all *full* hash groups share one neighbor
-//! structure walk (tag column per group), and a *remainder* group
-//! (`c mod m ≠ 0`) is folded into that same walk through a masked tag
-//! column ([`rept_graph::hybrid_tagged::MaskedHybridTaggedAdjacency`])
-//! instead of paying its own structure walk per edge.
+//! On the fused engine every hash group the core owns is one tag column
+//! of a single [`rept_graph::hybrid_tagged::HybridTaggedAdjacency`]: a
+//! column holds the edge's cell where its group keeps the edge and a
+//! sentinel where the group's subsampling drops it, so full groups, a
+//! *remainder* group (`c mod m ≠ 0`) and a `c < m` group all share one
+//! structure walk per edge.
 //!
 //! ## Quickstart: batch estimation
 //!
