@@ -1,5 +1,13 @@
 //! REPT configuration.
 
+/// The largest processor count `c` accepted from outside input — a
+/// tenant's options or manifest and a checkpoint header — checked
+/// before anything is sized by `c`. Far above any deployment here (the
+/// largest `c` any bench or workload runs is 256); a header or request
+/// naming more is refused with a typed error instead of letting
+/// [`crate::Rept::new`] allocate a group per `m` processors.
+pub const MAX_PROCESSORS: u64 = 1 << 16;
+
 /// How the per-edge triangle counters `τ⁽ⁱ⁾_(u,v)` used for η tracking are
 /// initialised when an edge enters a partition cell.
 ///

@@ -49,7 +49,7 @@ use rept_hash::fx::FxHashMap;
 
 use crate::combine::{graybill_deal, Combined};
 use crate::config::ReptConfig;
-use crate::engine;
+use crate::engine::{self, Touched};
 use crate::estimate::{CombinationPath, Diagnostics, ReptEstimate};
 use crate::worker::SemiTriangleWorker;
 
@@ -364,9 +364,49 @@ impl Rept {
     /// arithmetic runs on exactly the same integer sums. Public so
     /// aggregates gathered elsewhere (e.g. from a distributed fleet of
     /// [`EngineCore`](crate::engine::EngineCore)s) can be combined the
-    /// same way.
+    /// same way. Every node counts as touched: the locals come from
+    /// the same per-node combination [`Self::refresh_estimate`] runs.
     pub fn finalize_groups(&self, mut groups: Vec<GroupAggregate>) -> ReptEstimate {
         groups.sort_by_key(|g| g.start);
+        self.combine(&groups)
+    }
+
+    /// [`Self::finalize_groups`] over borrowed aggregates already in
+    /// layout order — for a caller that keeps the counters, as the shard
+    /// coordinator does between exchanges.
+    pub fn combine(&self, groups: &[GroupAggregate]) -> ReptEstimate {
+        let mut est = self.combine_counts(groups);
+        self.refresh_locals(&mut est.locals, groups, &Touched::All);
+        est
+    }
+
+    /// Brings `est`, an earlier combination of this layout, up to date
+    /// with `groups` — the current per-group counters in layout order —
+    /// given the nodes `touched` since: the global estimate, `η̂` and the
+    /// diagnostics are recomputed (`O(c)`), and only the touched nodes'
+    /// locals, each from its exact integer counters. The result equals
+    /// [`Self::finalize_groups`] over the same counters bit for bit, so
+    /// a publication costs the nodes that moved instead of every local.
+    ///
+    /// `groups` must hold every touched node's entries: the full
+    /// counters, or a delta of them ([`EngineCore::counters_for`](crate::engine::EngineCore::counters_for)).
+    pub fn refresh_estimate(
+        &self,
+        est: &mut ReptEstimate,
+        groups: &[GroupAggregate],
+        touched: &Touched,
+    ) {
+        debug_assert!(groups.windows(2).all(|w| w[0].start <= w[1].start));
+        let locals = std::mem::take(&mut est.locals);
+        *est = self.combine_counts(groups);
+        est.locals = locals;
+        self.refresh_locals(&mut est.locals, groups, touched);
+    }
+
+    /// Everything of the estimate but the locals (left empty): the
+    /// global estimate, `η̂` and the diagnostics, all `O(c)`. `groups`
+    /// are in layout order.
+    fn combine_counts(&self, groups: &[GroupAggregate]) -> ReptEstimate {
         let m = self.cfg.m as f64;
         let c = self.cfg.c as f64;
         let per_processor_tau: Vec<u64> =
@@ -382,14 +422,13 @@ impl Rept {
             m * m * m * sum as f64 / c
         });
 
-        let (global, combination, sub_estimates, locals);
+        let (global, combination, sub_estimates);
         if self.cfg.c <= self.cfg.m {
             // τ̂ = m²/c · Σ τ⁽ⁱ⁾ (Algorithm 1).
             let sum: u64 = per_processor_tau.iter().sum();
             global = m * m / c * sum as f64;
             combination = CombinationPath::SingleGroup;
             sub_estimates = None;
-            locals = self.locals_scaled(&groups, m * m / c);
         } else if self.cfg.c2() == 0 {
             // τ̂ = m/c₁ · Σ τ⁽ⁱ⁾.
             let c1 = self.cfg.c1() as f64;
@@ -397,7 +436,6 @@ impl Rept {
             global = m / c1 * sum as f64;
             combination = CombinationPath::FullGroups;
             sub_estimates = None;
-            locals = self.locals_scaled(&groups, m / c1);
         } else {
             let (c1, c2) = (self.cfg.c1() as f64, self.cfg.c2() as f64);
             let split = (self.cfg.c1() * self.cfg.m) as usize;
@@ -423,12 +461,11 @@ impl Rept {
                 }
             }
             sub_estimates = Some((t1, t2));
-            locals = self.locals_combined(&groups, split);
         }
 
         ReptEstimate {
             global,
-            locals,
+            locals: FxHashMap::default(),
             eta_hat,
             diagnostics: Diagnostics {
                 m: self.cfg.m,
@@ -442,85 +479,166 @@ impl Rept {
         }
     }
 
-    /// Locals for the single-scale paths: `τ̂_v = scale · Σ τ⁽ⁱ⁾_v`.
-    fn locals_scaled(&self, groups: &[GroupAggregate], scale: f64) -> FxHashMap<NodeId, f64> {
+    /// Whether the locals take the mixed-group path (per-node
+    /// Graybill–Deal, which reads `η_v` and splits full groups from the
+    /// remainder) rather than a single scale.
+    fn combined_locals(&self) -> bool {
+        self.cfg.c > self.cfg.m && self.cfg.c2() != 0
+    }
+
+    /// Recomputes `locals` for the `touched` nodes of `groups` (layout
+    /// order): every node through the per-group map merge for
+    /// [`Touched::All`], else each touched node from its own entries. A
+    /// node no map holds has no local.
+    fn refresh_locals(
+        &self,
+        locals: &mut FxHashMap<NodeId, f64>,
+        groups: &[GroupAggregate],
+        touched: &Touched,
+    ) {
         if !self.cfg.track_locals {
-            return FxHashMap::default();
+            locals.clear();
+            return;
         }
-        // The largest group's map bounds the merged node count from
-        // below: reserving it up front saves the map's regrowth.
+        let split = self.remainder_start();
+        let combined = self.combined_locals();
+        let Touched::Nodes(nodes) = touched else {
+            *locals = self.all_locals(groups, split, combined);
+            return;
+        };
+        for &v in nodes {
+            let mut sums = NodeSums::default();
+            let mut held = false;
+            for g in groups {
+                if let Some(&count) = g.tau_v.as_ref().and_then(|tv| tv.get(&v)) {
+                    held = true;
+                    sums.add_tau(g.start < split, count);
+                }
+                if combined {
+                    if let Some(&count) = g.eta_v.as_ref().and_then(|ev| ev.get(&v)) {
+                        held = true;
+                        sums.eta += count;
+                    }
+                }
+            }
+            if held {
+                locals.insert(v, self.node_estimate(sums));
+            } else {
+                locals.remove(&v);
+            }
+        }
+    }
+
+    /// Every node's local, merging the per-group maps in one pass each.
+    fn all_locals(
+        &self,
+        groups: &[GroupAggregate],
+        split: usize,
+        combined: bool,
+    ) -> FxHashMap<NodeId, f64> {
+        // The largest merged map bounds the node count from below:
+        // reserving it up front saves the map's regrowth.
         let largest = groups
             .iter()
-            .filter_map(|g| g.tau_v.as_ref())
-            .map(FxHashMap::len);
-        let mut acc: FxHashMap<NodeId, u64> =
-            FxHashMap::with_capacity_and_hasher(largest.max().unwrap_or(0), Default::default());
-        for g in groups {
-            if let Some(tv) = &g.tau_v {
+            .flat_map(|g| g.tau_v.iter().chain(g.eta_v.iter().filter(|_| combined)))
+            .map(FxHashMap::len)
+            .max()
+            .unwrap_or(0);
+        if !combined {
+            // One sum per node: a plain count map merges fastest.
+            let mut acc: FxHashMap<NodeId, u64> =
+                FxHashMap::with_capacity_and_hasher(largest, Default::default());
+            for tv in groups.iter().filter_map(|g| g.tau_v.as_ref()) {
                 for (&v, &count) in tv {
                     *acc.entry(v).or_insert(0) += count;
                 }
             }
+            return acc
+                .into_iter()
+                .map(|(v, sum1)| {
+                    let sums = NodeSums {
+                        sum1,
+                        ..NodeSums::default()
+                    };
+                    (v, self.node_estimate(sums))
+                })
+                .collect();
         }
-        acc.into_iter()
-            .map(|(v, count)| (v, scale * count as f64))
-            .collect()
-    }
-
-    /// Locals for the mixed-group path: per-node Graybill–Deal with
-    /// plug-in weights (`τ ← τ̂⁽¹⁾_v`, `η ← η̂_v`), pooled fallback.
-    fn locals_combined(&self, groups: &[GroupAggregate], split: usize) -> FxHashMap<NodeId, f64> {
-        if !self.cfg.track_locals {
-            return FxHashMap::default();
-        }
-        let m = self.cfg.m as f64;
-        let c = self.cfg.c as f64;
-        let (c1, c2) = (self.cfg.c1() as f64, self.cfg.c2() as f64);
-
-        #[derive(Default, Clone, Copy)]
-        struct NodeAcc {
-            sum1: u64,
-            sum2: u64,
-            eta_sum: u64,
-        }
-        let largest = groups
-            .iter()
-            .flat_map(|g| g.tau_v.iter().chain(&g.eta_v))
-            .map(FxHashMap::len);
-        let mut acc: FxHashMap<NodeId, NodeAcc> =
-            FxHashMap::with_capacity_and_hasher(largest.max().unwrap_or(0), Default::default());
+        let mut acc: FxHashMap<NodeId, NodeSums> =
+            FxHashMap::with_capacity_and_hasher(largest, Default::default());
         for g in groups {
             if let Some(tv) = &g.tau_v {
                 for (&v, &count) in tv {
-                    let a = acc.entry(v).or_default();
-                    if g.start < split {
-                        a.sum1 += count;
-                    } else {
-                        a.sum2 += count;
-                    }
+                    acc.entry(v).or_default().add_tau(g.start < split, count);
                 }
             }
             if let Some(ev) = &g.eta_v {
                 for (&v, &count) in ev {
-                    acc.entry(v).or_default().eta_sum += count;
+                    acc.entry(v).or_default().eta += count;
                 }
             }
         }
-
         acc.into_iter()
-            .map(|(v, a)| {
-                let t1 = m / c1 * a.sum1 as f64;
-                let t2 = m * m / c2 * a.sum2 as f64;
-                let eta_v = m * m * m * a.eta_sum as f64 / c;
-                let w1 = t1 * (m - 1.0) / c1;
-                let w2 = (t1 * (m * m - c2) + 2.0 * eta_v * (m - c2)) / c2;
-                let est = match graybill_deal(t1, w1, t2, w2) {
-                    Combined::Weighted(x) => x,
-                    Combined::Degenerate => m * m / c * (a.sum1 + a.sum2) as f64,
-                };
-                (v, est)
-            })
+            .map(|(v, sums)| (v, self.node_estimate(sums)))
             .collect()
+    }
+
+    /// The first processor of the remainder group on the mixed-group
+    /// path (`c₁·m`); past every group on the single-scale paths, whose
+    /// counts all sum into one.
+    fn remainder_start(&self) -> usize {
+        if self.combined_locals() {
+            (self.cfg.c1() * self.cfg.m) as usize
+        } else {
+            usize::MAX
+        }
+    }
+
+    /// `τ̂_v` from one node's integer sums — the per-node combination
+    /// every path shares. Single-scale paths: `τ̂_v = scale · Σ τ⁽ⁱ⁾_v`.
+    /// Mixed-group path: per-node Graybill–Deal with plug-in weights
+    /// (`τ ← τ̂⁽¹⁾_v`, `η ← η̂_v`), pooled fallback.
+    fn node_estimate(&self, sums: NodeSums) -> f64 {
+        let m = self.cfg.m as f64;
+        let c = self.cfg.c as f64;
+        if self.cfg.c <= self.cfg.m {
+            return m * m / c * sums.sum1 as f64;
+        }
+        let c1 = self.cfg.c1() as f64;
+        if self.cfg.c2() == 0 {
+            return m / c1 * sums.sum1 as f64;
+        }
+        let c2 = self.cfg.c2() as f64;
+        let t1 = m / c1 * sums.sum1 as f64;
+        let t2 = m * m / c2 * sums.sum2 as f64;
+        let eta_v = m * m * m * sums.eta as f64 / c;
+        let w1 = t1 * (m - 1.0) / c1;
+        let w2 = (t1 * (m * m - c2) + 2.0 * eta_v * (m - c2)) / c2;
+        match graybill_deal(t1, w1, t2, w2) {
+            Combined::Weighted(x) => x,
+            Combined::Degenerate => m * m / c * (sums.sum1 + sums.sum2) as f64,
+        }
+    }
+}
+
+/// One node's integer counters, summed across groups the way its
+/// combination reads them: `τ_v` of the full groups (of every group, on
+/// the single-scale paths), `τ_v` of the remainder, and `η_v`.
+#[derive(Debug, Default, Clone, Copy)]
+struct NodeSums {
+    sum1: u64,
+    sum2: u64,
+    eta: u64,
+}
+
+impl NodeSums {
+    /// Adds one group's `τ_v` to the full-group or the remainder sum.
+    fn add_tau(&mut self, full: bool, count: u64) {
+        if full {
+            self.sum1 += count;
+        } else {
+            self.sum2 += count;
+        }
     }
 }
 

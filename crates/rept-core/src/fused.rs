@@ -38,9 +38,10 @@
 
 use rept_graph::edge::{Edge, NodeId};
 use rept_graph::hybrid_tagged::{CellTag, HybridTaggedAdjacency, MASKED_NONE};
-use rept_hash::fx::{table_bytes, FxHashMap};
+use rept_hash::fx::{table_bytes, FxHashMap, FxHashSet};
 
 use crate::config::{EtaMode, ReptConfig};
+use crate::engine::Touched;
 use crate::estimator::{GroupAggregate, GroupSpec};
 use crate::worker::update_eta_pair;
 
@@ -90,10 +91,8 @@ impl GroupCounters {
         }
     }
 
-    /// Finishes this group's counters into the aggregate the estimator
-    /// combines. `bytes` starts at the counter maps' own footprint; the
-    /// caller adds its adjacency share.
-    fn into_aggregate(self, start: usize) -> GroupAggregate {
+    /// The counter maps' own heap footprint.
+    fn map_bytes(&self) -> usize {
         let mut bytes = 0;
         if let Some(tv) = &self.tau_v {
             bytes += table_bytes::<NodeId, u64>(tv.capacity());
@@ -102,14 +101,42 @@ impl GroupCounters {
             bytes += table_bytes::<NodeId, u64>(eta.per_node.capacity());
             bytes += table_bytes::<Edge, u64>(eta.per_edge.capacity());
         }
+        bytes
+    }
+
+    /// Finishes this group's counters into the aggregate the estimator
+    /// combines. `bytes` starts at the counter maps' own footprint; the
+    /// caller adds its adjacency share.
+    fn into_aggregate(self, start: usize) -> GroupAggregate {
         GroupAggregate {
             start,
+            bytes: self.map_bytes(),
             tau: self.tau,
             stored: self.stored,
-            bytes,
             eta_total: self.eta.as_ref().map_or(0, |e| e.total),
             tau_v: self.tau_v,
             eta_v: self.eta.map(|e| e.per_node),
+        }
+    }
+
+    /// [`Self::into_aggregate`] without consuming: the per-node maps
+    /// copied whole, or only the entries of the `only` nodes.
+    fn aggregate(&self, start: usize, only: Option<&FxHashSet<NodeId>>) -> GroupAggregate {
+        let pick = |map: &FxHashMap<NodeId, u64>| match only {
+            None => map.clone(),
+            Some(nodes) => nodes
+                .iter()
+                .filter_map(|v| map.get(v).map(|&x| (*v, x)))
+                .collect(),
+        };
+        GroupAggregate {
+            start,
+            tau: self.tau.clone(),
+            stored: self.stored.clone(),
+            bytes: self.map_bytes(),
+            eta_total: self.eta.as_ref().map_or(0, |e| e.total),
+            tau_v: self.tau_v.as_ref().map(pick),
+            eta_v: self.eta.as_ref().map(|e| pick(&e.per_node)),
         }
     }
 
@@ -167,6 +194,15 @@ impl GroupCounters {
     }
 }
 
+/// Adds a node to a touched set — out of line, so the intersection
+/// loops that call back per common neighbor stay as small as they were
+/// without the tracking.
+#[cold]
+#[inline(never)]
+fn touch(set: &mut FxHashSet<NodeId>, v: NodeId) {
+    set.insert(v);
+}
+
 /// Every kept hash group of a fused core over one shared neighbor
 /// structure: column `g` of [`Self::adj`] is group `g`'s stored edge set,
 /// tagged by cell. One structure walk per arriving edge discovers the
@@ -182,6 +218,11 @@ pub(crate) struct FusedGroups {
     pub(crate) adj: HybridTaggedAdjacency,
     /// Per-group counters, in column order.
     pub(crate) counters: Vec<GroupCounters>,
+    /// Every node of a counted semi-triangle since the last
+    /// [`Self::take_touched`] — `None` until the first call starts the
+    /// tracking, so a run nobody reads it from (a batch driver, a
+    /// journal replay) pays nothing for it.
+    touched: Option<FxHashSet<NodeId>>,
     /// Per-edge scratch: each group's raw cell …
     cells: Vec<u64>,
     /// … its column entry (the cell where the group owns it, else
@@ -213,6 +254,7 @@ impl FusedGroups {
                 .iter()
                 .map(|g| GroupCounters::new(g.size, cfg))
                 .collect(),
+            touched: None,
             cells: vec![0; n],
             row: vec![MASKED_NONE; n],
             closed: vec![0; n],
@@ -244,7 +286,10 @@ impl FusedGroups {
     /// edge if some group owns it, through the structure's fused
     /// [`HybridTaggedAdjacency::match_then_insert`], which resolves
     /// per-endpoint state once. A duplicate stream edge fails the insert
-    /// and is ignored, exactly like `SemiTriangleWorker::store`.
+    /// and is ignored, exactly like `SemiTriangleWorker::store`. The
+    /// nodes of every match join the touched set: a common neighbor
+    /// once per edge (the structure reports its matching columns back to
+    /// back), the endpoints once if anything matched.
     #[inline]
     pub(crate) fn process(&mut self, e: Edge) {
         let (u, v) = e.endpoints();
@@ -252,10 +297,22 @@ impl FusedGroups {
         let counters = &mut self.counters;
         let closed = &mut self.closed;
         let cells = &self.cells;
+        let mut touched = self.touched.as_mut();
+        let mut last = None;
         let store = owned.then_some(&self.row[..]);
         let stored = self.adj.match_then_insert(e, store, |g, w, cell| {
             counters[g].fold_match(u, v, w, cell, cells[g], &mut closed[g]);
+            if let Some(t) = touched.as_deref_mut() {
+                if last != Some(w) {
+                    last = Some(w);
+                    touch(t, w);
+                }
+            }
         });
+        if let (Some(_), Some(t)) = (last, touched) {
+            touch(t, u);
+            touch(t, v);
+        }
         // Only an owning group's count can have moved (a matched cell is
         // always owned), so settling those columns leaves `closed` zero
         // for the next edge.
@@ -297,20 +354,38 @@ impl FusedGroups {
             .collect()
     }
 
-    /// Non-consuming version of [`Self::into_aggregates`] — clones the
+    /// Non-consuming version of [`Self::into_aggregates`] — copies the
     /// counter state so an *anytime* estimate can be produced mid-stream
     /// without stopping ingestion (the serving subsystem's query path).
-    pub(crate) fn snapshot_aggregates(&self) -> Vec<GroupAggregate> {
+    /// With `only`, the per-node maps carry just those nodes' entries:
+    /// the delta form of the aggregate exchange.
+    pub(crate) fn snapshot_aggregates(
+        &self,
+        only: Option<&FxHashSet<NodeId>>,
+    ) -> Vec<GroupAggregate> {
         let shared = self.adj.approx_bytes() / self.specs.len();
         self.specs
             .iter()
             .zip(&self.counters)
             .map(|(spec, counters)| {
-                let mut agg = counters.clone().into_aggregate(spec.start);
+                let mut agg = counters.aggregate(spec.start, only);
                 agg.bytes += shared;
                 agg
             })
             .collect()
+    }
+
+    /// The nodes touched since the last call, starting over with none —
+    /// [`Touched::All`] on the first call, which starts the tracking.
+    /// Nothing per node moves when no per-node map is tracked.
+    pub(crate) fn take_touched(&mut self) -> Touched {
+        let per_node = &self.counters[0];
+        if per_node.tau_v.is_none() && per_node.eta.is_none() {
+            return Touched::none();
+        }
+        self.touched
+            .replace(FxHashSet::default())
+            .map_or(Touched::All, Touched::Nodes)
     }
 
     /// Restores the stored edges during checkpoint decode: inserts each

@@ -78,7 +78,7 @@ pub mod variance;
 pub mod worker;
 
 pub use config::{EtaMode, ReptConfig};
-pub use engine::{EngineCore, GroupSlice};
+pub use engine::{EngineCore, GroupSlice, Touched};
 pub use estimate::ReptEstimate;
 pub use estimator::{Engine, GroupAggregate, Rept};
 pub use reservoir::ReservoirRun;

@@ -58,8 +58,8 @@ use std::path::{Path, PathBuf};
 
 use rept_graph::edge::{Edge, NodeId};
 
-use crate::config::{EtaMode, ReptConfig};
-use crate::engine::{CoreState, EngineCore, GroupSlice};
+use crate::config::{EtaMode, ReptConfig, MAX_PROCESSORS};
+use crate::engine::{CoreState, EngineCore, GroupSlice, Touched};
 use crate::estimate::ReptEstimate;
 use crate::estimator::{Engine, GroupAggregate, GroupSpec, Rept};
 use crate::fused::{FusedEtaCounters, FusedGroups, GroupCounters};
@@ -388,6 +388,37 @@ impl ResumableRun {
         }
     }
 
+    /// [`Self::group_aggregates`] restricted to the `touched` nodes'
+    /// per-node entries — see [`EngineCore::counters_for`]. `None` for
+    /// reservoir runs.
+    pub fn counters_for(&self, touched: &Touched) -> Option<Vec<GroupAggregate>> {
+        match &self.state {
+            RunState::Engine(core) => Some(core.counters_for(touched)),
+            RunState::Reservoir(_) => None,
+        }
+    }
+
+    /// The nodes whose counters moved since the last call — see
+    /// [`EngineCore::take_touched`]; [`Touched::All`] for reservoir
+    /// runs, which have no per-group counters to track.
+    pub fn take_touched(&mut self) -> Touched {
+        match &mut self.state {
+            RunState::Engine(core) => core.take_touched(),
+            RunState::Reservoir(_) => Touched::All,
+        }
+    }
+
+    /// Brings `est`, this run's [`Self::estimate`] at an earlier
+    /// position, up to date given the nodes `touched` since — see
+    /// [`EngineCore::refresh_estimate`]. Reservoir runs re-estimate in
+    /// full.
+    pub fn refresh_estimate(&self, est: &mut ReptEstimate, touched: &Touched) {
+        match &self.state {
+            RunState::Engine(core) => core.refresh_estimate(est, touched),
+            RunState::Reservoir(run) => *est = run.estimate(),
+        }
+    }
+
     /// Bytes of edge storage currently held — adjacency structures for
     /// engine runs ([`EngineCore::stored_bytes`]), reservoir state for
     /// bounded-memory runs. The quantity a per-tenant memory quota
@@ -601,11 +632,15 @@ impl ResumableRun {
         // least) and an unsliced fused one a τ and a stored counter per
         // processor, so a header naming more processors than the rest of
         // the blob can hold is corrupt: refuse it before sizing anything
-        // by `c`. (A sliced fused blob holds only its kept groups.)
+        // by `c`. A sliced fused blob holds only its kept groups, so the
+        // bound cannot cover it: every header meets a fixed ceiling too.
         if (engine == Engine::PerWorker || slice.is_full())
             && c.saturating_mul(16) > r.remaining() as u64
         {
             return Err(SnapshotError::Invalid("processor count beyond the blob"));
+        }
+        if c > MAX_PROCESSORS {
+            return Err(SnapshotError::Invalid("processor count above the ceiling"));
         }
         let rept = Rept::new(cfg);
         let kept: Vec<GroupSpec> = rept
@@ -1890,6 +1925,22 @@ mod tests {
                 );
             }
         }
+        // A sliced v6 fused header holds only its kept groups' state, so
+        // the blob bound does not apply: the fixed ceiling refuses it.
+        let mut blob = Vec::new();
+        blob.extend_from_slice(b"RPCK");
+        blob.extend_from_slice(&6u32.to_le_bytes());
+        blob.extend_from_slice(&2u64.to_le_bytes());
+        blob.extend_from_slice(&(1u64 << 34).to_le_bytes());
+        blob.extend_from_slice(&0u64.to_le_bytes());
+        blob.extend_from_slice(&[0, 0, 0, 4]);
+        blob.extend_from_slice(&[0; 16]);
+        blob.extend_from_slice(&0u64.to_le_bytes());
+        blob.extend_from_slice(&2u64.to_le_bytes());
+        assert_eq!(
+            ResumableRun::from_checkpoint_bytes(&blob).err(),
+            Some(SnapshotError::Invalid("processor count above the ceiling"))
+        );
     }
 
     #[test]

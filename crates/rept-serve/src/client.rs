@@ -27,7 +27,7 @@
 //!
 //! Every exchange is a write half ([`Client::start_request`],
 //! [`Client::start_ingest`]) and a read half ([`Client::finish`],
-//! [`Client::finish_aggregates`]) that applies the retry policy above.
+//! [`Client::finish_block`]) that applies the retry policy above.
 //! The convenience calls run the two back to back; the shard
 //! coordinator starts a line on every shard's client before it finishes
 //! any, so the shards work on it at once.
@@ -256,7 +256,7 @@ impl Client {
 
     /// The write half of [`Self::request`]: sends `line` and returns
     /// without reading the reply. Hand the result to [`Self::finish`]
-    /// (or [`Self::finish_aggregates`]) before starting another request
+    /// (or [`Self::finish_block`]) before starting another request
     /// on this client — one request is in flight at a time, so a retried
     /// `ERR BUSY` cannot reorder the stream.
     ///
@@ -650,8 +650,16 @@ impl Client {
         self.finish_block(sent)
     }
 
-    /// The read half of [`Self::request_block`].
-    fn finish_block(
+    /// The read half of a request started with [`Self::start_request`]
+    /// whose reply is a block: the `OK … lines=<n>` header and its `n`
+    /// body lines. `n` is the peer's claim, so the body grows as lines
+    /// arrive rather than being sized from the header.
+    ///
+    /// # Errors
+    ///
+    /// Socket/protocol errors, a malformed header, or a connection
+    /// closed mid-body.
+    pub fn finish_block(
         &mut self,
         sent: std::io::Result<()>,
     ) -> std::io::Result<(String, Vec<String>)> {
@@ -683,21 +691,7 @@ impl Client {
     /// Socket/protocol errors, or `ERR …` for reservoir tenants (no
     /// group structure).
     pub fn aggregates(&mut self) -> std::io::Result<(u64, Vec<GroupAggregate>)> {
-        let sent = self.start_request("AGGREGATE");
-        self.finish_aggregates(sent)
-    }
-
-    /// The read half of [`Self::aggregates`]: settles an `AGGREGATE`
-    /// started with [`Self::start_request`] and parses its block.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::aggregates`].
-    pub fn finish_aggregates(
-        &mut self,
-        sent: std::io::Result<()>,
-    ) -> std::io::Result<(u64, Vec<GroupAggregate>)> {
-        let (header, body) = self.finish_block(sent)?;
+        let (header, body) = self.request_block("AGGREGATE")?;
         crate::protocol::parse_aggregate_reply(&header, &body).map_err(std::io::Error::other)
     }
 

@@ -49,7 +49,7 @@ use std::time::{Duration, Instant};
 
 use rept_core::reservoir::MIN_MEMORY_BUDGET;
 use rept_core::resume::{ResumableRun, SnapshotError};
-use rept_core::{Engine, GroupAggregate, GroupSlice, Rept, ReptConfig, ReptEstimate};
+use rept_core::{Engine, GroupAggregate, GroupSlice, Rept, ReptConfig, ReptEstimate, Touched};
 use rept_graph::edge::Edge;
 
 use crate::dlq::DeadLetterQueue;
@@ -186,6 +186,22 @@ struct Gauges {
     journal_bytes: AtomicU64,
     journal_segments: AtomicU64,
     degraded: AtomicBool,
+}
+
+/// One answered aggregate exchange — the `AGGREGATE` and
+/// `AGGREGATE SINCE <p>` payload: every kept group's counters at
+/// `position`. With `since`, the per-node maps hold only the nodes
+/// touched since the exchange answered at that position (a delta:
+/// overwriting that exchange's counters with it, entry by entry, gives
+/// these); without it they are complete.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Aggregates {
+    /// The stream position the counters cover.
+    pub position: u64,
+    /// The base position of a delta; `None` for a full reply.
+    pub since: Option<u64>,
+    /// The kept groups' counters, in layout order.
+    pub groups: Vec<GroupAggregate>,
 }
 
 /// Point-in-time durability readings backed by the same live gauges as
@@ -419,17 +435,14 @@ enum Control {
     Flush(SyncSender<u64>),
     /// Write a checkpoint (and publish), then reply with the position.
     Checkpoint(SyncSender<Result<u64, String>>),
-    /// Barrier like [`Self::Flush`], then reply with the position and
-    /// the run's raw per-group counters — the shard tier's
-    /// aggregate-exchange payload. `Err` for reservoir runs, which have
-    /// no group structure.
-    Aggregate(AggregateReply),
+    /// Barrier like [`Self::Flush`], then reply with the run's raw
+    /// per-group counters — the shard tier's aggregate-exchange payload,
+    /// a delta when the base position given matches the last exchange.
+    /// `Err` for reservoir runs, which have no group structure.
+    Aggregate(Option<u64>, SyncSender<Result<Aggregates, String>>),
     /// Drain and exit the ingest loop.
     Shutdown,
 }
-
-/// Reply channel of [`Control::Aggregate`].
-type AggregateReply = SyncSender<Result<(u64, Vec<GroupAggregate>), String>>;
 
 /// The running serving core. Dropping it (or calling
 /// [`Self::shutdown`]) stops the ingest thread, writing a final
@@ -547,8 +560,13 @@ impl ServeCore {
             ));
         }
 
+        // The first drain starts the engine's touched-node tracking (the
+        // journal replay above ran without it); everything before is in
+        // this estimate already.
+        let estimate = run.estimate();
+        run.take_touched();
         let mut initial = Snapshot::from_estimate(
-            &run.estimate(),
+            &estimate,
             &cfg.rept,
             cfg.engine,
             run.position(),
@@ -595,6 +613,7 @@ impl ServeCore {
             .spawn(move || {
                 ingest_loop(
                     run,
+                    Combined::new(estimate),
                     journal,
                     replayed,
                     rx,
@@ -860,9 +879,25 @@ impl ServeCore {
     /// A description for reservoir (memory-budget) runs, whose samples
     /// have no group structure to exchange.
     pub fn aggregates(&self) -> Result<(u64, Vec<GroupAggregate>), String> {
+        self.aggregates_since(None)
+            .map(|reply| (reply.position, reply.groups))
+    }
+
+    /// [`Self::aggregates`] as a delta: with `since` equal to the
+    /// position of the last answered exchange (plain or delta, from any
+    /// requester), the per-node maps carry only the nodes touched since
+    /// then. Any other `since` — no exchange yet, a restart, another
+    /// requester in between, a per-worker engine that does not track
+    /// touched nodes — gets the full counters, `since` unset. Either
+    /// way this exchange becomes the base of the next.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::aggregates`].
+    pub fn aggregates_since(&self, since: Option<u64>) -> Result<Aggregates, String> {
         let (reply_tx, reply_rx) = sync_channel(1);
         self.tx
-            .send(Control::Aggregate(reply_tx))
+            .send(Control::Aggregate(since, reply_tx))
             .expect("ingest thread alive");
         reply_rx.recv().expect("ingest thread replies")
     }
@@ -965,10 +1000,75 @@ fn durability_stats(journal: Option<&Journal>, enabled: bool, replayed: u64) -> 
     }
 }
 
+/// The ingest thread's combined view of its run: the estimate of the
+/// last publication, brought up to date by recombining only the nodes
+/// the engine touched since, and the nodes touched since the last
+/// answered `AGGREGATE` — the engine's touched set feeds both.
+struct Combined {
+    estimate: ReptEstimate,
+    unpublished: Touched,
+    /// The position of the last answered exchange, and the nodes
+    /// touched since; `None` until one is answered.
+    exchanged: Option<(u64, Touched)>,
+}
+
+impl Combined {
+    fn new(estimate: ReptEstimate) -> Self {
+        Self {
+            estimate,
+            unpublished: Touched::none(),
+            exchanged: None,
+        }
+    }
+
+    /// Hands the engine's touched nodes to both consumers.
+    fn collect(&mut self, run: &mut ResumableRun) {
+        let fresh = run.take_touched();
+        if let Some((_, touched)) = &mut self.exchanged {
+            touched.extend(&fresh);
+        }
+        self.unpublished.extend(&fresh);
+    }
+
+    /// The estimate at the run's position: what `run.estimate()`
+    /// returns, recombining only the nodes touched since the last call.
+    fn refresh(&mut self, run: &mut ResumableRun) -> &ReptEstimate {
+        self.collect(run);
+        run.refresh_estimate(&mut self.estimate, &self.unpublished.take());
+        &self.estimate
+    }
+
+    /// Answers an aggregate exchange asked relative to `since` — a delta
+    /// when that is this run's last exchange — and makes it the base of
+    /// the next.
+    fn exchange(
+        &mut self,
+        run: &mut ResumableRun,
+        since: Option<u64>,
+    ) -> Result<Aggregates, String> {
+        self.collect(run);
+        let base = match self.exchanged.take() {
+            Some((at, touched @ Touched::Nodes(_))) if since == Some(at) => Some((at, touched)),
+            _ => None,
+        };
+        let touched = base.as_ref().map_or(&Touched::All, |(_, t)| t);
+        let groups = run
+            .counters_for(touched)
+            .ok_or("reservoir runs have no group aggregates")?;
+        self.exchanged = Some((run.position(), Touched::none()));
+        Ok(Aggregates {
+            position: run.position(),
+            since: base.map(|(at, _)| at),
+            groups,
+        })
+    }
+}
+
 /// The ingest thread body.
 #[allow(clippy::too_many_arguments)]
 fn ingest_loop(
     mut run: ResumableRun,
+    mut combined: Combined,
     mut journal: Option<Journal>,
     replayed: u64,
     rx: std::sync::mpsc::Receiver<Control>,
@@ -995,23 +1095,24 @@ fn ingest_loop(
         .filter(|p| p.exists())
         .map(|_| run.position());
 
-    let publish = |run: &ResumableRun,
+    let publish = |run: &mut ResumableRun,
+                   combined: &mut Combined,
                    seq: &mut u64,
                    last: &mut Option<(u64, u64)>,
                    checkpoints: u64,
                    durability: DurabilityStats| {
-        // Snapshot assembly clones the per-node counter maps; when
-        // nothing changed since the last publication, the published
-        // `Arc` body is already exact — keep it (seq-guarded reuse).
-        // Durability state only moves with the position (appends) or
-        // the checkpoint count (truncation), so the guard covers it.
+        // Snapshot assembly copies every local; when nothing changed
+        // since the last publication, the published `Arc` body is
+        // already exact — keep it (seq-guarded reuse). Durability state
+        // only moves with the position (appends) or the checkpoint count
+        // (truncation), so the guard covers it.
         if *last == Some((run.position(), checkpoints)) {
             return;
         }
         let started = timed.then(Instant::now);
         *seq += 1;
         let mut snap = Snapshot::from_estimate(
-            &run.estimate(),
+            combined.refresh(run),
             &cfg.rept,
             cfg.engine,
             run.position(),
@@ -1250,7 +1351,8 @@ fn ingest_loop(
                 }
                 if since_snapshot >= cfg.snapshot_every {
                     publish(
-                        &run,
+                        &mut run,
+                        &mut combined,
                         &mut seq,
                         &mut last_published,
                         checkpoints,
@@ -1295,7 +1397,8 @@ fn ingest_loop(
                     Ordering::Relaxed,
                 );
                 publish(
-                    &run,
+                    &mut run,
+                    &mut combined,
                     &mut seq,
                     &mut last_published,
                     checkpoints,
@@ -1316,7 +1419,8 @@ fn ingest_loop(
                     Ordering::Relaxed,
                 );
                 publish(
-                    &run,
+                    &mut run,
+                    &mut combined,
                     &mut seq,
                     &mut last_published,
                     checkpoints,
@@ -1326,12 +1430,8 @@ fn ingest_loop(
                 since_checkpoint = 0;
                 let _ = reply.send(result);
             }
-            Control::Aggregate(reply) => {
-                let result = match run.group_aggregates() {
-                    Some(aggregates) => Ok((run.position(), aggregates)),
-                    None => Err("reservoir runs have no group aggregates".to_string()),
-                };
-                let _ = reply.send(result);
+            Control::Aggregate(since, reply) => {
+                let _ = reply.send(combined.exchange(&mut run, since));
             }
             Control::Shutdown => break,
         }
@@ -1347,7 +1447,8 @@ fn ingest_loop(
         let _ = j.sync();
     }
     publish(
-        &run,
+        &mut run,
+        &mut combined,
         &mut seq,
         &mut last_published,
         checkpoints,

@@ -98,6 +98,7 @@
 //! | `JOURNAL STATS`            | `OK JOURNAL enabled= position= bytes= segments= replayed= dlq=` — current tenant's durability state |
 //! | `FLUSH`                    | `OK FLUSH position=<p>` — barrier: everything queued is applied and republished |
 //! | `AGGREGATE`                | `OK AGGREGATE position=<p> groups=<g> lines=<n>` + n lines of raw per-group counters — the shard tier's exchange verb |
+//! | `AGGREGATE SINCE <p>`      | the same block with ` since=<p>` and only the nodes touched since the exchange at `p` — or the full block when `p` is not the last exchange |
 //! | `CHECKPOINT`               | `OK CHECKPOINT position=<p>` — state durably on disk          |
 //! | `TENANT CREATE <t> [k=v …]`| `OK TENANT CREATED <t>` — options: engine, m, c, seed, interval, memory_budget, quota |
 //! | `TENANT LIST`              | `OK TENANTS n=<n> <t>=<pos>[:interval=<i>] …`                 |
@@ -174,7 +175,9 @@ pub mod server;
 pub mod snapshot;
 pub mod tenant;
 
-pub use crate::core::{Health, IngestError, LiveStats, QuotaPolicy, ServeConfig, ServeCore};
+pub use crate::core::{
+    Aggregates, Health, IngestError, LiveStats, QuotaPolicy, ServeConfig, ServeCore,
+};
 pub use client::{Client, ClientConfig, GlobalEstimate};
 pub use dlq::DeadLetterQueue;
 pub use journal::{Journal, SyncPolicy};

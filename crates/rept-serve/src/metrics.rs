@@ -19,7 +19,8 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
 
-use rept_metrics::registry::{Counter, Gauge, Histogram};
+use rept_metrics::registry::Gauge;
+pub use rept_metrics::registry::{Counter, Histogram};
 use rept_metrics::trace::TraceRing;
 
 use crate::core::Health;
@@ -193,7 +194,9 @@ const HISTOGRAMS: &[HistogramColumn] = &[
     ("rept_publish_micros", |m| &m.publish_micros),
 ];
 
-fn write_summary(out: &mut String, name: &str, labels: &str, h: &Histogram) {
+/// Writes one histogram as a summary: `quantile="0.5|0.9|0.99|1"` rows
+/// under `labels` (non-empty), then `_sum` and `_count`.
+pub fn write_summary(out: &mut String, name: &str, labels: &str, h: &Histogram) {
     for (q, v) in [
         ("0.5", h.p50()),
         ("0.9", h.p90()),

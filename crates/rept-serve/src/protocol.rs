@@ -33,7 +33,7 @@ use rept_graph::edge::{Edge, NodeId};
 use rept_hash::fx::FxHashMap;
 
 use crate::client::push_decimal;
-use crate::core::{Health, LiveStats, QuotaPolicy};
+use crate::core::{Aggregates, Health, LiveStats, QuotaPolicy};
 use crate::snapshot::Snapshot;
 use rept_metrics::trace::TraceEvent;
 
@@ -149,6 +149,13 @@ pub enum Command {
     /// `Rept::finalize_groups` into the bit-identical single-process
     /// estimate.
     Aggregate,
+    /// `AGGREGATE SINCE <p>` — [`Self::Aggregate`] as a delta: when `p`
+    /// is the position of the tenant's last answered exchange, the
+    /// header gains ` since=<p>` and the `TV`/`EV` lines carry only the
+    /// nodes whose counters moved since then (absolute values, sorted by
+    /// node id); the `G` lines stay complete. Otherwise the reply is the
+    /// full one, without `since=`.
+    AggregateSince(u64),
 }
 
 /// One documented wire form per [`Command`] variant, in declaration
@@ -177,6 +184,7 @@ pub const COMMAND_FORMS: &[(&str, &str)] = &[
     ("MetricsAll", "METRICS *"),
     ("TraceTail", "TRACE TAIL"),
     ("Aggregate", "AGGREGATE"),
+    ("AggregateSince", "AGGREGATE SINCE"),
 ];
 
 /// Checks a tenant name: starts with an ASCII letter, continues with
@@ -288,7 +296,15 @@ pub fn parse(line: &str) -> Result<Command, String> {
             }
             _ => Err("TRACE needs TAIL <n>".into()),
         },
-        "AGGREGATE" => expect_end(tokens, Command::Aggregate),
+        "AGGREGATE" => match tokens.next() {
+            None => Ok(Command::Aggregate),
+            Some("SINCE") => {
+                let p = tokens.next().ok_or("AGGREGATE SINCE needs a position")?;
+                let p: u64 = p.parse().map_err(|_| format!("bad position {p:?}"))?;
+                expect_end(tokens, Command::AggregateSince(p))
+            }
+            Some(extra) => Err(format!("unexpected trailing token {extra:?}")),
+        },
         other => Err(format!("unknown command {other:?}")),
     }
 }
@@ -629,6 +645,19 @@ pub fn format_dlq_replayed(n: u64, failed: u64) -> String {
 /// The reply is written into one buffer with a digit routine, so it
 /// costs its bytes plus one sort per map — nothing per counter.
 pub fn format_aggregate(position: u64, groups: &[GroupAggregate]) -> String {
+    encode_aggregate(position, None, groups)
+}
+
+/// The reply to `AGGREGATE` or `AGGREGATE SINCE <p>`: the
+/// [`format_aggregate`] block, whose header ends in ` since=<p>` when
+/// the exchange is a delta.
+pub fn format_aggregates(reply: &Aggregates) -> String {
+    encode_aggregate(reply.position, reply.since, &reply.groups)
+}
+
+/// The one `AGGREGATE` encoder behind [`format_aggregate`] and
+/// [`format_aggregates`].
+fn encode_aggregate(position: u64, since: Option<u64>, groups: &[GroupAggregate]) -> String {
     fn csv(out: &mut Vec<u8>, values: impl Iterator<Item = u64>) {
         for (i, x) in values.enumerate() {
             if i > 0 {
@@ -644,6 +673,10 @@ pub fn format_aggregate(position: u64, groups: &[GroupAggregate]) -> String {
     push_decimal(&mut out, groups.len() as u64);
     out.extend_from_slice(b" lines=");
     push_decimal(&mut out, groups.len() as u64 * 3);
+    if let Some(since) = since {
+        out.extend_from_slice(b" since=");
+        push_decimal(&mut out, since);
+    }
     let mut entries: Vec<(NodeId, u64)> = Vec::new();
     for g in groups {
         out.extend_from_slice(b"\nG start=");
@@ -738,6 +771,30 @@ pub fn parse_aggregate_reply(
         });
     }
     Ok((position, groups))
+}
+
+/// Parses the reply to `AGGREGATE` or `AGGREGATE SINCE <p>` — the
+/// client half of [`format_aggregates`]: [`parse_aggregate_reply`] plus
+/// the optional `since=` base, which must be a position no later than
+/// the reply's own.
+///
+/// # Errors
+///
+/// As [`parse_aggregate_reply`], and for a malformed `since=`.
+pub fn parse_aggregates(header: &str, body: &[String]) -> Result<Aggregates, String> {
+    let (position, groups) = parse_aggregate_reply(header, body)?;
+    let since = match reply_field(header, "since") {
+        None => None,
+        Some(p) => match p.parse::<u64>() {
+            Ok(p) if p <= position => Some(p),
+            _ => return Err(format!("bad since={p:?} in AGGREGATE header")),
+        },
+    };
+    Ok(Aggregates {
+        position,
+        since,
+        groups,
+    })
 }
 
 /// Parses a `TV`/`EV` line of an `AGGREGATE` reply (`<tag> none` or
@@ -975,6 +1032,7 @@ mod tests {
             "MetricsAll",
             "TraceTail",
             "Aggregate",
+            "AggregateSince",
         ];
         assert_eq!(
             COMMAND_FORMS.iter().map(|(v, _)| *v).collect::<Vec<_>>(),
@@ -1157,6 +1215,55 @@ mod tests {
     fn parses_aggregate() {
         assert_eq!(parse("AGGREGATE"), Ok(Command::Aggregate));
         assert!(parse("AGGREGATE now").is_err(), "trailing token");
+    }
+
+    #[test]
+    fn parses_aggregate_since() {
+        assert_eq!(parse("AGGREGATE SINCE 42"), Ok(Command::AggregateSince(42)));
+        assert!(parse("AGGREGATE SINCE").is_err(), "no position");
+        assert!(parse("AGGREGATE SINCE x").is_err(), "bad position");
+        assert!(parse("AGGREGATE SINCE 1 2").is_err(), "trailing token");
+    }
+
+    /// A delta reply is the full framing plus ` since=<p>` on the header;
+    /// a `since=` that is not a position at or below the reply's own is
+    /// refused.
+    #[test]
+    fn aggregate_delta_reply_frames_its_base() {
+        let mut tau_v = FxHashMap::default();
+        tau_v.insert(5u32, 2u64);
+        let groups = vec![GroupAggregate {
+            start: 3,
+            tau: vec![1, 2],
+            stored: vec![7, 8],
+            bytes: 64,
+            eta_total: 0,
+            tau_v: Some(tau_v),
+            eta_v: None,
+        }];
+        let delta = Aggregates {
+            position: 90,
+            since: Some(60),
+            groups,
+        };
+        let reply = format_aggregates(&delta);
+        let mut lines = reply.lines();
+        let header = lines.next().unwrap().to_string();
+        assert_eq!(header, "OK AGGREGATE position=90 groups=1 lines=3 since=60");
+        let body: Vec<String> = lines.map(str::to_string).collect();
+        assert_eq!(parse_aggregates(&header, &body), Ok(delta.clone()));
+        let full = Aggregates {
+            since: None,
+            ..delta.clone()
+        };
+        assert_eq!(
+            format_aggregates(&full),
+            format_aggregate(full.position, &full.groups)
+        );
+        for hostile in ["since=91", "since=-1", "since=x", "since=", "since=6O"] {
+            let header = format!("OK AGGREGATE position=90 groups=1 lines=3 {hostile}");
+            assert!(parse_aggregates(&header, &body).is_err(), "{hostile}");
+        }
     }
 
     #[test]

@@ -501,6 +501,12 @@ fn execute(
             Ok((position, groups)) => protocol::format_aggregate(position, &groups),
             Err(msg) => format!("ERR {msg}"),
         }),
+        Ok(Command::AggregateSince(since)) => with_query("aggregate", &|core| match core
+            .aggregates_since(Some(since))
+        {
+            Ok(reply) => protocol::format_aggregates(&reply),
+            Err(msg) => format!("ERR {msg}"),
+        }),
         Ok(Command::Checkpoint) => with_current(&|core| match core.checkpoint() {
             Ok(pos) => format!("OK CHECKPOINT position={pos}"),
             Err(msg) => format!("ERR {msg}"),

@@ -35,7 +35,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use rept_core::config::EtaMode;
+use rept_core::config::{EtaMode, MAX_PROCESSORS};
 use rept_core::interval::IntervalEstimator;
 use rept_core::resume::{durable_write_rename, ResumableRun, SnapshotError};
 use rept_core::{Engine, ReptConfig, ReptEstimate};
@@ -302,6 +302,11 @@ impl TenantRouter {
         }
         if c < 1 {
             return Err("c must be ≥ 1".into());
+        }
+        // Checked before anything is sized by `c`: the layout holds a
+        // hash group per `m` processors.
+        if c > MAX_PROCESSORS {
+            return Err(format!("c must be ≤ {MAX_PROCESSORS}"));
         }
         let mut rept = ReptConfig { m, c, ..base };
         if let Some(seed) = opts.seed {
@@ -837,7 +842,7 @@ fn parse_tenant_manifest(text: &str) -> Result<TenantManifest, SnapshotError> {
     };
     let m = num("m")?;
     let c = num("c")?;
-    if m < 2 || c < 1 {
+    if m < 2 || !(1..=MAX_PROCESSORS).contains(&c) {
         return Err(SnapshotError::Invalid("tenant manifest layout"));
     }
     let rept = ReptConfig::new(m, c)

@@ -26,15 +26,32 @@
 //! `state=degraded shards=<k>/<n>` instead of erroring. Batches fanned
 //! while degraded are buffered; a revived shard (restored from its own
 //! checkpoint + journal) replays the buffered tail and rejoins.
+//!
+//! ## Delta exchange
+//!
+//! The coordinator keeps the cluster's per-group counters between
+//! publications. After its one full exchange at start (or revive), each
+//! shard is asked `AGGREGATE SINCE <p>`, `p` being its last exchange:
+//! its reply carries complete `G` lines but `TV`/`EV` entries only for
+//! the nodes touched since, which overwrite the held ones, and only
+//! those nodes' locals are recombined ([`Rept::refresh_estimate`]). A
+//! shard that lost its base (a restart, another requester in between)
+//! answers in full, and the coordinator recombines in full once. A
+//! change in the set of live groups — a shard dying, the survivors
+//! re-based, a revival — rebuilds the combination once from the
+//! counters already held.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
+use std::time::Instant;
 
-use rept_core::{Engine, GroupAggregate, Rept, ReptConfig};
+use rept_core::{Engine, GroupAggregate, Rept, ReptConfig, ReptEstimate, Touched};
 use rept_graph::edge::Edge;
 use rept_serve::client::INGEST_CHUNK;
-use rept_serve::snapshot::Snapshot;
-use rept_serve::{Client, ServeCore};
+use rept_serve::metrics::{Counter, Histogram};
+use rept_serve::protocol;
+use rept_serve::snapshot::{Published, Snapshot};
+use rept_serve::{Aggregates, Client, ServeCore};
 
 /// One downstream shard endpoint, speaking the v2 protocol either
 /// in-process (tests, single-binary deployments) or over TCP.
@@ -78,17 +95,6 @@ impl ShardLink {
         Ok(())
     }
 
-    /// Barrier + aggregate exchange: applies everything queued on the
-    /// shard, then returns its position and kept-group counters.
-    ///
-    /// # Errors
-    ///
-    /// A description of the failure.
-    pub fn aggregates(&mut self) -> Result<(u64, Vec<GroupAggregate>), String> {
-        let sent = self.start_aggregates();
-        self.finish_aggregates(sent)
-    }
-
     /// The first half of ingesting one line: a TCP link writes it and
     /// returns the write's outcome; a local link waits for the second
     /// half.
@@ -108,22 +114,30 @@ impl ShardLink {
         }
     }
 
-    /// The first half of an `AGGREGATE` exchange.
-    fn start_aggregates(&mut self) -> std::io::Result<()> {
-        match self {
-            Self::Local(_) => Ok(()),
-            Self::Tcp(client) => client.start_request("AGGREGATE"),
+    /// The first half of an aggregate exchange: `AGGREGATE`, or
+    /// `AGGREGATE SINCE <p>` against the shard's last exchange at `p`.
+    fn start_aggregates(&mut self, since: Option<u64>) -> std::io::Result<()> {
+        match (self, since) {
+            (Self::Local(_), _) => Ok(()),
+            (Self::Tcp(client), None) => client.start_request("AGGREGATE"),
+            (Self::Tcp(client), Some(p)) => client.start_request(&format!("AGGREGATE SINCE {p}")),
         }
     }
 
-    /// The second half: the shard's position and counters.
+    /// The second half: the shard's counters — a delta when it could
+    /// answer one — and the reply's bytes on the wire (0 in process).
     fn finish_aggregates(
         &mut self,
+        since: Option<u64>,
         sent: std::io::Result<()>,
-    ) -> Result<(u64, Vec<GroupAggregate>), String> {
+    ) -> Result<(Aggregates, usize), String> {
         match self {
-            Self::Local(core) => core.aggregates(),
-            Self::Tcp(client) => client.finish_aggregates(sent).map_err(|e| e.to_string()),
+            Self::Local(core) => core.aggregates_since(since).map(|reply| (reply, 0)),
+            Self::Tcp(client) => {
+                let (header, body) = client.finish_block(sent).map_err(|e| e.to_string())?;
+                let bytes = header.len() + 1 + body.iter().map(|l| l.len() + 1).sum::<usize>();
+                protocol::parse_aggregates(&header, &body).map(|reply| (reply, bytes))
+            }
         }
     }
 
@@ -241,6 +255,141 @@ pub fn format_cluster_health(h: &ClusterHealth) -> String {
     )
 }
 
+/// The coordinator's own exchange metrics — the `rept_coordinator_*`
+/// families of its `METRICS`, named apart from the shards' `rept_*`
+/// families it relays.
+#[derive(Debug, Default)]
+pub struct CoordinatorMetrics {
+    /// Snapshot publication time: the exchange with every live shard,
+    /// the recombination and the snapshot (µs).
+    pub publish_micros: Histogram,
+    /// Bytes of `AGGREGATE` replies read from TCP shards.
+    pub aggregate_bytes: Counter,
+    /// Shard replies that carried the full counters.
+    pub full_exchanges: Counter,
+    /// Shard replies that carried a delta.
+    pub delta_exchanges: Counter,
+}
+
+/// Why a shard's aggregate exchange could not be applied. Each is
+/// answered like a position mismatch: the shard is marked dead.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ExchangeError {
+    /// The request or the reply failed on the link, or did not parse.
+    Link(String),
+    /// The shard stands at another position than the cluster.
+    Position {
+        /// The cluster's position.
+        expected: u64,
+        /// The shard's.
+        got: u64,
+    },
+    /// A delta against another base than the one asked for.
+    Since {
+        /// The base asked for (`None`: a full exchange).
+        asked: Option<u64>,
+        /// The base the reply names.
+        got: u64,
+    },
+    /// The reply names a group the coordinator does not hold for this
+    /// shard.
+    UnknownGroup(usize),
+    /// The reply's groups differ from the shard's: a group missing or
+    /// repeated, of another size, or with per-node maps where the held
+    /// counters have none (or the reverse).
+    Shape(usize),
+}
+
+impl std::fmt::Display for ExchangeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Link(e) => write!(f, "aggregate exchange failed ({e})"),
+            Self::Position { expected, got } => {
+                write!(f, "shard is at position {got}, expected {expected}")
+            }
+            Self::Since { asked, got } => {
+                write!(f, "delta since {got} answers a request since {asked:?}")
+            }
+            Self::UnknownGroup(start) => write!(f, "reply names unknown group start {start}"),
+            Self::Shape(start) => write!(f, "reply's group {start} does not match the held one"),
+        }
+    }
+}
+
+impl std::error::Error for ExchangeError {}
+
+/// Overwrites the held counters `held` — layout starts `starts`,
+/// sorted — with a shard's exchange `reply` for the groups it owns,
+/// `owned`. A full reply replaces the per-node maps; a delta overwrites
+/// the entries it carries. Returns the nodes whose entries changed
+/// ([`Touched::All`] for a full reply), or a typed error — checked
+/// before anything is written.
+///
+/// # Errors
+///
+/// [`ExchangeError::Since`] for a delta nobody asked for, and
+/// [`ExchangeError::UnknownGroup`] / [`ExchangeError::Shape`] when the
+/// reply's groups are not exactly `owned`, shaped as held.
+pub fn apply_exchange(
+    held: &mut [GroupAggregate],
+    starts: &[usize],
+    owned: &[usize],
+    asked: Option<u64>,
+    reply: Aggregates,
+) -> Result<Touched, ExchangeError> {
+    if let Some(got) = reply.since {
+        if asked != Some(got) {
+            return Err(ExchangeError::Since { asked, got });
+        }
+    }
+    let mut slots = Vec::with_capacity(reply.groups.len());
+    for (k, g) in reply.groups.iter().enumerate() {
+        if !owned.contains(&g.start) {
+            return Err(ExchangeError::UnknownGroup(g.start));
+        }
+        let slot = starts
+            .binary_search(&g.start)
+            .map_err(|_| ExchangeError::UnknownGroup(g.start))?;
+        let mine = &held[slot];
+        let fits = owned.get(k) == Some(&g.start)
+            && g.tau.len() == mine.tau.len()
+            && g.stored.len() == mine.tau.len()
+            && g.tau_v.is_some() == mine.tau_v.is_some()
+            && g.eta_v.is_some() == mine.eta_v.is_some();
+        if !fits {
+            return Err(ExchangeError::Shape(g.start));
+        }
+        slots.push(slot);
+    }
+    if slots.len() < owned.len() {
+        return Err(ExchangeError::Shape(owned[slots.len()]));
+    }
+    let delta = reply.since.is_some();
+    let mut touched = if delta { Touched::none() } else { Touched::All };
+    for (slot, g) in slots.into_iter().zip(reply.groups) {
+        let mine = &mut held[slot];
+        mine.tau = g.tau;
+        mine.stored = g.stored;
+        mine.bytes = g.bytes;
+        mine.eta_total = g.eta_total;
+        if !delta {
+            mine.tau_v = g.tau_v;
+            mine.eta_v = g.eta_v;
+            continue;
+        }
+        let Touched::Nodes(nodes) = &mut touched else {
+            unreachable!("a delta collects its nodes");
+        };
+        for (mine, theirs) in [(&mut mine.tau_v, g.tau_v), (&mut mine.eta_v, g.eta_v)] {
+            if let (Some(mine), Some(theirs)) = (mine, theirs) {
+                nodes.extend(theirs.keys());
+                mine.extend(theirs);
+            }
+        }
+    }
+    Ok(touched)
+}
+
 #[derive(Debug)]
 struct ShardHandle {
     link: ShardLink,
@@ -248,6 +397,9 @@ struct ShardHandle {
     /// The group starts this shard owns — a revived replacement must
     /// own the same ones.
     starts: Vec<usize>,
+    /// The position of the shard's last answered exchange — the base
+    /// its next `AGGREGATE SINCE` names.
+    since: u64,
 }
 
 /// The coordinator: owns N shard links, fans every ingest batch to all
@@ -257,7 +409,6 @@ struct ShardHandle {
 #[derive(Debug)]
 pub struct ShardCoordinator {
     cfg: CoordinatorConfig,
-    rept: Rept,
     group_count: usize,
     shards: Vec<ShardHandle>,
     position: u64,
@@ -265,10 +416,24 @@ pub struct ShardCoordinator {
     checkpoints: u64,
     since_snapshot: u64,
     last_published: Option<(u64, u64)>,
-    published: Arc<Snapshot>,
+    published: Arc<Published<Snapshot>>,
     /// Batches fanned while any shard was dead, with their start
     /// positions — the replay source for [`Self::revive_shard`].
     replay: Vec<(u64, Vec<Edge>)>,
+    /// The live shards' counters as last exchanged, sorted by layout
+    /// start and numbered onto `layout` — re-based while degraded.
+    held: Vec<GroupAggregate>,
+    /// Each held group's start in the full layout: the name its shard's
+    /// replies use.
+    held_starts: Vec<usize>,
+    /// The configuration the held groups form: the full one, or the
+    /// survivors' smaller one.
+    layout: Rept,
+    /// `layout`'s combination of `held` as of the last publication.
+    estimate: ReptEstimate,
+    /// The nodes whose held counters changed since `estimate`.
+    pending: Touched,
+    metrics: CoordinatorMetrics,
 }
 
 /// The group starts of a configuration's layout, in layout order.
@@ -290,7 +455,7 @@ fn expected_starts(cfg: &ReptConfig) -> Vec<usize> {
 /// configuration they form on their own: same `m`, `c' = Σ sizes`,
 /// full groups packed before the remainder (their original start order
 /// already guarantees that). The result is a complete aggregate set
-/// for the returned config, so `finalize_groups` applies unchanged.
+/// for the returned config, so the combination applies unchanged.
 fn rebase_survivors(
     base: &ReptConfig,
     mut aggregates: Vec<GroupAggregate>,
@@ -317,7 +482,7 @@ fn rebase_survivors(
 impl ShardCoordinator {
     /// Starts the coordinator over the given shard links.
     ///
-    /// Interrogates every shard (an `AGGREGATE` barrier each) and
+    /// Interrogates every shard (a full `AGGREGATE` barrier each) and
     /// validates the deployment: at most one shard per hash group, the
     /// shards' slices together cover the configuration's layout exactly
     /// once, and every shard stands at the same stream position (resume
@@ -339,33 +504,36 @@ impl ShardCoordinator {
                 links.len()
             ));
         }
+        let metrics = CoordinatorMetrics::default();
         let mut shards = Vec::with_capacity(links.len());
         let mut position: Option<u64> = None;
         let mut owned = BTreeSet::new();
-        let mut initial: Vec<GroupAggregate> = Vec::new();
+        let mut held: Vec<GroupAggregate> = Vec::new();
         for (i, mut link) in links.into_iter().enumerate() {
-            let (pos, aggregates) = link.aggregates().map_err(|e| format!("shard {i}: {e}"))?;
+            let reply = exchange(&mut link, &metrics).map_err(|e| format!("shard {i}: {e}"))?;
             match position {
-                None => position = Some(pos),
-                Some(p) if p == pos => {}
+                None => position = Some(reply.position),
+                Some(p) if p == reply.position => {}
                 Some(p) => {
                     return Err(format!(
-                        "shard {i} is at position {pos} but earlier shards are at {p}; \
-                         restore every shard to a common position before starting"
+                        "shard {i} is at position {} but earlier shards are at {p}; \
+                         restore every shard to a common position before starting",
+                        reply.position
                     ));
                 }
             }
-            let starts: Vec<usize> = aggregates.iter().map(|g| g.start).collect();
+            let starts: Vec<usize> = reply.groups.iter().map(|g| g.start).collect();
             for &s in &starts {
                 if !owned.insert(s) {
                     return Err(format!("group start {s} is owned by two shards"));
                 }
             }
-            initial.extend(aggregates);
+            held.extend(reply.groups);
             shards.push(ShardHandle {
                 link,
                 alive: true,
                 starts,
+                since: reply.position,
             });
         }
         let expected: BTreeSet<usize> = expected_starts(&cfg.rept).into_iter().collect();
@@ -376,12 +544,19 @@ impl ShardCoordinator {
             ));
         }
         let position = position.expect("at least one shard");
-        let rept = Rept::new(cfg.rept);
-        initial.sort_unstable_by_key(|g| g.start);
-        let snapshot = Self::assemble(&cfg, &rept, initial, position, 0, 0);
+        held.sort_unstable_by_key(|g| g.start);
+        let layout = Rept::new(cfg.rept);
+        let estimate = layout.combine(&held);
+        let snapshot =
+            Snapshot::from_estimate(&estimate, &cfg.rept, cfg.engine, position, 0, 0, cfg.top_k);
         Ok(Self {
+            held_starts: held.iter().map(|g| g.start).collect(),
+            held,
+            layout,
+            estimate,
+            pending: Touched::none(),
+            metrics,
             cfg,
-            rept,
             group_count: group_count as usize,
             shards,
             position,
@@ -389,7 +564,7 @@ impl ShardCoordinator {
             checkpoints: 0,
             since_snapshot: 0,
             last_published: Some((position, 0)),
-            published: Arc::new(snapshot),
+            published: Arc::new(Published::new(snapshot)),
             replay: Vec::new(),
         })
     }
@@ -421,7 +596,19 @@ impl ShardCoordinator {
     /// The latest published snapshot — the query path for
     /// `QUERY GLOBAL` / `QUERY LOCAL` / `TOPK` / `STATS`.
     pub fn snapshot(&self) -> Arc<Snapshot> {
+        self.published.load()
+    }
+
+    /// The cell every publication is stored into: a front end holding it
+    /// answers queries from the latest snapshot without waiting for the
+    /// coordinator itself.
+    pub fn published(&self) -> Arc<Published<Snapshot>> {
         Arc::clone(&self.published)
+    }
+
+    /// The coordinator's own exchange metrics.
+    pub fn metrics(&self) -> &CoordinatorMetrics {
+        &self.metrics
     }
 
     /// The coordinator's stream position (edges fanned out).
@@ -458,6 +645,7 @@ impl ShardCoordinator {
             self.replay.push((start, edges.clone()));
         }
         let mut sent = Vec::with_capacity(self.shards.len());
+        let mut died = false;
         for line in edges.chunks(INGEST_CHUNK) {
             // Every live shard gets the line before any reply is read, so
             // a line costs the slowest shard's ack, not the sum of them.
@@ -480,6 +668,7 @@ impl ShardCoordinator {
                     // difference. The other shards' replies are still
                     // read, so their connections stay in step.
                     shard.alive = false;
+                    died = true;
                     eprintln!("rept-shard: shard {i} refused ingest ({e}); marked dead");
                     if !buffered {
                         self.replay.push((start, edges.clone()));
@@ -487,6 +676,9 @@ impl ShardCoordinator {
                     }
                 }
             }
+        }
+        if died {
+            self.rebase();
         }
         self.position += n as u64;
         self.since_snapshot += n as u64;
@@ -543,15 +735,21 @@ impl ShardCoordinator {
 
     /// Barrier + merged aggregate exchange: the union of every live
     /// shard's kept-group counters in layout order, with the
-    /// coordinator's position — the same payload a standalone core's
-    /// `AGGREGATE` returns, which makes coordinators composable.
+    /// coordinator's position — the same full payload a standalone
+    /// core's `AGGREGATE` returns, which makes coordinators composable.
     ///
     /// # Errors
     ///
     /// Only when no shard answers.
     pub fn aggregates(&mut self) -> Result<(u64, Vec<GroupAggregate>), String> {
-        let aggregates = self.collect()?;
-        Ok((self.position, aggregates))
+        self.collect()?;
+        let groups = self
+            .held
+            .iter()
+            .zip(&self.held_starts)
+            .map(|(g, &start)| GroupAggregate { start, ..g.clone() })
+            .collect();
+        Ok((self.position, groups))
     }
 
     /// Test/operations hook: marks a shard dead without waiting for an
@@ -562,7 +760,9 @@ impl ShardCoordinator {
     ///
     /// Panics if `index` is out of range.
     pub fn kill_shard(&mut self, index: usize) {
-        self.shards[index].alive = false;
+        if std::mem::replace(&mut self.shards[index].alive, false) {
+            self.rebase();
+        }
     }
 
     /// Rejoins a restarted shard: validates it owns the same groups it
@@ -580,8 +780,9 @@ impl ShardCoordinator {
     ///
     /// Panics if `index` is out of range.
     pub fn revive_shard(&mut self, index: usize, mut link: ShardLink) -> Result<(), String> {
-        let (pos, aggregates) = link.aggregates().map_err(|e| format!("revive: {e}"))?;
-        let starts: Vec<usize> = aggregates.iter().map(|g| g.start).collect();
+        let reply = exchange(&mut link, &self.metrics).map_err(|e| format!("revive: {e}"))?;
+        let pos = reply.position;
+        let starts: Vec<usize> = reply.groups.iter().map(|g| g.start).collect();
         if starts != self.shards[index].starts {
             return Err(format!(
                 "revived shard owns group starts {starts:?}, expected {:?}",
@@ -612,8 +813,22 @@ impl ShardCoordinator {
                     .map_err(|e| format!("revive replay: {e}"))?;
             }
         }
-        self.shards[index].link = link;
-        self.shards[index].alive = true;
+        // A live shard's replacement takes its groups over.
+        if std::mem::replace(&mut self.shards[index].alive, false) {
+            self.rebase();
+        }
+        // The counters of the revival's exchange rejoin the held set; the
+        // replayed tail arrives as the next exchange's delta against it.
+        let shard = &mut self.shards[index];
+        shard.link = link;
+        shard.alive = true;
+        shard.since = pos;
+        for g in reply.groups {
+            let at = self.held_starts.partition_point(|&s| s < g.start);
+            self.held_starts.insert(at, g.start);
+            self.held.insert(at, g);
+        }
+        self.rebase();
         if self.shards.iter().all(|s| s.alive) {
             self.replay.clear();
         }
@@ -626,107 +841,128 @@ impl ShardCoordinator {
         Ok(())
     }
 
-    /// Collects the aggregate exchange from every live shard, in layout
-    /// order, with the `AGGREGATE` in flight on every shard at once. A
-    /// shard that fails mid-collection is marked dead and skipped —
-    /// degradation, not outage.
-    fn collect(&mut self) -> Result<Vec<GroupAggregate>, String> {
+    /// Brings the held counters up to the cluster's position: one
+    /// aggregate exchange with every live shard, in flight on all of them
+    /// at once, each a delta against the shard's previous exchange. A
+    /// shard whose reply fails or cannot be applied is marked dead and
+    /// its groups leave the combination — degradation, not outage.
+    fn collect(&mut self) -> Result<(), String> {
         let expect = self.position;
-        let mut all: Vec<GroupAggregate> = Vec::new();
-        let mut any = false;
         // Every shard encodes its reply while the others do theirs.
         let sent: Vec<_> = self
             .shards
             .iter_mut()
-            .map(|s| s.alive.then(|| s.link.start_aggregates()))
+            .map(|s| s.alive.then(|| s.link.start_aggregates(Some(s.since))))
             .collect();
+        let mut died = false;
         for (i, (shard, sent)) in self.shards.iter_mut().zip(sent).enumerate() {
             let Some(sent) = sent else {
                 continue;
             };
-            match shard.link.finish_aggregates(sent) {
-                Ok((pos, aggregates)) if pos == expect => {
-                    all.extend(aggregates);
-                    any = true;
-                }
-                Ok((pos, _)) => {
-                    shard.alive = false;
-                    eprintln!(
-                        "rept-shard: shard {i} is at position {pos}, expected {expect}; \
-                         marked dead"
-                    );
+            let applied = finish_exchange(&mut shard.link, Some(shard.since), sent, &self.metrics)
+                .and_then(|reply| {
+                    if reply.position != expect {
+                        return Err(ExchangeError::Position {
+                            expected: expect,
+                            got: reply.position,
+                        });
+                    }
+                    apply_exchange(
+                        &mut self.held,
+                        &self.held_starts,
+                        &shard.starts,
+                        Some(shard.since),
+                        reply,
+                    )
+                });
+            match applied {
+                Ok(touched) => {
+                    shard.since = expect;
+                    self.pending.extend(&touched);
                 }
                 Err(e) => {
                     shard.alive = false;
-                    eprintln!("rept-shard: shard {i} aggregate exchange failed ({e}); marked dead");
+                    died = true;
+                    eprintln!("rept-shard: shard {i}: {e}; marked dead");
                 }
             }
         }
-        if !any {
+        if died {
+            self.rebase();
+        }
+        if self.held.is_empty() {
             return Err(format!(
                 "all {} shards are down; no aggregates to answer from",
                 self.shards.len()
             ));
         }
-        all.sort_unstable_by_key(|g| g.start);
-        Ok(all)
+        Ok(())
     }
 
-    /// Publishes a fresh snapshot from a full aggregate exchange, with
-    /// the standalone core's seq-guard: an unchanged (position,
+    /// Re-derives the combination after the set of live groups changed:
+    /// drops dead shards' groups, numbers the rest onto the
+    /// configuration they form — the full one, or the survivors' smaller
+    /// but still exactly valid one, with its honestly wider interval —
+    /// and recombines once from the counters already held.
+    fn rebase(&mut self) {
+        let dead: Vec<usize> = self
+            .shards
+            .iter()
+            .filter(|s| !s.alive)
+            .flat_map(|s| s.starts.iter().copied())
+            .collect();
+        (self.held, self.held_starts) = std::mem::take(&mut self.held)
+            .into_iter()
+            .zip(std::mem::take(&mut self.held_starts))
+            .filter(|(_, start)| !dead.contains(start))
+            .unzip();
+        if self.held.is_empty() {
+            return;
+        }
+        for (g, &start) in self.held.iter_mut().zip(&self.held_starts) {
+            g.start = start;
+        }
+        let effective = if self.held.len() == self.group_count {
+            self.cfg.rept
+        } else {
+            let (effective, held) =
+                rebase_survivors(&self.cfg.rept, std::mem::take(&mut self.held));
+            self.held = held;
+            effective
+        };
+        self.layout = Rept::new(effective);
+        self.estimate = self.layout.combine(&self.held);
+        self.pending = Touched::none();
+    }
+
+    /// Publishes a fresh snapshot from an aggregate exchange, with the
+    /// standalone core's seq-guard: an unchanged (position,
     /// checkpoints) pair republishes nothing and `seq` stays put. When
     /// every shard is down the previous snapshot simply stays current.
     fn publish(&mut self) {
         if self.last_published == Some((self.position, self.checkpoints)) {
             return;
         }
-        let Ok(aggregates) = self.collect() else {
+        let started = Instant::now();
+        if self.collect().is_err() {
             return;
-        };
+        }
         self.seq += 1;
-        let snapshot = Self::assemble(
-            &self.cfg,
-            &self.rept,
-            aggregates,
+        self.layout
+            .refresh_estimate(&mut self.estimate, &self.held, &self.pending.take());
+        self.published.store(Snapshot::from_estimate(
+            &self.estimate,
+            self.layout.config(),
+            self.cfg.engine,
             self.position,
             self.seq,
             self.checkpoints,
-        );
-        self.published = Arc::new(snapshot);
+            self.cfg.top_k,
+        ));
         self.last_published = Some((self.position, self.checkpoints));
-    }
-
-    /// Combines one full or partial aggregate exchange into a snapshot.
-    /// A complete set goes through the full configuration's
-    /// `finalize_groups` — bit-identical to the standalone core. A
-    /// partial (degraded) set is re-based onto the surviving smaller
-    /// configuration first, whose estimate is still exactly valid REPT
-    /// — just with the wider interval of fewer processors.
-    fn assemble(
-        cfg: &CoordinatorConfig,
-        rept: &Rept,
-        aggregates: Vec<GroupAggregate>,
-        position: u64,
-        seq: u64,
-        checkpoints: u64,
-    ) -> Snapshot {
-        let full = aggregates.len() == cfg.rept.group_count() as usize;
-        let (effective, estimate) = if full {
-            (cfg.rept, rept.finalize_groups(aggregates))
-        } else {
-            let (survivor_cfg, rebased) = rebase_survivors(&cfg.rept, aggregates);
-            let estimate = Rept::new(survivor_cfg).finalize_groups(rebased);
-            (survivor_cfg, estimate)
-        };
-        Snapshot::from_estimate(
-            &estimate,
-            &effective,
-            cfg.engine,
-            position,
-            seq,
-            checkpoints,
-            cfg.top_k,
-        )
+        self.metrics
+            .publish_micros
+            .record_duration(started.elapsed());
     }
 
     /// Number of hash groups in the full configuration.
@@ -751,11 +987,198 @@ impl ShardCoordinator {
     }
 }
 
+/// One full aggregate exchange on `link` — a shard's first, at start or
+/// revival — counted in `metrics`.
+fn exchange(
+    link: &mut ShardLink,
+    metrics: &CoordinatorMetrics,
+) -> Result<Aggregates, ExchangeError> {
+    let sent = link.start_aggregates(None);
+    let reply = finish_exchange(link, None, sent, metrics)?;
+    match reply.since {
+        Some(got) => Err(ExchangeError::Since { asked: None, got }),
+        None => Ok(reply),
+    }
+}
+
+/// The second half of an aggregate exchange started on `link`, counted
+/// in `metrics` by kind and bytes.
+fn finish_exchange(
+    link: &mut ShardLink,
+    since: Option<u64>,
+    sent: std::io::Result<()>,
+    metrics: &CoordinatorMetrics,
+) -> Result<Aggregates, ExchangeError> {
+    let (reply, bytes) = link
+        .finish_aggregates(since, sent)
+        .map_err(ExchangeError::Link)?;
+    metrics.aggregate_bytes.add(bytes as u64);
+    match reply.since {
+        Some(_) => metrics.delta_exchanges.inc(),
+        None => metrics.full_exchanges.inc(),
+    }
+    Ok(reply)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rept_core::GroupSlice;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+    use rept_core::{EtaMode, GroupSlice};
     use rept_serve::{ServeConfig, ServeCore};
+
+    /// A reply as the wire carries it: formatted, split into header and
+    /// body, parsed back.
+    fn over_the_wire(reply: &Aggregates) -> Result<Aggregates, String> {
+        let text = protocol::format_aggregates(reply);
+        let mut lines = text.lines();
+        let header = lines.next().expect("a header");
+        let body: Vec<String> = lines.map(str::to_string).collect();
+        protocol::parse_aggregates(header, &body)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// `parse(format(delta))` applied to the counters of the previous
+        /// exchange gives the current counters — on every layout, η mode
+        /// and slice, over duplicate-edge streams — and a reply naming
+        /// another base, or a group the shard does not own, is a typed
+        /// error that writes nothing.
+        #[test]
+        fn wire_deltas_rebuild_the_full_counters(
+            pairs in vec((0u32..30, 0u32..30), 1..240),
+            layout in 0usize..4,
+            strict in any::<bool>(),
+            seed in any::<u64>(),
+            cuts in vec(0usize..240, 1..5),
+            sliced in any::<bool>(),
+        ) {
+            let stream: Vec<Edge> = pairs
+                .into_iter()
+                .filter_map(|(u, v)| Edge::try_new(u, v))
+                .collect();
+            let (m, c) = [(4u64, 3u64), (4, 4), (3, 9), (3, 11)][layout];
+            let mode = if strict { EtaMode::StrictNonLast } else { EtaMode::PaperInit };
+            let cfg = ReptConfig::new(m, c).with_seed(seed).with_eta(true).with_eta_mode(mode);
+            let slice = if sliced && cfg.group_count() > 1 {
+                GroupSlice::new(1, 2)
+            } else {
+                GroupSlice::FULL
+            };
+            let core = ServeCore::start(ServeConfig::new(cfg).with_group_slice(slice))
+                .expect("core");
+            let first = core.aggregates_since(None).expect("full exchange");
+            let owned: Vec<usize> = first.groups.iter().map(|g| g.start).collect();
+            let mut held = over_the_wire(&first).expect("a full reply parses").groups;
+            let mut since = first.position;
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|k| k % (stream.len() + 1)).collect();
+            cuts.sort_unstable();
+            let mut at = 0;
+            for cut in cuts {
+                core.ingest(stream[at..cut].to_vec()).expect("ingest");
+                at = cut;
+                let delta = core.aggregates_since(Some(since)).expect("delta exchange");
+                prop_assert_eq!(delta.since, Some(since));
+                let parsed = over_the_wire(&delta).expect("a delta parses");
+                prop_assert_eq!(&parsed, &delta);
+
+                // Hostile replies are refused before anything is written.
+                let before = held.clone();
+                let wrong_base = Aggregates { since: Some(since + 1), ..parsed.clone() };
+                prop_assert_eq!(
+                    apply_exchange(&mut held, &owned, &owned, Some(since), wrong_base),
+                    Err(ExchangeError::Since { asked: Some(since), got: since + 1 })
+                );
+                prop_assert_eq!(
+                    apply_exchange(&mut held, &owned, &owned, None, parsed.clone()),
+                    Err(ExchangeError::Since { asked: None, got: since })
+                );
+                let mut stranger = parsed.clone();
+                stranger.groups[0].start = c as usize + 1;
+                prop_assert_eq!(
+                    apply_exchange(&mut held, &owned, &owned, Some(since), stranger),
+                    Err(ExchangeError::UnknownGroup(c as usize + 1))
+                );
+                prop_assert_eq!(&held, &before);
+
+                let moved = apply_exchange(&mut held, &owned, &owned, Some(since), parsed)
+                    .expect("the delta applies");
+                prop_assert!(matches!(moved, Touched::Nodes(_)));
+
+                // A base the core never answered gets the full counters,
+                // which replace the stale ones outright; an exchange at
+                // the same position keeps the base for the next delta.
+                since = delta.position;
+                let full = core.aggregates_since(Some(u64::MAX)).expect("full exchange");
+                prop_assert_eq!(full.since, None);
+                let mut replaced = before;
+                prop_assert_eq!(
+                    apply_exchange(&mut replaced, &owned, &owned, Some(u64::MAX), full.clone()),
+                    Ok(Touched::All)
+                );
+                prop_assert_eq!(&replaced, &full.groups);
+                prop_assert_eq!(&held, &full.groups);
+            }
+        }
+    }
+
+    /// A reply missing one of the shard's groups, or carrying one of
+    /// another size, is refused.
+    #[test]
+    fn misshapen_replies_are_typed_errors() {
+        let g = |start: usize, size: usize| GroupAggregate {
+            start,
+            tau: vec![0; size],
+            stored: vec![0; size],
+            bytes: 0,
+            eta_total: 0,
+            tau_v: None,
+            eta_v: None,
+        };
+        let mut held = vec![g(0, 3), g(3, 3)];
+        let starts = [0, 3];
+        let reply = |groups| Aggregates {
+            position: 5,
+            since: Some(2),
+            groups,
+        };
+        assert_eq!(
+            apply_exchange(&mut held, &starts, &starts, Some(2), reply(vec![g(0, 3)])),
+            Err(ExchangeError::Shape(3))
+        );
+        assert_eq!(
+            apply_exchange(
+                &mut held,
+                &starts,
+                &starts,
+                Some(2),
+                reply(vec![g(0, 3), g(3, 2)])
+            ),
+            Err(ExchangeError::Shape(3))
+        );
+        assert_eq!(
+            apply_exchange(
+                &mut held,
+                &starts,
+                &[0],
+                Some(2),
+                reply(vec![g(0, 3), g(3, 3)])
+            ),
+            Err(ExchangeError::UnknownGroup(3))
+        );
+        assert_eq!(
+            apply_exchange(
+                &mut held,
+                &starts,
+                &starts,
+                Some(2),
+                reply(vec![g(0, 3), g(3, 3)])
+            ),
+            Ok(Touched::none())
+        );
+    }
 
     fn local_links(cfg: ReptConfig, shards: u32) -> Vec<ShardLink> {
         (0..shards)

@@ -62,6 +62,7 @@ pub mod coordinator;
 pub mod server;
 
 pub use coordinator::{
-    format_cluster_health, ClusterHealth, CoordinatorConfig, ShardCoordinator, ShardLink,
+    format_cluster_health, ClusterHealth, CoordinatorConfig, CoordinatorMetrics, ExchangeError,
+    ShardCoordinator, ShardLink,
 };
 pub use server::CoordinatorServer;

@@ -4,11 +4,14 @@
 //!
 //! The transport is the serve tier's own [`LineServer`]: the same
 //! thread pool, line cap, timeouts and one-write replies, so this module
-//! holds only what the coordinator does with a line. Requests lock the
-//! one [`ShardCoordinator`] — the coordinator's work per verb is a
-//! handful of line-protocol exchanges with the shards, which is the
-//! serialization point by design (the shards do the heavy lifting
-//! concurrently in their own processes).
+//! holds only what the coordinator does with a line. Requests that move
+//! the cluster lock the one [`ShardCoordinator`] — the coordinator's
+//! work per verb is a handful of line-protocol exchanges with the
+//! shards, which is the serialization point by design (the shards do
+//! the heavy lifting concurrently in their own processes). Queries
+//! (`QUERY GLOBAL|LOCAL`, `TOPK`, `STATS`) read the coordinator's
+//! published snapshot cell instead, so they never wait out an `INGEST`
+//! line or a publication.
 //!
 //! Verbs that don't distribute reply with typed errors instead of
 //! pretending: tenancy (`TENANT *`, `USE` of anything but `default`,
@@ -19,18 +22,22 @@
 //! ask a shard server directly. `METRICS` *is* distributed: the reply
 //! is one valid exposition of every live shard's series — each family's
 //! `# TYPE` line once, followed by every shard's samples of it with a
-//! `shard="<i>"` label added.
+//! `shard="<i>"` label added — then the coordinator's own
+//! `rept_coordinator_*` families ([`crate::CoordinatorMetrics`]).
+//! `AGGREGATE` answers the merged counters in full, `SINCE` or not.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::{Arc, Mutex, MutexGuard};
 
+use rept_serve::metrics::write_summary;
 use rept_serve::protocol::{self, Command, Scope, DEFAULT_TENANT};
 use rept_serve::server::{LineHandler, LineServer};
+use rept_serve::snapshot::{Published, Snapshot};
 use rept_serve::LiveStats;
 
-use crate::coordinator::{format_cluster_health, ShardCoordinator};
+use crate::coordinator::{format_cluster_health, CoordinatorMetrics, ShardCoordinator};
 
 /// A running coordinator front-end. [`Self::shutdown`] stops accepting
 /// and returns the coordinator (so the caller can drain or inspect the
@@ -41,9 +48,13 @@ pub struct CoordinatorServer {
     front: Arc<Front>,
 }
 
-/// The coordinator as a [`LineHandler`]; connections carry no state.
+/// The coordinator as a [`LineHandler`], with the cell it publishes
+/// its snapshots into; connections carry no state.
 #[derive(Debug)]
-struct Front(Mutex<ShardCoordinator>);
+struct Front {
+    coordinator: Mutex<ShardCoordinator>,
+    published: Arc<Published<Snapshot>>,
+}
 
 impl LineHandler for Front {
     type Session = ();
@@ -51,7 +62,7 @@ impl LineHandler for Front {
     fn session(&self) {}
 
     fn execute(&self, line: &str, _: &mut ()) -> (String, bool) {
-        execute(line, &self.0)
+        execute(line, self)
     }
 }
 
@@ -67,7 +78,10 @@ impl CoordinatorServer {
         addr: impl ToSocketAddrs,
         handlers: usize,
     ) -> std::io::Result<Self> {
-        let front = Arc::new(Front(Mutex::new(coordinator)));
+        let front = Arc::new(Front {
+            published: coordinator.published(),
+            coordinator: Mutex::new(coordinator),
+        });
         let lines = LineServer::start(Arc::clone(&front), addr, handlers, "rept-shard-handler")?;
         Ok(Self { lines, front })
     }
@@ -80,7 +94,7 @@ impl CoordinatorServer {
     /// In-process access to the coordinator (tests drive `kill_shard` /
     /// `revive_shard` through this while clients talk TCP).
     pub fn coordinator(&self) -> &Mutex<ShardCoordinator> {
-        &self.front.0
+        &self.front.coordinator
     }
 
     /// Stops accepting, joins the handler threads, and hands the
@@ -90,7 +104,10 @@ impl CoordinatorServer {
         let Self { mut lines, front } = self;
         lines.stop();
         let front = Arc::try_unwrap(front).expect("handlers dropped their coordinator handles");
-        front.0.into_inner().expect("coordinator lock poisoned")
+        front
+            .coordinator
+            .into_inner()
+            .expect("coordinator lock poisoned")
     }
 }
 
@@ -102,7 +119,8 @@ fn lock(coordinator: &Mutex<ShardCoordinator>) -> MutexGuard<'_, ShardCoordinato
 /// distributed verbs produce the same reply bytes a standalone server
 /// would (shared format functions over the recombined snapshot); the
 /// rest are typed errors documented in the module docs.
-fn execute(line: &str, coordinator: &Mutex<ShardCoordinator>) -> (String, bool) {
+fn execute(line: &str, front: &Front) -> (String, bool) {
+    let coordinator = &front.coordinator;
     let reply = match protocol::parse(line) {
         Ok(Command::Ingest(Scope::Current, edges)) => {
             let n = edges.len();
@@ -116,9 +134,9 @@ fn execute(line: &str, coordinator: &Mutex<ShardCoordinator>) -> (String, bool) 
              run one cluster per tenant"
                 .into()
         }
-        Ok(Command::QueryGlobal) => protocol::format_global(&lock(coordinator).snapshot()),
-        Ok(Command::QueryLocal(v)) => protocol::format_local(&lock(coordinator).snapshot(), v),
-        Ok(Command::TopK(k)) => protocol::format_top_k(&lock(coordinator).snapshot(), k),
+        Ok(Command::QueryGlobal) => protocol::format_global(&front.published.load()),
+        Ok(Command::QueryLocal(v)) => protocol::format_local(&front.published.load(), v),
+        Ok(Command::TopK(k)) => protocol::format_top_k(&front.published.load(), k),
         Ok(Command::Stats) => {
             // The coordinator keeps no journal/DLQ of its own — those
             // gauges are genuinely zero here, not unknown; durable state
@@ -129,10 +147,11 @@ fn execute(line: &str, coordinator: &Mutex<ShardCoordinator>) -> (String, bool) 
                 journal_segments: 0,
                 dlq: 0,
             };
-            protocol::format_stats(&lock(coordinator).snapshot(), &live)
+            protocol::format_stats(&front.published.load(), &live)
         }
         Ok(Command::Flush) => format!("OK FLUSH position={}", lock(coordinator).flush()),
-        Ok(Command::Aggregate) => match lock(coordinator).aggregates() {
+        Ok(Command::Aggregate | Command::AggregateSince(_)) => match lock(coordinator).aggregates()
+        {
             Ok((position, groups)) => protocol::format_aggregate(position, &groups),
             Err(e) => format!("ERR {e}"),
         },
@@ -147,8 +166,10 @@ fn execute(line: &str, coordinator: &Mutex<ShardCoordinator>) -> (String, bool) 
              run one cluster per tenant"
         ),
         Ok(Command::Metrics | Command::MetricsAll) => {
-            let bodies = lock(coordinator).metrics_bodies();
-            protocol::format_metrics(&merge_expositions(&bodies))
+            let mut coordinator = lock(coordinator);
+            let mut text = merge_expositions(&coordinator.metrics_bodies());
+            render_coordinator_metrics(&mut text, coordinator.metrics());
+            protocol::format_metrics(&text)
         }
         Ok(Command::TenantCreate(..) | Command::TenantList | Command::TenantDrop(_)) => {
             "ERR tenancy is not distributed: the coordinator is single-tenant; \
@@ -216,6 +237,42 @@ fn merge_expositions(bodies: &[(usize, String)]) -> String {
     }
     out.truncate(out.trim_end_matches('\n').len());
     out
+}
+
+/// Appends the coordinator's own families to an exposition: its
+/// publication-time summary, the `AGGREGATE` reply bytes it read, and
+/// its exchanges by `kind="full"|"delta"`.
+fn render_coordinator_metrics(out: &mut String, m: &CoordinatorMetrics) {
+    const LABELS: &str = "tenant=\"default\"";
+    let mut block = String::new();
+    let _ = writeln!(block, "# TYPE rept_coordinator_publish_micros summary");
+    write_summary(
+        &mut block,
+        "rept_coordinator_publish_micros",
+        LABELS,
+        &m.publish_micros,
+    );
+    let _ = writeln!(
+        block,
+        "# TYPE rept_coordinator_aggregate_bytes_total counter"
+    );
+    let _ = writeln!(
+        block,
+        "rept_coordinator_aggregate_bytes_total{{{LABELS}}} {}",
+        m.aggregate_bytes.get()
+    );
+    let _ = writeln!(block, "# TYPE rept_coordinator_exchanges_total counter");
+    for (kind, n) in [("full", &m.full_exchanges), ("delta", &m.delta_exchanges)] {
+        let _ = writeln!(
+            block,
+            "rept_coordinator_exchanges_total{{{LABELS},kind=\"{kind}\"}} {}",
+            n.get()
+        );
+    }
+    if !out.is_empty() {
+        out.push('\n');
+    }
+    out.push_str(block.trim_end_matches('\n'));
 }
 
 #[cfg(test)]

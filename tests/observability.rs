@@ -3,8 +3,9 @@
 //! `tenant="_all"` rows, `TRACE TAIL` drains slow-op events over the
 //! wire, grammar errors come back as `ERR` lines, scraping never blocks
 //! ingest, every scrape (a shard coordinator's included) is a valid
-//! Prometheus exposition, and histogram merging is exactly equivalent
-//! to recording into a single histogram.
+//! Prometheus exposition, a coordinator's own exchange families count
+//! full and delta exchanges, and histogram merging is exactly
+//! equivalent to recording into a single histogram.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -16,7 +17,7 @@ use proptest::prelude::*;
 use rept::core::{GroupSlice, ReptConfig};
 use rept::graph::edge::Edge;
 use rept::metrics::registry::Histogram;
-use rept::serve::{Client, RouterConfig, ServeConfig, Server};
+use rept::serve::{Client, RouterConfig, ServeConfig, ServeCore, Server};
 use rept::shard::{CoordinatorConfig, CoordinatorServer, ShardCoordinator, ShardLink};
 
 /// A per-test unique scratch directory.
@@ -151,12 +152,83 @@ fn every_scrape_is_a_valid_exposition() {
                 format!("rept_ingest_edges_total{{shard=\"{shard}\",tenant=\"default\"}} 3");
             assert!(text.contains(&edges), "shard {shard} missing:\n{text}");
         }
+        // The coordinator's own families, apart from the shards'.
+        assert!(
+            sample(&text, "rept_coordinator_aggregate_bytes_total", "default")
+                .is_some_and(|b| b > 0),
+            "{text}"
+        );
+        assert!(text.contains("rept_coordinator_publish_micros_count{tenant=\"default\"} "));
+        assert!(
+            !text.contains("rept_publish_micros{tenant="),
+            "no coordinator sample under a shard family"
+        );
     }
     drop(client);
     front.shutdown();
     for shard in shards {
         shard.shutdown();
     }
+}
+
+/// One `rept_coordinator_exchanges_total` sample of a scrape.
+fn exchanges(text: &str, kind: &str) -> u64 {
+    let prefix = format!("rept_coordinator_exchanges_total{{tenant=\"default\",kind=\"{kind}\"}} ");
+    text.lines()
+        .find_map(|l| l.strip_prefix(&prefix))
+        .map_or_else(
+            || panic!("no {kind} exchanges in:\n{text}"),
+            |v| v.parse().expect("integer sample"),
+        )
+}
+
+/// A 3-shard cluster exchanges deltas in steady state: its `METRICS`
+/// count one full exchange per shard at start, one more at a revival,
+/// and deltas for every publication in between and after.
+#[test]
+fn coordinator_exchanges_deltas_between_start_and_revive() {
+    let cfg = ReptConfig::new(2, 6).with_seed(31); // 3 hash groups
+    let cores: Vec<Arc<ServeCore>> = (0..3)
+        .map(|i| {
+            let sc = ServeConfig::new(cfg).with_group_slice(GroupSlice::new(i, 3));
+            Arc::new(ServeCore::start(sc).expect("shard core"))
+        })
+        .collect();
+    let links = cores
+        .iter()
+        .map(|c| ShardLink::local(Arc::clone(c)))
+        .collect();
+    let coordinator =
+        ShardCoordinator::start(CoordinatorConfig::new(cfg).with_snapshot_every(4), links)
+            .expect("coordinator");
+    let front = CoordinatorServer::start(coordinator, "127.0.0.1:0", 1).expect("front end");
+    let mut client = Client::connect(front.local_addr()).expect("connect");
+    let edges: Vec<Edge> = (0..40u32)
+        .map(|i| Edge::new(i % 9, (i * 4 + 1) % 9 + 9))
+        .collect();
+    client.ingest(&edges[..20]).expect("ingest");
+    client.flush().expect("flush");
+    let text = client.metrics().expect("scrape");
+    check_exposition(&text).expect("coordinator METRICS");
+    assert_eq!(exchanges(&text, "full"), 3, "one per shard, at start");
+    let steady = exchanges(&text, "delta");
+    assert!(steady >= 3, "deltas in steady state: {steady}");
+
+    front.coordinator().lock().expect("lock").kill_shard(1);
+    client.ingest(&edges[20..30]).expect("degraded ingest");
+    front
+        .coordinator()
+        .lock()
+        .expect("lock")
+        .revive_shard(1, ShardLink::local(Arc::clone(&cores[1])))
+        .expect("revive");
+    client.ingest(&edges[30..]).expect("ingest");
+    client.flush().expect("flush");
+    let text = client.metrics().expect("scrape");
+    assert_eq!(exchanges(&text, "full"), 4, "one more, at the revival");
+    assert!(exchanges(&text, "delta") > steady);
+    drop(client);
+    front.shutdown();
 }
 
 #[test]

@@ -430,6 +430,27 @@ fn tcp_tenant_commands_round_trip() {
     server.shutdown_all();
 }
 
+/// A `TENANT CREATE` naming more processors than the ceiling is a
+/// typed `ERR` for that line alone: the server keeps answering and no
+/// tenant is created. (Before the ceiling, `Rept::new` sized the layout
+/// by `c` and the failed allocation aborted the whole process.)
+#[test]
+fn tenant_create_past_the_processor_ceiling_is_refused() {
+    let base = ServeConfig::new(ReptConfig::new(2, 2).with_seed(3));
+    let server = Server::start_router(RouterConfig::new(base), "127.0.0.1:0", 1).expect("bind");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let err = client
+        .tenant_create("big", "m=2 c=17179869184")
+        .expect_err("c past the ceiling");
+    assert!(err.to_string().contains("c must be"), "{err}");
+    let health = client.health().expect("HEALTH still answers");
+    assert!(health.starts_with("OK HEALTH"), "{health}");
+    let tenants = client.tenant_list().expect("TENANT LIST");
+    assert!(tenants.iter().all(|(name, _)| name != "big"), "{tenants:?}");
+    drop(client);
+    server.shutdown_all();
+}
+
 #[test]
 fn tcp_server_end_to_end() {
     let stream = barabasi_albert(&GeneratorConfig::new(500, 7), 4);

@@ -10,12 +10,16 @@
 //! concurrent exchange is pinned over TCP too: multi-line batches over
 //! real shard servers, and scripted shards that answer `ERR BUSY` or
 //! close their connection while the other shard's line is in flight.
+//! The aggregate exchange runs as deltas (`AGGREGATE SINCE`) after each
+//! shard's first, full one; the cases at the end pin where it falls
+//! back to full replies — a restarted shard, per-worker shards, a second
+//! requester — with the answers unchanged.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use proptest::collection::vec;
@@ -24,7 +28,7 @@ use rept::core::{Engine, GroupSlice, ReptConfig};
 use rept::graph::edge::Edge;
 use rept::serve::client::INGEST_CHUNK;
 use rept::serve::protocol;
-use rept::serve::{LiveStats, ServeConfig, ServeCore, Server, Snapshot};
+use rept::serve::{Client, ClientConfig, LiveStats, ServeConfig, ServeCore, Server, Snapshot};
 use rept::shard::{
     format_cluster_health, CoordinatorConfig, CoordinatorServer, ShardCoordinator, ShardLink,
 };
@@ -979,4 +983,284 @@ fn shard_closing_mid_line_is_marked_dead_and_the_survivor_stays_in_step() {
     for server in cluster.servers {
         server.shutdown();
     }
+}
+
+/// The standalone core's snapshot after `stream`, fed in `batch`-edge
+/// chunks and flushed — what a cluster's replies must equal.
+fn standalone_snapshot(
+    cfg: ReptConfig,
+    engine: Engine,
+    stream: &[Edge],
+    batch: usize,
+    every: u64,
+) -> Arc<Snapshot> {
+    let standalone = ServeCore::start(
+        ServeConfig::new(cfg)
+            .with_engine(engine)
+            .with_snapshot_every(every),
+    )
+    .expect("standalone");
+    for chunk in stream.chunks(batch) {
+        standalone.ingest(chunk.to_vec()).expect("ingest");
+    }
+    standalone.flush();
+    let snap = standalone.snapshot();
+    standalone.shutdown();
+    snap
+}
+
+/// A cluster snapshot answers exactly like the standalone one: query
+/// replies and `STATS` byte for byte, physical fields aside, and the
+/// publication counters too — the cluster published at its own flushes.
+fn assert_same_answers(got: &Snapshot, want: &Snapshot) {
+    assert_eq!(
+        query_replies(got, &QUERY_NODES),
+        query_replies(want, &QUERY_NODES)
+    );
+    assert_eq!(
+        canonical_stats(&stats_reply(got), true),
+        canonical_stats(&stats_reply(want), true)
+    );
+}
+
+/// A shard checkpoint does not move its exchange base: the exchanges
+/// after an orchestrated checkpoint are still deltas, and the cluster
+/// still answers like a standalone core.
+#[test]
+fn deltas_run_across_an_orchestrated_checkpoint() {
+    let cfg = ReptConfig::new(2, 11)
+        .with_seed(3)
+        .with_eta(true)
+        .with_locals(true);
+    let engine = Engine::default();
+    let stream = fixed_stream(120);
+    let (head, tail) = stream.split_at(stream.len() / 2);
+    let root = unique_root("delta-ckpt");
+    std::fs::remove_dir_all(&root).ok();
+    std::fs::create_dir_all(&root).expect("mk root");
+
+    let cores = sliced_cores(cfg, engine, 3, 16, Some(&root));
+    let mut coord = coordinator_over(&cores, cfg, engine, 16);
+    for chunk in head.chunks(7) {
+        coord.ingest(chunk.to_vec()).expect("ingest");
+    }
+    assert_eq!(coord.checkpoint(), Ok(head.len() as u64));
+    let before = coord.metrics().delta_exchanges.get();
+    for chunk in tail.chunks(7) {
+        coord.ingest(chunk.to_vec()).expect("ingest");
+    }
+    coord.flush();
+    let metrics = coord.metrics();
+    assert_eq!(metrics.full_exchanges.get(), 3, "full only at start");
+    assert!(
+        metrics.delta_exchanges.get() > before,
+        "deltas after the checkpoint"
+    );
+    assert_same_answers(
+        &coord.snapshot(),
+        &standalone_snapshot(cfg, engine, &stream, 7, 16),
+    );
+    drop(coord);
+    drop(cores);
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// A relay in front of a shard server that opens a fresh upstream
+/// connection per request, to whatever address `upstream` holds at the
+/// time: the coordinator keeps its one connection while the shard
+/// process behind it is replaced.
+fn switchable_shard(upstream: Arc<Mutex<SocketAddr>>) -> (SocketAddr, std::thread::JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let relay = std::thread::spawn(move || {
+        let (conn, _) = listener.accept().expect("accept");
+        let mut down = conn.try_clone().expect("clone");
+        let mut from_coordinator = BufReader::new(conn);
+        loop {
+            let mut line = String::new();
+            if from_coordinator.read_line(&mut line).expect("request") == 0 {
+                return;
+            }
+            let target = *upstream.lock().expect("upstream");
+            let mut up = TcpStream::connect(target).expect("connect upstream");
+            up.write_all(line.as_bytes()).expect("relay request");
+            let mut from_shard = BufReader::new(up);
+            let mut reply = String::new();
+            from_shard.read_line(&mut reply).expect("reply");
+            let body = protocol::reply_field(reply.trim_end(), "lines")
+                .map_or(0, |n| n.parse().expect("lines="));
+            for _ in 0..body {
+                from_shard.read_line(&mut reply).expect("body line");
+            }
+            down.write_all(reply.as_bytes()).expect("relay reply");
+        }
+    });
+    (addr, relay)
+}
+
+/// A shard restarted behind the coordinator — from its own checkpoint
+/// and journal, at the same position, with the coordinator none the
+/// wiser — has no exchange base: it answers the next `AGGREGATE SINCE`
+/// in full, once, and the cluster still answers like a standalone core.
+#[test]
+fn a_shard_restarted_behind_the_coordinator_answers_in_full() {
+    let cfg = ReptConfig::new(2, 8)
+        .with_seed(13)
+        .with_eta(true)
+        .with_locals(true);
+    let stream = fixed_stream(300);
+    let (head, tail) = stream.split_at(stream.len() / 2);
+    let root = unique_root("restart");
+    std::fs::remove_dir_all(&root).ok();
+    std::fs::create_dir_all(&root).expect("mk root");
+    let shard_cfg = |i: u32| {
+        ServeConfig::new(cfg)
+            .with_snapshot_every(64)
+            .with_group_slice(GroupSlice::new(i, 2))
+            .with_checkpoint(root.join(format!("shard{i}.rpck")), None)
+            .with_journal()
+    };
+    let zero = Server::start(shard_cfg(0), "127.0.0.1:0", 1).expect("shard 0");
+    let one = Server::start(shard_cfg(1), "127.0.0.1:0", 1).expect("shard 1");
+    let upstream = Arc::new(Mutex::new(one.local_addr()));
+    let (relay_addr, relay) = switchable_shard(Arc::clone(&upstream));
+    let links = vec![
+        ShardLink::connect(zero.local_addr()).expect("link 0"),
+        ShardLink::connect(relay_addr).expect("link 1"),
+    ];
+    let mut coord =
+        ShardCoordinator::start(CoordinatorConfig::new(cfg).with_snapshot_every(64), links)
+            .expect("coordinator");
+    for chunk in head.chunks(50) {
+        coord.ingest(chunk.to_vec()).expect("ingest");
+    }
+    coord.flush();
+    let full = coord.metrics().full_exchanges.get();
+    assert_eq!(full, 2, "full only at start so far");
+
+    one.shutdown();
+    let one = Server::start(shard_cfg(1), "127.0.0.1:0", 1).expect("restarted shard 1");
+    assert_eq!(
+        one.core().position(),
+        head.len() as u64,
+        "resumed losslessly"
+    );
+    *upstream.lock().expect("upstream") = one.local_addr();
+    for chunk in tail.chunks(50) {
+        coord.ingest(chunk.to_vec()).expect("ingest");
+    }
+    coord.flush();
+    assert_eq!(coord.alive_count(), 2, "a lost base is not a dead shard");
+    assert_eq!(
+        coord.metrics().full_exchanges.get(),
+        full + 1,
+        "one full reply from the restarted shard"
+    );
+    assert_same_answers(
+        &coord.snapshot(),
+        &standalone_snapshot(cfg, Engine::default(), &stream, 50, 64),
+    );
+    drop(coord);
+    relay.join().expect("relay");
+    zero.shutdown();
+    one.shutdown();
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// Per-worker shards do not track touched nodes, so every exchange is a
+/// full reply — and the answers are the standalone core's.
+#[test]
+fn per_worker_shards_send_full_replies() {
+    let cfg = ReptConfig::new(2, 11)
+        .with_seed(17)
+        .with_eta(true)
+        .with_locals(true);
+    let stream = fixed_stream(80);
+    let cores = sliced_cores(cfg, Engine::PerWorker, 2, 16, None);
+    let mut coord = coordinator_over(&cores, cfg, Engine::PerWorker, 16);
+    for chunk in stream.chunks(9) {
+        coord.ingest(chunk.to_vec()).expect("ingest");
+    }
+    coord.flush();
+    let metrics = coord.metrics();
+    assert_eq!(metrics.delta_exchanges.get(), 0);
+    assert!(
+        metrics.full_exchanges.get() > 2,
+        "every publication exchanged"
+    );
+    assert_same_answers(
+        &coord.snapshot(),
+        &standalone_snapshot(cfg, Engine::PerWorker, &stream, 9, 16),
+    );
+}
+
+/// A second requester's `AGGREGATE` between two of the coordinator's
+/// exchanges moves that shard's base, so the coordinator's next
+/// `AGGREGATE SINCE` to it gets a full reply; the other shard keeps
+/// answering deltas, and the answers stay the standalone core's.
+#[test]
+fn a_second_requester_forces_full_replies_with_the_same_answers() {
+    let cfg = ReptConfig::new(2, 11)
+        .with_seed(19)
+        .with_eta(true)
+        .with_locals(true);
+    let engine = Engine::default();
+    let stream = fixed_stream(120);
+    let every = 10_000; // publish on the explicit flushes only
+    let cores = sliced_cores(cfg, engine, 2, every, None);
+    let mut coord = coordinator_over(&cores, cfg, engine, every);
+    let batches: Vec<&[Edge]> = stream.chunks(30).collect();
+    let mut interleaved = 0;
+    for (k, batch) in batches.iter().enumerate() {
+        coord.ingest(batch.to_vec()).expect("ingest");
+        if k % 2 == 0 {
+            let (position, _) = cores[0].aggregates().expect("second requester");
+            assert_eq!(position, coord.position());
+            interleaved += 1;
+        }
+        coord.flush();
+    }
+    let metrics = coord.metrics();
+    assert_eq!(metrics.full_exchanges.get(), 2 + interleaved);
+    assert_eq!(
+        metrics.delta_exchanges.get(),
+        2 * batches.len() as u64 - interleaved
+    );
+    assert_same_answers(
+        &coord.snapshot(),
+        &standalone_snapshot(cfg, engine, &stream, 30, every),
+    );
+}
+
+/// Queries on the coordinator's front end read its published snapshot,
+/// not the coordinator: a `QUERY GLOBAL` answers while another thread
+/// holds the coordinator's lock (as a long `INGEST` line would).
+#[test]
+fn front_end_queries_answer_while_the_coordinator_is_locked() {
+    let cfg = ReptConfig::new(2, 8).with_seed(23).with_locals(true);
+    let cores = sliced_cores(cfg, Engine::default(), 2, 8, None);
+    let mut coord = coordinator_over(&cores, cfg, Engine::default(), 8);
+    coord.ingest(fixed_stream(20)).expect("ingest");
+    coord.flush();
+    let want = protocol::format_global(&coord.snapshot());
+    let front = CoordinatorServer::start(coord, "127.0.0.1:0", 2).expect("front end");
+    let (locked, on_locked) = mpsc::channel();
+    let (release, on_release) = mpsc::channel::<()>();
+    std::thread::scope(|scope| {
+        let front = &front;
+        let holder = scope.spawn(move || {
+            let guard = front.coordinator().lock().expect("coordinator lock");
+            locked.send(()).expect("signal locked");
+            on_release.recv().expect("release");
+            drop(guard);
+        });
+        on_locked.recv().expect("the lock is held");
+        let config = ClientConfig::default().with_read_timeout(Duration::from_secs(20));
+        let mut client = Client::connect_with(front.local_addr(), config).expect("connect");
+        let reply = client.request("QUERY GLOBAL");
+        release.send(()).expect("release the lock");
+        holder.join().expect("holder");
+        assert_eq!(reply.expect("answered under the lock"), want);
+    });
+    front.shutdown();
 }
