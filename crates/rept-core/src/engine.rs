@@ -521,9 +521,9 @@ pub(crate) fn make_workers(cfg: &ReptConfig) -> Vec<SemiTriangleWorker> {
         .collect()
 }
 
-/// The whole-stream batch driver behind [`Rept::run`] and the fused
-/// half of [`Rept::run_threaded`]: construct core(s), ingest the
-/// stream, combine the aggregates.
+/// The whole-stream batch driver behind [`Rept::run`] and
+/// [`Rept::run_threaded`], for either engine: construct core(s), ingest
+/// the stream, combine the aggregates.
 ///
 /// * One thread or one group — a single core over every group.
 /// * Several threads, several groups — groups spread round-robin over
@@ -560,7 +560,7 @@ pub(crate) fn drive(rept: &Rept, engine: Engine, stream: &[Edge], threads: usize
         }
         handles
             .into_iter()
-            .flat_map(|h| h.join().expect("REPT fused thread panicked"))
+            .flat_map(|h| h.join().expect("REPT group thread panicked"))
             .collect()
     });
     rept.finalize_groups(aggregates)

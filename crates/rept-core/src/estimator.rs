@@ -23,10 +23,9 @@
 //!   ([`rept_graph::hybrid_tagged`]). The default and fast engine.
 //!
 //! Both run through [`Rept::run`] (one thread) and
-//! [`Rept::run_threaded`]: the per-worker engine spreads its processors
-//! over the threads, the fused engine spreads its hash groups (threads
-//! clamped to the group count, so a single-group layout — every
-//! `c ≤ m` configuration — runs on one thread).
+//! [`Rept::run_threaded`], which spreads either engine's hash groups
+//! over the threads (clamped to the group count, so a single-group
+//! layout — every `c ≤ m` configuration — runs on one thread).
 //!
 //! Every driver here is a thin adapter over the unified incremental
 //! execution core ([`crate::engine::EngineCore`]): batch execution is
@@ -35,8 +34,8 @@
 //! batch, resume and serve bit-identical by construction. The group
 //! build/drain machinery lives entirely in [`crate::engine`] and
 //! [`crate::fused`]; what remains *here* is the configuration-derived
-//! group layout ([`Rept::new`] caches it), the per-worker threaded
-//! driver, and the combination arithmetic
+//! group layout ([`Rept::new`] caches it) and the combination
+//! arithmetic
 //! ([`Rept::finalize_groups`] turns any engine's [`GroupAggregate`]s
 //! into a [`ReptEstimate`] via the paper's Graybill–Deal weights).
 //!
@@ -227,8 +226,7 @@ impl Rept {
     }
 
     /// Runs the selected engine over `threads` OS threads, producing
-    /// exactly the same estimate as [`Self::run`]. The per-worker engine
-    /// spreads its processors over the threads; the fused engine spreads
+    /// exactly the same estimate as [`Self::run`]. Either engine spreads
     /// its hash groups round-robin over `min(threads, groups)` threads
     /// (see [`crate::engine`]), so a single-group layout runs on one.
     ///
@@ -236,84 +234,15 @@ impl Rept {
     ///
     /// Panics if `threads == 0`.
     pub fn run_threaded(&self, engine: Engine, stream: &[Edge], threads: usize) -> ReptEstimate {
-        match engine {
-            Engine::PerWorker => self.run_workers_threaded(stream, threads),
-            Engine::FusedHybrid => engine::drive(self, engine, stream, threads),
-        }
+        engine::drive(self, engine, stream, threads)
     }
 
-    /// The per-worker engine with processors spread over `threads` OS
-    /// threads.
-    fn run_workers_threaded(&self, stream: &[Edge], threads: usize) -> ReptEstimate {
-        assert!(threads > 0, "need at least one thread");
-        let groups = self.groups();
-        let mut workers = engine::make_workers(&self.cfg);
-
-        // Partition workers into contiguous chunks, one per thread. Each
-        // chunk processes the whole stream against its own workers only —
-        // REPT processors never communicate during the stream, so this is
-        // exactly the paper's parallelism model.
-        let c = workers.len();
-        let chunk_len = c.div_ceil(threads);
-        // (group, cell-offset) of each worker, for the store decision.
-        let worker_group: Vec<usize> = {
-            let mut wg = vec![0usize; c];
-            for (gi, g) in groups.iter().enumerate() {
-                wg[g.start..g.start + g.size].fill(gi);
-            }
-            wg
-        };
-
-        std::thread::scope(|scope| {
-            let worker_group = &worker_group;
-            let mut handles = Vec::new();
-            for (chunk_idx, chunk) in workers.chunks_mut(chunk_len).enumerate() {
-                let start = chunk_idx * chunk_len;
-                handles.push(scope.spawn(move || {
-                    for &e in stream {
-                        let (u, v) = e.as_u64_pair();
-                        // Hash once per group that appears in this chunk.
-                        // Chunks are contiguous so at most a few groups are
-                        // touched; recomputing per worker would also be
-                        // correct, just slower.
-                        let mut cached: (usize, usize) = (usize::MAX, 0);
-                        for (off, w) in chunk.iter_mut().enumerate() {
-                            let i = start + off;
-                            let gi = worker_group[i];
-                            if cached.0 != gi {
-                                cached = (gi, groups[gi].hasher.cell(u, v) as usize);
-                            }
-                            let closed = w.observe(e);
-                            if i - groups[gi].start == cached.1 {
-                                w.store(e, closed);
-                            }
-                        }
-                    }
-                }));
-            }
-            for h in handles {
-                h.join().expect("REPT worker thread panicked");
-            }
-        });
-        self.finalize(workers)
-    }
-
-    /// Assembles the final estimate from finished per-worker state.
-    pub(crate) fn finalize(&self, workers: Vec<SemiTriangleWorker>) -> ReptEstimate {
-        self.finalize_groups(self.aggregate_workers(&workers))
-    }
-
-    /// Sums each group's per-worker state into a [`GroupAggregate`] —
-    /// the per-worker engine's half of [`Self::finalize`], non-consuming
-    /// so anytime snapshots can reuse it.
-    pub(crate) fn aggregate_workers(&self, workers: &[SemiTriangleWorker]) -> Vec<GroupAggregate> {
-        self.aggregate_workers_for(workers, |_| true)
-    }
-
-    /// [`Self::aggregate_workers`] restricted to the groups `keep`
-    /// selects (by group index) — what a group-sliced per-worker core
-    /// reports: its untouched workers would contribute misleading
-    /// zero aggregates otherwise.
+    /// Sums the per-worker state of the groups `keep` selects (by group
+    /// index) into one [`GroupAggregate`] each — the per-worker engine's
+    /// half of finalization, non-consuming so anytime snapshots can
+    /// reuse it. A group-sliced core keeps only its own groups: its
+    /// untouched workers would contribute misleading zero aggregates
+    /// otherwise.
     pub(crate) fn aggregate_workers_for(
         &self,
         workers: &[SemiTriangleWorker],

@@ -63,7 +63,7 @@ use crate::engine::{CoreState, EngineCore, GroupSlice, Touched};
 use crate::estimate::ReptEstimate;
 use crate::estimator::{Engine, GroupAggregate, GroupSpec, Rept};
 use crate::fused::{FusedEtaCounters, FusedGroups, GroupCounters};
-use crate::reservoir::{ReservoirRun, MIN_MEMORY_BUDGET};
+use crate::reservoir::{edge_budget, ReservoirRun, MIN_MEMORY_BUDGET};
 use crate::worker::SemiTriangleWorker;
 
 /// Magic bytes of the checkpoint format.
@@ -824,10 +824,14 @@ fn read_reservoir_section(
     if memory_budget < MIN_MEMORY_BUDGET {
         return Err(SnapshotError::Invalid("memory budget out of range"));
     }
-    let budget = r.u64()? as usize;
-    if budget < crate::reservoir::MIN_EDGE_BUDGET {
+    // The edge budget is derived state, so a blob that disagrees with
+    // its byte budget is corrupt — refused before anything is sized by
+    // it.
+    let budget = r.u64()?;
+    if budget != edge_budget(memory_budget) as u64 {
         return Err(SnapshotError::Invalid("edge budget out of range"));
     }
+    let budget = budget as usize;
     let rng_state = r.u64()?;
     let tau = f64::from_bits(r.u64()?);
     if !tau.is_finite() || tau < 0.0 {
@@ -2053,6 +2057,17 @@ mod tests {
         assert_eq!(
             ResumableRun::from_checkpoint_bytes(&short).err(),
             Some(SnapshotError::Invalid("reservoir fuller than its clock"))
+        );
+        // An edge budget other than the one the byte budget affords is
+        // refused before anything is sized by it: 2^40 slots would
+        // abort on the allocation.
+        let mut young = ResumableRun::with_reservoir(rcfg, (16 * EDGE_COST_BYTES) as u64);
+        young.process_batch(&stream[..2]);
+        let mut huge = young.checkpoint_bytes();
+        huge[60..68].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        assert_eq!(
+            ResumableRun::from_checkpoint_bytes(&huge).err(),
+            Some(SnapshotError::Invalid("edge budget out of range"))
         );
     }
 

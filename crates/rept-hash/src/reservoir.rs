@@ -30,7 +30,8 @@ pub struct ReservoirSampler<T> {
 
 impl<T> ReservoirSampler<T> {
     /// Creates a reservoir with capacity `budget`, using the given seed for
-    /// all replacement decisions.
+    /// all replacement decisions. Nothing is reserved up front: the
+    /// slots grow as items arrive, never past `budget`.
     ///
     /// # Panics
     ///
@@ -38,7 +39,7 @@ impl<T> ReservoirSampler<T> {
     pub fn new(budget: usize, seed: u64) -> Self {
         assert!(budget > 0, "reservoir budget must be positive");
         Self {
-            items: Vec::with_capacity(budget),
+            items: Vec::new(),
             budget,
             seen: 0,
             rng: SplitMix64::new(seed),
@@ -51,7 +52,13 @@ impl<T> ReservoirSampler<T> {
         T: Copy,
     {
         self.seen += 1;
-        if self.items.len() < self.budget {
+        let len = self.items.len();
+        if len < self.budget {
+            if len == self.items.capacity() {
+                // Double, but never past the budget: the slots then
+                // hold no more than the `budget` they are charged for.
+                self.items.reserve_exact(len.clamp(1, self.budget - len));
+            }
             self.items.push(item);
             return ReservoirDecision::Inserted;
         }
@@ -93,10 +100,8 @@ impl<T> ReservoirSampler<T> {
         assert!(budget > 0, "reservoir budget must be positive");
         assert!(items.len() <= budget, "more items than budget");
         assert!(seen >= items.len() as u64, "clock behind the sample");
-        let mut store = Vec::with_capacity(budget);
-        store.extend(items);
         Self {
-            items: store,
+            items,
             budget,
             seen,
             rng: SplitMix64::from_state(rng_state),
@@ -187,6 +192,24 @@ mod tests {
             }
         }
         assert_eq!(r.items(), &[current]);
+    }
+
+    #[test]
+    fn budget_reserves_nothing_up_front() {
+        // A budget far beyond memory must cost nothing until items
+        // arrive, and the slots never outgrow it.
+        let mut huge = ReservoirSampler::new(1 << 40, 4);
+        for i in 0..3u32 {
+            assert!(matches!(huge.offer(i), ReservoirDecision::Inserted));
+        }
+        assert!(huge.items.capacity() < 1 << 10);
+        let mut small = ReservoirSampler::new(5, 4);
+        for i in 0..100u32 {
+            small.offer(i);
+        }
+        assert!(small.items.capacity() <= 5, "{}", small.items.capacity());
+        let restored = ReservoirSampler::from_parts(1 << 40, vec![1u32, 2], 2, 9);
+        assert_eq!(restored.items(), &[1, 2]);
     }
 
     #[test]

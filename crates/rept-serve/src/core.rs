@@ -40,9 +40,9 @@
 //! replay, and a torn final record is dropped, not fatal. Rejected
 //! ingest lines land in a dead-letter file ([`crate::dlq`]).
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -53,7 +53,7 @@ use rept_core::{Engine, GroupAggregate, GroupSlice, Rept, ReptConfig, ReptEstima
 use rept_graph::edge::Edge;
 
 use crate::dlq::DeadLetterQueue;
-use crate::journal::{Journal, SyncPolicy};
+use crate::journal::{numbered_siblings, sibling, Journal, SyncPolicy};
 use crate::metrics::ServeMetrics;
 use crate::snapshot::{DurabilityStats, Published, Snapshot};
 
@@ -440,7 +440,7 @@ enum Control {
     /// a delta when the base position given matches the last exchange.
     /// `Err` for reservoir runs, which have no group structure.
     Aggregate(Option<u64>, SyncSender<Result<Aggregates, String>>),
-    /// Drain and exit the ingest loop.
+    /// Drain, checkpoint and stop the ingest thread.
     Shutdown,
 }
 
@@ -560,70 +560,21 @@ impl ServeCore {
             ));
         }
 
-        // The first drain starts the engine's touched-node tracking (the
-        // journal replay above ran without it); everything before is in
-        // this estimate already.
-        let estimate = run.estimate();
-        run.take_touched();
-        let mut initial = Snapshot::from_estimate(
-            &estimate,
-            &cfg.rept,
-            cfg.engine,
-            run.position(),
-            0,
-            0,
-            cfg.top_k,
-        );
-        initial.durability = durability_stats(journal.as_ref(), cfg.journal, replayed);
-        if run.memory_budget().is_some() {
-            // Reservoir estimates are TRIÈST-unbiased, not REPT
-            // partition estimates: the plug-in variance formula does
-            // not apply, so no interval is advertised.
-            initial.confidence95 = None;
-        }
-        let published = Arc::new(Published::new(initial));
-        let (tx, rx) = sync_channel::<Control>(cfg.channel_capacity.max(1));
-
-        let gauges = Arc::new(Gauges::default());
-        gauges
-            .stored_bytes
-            .store(run.stored_bytes() as u64, Ordering::Relaxed);
-        gauges.journal_bytes.store(
-            journal.as_ref().map_or(0, Journal::bytes),
-            Ordering::Relaxed,
-        );
-        gauges.journal_segments.store(
-            journal.as_ref().map_or(0, Journal::segments),
-            Ordering::Relaxed,
-        );
         let metrics = Arc::new(ServeMetrics::new(TRACE_CAPACITY, cfg.slow_op_threshold));
         if cfg.metrics {
             if let Some(j) = journal.as_mut() {
                 j.instrument(Arc::clone(&metrics));
             }
         }
-        let ckpt_disabled = Arc::new(AtomicBool::new(false));
+        let mut ingest = Ingest::new(run, journal, replayed, cfg.clone(), Arc::clone(&metrics));
+        let published = Arc::new(Published::new(ingest.snapshot()));
+        let ckpt_disabled = Arc::clone(&ingest.ckpt_disabled);
+        let gauges = Arc::clone(&ingest.gauges);
+        let (tx, rx) = sync_channel::<Control>(cfg.channel_capacity.max(1));
         let thread_published = Arc::clone(&published);
-        let thread_cfg = cfg.clone();
-        let thread_disabled = Arc::clone(&ckpt_disabled);
-        let thread_gauges = Arc::clone(&gauges);
-        let thread_metrics = Arc::clone(&metrics);
         let ingest = std::thread::Builder::new()
             .name("rept-serve-ingest".into())
-            .spawn(move || {
-                ingest_loop(
-                    run,
-                    Combined::new(estimate),
-                    journal,
-                    replayed,
-                    rx,
-                    thread_published,
-                    thread_cfg,
-                    thread_disabled,
-                    thread_gauges,
-                    thread_metrics,
-                )
-            })
+            .spawn(move || ingest.serve(&rx, &thread_published))
             .expect("spawn ingest thread");
 
         Ok(Self {
@@ -676,22 +627,7 @@ impl ServeCore {
     /// [`IngestError::Rejected`] when the journal write failed; either
     /// way the batch was not applied. Never [`IngestError::Busy`].
     pub fn ingest(&self, edges: Vec<Edge>) -> Result<(), IngestError> {
-        if edges.is_empty() {
-            return Ok(());
-        }
-        if !self.needs_ack() {
-            self.tx
-                .send(Control::Ingest(edges, None, Instant::now()))
-                .expect("ingest thread alive");
-            self.gauges.queue_depth.fetch_add(1, Ordering::Relaxed);
-            return Ok(());
-        }
-        let (ack_tx, ack_rx) = sync_channel(1);
-        self.tx
-            .send(Control::Ingest(edges, Some(ack_tx), Instant::now()))
-            .expect("ingest thread alive");
-        self.gauges.queue_depth.fetch_add(1, Ordering::Relaxed);
-        ack_rx.recv().expect("ingest thread acks")
+        self.enqueue(edges, None)
     }
 
     /// Like [`Self::ingest`], but a full channel returns
@@ -704,7 +640,7 @@ impl ServeCore {
     /// [`IngestError::Busy`] (queue full), plus everything
     /// [`Self::ingest`] can return.
     pub fn try_ingest(&self, edges: Vec<Edge>) -> Result<(), IngestError> {
-        self.try_ingest_within(edges, Duration::ZERO)
+        self.enqueue(edges, Some(Duration::ZERO))
     }
 
     /// Like [`Self::try_ingest`], but a full channel is retried every
@@ -721,6 +657,14 @@ impl ServeCore {
     /// [`IngestError::Busy`] (queue still full after `hold`), plus
     /// everything [`Self::ingest`] can return.
     pub fn try_ingest_within(&self, edges: Vec<Edge>, hold: Duration) -> Result<(), IngestError> {
+        self.enqueue(edges, Some(hold))
+    }
+
+    /// The one enqueue behind [`Self::ingest`] (`hold` of `None`: wait
+    /// for a slot), [`Self::try_ingest`] and [`Self::try_ingest_within`]:
+    /// queues the batch, then waits for its verdict when the ingest
+    /// thread owes one.
+    fn enqueue(&self, edges: Vec<Edge>, hold: Option<Duration>) -> Result<(), IngestError> {
         if edges.is_empty() {
             return Ok(());
         }
@@ -733,6 +677,10 @@ impl ServeCore {
         let mut msg = Control::Ingest(edges, ack, Instant::now());
         let mut held: Option<Instant> = None;
         let sent = loop {
+            let Some(hold) = hold else {
+                self.tx.send(msg).expect("ingest thread alive");
+                break true;
+            };
             msg = match self.tx.try_send(msg) {
                 Ok(()) => break true,
                 Err(TrySendError::Full(msg)) => msg,
@@ -941,226 +889,382 @@ impl Drop for ServeCore {
     }
 }
 
-/// The rotated sibling of a checkpoint path at a given stream position:
-/// `<stem>.<position zero-padded>.rpck`, in the same directory. The
-/// zero padding makes lexicographic name order equal numeric position
-/// order, which is what [`prune_rotated`] sorts by.
-fn rotated_checkpoint_path(path: &Path, position: u64) -> PathBuf {
-    let stem = path
-        .file_stem()
-        .map(|s| s.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "checkpoint".to_string());
-    path.with_file_name(format!("{stem}.{position:020}.rpck"))
+/// A barrier's reply, sent once the snapshot it promises is published.
+enum Answer {
+    Flush(SyncSender<u64>),
+    Checkpoint(SyncSender<Result<u64, String>>, Result<u64, String>),
+    Shutdown,
 }
 
-/// Removes the oldest rotated checkpoints of `path` until at most
-/// `keep_rotated` remain. Best-effort: filesystem errors leave extra
-/// files behind rather than disturbing ingest.
-fn prune_rotated(path: &Path, keep_rotated: usize) {
-    let (Some(dir), Some(stem)) = (path.parent(), path.file_stem()) else {
-        return;
-    };
-    let prefix = format!("{}.", stem.to_string_lossy());
-    let Ok(entries) = std::fs::read_dir(if dir.as_os_str().is_empty() {
-        Path::new(".")
-    } else {
-        dir
-    }) else {
-        return;
-    };
-    let mut rotated: Vec<PathBuf> = entries
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| {
-            let Some(name) = p.file_name().and_then(|n| n.to_str()) else {
-                return false;
-            };
-            name.strip_prefix(&prefix)
-                .and_then(|rest| rest.strip_suffix(".rpck"))
-                .is_some_and(|mid| !mid.is_empty() && mid.bytes().all(|b| b.is_ascii_digit()))
-        })
-        .collect();
-    if rotated.len() <= keep_rotated {
-        return;
-    }
-    rotated.sort();
-    let excess = rotated.len() - keep_rotated;
-    for old in &rotated[..excess] {
-        let _ = std::fs::remove_file(old);
-    }
-}
-
-/// Assembles the durability block published with every snapshot.
-fn durability_stats(journal: Option<&Journal>, enabled: bool, replayed: u64) -> DurabilityStats {
-    DurabilityStats {
-        enabled,
-        journal_bytes: journal.map_or(0, |j| j.bytes()),
-        journal_segments: journal.map_or(0, |j| j.segments()),
-        replayed,
-    }
-}
-
-/// The ingest thread's combined view of its run: the estimate of the
-/// last publication, brought up to date by recombining only the nodes
-/// the engine touched since, and the nodes touched since the last
-/// answered `AGGREGATE` — the engine's touched set feeds both.
-struct Combined {
+/// The ingest thread: the one owner of the run and its journal, and the
+/// only copy of every step a batch goes through after
+/// [`ServeCore::enqueue`] — commit, publish, checkpoint, refuse and the
+/// gauge refresh.
+struct Ingest {
+    run: ResumableRun,
+    /// The estimate of the last publication, brought up to date by
+    /// recombining only the nodes the engine touched since.
     estimate: ReptEstimate,
+    /// The nodes touched since the last publication.
     unpublished: Touched,
     /// The position of the last answered exchange, and the nodes
     /// touched since; `None` until one is answered.
     exchanged: Option<(u64, Touched)>,
+    journal: Option<Journal>,
+    /// Edges replayed from the journal at startup.
+    replayed: u64,
+    cfg: ServeConfig,
+    seq: u64,
+    checkpoints: u64,
+    since_snapshot: u64,
+    since_checkpoint: u64,
+    /// `(position, checkpoints)` of the last assembled snapshot.
+    last_published: (u64, u64),
+    /// Position of the checkpoint currently at `checkpoint_path`, for
+    /// rotation.
+    last_checkpoint: Option<u64>,
+    /// See [`ServeCore::disable_checkpoints`].
+    ckpt_disabled: Arc<AtomicBool>,
+    gauges: Arc<Gauges>,
+    metrics: Arc<ServeMetrics>,
 }
 
-impl Combined {
-    fn new(estimate: ReptEstimate) -> Self {
-        Self {
+impl Ingest {
+    fn new(
+        mut run: ResumableRun,
+        journal: Option<Journal>,
+        replayed: u64,
+        cfg: ServeConfig,
+        metrics: Arc<ServeMetrics>,
+    ) -> Self {
+        // A checkpoint file found at startup holds the resumed position.
+        let last_checkpoint = cfg
+            .checkpoint_path
+            .as_ref()
+            .filter(|p| p.exists())
+            .map(|_| run.position());
+        // The first drain starts the engine's touched-node tracking (the
+        // journal replay ran without it); everything before is in this
+        // estimate already.
+        let estimate = run.estimate();
+        run.take_touched();
+        let ingest = Self {
+            run,
             estimate,
             unpublished: Touched::none(),
             exchanged: None,
+            journal,
+            replayed,
+            cfg,
+            seq: 0,
+            checkpoints: 0,
+            since_snapshot: 0,
+            since_checkpoint: 0,
+            last_published: (0, 0),
+            last_checkpoint,
+            ckpt_disabled: Arc::new(AtomicBool::new(false)),
+            gauges: Arc::new(Gauges::default()),
+            metrics,
+        };
+        ingest.refresh_gauges();
+        ingest
+    }
+
+    /// The thread body: handles control messages in arrival order until
+    /// shutdown, then hands the run back.
+    fn serve(mut self, rx: &Receiver<Control>, published: &Published<Snapshot>) -> ResumableRun {
+        // A non-ingest message drained while assembling a group commit
+        // is parked here and handled on the next iteration.
+        let mut pending = None;
+        loop {
+            let msg = match pending.take() {
+                Some(msg) => msg,
+                None => rx.recv().unwrap_or(Control::Shutdown),
+            };
+            let answer = match msg {
+                Control::Ingest(batch, ack, queued_at) => {
+                    pending = self.commit((batch, ack, queued_at), rx);
+                    None
+                }
+                Control::Aggregate(since, reply) => {
+                    let _ = reply.send(self.exchange(since));
+                    continue;
+                }
+                // Flush doubles as a durability barrier under the
+                // batched sync policy.
+                Control::Flush(reply) => {
+                    let _ = self.sync();
+                    Some(Answer::Flush(reply))
+                }
+                Control::Checkpoint(reply) => {
+                    let result = self.checkpoint();
+                    Some(Answer::Checkpoint(reply, result))
+                }
+                // A final checkpoint so a restart resumes from the exact
+                // shutdown position. It normally retires the whole
+                // journal; when it fails (or checkpointing is disabled),
+                // the sync leaves the tail durable.
+                Control::Shutdown => {
+                    let _ = self.checkpoint();
+                    let _ = self.sync();
+                    Some(Answer::Shutdown)
+                }
+            };
+            if answer.is_some() || self.since_snapshot >= self.cfg.snapshot_every {
+                self.publish(published);
+            }
+            // Periodic checkpoints are best-effort; an unwritable path
+            // surfaces on the explicit `Checkpoint` request instead of
+            // killing ingest.
+            if answer.is_none()
+                && self
+                    .cfg
+                    .checkpoint_every
+                    .is_some_and(|every| self.since_checkpoint >= every)
+            {
+                let _ = self.checkpoint();
+            }
+            self.refresh_gauges();
+            match answer {
+                Some(Answer::Flush(reply)) => drop(reply.send(self.run.position())),
+                Some(Answer::Checkpoint(reply, result)) => drop(reply.send(result)),
+                Some(Answer::Shutdown) => return self.run,
+                None => {}
+            }
         }
     }
 
-    /// Hands the engine's touched nodes to both consumers.
-    fn collect(&mut self, run: &mut ResumableRun) {
-        let fresh = run.take_touched();
+    /// Commits one group: the batch just received plus, under a
+    /// [`SyncPolicy::PerRecord`] journal, the ingest messages already
+    /// queued behind it. Every admitted member is journaled with its
+    /// fsync deferred, and one barrier then covers the whole group — a
+    /// group of one included — so N concurrent producers share a single
+    /// fsync. Only then is each member acked and applied, in arrival
+    /// order. Returns a control message met while draining.
+    fn commit(
+        &mut self,
+        first: (Vec<Edge>, IngestAck, Instant),
+        rx: &Receiver<Control>,
+    ) -> Option<Control> {
+        let per_record = self.journal.is_some() && self.cfg.journal_sync == SyncPolicy::PerRecord;
+        let mut group = vec![first];
+        let mut pending = None;
+        while per_record && group.len() < self.cfg.channel_capacity.max(1) {
+            match rx.try_recv() {
+                Ok(Control::Ingest(batch, ack, queued_at)) => group.push((batch, ack, queued_at)),
+                Ok(other) => {
+                    pending = Some(other);
+                    break;
+                }
+                Err(_) => break,
+            }
+        }
+        self.metrics.last_group_commit.set(group.len() as u64);
+        self.metrics.group_commit_batches.record(group.len() as u64);
+        // Admit and journal each member; `next` runs ahead of the run's
+        // position by the members journaled so far.
+        let mut next = self.run.position();
+        let mut members = Vec::with_capacity(group.len());
+        for (batch, ack, queued_at) in group {
+            self.gauges.queue_depth.fetch_sub(1, Ordering::Relaxed);
+            if self.cfg.metrics {
+                self.metrics
+                    .queue_wait_micros
+                    .record_duration(queued_at.elapsed());
+            }
+            let verdict = self.admit().and_then(|()| match &mut self.journal {
+                Some(j) => j
+                    .append_deferred(next, &batch)
+                    .map_err(|e| IngestError::Rejected(format!("journal append failed: {e}"))),
+                None => Ok(()),
+            });
+            if verdict.is_ok() {
+                next += batch.len() as u64;
+            }
+            members.push((batch, ack, verdict));
+        }
+        // Nothing is promised before the barrier, so a failed one
+        // refuses every member and applies none.
+        if per_record {
+            if let Err(e) = self.sync() {
+                let msg = format!("journal sync failed: {e}");
+                for (_, _, verdict) in &mut members {
+                    if verdict.is_ok() {
+                        *verdict = Err(IngestError::Rejected(msg.clone()));
+                    }
+                }
+            }
+        }
+        for (batch, ack, verdict) in members {
+            if let Err(e) = verdict {
+                self.refuse(ack, e);
+                continue;
+            }
+            if let Some(ack) = &ack {
+                let _ = ack.send(Ok(()));
+            }
+            let n = batch.len() as u64;
+            let started = self.cfg.metrics.then(Instant::now);
+            self.run.process_batch(&batch);
+            self.metrics.ingest_batches.inc();
+            self.metrics.ingest_edges.add(n);
+            if let Some(started) = started {
+                let took = started.elapsed();
+                self.metrics.apply_micros.record_duration(took);
+                self.metrics
+                    .trace
+                    .record("apply", took, || format!("edges={n}"));
+            }
+            self.since_snapshot += n;
+            self.since_checkpoint += n;
+        }
+        pending
+    }
+
+    /// Quota admission: whether a batch may enter the run. Reservoir
+    /// runs never refuse (the reservoir sheds internally and keeps
+    /// `stored_bytes ≤ budget` by construction), so this only fires for
+    /// `Reject`/`Degrade` tenants backed by a full engine. The check is
+    /// a high-water mark — stored bytes are compared *before*
+    /// admission, so the overshoot is bounded by one batch.
+    fn admit(&self) -> Result<(), IngestError> {
+        let Some(budget) = self.cfg.memory_budget else {
+            return Ok(());
+        };
+        if self.run.memory_budget().is_some() {
+            return Ok(());
+        }
+        let degrade = self.cfg.quota == QuotaPolicy::Degrade;
+        if degrade && self.gauges.degraded.load(Ordering::Relaxed) {
+            return Err(IngestError::Quota(format!(
+                "tenant degraded: memory budget {budget} B was reached; writes are frozen"
+            )));
+        }
+        let stored = self.run.stored_bytes() as u64;
+        if stored < budget || self.cfg.quota == QuotaPolicy::Shed {
+            return Ok(());
+        }
+        let outcome = if degrade {
+            self.gauges.degraded.store(true, Ordering::Relaxed);
+            "tenant degraded to read-only"
+        } else {
+            "batch rejected"
+        };
+        Err(IngestError::Quota(format!(
+            "memory budget reached: stored {stored} B >= budget {budget} B; {outcome}"
+        )))
+    }
+
+    /// Refuses one batch: counts it and carries the error back to its
+    /// producer.
+    fn refuse(&self, ack: IngestAck, error: IngestError) {
+        match error {
+            IngestError::Quota(_) => self.metrics.quota_rejections.inc(),
+            _ => self.metrics.rejected_batches.inc(),
+        }
+        match ack {
+            Some(ack) => drop(ack.send(Err(error))),
+            None => eprintln!("rept-serve: {error}; batch refused"),
+        }
+    }
+
+    /// Fsyncs what the journal buffered (nothing to do without one).
+    fn sync(&mut self) -> std::io::Result<()> {
+        self.journal.as_mut().map_or(Ok(()), Journal::sync)
+    }
+
+    /// Hands the engine's touched nodes to both consumers: the next
+    /// publication and the next delta exchange.
+    fn collect_touched(&mut self) {
+        let fresh = self.run.take_touched();
         if let Some((_, touched)) = &mut self.exchanged {
             touched.extend(&fresh);
         }
         self.unpublished.extend(&fresh);
     }
 
-    /// The estimate at the run's position: what `run.estimate()`
-    /// returns, recombining only the nodes touched since the last call.
-    fn refresh(&mut self, run: &mut ResumableRun) -> &ReptEstimate {
-        self.collect(run);
-        run.refresh_estimate(&mut self.estimate, &self.unpublished.take());
-        &self.estimate
-    }
-
-    /// Answers an aggregate exchange asked relative to `since` — a delta
-    /// when that is this run's last exchange — and makes it the base of
-    /// the next.
-    fn exchange(
-        &mut self,
-        run: &mut ResumableRun,
-        since: Option<u64>,
-    ) -> Result<Aggregates, String> {
-        self.collect(run);
-        let base = match self.exchanged.take() {
-            Some((at, touched @ Touched::Nodes(_))) if since == Some(at) => Some((at, touched)),
-            _ => None,
-        };
-        let touched = base.as_ref().map_or(&Touched::All, |(_, t)| t);
-        let groups = run
-            .counters_for(touched)
-            .ok_or("reservoir runs have no group aggregates")?;
-        self.exchanged = Some((run.position(), Touched::none()));
-        Ok(Aggregates {
-            position: run.position(),
-            since: base.map(|(at, _)| at),
-            groups,
-        })
-    }
-}
-
-/// The ingest thread body.
-#[allow(clippy::too_many_arguments)]
-fn ingest_loop(
-    mut run: ResumableRun,
-    mut combined: Combined,
-    mut journal: Option<Journal>,
-    replayed: u64,
-    rx: std::sync::mpsc::Receiver<Control>,
-    published: Arc<Published<Snapshot>>,
-    cfg: ServeConfig,
-    ckpt_disabled: Arc<AtomicBool>,
-    gauges: Arc<Gauges>,
-    metrics: Arc<ServeMetrics>,
-) -> ResumableRun {
-    // Gates clock reads and histogram/trace recording (counters and the
-    // health gauges stay live regardless — see `ServeConfig::metrics`).
-    let timed = cfg.metrics;
-    let mut seq = 0u64;
-    let mut checkpoints = 0u64;
-    let mut since_snapshot = 0u64;
-    let mut since_checkpoint = 0u64;
-    // `start` already published the initial snapshot for this state.
-    let mut last_published: Option<(u64, u64)> = Some((run.position(), checkpoints));
-    // Position of the checkpoint currently at `checkpoint_path`, for
-    // rotation. A file found at startup holds the resumed position.
-    let mut last_ckpt_pos: Option<u64> = cfg
-        .checkpoint_path
-        .as_ref()
-        .filter(|p| p.exists())
-        .map(|_| run.position());
-
-    let publish = |run: &mut ResumableRun,
-                   combined: &mut Combined,
-                   seq: &mut u64,
-                   last: &mut Option<(u64, u64)>,
-                   checkpoints: u64,
-                   durability: DurabilityStats| {
-        // Snapshot assembly copies every local; when nothing changed
-        // since the last publication, the published `Arc` body is
-        // already exact — keep it (seq-guarded reuse). Durability state
-        // only moves with the position (appends) or the checkpoint count
-        // (truncation), so the guard covers it.
-        if *last == Some((run.position(), checkpoints)) {
-            return;
-        }
-        let started = timed.then(Instant::now);
-        *seq += 1;
+    /// Assembles the snapshot of the run as it stands, at sequence
+    /// number `seq` (0 for the one [`ServeCore::start`] publishes). The
+    /// estimate recombines only the nodes touched since the last one.
+    fn snapshot(&mut self) -> Snapshot {
+        self.collect_touched();
+        self.run
+            .refresh_estimate(&mut self.estimate, &self.unpublished.take());
+        let position = self.run.position();
         let mut snap = Snapshot::from_estimate(
-            combined.refresh(run),
-            &cfg.rept,
-            cfg.engine,
-            run.position(),
-            *seq,
-            checkpoints,
-            cfg.top_k,
+            &self.estimate,
+            &self.cfg.rept,
+            self.cfg.engine,
+            position,
+            self.seq,
+            self.checkpoints,
+            self.cfg.top_k,
         );
-        snap.durability = durability;
-        if run.memory_budget().is_some() {
+        snap.durability = DurabilityStats {
+            enabled: self.cfg.journal,
+            journal_bytes: self.journal.as_ref().map_or(0, Journal::bytes),
+            journal_segments: self.journal.as_ref().map_or(0, Journal::segments),
+            replayed: self.replayed,
+        };
+        if self.run.memory_budget().is_some() {
             // Reservoir estimates are TRIÈST-IMPR global counts, not
             // REPT partition estimates — the closed-form REPT interval
             // does not apply to them.
             snap.confidence95 = None;
         }
-        published.store(snap);
-        *last = Some((run.position(), checkpoints));
-        metrics.snapshots_published.inc();
+        self.last_published = (position, self.checkpoints);
+        snap
+    }
+
+    /// Publishes a fresh snapshot. Assembly copies every local, so when
+    /// nothing changed since the last publication the published body is
+    /// already exact and is kept (seq-guarded reuse). Durability state
+    /// only moves with the position (appends) or the checkpoint count
+    /// (truncation), so the guard covers it.
+    fn publish(&mut self, published: &Published<Snapshot>) {
+        self.since_snapshot = 0;
+        if self.last_published == (self.run.position(), self.checkpoints) {
+            return;
+        }
+        let started = self.cfg.metrics.then(Instant::now);
+        self.seq += 1;
+        published.store(self.snapshot());
+        self.metrics.snapshots_published.inc();
         if let Some(started) = started {
             let took = started.elapsed();
-            metrics.publish_micros.record_duration(took);
-            metrics
+            let position = self.run.position();
+            self.metrics.publish_micros.record_duration(took);
+            self.metrics
                 .trace
-                .record("publish", took, || format!("position={}", run.position()));
+                .record("publish", took, || format!("position={position}"));
         }
-    };
-    let write_checkpoint = |run: &ResumableRun,
-                            last_pos: &mut Option<u64>,
-                            journal: &mut Option<Journal>|
-     -> Result<u64, String> {
-        if ckpt_disabled.load(std::sync::atomic::Ordering::SeqCst) {
+    }
+
+    /// Writes a checkpoint of the run, rotating and pruning the older
+    /// ones, and retires the journal prefix it covers.
+    fn checkpoint(&mut self) -> Result<u64, String> {
+        self.since_checkpoint = 0;
+        if self.ckpt_disabled.load(Ordering::SeqCst) {
             return Err("checkpointing disabled (tenant dropped)".to_string());
         }
-        let path = cfg
+        let path = self
+            .cfg
             .checkpoint_path
             .as_ref()
             .ok_or_else(|| "no checkpoint path configured".to_string())?;
+        let position = self.run.position();
         // Rotation: preserve the previous checkpoint under a
-        // position-stamped name via a hard link (copy fallback) —
-        // never by moving it away, so a failed write below still
-        // leaves the primary checkpoint intact for the next restart.
-        // The write-then-rename replaces the primary's directory
-        // entry; the rotated name keeps pointing at the old inode.
-        // Same-position rewrites produce the identical blob, so
-        // rotating them would only duplicate the file.
-        if cfg.checkpoint_keep > 1 {
-            if let Some(prev) = *last_pos {
-                if prev != run.position() && path.exists() {
-                    let rotated = rotated_checkpoint_path(path, prev);
+        // position-stamped name via a hard link (copy fallback) — never
+        // by moving it away, so a failed write below still leaves the
+        // primary checkpoint intact for the next restart. The
+        // write-then-rename replaces the primary's directory entry; the
+        // rotated name keeps pointing at the old inode. Same-position
+        // rewrites produce the identical blob, so rotating them would
+        // only duplicate the file.
+        if self.cfg.checkpoint_keep > 1 {
+            if let Some(prev) = self.last_checkpoint {
+                if prev != position && path.exists() {
+                    let rotated = sibling(path, &format!("{prev:020}.rpck"));
                     let _ = std::fs::remove_file(&rotated);
                     if std::fs::hard_link(path, &rotated).is_err() {
                         let _ = std::fs::copy(path, &rotated);
@@ -1168,293 +1272,83 @@ fn ingest_loop(
                 }
             }
         }
-        let started = timed.then(Instant::now);
-        run.checkpoint_to_file(path)
+        let started = self.cfg.metrics.then(Instant::now);
+        self.run
+            .checkpoint_to_file(path)
             .map_err(|e| format!("checkpoint write failed: {e}"))?;
         let bytes = std::fs::metadata(path).map_or(0, |m| m.len());
-        metrics.checkpoints_written.inc();
-        metrics.checkpoint_bytes.add(bytes);
+        self.metrics.checkpoints_written.inc();
+        self.metrics.checkpoint_bytes.add(bytes);
         if let Some(started) = started {
             let took = started.elapsed();
-            metrics.checkpoint_micros.record_duration(took);
-            metrics.trace.record("checkpoint", took, || {
-                format!("position={} bytes={bytes}", run.position())
+            self.metrics.checkpoint_micros.record_duration(took);
+            self.metrics.trace.record("checkpoint", took, || {
+                format!("position={position} bytes={bytes}")
             });
         }
-        *last_pos = Some(run.position());
-        // Unconditional: lowering `checkpoint_keep` on a redeploy
-        // must also clean up rotated files a higher setting left.
-        // Saturating: the field is pub, so a struct-literal config
-        // can bypass the builder's ≥ 1 clamp with `keep = 0`.
-        prune_rotated(path, cfg.checkpoint_keep.saturating_sub(1));
+        self.last_checkpoint = Some(position);
+        self.checkpoints += 1;
+        // Unconditional: lowering `checkpoint_keep` on a redeploy must
+        // also clean up rotated files a higher setting left.
+        // Saturating: the field is pub, so a struct-literal config can
+        // bypass the builder's ≥ 1 clamp with `keep = 0`. Best-effort:
+        // filesystem errors leave extra files behind rather than
+        // disturbing ingest. Zero padding makes position order name
+        // order, so the oldest go first.
+        let rotated = numbered_siblings(path, "", ".rpck").unwrap_or_default();
+        let excess = rotated
+            .len()
+            .saturating_sub(self.cfg.checkpoint_keep.saturating_sub(1));
+        for (_, old) in &rotated[..excess] {
+            let _ = std::fs::remove_file(old);
+        }
         // The durable checkpoint covers every applied edge: retire the
         // journal prefix it made redundant. (A kill right here leaves
         // stale segments; recovery skips records below the restored
         // position, so the window is harmless.)
-        if let Some(j) = journal.as_mut() {
-            j.truncate_to(run.position());
+        if let Some(j) = self.journal.as_mut() {
+            j.truncate_to(position);
         }
-        Ok(run.position())
-    };
+        Ok(position)
+    }
 
-    // Quota admission: decides whether a batch may enter the run.
-    // Reservoir runs never refuse (the reservoir sheds internally and
-    // keeps `stored_bytes ≤ budget` by construction), so this only
-    // fires for `Reject`/`Degrade` tenants backed by a full engine.
-    // The check is a high-water mark — stored bytes are compared
-    // *before* admission, so the overshoot is bounded by one batch.
-    let admit = |run: &ResumableRun| -> Result<(), String> {
-        let Some(budget) = cfg.memory_budget else {
-            return Ok(());
+    /// Answers an aggregate exchange asked relative to `since` — a delta
+    /// when that is this run's last exchange — and makes it the base of
+    /// the next.
+    fn exchange(&mut self, since: Option<u64>) -> Result<Aggregates, String> {
+        self.collect_touched();
+        let base = match self.exchanged.take() {
+            Some((at, touched @ Touched::Nodes(_))) if since == Some(at) => Some((at, touched)),
+            _ => None,
         };
-        if run.memory_budget().is_some() {
-            return Ok(());
-        }
-        if cfg.quota == QuotaPolicy::Degrade && gauges.degraded.load(Ordering::Relaxed) {
-            return Err(format!(
-                "tenant degraded: memory budget {budget} B was reached; writes are frozen"
-            ));
-        }
-        let stored = run.stored_bytes() as u64;
-        if stored < budget {
-            return Ok(());
-        }
-        match cfg.quota {
-            QuotaPolicy::Shed => Ok(()),
-            QuotaPolicy::Reject => Err(format!(
-                "memory budget reached: stored {stored} B >= budget {budget} B; batch rejected"
-            )),
-            QuotaPolicy::Degrade => {
-                gauges.degraded.store(true, Ordering::Relaxed);
-                Err(format!(
-                    "memory budget reached: stored {stored} B >= budget {budget} B; \
-                     tenant degraded to read-only"
-                ))
-            }
-        }
-    };
+        let touched = base.as_ref().map_or(&Touched::All, |(_, t)| t);
+        let groups = self
+            .run
+            .counters_for(touched)
+            .ok_or("reservoir runs have no group aggregates")?;
+        self.exchanged = Some((self.run.position(), Touched::none()));
+        Ok(Aggregates {
+            position: self.run.position(),
+            since: base.map(|(at, _)| at),
+            groups,
+        })
+    }
 
-    // A non-Ingest message drained while assembling a group commit is
-    // parked here and handled on the next iteration.
-    let mut pending: Option<Control> = None;
-    loop {
-        let msg = match pending.take() {
-            Some(msg) => msg,
-            None => match rx.recv() {
-                Ok(msg) => msg,
-                Err(_) => break,
-            },
-        };
-        match msg {
-            Control::Ingest(batch, ack, queued_at) => {
-                // Group commit: while this batch's fsync would be in
-                // flight, later batches may already be queued — fold
-                // them into one durability barrier so N concurrent
-                // producers share a single fsync instead of paying one
-                // each. Only worth it when appends fsync individually.
-                let mut group = vec![(batch, ack, queued_at)];
-                if journal.is_some() && cfg.journal_sync == SyncPolicy::PerRecord {
-                    while group.len() < cfg.channel_capacity.max(1) {
-                        match rx.try_recv() {
-                            Ok(Control::Ingest(b, a, q)) => group.push((b, a, q)),
-                            Ok(other) => {
-                                pending = Some(other);
-                                break;
-                            }
-                            Err(_) => break,
-                        }
-                    }
-                }
-                let grouped = group.len() > 1;
-                metrics.last_group_commit.set(group.len() as u64);
-                metrics.group_commit_batches.record(group.len() as u64);
-                // Phase 1 — admit and journal each member (deferring
-                // the fsync when grouped). `next_pos` tracks the
-                // journal position ahead of the deferred applies.
-                let mut accepted: Vec<(Vec<Edge>, IngestAck)> = Vec::new();
-                let mut next_pos = run.position();
-                for (batch, ack, queued_at) in group {
-                    gauges.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                    if timed {
-                        metrics
-                            .queue_wait_micros
-                            .record_duration(queued_at.elapsed());
-                    }
-                    if let Err(reason) = admit(&run) {
-                        metrics.quota_rejections.inc();
-                        match &ack {
-                            Some(ack) => drop(ack.send(Err(IngestError::Quota(reason)))),
-                            None => eprintln!("rept-serve: QUOTA {reason}; batch dropped"),
-                        }
-                        continue;
-                    }
-                    if let Some(j) = journal.as_mut() {
-                        // Journal-before-apply: under `PerRecord` the
-                        // (non-deferred) append fsyncs, so the ack
-                        // below promises durability.
-                        let res = if grouped {
-                            j.append_deferred(next_pos, &batch)
-                        } else {
-                            j.append(next_pos, &batch)
-                        };
-                        if let Err(e) = res {
-                            metrics.rejected_batches.inc();
-                            let msg = format!("journal append failed: {e}");
-                            match &ack {
-                                Some(ack) => drop(ack.send(Err(IngestError::Rejected(msg)))),
-                                None => eprintln!("rept-serve: {msg}; batch refused"),
-                            }
-                            continue;
-                        }
-                    }
-                    next_pos += batch.len() as u64;
-                    accepted.push((batch, ack));
-                }
-                // Phase 2 — one barrier fsync covers the whole group.
-                // On failure nothing was promised yet: refuse every
-                // member and apply none, keeping the acked set equal
-                // to the durable set.
-                if grouped {
-                    if let Some(j) = journal.as_mut() {
-                        if let Err(e) = j.sync() {
-                            metrics.rejected_batches.add(accepted.len() as u64);
-                            let msg = format!("journal sync failed: {e}");
-                            for (_, ack) in &accepted {
-                                match ack {
-                                    Some(ack) => {
-                                        drop(ack.send(Err(IngestError::Rejected(msg.clone()))));
-                                    }
-                                    None => eprintln!("rept-serve: {msg}; batch refused"),
-                                }
-                            }
-                            accepted.clear();
-                        }
-                    }
-                }
-                // Phase 3 — ack and apply in arrival order.
-                for (batch, ack) in accepted {
-                    if let Some(ack) = &ack {
-                        let _ = ack.send(Ok(()));
-                    }
-                    let n = batch.len() as u64;
-                    let started = timed.then(Instant::now);
-                    run.process_batch(&batch);
-                    metrics.ingest_batches.inc();
-                    metrics.ingest_edges.add(n);
-                    if let Some(started) = started {
-                        let took = started.elapsed();
-                        metrics.apply_micros.record_duration(took);
-                        metrics.trace.record("apply", took, || format!("edges={n}"));
-                    }
-                    since_snapshot += n;
-                    since_checkpoint += n;
-                }
-                if since_snapshot >= cfg.snapshot_every {
-                    publish(
-                        &mut run,
-                        &mut combined,
-                        &mut seq,
-                        &mut last_published,
-                        checkpoints,
-                        durability_stats(journal.as_ref(), cfg.journal, replayed),
-                    );
-                    since_snapshot = 0;
-                }
-                if let Some(every) = cfg.checkpoint_every {
-                    if cfg.checkpoint_path.is_some() && since_checkpoint >= every {
-                        // Periodic checkpoints are best-effort; an
-                        // unwritable path surfaces on the explicit
-                        // `Checkpoint` request instead of killing ingest.
-                        checkpoints +=
-                            write_checkpoint(&run, &mut last_ckpt_pos, &mut journal).is_ok() as u64;
-                        since_checkpoint = 0;
-                    }
-                }
-                gauges
-                    .stored_bytes
-                    .store(run.stored_bytes() as u64, Ordering::Relaxed);
-                gauges.journal_bytes.store(
-                    journal.as_ref().map_or(0, Journal::bytes),
-                    Ordering::Relaxed,
-                );
-                gauges.journal_segments.store(
-                    journal.as_ref().map_or(0, Journal::segments),
-                    Ordering::Relaxed,
-                );
-            }
-            Control::Flush(reply) => {
-                if let Some(j) = journal.as_mut() {
-                    // Flush doubles as a durability barrier under the
-                    // batched sync policy.
-                    let _ = j.sync();
-                }
-                gauges.journal_bytes.store(
-                    journal.as_ref().map_or(0, Journal::bytes),
-                    Ordering::Relaxed,
-                );
-                gauges.journal_segments.store(
-                    journal.as_ref().map_or(0, Journal::segments),
-                    Ordering::Relaxed,
-                );
-                publish(
-                    &mut run,
-                    &mut combined,
-                    &mut seq,
-                    &mut last_published,
-                    checkpoints,
-                    durability_stats(journal.as_ref(), cfg.journal, replayed),
-                );
-                since_snapshot = 0;
-                let _ = reply.send(run.position());
-            }
-            Control::Checkpoint(reply) => {
-                let result = write_checkpoint(&run, &mut last_ckpt_pos, &mut journal);
-                checkpoints += result.is_ok() as u64;
-                gauges.journal_bytes.store(
-                    journal.as_ref().map_or(0, Journal::bytes),
-                    Ordering::Relaxed,
-                );
-                gauges.journal_segments.store(
-                    journal.as_ref().map_or(0, Journal::segments),
-                    Ordering::Relaxed,
-                );
-                publish(
-                    &mut run,
-                    &mut combined,
-                    &mut seq,
-                    &mut last_published,
-                    checkpoints,
-                    durability_stats(journal.as_ref(), cfg.journal, replayed),
-                );
-                since_snapshot = 0;
-                since_checkpoint = 0;
-                let _ = reply.send(result);
-            }
-            Control::Aggregate(since, reply) => {
-                let _ = reply.send(combined.exchange(&mut run, since));
-            }
-            Control::Shutdown => break,
-        }
+    /// Stores the live readings [`ServeCore::health`] and
+    /// [`ServeCore::live_stats`] serve between publications.
+    fn refresh_gauges(&self) {
+        let journal = self.journal.as_ref();
+        let gauges = &self.gauges;
+        gauges
+            .stored_bytes
+            .store(self.run.stored_bytes() as u64, Ordering::Relaxed);
+        gauges
+            .journal_bytes
+            .store(journal.map_or(0, Journal::bytes), Ordering::Relaxed);
+        gauges
+            .journal_segments
+            .store(journal.map_or(0, Journal::segments), Ordering::Relaxed);
     }
-    // Final checkpoint + snapshot so a restart resumes from the exact
-    // shutdown position (and the last snapshot reflects the write).
-    if cfg.checkpoint_path.is_some() {
-        checkpoints += write_checkpoint(&run, &mut last_ckpt_pos, &mut journal).is_ok() as u64;
-    }
-    if let Some(j) = journal.as_mut() {
-        // Normally the final checkpoint truncated everything; when it
-        // failed (or checkpointing is disabled), leave the tail durable.
-        let _ = j.sync();
-    }
-    publish(
-        &mut run,
-        &mut combined,
-        &mut seq,
-        &mut last_published,
-        checkpoints,
-        durability_stats(journal.as_ref(), cfg.journal, replayed),
-    );
-    run
 }
 
 #[cfg(test)]
@@ -2022,6 +1916,35 @@ mod tests {
         let resumed = ServeCore::start(cfg).expect("resume");
         assert_eq!(resumed.position(), stream.len() as u64, "lossless");
         resumed.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn one_producer_pays_one_fsync_per_acked_batch() {
+        // A single producer waits for each ack, so every group holds one
+        // batch: a per-record journal fsyncs exactly once per batch, a
+        // batched one not at all until the flush barrier.
+        let stream = stream();
+        let dir = std::env::temp_dir().join(format!("rept-fsyncs-{}", std::process::id()));
+        for (policy, before_flush, after_flush) in
+            [(SyncPolicy::PerRecord, 6, 6), (SyncPolicy::Batched, 0, 1)]
+        {
+            std::fs::remove_dir_all(&dir).ok();
+            std::fs::create_dir_all(&dir).expect("mkdir");
+            let cfg = ServeConfig::new(base_cfg())
+                .with_checkpoint(dir.join("serve.rpck"), None)
+                .with_journal_sync(policy);
+            let core = ServeCore::start(cfg).expect("start");
+            for chunk in stream.chunks(50).take(6) {
+                core.ingest(chunk.to_vec()).expect("acked");
+            }
+            let fsyncs = &core.metrics().journal_fsyncs;
+            assert_eq!(fsyncs.get(), before_flush, "{} before flush", policy.name());
+            assert_eq!(core.metrics().last_group_commit.get(), 1);
+            core.flush();
+            assert_eq!(fsyncs.get(), after_flush, "{} after flush", policy.name());
+            core.shutdown();
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -36,11 +36,7 @@ impl DeadLetterQueue {
     /// The dead-letter file that belongs to the checkpoint at `ckpt`:
     /// `<stem>.dlq` in the same directory.
     pub fn path_for(ckpt: &Path) -> PathBuf {
-        let stem = ckpt
-            .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "checkpoint".to_string());
-        ckpt.with_file_name(format!("{stem}.dlq"))
+        crate::journal::sibling(ckpt, "dlq")
     }
 
     /// Opens (or creates) the dead-letter file, re-seeding the count

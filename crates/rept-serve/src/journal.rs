@@ -173,17 +173,25 @@ pub struct Recovery {
     pub dropped_tail: bool,
 }
 
-/// The segment file for records starting at `start`, next to `ckpt`.
-fn segment_path(ckpt: &Path, start: u64) -> PathBuf {
+/// A file next to the checkpoint at `ckpt`: `<stem>.<suffix>` in the
+/// same directory (stem `checkpoint` when the path has none). Journal
+/// segments, rotated checkpoints and the dead-letter file are all named
+/// by this one rule.
+pub(crate) fn sibling(ckpt: &Path, suffix: &str) -> PathBuf {
     let stem = ckpt
         .file_stem()
-        .map(|s| s.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "checkpoint".to_string());
-    ckpt.with_file_name(format!("{stem}.wal.{start:020}"))
+        .map_or_else(|| "checkpoint".into(), |s| s.to_string_lossy());
+    ckpt.with_file_name(format!("{stem}.{suffix}"))
 }
 
-/// All segment files next to `ckpt`, sorted by start position.
-fn list_segments(ckpt: &Path) -> std::io::Result<Vec<(u64, PathBuf)>> {
+/// The siblings of `ckpt` named `<stem>.<infix><position><suffix>` for
+/// a decimal position, sorted by position. Writers zero-pad positions
+/// to 20 digits, so name order is position order too.
+pub(crate) fn numbered_siblings(
+    ckpt: &Path,
+    infix: &str,
+    suffix: &str,
+) -> std::io::Result<Vec<(u64, PathBuf)>> {
     let (Some(dir), Some(stem)) = (ckpt.parent(), ckpt.file_stem()) else {
         return Ok(Vec::new());
     };
@@ -192,29 +200,31 @@ fn list_segments(ckpt: &Path) -> std::io::Result<Vec<(u64, PathBuf)>> {
     } else {
         dir
     };
-    let prefix = format!("{}.wal.", stem.to_string_lossy());
-    let mut segments = Vec::new();
+    let prefix = format!("{}.{infix}", stem.to_string_lossy());
     let entries = match std::fs::read_dir(dir) {
         Ok(entries) => entries,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
         Err(e) => return Err(e),
     };
+    let mut found = Vec::new();
     for entry in entries.filter_map(|e| e.ok()) {
         let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(digits) = name.strip_prefix(&prefix) else {
-            continue;
-        };
-        if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
-            continue;
+        let position = name
+            .to_str()
+            .and_then(|n| n.strip_prefix(&prefix)?.strip_suffix(suffix))
+            .filter(|d| !d.is_empty() && d.bytes().all(|b| b.is_ascii_digit()))
+            .and_then(|d| d.parse().ok());
+        if let Some(position) = position {
+            found.push((position, entry.path()));
         }
-        let Ok(start) = digits.parse::<u64>() else {
-            continue;
-        };
-        segments.push((start, entry.path()));
     }
-    segments.sort();
-    Ok(segments)
+    found.sort();
+    Ok(found)
+}
+
+/// The segment file for records starting at `start`, next to `ckpt`.
+fn segment_path(ckpt: &Path, start: u64) -> PathBuf {
+    sibling(ckpt, &format!("wal.{start:020}"))
 }
 
 /// One decoded record: its start position and the byte length it
@@ -296,7 +306,7 @@ impl Journal {
         sync: SyncPolicy,
         base: u64,
     ) -> std::io::Result<Recovery> {
-        let segments = list_segments(ckpt_path)?;
+        let segments = numbered_siblings(ckpt_path, "wal.", "")?;
         // Only the run of segments from the last one starting at or
         // below `base` matters; older ones are fully checkpointed.
         let first_relevant = segments

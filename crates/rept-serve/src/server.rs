@@ -22,6 +22,7 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -230,7 +231,7 @@ fn serve_connection<H: LineHandler>(
                         "stream did not contain valid UTF-8",
                     )
                 })?;
-                let (mut reply, shutdown) = handler.execute(text, &mut session);
+                let (mut reply, shutdown) = execute_guarded(handler, text, &mut session);
                 if shutdown {
                     stop.store(true, Ordering::SeqCst);
                 }
@@ -257,6 +258,27 @@ fn serve_connection<H: LineHandler>(
             Err(e) => return Err(e),
         }
     }
+}
+
+/// Executes one request line, turning a panic into that request's own
+/// `ERR` reply: it must not end the handler thread that serves every
+/// later connection.
+fn execute_guarded<H: LineHandler>(
+    handler: &H,
+    line: &str,
+    session: &mut H::Session,
+) -> (String, bool) {
+    catch_unwind(AssertUnwindSafe(|| handler.execute(line, session))).unwrap_or_else(|panic| {
+        let what = panic
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("unknown panic");
+        (
+            format!("ERR internal error: {}", what.replace('\n', " ")),
+            false,
+        )
+    })
 }
 
 /// A running TCP server over a [`TenantRouter`]. Prefer an explicit
@@ -741,6 +763,45 @@ mod tests {
         fn execute(&self, line: &str, tenant: &mut String) -> (String, bool) {
             execute(line, &self.0, tenant, Duration::from_secs(120))
         }
+    }
+
+    /// Panics on `BOOM`, answers `OK` to everything else.
+    struct Fragile;
+
+    impl LineHandler for Fragile {
+        type Session = ();
+
+        fn session(&self) {}
+
+        fn execute(&self, line: &str, _: &mut ()) -> (String, bool) {
+            assert_ne!(line.trim_end(), "BOOM", "handler bug");
+            ("OK".into(), false)
+        }
+    }
+
+    #[test]
+    fn a_panicking_request_costs_one_err_not_a_handler_thread() {
+        let threads = 2;
+        let mut server =
+            LineServer::start(Arc::new(Fragile), "127.0.0.1:0", threads, "fragile").expect("start");
+        let ask = |line: &str| {
+            let mut conn = TcpStream::connect(server.local_addr()).expect("connect");
+            conn.set_read_timeout(Some(Duration::from_secs(10)))
+                .expect("timeout");
+            conn.write_all(line.as_bytes()).expect("request");
+            let mut reply = String::new();
+            BufReader::new(conn).read_line(&mut reply).expect("reply");
+            reply
+        };
+        // More panics than handler threads: each one only costs its
+        // own reply.
+        for _ in 0..=threads {
+            let reply = ask("BOOM\n");
+            assert!(reply.starts_with("ERR internal error: "), "{reply:?}");
+            assert!(reply.contains("handler bug"), "{reply:?}");
+        }
+        assert_eq!(ask("PING\n"), "OK\n", "a fresh connection is still served");
+        server.stop();
     }
 
     #[test]

@@ -111,8 +111,13 @@ impl CoordinatorServer {
     }
 }
 
+/// Locks the coordinator for one request. A request that panicked
+/// while holding it may have left the cluster half-updated, so every
+/// later one panics too — which the line server answers with an `ERR`.
 fn lock(coordinator: &Mutex<ShardCoordinator>) -> MutexGuard<'_, ShardCoordinator> {
-    coordinator.lock().expect("coordinator lock poisoned")
+    coordinator
+        .lock()
+        .unwrap_or_else(|_| panic!("coordinator unavailable: a request panicked while holding it"))
 }
 
 /// Parses and executes one request line against the coordinator. The

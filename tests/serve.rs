@@ -452,6 +452,27 @@ fn tenant_create_past_the_processor_ceiling_is_refused() {
 }
 
 #[test]
+fn tenant_create_with_the_largest_memory_budget_reserves_nothing() {
+    // A shed tenant's budget sizes no allocation up front: the largest
+    // one gets a reply instead of aborting the server, and the tenant
+    // then ingests like any other.
+    let base = ServeConfig::new(ReptConfig::new(2, 2).with_seed(3));
+    let server = Server::start_router(RouterConfig::new(base), "127.0.0.1:0", 1).expect("bind");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let options = format!("memory_budget={}", u64::MAX);
+    client.tenant_create("huge", &options).expect("created");
+    let health = client.health().expect("HEALTH still answers");
+    assert!(health.starts_with("OK HEALTH"), "{health}");
+    client.use_tenant("huge").expect("USE");
+    let triangle = [Edge::new(1, 2), Edge::new(2, 3), Edge::new(1, 3)];
+    assert_eq!(client.ingest(&triangle).expect("ingest"), 3);
+    assert_eq!(client.flush().expect("flush"), 3);
+    assert_eq!(client.query_global().expect("query").tau, 1.0);
+    drop(client);
+    server.shutdown_all();
+}
+
+#[test]
 fn tcp_server_end_to_end() {
     let stream = barabasi_albert(&GeneratorConfig::new(500, 7), 4);
     let cfg = ReptConfig::new(4, 6).with_seed(11).with_eta(true);

@@ -1264,3 +1264,36 @@ fn front_end_queries_answer_while_the_coordinator_is_locked() {
     });
     front.shutdown();
 }
+
+/// A request that panics while it holds the coordinator poisons its
+/// lock: queries still answer from the published snapshot, and the
+/// verbs that need the coordinator get an `ERR` instead of killing
+/// their handler thread.
+#[test]
+fn a_poisoned_coordinator_answers_err_not_a_dead_server() {
+    let cfg = ReptConfig::new(2, 8).with_seed(23).with_locals(true);
+    let cores = sliced_cores(cfg, Engine::default(), 2, 8, None);
+    let mut coord = coordinator_over(&cores, cfg, Engine::default(), 8);
+    coord.ingest(fixed_stream(20)).expect("ingest");
+    coord.flush();
+    let want = protocol::format_global(&coord.snapshot());
+    let front = CoordinatorServer::start(coord, "127.0.0.1:0", 1).expect("front end");
+    std::thread::scope(|scope| {
+        let poisoner = scope.spawn(|| {
+            let _guard = front.coordinator().lock().expect("coordinator lock");
+            panic!("a request panics while it holds the coordinator");
+        });
+        assert!(poisoner.join().is_err());
+    });
+    assert!(front.coordinator().is_poisoned());
+    let config = ClientConfig::default().with_read_timeout(Duration::from_secs(20));
+    let mut client = Client::connect_with(front.local_addr(), config).expect("connect");
+    for _ in 0..2 {
+        let refused = client.flush().expect_err("FLUSH answers ERR");
+        assert!(
+            refused.to_string().contains("coordinator unavailable"),
+            "{refused}"
+        );
+    }
+    assert_eq!(client.request("QUERY GLOBAL").expect("answered"), want);
+}
