@@ -11,10 +11,16 @@
 //!   never decrement on eviction. Unbiased with strictly lower variance
 //!   than base; at budget `p·|E|` its accuracy matches MASCOT with
 //!   probability `p` at end of stream (REPT §III-C quotes this match).
+//!   It runs rept-core's [`ReservoirRun`] — the loop behind the serving
+//!   tier's memory-budgeted tenants — so the baseline and those tenants
+//!   cannot drift apart. On a stream that repeats an edge, the edge
+//!   stays in the adjacency until its last copy leaves the reservoir.
 //!
 //! The REPT paper parallelizes TRIÈST by averaging `c` independent
 //! reservoirs, each with budget `p·|E|` (§IV-B).
 
+use rept_core::reservoir::{ReservoirRun, EDGE_COST_BYTES};
+use rept_core::ReptConfig;
 use rept_graph::adjacency::DynamicAdjacency;
 use rept_graph::edge::{Edge, NodeId};
 use rept_hash::fx::FxHashMap;
@@ -25,13 +31,7 @@ use crate::traits::StreamingTriangleCounter;
 /// TRIÈST-IMPR: weighted counting before the reservoir decision.
 #[derive(Debug, Clone)]
 pub struct TriestImpr {
-    reservoir: ReservoirSampler<Edge>,
-    adj: DynamicAdjacency,
-    t: u64,
-    tau: f64,
-    tau_v: FxHashMap<NodeId, f64>,
-    track_locals: bool,
-    scratch: Vec<NodeId>,
+    run: ReservoirRun,
 }
 
 impl TriestImpr {
@@ -42,78 +42,44 @@ impl TriestImpr {
     /// Panics if `budget < 3` (no triangle fits in the reservoir).
     pub fn new(budget: usize, seed: u64) -> Self {
         assert!(budget >= 3, "TRIÈST needs a budget of at least 3 edges");
+        // The byte budget that affords exactly `budget` reservoir edges.
+        let bytes = budget as u64 * EDGE_COST_BYTES as u64;
         Self {
-            reservoir: ReservoirSampler::new(budget, seed),
-            adj: DynamicAdjacency::new(),
-            t: 0,
-            tau: 0.0,
-            tau_v: FxHashMap::default(),
-            track_locals: true,
-            scratch: Vec::new(),
+            run: ReservoirRun::new(ReptConfig::new(2, 1).with_seed(seed), bytes),
         }
     }
 
-    /// Disables local tracking.
-    pub fn without_locals(mut self) -> Self {
-        self.track_locals = false;
-        self
-    }
-
-    /// The IMPR per-wedge weight `max(1, (t−1)(t−2)/(M(M−1)))`.
-    fn weight(&self) -> f64 {
-        let m = self.reservoir.budget() as f64;
-        let t = self.t as f64;
-        (((t - 1.0) * (t - 2.0)) / (m * (m - 1.0))).max(1.0)
+    /// Disables local tracking (a builder step, before the first edge).
+    pub fn without_locals(self) -> Self {
+        let cfg = self.run.config().with_locals(false);
+        Self {
+            run: ReservoirRun::new(cfg, self.run.memory_budget()),
+        }
     }
 
     /// Number of edges currently in the reservoir.
     pub fn sampled_edges(&self) -> usize {
-        self.reservoir.items().len()
+        self.run.sampled().len()
     }
 }
 
 impl StreamingTriangleCounter for TriestImpr {
     fn process(&mut self, e: Edge) {
-        self.t += 1;
-        let w_t = self.weight();
-        let (u, v) = e.endpoints();
-        self.scratch.clear();
-        let scratch = &mut self.scratch;
-        self.adj.for_each_common_neighbor(u, v, |w| scratch.push(w));
-        if !self.scratch.is_empty() {
-            let closed = self.scratch.len() as f64;
-            self.tau += closed * w_t;
-            if self.track_locals {
-                *self.tau_v.entry(u).or_insert(0.0) += closed * w_t;
-                *self.tau_v.entry(v).or_insert(0.0) += closed * w_t;
-                for &w in &self.scratch {
-                    *self.tau_v.entry(w).or_insert(0.0) += w_t;
-                }
-            }
-        }
-        // Reservoir decision; IMPR never decrements on eviction.
-        match self.reservoir.offer(e) {
-            ReservoirDecision::Inserted => {
-                self.adj.insert(e);
-            }
-            ReservoirDecision::Replaced(old) => {
-                self.adj.remove(old);
-                self.adj.insert(e);
-            }
-            ReservoirDecision::Rejected => {}
-        }
+        self.run.process(e);
     }
 
     fn global_estimate(&self) -> f64 {
-        self.tau
+        self.run.tau()
     }
 
     fn local_estimate(&self, v: NodeId) -> f64 {
-        self.tau_v.get(&v).copied().unwrap_or(0.0)
+        self.run
+            .locals()
+            .map_or(0.0, |m| m.get(&v).copied().unwrap_or(0.0))
     }
 
     fn local_estimates(&self) -> FxHashMap<NodeId, f64> {
-        self.tau_v.clone()
+        self.run.locals().cloned().unwrap_or_default()
     }
 
     fn name(&self) -> &'static str {
@@ -121,10 +87,7 @@ impl StreamingTriangleCounter for TriestImpr {
     }
 
     fn memory_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.adj.approx_bytes()
-            + self.reservoir.budget() * size_of::<Edge>()
-            + self.tau_v.capacity() * (size_of::<NodeId>() + size_of::<f64>() + 1)
+        self.run.estimate().diagnostics.total_bytes
     }
 }
 
@@ -231,7 +194,140 @@ impl StreamingTriangleCounter for TriestBase {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rept_gen::complete;
+    use rept_gen::{barabasi_albert, chung_lu, complete, stream_order, GeneratorConfig};
+    use rept_hash::rng::SplitMix64;
+
+    /// TRIÈST-IMPR as this crate ran it before it shared rept-core's
+    /// loop, frozen as the reference: its own reservoir, adjacency and
+    /// weight formula. An eviction drops the edge from the adjacency
+    /// even while a repeated copy stays resident.
+    struct FrozenImpr {
+        reservoir: ReservoirSampler<Edge>,
+        adj: DynamicAdjacency,
+        t: u64,
+        tau: f64,
+        tau_v: FxHashMap<NodeId, f64>,
+        track_locals: bool,
+        scratch: Vec<NodeId>,
+    }
+
+    impl FrozenImpr {
+        fn new(budget: usize, seed: u64, track_locals: bool) -> Self {
+            Self {
+                reservoir: ReservoirSampler::new(budget, seed),
+                adj: DynamicAdjacency::new(),
+                t: 0,
+                tau: 0.0,
+                tau_v: FxHashMap::default(),
+                track_locals,
+                scratch: Vec::new(),
+            }
+        }
+
+        fn process(&mut self, e: Edge) {
+            self.t += 1;
+            let m = self.reservoir.budget() as f64;
+            let t = self.t as f64;
+            let w_t = (((t - 1.0) * (t - 2.0)) / (m * (m - 1.0))).max(1.0);
+            let (u, v) = e.endpoints();
+            self.scratch.clear();
+            let scratch = &mut self.scratch;
+            self.adj.for_each_common_neighbor(u, v, |w| scratch.push(w));
+            if !self.scratch.is_empty() {
+                let closed = self.scratch.len() as f64;
+                self.tau += closed * w_t;
+                if self.track_locals {
+                    *self.tau_v.entry(u).or_insert(0.0) += closed * w_t;
+                    *self.tau_v.entry(v).or_insert(0.0) += closed * w_t;
+                    for &w in &self.scratch {
+                        *self.tau_v.entry(w).or_insert(0.0) += w_t;
+                    }
+                }
+            }
+            match self.reservoir.offer(e) {
+                ReservoirDecision::Inserted => {
+                    self.adj.insert(e);
+                }
+                ReservoirDecision::Replaced(old) => {
+                    self.adj.remove(old);
+                    self.adj.insert(e);
+                }
+                ReservoirDecision::Rejected => {}
+            }
+        }
+    }
+
+    /// Every local as `(node, bits)`, sorted — equality means bit for bit.
+    fn bits(locals: &FxHashMap<NodeId, f64>) -> Vec<(NodeId, u64)> {
+        let mut out: Vec<(NodeId, u64)> = locals.iter().map(|(&v, t)| (v, t.to_bits())).collect();
+        out.sort_unstable();
+        out
+    }
+
+    #[test]
+    fn impr_equals_the_frozen_loop_on_simple_streams() {
+        let ba = stream_order(barabasi_albert(&GeneratorConfig::new(300, 1), 4), 2);
+        let cl = chung_lu(&GeneratorConfig::new(500, 3), 1200, 2.1, 1.0);
+        let mut configurations = 0;
+        for stream in [&ba, &cl] {
+            let n = stream.len();
+            for budget in [3, 4, 10, 57, 300, n - 1, n, n + 25] {
+                for (seed, locals) in [(0, true), (1, false), (7, true), (9, false)] {
+                    let mut frozen = FrozenImpr::new(budget, seed, locals);
+                    let mut shared = TriestImpr::new(budget, seed);
+                    if !locals {
+                        shared = shared.without_locals();
+                    }
+                    for &e in stream.iter() {
+                        frozen.process(e);
+                        shared.process(e);
+                    }
+                    let at = format!("budget {budget}, seed {seed}, locals {locals}");
+                    assert_eq!(
+                        shared.global_estimate().to_bits(),
+                        frozen.tau.to_bits(),
+                        "{at}"
+                    );
+                    assert_eq!(bits(&shared.local_estimates()), bits(&frozen.tau_v), "{at}");
+                    for (&v, t) in &frozen.tau_v {
+                        assert_eq!(shared.local_estimate(v).to_bits(), t.to_bits(), "{at}");
+                    }
+                    assert_eq!(shared.sampled_edges(), frozen.reservoir.items().len());
+                    configurations += 1;
+                }
+            }
+        }
+        assert_eq!(configurations, 64);
+    }
+
+    /// Streams that repeat edges, interleaved with the rest: the baseline
+    /// is the serving tier's reservoir run, which keeps a repeated edge
+    /// in its adjacency until the last copy leaves the reservoir.
+    #[test]
+    fn impr_equals_the_reservoir_run_on_repeated_edges() {
+        let pool = barabasi_albert(&GeneratorConfig::new(120, 5), 3);
+        for k in 0..40u64 {
+            let mut rng = SplitMix64::new(k);
+            let stream: Vec<Edge> = (0..600)
+                .map(|_| pool[rng.next_below(pool.len() as u64) as usize])
+                .collect();
+            let budget = 20 + 5 * k as usize;
+            let cfg = ReptConfig::new(2, 1).with_seed(k);
+            let mut run = ReservoirRun::new(cfg, (budget * EDGE_COST_BYTES) as u64);
+            let mut impr = TriestImpr::new(budget, k);
+            for &e in &stream {
+                run.process(e);
+                impr.process(e);
+            }
+            assert_eq!(
+                impr.global_estimate().to_bits(),
+                run.tau().to_bits(),
+                "stream {k}"
+            );
+            let want = run.locals().expect("locals tracked");
+            assert_eq!(bits(&impr.local_estimates()), bits(want), "stream {k}");
+        }
+    }
 
     #[test]
     fn budget_above_stream_is_exact_impr() {

@@ -79,13 +79,6 @@ pub fn single_runtime<A: StreamingTriangleCounter>(
     elapsed
 }
 
-/// Repeats a measurement `reps` times and keeps the minimum — the
-/// standard way to strip scheduler noise from micro-measurements.
-pub fn min_of<T>(reps: usize, mut f: impl FnMut() -> (T, Duration)) -> Duration {
-    assert!(reps > 0);
-    (0..reps).map(|_| f().1).min().expect("reps > 0")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

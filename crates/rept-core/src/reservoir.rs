@@ -106,46 +106,34 @@ impl ReservoirRun {
             memory_budget >= MIN_MEMORY_BUDGET,
             "memory budget below {MIN_MEMORY_BUDGET} bytes"
         );
-        let budget = edge_budget(memory_budget);
-        Self {
-            reservoir: ReservoirSampler::new(budget, cfg.seed),
-            adj: DynamicAdjacency::new(),
-            multiplicity: FxHashMap::default(),
-            tau: 0.0,
-            tau_v: cfg.track_locals.then(FxHashMap::default),
-            scratch: Vec::new(),
-            cfg,
-            memory_budget,
-        }
+        let reservoir = ReservoirSampler::new(edge_budget(memory_budget), cfg.seed);
+        let tau_v = cfg.track_locals.then(FxHashMap::default);
+        Self::from_parts(cfg, memory_budget, reservoir, 0.0, tau_v)
     }
 
-    /// Rebuilds a run from checkpointed parts — the RPCK v5 decoder's
-    /// constructor. The adjacency and multiplicity table are derived
-    /// state, recomputed from the slot contents; the slot *order* is
-    /// preserved exactly (future replacement decisions index into it).
-    #[allow(clippy::too_many_arguments)] // mirrors the checkpoint field order
-    pub(crate) fn from_restored(
+    /// Builds a run around a reservoir and its counters — also the RPCK
+    /// v5 decoder's constructor. The adjacency and multiplicity table are
+    /// derived state, recomputed from the slot contents; the slot *order*
+    /// is the reservoir's (future replacement decisions index into it).
+    pub(crate) fn from_parts(
         cfg: ReptConfig,
         memory_budget: u64,
-        budget: usize,
-        items: Vec<Edge>,
-        seen: u64,
-        rng_state: u64,
+        reservoir: ReservoirSampler<Edge>,
         tau: f64,
-        tau_v: Option<Vec<(NodeId, f64)>>,
+        tau_v: Option<FxHashMap<NodeId, f64>>,
     ) -> Self {
         let mut adj = DynamicAdjacency::new();
         let mut multiplicity: FxHashMap<Edge, u32> = FxHashMap::default();
-        for &e in &items {
+        for &e in reservoir.items() {
             adj.insert(e);
             *multiplicity.entry(e).or_insert(0) += 1;
         }
         Self {
-            reservoir: ReservoirSampler::from_parts(budget, items, seen, rng_state),
+            reservoir,
             adj,
             multiplicity,
             tau,
-            tau_v: tau_v.map(|entries| entries.into_iter().collect()),
+            tau_v,
             scratch: Vec::new(),
             cfg,
             memory_budget,
@@ -189,14 +177,9 @@ impl ReservoirRun {
         self.tau
     }
 
-    /// Local counters in canonical (node-sorted) order, when tracked —
-    /// checkpoint section material.
-    pub(crate) fn locals_entries(&self) -> Option<Vec<(NodeId, f64)>> {
-        self.tau_v.as_ref().map(|m| {
-            let mut v: Vec<(NodeId, f64)> = m.iter().map(|(&n, &c)| (n, c)).collect();
-            v.sort_unstable_by_key(|&(n, _)| n);
-            v
-        })
+    /// `τ̂_v` per node, when tracked.
+    pub fn locals(&self) -> Option<&FxHashMap<NodeId, f64>> {
+        self.tau_v.as_ref()
     }
 
     /// Bytes of edge state currently held — the quantity the byte
@@ -399,15 +382,18 @@ mod tests {
         let stream = complete(12);
         let mut live = ReservoirRun::new(cfg(11), (20 * EDGE_COST_BYTES) as u64);
         live.process_batch(&stream[..40]);
-        let mut resumed = ReservoirRun::from_restored(
-            *live.config(),
-            live.memory_budget(),
+        let reservoir = ReservoirSampler::from_parts(
             live.edge_budget(),
             live.sampled().to_vec(),
             live.position(),
             live.rng_state(),
+        );
+        let mut resumed = ReservoirRun::from_parts(
+            *live.config(),
+            live.memory_budget(),
+            reservoir,
             live.tau(),
-            live.locals_entries(),
+            live.locals().cloned(),
         );
         for &e in &stream[40..] {
             live.process(e);

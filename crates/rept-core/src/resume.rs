@@ -57,6 +57,7 @@
 use std::path::{Path, PathBuf};
 
 use rept_graph::edge::{Edge, NodeId};
+use rept_hash::reservoir::ReservoirSampler;
 
 use crate::config::{EtaMode, ReptConfig, MAX_PROCESSORS};
 use crate::engine::{CoreState, EngineCore, GroupSlice, Touched};
@@ -767,11 +768,13 @@ fn write_header(out: &mut Vec<u8>, cfg: &ReptConfig, version: u32, code: u8, pos
     out.extend_from_slice(&position.to_le_bytes());
 }
 
-/// Writes an optional node→f64 map, sentinel convention as the u64
-/// maps; values travel as raw IEEE-754 bits.
-fn write_opt_f64_node_map(out: &mut Vec<u8>, map: Option<Vec<(NodeId, f64)>>) {
+/// Writes an optional node→f64 map in node order, sentinel convention
+/// as the u64 maps; values travel as raw IEEE-754 bits.
+fn write_opt_f64_node_map(out: &mut Vec<u8>, map: Option<&rept_hash::fx::FxHashMap<NodeId, f64>>) {
     match map {
-        Some(entries) => {
+        Some(map) => {
+            let mut entries: Vec<(NodeId, f64)> = map.iter().map(|(&n, &v)| (n, v)).collect();
+            entries.sort_unstable_by_key(|&(n, _)| n);
             out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
             for (n, v) in entries {
                 out.extend_from_slice(&n.to_le_bytes());
@@ -811,7 +814,7 @@ fn write_reservoir_section(out: &mut Vec<u8>, run: &ReservoirRun) {
     out.extend_from_slice(&run.rng_state().to_le_bytes());
     out.extend_from_slice(&run.tau().to_bits().to_le_bytes());
     write_edge_list(out, run.sampled());
-    write_opt_f64_node_map(out, run.locals_entries());
+    write_opt_f64_node_map(out, run.locals());
 }
 
 /// Counterpart of [`write_reservoir_section`].
@@ -856,13 +859,12 @@ fn read_reservoir_section(
     if cfg.track_locals != locals.is_some() {
         return Err(SnapshotError::Invalid("locals section/config mismatch"));
     }
-    Ok(ReservoirRun::from_restored(
+    let reservoir = ReservoirSampler::from_parts(budget, items, position, rng_state);
+    let locals = locals.map(|entries| entries.into_iter().collect());
+    Ok(ReservoirRun::from_parts(
         *cfg,
         memory_budget,
-        budget,
-        items,
-        position,
-        rng_state,
+        reservoir,
         tau,
         locals,
     ))
@@ -2069,6 +2071,70 @@ mod tests {
             ResumableRun::from_checkpoint_bytes(&huge).err(),
             Some(SnapshotError::Invalid("edge budget out of range"))
         );
+    }
+
+    /// Real v5 blobs: locals on and off, each with a reservoir below and
+    /// at its capacity.
+    fn reservoir_blobs() -> &'static [Vec<u8>] {
+        use crate::reservoir::EDGE_COST_BYTES;
+        static BLOBS: std::sync::OnceLock<Vec<Vec<u8>>> = std::sync::OnceLock::new();
+        BLOBS.get_or_init(|| {
+            let stream = stream();
+            let mut blobs = Vec::new();
+            for locals in [true, false] {
+                let rcfg = ReptConfig::new(2, 1).with_seed(13).with_locals(locals);
+                for (slots, edges) in [(40, 25), (16, 120)] {
+                    let mut run =
+                        ResumableRun::with_reservoir(rcfg, slots * EDGE_COST_BYTES as u64);
+                    run.process_batch(&stream[..edges]);
+                    blobs.push(run.checkpoint_bytes());
+                }
+            }
+            blobs
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// A v5 blob under bit flips, a truncation, or a splice of two
+        /// real blobs decodes to a typed error or to a run whose own
+        /// checkpoint decodes back to identical bytes — never a panic or
+        /// an abort.
+        #[test]
+        fn mutated_reservoir_blobs_are_errors_or_fixed_points(
+            picks in (0usize..4, 0usize..4),
+            flips in prop_vec((any::<usize>(), 0u8..8), 1..6),
+            cuts in (any::<usize>(), any::<usize>()),
+        ) {
+            let blobs = reservoir_blobs();
+            let (a, b) = (&blobs[picks.0], &blobs[picks.1]);
+            let mut flipped = a.clone();
+            for &(at, bit) in &flips {
+                flipped[at % a.len()] ^= 1 << bit;
+            }
+            let cut = cuts.0 % (a.len() + 1);
+            let truncated = a[..cut.min(a.len() - 1)].to_vec();
+            let spliced = [&a[..cut], &b[cuts.1 % (b.len() + 1)..]].concat();
+            // The same cut in both: header and prefix of one, rest of the
+            // other.
+            let aligned = [&a[..cut], &b[cut.min(b.len())..]].concat();
+            let mutations = [
+                ("flip", flipped),
+                ("truncation", truncated),
+                ("splice", spliced),
+                ("aligned splice", aligned),
+            ];
+            for (what, mutated) in mutations {
+                let Ok(run) = ResumableRun::from_checkpoint_bytes(&mutated) else {
+                    continue;
+                };
+                let bytes = run.checkpoint_bytes();
+                let again = ResumableRun::from_checkpoint_bytes(&bytes)
+                    .unwrap_or_else(|e| panic!("{what}: a decoded run's own blob fails: {e}"));
+                prop_assert_eq!(again.checkpoint_bytes(), bytes, "{}", what);
+            }
+        }
     }
 
     #[test]

@@ -112,16 +112,6 @@ impl BloomDedup {
     }
 }
 
-/// Convenience: filters a materialised stream through [`ExactDedup`].
-pub fn dedup_exact(stream: &[Edge]) -> Vec<Edge> {
-    let mut filter = ExactDedup::new();
-    stream
-        .iter()
-        .copied()
-        .filter(|&e| filter.admit(e))
-        .collect()
-}
-
 /// Convenience: filters a materialised stream through [`BloomDedup`]
 /// sized at `fp_rate` for the stream's length.
 pub fn dedup_bloom(stream: &[Edge], fp_rate: f64, seed: u64) -> Vec<Edge> {
@@ -152,7 +142,7 @@ mod tests {
     #[test]
     fn exact_dedup_keeps_one_copy() {
         let stream = noisy_stream();
-        let clean = dedup_exact(&stream);
+        let clean = crate::stream::dedup_stream(&stream);
         assert_eq!(clean.len(), 200);
         let mut filter = ExactDedup::new();
         for &e in &stream {

@@ -55,7 +55,7 @@ use rept_graph::edge::Edge;
 use crate::dlq::DeadLetterQueue;
 use crate::journal::{numbered_siblings, sibling, Journal, SyncPolicy};
 use crate::metrics::ServeMetrics;
-use crate::snapshot::{DurabilityStats, Published, Snapshot};
+use crate::snapshot::{DurabilityStats, Published, Publisher, Snapshot};
 
 /// Slow-op trace ring capacity per tenant (events, not bytes).
 const TRACE_CAPACITY: usize = 256;
@@ -116,9 +116,8 @@ impl QuotaPolicy {
 /// operator action will fail again, and clients must *not* retry it).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IngestError {
-    /// The bounded ingest channel was full ([`ServeCore::try_ingest`]),
-    /// or stayed full for the hold bound
-    /// ([`ServeCore::try_ingest_within`]) — the blocking
+    /// The bounded ingest channel stayed full for the hold bound of
+    /// [`ServeCore::try_ingest_within`] — the blocking
     /// [`ServeCore::ingest`] waits instead.
     Busy,
     /// The tenant's memory budget refused the batch
@@ -566,15 +565,14 @@ impl ServeCore {
                 j.instrument(Arc::clone(&metrics));
             }
         }
-        let mut ingest = Ingest::new(run, journal, replayed, cfg.clone(), Arc::clone(&metrics));
-        let published = Arc::new(Published::new(ingest.snapshot()));
+        let ingest = Ingest::new(run, journal, replayed, cfg.clone(), Arc::clone(&metrics));
+        let published = Arc::clone(ingest.publisher.published());
         let ckpt_disabled = Arc::clone(&ingest.ckpt_disabled);
         let gauges = Arc::clone(&ingest.gauges);
         let (tx, rx) = sync_channel::<Control>(cfg.channel_capacity.max(1));
-        let thread_published = Arc::clone(&published);
         let ingest = std::thread::Builder::new()
             .name("rept-serve-ingest".into())
-            .spawn(move || ingest.serve(&rx, &thread_published))
+            .spawn(move || ingest.serve(&rx))
             .expect("spawn ingest thread");
 
         Ok(Self {
@@ -614,8 +612,8 @@ impl ServeCore {
     }
 
     /// Queues a batch of edges for ingestion. Blocks when the bounded
-    /// channel is full (backpressure) — use [`Self::try_ingest`] to
-    /// turn a full queue into [`IngestError::Busy`] instead. With the
+    /// channel is full (backpressure) — use [`Self::try_ingest_within`]
+    /// to turn a full queue into [`IngestError::Busy`] instead. With the
     /// journal enabled it also blocks until the batch is journaled —
     /// and, under the default [`SyncPolicy::PerRecord`], fsynced — so
     /// `Ok` means the edges survive a kill. Without the journal, `Ok`
@@ -630,24 +628,14 @@ impl ServeCore {
         self.enqueue(edges, None)
     }
 
-    /// Like [`Self::ingest`], but a full channel returns
-    /// [`IngestError::Busy`] immediately instead of blocking — the
+    /// Like [`Self::ingest`], but a full channel is retried every
+    /// 100 µs for up to `hold` (not at all for a zero `hold`) and then
+    /// refused with [`IngestError::Busy`] instead of blocking — the
     /// backpressure path (`ERR BUSY` tells the client to back off and
-    /// retry, in contrast to `ERR QUOTA` which it must not).
-    ///
-    /// # Errors
-    ///
-    /// [`IngestError::Busy`] (queue full), plus everything
-    /// [`Self::ingest`] can return.
-    pub fn try_ingest(&self, edges: Vec<Edge>) -> Result<(), IngestError> {
-        self.enqueue(edges, Some(Duration::ZERO))
-    }
-
-    /// Like [`Self::try_ingest`], but a full channel is retried every
-    /// 100 µs for up to `hold` before the batch is refused — the
-    /// wire's `INGEST` path, which holds a line for the moment a busy
-    /// ingest thread needs to free a slot instead of bouncing it back
-    /// to a client that would sleep far longer. A held batch records
+    /// retry, in contrast to `ERR QUOTA` which it must not). The wire's
+    /// `INGEST` holds a line for the moment a busy ingest thread needs
+    /// to free a slot instead of bouncing it back to a client that
+    /// would sleep far longer. A held batch records
     /// its wait in [`ServeMetrics::ingest_hold_micros`] and counts in
     /// [`ServeMetrics::ingest_held`] while it waits; an unheld one
     /// reads no extra clock.
@@ -661,9 +649,8 @@ impl ServeCore {
     }
 
     /// The one enqueue behind [`Self::ingest`] (`hold` of `None`: wait
-    /// for a slot), [`Self::try_ingest`] and [`Self::try_ingest_within`]:
-    /// queues the batch, then waits for its verdict when the ingest
-    /// thread owes one.
+    /// for a slot) and [`Self::try_ingest_within`]: queues the batch,
+    /// then waits for its verdict when the ingest thread owes one.
     fn enqueue(&self, edges: Vec<Edge>, hold: Option<Duration>) -> Result<(), IngestError> {
         if edges.is_empty() {
             return Ok(());
@@ -791,11 +778,7 @@ impl ServeCore {
     /// Barrier: waits until everything queued so far is applied and a
     /// fresh snapshot is published; returns the stream position.
     pub fn flush(&self) -> u64 {
-        let (reply_tx, reply_rx) = sync_channel(1);
-        self.tx
-            .send(Control::Flush(reply_tx))
-            .expect("ingest thread alive");
-        reply_rx.recv().expect("ingest thread replies")
+        self.request(Control::Flush)
     }
 
     /// Writes a checkpoint now (after draining everything queued so
@@ -806,11 +789,7 @@ impl ServeCore {
     /// A description when no checkpoint path is configured or the write
     /// fails.
     pub fn checkpoint(&self) -> Result<u64, String> {
-        let (reply_tx, reply_rx) = sync_channel(1);
-        self.tx
-            .send(Control::Checkpoint(reply_tx))
-            .expect("ingest thread alive");
-        reply_rx.recv().expect("ingest thread replies")
+        self.request(Control::Checkpoint)
     }
 
     /// Barrier: waits until everything queued so far is applied, then
@@ -843,10 +822,15 @@ impl ServeCore {
     ///
     /// As [`Self::aggregates`].
     pub fn aggregates_since(&self, since: Option<u64>) -> Result<Aggregates, String> {
+        self.request(|reply| Control::Aggregate(since, reply))
+    }
+
+    /// Sends the ingest thread a control message carrying a reply
+    /// channel — handled after everything queued before it — and waits
+    /// for the reply.
+    fn request<T>(&self, msg: impl FnOnce(SyncSender<T>) -> Control) -> T {
         let (reply_tx, reply_rx) = sync_channel(1);
-        self.tx
-            .send(Control::Aggregate(since, reply_tx))
-            .expect("ingest thread alive");
+        self.tx.send(msg(reply_tx)).expect("ingest thread alive");
         reply_rx.recv().expect("ingest thread replies")
     }
 
@@ -889,6 +873,25 @@ impl Drop for ServeCore {
     }
 }
 
+/// The core's own fields of a snapshot: the journal's state, and no
+/// interval when the run `shed`s edges — a reservoir run's estimates are
+/// TRIÈST-IMPR global counts, not REPT partition estimates, so the
+/// closed-form REPT interval does not apply to them.
+fn additions(journal: Option<&Journal>, replayed: u64, shed: bool) -> impl FnOnce(&mut Snapshot) {
+    let durability = DurabilityStats {
+        enabled: journal.is_some(),
+        journal_bytes: journal.map_or(0, Journal::bytes),
+        journal_segments: journal.map_or(0, Journal::segments),
+        replayed,
+    };
+    move |snap| {
+        snap.durability = durability;
+        if shed {
+            snap.confidence95 = None;
+        }
+    }
+}
+
 /// A barrier's reply, sent once the snapshot it promises is published.
 enum Answer {
     Flush(SyncSender<u64>),
@@ -902,11 +905,9 @@ enum Answer {
 /// gauge refresh.
 struct Ingest {
     run: ResumableRun,
-    /// The estimate of the last publication, brought up to date by
-    /// recombining only the nodes the engine touched since.
-    estimate: ReptEstimate,
-    /// The nodes touched since the last publication.
-    unpublished: Touched,
+    /// The publication loop, with the estimate it keeps by recombining
+    /// only the nodes the engine touched since the last publication.
+    publisher: Publisher,
     /// The position of the last answered exchange, and the nodes
     /// touched since; `None` until one is answered.
     exchanged: Option<(u64, Touched)>,
@@ -914,12 +915,7 @@ struct Ingest {
     /// Edges replayed from the journal at startup.
     replayed: u64,
     cfg: ServeConfig,
-    seq: u64,
-    checkpoints: u64,
-    since_snapshot: u64,
     since_checkpoint: u64,
-    /// `(position, checkpoints)` of the last assembled snapshot.
-    last_published: (u64, u64),
     /// Position of the checkpoint currently at `checkpoint_path`, for
     /// rotation.
     last_checkpoint: Option<u64>,
@@ -944,23 +940,26 @@ impl Ingest {
             .filter(|p| p.exists())
             .map(|_| run.position());
         // The first drain starts the engine's touched-node tracking (the
-        // journal replay ran without it); everything before is in this
-        // estimate already.
-        let estimate = run.estimate();
+        // journal replay ran without it); everything before is in the
+        // estimate of snapshot 0 already.
+        let publisher = Publisher::new(
+            &cfg.rept,
+            cfg.engine,
+            cfg.top_k,
+            cfg.snapshot_every,
+            run.estimate(),
+            run.position(),
+            additions(journal.as_ref(), replayed, run.memory_budget().is_some()),
+        );
         run.take_touched();
         let ingest = Self {
             run,
-            estimate,
-            unpublished: Touched::none(),
+            publisher,
             exchanged: None,
             journal,
             replayed,
             cfg,
-            seq: 0,
-            checkpoints: 0,
-            since_snapshot: 0,
             since_checkpoint: 0,
-            last_published: (0, 0),
             last_checkpoint,
             ckpt_disabled: Arc::new(AtomicBool::new(false)),
             gauges: Arc::new(Gauges::default()),
@@ -972,7 +971,7 @@ impl Ingest {
 
     /// The thread body: handles control messages in arrival order until
     /// shutdown, then hands the run back.
-    fn serve(mut self, rx: &Receiver<Control>, published: &Published<Snapshot>) -> ResumableRun {
+    fn serve(mut self, rx: &Receiver<Control>) -> ResumableRun {
         // A non-ingest message drained while assembling a group commit
         // is parked here and handled on the next iteration.
         let mut pending = None;
@@ -1010,8 +1009,8 @@ impl Ingest {
                     Some(Answer::Shutdown)
                 }
             };
-            if answer.is_some() || self.since_snapshot >= self.cfg.snapshot_every {
-                self.publish(published);
+            if answer.is_some() || self.publisher.due() {
+                self.publish();
             }
             // Periodic checkpoints are best-effort; an unwritable path
             // surfaces on the explicit `Checkpoint` request instead of
@@ -1115,7 +1114,7 @@ impl Ingest {
                     .trace
                     .record("apply", took, || format!("edges={n}"));
             }
-            self.since_snapshot += n;
+            self.publisher.advance(n);
             self.since_checkpoint += n;
         }
         pending
@@ -1180,59 +1179,31 @@ impl Ingest {
         if let Some((_, touched)) = &mut self.exchanged {
             touched.extend(&fresh);
         }
-        self.unpublished.extend(&fresh);
+        self.publisher.touch(&fresh);
     }
 
-    /// Assembles the snapshot of the run as it stands, at sequence
-    /// number `seq` (0 for the one [`ServeCore::start`] publishes). The
-    /// estimate recombines only the nodes touched since the last one.
-    fn snapshot(&mut self) -> Snapshot {
-        self.collect_touched();
-        self.run
-            .refresh_estimate(&mut self.estimate, &self.unpublished.take());
+    /// Publishes a fresh snapshot, its estimate recombining only the
+    /// nodes touched since the last one, unless the publisher's guard
+    /// keeps the last one. Durability state only moves with the position
+    /// (appends) or the checkpoint count (truncation), so the guard
+    /// covers it.
+    fn publish(&mut self) {
         let position = self.run.position();
-        let mut snap = Snapshot::from_estimate(
-            &self.estimate,
-            &self.cfg.rept,
-            self.cfg.engine,
-            position,
-            self.seq,
-            self.checkpoints,
-            self.cfg.top_k,
-        );
-        snap.durability = DurabilityStats {
-            enabled: self.cfg.journal,
-            journal_bytes: self.journal.as_ref().map_or(0, Journal::bytes),
-            journal_segments: self.journal.as_ref().map_or(0, Journal::segments),
-            replayed: self.replayed,
-        };
-        if self.run.memory_budget().is_some() {
-            // Reservoir estimates are TRIÈST-IMPR global counts, not
-            // REPT partition estimates — the closed-form REPT interval
-            // does not apply to them.
-            snap.confidence95 = None;
-        }
-        self.last_published = (position, self.checkpoints);
-        snap
-    }
-
-    /// Publishes a fresh snapshot. Assembly copies every local, so when
-    /// nothing changed since the last publication the published body is
-    /// already exact and is kept (seq-guarded reuse). Durability state
-    /// only moves with the position (appends) or the checkpoint count
-    /// (truncation), so the guard covers it.
-    fn publish(&mut self, published: &Published<Snapshot>) {
-        self.since_snapshot = 0;
-        if self.last_published == (self.run.position(), self.checkpoints) {
+        if !self.publisher.begin(position) {
             return;
         }
         let started = self.cfg.metrics.then(Instant::now);
-        self.seq += 1;
-        published.store(self.snapshot());
+        self.collect_touched();
+        let (run, shed) = (&self.run, self.run.memory_budget().is_some());
+        self.publisher.publish(
+            position,
+            &self.cfg.rept,
+            |est, touched| run.refresh_estimate(est, touched),
+            additions(self.journal.as_ref(), self.replayed, shed),
+        );
         self.metrics.snapshots_published.inc();
         if let Some(started) = started {
             let took = started.elapsed();
-            let position = self.run.position();
             self.metrics.publish_micros.record_duration(took);
             self.metrics
                 .trace
@@ -1287,7 +1258,7 @@ impl Ingest {
             });
         }
         self.last_checkpoint = Some(position);
-        self.checkpoints += 1;
+        self.publisher.checkpointed();
         // Unconditional: lowering `checkpoint_keep` on a redeploy must
         // also clean up rotated files a higher setting left.
         // Saturating: the field is pub, so a struct-literal config can
@@ -1860,7 +1831,7 @@ mod tests {
         core.ingest(big).expect("queued");
         let mut saw_busy = false;
         for _ in 0..1024 {
-            match core.try_ingest(vec![Edge::new(1, 2)]) {
+            match core.try_ingest_within(vec![Edge::new(1, 2)], Duration::ZERO) {
                 Ok(()) => {}
                 Err(IngestError::Busy) => {
                     saw_busy = true;

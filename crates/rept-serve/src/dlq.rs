@@ -15,7 +15,10 @@
 //! re-seeded from the existing file so it survives a resume.
 //!
 //! Writes are buffered-append without fsync — the DLQ is an operator
-//! aid, not part of the durability contract the journal provides.
+//! aid, not part of the durability contract the journal provides. So a
+//! crash can leave the last entry torn, even inside a multi-byte
+//! character; the file is read line by line, and a torn line decodes
+//! lossily (U+FFFD) without costing any other entry.
 
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -46,10 +49,7 @@ impl DeadLetterQueue {
     ///
     /// Filesystem errors.
     pub fn open(path: PathBuf) -> std::io::Result<Self> {
-        let existing = match std::fs::read_to_string(&path) {
-            Ok(text) => text.lines().count() as u64,
-            Err(_) => 0,
-        };
+        let existing = read_text(&path).map_or(0, |text| text.lines().count() as u64);
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
         Ok(Self {
             path,
@@ -98,7 +98,10 @@ impl DeadLetterQueue {
         let Ok(file) = self.file.lock() else {
             return Vec::new();
         };
-        let text = std::fs::read_to_string(&self.path).unwrap_or_default();
+        // Nothing is truncated that was not read.
+        let Ok(text) = read_text(&self.path) else {
+            return Vec::new();
+        };
         let entries: Vec<(String, String)> = text
             .lines()
             .map(|entry| match entry.split_once('\t') {
@@ -118,6 +121,13 @@ impl DeadLetterQueue {
     pub fn path(&self) -> &Path {
         &self.path
     }
+}
+
+/// The file's text, each line decoded on its own: `\n` never occurs
+/// inside a UTF-8 sequence, so a torn line decodes lossily and every
+/// other line stays byte-exact.
+fn read_text(path: &Path) -> std::io::Result<String> {
+    std::fs::read(path).map(|bytes| String::from_utf8_lossy(&bytes).into_owned())
 }
 
 #[cfg(test)]
@@ -190,6 +200,38 @@ mod tests {
         assert_eq!(again.len(), 1);
         assert_eq!(again[0].1, "INGEST 2 2");
         assert!(dlq.drain().is_empty(), "empty file drains to nothing");
+
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A crash mid-append can cut the last entry inside a multi-byte
+    /// character. That entry is read lossily; the others survive intact.
+    #[test]
+    fn a_torn_entry_costs_no_other_entry() {
+        let dir = std::env::temp_dir().join(format!("rept-dlq-torn-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = DeadLetterQueue::path_for(&dir.join("serve.rpck"));
+        let mut bytes = b"self-loop 1-1 rejected\tINGEST 1 1\n".to_vec();
+        bytes.extend_from_slice("bad node id\tINGEST café".as_bytes());
+        bytes.pop(); // the second byte of `é`
+        std::fs::write(&path, &bytes).expect("write");
+
+        let dlq = DeadLetterQueue::open(path.clone()).expect("open");
+        assert_eq!(dlq.count(), 2);
+        let entries = dlq.drain();
+        assert_eq!(entries.len(), 2, "{entries:?}");
+        assert_eq!(
+            entries[0],
+            (
+                "self-loop 1-1 rejected".to_string(),
+                "INGEST 1 1".to_string()
+            )
+        );
+        assert_eq!(
+            entries[1],
+            ("bad node id".to_string(), "INGEST caf\u{FFFD}".to_string())
+        );
+        assert_eq!(std::fs::read(&path).expect("read").len(), 0, "drained");
 
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -40,7 +40,7 @@ pub struct ServeMetrics {
     /// Individual edges applied.
     pub ingest_edges: Counter,
     /// Batches refused with `ERR BUSY` after the queue stayed full for
-    /// the hold bound (immediately, for `try_ingest`).
+    /// the hold bound (immediately, for a zero hold).
     pub busy_rejections: Counter,
     /// Batches rejected by the tenant quota (`QUOTA`).
     pub quota_rejections: Counter,

@@ -1,4 +1,5 @@
-//! Published estimate snapshots and the reader/writer handoff cell.
+//! Published estimate snapshots, the reader/writer handoff cell, and
+//! the publication loop.
 //!
 //! The ingest thread owns the estimator; queries must never make it
 //! wait. The subsystem therefore splits the work: the ingest thread
@@ -8,11 +9,15 @@
 //! a single `Arc` pointer swap. Readers clone the `Arc` and work on a
 //! consistent, immutable view for as long as they like — snapshot
 //! isolation without ever blocking ingestion on a query.
+//!
+//! [`Publisher`] is the loop around that, kept once: a standalone
+//! [`crate::ServeCore`] and the `rept-shard` coordinator both publish
+//! through it, so their `seq=` counters agree by construction.
 
 use std::sync::{Arc, Mutex};
 
 use rept_core::variance::plugin_confidence_interval;
-use rept_core::{Engine, ReptConfig, ReptEstimate};
+use rept_core::{Engine, ReptConfig, ReptEstimate, Touched};
 use rept_graph::edge::NodeId;
 use rept_hash::fx::FxHashMap;
 
@@ -71,7 +76,8 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Builds a snapshot from a finished estimate.
+    /// Builds a snapshot from a finished estimate — what [`Publisher`]
+    /// assembles each publication from.
     #[allow(clippy::too_many_arguments)]
     pub fn from_estimate(
         est: &ReptEstimate,
@@ -186,6 +192,125 @@ impl<T> Published<T> {
     /// Loads the current value (pointer clone under the lock).
     pub fn load(&self) -> Arc<T> {
         self.slot.lock().expect("publish lock poisoned").clone()
+    }
+}
+
+/// The publication loop, the one owner of a publication's state: the
+/// [`Published`] cell, the estimate of the last publication and the
+/// nodes touched since, `seq`, the checkpoint count, the edges since the
+/// last publication and the `(position, checkpoints)` guard. Its driver
+/// decides when to publish, how the kept estimate catches up (`refresh`)
+/// and what it adds to a snapshot (`extend`). Every publication, forced
+/// ones included, restarts the cadence count.
+#[derive(Debug)]
+pub struct Publisher {
+    cell: Arc<Published<Snapshot>>,
+    engine: Engine,
+    top_k: usize,
+    every: u64,
+    estimate: ReptEstimate,
+    /// The nodes whose counters moved since `estimate`.
+    touched: Touched,
+    seq: u64,
+    checkpoints: u64,
+    since: u64,
+    /// `(position, checkpoints)` of the last publication; `None` forces
+    /// the next.
+    last: Option<(u64, u64)>,
+}
+
+impl Publisher {
+    /// Publishes `estimate`, combined under `cfg`, as snapshot 0 at
+    /// `position`; later ones come every `every` edges.
+    pub fn new(
+        cfg: &ReptConfig,
+        engine: Engine,
+        top_k: usize,
+        every: u64,
+        estimate: ReptEstimate,
+        position: u64,
+        extend: impl FnOnce(&mut Snapshot),
+    ) -> Self {
+        let mut snap = Snapshot::from_estimate(&estimate, cfg, engine, position, 0, 0, top_k);
+        extend(&mut snap);
+        Self {
+            cell: Arc::new(Published::new(snap)),
+            engine,
+            top_k,
+            every,
+            estimate,
+            touched: Touched::none(),
+            seq: 0,
+            checkpoints: 0,
+            since: 0,
+            last: Some((position, 0)),
+        }
+    }
+
+    /// The cell every publication is stored into.
+    pub fn published(&self) -> &Arc<Published<Snapshot>> {
+        &self.cell
+    }
+
+    /// Counts `edges` toward the next cadence publication.
+    pub fn advance(&mut self, edges: u64) {
+        self.since += edges;
+    }
+
+    /// Whether the cadence asks for a publication.
+    pub fn due(&self) -> bool {
+        self.since >= self.every
+    }
+
+    /// Records nodes whose counters moved since the kept estimate
+    /// ([`Touched::All`] when it must be recombined in full).
+    pub fn touch(&mut self, nodes: &Touched) {
+        self.touched.extend(nodes);
+    }
+
+    /// Counts a checkpoint; the next snapshot reports it.
+    pub fn checkpointed(&mut self) {
+        self.checkpoints += 1;
+    }
+
+    /// Lets the next publication go ahead at an unchanged guard.
+    pub fn force(&mut self) {
+        self.last = None;
+    }
+
+    /// Starts a publication at `position`: restarts the cadence count and
+    /// says whether the guard lets it go ahead. Assembly copies every
+    /// local, so `false` keeps the last snapshot, and its `seq`, current.
+    pub fn begin(&mut self, position: u64) -> bool {
+        self.since = 0;
+        self.last != Some((position, self.checkpoints))
+    }
+
+    /// Publishes the next snapshot at `position`, after a `true` from
+    /// [`Self::begin`]: `refresh` folds the touched nodes into the kept
+    /// estimate, combined under `cfg`, and `extend` adds the driver's
+    /// fields.
+    pub fn publish(
+        &mut self,
+        position: u64,
+        cfg: &ReptConfig,
+        refresh: impl FnOnce(&mut ReptEstimate, &Touched),
+        extend: impl FnOnce(&mut Snapshot),
+    ) {
+        self.seq += 1;
+        refresh(&mut self.estimate, &self.touched.take());
+        let mut snap = Snapshot::from_estimate(
+            &self.estimate,
+            cfg,
+            self.engine,
+            position,
+            self.seq,
+            self.checkpoints,
+            self.top_k,
+        );
+        extend(&mut snap);
+        self.cell.store(snap);
+        self.last = Some((position, self.checkpoints));
     }
 }
 

@@ -45,12 +45,12 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Instant;
 
-use rept_core::{Engine, GroupAggregate, Rept, ReptConfig, ReptEstimate, Touched};
+use rept_core::{Engine, GroupAggregate, Rept, ReptConfig, Touched};
 use rept_graph::edge::Edge;
 use rept_serve::client::INGEST_CHUNK;
 use rept_serve::metrics::{Counter, Histogram};
 use rept_serve::protocol;
-use rept_serve::snapshot::{Published, Snapshot};
+use rept_serve::snapshot::{Published, Publisher, Snapshot};
 use rept_serve::{Aggregates, Client, ServeCore};
 
 /// One downstream shard endpoint, speaking the v2 protocol either
@@ -186,8 +186,10 @@ pub struct CoordinatorConfig {
     /// actual executing).
     pub engine: Engine,
     /// Edges between automatic snapshot publications — the same cadence
-    /// knob as [`rept_serve::ServeConfig::snapshot_every`], replicated
-    /// here so `seq=` counters match a standalone core's.
+    /// knob as [`rept_serve::ServeConfig::snapshot_every`], driving the
+    /// same [`Publisher`] a standalone core publishes through, so `seq=`
+    /// counters match. A revival publishes at once and, like every
+    /// publication, restarts the count.
     pub snapshot_every: u64,
     /// Size of the top-k index kept in each snapshot.
     pub top_k: usize,
@@ -409,14 +411,10 @@ struct ShardHandle {
 #[derive(Debug)]
 pub struct ShardCoordinator {
     cfg: CoordinatorConfig,
-    group_count: usize,
     shards: Vec<ShardHandle>,
     position: u64,
-    seq: u64,
-    checkpoints: u64,
-    since_snapshot: u64,
-    last_published: Option<(u64, u64)>,
-    published: Arc<Published<Snapshot>>,
+    /// The publication loop, with the estimate it keeps from `held`.
+    publisher: Publisher,
     /// Batches fanned while any shard was dead, with their start
     /// positions — the replay source for [`Self::revive_shard`].
     replay: Vec<(u64, Vec<Edge>)>,
@@ -429,33 +427,22 @@ pub struct ShardCoordinator {
     /// The configuration the held groups form: the full one, or the
     /// survivors' smaller one.
     layout: Rept,
-    /// `layout`'s combination of `held` as of the last publication.
-    estimate: ReptEstimate,
-    /// The nodes whose held counters changed since `estimate`.
-    pending: Touched,
     metrics: CoordinatorMetrics,
 }
 
-/// The group starts of a configuration's layout, in layout order.
+/// The group starts of a configuration's layout, in layout order: every
+/// group but the last remainder one holds `m` processors.
 fn expected_starts(cfg: &ReptConfig) -> Vec<usize> {
-    let m = cfg.m as usize;
-    let c = cfg.c as usize;
-    if c <= m {
-        return vec![0];
-    }
-    let c1 = c / m;
-    let mut starts: Vec<usize> = (0..c1).map(|g| g * m).collect();
-    if !c.is_multiple_of(m) {
-        starts.push(c1 * m);
-    }
-    starts
+    (0..cfg.group_count() as usize)
+        .map(|g| g * cfg.m as usize)
+        .collect()
 }
 
-/// Renumbers a *partial* set of group aggregates onto the smaller
-/// configuration they form on their own: same `m`, `c' = Σ sizes`,
-/// full groups packed before the remainder (their original start order
-/// already guarantees that). The result is a complete aggregate set
-/// for the returned config, so the combination applies unchanged.
+/// Renumbers a set of group aggregates onto the configuration they form
+/// on their own: same `m`, `c' = Σ sizes`, full groups packed before the
+/// remainder (their original start order already guarantees that). The
+/// result is a complete aggregate set for the returned config, so the
+/// combination applies unchanged; the full set keeps its own layout.
 fn rebase_survivors(
     base: &ReptConfig,
     mut aggregates: Vec<GroupAggregate>,
@@ -468,15 +455,7 @@ fn rebase_survivors(
         g.start = next;
         next += size;
     }
-    let cfg = ReptConfig {
-        m: base.m,
-        c,
-        seed: base.seed,
-        track_locals: base.track_locals,
-        track_eta: base.track_eta,
-        eta_mode: base.eta_mode,
-    };
-    (cfg, aggregates)
+    (ReptConfig { c, ..*base }, aggregates)
 }
 
 impl ShardCoordinator {
@@ -547,24 +526,23 @@ impl ShardCoordinator {
         held.sort_unstable_by_key(|g| g.start);
         let layout = Rept::new(cfg.rept);
         let estimate = layout.combine(&held);
-        let snapshot =
-            Snapshot::from_estimate(&estimate, &cfg.rept, cfg.engine, position, 0, 0, cfg.top_k);
         Ok(Self {
             held_starts: held.iter().map(|g| g.start).collect(),
             held,
             layout,
-            estimate,
-            pending: Touched::none(),
+            publisher: Publisher::new(
+                &cfg.rept,
+                cfg.engine,
+                cfg.top_k,
+                cfg.snapshot_every,
+                estimate,
+                position,
+                |_| {},
+            ),
             metrics,
             cfg,
-            group_count: group_count as usize,
             shards,
             position,
-            seq: 0,
-            checkpoints: 0,
-            since_snapshot: 0,
-            last_published: Some((position, 0)),
-            published: Arc::new(Published::new(snapshot)),
             replay: Vec::new(),
         })
     }
@@ -572,11 +550,6 @@ impl ShardCoordinator {
     /// The configuration in use.
     pub fn config(&self) -> &CoordinatorConfig {
         &self.cfg
-    }
-
-    /// Shards the cluster was started with.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Shards currently answering.
@@ -596,14 +569,14 @@ impl ShardCoordinator {
     /// The latest published snapshot — the query path for
     /// `QUERY GLOBAL` / `QUERY LOCAL` / `TOPK` / `STATS`.
     pub fn snapshot(&self) -> Arc<Snapshot> {
-        self.published.load()
+        self.publisher.published().load()
     }
 
     /// The cell every publication is stored into: a front end holding it
     /// answers queries from the latest snapshot without waiting for the
     /// coordinator itself.
     pub fn published(&self) -> Arc<Published<Snapshot>> {
-        Arc::clone(&self.published)
+        Arc::clone(self.publisher.published())
     }
 
     /// The coordinator's own exchange metrics.
@@ -617,8 +590,8 @@ impl ShardCoordinator {
     }
 
     /// Fans a batch to every live shard and advances the publication
-    /// cadence — the same `snapshot_every` arithmetic as a standalone
-    /// core's ingest loop, so `seq=` counters stay identical. The batch
+    /// cadence — the same [`Publisher`] as a standalone core's ingest
+    /// thread, so `seq=` counters stay identical. The batch
     /// goes out in [`INGEST_CHUNK`]-edge lines, each started on every
     /// live shard before any shard's reply is read. A shard that refuses
     /// a line is marked dead (degradation, not outage);
@@ -681,10 +654,9 @@ impl ShardCoordinator {
             self.rebase();
         }
         self.position += n as u64;
-        self.since_snapshot += n as u64;
-        if self.since_snapshot >= self.cfg.snapshot_every {
+        self.publisher.advance(n as u64);
+        if self.publisher.due() {
             self.publish();
-            self.since_snapshot = 0;
         }
         Ok(n)
     }
@@ -693,7 +665,6 @@ impl ShardCoordinator {
     /// the position — the coordinator's `FLUSH`.
     pub fn flush(&mut self) -> u64 {
         self.publish();
-        self.since_snapshot = 0;
         self.position
     }
 
@@ -727,9 +698,10 @@ impl ShardCoordinator {
                 }
             }
         }
-        self.checkpoints += u64::from(result.is_ok());
+        if result.is_ok() {
+            self.publisher.checkpointed();
+        }
         self.publish();
-        self.since_snapshot = 0;
         result
     }
 
@@ -836,7 +808,8 @@ impl ShardCoordinator {
         // confidence interval they bring back) should be visible without
         // waiting out the cadence — the seq-guard would otherwise keep
         // the degraded snapshot current until the next position change.
-        self.last_published = None;
+        // Like every publication, this one restarts the cadence count.
+        self.publisher.force();
         self.publish();
         Ok(())
     }
@@ -878,7 +851,7 @@ impl ShardCoordinator {
             match applied {
                 Ok(touched) => {
                     shard.since = expect;
-                    self.pending.extend(&touched);
+                    self.publisher.touch(&touched);
                 }
                 Err(e) => {
                     shard.alive = false;
@@ -903,7 +876,8 @@ impl ShardCoordinator {
     /// drops dead shards' groups, numbers the rest onto the
     /// configuration they form — the full one, or the survivors' smaller
     /// but still exactly valid one, with its honestly wider interval —
-    /// and recombines once from the counters already held.
+    /// and has the next publication recombine every node once from the
+    /// counters already held.
     fn rebase(&mut self) {
         let dead: Vec<usize> = self
             .shards
@@ -922,52 +896,34 @@ impl ShardCoordinator {
         for (g, &start) in self.held.iter_mut().zip(&self.held_starts) {
             g.start = start;
         }
-        let effective = if self.held.len() == self.group_count {
-            self.cfg.rept
-        } else {
-            let (effective, held) =
-                rebase_survivors(&self.cfg.rept, std::mem::take(&mut self.held));
-            self.held = held;
-            effective
-        };
+        let (effective, held) = rebase_survivors(&self.cfg.rept, std::mem::take(&mut self.held));
+        self.held = held;
         self.layout = Rept::new(effective);
-        self.estimate = self.layout.combine(&self.held);
-        self.pending = Touched::none();
+        self.publisher.touch(&Touched::All);
     }
 
-    /// Publishes a fresh snapshot from an aggregate exchange, with the
-    /// standalone core's seq-guard: an unchanged (position,
-    /// checkpoints) pair republishes nothing and `seq` stays put. When
-    /// every shard is down the previous snapshot simply stays current.
+    /// Publishes a fresh snapshot from an aggregate exchange, unless the
+    /// publisher's guard finds the position and checkpoint count
+    /// unchanged (then `seq` stays put). When every shard is down the
+    /// previous snapshot simply stays current.
     fn publish(&mut self) {
-        if self.last_published == Some((self.position, self.checkpoints)) {
+        if !self.publisher.begin(self.position) {
             return;
         }
         let started = Instant::now();
         if self.collect().is_err() {
             return;
         }
-        self.seq += 1;
-        self.layout
-            .refresh_estimate(&mut self.estimate, &self.held, &self.pending.take());
-        self.published.store(Snapshot::from_estimate(
-            &self.estimate,
-            self.layout.config(),
-            self.cfg.engine,
+        let (layout, held) = (&self.layout, &self.held);
+        self.publisher.publish(
             self.position,
-            self.seq,
-            self.checkpoints,
-            self.cfg.top_k,
-        ));
-        self.last_published = Some((self.position, self.checkpoints));
+            layout.config(),
+            |est, touched| layout.refresh_estimate(est, held, touched),
+            |_| {},
+        );
         self.metrics
             .publish_micros
             .record_duration(started.elapsed());
-    }
-
-    /// Number of hash groups in the full configuration.
-    pub fn group_count(&self) -> usize {
-        self.group_count
     }
 
     /// Every live shard's metrics exposition body, keyed by shard
@@ -1255,6 +1211,44 @@ mod tests {
         let err = ShardCoordinator::start(CoordinatorConfig::new(cfg), one_of_two)
             .expect_err("gap in coverage");
         assert!(err.contains("layout"), "{err}");
+    }
+
+    /// A revival publishes at once and, like every publication, restarts
+    /// the cadence count: the next cadence publication comes
+    /// `snapshot_every` edges after the revival's, as on a core.
+    #[test]
+    fn revival_restarts_the_publication_cadence() {
+        let cfg = ReptConfig::new(2, 8).with_seed(3);
+        let cores: Vec<Arc<ServeCore>> = (0..2)
+            .map(|i| {
+                let sc = ServeConfig::new(cfg).with_group_slice(GroupSlice::new(i, 2));
+                Arc::new(ServeCore::start(sc).expect("shard core"))
+            })
+            .collect();
+        let links = cores
+            .iter()
+            .map(|c| ShardLink::local(Arc::clone(c)))
+            .collect();
+        let ccfg = CoordinatorConfig::new(cfg).with_snapshot_every(100);
+        let mut coord = ShardCoordinator::start(ccfg, links).expect("start");
+        let edges: Vec<Edge> = (0..160u32)
+            .map(|i| Edge::new(i % 17, (i * 7 + 3) % 17 + 17))
+            .collect();
+        let mut seqs = Vec::new();
+        coord.ingest(edges[..60].to_vec()).expect("ingest");
+        seqs.push(coord.snapshot().seq);
+        coord.kill_shard(1);
+        coord
+            .revive_shard(1, ShardLink::local(Arc::clone(&cores[1])))
+            .expect("revive");
+        seqs.push(coord.snapshot().seq);
+        for batch in [&edges[60..110], &edges[110..159], &edges[159..]] {
+            coord.ingest(batch.to_vec()).expect("ingest");
+            seqs.push(coord.snapshot().seq);
+        }
+        // After 60, 60 (revived), 110, 159 and 160 edges.
+        assert_eq!(seqs, [0, 1, 1, 1, 2]);
+        assert_eq!(coord.snapshot().position, 160);
     }
 
     #[test]

@@ -15,9 +15,10 @@
 //!   (in-process [`rept_serve::ServeCore`] handles or TCP
 //!   [`rept_serve::Client`]s — both speak the same protocol), fans
 //!   ingest batches to all of them (each 256-edge line in flight on
-//!   every shard at once, one request per shard), replicates the
-//!   standalone core's
-//!   snapshot cadence so `seq=`/`checkpoints=` counters match, and
+//!   every shard at once, one request per shard), publishes through
+//!   the same [`rept_serve::snapshot::Publisher`] as a standalone core
+//!   so `seq=`/`checkpoints=` counters match (a revival publishes at
+//!   once and, like every publication, restarts the cadence count), and
 //!   orchestrates cluster-wide checkpoints (the counter advances only
 //!   when *every* shard's slice is durable).
 //! * [`server::CoordinatorServer`] — the TCP front-end: the same

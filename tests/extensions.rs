@@ -10,8 +10,9 @@ use rept::exact::node_iterator::node_iterator_count;
 use rept::exact::{forward_count, GroundTruth};
 use rept::gen::{barabasi_albert, stream_order, GeneratorConfig};
 use rept::graph::csr::CsrGraph;
-use rept::graph::duplicates::{dedup_bloom, dedup_exact};
+use rept::graph::duplicates::dedup_bloom;
 use rept::graph::edge::Edge;
+use rept::graph::stream::dedup_stream;
 use rept::graph::timed::{edges_of, time_intervals, with_uniform_times};
 use rept::hash::tabulation::TabulationHasher;
 
@@ -98,7 +99,7 @@ fn duplicate_filters_restore_exact_counts() {
     );
     // Exact dedup restores the multiset exactly (order differs; τ is
     // order-invariant).
-    let filtered = dedup_exact(&dirty);
+    let filtered = dedup_stream(&dirty);
     assert_eq!(filtered.len(), clean.len());
     assert_eq!(GroundTruth::compute(&filtered).tau, gt.tau);
     // Bloom at 0.5% loses at most a sliver of edges and triangles.

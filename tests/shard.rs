@@ -201,8 +201,8 @@ enum Links {
 /// count, a cluster fed the same batches as a standalone core produces
 /// byte-identical `QUERY GLOBAL` / `QUERY LOCAL` / `TOPK` replies,
 /// byte-identical canonicalized `STATS` (including the `seq=` cadence
-/// counter — the coordinator replicates the standalone publication
-/// arithmetic), and the same merged raw aggregates.
+/// counter — the coordinator and the standalone core publish through
+/// the one `Publisher`), and the same merged raw aggregates.
 fn assert_cluster_matches_standalone(
     stream: &[Edge],
     cfg: ReptConfig,
