@@ -19,8 +19,11 @@
 //! A third section sweeps the hybrid layout's dense-promotion degree
 //! threshold on the fused engine's one structure
 //! (`HybridTaggedAdjacency` at width 4, the `c = 256` hot path): every
-//! stream edge replayed through `match_then_insert` at several
-//! thresholds, the `never` row (`usize::MAX`, all sorted vecs) being
+//! edge of the BA stream, and of a skewed Chung–Lu stream (γ = 2.1 on
+//! `5·nodes` nodes, `20·nodes` edges — servebench's `chunglu-hubs`
+//! stream at the default size), replayed through `match_then_insert` at
+//! several thresholds, each row with the structure's `approx_bytes`
+//! after the stream. The `never` row (`usize::MAX`, all sorted vecs) is
 //! the no-bitmap baseline.
 //!
 //! Run: `cargo run --release --bin bench_throughput [-- --out FILE]`
@@ -33,7 +36,7 @@ use std::io::Write as _;
 use std::time::Instant;
 
 use rept_core::{Engine, EngineCore, Rept, ReptConfig};
-use rept_gen::{barabasi_albert, GeneratorConfig};
+use rept_gen::{barabasi_albert, chung_lu, GeneratorConfig};
 use rept_graph::{CellTag, Edge, HybridTaggedAdjacency};
 
 const M: u64 = 64;
@@ -167,12 +170,22 @@ fn main() {
     }
 
     // Dense-promotion threshold sweep: the shared hybrid structure at
-    // width 4 (the c = 256 layout), every stream edge replayed through
-    // match_then_insert with synthetic per-group cell tags, compaction
-    // at engine batch granularity. usize::MAX never promotes, so it is
-    // the no-bitmap baseline the other thresholds are read against.
+    // width 4 (the c = 256 layout), every edge of each stream replayed
+    // through match_then_insert with synthetic per-group cell tags.
+    // usize::MAX never promotes, so it is the no-bitmap baseline the
+    // other thresholds are read against.
     const SWEEP_WIDTH: usize = 4;
-    const SWEEP_COMPACT_EVERY: usize = 4096;
+    let skewed_nodes = 5 * nodes;
+    let skewed = chung_lu(
+        &GeneratorConfig::new(skewed_nodes, 42),
+        20 * nodes as usize,
+        2.1,
+        1.0,
+    );
+    let sweep_streams = [
+        ("barabasi_albert", nodes, &stream),
+        ("chung_lu", skewed_nodes, &skewed),
+    ];
     let sweep_tags = |e: Edge| -> [CellTag; SWEEP_WIDTH] {
         let (u, w) = (e.u(), e.v());
         let mut tags = [0u32; SWEEP_WIDTH];
@@ -183,28 +196,32 @@ fn main() {
         tags
     };
     let thresholds: [usize; 6] = [16, 32, 64, 128, 512, usize::MAX];
-    let mut sweep: Vec<(usize, f64, f64)> = Vec::new();
-    for &threshold in &thresholds {
-        let seconds = best_of(|| {
-            let mut adj = HybridTaggedAdjacency::with_threshold(SWEEP_WIDTH, threshold);
-            let mut matches = 0u64;
-            for (i, &e) in stream.iter().enumerate() {
-                adj.match_then_insert(e, Some(&sweep_tags(e)), |_, _, _| matches += 1);
-                if (i + 1) % SWEEP_COMPACT_EVERY == 0 {
-                    adj.compact();
+    // Per stream: (threshold, seconds, edges/s, approx_bytes) rows.
+    let mut sweep: Vec<Vec<(usize, f64, f64, usize)>> = Vec::new();
+    for &(generator, _, edges) in &sweep_streams {
+        eprintln!("\n  hybrid dense-promotion threshold on {generator} (width {SWEEP_WIDTH}):");
+        let mut rows = Vec::new();
+        for &threshold in &thresholds {
+            let mut bytes = 0;
+            let seconds = best_of(|| {
+                let mut adj = HybridTaggedAdjacency::with_threshold(SWEEP_WIDTH, threshold);
+                let mut matches = 0u64;
+                for &e in edges {
+                    adj.match_then_insert(e, Some(&sweep_tags(e)), |_, _, _| matches += 1);
                 }
-            }
-            matches as f64
-        });
-        sweep.push((threshold, seconds, stream.len() as f64 / seconds));
-    }
-    eprintln!("\n  hybrid dense-promotion threshold (width {SWEEP_WIDTH}, shared structure):");
-    for &(threshold, seconds, eps) in &sweep {
-        if threshold == usize::MAX {
-            eprintln!("    never (no bitmaps) {seconds:>9.3} s {eps:>12.3e}/s");
-        } else {
-            eprintln!("    {threshold:>18} {seconds:>9.3} s {eps:>12.3e}/s");
+                bytes = adj.approx_bytes();
+                matches as f64
+            });
+            let eps = edges.len() as f64 / seconds;
+            let label = if threshold == usize::MAX {
+                "never (no bitmaps)".to_string()
+            } else {
+                threshold.to_string()
+            };
+            eprintln!("    {label:>18} {seconds:>9.3} s {eps:>12.3e}/s {bytes:>12} B");
+            rows.push((threshold, seconds, eps, bytes));
         }
+        sweep.push(rows);
     }
 
     // Hand-rolled JSON, matching the workspace's no-serde convention.
@@ -253,19 +270,29 @@ fn main() {
     json.push_str("  ]},\n");
     json.push_str("  \"hybrid_threshold_sweep\": {\n");
     json.push_str(&format!(
-        "    \"structure\": \"HybridTaggedAdjacency\", \"width\": {SWEEP_WIDTH}, \
-         \"compact_every\": {SWEEP_COMPACT_EVERY},\n"
+        "    \"structure\": \"HybridTaggedAdjacency\", \"width\": {SWEEP_WIDTH},\n"
     ));
-    json.push_str("    \"results\": [\n");
-    for (i, &(threshold, seconds, eps)) in sweep.iter().enumerate() {
-        let label = if threshold == usize::MAX {
-            "\"never\"".to_string()
-        } else {
-            threshold.to_string()
-        };
+    json.push_str("    \"streams\": [\n");
+    for (k, (&(generator, n, edges), rows)) in sweep_streams.iter().zip(&sweep).enumerate() {
         json.push_str(&format!(
-            "      {{\"threshold\": {label}, \"seconds\": {seconds:.6}, \"edges_per_sec\": {eps:.1}}}{}\n",
-            if i + 1 < sweep.len() { "," } else { "" }
+            "      {{\"generator\": \"{generator}\", \"nodes\": {n}, \"edges\": {}, \"results\": [\n",
+            edges.len()
+        ));
+        for (i, &(threshold, seconds, eps, bytes)) in rows.iter().enumerate() {
+            let label = if threshold == usize::MAX {
+                "\"never\"".to_string()
+            } else {
+                threshold.to_string()
+            };
+            json.push_str(&format!(
+                "        {{\"threshold\": {label}, \"seconds\": {seconds:.6}, \
+                 \"edges_per_sec\": {eps:.1}, \"approx_bytes\": {bytes}}}{}\n",
+                if i + 1 < rows.len() { "," } else { "" }
+            ));
+        }
+        json.push_str(&format!(
+            "      ]}}{}\n",
+            if k + 1 < sweep.len() { "," } else { "" }
         ));
     }
     json.push_str("    ]\n");

@@ -9,7 +9,7 @@
 //! `base_seed + t` (forked internally per processor), so methods face the
 //! same randomness schedule and columns are comparable.
 
-use rept_baselines::parallel::{average_global, average_locals, ParallelAveraged};
+use rept_baselines::parallel::ParallelAveraged;
 use rept_baselines::traits::StreamingTriangleCounter;
 use rept_baselines::{Gps, Mascot, TriestImpr};
 use rept_core::{Engine, EngineCore, Rept, ReptConfig};
@@ -174,26 +174,6 @@ pub fn single_cell<A: StreamingTriangleCounter>(
             },
         }
     })
-}
-
-/// Averaged-baseline helper exposed for the runtime binaries, which need
-/// the finished instances rather than error statistics.
-pub fn run_baseline_once<A: StreamingTriangleCounter>(
-    stream: &[Edge],
-    c: u64,
-    seed: u64,
-    mut factory: impl FnMut(u64) -> A,
-) -> (f64, Vec<A>) {
-    let root = SplitMix64::new(seed);
-    let mut instances: Vec<A> = (0..c).map(|i| factory(root.fork(i).next_u64())).collect();
-    for inst in &mut instances {
-        for &e in stream {
-            inst.process(e);
-        }
-    }
-    let global = average_global(&instances);
-    let _ = average_locals(&instances);
-    (global, instances)
 }
 
 #[cfg(test)]

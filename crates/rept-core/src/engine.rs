@@ -7,12 +7,10 @@
 //! third on top of that. This module collapses them into one type:
 //!
 //! * [`EngineCore`] owns the engine-specific state of a run — per-worker
-//!   workers, or the fused layout's one shared structure — behind four
+//!   workers, or the fused layout's one shared structure — behind three
 //!   operations: [`EngineCore::ingest_batch`] (apply stream edges),
-//!   [`EngineCore::compact`] (fold pending insertions into
-//!   query-optimal form), [`EngineCore::snapshot_counters`] (anytime,
-//!   non-consuming per-group aggregates) and [`EngineCore::finalize`]
-//!   (consume the run).
+//!   [`EngineCore::snapshot_counters`] (anytime, non-consuming per-group
+//!   aggregates) and [`EngineCore::finalize`] (consume the run).
 //! * **Batch execution is "ingest everything, then finalize"**: the
 //!   whole-stream drivers on [`Rept`] construct a core, feed it the
 //!   stream, and combine the aggregates — nothing else.
@@ -27,10 +25,10 @@
 //! where the checkpoint codec sits — is drawn in `docs/ARCHITECTURE.md`
 //! at the repository root.
 //!
-//! Results are independent of how the stream is split into
-//! `ingest_batch` calls (batch boundaries only influence *when*
-//! compaction runs, a pure representation change), which is what makes
-//! checkpoint/resume at any batch boundary exact.
+//! A batch is nothing but its edges in order: `ingest_batch` is
+//! `ingest` on each, and no state waits for a batch boundary. So
+//! results are independent of how the stream is split into batches,
+//! which is what makes checkpoint/resume at any batch boundary exact.
 //!
 //! ## The fused engine's one structure
 //!
@@ -52,11 +50,6 @@ use crate::estimate::ReptEstimate;
 use crate::estimator::{Engine, GroupAggregate, GroupSpec, Rept};
 use crate::fused::FusedGroups;
 use crate::worker::SemiTriangleWorker;
-
-/// Edges between the fused engine's compactions inside one
-/// [`EngineCore::ingest_batch`] call, which re-chunks larger batches
-/// internally, so callers may pass streams of any size.
-pub(crate) const FUSED_BATCH: usize = 4096;
 
 /// The engine-specific half of a core: what [`EngineCore`] mutates per
 /// edge. `pub(crate)` so the checkpoint codec in [`crate::resume`] can
@@ -302,9 +295,7 @@ impl EngineCore {
         self.slice
     }
 
-    /// Processes one arriving edge on every group (no compaction — call
-    /// [`Self::compact`] or use [`Self::ingest_batch`] for batched
-    /// streams).
+    /// Processes one arriving edge on every group.
     pub fn ingest(&mut self, e: Edge) {
         self.position += 1;
         let Self {
@@ -332,38 +323,12 @@ impl EngineCore {
         }
     }
 
-    /// Processes a batch of arriving edges. The fused engine re-chunks
-    /// into `FUSED_BATCH`-edge sub-batches, compacting at every
-    /// boundary. Results are independent of how the stream is split
+    /// Processes a batch of arriving edges: [`Self::ingest`] on each in
+    /// turn, so results are independent of how the stream is split
     /// into batches.
     pub fn ingest_batch(&mut self, batch: &[Edge]) {
-        match &mut self.state {
-            CoreState::PerWorker { .. } => {
-                for &e in batch {
-                    self.ingest(e);
-                }
-                return;
-            }
-            CoreState::Fused(groups) => {
-                for chunk in batch.chunks(FUSED_BATCH) {
-                    for &e in chunk {
-                        groups.process(e);
-                    }
-                    groups.compact();
-                }
-            }
-        }
-        self.position += batch.len() as u64;
-    }
-
-    /// Folds every group's pending insertions into query-optimal form —
-    /// a pure representation change; estimates are identical before and
-    /// after. [`Self::ingest_batch`] already compacts at its internal
-    /// batch boundaries.
-    pub fn compact(&mut self) {
-        match &mut self.state {
-            CoreState::PerWorker { .. } => {}
-            CoreState::Fused(groups) => groups.compact(),
+        for &e in batch {
+            self.ingest(e);
         }
     }
 
@@ -867,7 +832,6 @@ mod tests {
                 let mut core = EngineCore::with_engine(rept.clone(), engine);
                 let empty = core.stored_bytes();
                 core.ingest_batch(&stream);
-                core.compact();
                 let full = core.stored_bytes();
                 assert!(
                     full > empty,
@@ -896,7 +860,6 @@ mod tests {
         let early = core.estimate();
         assert!(early.global >= 0.0);
         core.ingest_batch(&stream[200..]);
-        core.compact();
         assert_eq!(core.position(), stream.len() as u64);
         assert_eq!(core.config().c, 7);
         assert_eq!(core.engine(), Engine::FusedHybrid);

@@ -218,9 +218,8 @@ impl Rept {
 
     /// Runs the selected engine single-threaded over a stream. Batch
     /// execution on the unified core: ingest everything, then finalize
-    /// — the fused engine compacts at its sub-batch boundaries (see
-    /// [`crate::engine::EngineCore::ingest_batch`]). Deterministic given
-    /// `cfg.seed`.
+    /// (see [`crate::engine::EngineCore::ingest_batch`]). Deterministic
+    /// given `cfg.seed`.
     pub fn run(&self, engine: Engine, stream: &[Edge]) -> ReptEstimate {
         engine::drive(self, engine, stream, 1)
     }

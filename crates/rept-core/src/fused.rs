@@ -328,16 +328,6 @@ impl FusedGroups {
         }
     }
 
-    /// Folds the adjacency's pending insertions into query-optimal form
-    /// (see [`HybridTaggedAdjacency::compact`]) — called by the batch
-    /// driver at batch boundaries so steady-state matching runs on
-    /// compacted state. A pure representation change; never affects
-    /// counters.
-    #[inline]
-    pub(crate) fn compact(&mut self) {
-        self.adj.compact();
-    }
-
     /// Finishes all groups, yielding the aggregates the estimator
     /// combines. The shared structure's bytes are split evenly across the
     /// groups so layout-wide totals stay meaningful.
@@ -403,7 +393,6 @@ impl FusedGroups {
                 *k += usize::from(tag != MASKED_NONE);
             }
         }
-        self.compact();
         Some(kept)
     }
 }
@@ -529,15 +518,10 @@ mod tests {
                 shared.adj = HybridTaggedAdjacency::with_threshold(full.len(), threshold);
                 let mut independent = FusedGroups::new(&rem, &cfg);
                 independent.adj = HybridTaggedAdjacency::with_threshold(1, threshold);
-                for (i, &e) in stream.iter().enumerate() {
+                for &e in &stream {
                     masked.process(e);
                     shared.process(e);
                     independent.process(e);
-                    if i % 173 == 0 {
-                        masked.compact();
-                        shared.compact();
-                        independent.compact();
-                    }
                 }
                 assert_eq!(masked.adj.edge_count(), shared.adj.edge_count());
                 let mut remainder_kept = 0;

@@ -17,7 +17,7 @@
 //!   Algorithm 2 (`c > m`, grouped hashes + Graybill–Deal combination),
 //!   single-threaded and threaded drivers.
 //! * [`engine`] — [`EngineCore`], the **unified incremental execution
-//!   core**: one `ingest → compact → snapshot/finalize` state machine
+//!   core**: one `ingest → snapshot/finalize` state machine
 //!   behind every driver. Batch execution is "ingest everything, then
 //!   finalize"; the resumable and serving layers feed the same core
 //!   batch by batch, so all execution paths are bit-identical by

@@ -449,11 +449,10 @@ impl ResumableRun {
         }
     }
 
-    /// Processes a batch of arriving edges — the fused engine compacts
-    /// at its sub-batch boundaries (see [`EngineCore::ingest_batch`]).
-    /// Results are independent of how the stream is split into batches,
-    /// which is what makes checkpoint/resume at any batch boundary
-    /// bit-identical.
+    /// Processes a batch of arriving edges (see
+    /// [`EngineCore::ingest_batch`]). Results are independent of how the
+    /// stream is split into batches, which is what makes
+    /// checkpoint/resume at any batch boundary bit-identical.
     pub fn process_batch(&mut self, batch: &[Edge]) {
         match &mut self.state {
             RunState::Engine(core) => core.ingest_batch(batch),
@@ -2118,6 +2117,84 @@ mod tests {
             let spliced = [&a[..cut], &b[cuts.1 % (b.len() + 1)..]].concat();
             // The same cut in both: header and prefix of one, rest of the
             // other.
+            let aligned = [&a[..cut], &b[cut.min(b.len())..]].concat();
+            let mutations = [
+                ("flip", flipped),
+                ("truncation", truncated),
+                ("splice", spliced),
+                ("aligned splice", aligned),
+            ];
+            for (what, mutated) in mutations {
+                let Ok(run) = ResumableRun::from_checkpoint_bytes(&mutated) else {
+                    continue;
+                };
+                let bytes = run.checkpoint_bytes();
+                let again = ResumableRun::from_checkpoint_bytes(&bytes)
+                    .unwrap_or_else(|e| panic!("{what}: a decoded run's own blob fails: {e}"));
+                prop_assert_eq!(again.checkpoint_bytes(), bytes, "{}", what);
+            }
+        }
+    }
+
+    /// Real engine blobs: fused and per-worker, v4 full and v6 sliced,
+    /// over one group (`c < m`), full groups (`c = 2m`) and full groups
+    /// plus a remainder (`c = 2m + 1`), with locals and η each on and
+    /// off.
+    fn engine_blobs() -> &'static [Vec<u8>] {
+        static BLOBS: std::sync::OnceLock<Vec<Vec<u8>>> = std::sync::OnceLock::new();
+        BLOBS.get_or_init(|| {
+            let stream = stream();
+            let mut blobs = Vec::new();
+            for engine in Engine::all() {
+                for c in [2u64, 6, 7] {
+                    for (locals, eta) in
+                        [(true, true), (true, false), (false, true), (false, false)]
+                    {
+                        let cfg = ReptConfig::new(3, c)
+                            .with_seed(17)
+                            .with_locals(locals)
+                            .with_eta(eta);
+                        let rept = Rept::new(cfg);
+                        let mut slices = vec![GroupSlice::FULL];
+                        if rept.groups().len() >= 2 {
+                            slices.push(GroupSlice::new(1, 2));
+                        }
+                        for slice in slices {
+                            let mut run =
+                                ResumableRun::with_sliced_engine(rept.clone(), engine, slice);
+                            run.process_batch(&stream[..120]);
+                            blobs.push(run.checkpoint_bytes());
+                        }
+                    }
+                }
+            }
+            blobs
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// An engine blob under bit flips, a truncation, or a splice of
+        /// two real blobs decodes to a typed error or to a run whose own
+        /// checkpoint decodes back to identical bytes — never a panic or
+        /// an abort. A fused restore rebuilds the structure insert by
+        /// insert from whatever edges the blob holds.
+        #[test]
+        fn mutated_engine_blobs_are_errors_or_fixed_points(
+            picks in (any::<usize>(), any::<usize>()),
+            flips in prop_vec((any::<usize>(), 0u8..8), 1..6),
+            cuts in (any::<usize>(), any::<usize>()),
+        ) {
+            let blobs = engine_blobs();
+            let (a, b) = (&blobs[picks.0 % blobs.len()], &blobs[picks.1 % blobs.len()]);
+            let mut flipped = a.clone();
+            for &(at, bit) in &flips {
+                flipped[at % a.len()] ^= 1 << bit;
+            }
+            let cut = cuts.0 % (a.len() + 1);
+            let truncated = a[..cut.min(a.len() - 1)].to_vec();
+            let spliced = [&a[..cut], &b[cuts.1 % (b.len() + 1)..]].concat();
             let aligned = [&a[..cut], &b[cut.min(b.len())..]].concat();
             let mutations = [
                 ("flip", flipped),

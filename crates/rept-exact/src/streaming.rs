@@ -124,11 +124,6 @@ impl StreamingExact {
         &self.eta_v
     }
 
-    /// Per-edge non-last triangle counts `t_g`.
-    pub fn nonlast_counts(&self) -> &FxHashMap<Edge, u64> {
-        &self.nonlast
-    }
-
     /// Number of distinct edges processed.
     pub fn edges_processed(&self) -> u64 {
         self.edges_processed

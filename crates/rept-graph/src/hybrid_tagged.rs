@@ -18,11 +18,10 @@
 //!
 //! Each node's neighbor set lives in one of two representations:
 //!
-//! * **sparse** (low degree): a sorted neighbor vec with strided tag
-//!   runs plus a bounded unsorted tail (`TAIL_LIMIT`). Small pairs
-//!   intersect by an all-pairs scan, larger ones by a branchless merge,
-//!   or by galloping when the degrees differ by more than
-//!   `GALLOP_RATIO`;
+//! * **sparse** (low degree): a neighbor vec kept sorted at all times,
+//!   with strided tag runs. Small pairs intersect by an all-pairs scan,
+//!   larger ones by a branchless merge, or by galloping when the degrees
+//!   differ by more than `GALLOP_RATIO`;
 //! * **dense** (degree > threshold): a *blocked bitmap* — `u64`
 //!   membership words keyed by `neighbor_id / 64`, reached through a
 //!   paged direct-index block directory, so hub∩hub intersection is
@@ -35,27 +34,28 @@
 //! keeps `u8` elements (the [`MASKED_NONE`] sentinel maps to `0xFF`)
 //! and the whole structure transparently *widens* to `u32` storage the
 //! first time an unrepresentable tag arrives. Packing is what makes
-//! the layout cheap to *maintain*, not just to query: ingest cost is
-//! dominated by tail-merge traffic moving 4-byte neighbor + stride tag
-//! entries, and packing shrinks the tag share of that traffic 4×.
-//! Dense cores store tag runs *direct-addressed*: bit
-//! `i` of block `b` owns `tags[(b·64 + i)·stride ..][..stride]`, so a
-//! probe reaches its tags with no rank computation and an insert into
-//! an existing block writes one bit plus `stride` tag bytes in place
-//! — promoted nodes never buffer a tail and never rebuild. The price
-//! is `64·stride` tag bytes per touched block whether or not every
-//! bit is set; dense nodes trade memory for constant-time maintenance
-//! (the sparse majority still stores tags contiguously).
+//! the layout cheap to *maintain*, not just to query: a sorted insert
+//! shifts 4-byte neighbor + stride tag entries, and packing shrinks the
+//! tag share of that traffic 4×. Dense cores store tag runs
+//! *direct-addressed*: bit `i` of block `b` owns
+//! `tags[(b·64 + i)·stride ..][..stride]`, so a probe reaches its tags
+//! with no rank computation and an insert into an existing block writes
+//! one bit plus `stride` tag bytes in place — promoted nodes never shift
+//! and never rebuild. The price is `64·stride` tag bytes per touched
+//! block whether or not every bit is set; dense nodes trade memory for
+//! constant-time maintenance (the sparse majority still stores tags
+//! contiguously).
 //!
 //! Promotion is automatic and one-way: a node crossing
 //! `dense_threshold` neighbors converts its sorted vec into a blocked
 //! bitmap (demotion never happens — degrees only grow in an insert-only
-//! stream). Sparse nodes buffer new neighbors in the bounded unsorted
-//! tail, back-merged on overflow, while dense nodes insert in place, so
-//! queries never need `&mut self`. Batch-boundary `compact` is lazy:
-//! only tails already at the overflow bound are merged (see `compact`
-//! for why), and the inserts register exactly those slots as they
-//! fill, so a boundary costs O(batch), not O(nodes).
+//! stream). This is the heavy/light degree split: a light list holds at
+//! most `dense_threshold` entries, so a sparse insert appends when the
+//! new neighbor is the largest (every insert of a restore, which replays
+//! sorted edges) and otherwise binary-searches and shifts at most that
+//! many entries. Dense nodes insert in place. Either way every list is
+//! query-ready after every insert: there is no pending state to fold in
+//! at batch boundaries.
 //!
 //! Byte accounting is O(1) as well: every structure keeps a running
 //! total of its lists' heap bytes, updated only where a capacity can
@@ -86,13 +86,6 @@ pub type CellTag = u32;
 /// collide with one.
 pub const MASKED_NONE: CellTag = CellTag::MAX;
 
-/// Maximum unsorted-tail length per sparse node before the tail is
-/// merged into the sorted prefix. Small enough that tail scans stay in
-/// one or two cache lines; large enough that a node inserted into `k`
-/// times costs `O(k·deg/TAIL_LIMIT)` total merge work instead of
-/// `O(k·deg)`.
-const TAIL_LIMIT: usize = 16;
-
 /// Degree skew at which the sorted–sorted intersection switches from a
 /// linear merge to galloping: gallop when `max/min ≥ GALLOP_RATIO`.
 /// Below that ratio the merge's branchless linear walk wins.
@@ -106,7 +99,7 @@ const BRUTE_LIMIT: usize = 2048;
 /// sorted-vec to the blocked-bitmap representation. Two cache lines of
 /// sorted `u32` neighbors intersect about as fast as the bitmap probes
 /// that would replace them; beyond that the bitmap's word-parallel
-/// `AND` + `count_ones` and index-only tail merges win. Tunable per
+/// `AND` + `count_ones` and in-place inserts win. Tunable per
 /// structure via the `with_threshold` constructors (the bench sweeps
 /// it).
 pub const DEFAULT_DENSE_THRESHOLD: usize = 128;
@@ -170,7 +163,7 @@ impl TagElem for u8 {
 /// loads plus a bit test. Tags are **direct-addressed**: bit `i` of
 /// block `b` owns `tags[(b·64 + i)·stride ..][..stride]`, so an insert
 /// into an existing block is one bit set plus `stride` tag bytes — no
-/// tail buffering, no rank directory, no rebuilds. Slots of unset bits
+/// shifting, no rank directory, no rebuilds. Slots of unset bits
 /// hold `T::default()` filler and are never read (every access
 /// bit-tests first).
 #[derive(Debug, Clone, Default)]
@@ -252,46 +245,42 @@ impl<T: TagElem> DenseCore<T> {
 
 /// One node's neighbor set in either representation.
 ///
-/// Sparse (`dense == None`): `nbrs`/`tags` hold a sorted prefix
-/// `[0, sorted_len)` plus an unsorted tail of at most `TAIL_LIMIT`
-/// entries. Dense: the whole set lives in `dense` (inserts land in the
-/// bitmap directly) and `nbrs`/`tags` stay empty.
+/// Sparse (`dense == None`): `nbrs` is strictly increasing and `tags`
+/// runs alongside it. Dense: the whole set lives in `dense` (inserts
+/// land in the bitmap directly) and `nbrs`/`tags` stay empty.
 #[derive(Debug, Clone, Default)]
 struct HybridNodeList<T> {
     nbrs: Vec<NodeId>,
     /// `nbrs.len() * stride` tags; entry `pos`'s tags occupy
     /// `tags[pos*stride .. (pos+1)*stride]`.
     tags: Vec<T>,
-    sorted_len: usize,
     dense: Option<Box<DenseCore<T>>>,
 }
 
 impl<T: TagElem> HybridNodeList<T> {
-    /// Total neighbor count (sorted prefix + tail, or bitmap).
+    /// Total neighbor count (sorted vec or bitmap).
     #[inline]
     fn len(&self) -> usize {
         self.nbrs.len() + self.dense.as_ref().map_or(0, |d| d.len())
     }
 
     /// True if `w` is a neighbor — the tag-free presence probe the
-    /// duplicate check uses (binary search of the sorted prefix, then
-    /// a bounded tail scan).
+    /// duplicate check uses.
     #[inline]
     fn contains(&self, w: NodeId) -> bool {
-        if let Some(d) = &self.dense {
-            return d.contains(w);
+        match &self.dense {
+            Some(d) => d.contains(w),
+            None => self.nbrs.binary_search(&w).is_ok(),
         }
-        self.nbrs[..self.sorted_len].binary_search(&w).is_ok()
-            || self.nbrs[self.sorted_len..].contains(&w)
     }
 
-    /// Tag run of neighbor `w` anywhere in the list, if present.
+    /// Tag run of neighbor `w`, if present.
     #[inline]
     fn tag_run_of(&self, w: NodeId, stride: usize) -> Option<&[T]> {
         if let Some(d) = &self.dense {
             return d.tag_run_of(w, stride);
         }
-        let pos = position_in(&self.nbrs, self.sorted_len, w)?;
+        let pos = self.nbrs.binary_search(&w).ok()?;
         Some(&self.tags[pos * stride..(pos + 1) * stride])
     }
 
@@ -384,8 +373,8 @@ type BlockDir = PagedIndex<9>;
 
 /// The engine under [`HybridTaggedAdjacency`] (monomorphized per
 /// tag-store element): a node arena of [`HybridNodeList`]s with a
-/// runtime tag `stride`, duplicate-free edge insertion, exactly-once
-/// intersection and lazily compacted tails.
+/// runtime tag `stride`, duplicate-free edge insertion and exactly-once
+/// intersection.
 #[derive(Debug)]
 struct HybridCoreImpl<T> {
     /// Tags per neighbor entry (one per column).
@@ -403,14 +392,8 @@ struct HybridCoreImpl<T> {
     /// [`Self::approx_bytes`] never walks the arena.
     list_bytes: usize,
     edge_count: usize,
-    /// Slots whose tail reached exactly `TAIL_LIMIT` since the last
-    /// compaction — the only tails [`Self::compact`] merges, so its
-    /// work follows the batch rather than the node count. At most one
-    /// entry per push; a slot registered twice (it overflowed,
-    /// self-merged and filled again) or promoted since is skipped.
-    full_tails: Vec<u32>,
-    /// Reusable sparse-merge scratch (`stride` is runtime-sized).
-    scratch_nbrs: Vec<NodeId>,
+    /// Reusable packing scratch for dense inserts wider than the stack
+    /// buffer (`stride` is runtime-sized).
     scratch_tags: Vec<T>,
 }
 
@@ -427,8 +410,6 @@ impl<T: TagElem> Clone for HybridCoreImpl<T> {
             list_bytes: list_bytes(&lists),
             lists,
             edge_count: self.edge_count,
-            full_tails: self.full_tails.clone(),
-            scratch_nbrs: self.scratch_nbrs.clone(),
             scratch_tags: self.scratch_tags.clone(),
         }
     }
@@ -445,8 +426,6 @@ impl<T: TagElem> HybridCoreImpl<T> {
             lists: Vec::new(),
             list_bytes: 0,
             edge_count: 0,
-            full_tails: Vec::new(),
-            scratch_nbrs: Vec::new(),
             scratch_tags: Vec::new(),
         }
     }
@@ -464,7 +443,6 @@ impl<T: TagElem> HybridCoreImpl<T> {
         let list = HybridNodeList {
             nbrs: Vec::with_capacity(8),
             tags: Vec::with_capacity(8 * self.stride),
-            sorted_len: 0,
             dense: None,
         };
         self.list_bytes += list.heap_bytes();
@@ -486,16 +464,13 @@ impl<T: TagElem> HybridCoreImpl<T> {
         self.lists[s].tag_run_of(e.v(), self.stride)
     }
 
-    /// Appends `(w, run)` to the slot's list (packing the tags). Dense
-    /// lists take the entry in place; sparse lists buffer it in the
-    /// tail, merging on overflow and promoting past the threshold.
-    /// Returns `true` when the push filled the tail to exactly
-    /// `TAIL_LIMIT` — the caller's cue to register the slot for
-    /// [`Self::compact`].
+    /// Adds `(w, run)` to the slot's list (packing the tags), `w` being
+    /// absent. Dense lists take the entry in place; sparse lists append
+    /// it when `w` is their largest neighbor, otherwise shift it into
+    /// sorted position, and promote past the threshold.
     #[inline]
-    fn push_entry(&mut self, slot: usize, w: NodeId, run: &[CellTag]) -> bool {
+    fn push_entry(&mut self, slot: usize, w: NodeId, run: &[CellTag]) {
         let stride = self.stride;
-        let threshold = self.threshold;
         let list = &mut self.lists[slot];
         if let Some(d) = list.dense.as_deref_mut() {
             let mut packed = [T::default(); 8];
@@ -509,28 +484,27 @@ impl<T: TagElem> HybridCoreImpl<T> {
                 self.scratch_tags.extend(run.iter().map(|&t| T::pack(t)));
                 d.insert_packed(w, &self.scratch_tags, stride)
             };
-            return false;
+            return;
         }
         let before = list.heap_bytes();
-        list.nbrs.push(w);
-        list.tags.extend(run.iter().map(|&t| T::pack(t)));
-        self.list_bytes += list.heap_bytes() - before;
-        let tail = list.nbrs.len() - list.sorted_len;
-        if list.nbrs.len() > threshold {
-            self.promote(slot);
-            false
-        } else if tail > TAIL_LIMIT {
-            self.merge_sparse(slot);
-            false
+        let packed = run.iter().map(|&t| T::pack(t));
+        if list.nbrs.last().is_none_or(|&last| last < w) {
+            list.nbrs.push(w);
+            list.tags.extend(packed);
         } else {
-            tail == TAIL_LIMIT
+            let pos = list.nbrs.partition_point(|&x| x < w);
+            list.nbrs.insert(pos, w);
+            list.tags.splice(pos * stride..pos * stride, packed);
+        }
+        self.list_bytes += list.heap_bytes() - before;
+        if list.nbrs.len() > self.threshold {
+            self.promote(slot);
         }
     }
 
     /// Converts a sparse slot into the dense representation: walk the
-    /// list once (tail included — insertion order within one node is
-    /// irrelevant to a set), spreading each entry's already-packed tag
-    /// run into its direct-addressed slot.
+    /// list once, spreading each entry's already-packed tag run into its
+    /// direct-addressed slot.
     fn promote(&mut self, slot: usize) {
         let stride = self.stride;
         let list = &mut self.lists[slot];
@@ -541,86 +515,8 @@ impl<T: TagElem> HybridCoreImpl<T> {
         }
         list.nbrs = Vec::new();
         list.tags = Vec::new();
-        list.sorted_len = 0;
         list.dense = Some(Box::new(d));
         self.list_bytes = self.list_bytes - sparse_bytes + list.heap_bytes();
-    }
-
-    /// Merges a sparse slot's unsorted tail into its sorted prefix: the
-    /// tail is sorted on a stack buffer and back-merged from the highest
-    /// index down (no element is overwritten before it is read), strided
-    /// tag runs moved alongside their neighbor entries via the reusable
-    /// scratch.
-    fn merge_sparse(&mut self, slot: usize) {
-        let stride = self.stride;
-        let list = &mut self.lists[slot];
-        let s = list.sorted_len;
-        let n = list.nbrs.len();
-        if s == n {
-            return;
-        }
-        let mut order: [(NodeId, usize); TAIL_LIMIT + 1] = [(0, 0); TAIL_LIMIT + 1];
-        let order = &mut order[..n - s];
-        for (k, entry) in order.iter_mut().enumerate() {
-            *entry = (list.nbrs[s + k], s + k);
-        }
-        order.sort_unstable_by_key(|&(w, _)| w);
-        self.scratch_nbrs.clear();
-        self.scratch_tags.clear();
-        for &(w, pos) in order.iter() {
-            self.scratch_nbrs.push(w);
-            self.scratch_tags
-                .extend_from_slice(&list.tags[pos * stride..(pos + 1) * stride]);
-        }
-
-        let (mut a, mut t, mut write) = (s, order.len(), n);
-        while t > 0 {
-            let (src, from_tail) = if a > 0 && list.nbrs[a - 1] > self.scratch_nbrs[t - 1] {
-                a -= 1;
-                (a, false)
-            } else {
-                t -= 1;
-                (t, true)
-            };
-            write -= 1;
-            if from_tail {
-                list.nbrs[write] = self.scratch_nbrs[src];
-                list.tags[write * stride..(write + 1) * stride]
-                    .copy_from_slice(&self.scratch_tags[src * stride..(src + 1) * stride]);
-            } else {
-                list.nbrs[write] = list.nbrs[src];
-                list.tags
-                    .copy_within(src * stride..(src + 1) * stride, write * stride);
-            }
-        }
-        list.sorted_len = n;
-    }
-
-    /// Batch-boundary compaction (a pure representation change). Only
-    /// tails that have already reached `TAIL_LIMIT` are merged: a
-    /// back-merge costs O(list length) however short the tail, while
-    /// probing a bounded tail costs a few comparisons per match — so
-    /// eagerly merging 1–2 entry tails at every batch boundary was the
-    /// single largest avoidable cost on ingest-bound streams (measured:
-    /// ~15% of the ingest+match loop on the benchmark stream). Shorter
-    /// tails stay bounded by the overflow merge in [`Self::push_entry`].
-    ///
-    /// The overflow merge also means a tail never *exceeds*
-    /// `TAIL_LIMIT`, so the mergeable tails are exactly those that
-    /// reached it during this batch — the slots `push_entry` registered
-    /// in `full_tails`. Compaction visits those and nothing else: its
-    /// cost is O(pushes in the batch), never O(nodes).
-    fn compact(&mut self) {
-        for i in 0..self.full_tails.len() {
-            let slot = self.full_tails[i] as usize;
-            let list = &self.lists[slot];
-            // A registered slot may have overflowed (and self-merged)
-            // or been promoted since; only a still-full tail merges.
-            if list.dense.is_none() && list.nbrs.len() - list.sorted_len == TAIL_LIMIT {
-                self.merge_sparse(slot);
-            }
-        }
-        self.full_tails.clear();
     }
 
     /// True if the edge `(u, v)` is already stored. A dense endpoint
@@ -650,12 +546,8 @@ impl<T: TagElem> HybridCoreImpl<T> {
         if self.is_duplicate(su, sv, u, v) {
             return false;
         }
-        if self.push_entry(su, v, run) {
-            self.full_tails.push(su as u32);
-        }
-        if self.push_entry(sv, u, run) {
-            self.full_tails.push(sv as u32);
-        }
+        self.push_entry(su, v, run);
+        self.push_entry(sv, u, run);
         self.edge_count += 1;
         true
     }
@@ -702,12 +594,8 @@ impl<T: TagElem> HybridCoreImpl<T> {
         if self.is_duplicate(su, sv, u, v) {
             return false;
         }
-        if self.push_entry(su, v, run) {
-            self.full_tails.push(su as u32);
-        }
-        if self.push_entry(sv, u, run) {
-            self.full_tails.push(sv as u32);
-        }
+        self.push_entry(su, v, run);
+        self.push_entry(sv, u, run);
         self.edge_count += 1;
         true
     }
@@ -715,14 +603,10 @@ impl<T: TagElem> HybridCoreImpl<T> {
     /// The structural intersection of two slots, dispatched by
     /// representation: an all-pairs equality scan (small sparse×sparse,
     /// under the [`BRUTE_LIMIT`] comparison budget) or the sorted
-    /// merge/gallop kernel (larger sparse×sparse — its
-    /// tail legs cover both lists' pending tails), bitmap∧bitmap
+    /// merge/gallop kernel (larger sparse×sparse), bitmap∧bitmap
     /// (dense×dense), or a directory probe per sparse entry
-    /// (dense×sparse — dense lists have no tail and the O(1) probe
-    /// needs no ordering from the sparse side, so the sparse list is
-    /// walked whole, sorted prefix and tail alike). Each pairing
-    /// covers the intersection exactly once on its own — there are no
-    /// cross-representation fixup legs.
+    /// (dense×sparse). Each pairing covers the intersection exactly
+    /// once on its own — there are no cross-representation fixup legs.
     #[inline]
     fn match_slots<F: FnMut(&[T], &[T], NodeId)>(&self, sa: usize, sb: usize, f: &mut F) {
         let stride = self.stride;
@@ -731,10 +615,9 @@ impl<T: TagElem> HybridCoreImpl<T> {
             (None, None) => {
                 // Small×small pairs — the bulk of a skewed stream — skip
                 // the merge machinery entirely: an all-pairs equality
-                // scan is branch-free, auto-vectorizes (the inner pass
-                // is a pure `|=`-reduction over one short u32 slice),
-                // and needs no sorted order, so pending tails cost
-                // nothing extra. The comparison budget is bounded by
+                // scan is branch-free and auto-vectorizes (the inner
+                // pass is a pure `|=`-reduction over one short u32
+                // slice). The comparison budget is bounded by
                 // `BRUTE_LIMIT`; bigger pairs take the sorted kernel
                 // with its merge/gallop split.
                 if la.nbrs.len() * lb.nbrs.len() <= BRUTE_LIMIT {
@@ -760,19 +643,13 @@ impl<T: TagElem> HybridCoreImpl<T> {
                     }
                     return;
                 }
-                for_each_common_position(
-                    &la.nbrs,
-                    la.sorted_len,
-                    &lb.nbrs,
-                    lb.sorted_len,
-                    &mut |pa, pb, w| {
-                        f(
-                            &la.tags[pa * stride..(pa + 1) * stride],
-                            &lb.tags[pb * stride..(pb + 1) * stride],
-                            w,
-                        );
-                    },
-                );
+                for_each_common_position(&la.nbrs, &lb.nbrs, &mut |pa, pb, w| {
+                    f(
+                        &la.tags[pa * stride..(pa + 1) * stride],
+                        &lb.tags[pb * stride..(pb + 1) * stride],
+                        w,
+                    );
+                });
             }
             (Some(da), Some(db)) => dense_dense(da, db, stride, f),
             (Some(da), None) => dense_sparse(da, &lb.nbrs, &lb.tags, stride, false, f),
@@ -804,8 +681,8 @@ impl<T: TagElem> HybridCoreImpl<T> {
     }
 
     /// Heap footprint in bytes — every allocation the structure owns
-    /// (lists, dense cores, arena, id table, compaction work list,
-    /// scratch). O(1): the lists' share is the running `list_bytes`.
+    /// (lists, dense cores, arena, id table, scratch). O(1): the lists'
+    /// share is the running `list_bytes`.
     fn approx_bytes(&self) -> usize {
         let bytes = self.list_bytes + self.slots.approx_bytes() + self.vec_bytes();
         #[cfg(debug_assertions)]
@@ -813,15 +690,12 @@ impl<T: TagElem> HybridCoreImpl<T> {
         bytes
     }
 
-    /// The arena, compaction work list and scratch — capacity reads.
+    /// The arena and scratch — capacity reads.
     fn vec_bytes(&self) -> usize {
         use std::mem::size_of;
-        let arena = self.lists.capacity() * size_of::<HybridNodeList<T>>()
-            + self.nodes.capacity() * size_of::<NodeId>();
-        let work = self.full_tails.capacity() * size_of::<u32>();
-        let scratch = self.scratch_nbrs.capacity() * size_of::<NodeId>()
-            + self.scratch_tags.capacity() * size_of::<T>();
-        arena + work + scratch
+        self.lists.capacity() * size_of::<HybridNodeList<T>>()
+            + self.nodes.capacity() * size_of::<NodeId>()
+            + self.scratch_tags.capacity() * size_of::<T>()
     }
 
     /// [`Self::approx_bytes`] by walking every list, dense core and id
@@ -858,7 +732,6 @@ impl HybridCoreImpl<u8> {
             .map(|l| HybridNodeList {
                 nbrs: l.nbrs,
                 tags: wide(l.tags),
-                sorted_len: l.sorted_len,
                 dense: l.dense.map(|d| {
                     Box::new(DenseCore {
                         keys: d.keys,
@@ -878,8 +751,6 @@ impl HybridCoreImpl<u8> {
             list_bytes: list_bytes(&lists),
             lists,
             edge_count: self.edge_count,
-            full_tails: self.full_tails,
-            scratch_nbrs: Vec::new(),
             scratch_tags: Vec::new(),
         }
     }
@@ -930,85 +801,48 @@ fn gallop_lower_bound(arr: &[NodeId], target: NodeId, start: usize) -> usize {
     lo + arr[lo..hi].partition_point(|&x| x < target)
 }
 
-/// Position of `w` in a `(neighbors, sorted_len)` list: binary search in
-/// the sorted prefix, linear scan of the tail.
-#[inline]
-fn position_in(nbrs: &[NodeId], sorted_len: usize, w: NodeId) -> Option<usize> {
-    if let Ok(pos) = nbrs[..sorted_len].binary_search(&w) {
-        return Some(pos);
-    }
-    nbrs[sorted_len..]
-        .iter()
-        .position(|&x| x == w)
-        .map(|off| sorted_len + off)
-}
-
 /// Calls `f(pos_a, pos_b, w)` for every **structural** common neighbor
-/// of two sparse `(neighbors, sorted_len)` lists. Covers every
-/// (prefix|tail) × (prefix|tail) pairing exactly once: sorted×sorted by
-/// merge/gallop, `a`'s tail against all of `b`, `b`'s tail against `a`'s
-/// sorted prefix only. Tag filtering is the caller's job, via the
-/// emitted positions.
+/// of two sorted neighbor lists, by merge or — when the lengths differ
+/// by more than [`GALLOP_RATIO`] — by galloping through the longer one.
+/// Tag filtering is the caller's job, via the emitted positions.
 #[inline]
-fn for_each_common_position<F: FnMut(usize, usize, NodeId)>(
-    a_nbrs: &[NodeId],
-    a_sorted: usize,
-    b_nbrs: &[NodeId],
-    b_sorted: usize,
-    f: &mut F,
-) {
-    // Sorted prefix × sorted prefix: merge or gallop by skew.
-    let (pa, pb) = (&a_nbrs[..a_sorted], &b_nbrs[..b_sorted]);
-    let a_is_small = pa.len() <= pb.len();
-    let (small, large) = if a_is_small { (pa, pb) } else { (pb, pa) };
-    if !small.is_empty() {
-        if small.len() * GALLOP_RATIO < large.len() {
-            let mut from = 0usize;
-            for (i, &w) in small.iter().enumerate() {
-                let pos = gallop_lower_bound(large, w, from);
-                if pos == large.len() {
-                    break;
-                }
-                if large[pos] == w {
-                    let (qa, qb) = if a_is_small { (i, pos) } else { (pos, i) };
-                    f(qa, qb, w);
-                    from = pos + 1;
-                } else {
-                    from = pos;
-                }
+fn for_each_common_position<F: FnMut(usize, usize, NodeId)>(a: &[NodeId], b: &[NodeId], f: &mut F) {
+    let a_is_small = a.len() <= b.len();
+    let (small, large) = if a_is_small { (a, b) } else { (b, a) };
+    if small.len() * GALLOP_RATIO < large.len() {
+        let mut from = 0usize;
+        for (i, &w) in small.iter().enumerate() {
+            let pos = gallop_lower_bound(large, w, from);
+            if pos == large.len() {
+                break;
             }
-        } else {
-            // Linear merge with *branchless* pointer advance: the
-            // `x < y` / `y < x` steps compile to setcc/add instead of a
-            // data-dependent jump, which matters because the comparison
-            // outcome is essentially random (one branch mispredict per
-            // element otherwise). Only the rare equality case takes a
-            // real branch.
-            let (mut i, mut j) = (0usize, 0usize);
-            while i < small.len() && j < large.len() {
-                let (x, y) = (small[i], large[j]);
-                if x == y {
-                    let (qa, qb) = if a_is_small { (i, j) } else { (j, i) };
-                    f(qa, qb, x);
-                    i += 1;
-                    j += 1;
-                } else {
-                    i += usize::from(x < y);
-                    j += usize::from(y < x);
-                }
+            if large[pos] == w {
+                let (qa, qb) = if a_is_small { (i, pos) } else { (pos, i) };
+                f(qa, qb, w);
+                from = pos + 1;
+            } else {
+                from = pos;
             }
         }
-    }
-
-    // a's tail × all of b, then b's tail × a's sorted prefix only.
-    for (k, &w) in a_nbrs.iter().enumerate().skip(a_sorted) {
-        if let Some(pos) = position_in(b_nbrs, b_sorted, w) {
-            f(k, pos, w);
-        }
-    }
-    for (k, &w) in b_nbrs.iter().enumerate().skip(b_sorted) {
-        if let Ok(pos) = pa.binary_search(&w) {
-            f(pos, k, w);
+    } else {
+        // Linear merge with *branchless* pointer advance: the
+        // `x < y` / `y < x` steps compile to setcc/add instead of a
+        // data-dependent jump, which matters because the comparison
+        // outcome is essentially random (one branch mispredict per
+        // element otherwise). Only the rare equality case takes a
+        // real branch.
+        let (mut i, mut j) = (0usize, 0usize);
+        while i < small.len() && j < large.len() {
+            let (x, y) = (small[i], large[j]);
+            if x == y {
+                let (qa, qb) = if a_is_small { (i, j) } else { (j, i) };
+                f(qa, qb, x);
+                i += 1;
+                j += 1;
+            } else {
+                i += usize::from(x < y);
+                j += usize::from(y < x);
+            }
         }
     }
 }
@@ -1045,8 +879,7 @@ fn dense_dense<T: TagElem, F: FnMut(&[T], &[T], NodeId)>(
 }
 
 /// Bitmap × sparse-list intersection: one O(1) directory probe, bit
-/// test and direct tag load per sparse entry, so the sparse side needs
-/// no ordering (its unsorted tail is welcome). `dense_is_b` flips the
+/// test and direct tag load per sparse entry. `dense_is_b` flips the
 /// argument order so `f` always receives `(run_a, run_b, w)`.
 #[inline]
 fn dense_sparse<T: TagElem, F: FnMut(&[T], &[T], NodeId)>(
@@ -1245,13 +1078,6 @@ impl HybridTaggedAdjacency {
         on_core!(&self.core, c => c.approx_bytes())
     }
 
-    /// Merges every tail already at the overflow bound (a pure
-    /// representation change — answers are identical before and after)
-    /// in time proportional to the inserts since the last call.
-    pub fn compact(&mut self) {
-        on_core!(&mut self.core, c => c.compact());
-    }
-
     /// Checks a row about to be stored, and widens the tag store in
     /// place if any of its tags cannot pack.
     #[inline]
@@ -1390,7 +1216,7 @@ mod tests {
     /// The defining property: at any threshold, on any insert sequence,
     /// the single-column layout answers every query exactly like the
     /// sorted-map model — including hub nodes that crossed the promotion
-    /// boundary and unmerged tails on both representations.
+    /// boundary and sparse inserts below a list's largest neighbor.
     #[test]
     fn single_equivalent_to_sorted_on_random_streams() {
         for threshold in THRESHOLDS {
@@ -1413,15 +1239,12 @@ mod tests {
                 }
             }
             let (stored, queries) = edges.split_at(edges.len() * 2 / 3);
-            for (k, &(e, cell)) in stored.iter().enumerate() {
+            for &(e, cell) in stored {
                 assert_eq!(
                     hybrid.insert(e, &[cell]),
                     model.insert(e, &[cell]),
                     "{e} threshold {threshold}"
                 );
-                if k % 97 == 0 {
-                    hybrid.compact();
-                }
             }
             assert_eq!(hybrid.edge_count(), model.edges.len());
             assert_eq!(hybrid.node_count(), model.node_count());
@@ -1476,15 +1299,12 @@ mod tests {
                     }
                 }
                 let (stored, queries) = edges.split_at(edges.len() / 2);
-                for (k, (e, tags)) in stored.iter().enumerate() {
+                for (e, tags) in stored {
                     assert_eq!(
                         hybrid.insert(*e, tags),
                         model.insert(*e, tags),
                         "{e} width {width} threshold {threshold}"
                     );
-                    if k % 111 == 0 {
-                        hybrid.compact();
-                    }
                 }
                 assert_eq!(hybrid.edge_count(), model.edges.len());
                 assert_eq!(hybrid.node_count(), model.node_count());
@@ -1536,13 +1356,10 @@ mod tests {
                     }
                 }
                 let (stored, queries) = edges.split_at(edges.len() / 2);
-                for (k, (e, tags)) in stored.iter().enumerate() {
+                for (e, tags) in stored {
                     let fresh = multi.insert(*e, tags);
                     for (g, s) in singles.iter_mut().enumerate() {
                         assert_eq!(s.insert(*e, &[tags[g]]), fresh, "{e} group {g}");
-                    }
-                    if k % 111 == 0 {
-                        multi.compact();
                     }
                 }
                 assert_eq!(multi.edge_count(), singles[0].edge_count());
@@ -1606,16 +1423,13 @@ mod tests {
                     }
                 }
                 let (stored, queries) = edges.split_at(edges.len() / 2);
-                for (k, (e, full, m)) in stored.iter().enumerate() {
+                for (e, full, m) in stored {
                     let fresh = masked_adj.insert(*e, &masked_row(full, *m));
                     assert_eq!(multi.insert(*e, full), fresh, "{e} union insert");
                     if fresh {
                         if let Some(tag) = m {
                             assert!(rem.insert(*e, &[*tag]), "{e} masked insert");
                         }
-                    }
-                    if k % 97 == 0 {
-                        masked_adj.compact();
                     }
                 }
                 assert_eq!(masked_adj.edge_count(), multi.edge_count());
@@ -1685,16 +1499,13 @@ mod tests {
                     }
                 }
                 let (stored, queries) = edges.split_at(edges.len() / 2);
-                for (k, (e, full, m)) in stored.iter().enumerate() {
+                for (e, full, m) in stored {
                     let run = masked_row(full, *m);
                     assert_eq!(
                         hybrid.insert(*e, &run),
                         model.insert(*e, &run),
                         "{e} full_width {full_width} threshold {threshold}"
                     );
-                    if k % 97 == 0 {
-                        hybrid.compact();
-                    }
                 }
                 let masked_of = |e: Edge| {
                     model
@@ -1898,8 +1709,7 @@ mod tests {
     /// The two row representations are interchangeable: on any insert
     /// sequence a never-promoting structure (sorted rows only) answers
     /// every query exactly like an always-promoting one (bitmap rows
-    /// only) — including skewed degrees (galloping path) and unmerged
-    /// tails.
+    /// only) — including skewed degrees (galloping path).
     #[test]
     fn sparse_rows_equivalent_to_dense_rows_on_random_streams() {
         let rng = SplitMix64::new(0xC0FFEE);
@@ -1987,10 +1797,6 @@ mod tests {
                 b.sort_unstable();
                 assert_eq!(a, b, "matches at step {i} threshold {threshold}");
                 assert_eq!(stored_a, stored_b, "store outcome at step {i}");
-                if i % 97 == 0 {
-                    fused.compact();
-                    split.compact();
-                }
             }
             assert_eq!(fused.edge_count(), split.edge_count());
         }
@@ -2034,10 +1840,6 @@ mod tests {
             b.sort_unstable();
             assert_eq!(a, b, "step {i} threshold {threshold}");
             assert_eq!(sa, sb, "store outcome, step {i}");
-            if i % 131 == 0 {
-                fused.compact();
-                split.compact();
-            }
         }
         assert_eq!(fused.edge_count(), split.edge_count());
     }
@@ -2071,19 +1873,15 @@ mod tests {
                 b.sort_unstable();
                 assert_eq!(a, b, "step {i} threshold {threshold}");
                 assert_eq!(sa, sb, "store outcome, step {i}");
-                if i % 131 == 0 {
-                    fused.compact();
-                    split.compact();
-                }
             }
             assert_eq!(fused.edge_count(), split.edge_count());
             assert_eq!(kept(&fused, full_width), kept(&split, full_width));
         }
     }
 
-    /// Sparse tail maintenance: far more than `TAIL_LIMIT` neighbors of
-    /// one never-promoted node in descending order (worst case for the
-    /// back-merge), with duplicates sprinkled in.
+    /// Sorted sparse inserts: a hundred neighbors of one never-promoted
+    /// node in descending order (every insert shifts the whole list),
+    /// with duplicates sprinkled in.
     #[test]
     fn tail_merge_keeps_prefix_sorted_and_lookups_exact() {
         let mut a = HybridTaggedAdjacency::with_threshold(1, usize::MAX);
@@ -2102,9 +1900,9 @@ mod tests {
         assert_eq!(cell_of(&a, edge(0, 100)), None);
     }
 
-    /// Dense-core maintenance across many tail merges: one hub receives
-    /// hundreds of neighbors in descending order (worst case for the
-    /// block merge) with duplicates sprinkled in; every lookup must stay
+    /// Dense-core maintenance: one hub receives hundreds of neighbors in
+    /// descending order (each one shifted into its sparse list until the
+    /// promotion) with duplicates sprinkled in; every lookup must stay
     /// exact and first tags must win.
     #[test]
     fn dense_merges_keep_lookups_exact() {
@@ -2122,93 +1920,9 @@ mod tests {
             assert_eq!(cell_of(&a, Edge::new(0, v)), Some(v % 5), "lookup {v}");
         }
         assert_eq!(cell_of(&a, Edge::new(0, 600)), None);
-        a.compact();
         for v in 1..600u32 {
             assert_eq!(cell_of(&a, Edge::new(0, v)), Some(v % 5));
         }
-    }
-
-    /// Compaction is a pure representation change on both sides of the
-    /// promotion boundary: eager vs lazy compaction answer identically.
-    #[test]
-    fn compact_is_a_pure_representation_change() {
-        let mut eager = HybridTaggedAdjacency::with_threshold(2, 20);
-        let mut lazy = HybridTaggedAdjacency::with_threshold(2, 20);
-        let edges: Vec<(Edge, [CellTag; 2])> = (0..300u32)
-            .map(|i| (Edge::new(i % 40, 40 + (i * 7) % 90), [i % 6, i % 4]))
-            .collect();
-        for (i, &(e, tags)) in edges.iter().enumerate() {
-            assert_eq!(eager.insert(e, &tags), lazy.insert(e, &tags));
-            if i % 23 == 0 {
-                eager.compact();
-            }
-        }
-        eager.compact();
-        assert_eq!(eager.edge_count(), lazy.edge_count());
-        for u in 0..40u32 {
-            for v in 40..130u32 {
-                let q = Edge::new(u, v);
-                assert_eq!(eager.tags_of(q), lazy.tags_of(q), "{q}");
-            }
-            for w in (u + 1)..40 {
-                let q = Edge::new(u, w);
-                let mut a = Vec::new();
-                let mut b = Vec::new();
-                eager.match_then_insert(q, None, |g, x, c| a.push((g, x, c)));
-                lazy.match_then_insert(q, None, |g, x, c| b.push((g, x, c)));
-                a.sort_unstable();
-                b.sort_unstable();
-                assert_eq!(a, b, "matches of ({u}, {w})");
-            }
-        }
-        let before = eager.edge_count();
-        eager.compact();
-        assert_eq!(eager.edge_count(), before);
-    }
-
-    /// The same on the single-column structure with promotion off — the
-    /// sorted-row layout alone: eager vs lazy compaction answer
-    /// identically, and a compacted structure keeps every sparse tail
-    /// below the overflow bound.
-    #[test]
-    fn single_compact_is_a_pure_representation_change() {
-        let mut eager = HybridTaggedAdjacency::with_threshold(1, usize::MAX);
-        let mut lazy = HybridTaggedAdjacency::with_threshold(1, usize::MAX);
-        let edges: Vec<(Edge, CellTag)> = (0..300u32)
-            .map(|i| (Edge::new(i % 40, 40 + (i * 7) % 90), i % 6))
-            .collect();
-        for (i, &(e, cell)) in edges.iter().enumerate() {
-            assert_eq!(eager.insert(e, &[cell]), lazy.insert(e, &[cell]));
-            if i % 23 == 0 {
-                eager.compact();
-            }
-        }
-        eager.compact();
-        let tails_bounded = on_core!(&eager.core, c => c
-            .lists
-            .iter()
-            .all(|l| l.dense.is_none() && l.nbrs.len() - l.sorted_len < TAIL_LIMIT));
-        assert!(tails_bounded);
-        assert_eq!(eager.edge_count(), lazy.edge_count());
-        for u in 0..40u32 {
-            for v in 40..130u32 {
-                let q = Edge::new(u, v);
-                assert_eq!(cell_of(&eager, q), cell_of(&lazy, q), "{q}");
-            }
-            for w in (u + 1)..40 {
-                let mut a = Vec::new();
-                let mut b = Vec::new();
-                eager.for_each_matching_common_neighbor(u, w, |_, x, c| a.push((x, c)));
-                lazy.for_each_matching_common_neighbor(u, w, |_, x, c| b.push((x, c)));
-                a.sort_unstable();
-                b.sort_unstable();
-                assert_eq!(a, b, "matches of ({u}, {w})");
-            }
-        }
-        // compact on an already-clean structure is a no-op.
-        let before = eager.edge_count();
-        eager.compact();
-        assert_eq!(eager.edge_count(), before);
     }
 
     #[test]
@@ -2283,10 +1997,6 @@ mod tests {
                     masked_s.insert(e, &[tags[1], m.unwrap_or(MASKED_NONE)]),
                     "{e} masked"
                 );
-                if i % 101 == 0 {
-                    hybrid.compact();
-                    masked_h.compact();
-                }
             }
             for u in 0..50u32 {
                 for v in 50..140u32 {
@@ -2393,11 +2103,10 @@ mod tests {
         /// `approx_bytes` is O(1) yet equals the walk over every list,
         /// dense core and id page after every insert — at one, three and
         /// three columns with a last column that drops edges, at every
-        /// threshold, through promotions, overflow
-        /// merges, compactions, the packed → wide switch (cells past one
-        /// byte from `wide_from` on), `clone()` (whose vecs shrink to
-        /// their lengths) and a rebuild from the edge enumeration (what
-        /// an RPCK restore does).
+        /// threshold, through promotions, the packed → wide switch
+        /// (cells past one byte from `wide_from` on), `clone()` (whose
+        /// vecs shrink to their lengths) and a rebuild from the edge
+        /// enumeration (what an RPCK restore does).
         #[test]
         fn running_byte_count_equals_recount(
             pairs in vec((0u32..12, 0u32..160), 1..500),
@@ -2430,11 +2139,6 @@ mod tests {
                         let (running, walked) = byte_counts(adj);
                         prop_assert_eq!(running, walked, "edge {} threshold {}", i, threshold);
                     }
-                    if r.is_multiple_of(29) {
-                        single.compact();
-                        multi.compact();
-                        masked.compact();
-                    }
                 }
                 for adj in [&single, &multi, &masked] {
                     let copy = adj.clone();
@@ -2454,88 +2158,84 @@ mod tests {
                 multi.for_each_edge(|e| {
                     rebuilt.insert(e, &multi.tags_of(e).expect("enumerated edge"));
                 });
-                rebuilt.compact();
                 let (running, walked) = byte_counts(&rebuilt);
                 prop_assert_eq!(running, walked, "rebuild at threshold {}", threshold);
             }
         }
     }
 
-    /// The reference compaction: scan every node and merge each sparse
-    /// tail of at least `TAIL_LIMIT` entries.
-    fn full_scan_compact<T: TagElem>(c: &mut HybridCoreImpl<T>) {
-        for slot in 0..c.lists.len() {
-            let l = &c.lists[slot];
-            if l.dense.is_none() && l.nbrs.len() - l.sorted_len >= TAIL_LIMIT {
-                c.merge_sparse(slot);
-            }
-        }
+    /// Every sparse list strictly increasing, with one tag run per
+    /// neighbor (dense lists keep theirs empty).
+    fn sparse_lists_sorted(adj: &HybridTaggedAdjacency) -> bool {
+        on_core!(&adj.core, c => c.lists.iter().all(|l| {
+            l.tags.len() == l.nbrs.len() * c.stride && l.nbrs.windows(2).all(|p| p[0] < p[1])
+        }))
     }
 
-    /// Every slot's `(nbrs, tags, sorted_len, promoted)`, tags unpacked.
-    type SlotContents = Vec<(Vec<NodeId>, Vec<CellTag>, usize, bool)>;
-
-    fn slot_contents(core: &HybridCore) -> SlotContents {
-        on_core!(core, c => c
-            .lists
-            .iter()
-            .map(|l| {
-                let tags = l.tags.iter().map(|&t| t.unpack()).collect();
-                (l.nbrs.clone(), tags, l.sorted_len, l.dense.is_some())
-            })
-            .collect())
+    /// Every stored edge with its tag row, in edge order.
+    fn rows(adj: &HybridTaggedAdjacency) -> Vec<(Edge, Vec<CellTag>)> {
+        let mut rows = Vec::new();
+        adj.for_each_edge(|e| rows.push((e, adj.tags_of(e).expect("enumerated edge"))));
+        rows.sort_unstable();
+        rows
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
+        #![proptest_config(ProptestConfig::with_cases(16))]
 
-        /// Compaction work follows the batch, not the graph: before
-        /// each `compact()` its work list holds at most two entries per
-        /// edge the batch stored (one per endpoint push), after it the
-        /// list is empty, and every slot equals what the full scan makes
-        /// of a clone — so the representation after every batch, and
-        /// with it every checkpoint blob, is the one a full scan yields.
+        /// Sparse lists stay sorted whatever order the edges arrive in:
+        /// ascending (every sparse insert appends), descending (every one
+        /// shifts) and random, at every threshold and at widths 1–4, the
+        /// last of several columns dropping about a third of the edges
+        /// and cells past one byte arriving from `wide_from` on. After
+        /// every insert each sparse list is strictly increasing, the
+        /// insert matched what the model matches, the structure holds
+        /// exactly the model's edges and tag rows, and the running byte
+        /// count equals the recount.
         #[test]
-        fn compaction_is_bounded_by_the_batch_and_merges_what_a_full_scan_merges(
-            pairs in vec((0u32..10, 0u32..240), 1..700),
-            batches in vec(1usize..90, 1..12),
-            stride in 1usize..4,
+        fn sparse_lists_stay_sorted_in_any_insert_order(
+            pairs in vec((0u32..10, 0u32..90), 1..160),
+            seed in any::<u64>(),
+            wide_from in 0usize..240,
         ) {
-            let edges: Vec<Edge> = pairs
+            let random: Vec<Edge> = pairs
                 .iter()
                 .filter_map(|&(u, v)| Edge::try_new(u, v))
                 .collect();
-            for threshold in THRESHOLDS {
-                let mut adj = HybridTaggedAdjacency::with_threshold(stride, threshold);
-                let (mut at, mut k) = (0usize, 0usize);
-                while at < edges.len() {
-                    let n = batches[k % batches.len()].min(edges.len() - at);
-                    let mut stored = 0usize;
-                    for (i, &e) in edges[at..at + n].iter().enumerate() {
-                        let run: Vec<CellTag> =
-                            (0..stride).map(|g| ((i + g) % 5) as CellTag).collect();
-                        stored += usize::from(adj.insert(e, &run));
+            let mut ascending = random.clone();
+            ascending.sort_unstable();
+            let descending: Vec<Edge> = ascending.iter().rev().copied().collect();
+            let rng = SplitMix64::new(seed);
+            for (order, stream) in [("ascending", ascending), ("descending", descending), ("random", random)] {
+                for width in 1..=4usize {
+                    for threshold in THRESHOLDS {
+                        let mut adj = HybridTaggedAdjacency::with_threshold(width, threshold);
+                        let mut model = Model::default();
+                        for (i, &e) in stream.iter().enumerate() {
+                            let r = rng.fork(i as u64).next_u64();
+                            let wide = if i >= wide_from { 300 } else { 0 };
+                            let mut row: Vec<CellTag> = (0..width)
+                                .map(|g| wide + ((r >> (8 * g)) % 7) as CellTag)
+                                .collect();
+                            if width > 1 && r.is_multiple_of(3) {
+                                row[width - 1] = MASKED_NONE;
+                            }
+                            let what = format!("{order} width {width} threshold {threshold} edge {i}");
+                            let want = model.matches(e);
+                            let mut got = Vec::new();
+                            let fresh = adj.match_then_insert(e, Some(&row), |g, w, c| got.push((g, w, c)));
+                            got.sort_unstable();
+                            prop_assert_eq!(fresh, model.insert(e, &row), "{}", what);
+                            prop_assert_eq!(got, want, "{}", what);
+                            prop_assert!(sparse_lists_sorted(&adj), "{}", what);
+                            let model_rows: Vec<(Edge, Vec<CellTag>)> =
+                                model.edges.iter().map(|(&e, row)| (e, row.clone())).collect();
+                            prop_assert_eq!(rows(&adj), model_rows, "{}", what);
+                            prop_assert_eq!(adj.node_count(), model.node_count(), "{}", what);
+                            let (running, walked) = byte_counts(&adj);
+                            prop_assert_eq!(running, walked, "{}", what);
+                        }
                     }
-                    let pending = on_core!(&adj.core, c => c.full_tails.len());
-                    prop_assert!(
-                        pending <= 2 * stored,
-                        "{} pending for {} stored edges",
-                        pending,
-                        stored
-                    );
-                    let mut reference = adj.clone();
-                    on_core!(&mut reference.core, c => full_scan_compact(c));
-                    adj.compact();
-                    prop_assert!(on_core!(&adj.core, c => c.full_tails.is_empty()));
-                    prop_assert_eq!(
-                        slot_contents(&adj.core),
-                        slot_contents(&reference.core),
-                        "batch {} threshold {}",
-                        k,
-                        threshold
-                    );
-                    at += n;
-                    k += 1;
                 }
             }
         }

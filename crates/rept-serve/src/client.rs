@@ -94,12 +94,6 @@ impl Default for ClientConfig {
 }
 
 impl ClientConfig {
-    /// Sets the TCP connect timeout.
-    pub fn with_connect_timeout(mut self, t: Duration) -> Self {
-        self.connect_timeout = Some(t);
-        self
-    }
-
     /// Sets the reply read timeout.
     pub fn with_read_timeout(mut self, t: Duration) -> Self {
         self.read_timeout = Some(t);
@@ -611,17 +605,6 @@ impl Client {
     /// Socket/protocol errors.
     pub fn stats_all(&mut self) -> std::io::Result<String> {
         self.request("STATS *")
-    }
-
-    /// `JOURNAL STATS` — the current tenant's durability state as the
-    /// raw reply line (`enabled= position= bytes= segments= replayed=
-    /// dlq=`).
-    ///
-    /// # Errors
-    ///
-    /// Socket/protocol errors.
-    pub fn journal_stats(&mut self) -> std::io::Result<String> {
-        self.request("JOURNAL STATS")
     }
 
     /// `HEALTH` — the current tenant's pressure gauges as the raw reply

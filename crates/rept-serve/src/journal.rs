@@ -124,8 +124,6 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 struct ActiveSegment {
     file: File,
     path: PathBuf,
-    /// Stream position of the segment's first record.
-    start: u64,
     /// File length in bytes (header + records written so far).
     len: u64,
 }
@@ -449,19 +447,9 @@ impl Journal {
         if let Some(last) = journal.closed.pop() {
             let mut file = OpenOptions::new().write(true).open(&last.path)?;
             file.seek(SeekFrom::Start(last.bytes))?;
-            // The name records the *start* position, recomputable from
-            // the path; `end` tracked separately per segment.
-            let start = last
-                .path
-                .file_name()
-                .and_then(|n| n.to_str())
-                .and_then(|n| n.rsplit('.').next())
-                .and_then(|d| d.parse().ok())
-                .unwrap_or(base);
             journal.active = Some(ActiveSegment {
                 file,
                 path: last.path,
-                start,
                 len: last.bytes,
             });
         }
@@ -605,7 +593,6 @@ impl Journal {
         self.active = Some(ActiveSegment {
             file,
             path,
-            start: self.next_position,
             len: SEGMENT_HEADER,
         });
         Ok(())
@@ -663,11 +650,6 @@ impl Journal {
     /// Number of live segment files.
     pub fn segments(&self) -> u64 {
         self.closed.len() as u64 + u64::from(self.active.is_some())
-    }
-
-    /// Start position of the active segment (diagnostics/tests).
-    pub fn active_segment_start(&self) -> Option<u64> {
-        self.active.as_ref().map(|a| a.start)
     }
 }
 

@@ -845,19 +845,28 @@ fn parse_tenant_manifest(text: &str) -> Result<TenantManifest, SnapshotError> {
     if m < 2 || !(1..=MAX_PROCESSORS).contains(&c) {
         return Err(SnapshotError::Invalid("tenant manifest layout"));
     }
+    let flag = |key: &str| match fields.get(key).copied() {
+        Some("0") => Ok(false),
+        Some("1") => Ok(true),
+        _ => Err(SnapshotError::Invalid("tenant manifest flag")),
+    };
     let rept = ReptConfig::new(m, c)
         .with_seed(num("seed")?)
-        .with_locals(num("track_locals")? != 0)
-        .with_eta(num("track_eta")? != 0)
+        .with_locals(flag("track_locals")?)
+        .with_eta(flag("track_eta")?)
         .with_eta_mode(match fields.get("eta_mode").copied() {
+            Some("paper") => EtaMode::PaperInit,
             Some("strict") => EtaMode::StrictNonLast,
-            _ => EtaMode::PaperInit,
+            _ => return Err(SnapshotError::Invalid("tenant manifest eta_mode")),
         });
     let engine = fields
         .get("engine")
         .and_then(|n| Engine::from_name(n))
         .ok_or(SnapshotError::Invalid("tenant manifest engine"))?;
-    let interval = fields.get("interval").and_then(|v| v.parse().ok());
+    let interval = fields
+        .contains_key("interval")
+        .then(|| num("interval"))
+        .transpose()?;
     let memory_budget = match fields.get("memory_budget") {
         Some(v) => Some(
             v.parse()
@@ -1209,5 +1218,61 @@ mod tests {
         }
         resumed.shutdown();
         std::fs::remove_dir_all(&root).ok();
+    }
+
+    /// A manifest decodes to exactly what the writer wrote, and a
+    /// damaged value is an error, never another value: an `eta_mode`
+    /// other than `paper` or `strict`, an `interval` that is not a
+    /// number, a flag other than `0` or `1`. An error sends startup to
+    /// the checkpoint header instead of resuming under a wrong config.
+    #[test]
+    fn damaged_manifest_values_are_errors_not_other_values() {
+        let dir = temp_root("meta-values");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        for (mode, locals, interval) in [
+            (EtaMode::PaperInit, true, None),
+            (EtaMode::StrictNonLast, false, Some(7)),
+        ] {
+            let rept = ReptConfig::new(4, 9)
+                .with_seed(3)
+                .with_locals(locals)
+                .with_eta(true)
+                .with_eta_mode(mode);
+            let serve = ServeConfig::new(rept).with_engine(Engine::PerWorker);
+            write_tenant_manifest(&dir, &serve, interval).expect("write manifest");
+            let text = std::fs::read_to_string(dir.join(TENANT_META)).expect("read manifest");
+            let parsed = parse_tenant_manifest(&text).expect("a written manifest parses");
+            assert_eq!(parsed.rept, rept);
+            assert_eq!(parsed.engine, Engine::PerWorker);
+            assert_eq!(parsed.interval, interval);
+            let mut damage = vec![
+                ("eta_mode", "strixt"),
+                ("eta_mode", ""),
+                ("track_locals", "7"),
+                ("track_eta", "yes"),
+            ];
+            if interval.is_some() {
+                damage.push(("interval", "1x"));
+            }
+            for (key, bad) in damage {
+                let damaged: String = text
+                    .lines()
+                    .map(|line| match line.split_once('=') {
+                        Some((k, _)) if k == key => format!("{k}={bad}\n"),
+                        _ => format!("{line}\n"),
+                    })
+                    .collect();
+                assert_ne!(damaged, text, "{key} in {text}");
+                assert!(
+                    matches!(
+                        parse_tenant_manifest(&damaged),
+                        Err(SnapshotError::Invalid(_))
+                    ),
+                    "{key}={bad} must not parse"
+                );
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

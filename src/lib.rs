@@ -29,8 +29,8 @@
 //! Every way of running the estimator drives the same type —
 //! [`rept_core::engine::EngineCore`] — which owns the engine-specific
 //! state of a run (per-worker workers, or the fused hybrid layout's one
-//! shared structure) behind four operations:
-//! `ingest_batch`, `compact`, `snapshot_counters`, `finalize`.
+//! shared structure) behind three operations:
+//! `ingest_batch`, `snapshot_counters`, `finalize`.
 //!
 //! * **Batch** (`Rept::run*`, the figure binaries, the benches):
 //!   construct a core, **ingest everything, then finalize**. Threaded
