@@ -91,8 +91,8 @@ fn bench_rept_scaling(c: &mut Criterion) {
 }
 
 /// Per-worker vs fused engine at growing processor counts — the cost of
-/// `c` independent intersections per edge against one cell-tagged pass
-/// per hash group (`⌈c/m⌉` passes). The gap should widen with `c`.
+/// `c` independent intersections per edge against one shared pass for
+/// every hash group. The gap should grow with `c`.
 fn bench_engines(c: &mut Criterion) {
     let stream = stream();
     let edges = stream.len() as u64;

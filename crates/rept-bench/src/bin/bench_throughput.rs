@@ -17,14 +17,13 @@
 //! between the two.
 //!
 //! A third section sweeps the hybrid layout's dense-promotion degree
-//! threshold on the fused engine's one structure
-//! (`HybridTaggedAdjacency` at width 4, the `c = 256` hot path): every
-//! edge of the BA stream, and of a skewed Chung–Lu stream (γ = 2.1 on
-//! `5·nodes` nodes, `20·nodes` edges — servebench's `chunglu-hubs`
-//! stream at the default size), replayed through `match_then_insert` at
-//! several thresholds, each row with the structure's `approx_bytes`
-//! after the stream. The `never` row (`usize::MAX`, all sorted vecs) is
-//! the no-bitmap baseline.
+//! threshold on the fused engine's one structure (`HybridAdjacency`):
+//! every edge of the BA stream, and of a skewed Chung–Lu stream
+//! (γ = 2.1 on `5·nodes` nodes, `20·nodes` edges — servebench's
+//! `chunglu-hubs` stream at the default size), replayed through
+//! `match_then_insert` at several thresholds, each row with the
+//! structure's `approx_bytes` after the stream. The `never` row
+//! (`usize::MAX`, all sorted vecs) is the no-bitmap baseline.
 //!
 //! Run: `cargo run --release --bin bench_throughput [-- --out FILE]`
 //! (default output: `BENCH_throughput.json`). `--nodes N` scales the
@@ -37,7 +36,7 @@ use std::time::Instant;
 
 use rept_core::{Engine, EngineCore, Rept, ReptConfig};
 use rept_gen::{barabasi_albert, chung_lu, GeneratorConfig};
-use rept_graph::{CellTag, Edge, HybridTaggedAdjacency};
+use rept_graph::HybridAdjacency;
 
 const M: u64 = 64;
 const PROCESSOR_COUNTS: [u64; 4] = [8, 64, 200, 256];
@@ -169,12 +168,10 @@ fn main() {
         );
     }
 
-    // Dense-promotion threshold sweep: the shared hybrid structure at
-    // width 4 (the c = 256 layout), every edge of each stream replayed
-    // through match_then_insert with synthetic per-group cell tags.
+    // Dense-promotion threshold sweep: the shared hybrid structure, every
+    // edge of each stream replayed through match_then_insert.
     // usize::MAX never promotes, so it is the no-bitmap baseline the
     // other thresholds are read against.
-    const SWEEP_WIDTH: usize = 4;
     let skewed_nodes = 5 * nodes;
     let skewed = chung_lu(
         &GeneratorConfig::new(skewed_nodes, 42),
@@ -186,28 +183,19 @@ fn main() {
         ("barabasi_albert", nodes, &stream),
         ("chung_lu", skewed_nodes, &skewed),
     ];
-    let sweep_tags = |e: Edge| -> [CellTag; SWEEP_WIDTH] {
-        let (u, w) = (e.u(), e.v());
-        let mut tags = [0u32; SWEEP_WIDTH];
-        for (g, t) in tags.iter_mut().enumerate() {
-            let x = (u ^ w.rotate_left(g as u32 + 1)).wrapping_mul(0x9E37_79B9);
-            *t = x % M as u32;
-        }
-        tags
-    };
     let thresholds: [usize; 6] = [16, 32, 64, 128, 512, usize::MAX];
     // Per stream: (threshold, seconds, edges/s, approx_bytes) rows.
     let mut sweep: Vec<Vec<(usize, f64, f64, usize)>> = Vec::new();
     for &(generator, _, edges) in &sweep_streams {
-        eprintln!("\n  hybrid dense-promotion threshold on {generator} (width {SWEEP_WIDTH}):");
+        eprintln!("\n  hybrid dense-promotion threshold on {generator}:");
         let mut rows = Vec::new();
         for &threshold in &thresholds {
             let mut bytes = 0;
             let seconds = best_of(|| {
-                let mut adj = HybridTaggedAdjacency::with_threshold(SWEEP_WIDTH, threshold);
+                let mut adj = HybridAdjacency::with_threshold(threshold);
                 let mut matches = 0u64;
                 for &e in edges {
-                    adj.match_then_insert(e, Some(&sweep_tags(e)), |_, _, _| matches += 1);
+                    adj.match_then_insert(e, true, |_| matches += 1);
                 }
                 bytes = adj.approx_bytes();
                 matches as f64
@@ -269,9 +257,7 @@ fn main() {
     }
     json.push_str("  ]},\n");
     json.push_str("  \"hybrid_threshold_sweep\": {\n");
-    json.push_str(&format!(
-        "    \"structure\": \"HybridTaggedAdjacency\", \"width\": {SWEEP_WIDTH},\n"
-    ));
+    json.push_str("    \"structure\": \"HybridAdjacency\",\n");
     json.push_str("    \"streams\": [\n");
     for (k, (&(generator, n, edges), rows)) in sweep_streams.iter().zip(&sweep).enumerate() {
         json.push_str(&format!(

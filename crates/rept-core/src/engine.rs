@@ -32,15 +32,15 @@
 //!
 //! ## The fused engine's one structure
 //!
-//! A fused core keeps every group it owns as one tag column of a single
-//! [`HybridTaggedAdjacency`]: a column holds the edge's cell where its
-//! group keeps the edge and [`MASKED_NONE`] where the group's
-//! subsampling drops it, so a `c ≤ m` group, `k` full groups, `k` full
-//! groups plus the remainder, and any [`GroupSlice`] of these all run
-//! one structure walk per edge through the same code path.
+//! A fused core keeps the union of every group it owns in a single
+//! [`HybridAdjacency`] of plain neighbor ids. An edge's cell under a
+//! group is a pure function of the edge, so the core recomputes it from
+//! the group's hash at each common neighbor instead of storing it: a
+//! `c ≤ m` group, `k` full groups, `k` full groups plus the remainder,
+//! and any [`GroupSlice`] of these all run one structure walk per edge
+//! through the same code path.
 //!
-//! [`HybridTaggedAdjacency`]: rept_graph::hybrid_tagged::HybridTaggedAdjacency
-//! [`MASKED_NONE`]: rept_graph::hybrid_tagged::MASKED_NONE
+//! [`HybridAdjacency`]: rept_graph::hybrid::HybridAdjacency
 
 use rept_graph::edge::{Edge, NodeId};
 use rept_hash::fx::FxHashSet;
@@ -59,7 +59,7 @@ pub(crate) enum CoreState {
     /// One [`SemiTriangleWorker`] per processor — the paper's cost
     /// model executed literally; the reference oracle.
     PerWorker { workers: Vec<SemiTriangleWorker> },
-    /// The fused hybrid layout: every kept group a column of one
+    /// The fused hybrid layout: every kept group's edges in one
     /// structure.
     Fused(Box<FusedGroups>),
 }
@@ -738,11 +738,12 @@ mod tests {
 
     #[test]
     fn masked_sharing_is_bit_identical_to_per_worker() {
-        // Layouts with a remainder group keep it as the last column of
-        // the full groups' one structure; the estimate equals the
-        // per-worker oracle's field for field.
+        // Layouts with a remainder group keep it in the full groups' one
+        // structure; the estimate equals the per-worker oracle's field
+        // for field. `(300, 700)` is two full groups and a 100-processor
+        // remainder, with cells past one byte.
         let stream = barabasi_albert(&GeneratorConfig::new(300, 2), 4);
-        for (m, c) in [(4u64, 11u64), (3, 4), (4, 9)] {
+        for (m, c) in [(4u64, 11u64), (3, 4), (4, 9), (300, 700)] {
             let cfg = ReptConfig::new(m, c).with_seed(9).with_eta(true);
             let rept = Rept::new(cfg);
             let mut fused = EngineCore::with_engine(rept.clone(), Engine::FusedHybrid);
@@ -751,9 +752,9 @@ mod tests {
                 panic!("a fused core");
             };
             assert!(
-                groups.adj.width() == rept.groups().len()
+                groups.specs.len() == rept.groups().len()
                     && (groups.specs[groups.specs.len() - 1].size as u64) < m,
-                "the remainder is a column of the one structure, m={m} c={c}"
+                "the remainder shares the one structure, m={m} c={c}"
             );
             fused.ingest_batch(&stream);
             oracle.ingest_batch(&stream);

@@ -15,12 +15,13 @@
 //!   [`SemiTriangleWorker`] with its own adjacency; each stream edge costs
 //!   one intersection *per processor*. This is the paper's cost model
 //!   executed literally and serves as the reference oracle.
-//! * **Fused hybrid** — every hash group is one tag column of a shared
-//!   cell-tagged adjacency ([`crate::fused`]), and a single
-//!   matching-common-neighbor pass per edge recovers all of the groups'
-//!   workers' counters. Low-degree nodes keep sorted neighbor vecs,
-//!   high-degree nodes promote to blocked bitmaps
-//!   ([`rept_graph::hybrid_tagged`]). The default and fast engine.
+//! * **Fused hybrid** — every hash group's edges are stored once in a
+//!   shared adjacency ([`crate::fused`]), and a single common-neighbor
+//!   pass per edge, with each group's cells recomputed from its hash at
+//!   each common neighbor, recovers all of the groups' workers'
+//!   counters. Low-degree nodes keep sorted neighbor vecs, high-degree
+//!   nodes promote to blocked bitmaps ([`rept_graph::hybrid`]). The
+//!   default and fast engine.
 //!
 //! Both run through [`Rept::run`] (one thread) and
 //! [`Rept::run_threaded`], which spreads either engine's hash groups
@@ -95,9 +96,9 @@ pub enum Engine {
     /// One adjacency and one intersection per processor per edge — the
     /// paper's cost model executed literally. Reference oracle.
     PerWorker,
-    /// One shared cell-tagged adjacency and one intersection per edge
-    /// for all hash groups (see [`crate::fused`]), over the hybrid
-    /// sorted-vec / blocked-bitmap layout ([`rept_graph::hybrid_tagged`]):
+    /// One shared adjacency and one intersection per edge for all hash
+    /// groups (see [`crate::fused`]), over the hybrid sorted-vec /
+    /// blocked-bitmap layout ([`rept_graph::hybrid`]):
     /// low-degree nodes keep sorted vecs, high-degree nodes promote to
     /// `u64` bitmaps so hub intersections run bit-parallel
     /// (`AND` + `count_ones`). The fast default.

@@ -6,25 +6,28 @@
 //! `N_u ∩ N_v` intersection per stream edge, so a group of `size` workers
 //! performs `size` hash-probing passes over what is collectively **one**
 //! partitioned edge set. This module fuses those passes: `FusedGroups`
-//! stores every kept group's sampled edges once in a
-//! [`HybridTaggedAdjacency`] with one tag column per group (each neighbor
-//! entry tagged with its edge's partition cell under every group's hash)
+//! stores every kept group's sampled edges once in a [`HybridAdjacency`]
 //! and recovers *every* worker's counters from a single common-neighbor
-//! pass — a common neighbor `w` of an arriving edge `(u, v)` closes a
-//! semi-triangle for worker `i` of group `g` iff column `g` tags both
-//! `(u, w)` and `(v, w)` with cell `i`.
+//! pass. An edge's cell is a pure function of the edge (processor `i` of
+//! a group stores exactly the edges its group's hash sends to cell `i`),
+//! so nothing but neighbor ids is stored: at each structural common
+//! neighbor `w` of an arriving edge `(u, v)`, group `g` matches — closing
+//! a semi-triangle for its worker `i` — iff
+//! `cell_g(u, w) == cell_g(v, w) == i < size_g`, both cells recomputed
+//! from the group's hash.
 //!
 //! One layout serves every shape: a `c ≤ m` group, `k` full groups, `k`
-//! full groups plus the remainder, and any shard's slice of these. A
-//! column holds [`MASKED_NONE`] where its group's subsampling drops the
-//! edge (cells `size..m` belong to no worker), so a full group's column
-//! is always set and a remainder or `c < m` group's column marks the
-//! subset it keeps. An edge is stored iff some column keeps it.
+//! full groups plus the remainder, and any shard's slice of these. Cells
+//! `size..m` belong to no worker (REPT's subsampling), so a full group
+//! owns every stored edge and a remainder or `c < m` group owns the
+//! subset its hash sends below its size. An edge is stored iff some
+//! group owns it.
 //!
 //! Per edge the cost drops from
 //! `O(Σᵢ |N⁽ⁱ⁾_u ∩ N⁽ⁱ⁾_v| probes)` — `size` lookups of (mostly tiny)
 //! per-worker neighbor sets plus `size` intersections, per group — to
-//! **one** intersection over the union adjacency. The counters
+//! **one** intersection over the union adjacency plus two cell hashes
+//! per group at each common neighbor. The counters
 //! (`τ⁽ⁱ⁾`, group-summed `τ⁽ⁱ⁾_v`, `η⁽ⁱ⁾`, `η⁽ⁱ⁾_v`,
 //! per-edge `τ⁽ⁱ⁾_(u,v)`) are **bit-identical** to the per-worker
 //! engine's: every counter is an exact `u64` sum over the same multiset
@@ -37,7 +40,7 @@
 //! all three combination paths.
 
 use rept_graph::edge::{Edge, NodeId};
-use rept_graph::hybrid_tagged::{CellTag, HybridTaggedAdjacency, MASKED_NONE};
+use rept_graph::hybrid::HybridAdjacency;
 use rept_hash::fx::{table_bytes, FxHashMap, FxHashSet};
 
 use crate::config::{EtaMode, ReptConfig};
@@ -67,15 +70,16 @@ pub(crate) struct GroupCounters {
 
 /// Group-level η bookkeeping. `per_edge` can be one map for the whole
 /// group because each stored edge belongs to exactly one cell: worker
-/// `i`'s `τ⁽ⁱ⁾_(u,v)` entries are precisely the entries whose edge is
-/// tagged `i`, so the union of the per-worker maps is disjoint.
+/// `i`'s `τ⁽ⁱ⁾_(u,v)` entries are precisely the entries whose edge
+/// hashes to cell `i`, so the union of the per-worker maps is disjoint.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FusedEtaCounters {
     /// `Σᵢ η⁽ⁱ⁾`.
     pub(crate) total: u64,
     /// `Σᵢ η⁽ⁱ⁾_v`.
     pub(crate) per_node: FxHashMap<NodeId, u64>,
-    /// `τ⁽ⁱ⁾_(u,v)` for every stored edge (owning worker implied by tag).
+    /// `τ⁽ⁱ⁾_(u,v)` for every stored edge (owning worker implied by its
+    /// cell).
     pub(crate) per_edge: FxHashMap<Edge, u64>,
 }
 
@@ -140,23 +144,23 @@ impl GroupCounters {
         }
     }
 
-    /// Folds one matched common neighbor `w` of the arriving edge
-    /// `(u, v)` into every counter — the single statement sequence every
-    /// match funnels through, so the bit-identical invariant cannot
-    /// drift between layouts. `closed_owner` accumulates
-    /// `|N⁽ᵒʷⁿᵉʳ⁾_{u,v}|` for the paper-faithful η initialisation of the
-    /// stored edge.
+    /// Folds one common neighbor `w` of the arriving edge `(u, v)`,
+    /// matched in `cell`, into every counter — the single statement
+    /// sequence every match funnels through, so the bit-identical
+    /// invariant cannot drift between layouts. `closed_owner`
+    /// accumulates `|N⁽ᵒʷⁿᵉʳ⁾_{u,v}|` for the paper-faithful η
+    /// initialisation of the stored edge.
     #[inline]
     fn fold_match(
         &mut self,
         u: NodeId,
         v: NodeId,
         w: NodeId,
-        cell: CellTag,
+        cell: u64,
         owner: u64,
         closed_owner: &mut u64,
     ) {
-        if u64::from(cell) == owner {
+        if cell == owner {
             *closed_owner += 1;
         }
         self.tau[cell as usize] += 1;
@@ -204,30 +208,26 @@ fn touch(set: &mut FxHashSet<NodeId>, v: NodeId) {
 }
 
 /// Every kept hash group of a fused core over one shared neighbor
-/// structure: column `g` of [`Self::adj`] is group `g`'s stored edge set,
-/// tagged by cell. One structure walk per arriving edge discovers the
-/// common neighbors for every group at once; only the per-column tag
-/// comparisons and counter folds remain per group, and the counters are
-/// maintained per group exactly as each group run alone would keep them.
+/// structure: [`Self::adj`] holds the union of the groups' stored edge
+/// sets. One structure walk per arriving edge discovers the common
+/// neighbors for every group at once; only the per-group cell tests and
+/// counter folds remain per group, and the counters are maintained per
+/// group exactly as each group run alone would keep them.
 #[derive(Debug, Clone)]
 pub(crate) struct FusedGroups {
     /// The kept groups, in layout order.
     pub(crate) specs: Vec<GroupSpec>,
-    /// The union of every kept group's stored edges, one column per
-    /// group.
-    pub(crate) adj: HybridTaggedAdjacency,
-    /// Per-group counters, in column order.
+    /// The union of every kept group's stored edges.
+    pub(crate) adj: HybridAdjacency,
+    /// Per-group counters, in layout order.
     pub(crate) counters: Vec<GroupCounters>,
     /// Every node of a counted semi-triangle since the last
     /// [`Self::take_touched`] — `None` until the first call starts the
     /// tracking, so a run nobody reads it from (a batch driver, a
     /// journal replay) pays nothing for it.
     touched: Option<FxHashSet<NodeId>>,
-    /// Per-edge scratch: each group's raw cell …
+    /// Per-edge scratch: each group's cell of the arriving edge …
     cells: Vec<u64>,
-    /// … its column entry (the cell where the group owns it, else
-    /// [`MASKED_NONE`]) …
-    row: Vec<CellTag>,
     /// … and each group's `|N⁽ᵒʷⁿᵉʳ⁾_{u,v}|` for η initialisation
     /// (zero between edges).
     closed: Vec<u64>,
@@ -238,89 +238,86 @@ impl FusedGroups {
     ///
     /// # Panics
     ///
-    /// Panics if `specs` is empty or a group is too large for a cell tag.
+    /// Panics if `specs` is empty.
     pub(crate) fn new(specs: &[GroupSpec], cfg: &ReptConfig) -> Self {
-        for g in specs {
-            assert!(
-                g.size <= CellTag::MAX as usize,
-                "group size {} exceeds cell-tag range",
-                g.size
-            );
-        }
-        let n = specs.len();
+        assert!(!specs.is_empty(), "a fused core keeps at least one group");
         Self {
-            adj: HybridTaggedAdjacency::new(n),
+            adj: HybridAdjacency::new(),
             counters: specs
                 .iter()
                 .map(|g| GroupCounters::new(g.size, cfg))
                 .collect(),
             touched: None,
-            cells: vec![0; n],
-            row: vec![MASKED_NONE; n],
-            closed: vec![0; n],
+            cells: vec![0; specs.len()],
+            closed: vec![0; specs.len()],
             specs: specs.to_vec(),
         }
     }
 
-    /// Hashes the edge under every group into the scratch row; returns
+    /// Hashes the edge under every group into the scratch cells; returns
     /// whether some group owns it (`cell < size` — cells `size..m` are
     /// REPT's subsampling and belong to no worker).
     #[inline]
-    fn fill_row(&mut self, e: Edge) -> bool {
+    fn fill_cells(&mut self, e: Edge) -> bool {
         let (uu, vv) = e.as_u64_pair();
         let mut owned = false;
-        for ((spec, cell), tag) in self.specs.iter().zip(&mut self.cells).zip(&mut self.row) {
+        for (spec, cell) in self.specs.iter().zip(&mut self.cells) {
             *cell = spec.hasher.cell(uu, vv);
-            *tag = if (*cell as usize) < spec.size {
-                *cell as CellTag
-            } else {
-                MASKED_NONE
-            };
-            owned |= *tag != MASKED_NONE;
+            owned |= (*cell as usize) < spec.size;
         }
         owned
     }
 
     /// Processes one stream edge: counts every worker's semi-triangle
-    /// closures in a single matching-common-neighbor pass, then stores the
-    /// edge if some group owns it, through the structure's fused
-    /// [`HybridTaggedAdjacency::match_then_insert`], which resolves
-    /// per-endpoint state once. A duplicate stream edge fails the insert
-    /// and is ignored, exactly like `SemiTriangleWorker::store`. The
-    /// nodes of every match join the touched set: a common neighbor
-    /// once per edge (the structure reports its matching columns back to
-    /// back), the endpoints once if anything matched.
+    /// closures in a single common-neighbor pass, then stores the edge if
+    /// some group owns it, through the structure's fused
+    /// [`HybridAdjacency::match_then_insert`], which resolves
+    /// per-endpoint state once. At each common neighbor `w`, group `g`
+    /// matches iff `cell_g(u, w) == cell_g(v, w)` and the group owns
+    /// that cell. A duplicate stream edge fails the insert and is
+    /// ignored, exactly like `SemiTriangleWorker::store`. The nodes of
+    /// every match join the touched set: a common neighbor once per
+    /// edge, the endpoints once if anything matched.
     #[inline]
     pub(crate) fn process(&mut self, e: Edge) {
         let (u, v) = e.endpoints();
-        let owned = self.fill_row(e);
+        let owned = self.fill_cells(e);
+        let specs = &self.specs;
         let counters = &mut self.counters;
         let closed = &mut self.closed;
         let cells = &self.cells;
         let mut touched = self.touched.as_mut();
-        let mut last = None;
-        let store = owned.then_some(&self.row[..]);
-        let stored = self.adj.match_then_insert(e, store, |g, w, cell| {
-            counters[g].fold_match(u, v, w, cell, cells[g], &mut closed[g]);
-            if let Some(t) = touched.as_deref_mut() {
-                if last != Some(w) {
-                    last = Some(w);
+        let mut matched = false;
+        let stored = self.adj.match_then_insert(e, owned, |w| {
+            let (uu, vv, ww) = (u64::from(u), u64::from(v), u64::from(w));
+            let mut hit = false;
+            for (g, spec) in specs.iter().enumerate() {
+                let cell = spec.hasher.cell(uu, ww);
+                if (cell as usize) < spec.size && cell == spec.hasher.cell(vv, ww) {
+                    counters[g].fold_match(u, v, w, cell, cells[g], &mut closed[g]);
+                    hit = true;
+                }
+            }
+            if hit {
+                matched = true;
+                if let Some(t) = touched.as_deref_mut() {
                     touch(t, w);
                 }
             }
         });
-        if let (Some(_), Some(t)) = (last, touched) {
+        if let (true, Some(t)) = (matched, touched) {
             touch(t, u);
             touch(t, v);
         }
         // Only an owning group's count can have moved (a matched cell is
-        // always owned), so settling those columns leaves `closed` zero
+        // always owned), so settling those groups leaves `closed` zero
         // for the next edge.
         if owned {
-            for (g, &tag) in self.row.iter().enumerate() {
-                if tag != MASKED_NONE {
+            for (g, spec) in self.specs.iter().enumerate() {
+                let cell = self.cells[g] as usize;
+                if cell < spec.size {
                     if stored {
-                        self.counters[g].record_store(e, tag as usize, self.closed[g]);
+                        self.counters[g].record_store(e, cell, self.closed[g]);
                     }
                     self.closed[g] = 0;
                 }
@@ -379,18 +376,17 @@ impl FusedGroups {
     }
 
     /// Restores the stored edges during checkpoint decode: inserts each
-    /// edge with every column's tag recomputed from its group's hasher,
-    /// **without counting** (the counters are restored separately), and
-    /// returns how many edges each column keeps — `None` on a duplicate
-    /// or an edge no group owns.
+    /// edge **without counting** (the counters are restored separately)
+    /// and returns how many edges each group owns, by the cells its hash
+    /// gives them — `None` on a duplicate or an edge no group owns.
     pub(crate) fn restore_edges(&mut self, edges: &[Edge]) -> Option<Vec<usize>> {
         let mut kept = vec![0; self.specs.len()];
         for &e in edges {
-            if !(self.fill_row(e) && self.adj.insert(e, &self.row)) {
+            if !(self.fill_cells(e) && self.adj.insert(e)) {
                 return None;
             }
-            for (k, &tag) in kept.iter_mut().zip(&self.row) {
-                *k += usize::from(tag != MASKED_NONE);
+            for ((k, &cell), spec) in kept.iter_mut().zip(&self.cells).zip(&self.specs) {
+                *k += usize::from((cell as usize) < spec.size);
             }
         }
         Some(kept)
@@ -403,15 +399,16 @@ mod tests {
     use crate::estimator::Rept;
     use crate::worker::SemiTriangleWorker;
     use rept_gen::{barabasi_albert, GeneratorConfig};
-    use rept_graph::hybrid_tagged::DEFAULT_DENSE_THRESHOLD;
+    use rept_graph::hybrid::DEFAULT_DENSE_THRESHOLD;
 
     /// The fused group's counters equal the per-worker counters on the
     /// same group, field by field — including the per-edge η counters the
     /// estimate never exposes directly. `threshold` is the adjacency's
     /// promotion threshold, so one body covers every row representation.
+    /// `(300, 280)` owns cells past one byte.
     fn counters_match_workers_exactly(threshold: usize) {
         let stream = barabasi_albert(&GeneratorConfig::new(250, 7), 5);
-        for (m, c) in [(4u64, 4u64), (6, 3), (5, 2)] {
+        for (m, c) in [(4u64, 4u64), (6, 3), (5, 2), (300, 280)] {
             for mode in [EtaMode::PaperInit, EtaMode::StrictNonLast] {
                 let cfg = ReptConfig::new(m, c)
                     .with_seed(11)
@@ -421,7 +418,7 @@ mod tests {
                 let spec = rept.groups()[0];
 
                 let mut fused = FusedGroups::new(&[spec], &cfg);
-                fused.adj = HybridTaggedAdjacency::with_threshold(1, threshold);
+                fused.adj = HybridAdjacency::with_threshold(threshold);
                 let mut workers: Vec<SemiTriangleWorker> = (0..spec.size)
                     .map(|_| SemiTriangleWorker::new(true, true, mode))
                     .collect();
@@ -489,8 +486,8 @@ mod tests {
         counters_match_workers_exactly(24);
     }
 
-    /// The remainder as a column of the full groups' structure equals
-    /// the split layout — the full groups alone plus the remainder group
+    /// The remainder sharing the full groups' structure equals the split
+    /// layout — the full groups alone plus the remainder group
     /// alone — counter for counter, on duplicate-edge streams, both η
     /// modes, with every structure built at promotion threshold
     /// `threshold`.
@@ -513,11 +510,11 @@ mod tests {
                 assert_eq!(rem.len(), 1, "layouts chosen to have a remainder");
 
                 let mut masked = FusedGroups::new(rept.groups(), &cfg);
-                masked.adj = HybridTaggedAdjacency::with_threshold(full.len() + 1, threshold);
+                masked.adj = HybridAdjacency::with_threshold(threshold);
                 let mut shared = FusedGroups::new(&full, &cfg);
-                shared.adj = HybridTaggedAdjacency::with_threshold(full.len(), threshold);
+                shared.adj = HybridAdjacency::with_threshold(threshold);
                 let mut independent = FusedGroups::new(&rem, &cfg);
-                independent.adj = HybridTaggedAdjacency::with_threshold(1, threshold);
+                independent.adj = HybridAdjacency::with_threshold(threshold);
                 for &e in &stream {
                     masked.process(e);
                     shared.process(e);
@@ -525,9 +522,11 @@ mod tests {
                 }
                 assert_eq!(masked.adj.edge_count(), shared.adj.edge_count());
                 let mut remainder_kept = 0;
-                masked
-                    .adj
-                    .for_each_edge_in(full.len(), |_, _| remainder_kept += 1);
+                masked.adj.for_each_edge(|e| {
+                    let (u, v) = e.as_u64_pair();
+                    remainder_kept +=
+                        usize::from((rem[0].hasher.cell(u, v) as usize) < rem[0].size);
+                });
                 assert_eq!(remainder_kept, independent.adj.edge_count(), "m={m} c={c}");
                 let got = masked.into_aggregates();
                 let mut want = shared.into_aggregates();

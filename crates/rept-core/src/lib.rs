@@ -23,8 +23,8 @@
 //!   batch by batch, so all execution paths are bit-identical by
 //!   construction.
 //! * [`fused`] — the fused group execution machinery the core drives:
-//!   every kept hash group as one tag column of a single shared
-//!   structure, plus each group's counters.
+//!   every kept hash group's edges in one shared structure, plus each
+//!   group's counters.
 //!
 //! ## Two execution engines
 //!
@@ -36,10 +36,11 @@
 //!   intersection — the paper's cost model executed literally. Pick it as
 //!   the reference oracle and for per-processor runtime accounting
 //!   (Figs. 7/8 simulate wall-clock from *independent* processor work).
-//! * [`Engine::FusedHybrid`] (the default) keeps one cell-tagged
-//!   adjacency for all of a run's hash groups — a tag column per group,
-//!   full, remainder or `c < m` alike — and recovers all of the groups'
-//!   counters from a single common-neighbor pass per edge. Low-degree nodes keep sorted neighbor vecs, high-degree nodes
+//! * [`Engine::FusedHybrid`] (the default) keeps one adjacency for all
+//!   of a run's hash groups — full, remainder or `c < m` alike — and
+//!   recovers all of the groups' counters from a single common-neighbor
+//!   pass per edge, recomputing each group's cells from its hash.
+//!   Low-degree nodes keep sorted neighbor vecs, high-degree nodes
 //!   promote to blocked bitmaps. Pick it whenever you just want the
 //!   estimate fast — accuracy experiments, production streams, and any
 //!   `c ≫ 1` configuration, where it is orders of magnitude faster

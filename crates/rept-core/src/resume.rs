@@ -30,12 +30,12 @@
 //! writes its edge list and counters; full groups write the union edge
 //! set **once** (v2 repeated it per group) plus a counter block each;
 //! and a remainder adds its counter block and stored-edge count — its
-//! edges are the union edges the remainder hash owns. Tags and
-//! representation are never stored anywhere: a stored edge's tag under
+//! edges are the union edges the remainder hash owns. Cells and
+//! representation are never stored anywhere: a stored edge's cell under
 //! any group is `hasher.cell(e)`, so restore inserts the union of every
-//! listed edge set into the one cell-tagged structure, recomputing each
-//! group's column, and checks each column's kept count against that
-//! group's stored counters. That is also why the engine codes of the
+//! listed edge set into the one structure and checks the count of edges
+//! each group owns, by those cells, against that group's stored
+//! counters. That is also why the engine codes of the
 //! retired fused layouts still decode: a code-1 (fused-hash) section
 //! list and a v2 code-2 (fused-sorted) one are the same per-group
 //! sections, and a v3+ code-2 blob has exactly the hybrid layout, so
@@ -897,8 +897,8 @@ fn write_counter_block(out: &mut Vec<u8>, counters: &GroupCounters) {
 /// its section (edge list, then counter block); full groups write the
 /// union edge set **once** and a counter block each; a remainder after
 /// them adds its counter block and stored-edge count — its edges are
-/// the union edges its column keeps, recomputed on restore. Tags and
-/// representation are both rebuilt on restore.
+/// the union edges its hash owns, recomputed on restore. The
+/// representation is rebuilt on restore.
 fn write_fused_state(groups: &FusedGroups, out: &mut Vec<u8>) {
     let mut union = Vec::with_capacity(groups.adj.edge_count());
     groups.adj.for_each_edge(|e| union.push(e));
@@ -1006,9 +1006,10 @@ fn read_group_counters(
 /// version) hold an edge list and a counter block per kept group, and
 /// shared-layout blobs (v3+, see [`write_fused_state`]) the union edge
 /// set once. Restore inserts the union of every listed edge set, then
-/// checks each column's kept count against its group's stored counters —
-/// so a listed group edge set must be exactly the union edges its
-/// column keeps, whatever format version or engine code wrote it.
+/// checks the count of union edges each group owns against its group's
+/// stored counters — so a listed group edge set must be exactly the
+/// union edges its hash owns, whatever format version or engine code
+/// wrote it.
 fn read_fused_state(
     r: &mut Reader<'_>,
     cfg: &ReptConfig,
@@ -1288,7 +1289,7 @@ mod tests {
     }
 
     /// The fused core's groups, its union edge set and each kept
-    /// group's own edge set (the union edges its column keeps), in
+    /// group's own edge set (the union edges its hash owns), in
     /// canonical order.
     fn frozen_fused_edges(run: &ResumableRun) -> (&FusedGroups, Vec<Edge>, Vec<Vec<Edge>>) {
         let CoreState::Fused(groups) = &run.engine_core().state else {
@@ -1297,12 +1298,15 @@ mod tests {
         let mut union = Vec::new();
         groups.adj.for_each_edge(|e| union.push(e));
         union.sort_unstable();
-        let per_group = (0..groups.specs.len())
-            .map(|g| {
-                let mut edges = Vec::new();
-                groups.adj.for_each_edge_in(g, |e, _| edges.push(e));
-                edges.sort_unstable();
-                edges
+        let per_group = groups
+            .specs
+            .iter()
+            .map(|spec| {
+                let owns = |e: &&Edge| {
+                    let (u, v) = e.as_u64_pair();
+                    (spec.hasher.cell(u, v) as usize) < spec.size
+                };
+                union.iter().filter(owns).copied().collect()
             })
             .collect();
         (groups, union, per_group)

@@ -14,13 +14,13 @@
 //! * [`adjacency`] — [`adjacency::DynamicAdjacency`], the
 //!   hash-based incremental adjacency used by every streaming algorithm
 //!   (common-neighbor queries are the inner loop of the whole system).
-//! * [`hybrid_tagged`] — [`hybrid_tagged::HybridTaggedAdjacency`], the
-//!   cell-tagged adjacency of the fused execution engine: one tag column
-//!   per hash group, holding each stored edge's partition cell where the
-//!   group keeps the edge; low-degree nodes keep sorted vecs,
-//!   high-degree nodes promote to blocked `u64` bitmaps so hub
-//!   intersections run as `AND` + `count_ones` (64-way bit-parallel,
-//!   zero `unsafe`).
+//! * [`hybrid`] — [`hybrid::HybridAdjacency`], the adjacency of the
+//!   fused execution engine: the union of every kept hash group's
+//!   stored edges, held once as neighbor ids (an edge's partition cell
+//!   is recomputed from its group's hash where a match needs it);
+//!   low-degree nodes keep sorted vecs, high-degree nodes promote to
+//!   blocked `u64` bitmaps so hub intersections run as a word `AND`
+//!   (64-way bit-parallel, zero `unsafe`).
 //! * [`csr`] — [`csr::CsrGraph`], a compact sorted-neighbor static
 //!   graph for the exact forward algorithm and statistics.
 //! * [`builder`] — [`builder::GraphBuilder`] normalises raw
@@ -36,7 +36,7 @@ pub mod builder;
 pub mod csr;
 pub mod duplicates;
 pub mod edge;
-pub mod hybrid_tagged;
+pub mod hybrid;
 pub mod io;
 pub mod stats;
 pub mod stream;
@@ -46,4 +46,4 @@ pub use adjacency::DynamicAdjacency;
 pub use builder::GraphBuilder;
 pub use csr::CsrGraph;
 pub use edge::{Edge, NodeId};
-pub use hybrid_tagged::{CellTag, HybridTaggedAdjacency};
+pub use hybrid::HybridAdjacency;

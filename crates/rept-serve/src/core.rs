@@ -180,11 +180,41 @@ pub struct Health {
 /// gauge is an independent monotone-ish reading, not a consistent cut.
 #[derive(Debug, Default)]
 struct Gauges {
-    queue_depth: AtomicU64,
+    queue_depth: QueueDepth,
     stored_bytes: AtomicU64,
     journal_bytes: AtomicU64,
     journal_segments: AtomicU64,
     degraded: AtomicBool,
+}
+
+/// The ingest queue's depth in batches, kept as two monotone counts: a
+/// producer counts its batch only after the send succeeds, so the
+/// ingest thread can receive (and count) a batch first. The depth then
+/// reads 0 for that moment instead of wrapping below zero.
+#[derive(Debug, Default)]
+struct QueueDepth {
+    enqueued: AtomicU64,
+    dequeued: AtomicU64,
+}
+
+impl QueueDepth {
+    /// Counts a batch the channel accepted.
+    fn enqueued(&self) {
+        self.enqueued.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts a batch the ingest thread received.
+    fn dequeued(&self) {
+        self.dequeued.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Batches sent and not yet received.
+    fn get(&self) -> u64 {
+        let dequeued = self.dequeued.load(Ordering::Relaxed);
+        self.enqueued
+            .load(Ordering::Relaxed)
+            .saturating_sub(dequeued)
+    }
 }
 
 /// One answered aggregate exchange — the `AGGREGATE` and
@@ -701,7 +731,7 @@ impl ServeCore {
             self.metrics.busy_rejections.inc();
             return Err(IngestError::Busy);
         }
-        self.gauges.queue_depth.fetch_add(1, Ordering::Relaxed);
+        self.gauges.queue_depth.enqueued();
         match verdict {
             Some(rx) => rx.recv().expect("ingest thread acks"),
             None => Ok(()),
@@ -714,7 +744,7 @@ impl ServeCore {
     pub fn health(&self) -> Health {
         Health {
             degraded: self.gauges.degraded.load(Ordering::Relaxed),
-            queue_depth: self.gauges.queue_depth.load(Ordering::Relaxed),
+            queue_depth: self.gauges.queue_depth.get(),
             queue_capacity: self.cfg.channel_capacity.max(1) as u64,
             stored_bytes: self.gauges.stored_bytes.load(Ordering::Relaxed),
             memory_budget: self.cfg.memory_budget.unwrap_or(0),
@@ -1065,7 +1095,7 @@ impl Ingest {
         let mut next = self.run.position();
         let mut members = Vec::with_capacity(group.len());
         for (batch, ack, queued_at) in group {
-            self.gauges.queue_depth.fetch_sub(1, Ordering::Relaxed);
+            self.gauges.queue_depth.dequeued();
             if self.cfg.metrics {
                 self.metrics
                     .queue_wait_micros
@@ -1842,7 +1872,29 @@ mod tests {
         }
         assert!(saw_busy, "a full bounded queue must refuse, not block");
         core.flush();
+        assert_eq!(
+            core.health().queue_depth,
+            0,
+            "a refused batch is never counted"
+        );
         core.shutdown();
+    }
+
+    /// A producer counts its batch only after the send succeeds, so the
+    /// ingest thread can count the receipt first. That moment reads 0,
+    /// not a wrapped 2^64 − 1, and the depth is exact again once the
+    /// send is counted.
+    #[test]
+    fn queue_depth_reads_zero_when_a_receipt_is_counted_before_its_send() {
+        let depth = QueueDepth::default();
+        depth.dequeued();
+        assert_eq!(depth.get(), 0);
+        depth.enqueued();
+        assert_eq!(depth.get(), 0);
+        depth.enqueued();
+        assert_eq!(depth.get(), 1);
+        depth.dequeued();
+        assert_eq!(depth.get(), 0);
     }
 
     #[test]

@@ -48,12 +48,12 @@
 //! bit-identical agreement holds by construction; the proptests pin it
 //! down across engines and duplicate-edge streams.
 //!
-//! On the fused engine every hash group the core owns is one tag column
-//! of a single [`rept_graph::hybrid_tagged::HybridTaggedAdjacency`]: a
-//! column holds the edge's cell where its group keeps the edge and a
-//! sentinel where the group's subsampling drops it, so full groups, a
-//! *remainder* group (`c mod m ≠ 0`) and a `c < m` group all share one
-//! structure walk per edge.
+//! On the fused engine every hash group the core owns stores its edges
+//! in a single [`rept_graph::hybrid::HybridAdjacency`] of plain neighbor
+//! ids: an edge's cell under a group is recomputed from the group's
+//! hash at each common neighbor, so full groups, a *remainder* group
+//! (`c mod m ≠ 0`) and a `c < m` group all share one structure walk
+//! per edge.
 //!
 //! ## Quickstart: batch estimation
 //!

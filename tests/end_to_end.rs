@@ -172,7 +172,7 @@ fn windowed_streams_compose_with_estimators() {
 fn hub_promotion_matches_the_oracle() {
     use rept::core::resume::ResumableRun;
     use rept::core::ReptEstimate;
-    use rept::graph::hybrid_tagged::DEFAULT_DENSE_THRESHOLD;
+    use rept::graph::hybrid::DEFAULT_DENSE_THRESHOLD;
 
     let same = |a: &ReptEstimate, b: &ReptEstimate, what: &str| {
         assert_eq!(a.global, b.global, "{what}: global");

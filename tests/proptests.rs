@@ -33,6 +33,19 @@ fn arb_stream_with_dups(n: u32, max_edges: usize) -> impl Strategy<Value = Vec<E
     })
 }
 
+/// Spreads a compact id over the whole `u32` range: multiplying by an
+/// odd constant is a bijection of `u32`, and swapping the images of 1
+/// (the constant) and of `u32::MAX` keeps it one while sending id 1 to
+/// `u32::MAX` (id 0 stays 0).
+fn spread(id: u32) -> u32 {
+    const K: u32 = 0x9E37_79B1;
+    match id.wrapping_mul(K) {
+        K => u32::MAX,
+        u32::MAX => K,
+        x => x,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -152,7 +165,8 @@ proptest! {
     /// rule ("first insert wins, duplicates are ignored"), the
     /// unowned-cell drop (`c < m` layouts), and every counter (η,
     /// locals, per-processor τ, stored-edge counts) must agree across
-    /// all three combination paths and both drivers.
+    /// all three combination paths and both drivers — on compact ids
+    /// and, with `spread_ids`, on ids across the whole `u32` range.
     #[test]
     fn shared_engines_bit_identical_on_duplicate_streams(
         stream in arb_stream_with_dups(20, 100),
@@ -160,7 +174,13 @@ proptest! {
         c in 1u64..14,
         seed in any::<u64>(),
         threads in 2usize..6,
+        spread_ids in any::<bool>(),
     ) {
+        let stream: Vec<Edge> = if spread_ids {
+            stream.iter().map(|e| Edge::new(spread(e.u()), spread(e.v()))).collect()
+        } else {
+            stream
+        };
         let rept = Rept::new(
             ReptConfig::new(m, c).with_seed(seed).with_eta(true).with_locals(true),
         );
