@@ -537,7 +537,7 @@ mod tests {
     use crate::config::EtaMode;
     use proptest::collection::vec;
     use proptest::prelude::*;
-    use rept_gen::{barabasi_albert, GeneratorConfig};
+    use rept_gen::{barabasi_albert, complete, GeneratorConfig};
 
     /// Field-for-field, bit-for-bit equality of two estimates.
     fn same_bits(a: &ReptEstimate, b: &ReptEstimate) -> bool {
@@ -741,8 +741,14 @@ mod tests {
         // Layouts with a remainder group keep it in the full groups' one
         // structure; the estimate equals the per-worker oracle's field
         // for field. `(300, 700)` is two full groups and a 100-processor
-        // remainder, with cells past one byte.
-        let stream = barabasi_albert(&GeneratorConfig::new(300, 2), 4);
+        // remainder, with cells past one byte; a `K₆₀` on fresh ids after
+        // the BA stream makes some of them match.
+        let mut stream = barabasi_albert(&GeneratorConfig::new(300, 2), 4);
+        stream.extend(
+            complete(60)
+                .iter()
+                .map(|e| Edge::new(e.u() + 1000, e.v() + 1000)),
+        );
         for (m, c) in [(4u64, 11u64), (3, 4), (4, 9), (300, 700)] {
             let cfg = ReptConfig::new(m, c).with_seed(9).with_eta(true);
             let rept = Rept::new(cfg);
@@ -767,6 +773,19 @@ mod tests {
                 b.diagnostics.per_processor_tau
             );
             assert_eq!(a.diagnostics.stored_edges, b.diagnostics.stored_edges);
+            let mut cells = a.diagnostics.per_processor_tau.as_slice();
+            let mut past_one_byte = 0;
+            for spec in rept.groups() {
+                let (group, rest) = cells.split_at(spec.size);
+                past_one_byte += group.iter().skip(256).filter(|&&t| t > 0).count();
+                cells = rest;
+            }
+            if m > 256 {
+                assert!(
+                    past_one_byte > 0,
+                    "no match in a cell past one byte, m={m} c={c}"
+                );
+            }
         }
     }
 

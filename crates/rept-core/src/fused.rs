@@ -398,16 +398,22 @@ mod tests {
     use super::*;
     use crate::estimator::Rept;
     use crate::worker::SemiTriangleWorker;
-    use rept_gen::{barabasi_albert, GeneratorConfig};
+    use rept_gen::{barabasi_albert, complete, GeneratorConfig};
     use rept_graph::hybrid::DEFAULT_DENSE_THRESHOLD;
 
     /// The fused group's counters equal the per-worker counters on the
     /// same group, field by field — including the per-edge η counters the
     /// estimate never exposes directly. `threshold` is the adjacency's
     /// promotion threshold, so one body covers every row representation.
-    /// `(300, 280)` owns cells past one byte.
+    /// `(300, 280)` owns cells past one byte; a `K₆₀` on fresh ids after
+    /// the BA stream makes some of them match.
     fn counters_match_workers_exactly(threshold: usize) {
-        let stream = barabasi_albert(&GeneratorConfig::new(250, 7), 5);
+        let mut stream = barabasi_albert(&GeneratorConfig::new(250, 7), 5);
+        stream.extend(
+            complete(60)
+                .iter()
+                .map(|e| Edge::new(e.u() + 1000, e.v() + 1000)),
+        );
         for (m, c) in [(4u64, 4u64), (6, 3), (5, 2), (300, 280)] {
             for mode in [EtaMode::PaperInit, EtaMode::StrictNonLast] {
                 let cfg = ReptConfig::new(m, c)
@@ -438,6 +444,12 @@ mod tests {
                 for (i, w) in workers.iter().enumerate() {
                     assert_eq!(fused.counters[0].tau[i], w.tau(), "τ({i}) m={m} c={c}");
                     assert_eq!(fused.counters[0].stored[i], w.stored_edges(), "stored({i})");
+                }
+                if spec.size > 256 {
+                    assert!(
+                        fused.counters[0].tau[256..].iter().any(|&t| t > 0),
+                        "no match in a cell past one byte, m={m} c={c}"
+                    );
                 }
                 // Group sums of the per-node and per-edge maps.
                 let mut tau_v: FxHashMap<NodeId, u64> = FxHashMap::default();

@@ -4,8 +4,8 @@
 //! [`ServeCore`] is the transport-free heart of the subsystem — the TCP
 //! front-end ([`crate::server`]), the multi-tenant router
 //! ([`crate::tenant::TenantRouter`], which owns one `ServeCore` per
-//! tenant), the benches and the tests all drive this same type. Producers push edge batches into a **bounded**
-//! channel (backpressure, like the cluster simulation's network links);
+//! tenant), the benches and the tests all drive this same type. Producers push edge batches into a queue
+//! **bounded in edges** (backpressure, like the cluster simulation's network links);
 //! the single ingest thread applies them in arrival order, which keeps
 //! the estimator state — and therefore every checkpoint — a pure
 //! function of the edge sequence, the config and the engine. Queries
@@ -40,10 +40,11 @@
 //! replay, and a torn final record is dropped, not fatal. Rejected
 //! ingest lines land in a dead-letter file ([`crate::dlq`]).
 
+use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::Arc;
+use std::sync::mpsc::{sync_channel, SyncSender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -59,9 +60,6 @@ use crate::snapshot::{DurabilityStats, Published, Publisher, Snapshot};
 
 /// Slow-op trace ring capacity per tenant (events, not bytes).
 const TRACE_CAPACITY: usize = 256;
-
-/// How often [`ServeCore::try_ingest_within`] retries a full queue.
-const HOLD_POLL: Duration = Duration::from_micros(100);
 
 /// What happens to ingest once a tenant with a
 /// [`ServeConfig::memory_budget`] reaches it.
@@ -111,13 +109,13 @@ impl QuotaPolicy {
 }
 
 /// Why an ingest batch was not accepted. The distinction matters to
-/// clients: [`Self::Busy`] is transient (the bounded channel was full —
+/// clients: [`Self::Busy`] is transient (the bounded queue was full —
 /// back off and retry), while [`Self::Quota`] is not (retrying without
 /// operator action will fail again, and clients must *not* retry it).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IngestError {
-    /// The bounded ingest channel stayed full for the hold bound of
-    /// [`ServeCore::try_ingest_within`] — the blocking
+    /// The ingest queue had no room for the batch within the hold bound
+    /// of [`ServeCore::try_ingest_within`] — the blocking
     /// [`ServeCore::ingest`] waits instead.
     Busy,
     /// The tenant's memory budget refused the batch
@@ -150,9 +148,11 @@ pub struct Health {
     /// The tenant refuses writes permanently ([`QuotaPolicy::Degrade`]
     /// after its first breach).
     pub degraded: bool,
-    /// Ingest batches currently queued (bounded by `queue_capacity`).
+    /// Edges in the batches currently queued: at most `queue_capacity`,
+    /// or one larger batch queued alone.
     pub queue_depth: u64,
-    /// The bounded channel's capacity in batches.
+    /// The ingest queue's budget in edges
+    /// ([`ServeConfig::queue_edges`]).
     pub queue_capacity: u64,
     /// Bytes the estimator currently stores for edges (adjacency +
     /// reservoir bookkeeping; counters excluded — see
@@ -180,41 +180,10 @@ pub struct Health {
 /// gauge is an independent monotone-ish reading, not a consistent cut.
 #[derive(Debug, Default)]
 struct Gauges {
-    queue_depth: QueueDepth,
     stored_bytes: AtomicU64,
     journal_bytes: AtomicU64,
     journal_segments: AtomicU64,
     degraded: AtomicBool,
-}
-
-/// The ingest queue's depth in batches, kept as two monotone counts: a
-/// producer counts its batch only after the send succeeds, so the
-/// ingest thread can receive (and count) a batch first. The depth then
-/// reads 0 for that moment instead of wrapping below zero.
-#[derive(Debug, Default)]
-struct QueueDepth {
-    enqueued: AtomicU64,
-    dequeued: AtomicU64,
-}
-
-impl QueueDepth {
-    /// Counts a batch the channel accepted.
-    fn enqueued(&self) {
-        self.enqueued.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts a batch the ingest thread received.
-    fn dequeued(&self) {
-        self.dequeued.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Batches sent and not yet received.
-    fn get(&self) -> u64 {
-        let dequeued = self.dequeued.load(Ordering::Relaxed);
-        self.enqueued
-            .load(Ordering::Relaxed)
-            .saturating_sub(dequeued)
-    }
 }
 
 /// One answered aggregate exchange — the `AGGREGATE` and
@@ -278,9 +247,12 @@ pub struct ServeConfig {
     pub checkpoint_keep: usize,
     /// Size of the top-k local-count index kept in each snapshot.
     pub top_k: usize,
-    /// Ingest channel capacity in batches (bounded ⇒ producers feel
-    /// backpressure instead of growing an unbounded queue).
-    pub channel_capacity: usize,
+    /// The ingest queue's budget in edges (bounded ⇒ producers feel
+    /// backpressure instead of growing an unbounded queue). A batch
+    /// enters when the queue holds no edges or when it fits under the
+    /// budget, so a batch larger than the budget still goes in, alone;
+    /// barriers take no room.
+    pub queue_edges: usize,
     /// Journal every acked batch to a write-ahead log next to the
     /// checkpoint before applying it (requires [`Self::checkpoint_path`])
     /// so recovery is lossless — see [`crate::journal`]. Default off.
@@ -321,8 +293,9 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// Defaults: fused-hybrid engine, snapshot every 8192 edges, top-100
-    /// index, 16-batch channel, no checkpointing, keep 1 checkpoint, no
-    /// journal.
+    /// index, a 4 096-edge ingest queue (two
+    /// [`INGEST_CHUNK`](crate::client::INGEST_CHUNK) lines), no
+    /// checkpointing, keep 1 checkpoint, no journal.
     pub fn new(rept: ReptConfig) -> Self {
         Self {
             rept,
@@ -332,7 +305,7 @@ impl ServeConfig {
             checkpoint_path: None,
             checkpoint_keep: 1,
             top_k: 100,
-            channel_capacity: 16,
+            queue_edges: 4096,
             journal: false,
             journal_segment_bytes: 1 << 20,
             journal_sync: SyncPolicy::PerRecord,
@@ -452,13 +425,17 @@ impl ServeConfig {
 /// producer waits for an admission/durability verdict.
 type IngestAck = Option<SyncSender<Result<(), IngestError>>>;
 
+/// A queued batch of stream edges, its ack sender, and the time it
+/// entered the queue (for the queue-wait histogram).
+type Batch = (Vec<Edge>, IngestAck, Instant);
+
 /// Control messages the ingest thread consumes, in arrival order.
+#[derive(Debug)]
 enum Control {
     /// Apply a batch of stream edges. The sender, when present, is
     /// acked once the batch is admitted and journaled (and, per policy,
     /// fsynced) — `Err` means the batch was refused and not applied.
-    /// The `Instant` is the enqueue time, for the queue-wait histogram.
-    Ingest(Vec<Edge>, IngestAck, Instant),
+    Ingest(Batch),
     /// Publish a fresh snapshot, then reply with the position — a
     /// barrier: everything queued before it is applied first.
     Flush(SyncSender<u64>),
@@ -473,12 +450,179 @@ enum Control {
     Shutdown,
 }
 
+/// The ingest queue: control messages in arrival order, bounded in
+/// edges. A batch enters when the queue holds no edges or when it fits
+/// under the budget, so a batch larger than the budget still goes in,
+/// alone. Barriers and shutdown take no room. A batch counts against
+/// the budget from admission until the ingest thread takes it, and the
+/// depth is read under the same lock, so it is always exact.
+#[derive(Debug)]
+struct Queue {
+    state: Mutex<Queued>,
+    /// Signalled when a message arrives; the ingest thread waits on it.
+    arrived: Condvar,
+    /// Signalled when room frees or the queue closes; producers that
+    /// wait for room wait on it.
+    room: Condvar,
+    /// The edge budget (≥ 1).
+    budget: u64,
+}
+
+/// What the queue's lock guards.
+#[derive(Debug, Default)]
+struct Queued {
+    messages: VecDeque<Control>,
+    /// Edges in the queued batches.
+    edges: u64,
+    /// The ingest thread is gone: every push fails.
+    closed: bool,
+}
+
+impl Queue {
+    fn new(budget: usize) -> Self {
+        Self {
+            state: Mutex::default(),
+            arrived: Condvar::new(),
+            room: Condvar::new(),
+            budget: budget.max(1) as u64,
+        }
+    }
+
+    /// Only a producer's `held` callback can panic under the lock, and
+    /// it runs before any update, so a poisoned lock still guards a
+    /// consistent queue.
+    fn lock(&self) -> MutexGuard<'_, Queued> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Queues a message that takes no room; `false` once the queue is
+    /// closed.
+    fn push(&self, msg: Control) -> bool {
+        let mut q = self.lock();
+        if q.closed {
+            return false;
+        }
+        q.messages.push_back(msg);
+        self.arrived.notify_one();
+        true
+    }
+
+    /// Queues a batch once it fits: at once, or after waiting for room
+    /// — without limit for a `hold` of `None`, up to `hold` otherwise
+    /// (not at all for a zero one). `held` runs, under the lock, just
+    /// before a bounded wait. Returns whether the batch went in.
+    ///
+    /// # Panics
+    ///
+    /// When the queue is closed: the ingest thread is gone.
+    fn push_batch(
+        &self,
+        edges: Vec<Edge>,
+        ack: IngestAck,
+        hold: Option<Duration>,
+        held: impl FnOnce(),
+    ) -> bool {
+        let n = edges.len() as u64;
+        let blocked = |q: &mut Queued| !q.closed && q.edges != 0 && q.edges + n > self.budget;
+        let mut q = self.lock();
+        if blocked(&mut q) {
+            q = match hold {
+                None => self
+                    .room
+                    .wait_while(q, blocked)
+                    .unwrap_or_else(PoisonError::into_inner),
+                Some(hold) if hold.is_zero() => return false,
+                Some(hold) => {
+                    held();
+                    let (q, waited) = self
+                        .room
+                        .wait_timeout_while(q, hold, blocked)
+                        .unwrap_or_else(PoisonError::into_inner);
+                    if waited.timed_out() {
+                        return false;
+                    }
+                    q
+                }
+            };
+        }
+        if q.closed {
+            drop(q);
+            panic!("ingest thread alive");
+        }
+        q.edges += n;
+        q.messages
+            .push_back(Control::Ingest((edges, ack, Instant::now())));
+        self.arrived.notify_one();
+        true
+    }
+
+    /// The next message, waiting for one. A batch leaves the budget
+    /// here.
+    fn pop(&self) -> Control {
+        let mut q = self
+            .arrived
+            .wait_while(self.lock(), |q| q.messages.is_empty())
+            .unwrap_or_else(PoisonError::into_inner);
+        let msg = q.messages.pop_front().expect("waited for a message");
+        if let Control::Ingest((edges, ..)) = &msg {
+            q.edges -= edges.len() as u64;
+            self.room.notify_all();
+        }
+        msg
+    }
+
+    /// Takes every batch queued ahead of the next control message.
+    fn take_batches(&self, into: &mut Vec<Batch>) {
+        let mut q = self.lock();
+        let edges = q.edges;
+        while matches!(q.messages.front(), Some(Control::Ingest(_))) {
+            if let Some(Control::Ingest(batch)) = q.messages.pop_front() {
+                q.edges -= batch.0.len() as u64;
+                into.push(batch);
+            }
+        }
+        if q.edges != edges {
+            self.room.notify_all();
+        }
+    }
+
+    /// Edges in the queued batches.
+    fn depth(&self) -> u64 {
+        self.lock().edges
+    }
+
+    /// Closes the queue: later pushes fail, waiting producers wake, and
+    /// the messages still queued are dropped, so whoever waits on their
+    /// replies wakes too.
+    fn close(&self) {
+        let orphans = {
+            let mut q = self.lock();
+            q.closed = true;
+            q.edges = 0;
+            std::mem::take(&mut q.messages)
+        };
+        self.room.notify_all();
+        drop(orphans);
+    }
+}
+
+/// The ingest thread's end of the queue: dropping it — the thread
+/// returns or unwinds — closes the queue, so no producer waits for
+/// ever on a thread that is gone.
+struct Consumer(Arc<Queue>);
+
+impl Drop for Consumer {
+    fn drop(&mut self) {
+        self.0.close();
+    }
+}
+
 /// The running serving core. Dropping it (or calling
 /// [`Self::shutdown`]) stops the ingest thread, writing a final
 /// checkpoint when a path is configured.
 #[derive(Debug)]
 pub struct ServeCore {
-    tx: SyncSender<Control>,
+    queue: Arc<Queue>,
     published: Arc<Published<Snapshot>>,
     ingest: Option<JoinHandle<ResumableRun>>,
     cfg: ServeConfig,
@@ -599,14 +743,15 @@ impl ServeCore {
         let published = Arc::clone(ingest.publisher.published());
         let ckpt_disabled = Arc::clone(&ingest.ckpt_disabled);
         let gauges = Arc::clone(&ingest.gauges);
-        let (tx, rx) = sync_channel::<Control>(cfg.channel_capacity.max(1));
+        let queue = Arc::new(Queue::new(cfg.queue_edges));
+        let consumer = Consumer(Arc::clone(&queue));
         let ingest = std::thread::Builder::new()
             .name("rept-serve-ingest".into())
-            .spawn(move || ingest.serve(&rx))
+            .spawn(move || ingest.serve(consumer))
             .expect("spawn ingest thread");
 
         Ok(Self {
-            tx,
+            queue,
             published,
             ingest: Some(ingest),
             cfg,
@@ -641,9 +786,10 @@ impl ServeCore {
         self.cfg.journal || self.cfg.enforces_quota()
     }
 
-    /// Queues a batch of edges for ingestion. Blocks when the bounded
-    /// channel is full (backpressure) — use [`Self::try_ingest_within`]
-    /// to turn a full queue into [`IngestError::Busy`] instead. With the
+    /// Queues a batch of edges for ingestion. Blocks until the queue has
+    /// room for it (backpressure; see [`ServeConfig::queue_edges`]) —
+    /// use [`Self::try_ingest_within`] to turn a full queue into
+    /// [`IngestError::Busy`] instead. With the
     /// journal enabled it also blocks until the batch is journaled —
     /// and, under the default [`SyncPolicy::PerRecord`], fsynced — so
     /// `Ok` means the edges survive a kill. Without the journal, `Ok`
@@ -658,13 +804,14 @@ impl ServeCore {
         self.enqueue(edges, None)
     }
 
-    /// Like [`Self::ingest`], but a full channel is retried every
-    /// 100 µs for up to `hold` (not at all for a zero `hold`) and then
-    /// refused with [`IngestError::Busy`] instead of blocking — the
+    /// Like [`Self::ingest`], but a batch that finds no room waits for
+    /// up to `hold` (not at all for a zero `hold`), goes in as soon as
+    /// room frees, and is otherwise refused with [`IngestError::Busy`]
+    /// instead of blocking — the
     /// backpressure path (`ERR BUSY` tells the client to back off and
     /// retry, in contrast to `ERR QUOTA` which it must not). The wire's
     /// `INGEST` holds a line for the moment a busy ingest thread needs
-    /// to free a slot instead of bouncing it back to a client that
+    /// to free room instead of bouncing it back to a client that
     /// would sleep far longer. A held batch records
     /// its wait in [`ServeMetrics::ingest_hold_micros`] and counts in
     /// [`ServeMetrics::ingest_held`] while it waits; an unheld one
@@ -679,7 +826,7 @@ impl ServeCore {
     }
 
     /// The one enqueue behind [`Self::ingest`] (`hold` of `None`: wait
-    /// for a slot) and [`Self::try_ingest_within`]: queues the batch,
+    /// for room) and [`Self::try_ingest_within`]: queues the batch,
     /// then waits for its verdict when the ingest thread owes one.
     fn enqueue(&self, edges: Vec<Edge>, hold: Option<Duration>) -> Result<(), IngestError> {
         if edges.is_empty() {
@@ -691,34 +838,11 @@ impl ServeCore {
         } else {
             (None, None)
         };
-        let mut msg = Control::Ingest(edges, ack, Instant::now());
-        let mut held: Option<Instant> = None;
-        let sent = loop {
-            let Some(hold) = hold else {
-                self.tx.send(msg).expect("ingest thread alive");
-                break true;
-            };
-            msg = match self.tx.try_send(msg) {
-                Ok(()) => break true,
-                Err(TrySendError::Full(msg)) => msg,
-                Err(TrySendError::Disconnected(_)) => panic!("ingest thread alive"),
-            };
-            if hold.is_zero() {
-                break false;
-            }
-            let since = *held.get_or_insert_with(|| {
-                self.metrics.ingest_held.add(1);
-                Instant::now()
-            });
-            if since.elapsed() >= hold {
-                break false;
-            }
-            std::thread::sleep(HOLD_POLL);
-            // Queue wait is measured from the enqueue that succeeds.
-            if let Control::Ingest(_, _, queued_at) = &mut msg {
-                *queued_at = Instant::now();
-            }
-        };
+        let mut held = None;
+        let sent = self.queue.push_batch(edges, ack, hold, || {
+            self.metrics.ingest_held.add(1);
+            held = Some(Instant::now());
+        });
         if let Some(since) = held {
             self.metrics.ingest_held.sub(1);
             if self.cfg.metrics {
@@ -731,7 +855,6 @@ impl ServeCore {
             self.metrics.busy_rejections.inc();
             return Err(IngestError::Busy);
         }
-        self.gauges.queue_depth.enqueued();
         match verdict {
             Some(rx) => rx.recv().expect("ingest thread acks"),
             None => Ok(()),
@@ -744,8 +867,8 @@ impl ServeCore {
     pub fn health(&self) -> Health {
         Health {
             degraded: self.gauges.degraded.load(Ordering::Relaxed),
-            queue_depth: self.gauges.queue_depth.get(),
-            queue_capacity: self.cfg.channel_capacity.max(1) as u64,
+            queue_depth: self.queue.depth(),
+            queue_capacity: self.queue.budget,
             stored_bytes: self.gauges.stored_bytes.load(Ordering::Relaxed),
             memory_budget: self.cfg.memory_budget.unwrap_or(0),
             journal_lag_bytes: self.gauges.journal_bytes.load(Ordering::Relaxed),
@@ -860,7 +983,7 @@ impl ServeCore {
     /// for the reply.
     fn request<T>(&self, msg: impl FnOnce(SyncSender<T>) -> Control) -> T {
         let (reply_tx, reply_rx) = sync_channel(1);
-        self.tx.send(msg(reply_tx)).expect("ingest thread alive");
+        assert!(self.queue.push(msg(reply_tx)), "ingest thread alive");
         reply_rx.recv().expect("ingest thread replies")
     }
 
@@ -880,9 +1003,7 @@ impl ServeCore {
     /// Stops the ingest thread (draining queued work, writing the final
     /// checkpoint when configured) and returns the final estimate.
     pub fn shutdown(mut self) -> ReptEstimate {
-        self.tx
-            .send(Control::Shutdown)
-            .expect("ingest thread alive");
+        assert!(self.queue.push(Control::Shutdown), "ingest thread alive");
         let run = self
             .ingest
             .take()
@@ -897,7 +1018,7 @@ impl Drop for ServeCore {
     fn drop(&mut self) {
         if let Some(handle) = self.ingest.take() {
             // Best effort: the thread may already be gone.
-            let _ = self.tx.send(Control::Shutdown);
+            self.queue.push(Control::Shutdown);
             let _ = handle.join();
         }
     }
@@ -1001,18 +1122,11 @@ impl Ingest {
 
     /// The thread body: handles control messages in arrival order until
     /// shutdown, then hands the run back.
-    fn serve(mut self, rx: &Receiver<Control>) -> ResumableRun {
-        // A non-ingest message drained while assembling a group commit
-        // is parked here and handled on the next iteration.
-        let mut pending = None;
+    fn serve(mut self, queue: Consumer) -> ResumableRun {
         loop {
-            let msg = match pending.take() {
-                Some(msg) => msg,
-                None => rx.recv().unwrap_or(Control::Shutdown),
-            };
-            let answer = match msg {
-                Control::Ingest(batch, ack, queued_at) => {
-                    pending = self.commit((batch, ack, queued_at), rx);
+            let answer = match queue.0.pop() {
+                Control::Ingest(batch) => {
+                    self.commit(batch, &queue.0);
                     None
                 }
                 Control::Aggregate(since, reply) => {
@@ -1063,30 +1177,18 @@ impl Ingest {
         }
     }
 
-    /// Commits one group: the batch just received plus, under a
-    /// [`SyncPolicy::PerRecord`] journal, the ingest messages already
-    /// queued behind it. Every admitted member is journaled with its
-    /// fsync deferred, and one barrier then covers the whole group — a
-    /// group of one included — so N concurrent producers share a single
-    /// fsync. Only then is each member acked and applied, in arrival
-    /// order. Returns a control message met while draining.
-    fn commit(
-        &mut self,
-        first: (Vec<Edge>, IngestAck, Instant),
-        rx: &Receiver<Control>,
-    ) -> Option<Control> {
+    /// Commits one group: the batch just taken plus, under a
+    /// [`SyncPolicy::PerRecord`] journal, every batch queued behind it
+    /// up to the next control message. Every admitted member is
+    /// journaled with its fsync deferred, and one barrier then covers
+    /// the whole group — a group of one included — so N concurrent
+    /// producers share a single fsync. Only then is each member acked
+    /// and applied, in arrival order.
+    fn commit(&mut self, first: Batch, queue: &Queue) {
         let per_record = self.journal.is_some() && self.cfg.journal_sync == SyncPolicy::PerRecord;
         let mut group = vec![first];
-        let mut pending = None;
-        while per_record && group.len() < self.cfg.channel_capacity.max(1) {
-            match rx.try_recv() {
-                Ok(Control::Ingest(batch, ack, queued_at)) => group.push((batch, ack, queued_at)),
-                Ok(other) => {
-                    pending = Some(other);
-                    break;
-                }
-                Err(_) => break,
-            }
+        if per_record {
+            queue.take_batches(&mut group);
         }
         self.metrics.last_group_commit.set(group.len() as u64);
         self.metrics.group_commit_batches.record(group.len() as u64);
@@ -1095,7 +1197,6 @@ impl Ingest {
         let mut next = self.run.position();
         let mut members = Vec::with_capacity(group.len());
         for (batch, ack, queued_at) in group {
-            self.gauges.queue_depth.dequeued();
             if self.cfg.metrics {
                 self.metrics
                     .queue_wait_micros
@@ -1147,7 +1248,6 @@ impl Ingest {
             self.publisher.advance(n);
             self.since_checkpoint += n;
         }
-        pending
     }
 
     /// Quota admission: whether a batch may enter the run. Reservoir
@@ -1359,9 +1459,7 @@ impl ServeCore {
     /// on "the ingest thread is busy" that no clock decides.
     pub(crate) fn park(&self) -> std::sync::mpsc::Receiver<u64> {
         let (tx, rx) = sync_channel(0);
-        self.tx
-            .send(Control::Flush(tx))
-            .expect("ingest thread alive");
+        assert!(self.queue.push(Control::Flush(tx)), "ingest thread alive");
         rx
     }
 }
@@ -1852,11 +1950,12 @@ mod tests {
     #[test]
     fn try_ingest_reports_busy_when_the_queue_is_full() {
         let mut cfg = ServeConfig::new(base_cfg());
-        cfg.channel_capacity = 1;
+        cfg.queue_edges = 1;
         let core = ServeCore::start(cfg).expect("start");
-        // Occupy the ingest thread with a long batch; with a 1-slot
-        // queue behind it, non-blocking sends must surface Busy instead
-        // of stalling the caller.
+        // Occupy the ingest thread with a long batch, larger than the
+        // budget, so it went in alone; with a one-edge queue behind it,
+        // non-blocking sends must surface Busy instead of stalling the
+        // caller.
         let big: Vec<Edge> = (0..400_000).map(|i| Edge::new(i, i + 1)).collect();
         core.ingest(big).expect("queued");
         let mut saw_busy = false;
@@ -1880,21 +1979,71 @@ mod tests {
         core.shutdown();
     }
 
-    /// A producer counts its batch only after the send succeeds, so the
-    /// ingest thread can count the receipt first. That moment reads 0,
-    /// not a wrapped 2^64 − 1, and the depth is exact again once the
-    /// send is counted.
+    fn edges(n: u32) -> Vec<Edge> {
+        (0..n).map(|i| Edge::new(i, i + 1)).collect()
+    }
+
+    /// The queue's rule, step by step: a batch counts from admission
+    /// until it is taken, a batch larger than the budget goes in alone,
+    /// barriers take no room, and a group drain stops at the next
+    /// barrier. The depth is the exact sum of the queued batches at
+    /// every step, so it never wraps.
     #[test]
-    fn queue_depth_reads_zero_when_a_receipt_is_counted_before_its_send() {
-        let depth = QueueDepth::default();
-        depth.dequeued();
-        assert_eq!(depth.get(), 0);
-        depth.enqueued();
-        assert_eq!(depth.get(), 0);
-        depth.enqueued();
-        assert_eq!(depth.get(), 1);
-        depth.dequeued();
-        assert_eq!(depth.get(), 0);
+    fn queue_depth_counts_edges_from_admission_until_taken() {
+        let queue = Queue::new(4);
+        let push = |n: u32| queue.push_batch(edges(n), None, Some(Duration::ZERO), || {});
+        assert!(push(6), "an empty queue takes a batch over the budget");
+        assert_eq!(queue.depth(), 6);
+        assert!(!push(1), "nothing joins it");
+        assert!(matches!(queue.pop(), Control::Ingest((e, ..)) if e.len() == 6));
+        assert_eq!(queue.depth(), 0, "taken, not applied");
+        assert!(push(3));
+        assert!(push(1), "fits exactly");
+        assert!(!push(1), "one edge over the budget");
+        let (tx, _rx) = sync_channel(1);
+        assert!(queue.push(Control::Flush(tx)), "a barrier takes no room");
+        assert_eq!(queue.depth(), 4);
+        let mut group = Vec::new();
+        match queue.pop() {
+            Control::Ingest(first) => group.push(first),
+            _ => panic!("batches first"),
+        }
+        assert_eq!(queue.depth(), 1);
+        queue.take_batches(&mut group);
+        let sizes: Vec<usize> = group.iter().map(|(e, ..)| e.len()).collect();
+        assert_eq!(sizes, [3, 1]);
+        assert_eq!(queue.depth(), 0);
+        queue.take_batches(&mut group);
+        assert_eq!(group.len(), 2, "the drain stops at the barrier");
+        assert!(matches!(queue.pop(), Control::Flush(_)));
+        assert_eq!(queue.depth(), 0);
+    }
+
+    /// A producer waiting for room when the ingest thread goes panics
+    /// instead of waiting for ever, a later push fails, and a message
+    /// still queued is dropped, so its requester's reply fails too.
+    #[test]
+    fn a_closed_queue_releases_its_waiters() {
+        let queue = Arc::new(Queue::new(1));
+        assert!(queue.push_batch(edges(1), None, None, || {}));
+        let (reply, answer) = sync_channel::<u64>(1);
+        assert!(queue.push(Control::Flush(reply)));
+        // `held` runs under the lock just before the wait, so the close
+        // below comes after the waiter is waiting.
+        let (waiting, is_waiting) = sync_channel(1);
+        let waiter = {
+            let queue = Arc::clone(&queue);
+            let hold = Some(Duration::from_secs(120));
+            std::thread::spawn(move || {
+                queue.push_batch(edges(1), None, hold, || waiting.send(()).expect("signal"))
+            })
+        };
+        is_waiting.recv().expect("the waiter waits for room");
+        drop(Consumer(Arc::clone(&queue)));
+        assert!(waiter.join().is_err(), "the waiter panicked");
+        assert!(answer.recv().is_err(), "the queued barrier was dropped");
+        assert!(!queue.push(Control::Shutdown));
+        assert_eq!(queue.depth(), 0);
     }
 
     #[test]
@@ -1983,7 +2132,8 @@ mod tests {
         core.ingest(stream[..300].to_vec()).expect("ingest");
         core.flush();
         let h = core.health();
-        assert_eq!(h.queue_capacity, 16, "default channel capacity");
+        assert_eq!(h.queue_capacity, 4096, "default queue budget in edges");
+        assert_eq!(h.queue_depth, 0, "flushed");
         assert_eq!(h.memory_budget, 0, "0 = unlimited");
         assert!(h.stored_bytes > 0);
         assert!(h.journal_lag_bytes > 0, "journal ahead of the checkpoint");

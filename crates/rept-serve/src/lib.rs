@@ -11,8 +11,8 @@
 //!   ([`EngineCore`](rept_core::engine::EngineCore), wrapped by
 //!   [`ResumableRun`](rept_core::resume::ResumableRun) for
 //!   checkpointing — the *same* code the batch drivers run)
-//!   incrementally in batches behind a **bounded** channel (producers
-//!   feel backpressure), periodically assembles an immutable
+//!   incrementally in batches behind a queue **bounded in edges**
+//!   (producers feel backpressure), periodically assembles an immutable
 //!   [`snapshot::Snapshot`] (global `τ̂` with a plug-in 95% confidence
 //!   interval, per-node `τ̂_v` with a top-k index, stream and memory
 //!   stats) and publishes it through an `Arc` swap — **snapshot-isolated
@@ -57,8 +57,8 @@
 //!   gracefully); under `reject`/`degrade` the full engine runs and
 //!   writes past the budget come back as typed **`ERR QUOTA`**
 //!   rejections (dead-lettered, never retried by the client). A wire
-//!   `INGEST` that finds its tenant's queue full is held for up to
-//!   [`server::INGEST_HOLD`] (10 ms) for a slot; a queue that stays full
+//!   `INGEST` that finds no room in its tenant's queue is held for up
+//!   to [`server::INGEST_HOLD`] (10 ms) for room; a queue that stays full
 //!   surfaces as **`ERR BUSY`** backpressure instead of pinning the
 //!   connection handler — transient, retried by the client with
 //!   jittered exponential backoff. `HEALTH` reports the
@@ -104,7 +104,7 @@
 //! | `TENANT LIST`              | `OK TENANTS n=<n> <t>=<pos>[:interval=<i>] …`                 |
 //! | `TENANT DROP <t>`          | `OK TENANT DROPPED <t>` (`default` is protected)              |
 //! | `USE <t>`                  | `OK USING <t>` — switches this connection's current tenant    |
-//! | `HEALTH`                   | `OK HEALTH tenant= state=<ok\|degraded> queue= capacity= bytes= budget= journal_lag= dlq= sync= last_group=` |
+//! | `HEALTH`                   | `OK HEALTH tenant= state=<ok\|degraded> queue= capacity= bytes= budget= journal_lag= dlq= sync= last_group=` — `queue`/`capacity` in edges, `last_group` in batches |
 //! | `DLQ REPLAY`               | `OK DLQ REPLAYED n=<drained> failed=<rejected again>`         |
 //! | `METRICS`                  | `OK METRICS lines=<n>` + n exposition lines for the current tenant |
 //! | `METRICS *`                | `OK METRICS lines=<n>` + n lines for every tenant plus `tenant="_all"` aggregates |
@@ -112,7 +112,7 @@
 //! | `SHUTDOWN`                 | `OK BYE` — server stops accepting and drains                  |
 //!
 //! Two `ERR` classes carry retry semantics: `ERR BUSY …` (the ingest
-//! queue stayed full for the hold bound — transient, retry with backoff;
+//! queue had no room for the line within the hold bound — transient, retry with backoff;
 //! the batch was not applied and is **not** dead-lettered) and `ERR QUOTA …` (memory budget refusal —
 //! durable, never retry; the line **is** dead-lettered for `DLQ
 //! REPLAY`). Every other `ERR` is a grammar or state error.

@@ -60,10 +60,10 @@ pub struct ServeMetrics {
     pub journal_fsyncs: Counter,
     /// Size, in batches, of the most recent group commit.
     pub last_group_commit: Gauge,
-    /// Wire batches currently held on a full queue, waiting for a slot.
+    /// Wire batches currently held on a full queue, waiting for room.
     pub ingest_held: Gauge,
     /// Time a wire batch was held on a full queue before it was
-    /// enqueued or refused (µs); batches that found a free slot are not
+    /// enqueued or refused (µs); batches that found room are not
     /// recorded.
     pub ingest_hold_micros: Histogram,
     /// Time an ingest batch waited in the control queue (µs).
@@ -309,8 +309,8 @@ mod tests {
             engine: "fused-hybrid",
             health: Health {
                 degraded: false,
-                queue_depth: 1,
-                queue_capacity: 16,
+                queue_depth: 2048,
+                queue_capacity: 4096,
                 stored_bytes: 64,
                 memory_budget: 0,
                 journal_lag_bytes: 0,
@@ -331,7 +331,7 @@ mod tests {
         assert!(text.contains("rept_ingest_edges_total{tenant=\"default\"} 10"));
         assert!(text.contains("rept_ingest_edges_total{tenant=\"alpha\"} 5"));
         assert!(!text.contains("_all"), "no aggregate unless requested");
-        assert!(text.contains("rept_queue_depth{tenant=\"default\"} 1"));
+        assert!(text.contains("rept_queue_depth{tenant=\"default\"} 2048"));
         assert!(
             text.contains("rept_query_micros{tenant=\"alpha\",verb=\"global\",quantile=\"1\"} 7")
         );

@@ -1116,8 +1116,8 @@ mod tests {
     fn health_formatting() {
         let h = Health {
             degraded: false,
-            queue_depth: 3,
-            queue_capacity: 16,
+            queue_depth: 2048,
+            queue_capacity: 4096,
             stored_bytes: 1024,
             memory_budget: 4096,
             journal_lag_bytes: 88,
@@ -1127,7 +1127,7 @@ mod tests {
         };
         assert_eq!(
             format_health("alpha", &h),
-            "OK HEALTH tenant=alpha state=ok queue=3 capacity=16 bytes=1024 budget=4096 \
+            "OK HEALTH tenant=alpha state=ok queue=2048 capacity=4096 bytes=1024 budget=4096 \
              journal_lag=88 dlq=2 sync=per-record last_group=4"
         );
         let degraded = Health {

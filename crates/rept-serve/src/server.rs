@@ -8,9 +8,10 @@
 //! write, its `\n` included. What a line *means* is the [`LineHandler`]'s
 //! business: [`TenantRouter`] here, the shard coordinator in `rept-shard`.
 //!
-//! Ingest commands feed the selected tenants' [`ServeCore`] channels and
-//! feel their backpressure: a line that finds its tenant's queue full is
-//! held for up to [`INGEST_HOLD`] before it is refused with `ERR BUSY`.
+//! Ingest commands feed the selected tenants' [`ServeCore`] queues and
+//! feel their backpressure: a line that finds no room in its tenant's
+//! queue is held for up to [`INGEST_HOLD`], goes in as soon as room
+//! frees, and is otherwise refused with `ERR BUSY`.
 //! Query commands read published snapshots and never touch an ingest
 //! thread.
 //!
@@ -35,16 +36,18 @@ use crate::metrics::{render_exposition, TenantScrape};
 use crate::protocol::{self, Command, Scope, DEFAULT_TENANT};
 use crate::tenant::{RouterConfig, TenantRouter};
 
-/// Longest request line, in bytes before its `\n` — about 400× the
-/// 256-edge `INGEST` lines [`crate::Client`] writes. A connection that
+/// Longest request line, in bytes before its `\n`. The longest
+/// `INGEST` line [`crate::Client`] writes — 2 048 edges of two 10-digit
+/// ids — is 45 063 bytes with its `\n`, about 1/23 of this cap. A connection that
 /// sends more without a newline gets `ERR line longer than <N> bytes` and
 /// is closed: the rest of its line cannot be told from the next request.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
 
-/// How long a wire `INGEST` holds a line that finds its tenant's queue
-/// full before answering `ERR BUSY` — the size of the client's first
-/// backoff sleep, so a tenant that stays stuck costs a producer what a
-/// refusal did, while one that frees a slot in time costs no round trip.
+/// How long a wire `INGEST` holds a line that finds no room in its
+/// tenant's queue before answering `ERR BUSY` — the size of the client's
+/// first backoff sleep, so a tenant that stays stuck costs a producer
+/// what a refusal did, while one that frees room in time costs no round
+/// trip.
 pub const INGEST_HOLD: Duration = Duration::from_millis(10);
 
 /// How often an idle connection re-checks the shutdown flag.
@@ -428,8 +431,8 @@ impl LineHandler for TenantRouter {
 /// Parses and executes one request line, producing the reply line and
 /// whether the request was a shutdown (keyed off the parsed command,
 /// not the raw text, so `ERR` replies to malformed shutdown-like lines
-/// keep the connection open). A current-tenant `INGEST` that finds the
-/// queue full waits up to `hold` for a slot.
+/// keep the connection open). A current-tenant `INGEST` that finds no
+/// room in the queue waits up to `hold` for it.
 fn execute(
     line: &str,
     router: &TenantRouter,
@@ -738,10 +741,10 @@ mod tests {
         server.shutdown();
     }
 
-    /// A one-slot tenant queue: a single parked batch fills it.
-    fn one_slot(cfg: ServeConfig) -> ServeConfig {
+    /// A one-edge tenant queue: a single queued one-edge batch fills it.
+    fn one_edge_queue(cfg: ServeConfig) -> ServeConfig {
         let mut cfg = cfg;
-        cfg.channel_capacity = 1;
+        cfg.queue_edges = 1;
         cfg
     }
 
@@ -806,7 +809,7 @@ mod tests {
 
     #[test]
     fn held_line_is_accepted_when_a_slot_frees_within_the_bound() {
-        let cfg = one_slot(ServeConfig::new(ReptConfig::new(2, 2).with_seed(7)));
+        let cfg = one_edge_queue(ServeConfig::new(ReptConfig::new(2, 2).with_seed(7)));
         let router = Arc::new(TenantRouter::start(RouterConfig::new(cfg)).expect("router"));
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
@@ -818,8 +821,8 @@ mod tests {
         };
         let core = router.tenant(DEFAULT_TENANT).expect("default tenant");
 
-        // The ingest thread sits on a barrier and a first batch fills
-        // the only slot behind it.
+        // The ingest thread sits on a barrier (which takes no room) and
+        // a first one-edge batch fills the queue behind it.
         let parked = core.park();
         core.ingest(vec![Edge::new(1, 2)]).expect("queued");
         let producer = std::thread::spawn(move || {
@@ -828,10 +831,10 @@ mod tests {
         });
         // The wire line is held on the full queue …
         while core.metrics().ingest_held.get() == 0 {
-            assert!(!producer.is_finished(), "the line must wait for a slot");
+            assert!(!producer.is_finished(), "the line must wait for room");
             std::thread::yield_now();
         }
-        // … and goes in once the ingest thread frees the slot.
+        // … and goes in once the ingest thread takes the first batch.
         drop(parked);
         assert_eq!(
             producer
@@ -857,7 +860,8 @@ mod tests {
     fn line_still_blocked_past_the_bound_gets_busy() {
         let root = std::env::temp_dir().join(format!("rept-hold-busy-{}", std::process::id()));
         std::fs::remove_dir_all(&root).ok();
-        let cfg = one_slot(ServeConfig::new(ReptConfig::new(2, 2).with_seed(7)).with_journal());
+        let cfg =
+            one_edge_queue(ServeConfig::new(ReptConfig::new(2, 2).with_seed(7)).with_journal());
         let server = Server::start_router(
             RouterConfig::new(cfg).with_root_dir(root.clone()),
             "127.0.0.1:0",
@@ -865,10 +869,18 @@ mod tests {
         )
         .expect("start");
         let core = server.core();
-        // Parked ingest thread, and a second barrier in the only slot:
-        // nothing frees it until the test says so.
+        // Parked ingest thread, and a one-edge batch from another
+        // producer filling the queue: nothing frees it until the test
+        // says so. The journal holds that producer until its batch is
+        // acked.
         let parked = core.park();
-        let filler = core.park();
+        let filler = {
+            let core = server.router().tenant(DEFAULT_TENANT).expect("default");
+            std::thread::spawn(move || core.ingest(vec![Edge::new(5, 6)]))
+        };
+        while core.health().queue_depth == 0 {
+            std::thread::yield_now();
+        }
         let mut client =
             Client::connect_with(server.local_addr(), no_busy_retry()).expect("connect");
         let edge = [Edge::new(1, 2)];
@@ -884,16 +896,19 @@ mod tests {
         assert_eq!(core.dlq_count(), 0, "BUSY is never dead-lettered");
 
         drop(parked);
-        drop(filler);
+        filler
+            .join()
+            .expect("filler")
+            .expect("the filler is applied");
         assert_eq!(
             client.flush().expect("flush"),
-            0,
-            "the refused line was not applied"
+            1,
+            "the filler was applied, the refused line was not"
         );
         client
             .ingest(&edge)
             .expect("a retry lands once the queue drains");
-        assert_eq!(client.flush().expect("flush"), 1);
+        assert_eq!(client.flush().expect("flush"), 2);
         drop(client);
         server.shutdown_all();
         std::fs::remove_dir_all(&root).ok();

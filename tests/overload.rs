@@ -496,13 +496,14 @@ fn block_reply_line_counts_are_not_allocation_sizes() {
 
 #[test]
 fn busy_surfaces_on_the_wire_from_a_real_overloaded_server() {
-    // A real server with a tiny ingest queue and a slow first batch:
-    // non-blocking wire ingest must answer ERR BUSY (transient, not
-    // dead-lettered) while the queue is full, and the default client
-    // must ride it out with backoff.
+    // A real server with a one-edge ingest queue and a slow first
+    // batch, larger than the budget, that went in alone: non-blocking
+    // wire ingest must answer ERR BUSY (transient, not dead-lettered)
+    // while the queue is full, and the default client must ride it out
+    // with backoff.
     let root = unique_root("busy-wire");
     let mut base = ServeConfig::new(ReptConfig::new(2, 2).with_seed(3));
-    base.channel_capacity = 1;
+    base.queue_edges = 1;
     let server = Server::start_router(
         RouterConfig::new(base).with_root_dir(root.clone()),
         "127.0.0.1:0",

@@ -333,19 +333,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     /// The equivalence over TCP shard servers as well as in-process
-    /// ones, with batches of up to 700 edges: the coordinator cuts a
-    /// batch into 256-edge lines and has each line in flight on every
-    /// shard at once.
+    /// ones, with batches of up to 2.75 lines: the coordinator cuts a
+    /// batch into [`INGEST_CHUNK`]-edge lines and has each line in
+    /// flight on every shard at once.
     #[test]
     fn multi_line_batches_over_tcp_shards_are_byte_identical_to_standalone(
-        stream in arb_long_stream_with_dups(40, 300..900),
+        stream in arb_long_stream_with_dups(40, INGEST_CHUNK * 5 / 4..INGEST_CHUNK * 7 / 2),
         m in 2u64..4,
         rem_sel in 0u64..4,
         seed in any::<u64>(),
-        batch_sel in 0usize..700,
+        batch_sel in 0usize..INGEST_CHUNK * 11 / 4,
     ) {
         let cfg = equivalence_config(m, rem_sel, seed);
-        let batch = 1 + batch_sel.max(200);
+        let batch = 1 + batch_sel.max(INGEST_CHUNK * 3 / 4);
         for links in [Links::Tcp, Links::Local] {
             assert_cluster_matches_standalone(&stream, cfg, batch, 64, links)?;
         }
@@ -763,8 +763,11 @@ impl Scripted {
             .with_eta(true)
             .with_locals(true);
         let servers = sliced_servers(cfg, Engine::default(), 2, 64);
-        let stream = fixed_stream(800);
-        let batches = stream.chunks(700).map(<[Edge]>::to_vec).collect();
+        let batch = 3 * INGEST_CHUNK - INGEST_CHUNK / 4;
+        let stream = fixed_stream(batch as u32);
+        let batches: Vec<Vec<Edge>> = stream.chunks(batch).map(<[Edge]>::to_vec).collect();
+        assert!(batches.len() > 1, "lines follow the first batch");
+        assert_eq!(batches[0].len().div_ceil(INGEST_CHUNK), 3);
         Self {
             cfg,
             servers,
@@ -983,6 +986,77 @@ fn shard_closing_mid_line_is_marked_dead_and_the_survivor_stays_in_step() {
     for server in cluster.servers {
         server.shutdown();
     }
+}
+
+/// One shard's sample of a counter family in a coordinator `METRICS`
+/// scrape.
+fn shard_sample(text: &str, name: &str, shard: u32) -> u64 {
+    let prefix = format!("{name}{{shard=\"{shard}\",tenant=\"default\"}} ");
+    text.lines()
+        .find_map(|l| l.strip_prefix(&prefix))
+        .map_or_else(
+            || panic!("no {name} for shard {shard} in:\n{text}"),
+            |v| v.parse().expect("integer sample"),
+        )
+}
+
+/// One fsync per line, end to end: a producer's `Client::ingest`
+/// through a `CoordinatorServer` to two journaled TCP shards (the shape
+/// of servebench's `ws-durable-shards`) costs each shard exactly one
+/// applied batch and one fsync per [`INGEST_CHUNK`]-edge line.
+#[test]
+fn each_shard_pays_one_fsync_per_ingest_line_through_the_coordinator() {
+    const EDGES: u32 = 6145;
+    let cfg = ReptConfig::new(2, 4).with_seed(13).with_eta(true);
+    let root = unique_root("fsync-per-line");
+    std::fs::create_dir_all(&root).expect("mk root");
+    let shards: Vec<Server> = (0..2u32)
+        .map(|i| {
+            let sc = ServeConfig::new(cfg)
+                .with_group_slice(GroupSlice::new(i, 2))
+                .with_checkpoint(root.join(format!("shard{i}.rpck")), None)
+                .with_journal();
+            Server::start(sc, "127.0.0.1:0", 1).expect("shard server")
+        })
+        .collect();
+    let links = shards
+        .iter()
+        .map(|s| ShardLink::connect(s.local_addr()).expect("link"))
+        .collect();
+    let coord = ShardCoordinator::start(CoordinatorConfig::new(cfg), links).expect("coordinator");
+    let front = CoordinatorServer::start(coord, "127.0.0.1:0", 1).expect("front end");
+    let mut client = Client::connect(front.local_addr()).expect("connect");
+    let counts = |client: &mut Client| -> Vec<[u64; 2]> {
+        let text = client.metrics().expect("scrape");
+        (0..2)
+            .map(|i| {
+                [
+                    shard_sample(&text, "rept_journal_fsyncs_total", i),
+                    shard_sample(&text, "rept_ingest_batches_total", i),
+                ]
+            })
+            .collect()
+    };
+
+    let before = counts(&mut client);
+    let edges: Vec<Edge> = (0..EDGES).map(|i| Edge::new(i % 300, 300 + i)).collect();
+    assert_eq!(client.ingest(&edges).expect("ingest"), EDGES as usize);
+    // A shard acks a line before it applies it. The flush waits for the
+    // apply, and adds no fsync: everything it covers is synced already.
+    assert_eq!(client.flush().expect("flush"), EDGES as u64);
+    let after = counts(&mut client);
+    let lines = EDGES.div_ceil(INGEST_CHUNK as u32) as u64;
+    for shard in 0..2 {
+        let [fsyncs, batches] = [0, 1].map(|k| after[shard][k] - before[shard][k]);
+        assert_eq!(fsyncs, lines, "shard {shard}: one fsync per line");
+        assert_eq!(batches, lines, "shard {shard}: one batch per line");
+    }
+    drop(client);
+    front.shutdown();
+    for shard in shards {
+        shard.shutdown();
+    }
+    std::fs::remove_dir_all(&root).ok();
 }
 
 /// The standalone core's snapshot after `stream`, fed in `batch`-edge
