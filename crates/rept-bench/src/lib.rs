@@ -10,12 +10,15 @@
 //!   returns global/local NRMSE.
 //! * [`context`] — dataset materialisation + ground-truth computation with
 //!   consistent console logging.
+//! * [`reps`] — the interleaved-repetition harness and the measured host
+//!   parallelism behind `bench_throughput` and `bench_serve`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cli;
 pub mod context;
+pub mod reps;
 pub mod runners;
 pub mod sweep;
 pub mod timing;

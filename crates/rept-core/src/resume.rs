@@ -294,10 +294,6 @@ enum RunState {
 #[derive(Debug, Clone)]
 pub struct ResumableRun {
     state: RunState,
-    /// Stream position up to which the checkpoint this run was restored
-    /// from had made a write-ahead journal redundant (0 for fresh runs;
-    /// equal to the restored position for pre-v4 blobs).
-    journal_truncation: u64,
 }
 
 impl ResumableRun {
@@ -311,7 +307,6 @@ impl ResumableRun {
     pub fn with_engine(rept: Rept, engine: Engine) -> Self {
         Self {
             state: RunState::Engine(EngineCore::with_engine(rept, engine)),
-            journal_truncation: 0,
         }
     }
 
@@ -327,7 +322,6 @@ impl ResumableRun {
     pub fn with_sliced_engine(rept: Rept, engine: Engine, slice: GroupSlice) -> Self {
         Self {
             state: RunState::Engine(EngineCore::with_slice(rept, engine, slice)),
-            journal_truncation: 0,
         }
     }
 
@@ -342,7 +336,6 @@ impl ResumableRun {
     pub fn with_reservoir(cfg: ReptConfig, memory_budget: u64) -> Self {
         Self {
             state: RunState::Reservoir(ReservoirRun::new(cfg, memory_budget)),
-            journal_truncation: 0,
         }
     }
 
@@ -377,21 +370,13 @@ impl ResumableRun {
     }
 
     /// The per-group aggregates of the stream seen so far — the kept
-    /// groups only, for a sliced run. This is the aggregate-exchange
+    /// groups only, for a sliced run — with the per-node entries of the
+    /// `touched` nodes ([`Touched::All`]: every node); see
+    /// [`EngineCore::counters_for`]. This is the aggregate-exchange
     /// payload of a distributed deployment: collect every shard's
     /// aggregates and combine them with [`Rept::finalize_groups`].
     /// `None` for reservoir runs, whose subsampled state admits no
     /// exact cross-shard combination.
-    pub fn group_aggregates(&self) -> Option<Vec<GroupAggregate>> {
-        match &self.state {
-            RunState::Engine(core) => Some(core.snapshot_counters()),
-            RunState::Reservoir(_) => None,
-        }
-    }
-
-    /// [`Self::group_aggregates`] restricted to the `touched` nodes'
-    /// per-node entries — see [`EngineCore::counters_for`]. `None` for
-    /// reservoir runs.
     pub fn counters_for(&self, touched: &Touched) -> Option<Vec<GroupAggregate>> {
         match &self.state {
             RunState::Engine(core) => Some(core.counters_for(touched)),
@@ -474,15 +459,6 @@ impl ResumableRun {
             RunState::Engine(core) => core.config(),
             RunState::Reservoir(run) => run.config(),
         }
-    }
-
-    /// The journal truncation position carried by the checkpoint this
-    /// run was restored from: every write-ahead journal record strictly
-    /// below it is already folded into the restored state. Fresh runs
-    /// report 0; pre-v4 checkpoints report their stream position (they
-    /// predate journals, so nothing below the position can be pending).
-    pub fn journal_truncation(&self) -> u64 {
-        self.journal_truncation
     }
 
     /// Produces the estimate for the stream seen so far (non-consuming —
@@ -584,10 +560,10 @@ impl ResumableRun {
         // Version 1 predates the engine byte: always per-worker.
         let code = if version == 1 { 0 } else { r.u8()? };
         let position = r.u64()?;
-        // Versions below 4 predate journals: everything at or below the
-        // position is, by definition, folded into the checkpoint.
-        let journal_truncation = if version >= 4 { r.u64()? } else { position };
-        if journal_truncation > position {
+        // Version 4 added the journal truncation position. Writers record
+        // the stream position there, and recovery replays the journal
+        // from `position()`, so the field is only validated.
+        if version >= 4 && r.u64()? > position {
             return Err(SnapshotError::Invalid("journal truncation beyond position"));
         }
         let cfg = ReptConfig {
@@ -612,7 +588,6 @@ impl ResumableRun {
             }
             return Ok(Self {
                 state: RunState::Reservoir(run),
-                journal_truncation,
             });
         }
         // Version 6 records the group slice this blob's core owned;
@@ -684,7 +659,6 @@ impl ResumableRun {
         }
         Ok(Self {
             state: RunState::Engine(EngineCore::from_parts(rept, engine, state, position, slice)),
-            journal_truncation,
         })
     }
 
@@ -1569,7 +1543,7 @@ mod tests {
                     resumed.process_batch(&stream[split..]);
                     aggregates.extend(
                         resumed
-                            .group_aggregates()
+                            .counters_for(&Touched::All)
                             .expect("engine runs have aggregates"),
                     );
                 }
@@ -1695,7 +1669,7 @@ mod tests {
                         prop_assert_eq!(resumed.group_slice(), slice);
                         prop_assert_eq!(resumed.engine(), Engine::FusedHybrid);
                         resumed.process_batch(tail);
-                        aggregates.extend(resumed.group_aggregates().expect("engine run"));
+                        aggregates.extend(resumed.counters_for(&Touched::All).expect("engine run"));
                     }
                     let est = rept.finalize_groups(aggregates);
                     assert_estimates_equal(
@@ -1984,7 +1958,6 @@ mod tests {
         let mem = (40 * EDGE_COST_BYTES) as u64;
         let mut live = ResumableRun::with_reservoir(rcfg, mem);
         assert_eq!(live.memory_budget(), Some(mem));
-        assert_eq!(live.journal_truncation(), 0);
         live.process_batch(&stream[..stream.len() / 2]);
         let blob = live.checkpoint_bytes();
         // Reservoir blobs carry the v5 version and engine code 3.
@@ -1993,7 +1966,6 @@ mod tests {
         let mut resumed = ResumableRun::from_checkpoint_bytes(&blob).expect("v5 blob");
         assert_eq!(resumed.position(), live.position());
         assert_eq!(resumed.memory_budget(), Some(mem));
-        assert_eq!(resumed.journal_truncation(), live.position());
         for &e in &stream[stream.len() / 2..] {
             live.process(e);
             resumed.process(e);
@@ -2236,16 +2208,28 @@ mod tests {
     fn journal_truncation_defaults() {
         let stream = stream();
         let mut run = ResumableRun::new(Rept::new(cfg()));
-        assert_eq!(run.journal_truncation(), 0, "fresh run");
         run.process_batch(&stream[..120]);
-        // A v4 checkpoint retires journal records up to its position.
-        let restored = ResumableRun::from_checkpoint_bytes(&run.checkpoint_bytes()).unwrap();
-        assert_eq!(restored.journal_truncation(), 120);
-        // Pre-v4 blobs predate journals: truncation == position.
+        // A v4 checkpoint retires journal records up to its position:
+        // the header's truncation field (bytes 44..52, after the
+        // position) repeats it.
+        let blob = run.checkpoint_bytes();
+        let field = |at: usize| u64::from_le_bytes(blob[at..at + 8].try_into().unwrap());
+        assert_eq!((field(36), field(44)), (120, 120));
+        let restored = ResumableRun::from_checkpoint_bytes(&blob).unwrap();
+        assert_eq!(restored.position(), 120);
+        // The field is still validated: a truncation past the position
+        // is corrupt.
+        let mut past = blob.clone();
+        past[44..52].copy_from_slice(&121u64.to_le_bytes());
+        assert_eq!(
+            ResumableRun::from_checkpoint_bytes(&past).err(),
+            Some(SnapshotError::Invalid("journal truncation beyond position"))
+        );
+        // Pre-v4 blobs predate journals and carry no such field.
         let mut v2run = ResumableRun::new(Rept::new(cfg()));
         v2run.process_batch(&stream[..80]);
         let restored = ResumableRun::from_checkpoint_bytes(&frozen_v2_blob(&v2run)).unwrap();
-        assert_eq!(restored.journal_truncation(), 80);
+        assert_eq!(restored.position(), 80);
     }
 
     #[test]

@@ -1,84 +1,52 @@
-//! Latency sample recording and percentile summaries.
+//! Order statistics of repeated timings.
 //!
-//! The serving subsystem measures per-query latency under concurrent
-//! load; reporting it needs order statistics, not just means. A
-//! [`LatencyRecorder`] collects raw [`Duration`] samples (one recorder
-//! per thread — recording is just a `Vec::push`), recorders from many
-//! threads [`merge`](LatencyRecorder::merge) into one, and the summary
-//! reports nearest-rank percentiles. Keeping the raw samples (instead of
-//! a histogram sketch) is deliberate: the bench workloads record at most
-//! a few million samples, and exact percentiles keep `BENCH_serve.json`
-//! noise down to scheduler jitter only.
+//! A bench row is not one run: the in-tree benches time every variant
+//! several times and summarise those latencies as a [`Spread`] — the
+//! minimum and the three quartiles — so a reader sees how far one run
+//! strays from the next. The quartiles are those of Python's
+//! `statistics.quantiles(data, n=4)` (its default, exclusive method),
+//! which `servebench/reps.py` reports, so an in-tree row and a
+//! benchmark summary read alike.
 
-use std::time::Duration;
-
-/// Collects latency samples and summarises them.
-#[derive(Debug, Clone, Default)]
-pub struct LatencyRecorder {
-    samples: Vec<Duration>,
+/// The minimum and the quartiles of a sample.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Spread {
+    /// The smallest sample.
+    pub min: f64,
+    /// The first quartile.
+    pub q1: f64,
+    /// The median.
+    pub median: f64,
+    /// The third quartile.
+    pub q3: f64,
 }
 
-impl LatencyRecorder {
-    /// Creates an empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, sample: Duration) {
-        self.samples.push(sample);
-    }
-
-    /// Absorbs another recorder's samples (fan-in from worker threads).
-    pub fn merge(&mut self, other: LatencyRecorder) {
-        self.samples.extend(other.samples);
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Mean latency (zero when empty).
-    pub fn mean(&self) -> Duration {
-        if self.samples.is_empty() {
-            return Duration::ZERO;
-        }
-        self.samples.iter().sum::<Duration>() / self.samples.len() as u32
-    }
-
-    /// The nearest-rank `p`-th percentile (`0 < p ≤ 100`): the smallest
-    /// sample such that at least `p`% of samples are ≤ it. Returns
-    /// `None` when no samples were recorded.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0.0 < p ≤ 100.0`.
-    pub fn percentile(&self, p: f64) -> Option<Duration> {
-        assert!(p > 0.0 && p <= 100.0, "percentile must be in (0, 100]");
-        if self.samples.is_empty() {
-            return None;
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_unstable();
-        // Nearest-rank: ⌈p/100 · n⌉, 1-based.
-        let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-        Some(sorted[rank.max(1) - 1])
-    }
-
-    /// Median (`p50`).
-    pub fn p50(&self) -> Option<Duration> {
-        self.percentile(50.0)
-    }
-
-    /// `p99` — the tail the serving SLO cares about.
-    pub fn p99(&self) -> Option<Duration> {
-        self.percentile(99.0)
-    }
-
-    /// The largest sample seen.
-    pub fn max(&self) -> Option<Duration> {
-        self.samples.iter().max().copied()
+impl Spread {
+    /// The spread of `samples`, or `None` when there are none. A single
+    /// sample is every quartile, as in `reps.py`.
+    pub fn of(samples: &[f64]) -> Option<Self> {
+        let mut x = samples.to_vec();
+        x.sort_by(f64::total_cmp);
+        let n = x.len();
+        let quartile = |i: usize| {
+            if n == 1 {
+                return x[0];
+            }
+            // `statistics.quantiles`' exclusive method: the i-th cut
+            // lies at rank i·(n+1)/4, interpolated between the two
+            // samples around it (and extrapolated past the ends when
+            // n < 3, as Python does).
+            let j = (i * (n + 1) / 4).clamp(1, n - 1);
+            let delta = (i * (n + 1)) as f64 - (4 * j) as f64;
+            (x[j - 1] * (4.0 - delta) + x[j] * delta) / 4.0
+        };
+        let min = *x.first()?;
+        Some(Self {
+            min,
+            q1: quartile(1),
+            median: quartile(2),
+            q3: quartile(3),
+        })
     }
 }
 
@@ -86,58 +54,34 @@ impl LatencyRecorder {
 mod tests {
     use super::*;
 
-    fn ms(n: u64) -> Duration {
-        Duration::from_millis(n)
+    fn spread(samples: impl IntoIterator<Item = u32>) -> Spread {
+        let samples: Vec<f64> = samples.into_iter().map(f64::from).collect();
+        Spread::of(&samples).expect("samples")
     }
 
     #[test]
     fn empty_recorder() {
-        let r = LatencyRecorder::new();
-        assert_eq!(r.count(), 0);
-        assert_eq!(r.mean(), Duration::ZERO);
-        assert_eq!(r.p50(), None);
-        assert_eq!(r.max(), None);
+        assert_eq!(Spread::of(&[]), None);
     }
 
+    /// `statistics.quantiles(range(1, 6), n=4)` is `[1.5, 3.0, 4.5]`,
+    /// and `range(1, 11)` gives `[2.75, 5.5, 8.25]`; `[1, 2]`
+    /// extrapolates to `[0.75, 1.5, 2.25]`.
     #[test]
-    fn percentiles_are_nearest_rank() {
-        let mut r = LatencyRecorder::new();
-        for i in 1..=100 {
-            r.record(ms(i));
-        }
-        assert_eq!(r.p50(), Some(ms(50)));
-        assert_eq!(r.p99(), Some(ms(99)));
-        assert_eq!(r.percentile(100.0), Some(ms(100)));
-        assert_eq!(r.percentile(1.0), Some(ms(1)));
-        assert_eq!(r.max(), Some(ms(100)));
-        assert_eq!(r.mean(), ms(50) + Duration::from_micros(500));
+    fn quartiles_match_python_exclusive_quantiles() {
+        let s = spread(1..=5);
+        assert_eq!((s.min, s.q1, s.median, s.q3), (1.0, 1.5, 3.0, 4.5));
+        let s = spread((1..=10).rev());
+        assert_eq!((s.min, s.q1, s.median, s.q3), (1.0, 2.75, 5.5, 8.25));
+        let s = spread([2, 1]);
+        assert_eq!((s.min, s.q1, s.median, s.q3), (1.0, 0.75, 1.5, 2.25));
+        // The median is `statistics.median` for both parities.
+        assert_eq!(spread([4, 1, 3, 2]).median, 2.5);
     }
 
     #[test]
     fn single_sample_is_every_percentile() {
-        let mut r = LatencyRecorder::new();
-        r.record(ms(7));
-        assert_eq!(r.percentile(0.001), Some(ms(7)));
-        assert_eq!(r.p50(), Some(ms(7)));
-        assert_eq!(r.percentile(100.0), Some(ms(7)));
-    }
-
-    #[test]
-    fn merge_combines_samples() {
-        let mut a = LatencyRecorder::new();
-        let mut b = LatencyRecorder::new();
-        a.record(ms(1));
-        b.record(ms(3));
-        b.record(ms(2));
-        a.merge(b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.max(), Some(ms(3)));
-        assert_eq!(a.p50(), Some(ms(2)));
-    }
-
-    #[test]
-    #[should_panic(expected = "percentile")]
-    fn out_of_range_percentile_panics() {
-        LatencyRecorder::new().percentile(0.0);
+        let s = spread([7]);
+        assert_eq!((s.min, s.q1, s.median, s.q3), (7.0, 7.0, 7.0, 7.0));
     }
 }

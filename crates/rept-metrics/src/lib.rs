@@ -14,8 +14,9 @@
 //!   average over), plus a heavy-node (`τ_v ≥ k`) view.
 //! * [`ranking`] — precision@k and Kendall τ for local-count rankings
 //!   (the spam-detection consumption pattern).
-//! * [`latency`] — [`LatencyRecorder`]: per-thread latency samples with
-//!   nearest-rank percentiles (the serving bench's p50/p99).
+//! * [`latency`] — [`Spread`]: the minimum and quartiles of repeated
+//!   timings, computed as `servebench/reps.py` computes them (the
+//!   in-tree benches' rows).
 //! * [`registry`] — lock-light always-on production metrics:
 //!   [`registry::Counter`], [`registry::Gauge`] and a fixed-bucket
 //!   log₂-scale [`registry::Histogram`] (bounded memory, mergeable,
@@ -44,7 +45,7 @@ pub mod trace;
 pub mod welford;
 
 pub use error::ErrorStats;
-pub use latency::LatencyRecorder;
+pub use latency::Spread;
 pub use local_error::LocalErrorAccumulator;
 pub use montecarlo::{run_global_trials, run_trials, TrialOutput};
 pub use registry::{Counter, Gauge, Histogram};

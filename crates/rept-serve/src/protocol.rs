@@ -32,13 +32,20 @@ use rept_core::GroupAggregate;
 use rept_graph::edge::{Edge, NodeId};
 use rept_hash::fx::FxHashMap;
 
-use crate::client::push_decimal;
+use crate::client::{push_decimal, INGEST_CHUNK};
 use crate::core::{Aggregates, Health, LiveStats, QuotaPolicy};
 use crate::snapshot::Snapshot;
 use rept_metrics::trace::TraceEvent;
 
 /// Maximum tenant name length accepted by [`validate_tenant_name`].
 pub const MAX_TENANT_NAME: usize = 64;
+
+/// The most edges one `INGEST` line may carry: four
+/// [`INGEST_CHUNK`] lines' worth. [`parse`] refuses a longer line with a
+/// grammar error, which the server dead-letters, so a line costs at most
+/// this many edges of allocation however long it is, and the ingest
+/// queue's edge budget stays within a small factor of its bound.
+pub const MAX_INGEST_EDGES: usize = 4 * INGEST_CHUNK;
 
 /// The tenant every connection starts scoped to, and the one a v1
 /// client (which never sends `USE`) talks to for its whole session.
@@ -313,10 +320,12 @@ pub fn parse(line: &str) -> Result<Command, String> {
 /// in one pass over the bytes and without collecting the tokens.
 ///
 /// The errors, and which one wins, are those of a parse that splits the
-/// whole line first: no edge, then a bad scope, then an odd id count,
-/// then, for the first pair that fails, a bad `u`, a bad `v` or a
-/// self-loop. So the scan notes the first failing pair and keeps
-/// counting tokens, and builds the message only if it returns it.
+/// whole line first: no edge, then a bad scope, then more than
+/// [`MAX_INGEST_EDGES`] pairs, then an odd id count, then, for the first
+/// pair that fails, a bad `u`, a bad `v` or a self-loop. So the scan
+/// notes the first failing pair and keeps counting tokens, and builds
+/// the message only if it returns it; it stops at the first pair past
+/// the cap.
 fn parse_ingest(args: &str) -> Result<Command, String> {
     /// The first failure of the pair scan, formatted only when returned.
     enum Bad<'a> {
@@ -340,11 +349,16 @@ fn parse_ingest(args: &str) -> Result<Command, String> {
     };
     let mut edges = Vec::new();
     let mut bad = None;
+    let mut pairs = 0;
     let mut u = first;
     loop {
         let Some(v) = next() else {
             return Err("INGEST needs an even number of node ids".into());
         };
+        pairs += 1;
+        if pairs > MAX_INGEST_EDGES {
+            return Err(format!("INGEST carries more than {MAX_INGEST_EDGES} edges"));
+        }
         if bad.is_none() {
             let id = |(tok, plain): (&str, Option<NodeId>)| plain.or_else(|| tok.parse().ok());
             bad = match (id(u), id(v)) {
@@ -1669,6 +1683,9 @@ mod tests {
         if rest.is_empty() {
             return Err("INGEST needs at least one edge".into());
         }
+        if rest.len() / 2 > MAX_INGEST_EDGES {
+            return Err(format!("INGEST carries more than {MAX_INGEST_EDGES} edges"));
+        }
         if !rest.len().is_multiple_of(2) {
             return Err("INGEST needs an even number of node ids".into());
         }
@@ -1768,6 +1785,40 @@ mod tests {
             }
             line.push_str(["", "\n", " \r\n"][ends.1]);
             proptest::prop_assert_eq!(parse(&line), reference_ingest(&line), "line {:?}", line);
+        }
+    }
+
+    #[test]
+    fn ingest_lines_are_capped_at_max_ingest_edges() {
+        let line = |pairs: usize, tail: &str| {
+            let mut line = String::from("INGEST *");
+            for i in 0..pairs {
+                line.push_str(&format!(" {i} {}", i + 1));
+            }
+            line + tail
+        };
+        let at_cap = line(MAX_INGEST_EDGES, "");
+        assert!(
+            matches!(parse(&at_cap), Ok(Command::Ingest(Scope::All, e)) if e.len() == MAX_INGEST_EDGES)
+        );
+        let over = Err(format!("INGEST carries more than {MAX_INGEST_EDGES} edges"));
+        assert_eq!(parse(&line(MAX_INGEST_EDGES + 1, "")), over);
+        // The cap is checked before the ids past it; an odd id at the
+        // cap is the odd-count error.
+        assert_eq!(parse(&line(MAX_INGEST_EDGES + 1, " x 7")), over);
+        assert_eq!(
+            parse(&line(MAX_INGEST_EDGES, " 1")),
+            Err("INGEST needs an even number of node ids".into())
+        );
+        for tail in ["", " 1", " 1 1", " x 7 8"] {
+            for pairs in [MAX_INGEST_EDGES - 1, MAX_INGEST_EDGES] {
+                let line = line(pairs, tail);
+                assert_eq!(
+                    parse(&line),
+                    reference_ingest(&line),
+                    "{pairs} pairs + {tail:?}"
+                );
+            }
         }
     }
 

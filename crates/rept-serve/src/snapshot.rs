@@ -21,17 +21,15 @@ use rept_core::{Engine, ReptConfig, ReptEstimate, Touched};
 use rept_graph::edge::NodeId;
 use rept_hash::fx::FxHashMap;
 
-/// Write-ahead-journal state carried by a [`Snapshot`] — the
-/// durability side of `STATS` and `JOURNAL STATS`. All zeros (and
-/// `enabled == false`) when the core runs without a journal.
+/// Write-ahead-journal state carried by a [`Snapshot`] — the fields of
+/// `STATS` and `JOURNAL STATS` that are fixed at startup. All zeros
+/// (and `enabled == false`) when the core runs without a journal. The
+/// journal's bytes and segments move between publications, so they are
+/// read live ([`crate::LiveStats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DurabilityStats {
     /// Whether the core journals acked batches before applying them.
     pub enabled: bool,
-    /// Journal bytes currently on disk (all live segments).
-    pub journal_bytes: u64,
-    /// Live journal segment files.
-    pub journal_segments: u64,
     /// Edges replayed from the journal tail at the last startup.
     pub replayed: u64,
 }

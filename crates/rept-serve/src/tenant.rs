@@ -33,7 +33,7 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use rept_core::config::{EtaMode, MAX_PROCESSORS};
 use rept_core::interval::IntervalEstimator;
@@ -204,7 +204,7 @@ impl TenantRouter {
                             ServeCore::start(serve)?
                         }
                     };
-                    router.tenants.lock().expect("tenant lock").insert(
+                    router.map().insert(
                         name,
                         TenantEntry {
                             core: Arc::new(core),
@@ -231,6 +231,14 @@ impl TenantRouter {
     /// The router configuration.
     pub fn config(&self) -> &RouterConfig {
         &self.cfg
+    }
+
+    /// The tenant map. Every critical section leaves the map whole (one
+    /// insert or one remove, never a half-built entry), so a guard
+    /// poisoned by a panicking holder is recovered rather than turning
+    /// every later request into a panic.
+    fn map(&self) -> MutexGuard<'_, BTreeMap<String, TenantEntry>> {
+        self.tenants.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The resolved [`ServeConfig`] a tenant named `name` with estimator
@@ -363,7 +371,7 @@ impl TenantRouter {
         serve: ServeConfig,
         interval: Option<u64>,
     ) -> Result<(), SnapshotError> {
-        let mut tenants = self.tenants.lock().expect("tenant lock");
+        let mut tenants = self.map();
         if tenants.contains_key(&name) {
             return Err(SnapshotError::Invalid("tenant already exists"));
         }
@@ -385,7 +393,13 @@ impl TenantRouter {
         // Held across the core start: creation is rare and (with the
         // managed directory wiped above) checkpoint-decode-free, and
         // exclusivity here is what makes the check-then-write atomic.
-        let core = ServeCore::start(serve)?;
+        let core = ServeCore::start(serve).inspect_err(|_| {
+            // A refused tenant leaves no manifest behind: the next router
+            // start would resume it and be refused the same way.
+            if let Some(dir) = &managed_dir {
+                let _ = std::fs::remove_dir_all(dir);
+            }
+        })?;
         tenants.insert(
             name,
             TenantEntry {
@@ -408,7 +422,7 @@ impl TenantRouter {
             return Err("the default tenant cannot be dropped".into());
         }
         let (entry, trash) = {
-            let mut tenants = self.tenants.lock().expect("tenant lock");
+            let mut tenants = self.map();
             let entry = tenants
                 .remove(name)
                 .ok_or_else(|| format!("unknown tenant {name:?}"))?;
@@ -482,21 +496,17 @@ impl TenantRouter {
 
     /// The named tenant's core, if it exists.
     pub fn tenant(&self, name: &str) -> Option<Arc<ServeCore>> {
-        self.tenants
-            .lock()
-            .expect("tenant lock")
-            .get(name)
-            .map(|e| Arc::clone(&e.core))
+        self.map().get(name).map(|e| Arc::clone(&e.core))
     }
 
     /// Whether a tenant exists.
     pub fn contains(&self, name: &str) -> bool {
-        self.tenants.lock().expect("tenant lock").contains_key(name)
+        self.map().contains_key(name)
     }
 
     /// Number of live tenants.
     pub fn len(&self) -> usize {
-        self.tenants.lock().expect("tenant lock").len()
+        self.map().len()
     }
 
     /// True when the router has no tenants (only before [`Self::start`]
@@ -508,9 +518,7 @@ impl TenantRouter {
     /// Tenant names in sorted order, with each tenant's interval index
     /// when it was interval-derived.
     pub fn names(&self) -> Vec<(String, Option<u64>)> {
-        self.tenants
-            .lock()
-            .expect("tenant lock")
+        self.map()
             .iter()
             .map(|(n, e)| (n.clone(), e.interval))
             .collect()
@@ -522,9 +530,7 @@ impl TenantRouter {
     /// fabricated entry. Backs the `TENANT LIST` reply.
     pub fn list(&self) -> Vec<(String, Option<u64>, u64)> {
         let cores: Vec<(String, Option<u64>, Arc<ServeCore>)> = self
-            .tenants
-            .lock()
-            .expect("tenant lock")
+            .map()
             .iter()
             .map(|(n, e)| (n.clone(), e.interval, Arc::clone(&e.core)))
             .collect();
@@ -541,9 +547,7 @@ impl TenantRouter {
 
     /// Snapshot of every tenant's core, sorted by name.
     fn cores(&self) -> Vec<(String, Arc<ServeCore>)> {
-        self.tenants
-            .lock()
-            .expect("tenant lock")
+        self.map()
             .iter()
             .map(|(n, e)| (n.clone(), Arc::clone(&e.core)))
             .collect()
@@ -563,7 +567,7 @@ impl TenantRouter {
             Scope::Current => return Err("unresolved Current scope".into()),
             Scope::All => self.cores(),
             Scope::Named(names) => {
-                let tenants = self.tenants.lock().expect("tenant lock");
+                let tenants = self.map();
                 let mut targets = Vec::with_capacity(names.len());
                 for name in names {
                     let entry = tenants
@@ -701,7 +705,10 @@ impl TenantRouter {
     /// borrowed cores before shutting the router down (the TCP server
     /// does: handler threads are joined first).
     pub fn shutdown(self) -> Vec<(String, ReptEstimate)> {
-        let tenants = self.tenants.into_inner().expect("tenant lock");
+        let tenants = self
+            .tenants
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
         tenants
             .into_iter()
             .filter_map(|(name, entry)| {
@@ -1058,6 +1065,28 @@ mod tests {
         assert!(router.drop_tenant(DEFAULT_TENANT).is_err(), "protected");
         router.shutdown();
         std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn a_poisoned_tenant_lock_is_recovered() {
+        let router = TenantRouter::start(RouterConfig::new(base_serve())).expect("start");
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _guard = router.tenants.lock();
+                panic!("a request panics while it holds the tenant lock");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(router.tenants.is_poisoned());
+        assert!(router.tenant(DEFAULT_TENANT).is_some());
+        router
+            .create("alpha", &TenantOptions::default())
+            .expect("create");
+        let names: Vec<String> = router.list().into_iter().map(|(n, _, _)| n).collect();
+        assert_eq!(names, ["alpha", DEFAULT_TENANT]);
+        router.drop_tenant("alpha").expect("drop");
+        assert_eq!(router.list().len(), 1);
+        assert_eq!(router.shutdown().len(), 1);
     }
 
     #[test]

@@ -14,6 +14,7 @@ use rept::core::resume::ResumableRun;
 use rept::core::{Engine, EngineCore, Rept, ReptConfig};
 use rept::gen::{barabasi_albert, GeneratorConfig};
 use rept::graph::edge::Edge;
+use rept::serve::client::INGEST_CHUNK;
 use rept::serve::protocol::{self, Scope, TenantOptions};
 use rept::serve::{Client, RouterConfig, ServeConfig, ServeCore, Server, TenantRouter};
 
@@ -472,6 +473,35 @@ fn tenant_create_with_the_largest_memory_budget_reserves_nothing() {
     server.shutdown_all();
 }
 
+/// A `TENANT CREATE` the core refuses (a budget below the reservoir
+/// minimum) leaves nothing under the root: the router restarts on the
+/// same root without the tenant, instead of resuming its manifest and
+/// failing the same way.
+#[test]
+fn a_refused_tenant_create_leaves_the_next_restart_whole() {
+    let root = unique_root("refused-create");
+    std::fs::remove_dir_all(&root).ok();
+    let cfg = RouterConfig::new(ServeConfig::new(ReptConfig::new(2, 2).with_seed(3)))
+        .with_root_dir(root.clone());
+    let server = Server::start_router(cfg.clone(), "127.0.0.1:0", 1).expect("bind");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let err = client
+        .tenant_create("bad", "memory_budget=10")
+        .expect_err("below the reservoir minimum");
+    assert!(err.to_string().contains("reservoir minimum"), "{err}");
+    assert!(!root.join("bad").exists(), "no manifest left behind");
+    drop(client);
+    server.shutdown_all();
+
+    let server = Server::start_router(cfg, "127.0.0.1:0", 1).expect("restart on the same root");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let tenants = client.tenant_list().expect("TENANT LIST");
+    assert!(tenants.iter().all(|(name, _)| name != "bad"), "{tenants:?}");
+    drop(client);
+    server.shutdown_all();
+    std::fs::remove_dir_all(&root).ok();
+}
+
 #[test]
 fn tcp_server_end_to_end() {
     let stream = barabasi_albert(&GeneratorConfig::new(500, 7), 4);
@@ -553,7 +583,7 @@ fn health_bytes(client: &mut Client) -> usize {
 
 /// `HEALTH bytes=` is the engine's own account, refreshed after every
 /// batch: after `FLUSH` it equals `EngineCore::stored_bytes()` of an
-/// in-process core fed the same 256-edge `INGEST` lines. It does so
+/// in-process core fed the same [`INGEST_CHUNK`]-edge `INGEST` lines. It does so
 /// again after a kill and a checkpoint + journal resume, against a
 /// core restored from the same checkpoint that replays the same
 /// journal tail (recovery applies the tail as one batch).
@@ -574,7 +604,7 @@ fn health_bytes_equal_the_engine_account_across_kill_and_resume() {
     let mut client = Client::connect(server.local_addr()).expect("connect");
     let mut fresh = EngineCore::with_engine(Rept::new(cfg), Engine::FusedHybrid);
     client.ingest(head).expect("ingest");
-    for line in head.chunks(256) {
+    for line in head.chunks(INGEST_CHUNK) {
         fresh.ingest_batch(line);
     }
     client.flush().expect("flush");
@@ -599,7 +629,7 @@ fn health_bytes_equal_the_engine_account_across_kill_and_resume() {
     assert_eq!(health_bytes(&mut client), resumed.stored_bytes(), "resumed");
 
     client.ingest(after).expect("ingest after resume");
-    for line in after.chunks(256) {
+    for line in after.chunks(INGEST_CHUNK) {
         resumed.process_batch(line);
     }
     client.flush().expect("flush");
@@ -685,6 +715,64 @@ fn tcp_shutdown_command_stops_the_acceptors() {
     drop(client);
     let est = server.shutdown();
     assert!(est.global >= 0.0);
+}
+
+/// An `INGEST` line carries at most `MAX_INGEST_EDGES` edges: a line of
+/// exactly the cap is applied, one edge more is a typed grammar `ERR`
+/// that the server dead-letters, and `Client::ingest` of a longer batch
+/// still lands, since it cuts [`INGEST_CHUNK`]-edge lines.
+#[test]
+fn ingest_lines_past_the_edge_cap_are_refused_and_dead_lettered() {
+    use rept::serve::protocol::MAX_INGEST_EDGES;
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
+
+    let root = unique_root("edge-cap");
+    std::fs::create_dir_all(&root).expect("mk root");
+    let cfg = ServeConfig::new(ReptConfig::new(2, 2).with_seed(5))
+        .with_checkpoint(root.join("serve.rpck"), None)
+        .with_journal();
+    // Two handlers: the raw connection stays open beside the client's.
+    let server = Server::start(cfg, "127.0.0.1:0", 2).expect("bind");
+    let mut writer = TcpStream::connect(server.local_addr()).expect("connect");
+    let mut reader = BufReader::new(writer.try_clone().expect("clone"));
+    let mut send = |pairs: usize| {
+        let mut line = String::from("INGEST");
+        for i in 0..pairs {
+            line.push_str(&format!(" {i} {}", i + 1));
+        }
+        line.push('\n');
+        writer.write_all(line.as_bytes()).expect("send");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("reply");
+        reply
+    };
+    assert_eq!(
+        send(MAX_INGEST_EDGES),
+        format!("OK INGEST {MAX_INGEST_EDGES}\n")
+    );
+    assert_eq!(
+        send(MAX_INGEST_EDGES + 1),
+        format!("ERR INGEST carries more than {MAX_INGEST_EDGES} edges\n")
+    );
+    assert_eq!(
+        server.core().dlq_count(),
+        1,
+        "the refused line is dead-lettered"
+    );
+
+    let batch: Vec<Edge> = (0..3 * INGEST_CHUNK as u32 + 1)
+        .map(|i| Edge::new(i, i + 2))
+        .collect();
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    assert_eq!(client.ingest(&batch).expect("ingest"), batch.len());
+    assert_eq!(
+        client.flush().expect("flush"),
+        (MAX_INGEST_EDGES + batch.len()) as u64
+    );
+    drop(client);
+    server.shutdown();
+    std::fs::remove_dir_all(&root).ok();
 }
 
 #[test]
