@@ -24,6 +24,11 @@
 //!   counters stay live either way) and fully enabled (queue-wait/apply
 //!   histograms + slow-op tracing, the default). The ratio of the median
 //!   rates must stay ≥ 0.95.
+//! * **Publication**: one [`Publisher`] publishing estimates of 10 k,
+//!   100 k and 1 M locals, 1 000 of them raised before each publication,
+//!   beside [`Snapshot::from_estimate`] over the same estimates — the
+//!   incremental publication against the full assembly it replaces.
+//!   The publisher's cost should stay flat across the sizes.
 //!
 //! Every section runs its variants through
 //! [`rept_bench::reps::interleaved`]: rows carry the minimum and
@@ -40,12 +45,16 @@ use std::time::Instant;
 
 use rept_bench::reps::{host_parallelism, interleaved, seconds_json, REPS};
 use rept_core::reservoir::MIN_MEMORY_BUDGET;
-use rept_core::{Engine, ReptConfig};
+use rept_core::{Engine, Rept, ReptConfig, ReptEstimate, Touched};
 use rept_gen::{barabasi_albert, GeneratorConfig};
-use rept_graph::edge::Edge;
+use rept_graph::edge::{Edge, NodeId};
+use rept_hash::SplitMix64;
 use rept_metrics::Spread;
 use rept_serve::client::INGEST_CHUNK;
-use rept_serve::{Client, QuotaPolicy, RouterConfig, ServeConfig, ServeCore, Server, SyncPolicy};
+use rept_serve::snapshot::Publisher;
+use rept_serve::{
+    Client, QuotaPolicy, RouterConfig, ServeConfig, ServeCore, Server, Snapshot, SyncPolicy,
+};
 
 const M: u64 = 64;
 const TENANT_COUNTS: [usize; 3] = [1, 2, 4];
@@ -66,10 +75,31 @@ const POLICIES: [Option<QuotaPolicy>; 4] = [
     Some(QuotaPolicy::Degrade),
 ];
 
+/// Locals per estimate in the publication section.
+const PUBLICATION_LOCALS: [u32; 3] = [10_000, 100_000, 1_000_000];
+/// Locals raised before each publication, the top-k size it keeps, and
+/// publications per timed run.
+const PUBLICATION_TOUCHED: usize = 1_000;
+const PUBLICATION_TOP_K: usize = 100;
+const PUBLICATIONS: u32 = 20;
+
 /// The serving configuration every section starts from (`c = m`, one
 /// hash group).
 fn base() -> ServeConfig {
     ServeConfig::new(ReptConfig::new(M, M).with_seed(7)).with_snapshot_every(SNAPSHOT_EVERY)
+}
+
+/// Raises [`PUBLICATION_TOUCHED`] random locals of `est` by one — what
+/// one publication interval's matches do to a `c = m` estimate — and
+/// returns the nodes.
+fn raise_locals(est: &mut ReptEstimate, nodes: u32, rng: &mut SplitMix64) -> Vec<NodeId> {
+    let touched: Vec<NodeId> = (0..PUBLICATION_TOUCHED)
+        .map(|_| (rng.next_u64() % u64::from(nodes)) as NodeId)
+        .collect();
+    for v in &touched {
+        *est.locals.entry(*v).or_default() += 1.0;
+    }
+    touched
 }
 
 /// Queues `stream` to `core` in [`INGEST_CHUNK`]-edge batches until one
@@ -269,6 +299,76 @@ fn main() {
     let metrics_ratio = rate(&metrics_spreads[1]) / rate(&metrics_spreads[0]);
     eprintln!("  metrics overhead: instrumented/baseline = {metrics_ratio:.3}");
 
+    // Publication: per size, one publisher and one full assembly, each
+    // over its own copy of the same estimate, raised alike. The
+    // publisher's `refresh` writes the raised values into the estimate
+    // it keeps, as the engine's refresh recombines the touched nodes.
+    let cfg = ReptConfig::new(M, M).with_seed(7);
+    let mut publication_rows = Vec::new();
+    for &n in &PUBLICATION_LOCALS {
+        let mut est = Rept::new(cfg).run(Engine::default(), &[]);
+        est.locals = (0..n).map(|v| (v, f64::from(v % 1_000))).collect();
+        let mut kept = est.clone();
+        let mut publisher = Publisher::new(
+            &cfg,
+            Engine::default(),
+            PUBLICATION_TOP_K,
+            1,
+            est.clone(),
+            0,
+            |_| {},
+        );
+        // The first publication copies every local (there is no spare
+        // map yet); the rows time the publications after it.
+        assert!(publisher.begin(1));
+        publisher.publish(1, &cfg, |_, _| {}, |_| {});
+        let (mut rng, mut position) = (SplitMix64::new(u64::from(n)), 1u64);
+        let spreads = interleaved(2, |k| {
+            let start = Instant::now();
+            for _ in 0..PUBLICATIONS {
+                position += 1;
+                if k == 0 {
+                    let touched = raise_locals(&mut kept, n, &mut rng);
+                    publisher.touch(&Touched::Nodes(touched.iter().copied().collect()));
+                    assert!(publisher.begin(position));
+                    let kept = &kept;
+                    publisher.publish(
+                        position,
+                        &cfg,
+                        |est, _| {
+                            for v in &touched {
+                                est.locals.insert(*v, kept.locals[v]);
+                            }
+                        },
+                        |_| {},
+                    );
+                } else {
+                    raise_locals(&mut est, n, &mut rng);
+                    let snap = Snapshot::from_estimate(
+                        &est,
+                        &cfg,
+                        Engine::default(),
+                        position,
+                        position,
+                        0,
+                        PUBLICATION_TOP_K,
+                    );
+                    std::hint::black_box(snap);
+                }
+            }
+            start.elapsed()
+        });
+        for (assembly, s) in ["publisher", "from_estimate"].iter().zip(&spreads) {
+            let us = s.median / f64::from(PUBLICATIONS) * 1e6;
+            eprintln!("  publication {n:>7} locals, {assembly:>13}: {us:>9.1} µs");
+            publication_rows.push(format!(
+                "{{\"locals\": {n}, \"assembly\": \"{assembly}\", \"publications\": {PUBLICATIONS}, \
+                 \"seconds\": {}, \"us_per_publication\": {us:.1}}}",
+                seconds_json(s)
+            ));
+        }
+    }
+
     // Hand-rolled JSON, matching the workspace's no-serde convention.
     // Every section runs the default engine (no config sets one), but a
     // shed quota swaps in the reservoir, so that section names none.
@@ -312,7 +412,12 @@ fn main() {
             "metrics_overhead",
             format!("{engine}, \"transport\": \"in-process\""),
             &metrics_rows,
-        ) + &format!(", \"instrumented_over_baseline\": {metrics_ratio:.4}}}"),
+        ) + &format!(", \"instrumented_over_baseline\": {metrics_ratio:.4}}},"),
+        format!(
+            "  \"publication\": {{\"m\": {M}, \"c\": {M}, \"touched\": {PUBLICATION_TOUCHED}, \
+             \"top_k\": {PUBLICATION_TOP_K}, \"rows\": [\n    {}\n  ]}}",
+            publication_rows.join(",\n    ")
+        ),
         "}\n".into(),
     ]
     .join("\n");

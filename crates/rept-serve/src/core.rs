@@ -227,9 +227,10 @@ pub struct ServeConfig {
     pub rept: ReptConfig,
     /// Execution engine (default: [`Engine::FusedHybrid`]).
     pub engine: Engine,
-    /// Edges between automatic snapshot publications. Snapshot assembly
-    /// clones the counter state, so this trades query freshness against
-    /// ingest throughput.
+    /// Edges between automatic snapshot publications. A publication
+    /// recombines the nodes touched since the last one, so this trades
+    /// query freshness against ingest throughput. A core that answered
+    /// an aggregate exchange since its last such point skips it.
     pub snapshot_every: u64,
     /// Edges between automatic checkpoints (`None` = only on demand and
     /// at shutdown). Ignored without a checkpoint path.
@@ -1061,6 +1062,10 @@ struct Ingest {
     /// The position of the last answered exchange, and the nodes
     /// touched since; `None` until one is answered.
     exchanged: Option<(u64, Touched)>,
+    /// Whether an exchange was answered since the last cadence point:
+    /// a coordinator reads this core's counters, not its snapshots, so
+    /// that cadence publication is skipped.
+    answered: bool,
     journal: Option<Journal>,
     /// Edges replayed from the journal at startup.
     replayed: u64,
@@ -1106,6 +1111,7 @@ impl Ingest {
             run,
             publisher,
             exchanged: None,
+            answered: false,
             journal,
             replayed,
             cfg,
@@ -1152,8 +1158,18 @@ impl Ingest {
                     Some(Answer::Shutdown)
                 }
             };
-            if answer.is_some() || self.publisher.due() {
+            // A core behind a coordinator publishes only at barriers; a
+            // standalone one, or a shard whose coordinator stopped
+            // exchanging, keeps its cadence.
+            if answer.is_some() {
                 self.publish();
+            } else if self.publisher.due() {
+                if std::mem::take(&mut self.answered) {
+                    self.publisher.skip();
+                    self.metrics.publish_skipped.inc();
+                } else {
+                    self.publish();
+                }
             }
             // Periodic checkpoints are best-effort; an unwritable path
             // surfaces on the explicit `Checkpoint` request instead of
@@ -1324,13 +1340,17 @@ impl Ingest {
         let started = self.cfg.metrics.then(Instant::now);
         self.collect_touched();
         let (run, shed) = (&self.run, self.run.memory_budget().is_some());
-        self.publisher.publish(
+        let publication = self.publisher.publish(
             position,
             &self.cfg.rept,
             |est, touched| run.refresh_estimate(est, touched),
             additions(self.journal.as_ref(), self.replayed, shed),
         );
         self.metrics.snapshots_published.inc();
+        self.metrics.publish_nodes.record(publication.nodes);
+        if publication.full {
+            self.metrics.publish_full.inc();
+        }
         if let Some(started) = started {
             let took = started.elapsed();
             self.metrics.publish_micros.record_duration(took);
@@ -1427,6 +1447,7 @@ impl Ingest {
             .counters_for(touched)
             .ok_or("reservoir runs have no group aggregates")?;
         self.exchanged = Some((self.run.position(), Touched::none()));
+        self.answered = true;
         Ok(Aggregates {
             position: self.run.position(),
             since: base.map(|(at, _)| at),
@@ -1539,7 +1560,7 @@ mod tests {
         let snap = resumed.snapshot();
         assert_eq!(snap.global, oracle.global);
         assert_eq!(snap.eta_hat, oracle.eta_hat);
-        assert_eq!(snap.locals, oracle.locals);
+        assert_eq!(*snap.locals, oracle.locals);
         resumed.shutdown();
         std::fs::remove_file(&path).ok();
     }
@@ -1589,6 +1610,30 @@ mod tests {
         assert!(!Arc::ptr_eq(&first, &fresh));
         assert!(fresh.seq > first.seq);
         assert_eq!(fresh.position, stream.len() as u64);
+        core.shutdown();
+    }
+
+    /// A core that answers an aggregate exchange passes its next
+    /// cadence point without publishing — one, not more: the count
+    /// restarts either way, and the cadence point after publishes.
+    #[test]
+    fn an_answered_exchange_skips_exactly_one_cadence_publication() {
+        let core =
+            ServeCore::start(ServeConfig::new(base_cfg()).with_snapshot_every(10)).expect("start");
+        let edges = stream();
+        core.aggregates().expect("exchange");
+        for batch in [&edges[..10], &edges[10..20], &edges[20..25]] {
+            core.ingest(batch.to_vec()).expect("ingest");
+        }
+        assert_eq!(core.flush(), 25);
+        let metrics = core.metrics();
+        assert_eq!(metrics.publish_skipped.get(), 1);
+        assert_eq!(
+            metrics.snapshots_published.get(),
+            2,
+            "the second cadence point (20) and the flush (25)"
+        );
+        assert_eq!(core.snapshot().seq, 2);
         core.shutdown();
     }
 
@@ -1774,7 +1819,7 @@ mod tests {
         let snap = core.snapshot();
         assert_eq!(snap.durability.replayed, stream.len() as u64);
         assert_eq!(snap.global, oracle.global, "bit-identical to oracle");
-        assert_eq!(snap.locals, oracle.locals);
+        assert_eq!(*snap.locals, oracle.locals);
         core.shutdown();
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -16,9 +16,13 @@
 //!   [`snapshot::Snapshot`] (global `τ̂` with a plug-in 95% confidence
 //!   interval, per-node `τ̂_v` with a top-k index, stream and memory
 //!   stats) and publishes it through an `Arc` swap — **snapshot-isolated
-//!   queries** that never block ingestion. Idle publication points
-//!   (no edges since the last snapshot) reuse the published `Arc` body
-//!   instead of re-cloning the counter maps.
+//!   queries** that never block ingestion. A publication recombines
+//!   only the nodes whose counters moved, into a locals map the
+//!   snapshots share with [`snapshot::Publisher`], and derives the top-k
+//!   index from the last one. Idle publication points (no edges since
+//!   the last snapshot) reuse the published `Arc` body. A core that
+//!   answers `AGGREGATE` exchanges — a shard behind a coordinator —
+//!   publishes only at barriers.
 //! * [`tenant::TenantRouter`] — the multi-tenant tier: N named
 //!   `ServeCore`s (independent config/engine/seed per tenant;
 //!   `interval=i` tenants derive their seed through
@@ -121,8 +125,9 @@
 //! are accepted and handled by the estimator exactly like the batch
 //! drivers (first store wins). Queries answer from the **latest
 //! published snapshot**: after plain `INGEST` the estimate may trail
-//! the queued stream by up to `snapshot_every` edges — send `FLUSH`
-//! first when read-your-writes freshness is needed.
+//! the queued stream by up to `snapshot_every` edges (on a shard behind
+//! a coordinator, until the next barrier) — send `FLUSH` first when
+//! read-your-writes freshness is needed.
 //!
 //! # Quickstart
 //!

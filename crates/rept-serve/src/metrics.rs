@@ -50,6 +50,12 @@ pub struct ServeMetrics {
     pub dead_letters: Counter,
     /// Immutable snapshots published.
     pub snapshots_published: Counter,
+    /// Publications that took an `O(locals)` step (see
+    /// [`crate::snapshot::Publication::full`]).
+    pub publish_full: Counter,
+    /// Cadence publications skipped because an aggregate exchange was
+    /// answered since the last cadence point.
+    pub publish_skipped: Counter,
     /// Checkpoints written.
     pub checkpoints_written: Counter,
     /// Total bytes of checkpoint files written.
@@ -80,6 +86,8 @@ pub struct ServeMetrics {
     pub checkpoint_micros: Histogram,
     /// Snapshot publication duration (µs).
     pub publish_micros: Histogram,
+    /// Nodes recombined per publication.
+    pub publish_nodes: Histogram,
     /// Slow-operation ring, drained by `TRACE TAIL`.
     pub trace: TraceRing,
     queries: Vec<Histogram>,
@@ -97,6 +105,8 @@ impl ServeMetrics {
             rejected_batches: Counter::new(),
             dead_letters: Counter::new(),
             snapshots_published: Counter::new(),
+            publish_full: Counter::new(),
+            publish_skipped: Counter::new(),
             checkpoints_written: Counter::new(),
             checkpoint_bytes: Counter::new(),
             journal_appends: Counter::new(),
@@ -111,6 +121,7 @@ impl ServeMetrics {
             group_commit_batches: Histogram::new(),
             checkpoint_micros: Histogram::new(),
             publish_micros: Histogram::new(),
+            publish_nodes: Histogram::new(),
             trace: TraceRing::new(trace_capacity, slow_op_threshold),
             queries: QUERY_VERBS.iter().map(|_| Histogram::new()).collect(),
         }
@@ -163,6 +174,8 @@ const COUNTERS: &[CounterColumn] = &[
     ("rept_snapshots_published_total", |m| {
         m.snapshots_published.get()
     }),
+    ("rept_publish_full_total", |m| m.publish_full.get()),
+    ("rept_publish_skipped_total", |m| m.publish_skipped.get()),
     ("rept_checkpoints_total", |m| m.checkpoints_written.get()),
     ("rept_checkpoint_bytes_total", |m| m.checkpoint_bytes.get()),
     ("rept_journal_appends_total", |m| m.journal_appends.get()),
@@ -192,6 +205,7 @@ const HISTOGRAMS: &[HistogramColumn] = &[
     ("rept_group_commit_batches", |m| &m.group_commit_batches),
     ("rept_checkpoint_micros", |m| &m.checkpoint_micros),
     ("rept_publish_micros", |m| &m.publish_micros),
+    ("rept_publish_nodes", |m| &m.publish_nodes),
 ];
 
 /// Writes one histogram as a summary: `quantile="0.5|0.9|0.99|1"` rows

@@ -3,23 +3,31 @@
 //!
 //! The ingest thread owns the estimator; queries must never make it
 //! wait. The subsystem therefore splits the work: the ingest thread
-//! periodically *assembles* an immutable [`Snapshot`] (the expensive
-//! part — cloning counters and running the combination arithmetic) and
-//! then *publishes* it through [`Published`], whose critical section is
-//! a single `Arc` pointer swap. Readers clone the `Arc` and work on a
-//! consistent, immutable view for as long as they like — snapshot
-//! isolation without ever blocking ingestion on a query.
+//! periodically *assembles* an immutable [`Snapshot`] (recombining the
+//! nodes whose counters moved) and then *publishes* it through
+//! [`Published`], whose critical section is a single `Arc` pointer
+//! swap. Readers clone the `Arc` and work on a consistent, immutable
+//! view for as long as they like — snapshot isolation without ever
+//! blocking ingestion on a query.
 //!
 //! [`Publisher`] is the loop around that, kept once: a standalone
 //! [`crate::ServeCore`] and the `rept-shard` coordinator both publish
-//! through it, so their `seq=` counters agree by construction.
+//! through it, so their `seq=` counters agree by construction. A
+//! publication costs the nodes that moved plus `k log k`: consecutive
+//! snapshots share the publisher's two locals maps, and each top-k
+//! index is derived from the last one.
 
-use std::sync::{Arc, Mutex};
+use std::cmp::Ordering;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use rept_core::variance::plugin_confidence_interval;
 use rept_core::{Engine, ReptConfig, ReptEstimate, Touched};
 use rept_graph::edge::NodeId;
-use rept_hash::fx::FxHashMap;
+use rept_hash::fx::{FxHashMap, FxHashSet};
+
+/// Every node's local estimate — what a [`Snapshot`] shares with the
+/// [`Publisher`] that assembled it.
+pub type Locals = FxHashMap<NodeId, f64>;
 
 /// Write-ahead-journal state carried by a [`Snapshot`] — the fields of
 /// `STATS` and `JOURNAL STATS` that are fixed at startup. All zeros
@@ -52,8 +60,9 @@ pub struct Snapshot {
     pub confidence95: Option<(f64, f64)>,
     /// `η̂` when tracked.
     pub eta_hat: Option<f64>,
-    /// `τ̂_v` for every node with a non-zero estimate.
-    pub locals: FxHashMap<NodeId, f64>,
+    /// `τ̂_v` for every node with a non-zero estimate. The [`Publisher`]
+    /// reuses the map once no reader holds this snapshot.
+    pub locals: Arc<Locals>,
     /// The `k` largest local estimates, descending (ties broken by
     /// smaller node id) — the spam/fraud-ranking consumption pattern
     /// without a full-map scan per query.
@@ -74,8 +83,9 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Builds a snapshot from a finished estimate — what [`Publisher`]
-    /// assembles each publication from.
+    /// Builds a snapshot from a finished estimate in full: a copy of
+    /// every local and a top-k selection over them. The reference
+    /// assembly — a [`Publisher`]'s snapshots equal it bit for bit.
     #[allow(clippy::too_many_arguments)]
     pub fn from_estimate(
         est: &ReptEstimate,
@@ -86,31 +96,38 @@ impl Snapshot {
         checkpoints: u64,
         k: usize,
     ) -> Self {
+        let top_k = top_k_of(&est.locals, k);
+        Self {
+            position,
+            seq,
+            checkpoints,
+            ..Self::assemble(est, cfg, engine, Arc::new(est.locals.clone()), top_k)
+        }
+    }
+
+    /// A snapshot of `est` at position, `seq` and checkpoint count 0,
+    /// with its locals and top-k index already built.
+    fn assemble(
+        est: &ReptEstimate,
+        cfg: &ReptConfig,
+        engine: Engine,
+        locals: Arc<Locals>,
+        top_k: Vec<(NodeId, f64)>,
+    ) -> Self {
         // The variance of the `c = m` and `c = c₁m` layouts is η-free,
         // so those always get an interval; everything else needs η̂.
         let eta_free = cfg.c == cfg.m || (cfg.c > cfg.m && cfg.c.is_multiple_of(cfg.m));
         let confidence95 = (eta_free || est.eta_hat.is_some()).then(|| {
             plugin_confidence_interval(est.global, est.eta_hat.unwrap_or(0.0), cfg.m, cfg.c, 1.96)
         });
-        // Select the k largest, then sort only those: O(n + k log k)
-        // rather than a sort of every local on every publication.
-        let order = |a: &(NodeId, f64), b: &(NodeId, f64)| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0));
-        let mut top_k: Vec<(NodeId, f64)> = est.locals.iter().map(|(&v, &t)| (v, t)).collect();
-        if k == 0 {
-            top_k.clear();
-        } else if k < top_k.len() {
-            top_k.select_nth_unstable_by(k - 1, order);
-            top_k.truncate(k);
-        }
-        top_k.sort_unstable_by(order);
         Self {
-            position,
-            seq,
-            checkpoints,
+            position: 0,
+            seq: 0,
+            checkpoints: 0,
             global: est.global,
             confidence95,
             eta_hat: est.eta_hat,
-            locals: est.locals.clone(),
+            locals,
             top_k,
             stored_edges: est.diagnostics.stored_edges.iter().sum(),
             total_bytes: est.diagnostics.total_bytes,
@@ -125,6 +142,32 @@ impl Snapshot {
     pub fn local(&self, v: NodeId) -> f64 {
         self.locals.get(&v).copied().unwrap_or(0.0)
     }
+}
+
+/// The top-k order: value descending under `total_cmp`, then smaller
+/// node id — a strict total order over distinct nodes, so every top-k
+/// index is unique.
+fn rank(a: &(NodeId, f64), b: &(NodeId, f64)) -> Ordering {
+    b.1.total_cmp(&a.1).then(a.0.cmp(&b.0))
+}
+
+/// Keeps the `k` first of `entries` under [`rank`], sorted: selected,
+/// then only those sorted — `O(n + k log k)`.
+fn select_top(entries: &mut Vec<(NodeId, f64)>, k: usize) {
+    if k == 0 {
+        entries.clear();
+    } else if k < entries.len() {
+        entries.select_nth_unstable_by(k - 1, rank);
+        entries.truncate(k);
+    }
+    entries.sort_unstable_by(rank);
+}
+
+/// The top-k index over every local.
+fn top_k_of(locals: &Locals, k: usize) -> Vec<(NodeId, f64)> {
+    let mut all: Vec<(NodeId, f64)> = locals.iter().map(|(&v, &t)| (v, t)).collect();
+    select_top(&mut all, k);
+    all
 }
 
 /// Merges the top-k indices of several labelled snapshots into one
@@ -177,20 +220,37 @@ impl<T> Published<T> {
     /// Publishes a new value (pointer swap under the lock).
     pub fn store(&self, value: T) {
         let next = Arc::new(value);
-        let prev = {
-            let mut slot = self.slot.lock().expect("publish lock poisoned");
-            std::mem::replace(&mut *slot, next)
-        };
-        // When no reader holds the previous snapshot, this frees it —
-        // potentially a large per-node map. Outside the lock, so the
-        // critical section stays a pure pointer swap.
+        let prev = std::mem::replace(&mut *self.slot(), next);
+        // When no reader holds the previous value, this frees it.
+        // Outside the lock, so the critical section stays a pure
+        // pointer swap.
         drop(prev);
     }
 
     /// Loads the current value (pointer clone under the lock).
     pub fn load(&self) -> Arc<T> {
-        self.slot.lock().expect("publish lock poisoned").clone()
+        self.slot().clone()
     }
+
+    /// The slot. Every critical section is one `Arc` swap or clone, so
+    /// the slot holds a whole value at every step: a guard poisoned by a
+    /// panicking holder is recovered, not passed on to every later
+    /// reader.
+    fn slot(&self) -> MutexGuard<'_, Arc<T>> {
+        self.slot.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// What one publication cost, for its driver's counters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Publication {
+    /// Nodes recombined: the touched ones, or every local after
+    /// [`Touched::All`].
+    pub nodes: u64,
+    /// Whether it took an `O(locals)` step: [`Touched::All`], a copy of
+    /// the last locals (a reader still held the snapshot before last, or
+    /// the last publication changed every node), or a top-k rescan.
+    pub full: bool,
 }
 
 /// The publication loop, the one owner of a publication's state: the
@@ -200,13 +260,31 @@ impl<T> Published<T> {
 /// decides when to publish, how the kept estimate catches up (`refresh`)
 /// and what it adds to a snapshot (`extend`). Every publication, forced
 /// ones included, restarts the cadence count.
+///
+/// The locals live in two maps shared with the snapshots: the last
+/// snapshot's, and the spare — the snapshot before last's, which lacks
+/// only the nodes the last publication changed. A publication takes the
+/// spare back once no reader holds it, copies those nodes in, has
+/// `refresh` recombine the nodes touched since, and publishes it; the
+/// kept estimate holds no third copy. The new top-k index comes from
+/// the last one plus the touched nodes, so a publication costs
+/// `O(touched + k log k)` and copies or rescans every local only when
+/// [`Publication::full`] says so.
 #[derive(Debug)]
 pub struct Publisher {
     cell: Arc<Published<Snapshot>>,
     engine: Engine,
     top_k: usize,
     every: u64,
+    /// The last publication's estimate, its locals lent to `current`.
     estimate: ReptEstimate,
+    /// The last snapshot's locals and top-k index.
+    current: Arc<Locals>,
+    top: Vec<(NodeId, f64)>,
+    /// The snapshot before last's locals (`None` before the second
+    /// publication), and the nodes in which they differ from `current`.
+    spare: Option<Arc<Locals>>,
+    changed: Touched,
     /// The nodes whose counters moved since `estimate`.
     touched: Touched,
     seq: u64,
@@ -225,11 +303,16 @@ impl Publisher {
         engine: Engine,
         top_k: usize,
         every: u64,
-        estimate: ReptEstimate,
+        mut estimate: ReptEstimate,
         position: u64,
         extend: impl FnOnce(&mut Snapshot),
     ) -> Self {
-        let mut snap = Snapshot::from_estimate(&estimate, cfg, engine, position, 0, 0, top_k);
+        let current = Arc::new(std::mem::take(&mut estimate.locals));
+        let top = top_k_of(&current, top_k);
+        let mut snap = Snapshot {
+            position,
+            ..Snapshot::assemble(&estimate, cfg, engine, Arc::clone(&current), top.clone())
+        };
         extend(&mut snap);
         Self {
             cell: Arc::new(Published::new(snap)),
@@ -237,6 +320,10 @@ impl Publisher {
             top_k,
             every,
             estimate,
+            current,
+            top,
+            spare: None,
+            changed: Touched::All,
             touched: Touched::none(),
             seq: 0,
             checkpoints: 0,
@@ -260,6 +347,11 @@ impl Publisher {
         self.since >= self.every
     }
 
+    /// Passes a cadence point without publishing: restarts the count.
+    pub fn skip(&mut self) {
+        self.since = 0;
+    }
+
     /// Records nodes whose counters moved since the kept estimate
     /// ([`Touched::All`] when it must be recombined in full).
     pub fn touch(&mut self, nodes: &Touched) {
@@ -277,8 +369,8 @@ impl Publisher {
     }
 
     /// Starts a publication at `position`: restarts the cadence count and
-    /// says whether the guard lets it go ahead. Assembly copies every
-    /// local, so `false` keeps the last snapshot, and its `seq`, current.
+    /// says whether the guard lets it go ahead. `false` keeps the last
+    /// snapshot, and its `seq`, current.
     pub fn begin(&mut self, position: u64) -> bool {
         self.since = 0;
         self.last != Some((position, self.checkpoints))
@@ -286,29 +378,101 @@ impl Publisher {
 
     /// Publishes the next snapshot at `position`, after a `true` from
     /// [`Self::begin`]: `refresh` folds the touched nodes into the kept
-    /// estimate, combined under `cfg`, and `extend` adds the driver's
-    /// fields.
+    /// estimate, combined under `cfg` — recombining only those nodes'
+    /// locals, or every local for [`Touched::All`] — and `extend` adds
+    /// the driver's fields.
     pub fn publish(
         &mut self,
         position: u64,
         cfg: &ReptConfig,
         refresh: impl FnOnce(&mut ReptEstimate, &Touched),
         extend: impl FnOnce(&mut Snapshot),
-    ) {
+    ) -> Publication {
         self.seq += 1;
-        refresh(&mut self.estimate, &self.touched.take());
-        let mut snap = Snapshot::from_estimate(
-            &self.estimate,
-            cfg,
-            self.engine,
+        let touched = self.touched.take();
+        // `Touched::All` rebuilds every local, so it needs no spare.
+        let (locals, copied) = match touched {
+            Touched::All => (Locals::default(), false),
+            Touched::Nodes(_) => self.take_spare(),
+        };
+        self.estimate.locals = locals;
+        refresh(&mut self.estimate, &touched);
+        let locals = Arc::new(std::mem::take(&mut self.estimate.locals));
+        let (nodes, top) = match &touched {
+            Touched::All => (locals.len(), None),
+            Touched::Nodes(nodes) => (nodes.len(), self.next_top(&locals, nodes)),
+        };
+        let full = copied || top.is_none();
+        let top = top.unwrap_or_else(|| top_k_of(&locals, self.top_k));
+        let mut snap = Snapshot {
             position,
-            self.seq,
-            self.checkpoints,
-            self.top_k,
-        );
+            seq: self.seq,
+            checkpoints: self.checkpoints,
+            ..Snapshot::assemble(
+                &self.estimate,
+                cfg,
+                self.engine,
+                Arc::clone(&locals),
+                top.clone(),
+            )
+        };
         extend(&mut snap);
         self.cell.store(snap);
+        self.spare = Some(std::mem::replace(&mut self.current, locals));
+        self.top = top;
+        self.changed = touched;
         self.last = Some((position, self.checkpoints));
+        Publication {
+            nodes: nodes as u64,
+            full,
+        }
+    }
+
+    /// The spare locals brought up to the last snapshot's: the nodes the
+    /// last publication changed are copied in, unless a reader still
+    /// holds the spare or every node changed — then the last snapshot's
+    /// locals are copied whole, and the flag says so.
+    fn take_spare(&mut self) -> (Locals, bool) {
+        match (self.spare.take().map(Arc::try_unwrap), &self.changed) {
+            (Some(Ok(mut spare)), Touched::Nodes(changed)) => {
+                for v in changed {
+                    match self.current.get(v) {
+                        Some(&t) => spare.insert(*v, t),
+                        None => spare.remove(v),
+                    };
+                }
+                (spare, false)
+            }
+            (Some(Ok(mut spare)), Touched::All) => {
+                spare.clone_from(&self.current);
+                (spare, true)
+            }
+            _ => (Locals::clone(&self.current), true),
+        }
+    }
+
+    /// The top-k index of `locals` from the last one: its untouched
+    /// entries plus every touched node, selected under [`rank`]. Every
+    /// other node is untouched and ranked below the last k-th entry, so
+    /// the selection is exact when the last index held every local or
+    /// its k-th candidate ranks no lower than the last k-th entry;
+    /// otherwise `None` asks for a rescan.
+    fn next_top(&self, locals: &Locals, touched: &FxHashSet<NodeId>) -> Option<Vec<(NodeId, f64)>> {
+        let k = self.top_k;
+        let mut top: Vec<(NodeId, f64)> = self
+            .top
+            .iter()
+            .filter(|(v, _)| !touched.contains(v))
+            .copied()
+            .chain(touched.iter().filter_map(|v| Some((*v, *locals.get(v)?))))
+            .collect();
+        select_top(&mut top, k);
+        let exact = match (self.top.len() < k, top.last(), self.top.last()) {
+            (true, _, _) | (_, None, None) => true,
+            (false, Some(kth), Some(last)) => top.len() == k && rank(kth, last).is_le(),
+            _ => false,
+        };
+        exact.then_some(top)
     }
 }
 
@@ -324,6 +488,21 @@ mod tests {
         let before = cell.load();
         cell.store(2);
         assert_eq!(*before, 1, "a held snapshot never changes");
+        assert_eq!(*cell.load(), 2);
+    }
+
+    #[test]
+    fn a_poisoned_publish_lock_is_recovered() {
+        let cell = Arc::new(Published::new(1u64));
+        let holder = Arc::clone(&cell);
+        let panicked = std::thread::spawn(move || {
+            let _slot = holder.slot.lock().expect("not yet poisoned");
+            panic!("a holder panics mid critical section");
+        })
+        .join();
+        assert!(panicked.is_err() && cell.slot.is_poisoned());
+        assert_eq!(*cell.load(), 1);
+        cell.store(2);
         assert_eq!(*cell.load(), 2);
     }
 
@@ -386,6 +565,132 @@ mod tests {
                 snap.top_k.iter().map(|&(v, t)| (v, t.to_bits())).collect();
             proptest::prop_assert_eq!(got, reference_top_k(&est.locals, k), "k = {}", k);
         }
+
+        /// A publisher driven through random publications — touched
+        /// nodes raised, lowered, tied, zeroed, NaN or removed,
+        /// `Touched::All` now and then, a reader holding the snapshot
+        /// before last on some steps — publishes at every step what
+        /// `from_estimate` assembles from the same estimate in full.
+        #[test]
+        fn publisher_snapshots_equal_the_full_assembly(
+            start in proptest::collection::vec((0..60u32, 0..8usize), 0..40),
+            pick in 0..5usize,
+            steps in proptest::collection::vec(
+                (
+                    proptest::collection::vec((0..60u32, 0..9usize), 0..12),
+                    0..8usize,
+                    0..3usize,
+                ),
+                1..12,
+            ),
+        ) {
+            let cfg = ReptConfig::new(2, 2).with_seed(1);
+            let mut model = Rept::new(cfg).run(Engine::PerWorker, &[]);
+            model.locals = start.iter().map(|&(v, t)| (v, VALUES[t])).collect();
+            let n = model.locals.len();
+            let k = [0, 1, n.saturating_sub(1), n, n + 3][pick];
+            let mut publisher =
+                Publisher::new(&cfg, Engine::PerWorker, k, 1, model.clone(), 0, |_| {});
+            let mut held = None;
+            for (i, (changes, all, hold)) in steps.into_iter().enumerate() {
+                match hold {
+                    0 => held = Some(publisher.published().load()),
+                    1 => held = None,
+                    _ => {}
+                }
+                let mut touched = Touched::none();
+                for (v, t) in changes {
+                    match VALUES.get(t) {
+                        Some(&t) => model.locals.insert(v, t),
+                        None => model.locals.remove(&v),
+                    };
+                    touched.extend(&Touched::Nodes([v].into_iter().collect()));
+                }
+                if all == 0 {
+                    touched = Touched::All;
+                }
+                model.global = i as f64;
+                let position = i as u64 + 1;
+                publisher.touch(&touched);
+                proptest::prop_assert!(publisher.begin(position));
+                let report = publisher.publish(
+                    position,
+                    &cfg,
+                    |est, touched| {
+                        est.global = model.global;
+                        match touched {
+                            Touched::All => est.locals = model.locals.clone(),
+                            Touched::Nodes(nodes) => {
+                                for v in nodes {
+                                    match model.locals.get(v) {
+                                        Some(&t) => est.locals.insert(*v, t),
+                                        None => est.locals.remove(v),
+                                    };
+                                }
+                            }
+                        }
+                    },
+                    |_| {},
+                );
+                let want = Snapshot::from_estimate(
+                    &model, &cfg, Engine::PerWorker, position, position, 0, k,
+                );
+                let got = publisher.published().load();
+                let bits = |s: &Snapshot| {
+                    let mut locals: Vec<(NodeId, u64)> =
+                        s.locals.iter().map(|(&v, t)| (v, t.to_bits())).collect();
+                    locals.sort_unstable();
+                    let top: Vec<(NodeId, u64)> =
+                        s.top_k.iter().map(|&(v, t)| (v, t.to_bits())).collect();
+                    (s.position, s.seq, s.global.to_bits(), locals, top)
+                };
+                proptest::prop_assert_eq!(bits(&got), bits(&want), "step {} k = {}", i, k);
+                let nodes = match &touched {
+                    Touched::All => model.locals.len(),
+                    Touched::Nodes(nodes) => nodes.len(),
+                };
+                proptest::prop_assert_eq!(report.nodes, nodes as u64);
+            }
+            drop(held);
+        }
+    }
+
+    /// Locals that only grow, read by nobody between publications: after
+    /// the first publication (which has no spare yet) no publication
+    /// copies or rescans every local.
+    #[test]
+    fn growing_locals_publish_without_a_full_step() {
+        let cfg = ReptConfig::new(2, 2).with_seed(1);
+        let mut model = Rept::new(cfg).run(Engine::PerWorker, &[]);
+        model.locals = (0..100u32).map(|v| (v, f64::from(v))).collect();
+        let mut publisher =
+            Publisher::new(&cfg, Engine::PerWorker, 10, 1, model.clone(), 0, |_| {});
+        for step in 1..=20u32 {
+            let nodes: FxHashSet<NodeId> = [step * 7 % 100, step * 13 % 100, 100 + step]
+                .into_iter()
+                .collect();
+            for v in &nodes {
+                *model.locals.entry(*v).or_default() += 50.0;
+            }
+            publisher.touch(&Touched::Nodes(nodes));
+            assert!(publisher.begin(u64::from(step)));
+            let report = publisher.publish(
+                u64::from(step),
+                &cfg,
+                |est, touched| {
+                    let Touched::Nodes(nodes) = touched else {
+                        unreachable!("only nodes are touched")
+                    };
+                    for v in nodes {
+                        est.locals.insert(*v, model.locals[v]);
+                    }
+                },
+                |_| {},
+            );
+            assert_eq!(report.full, step == 1, "step {step}");
+        }
+        let want = Snapshot::from_estimate(&model, &cfg, Engine::PerWorker, 20, 20, 0, 10);
+        assert_eq!(publisher.published().load().top_k, want.top_k);
     }
 
     #[test]

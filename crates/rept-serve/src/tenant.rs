@@ -42,6 +42,7 @@ use rept_core::{Engine, ReptConfig, ReptEstimate};
 use rept_graph::edge::{Edge, NodeId};
 
 use crate::core::{IngestError, QuotaPolicy, ServeConfig, ServeCore};
+use crate::journal::numbered_siblings;
 use crate::metrics::TenantScrape;
 use crate::protocol::{validate_tenant_name, Scope, TenantOptions, DEFAULT_TENANT};
 use crate::snapshot::merge_top_k;
@@ -183,6 +184,19 @@ impl TenantRouter {
                         // exists: trust it and retry under its config.
                         Err(e) => {
                             let ckpt = dir.join(TENANT_CHECKPOINT);
+                            // A refused manifest with no state beside it
+                            // has nothing to resume — what a refused
+                            // `TENANT CREATE` could leave behind — so it
+                            // goes, and the other tenants start.
+                            if matches!(e, SnapshotError::Invalid(_)) && !holds_state(&ckpt) {
+                                eprintln!(
+                                    "rept-serve: tenant {name:?} manifest refused ({e}) with \
+                                     no checkpoint or journal beside it; removing {}",
+                                    dir.display()
+                                );
+                                let _ = std::fs::remove_dir_all(&dir);
+                                continue;
+                            }
                             if !ckpt.is_file() {
                                 return Err(e);
                             }
@@ -779,6 +793,16 @@ fn write_tenant_manifest(
     durable_write_rename(&dir.join(TENANT_META), meta.as_bytes())
 }
 
+/// Whether the tenant whose checkpoint path is `ckpt` holds state a
+/// restart resumes: the checkpoint, a rotated one or a journal segment.
+/// A directory that cannot be read counts as holding some.
+fn holds_state(ckpt: &Path) -> bool {
+    ckpt.exists()
+        || [("", ".rpck"), ("wal.", "")].iter().any(|(infix, suffix)| {
+            numbered_siblings(ckpt, infix, suffix).map_or(true, |found| !found.is_empty())
+        })
+}
+
 /// Reads a tenant directory's configuration: the `tenant.meta` manifest
 /// when present, else recovered from the checkpoint header. `Ok(None)`
 /// when the directory holds neither (not a tenant directory).
@@ -962,7 +986,7 @@ mod tests {
         let alpha_oracle = Rept::new(alpha_cfg).run(Engine::PerWorker, &stream);
         let alpha = router.tenant("alpha").expect("alpha").snapshot();
         assert_eq!(alpha.global, alpha_oracle.global);
-        assert_eq!(alpha.locals, alpha_oracle.locals);
+        assert_eq!(*alpha.locals, alpha_oracle.locals);
 
         let win_cfg = IntervalEstimator::new(base).config_for(3);
         let win_oracle = Rept::new(win_cfg).run(Engine::PerWorker, &stream);
@@ -1200,13 +1224,53 @@ mod tests {
         let default_oracle = Rept::new(base).run(Engine::PerWorker, &stream);
         let snap = resumed.tenant(DEFAULT_TENANT).unwrap().snapshot();
         assert_eq!(snap.global, default_oracle.global);
-        assert_eq!(snap.locals, default_oracle.locals);
+        assert_eq!(*snap.locals, default_oracle.locals);
         let win_cfg = IntervalEstimator::new(base).config_for(1);
         let win_oracle = Rept::new(win_cfg).run(Engine::PerWorker, &stream);
         assert_eq!(
             resumed.tenant("win1").unwrap().snapshot().global,
             win_oracle.global
         );
+        resumed.shutdown();
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    /// A tenant directory whose manifest the core refuses, with no
+    /// checkpoint and no journal segment beside it (what a refused
+    /// `TENANT CREATE` once left behind), is removed at start and the
+    /// other tenants start; a journal segment beside it still fails the
+    /// start.
+    #[test]
+    fn a_refused_manifest_without_state_is_removed_at_start() {
+        let root = temp_root("refused-stateless");
+        std::fs::remove_dir_all(&root).ok();
+        let cfg = RouterConfig::new(base_serve()).with_root_dir(root.clone());
+        let router = TenantRouter::start(cfg.clone()).expect("start");
+        router
+            .create("gone", &TenantOptions::default())
+            .expect("create");
+        router.shutdown();
+        let dir = root.join("gone");
+        let mut meta = std::fs::read_to_string(dir.join(TENANT_META)).expect("manifest");
+        meta.push_str("memory_budget=10\nquota=reject\n");
+        std::fs::write(dir.join(TENANT_META), meta).expect("refused manifest");
+        std::fs::remove_file(dir.join(TENANT_CHECKPOINT)).expect("remove checkpoint");
+
+        let segment = dir.join("serve.wal.00000000000000000000");
+        std::fs::write(&segment, b"").expect("journal segment");
+        assert!(
+            matches!(
+                TenantRouter::start(cfg.clone()),
+                Err(SnapshotError::Invalid(_))
+            ),
+            "a journal segment is state: the start still fails"
+        );
+        assert!(dir.is_dir());
+
+        std::fs::remove_file(&segment).expect("remove segment");
+        let resumed = TenantRouter::start(cfg).expect("start without the refused tenant");
+        assert!(!resumed.contains("gone") && resumed.contains(DEFAULT_TENANT));
+        assert!(!dir.exists(), "the refused directory is gone");
         resumed.shutdown();
         std::fs::remove_dir_all(&root).ok();
     }

@@ -265,6 +265,11 @@ pub struct CoordinatorMetrics {
     /// Snapshot publication time: the exchange with every live shard,
     /// the recombination and the snapshot (µs).
     pub publish_micros: Histogram,
+    /// Nodes recombined per publication.
+    pub publish_nodes: Histogram,
+    /// Publications that took an `O(locals)` step (see
+    /// [`rept_serve::snapshot::Publication::full`]).
+    pub publish_full: Counter,
     /// Bytes of `AGGREGATE` replies read from TCP shards.
     pub aggregate_bytes: Counter,
     /// Shard replies that carried the full counters.
@@ -915,15 +920,18 @@ impl ShardCoordinator {
             return;
         }
         let (layout, held) = (&self.layout, &self.held);
-        self.publisher.publish(
+        let publication = self.publisher.publish(
             self.position,
             layout.config(),
             |est, touched| layout.refresh_estimate(est, held, touched),
             |_| {},
         );
-        self.metrics
-            .publish_micros
-            .record_duration(started.elapsed());
+        let metrics = &self.metrics;
+        metrics.publish_micros.record_duration(started.elapsed());
+        metrics.publish_nodes.record(publication.nodes);
+        if publication.full {
+            metrics.publish_full.inc();
+        }
     }
 
     /// Every live shard's metrics exposition body, keyed by shard

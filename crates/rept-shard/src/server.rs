@@ -114,6 +114,7 @@ impl CoordinatorServer {
 /// Locks the coordinator for one request. A request that panicked
 /// while holding it may have left the cluster half-updated, so every
 /// later one panics too — which the line server answers with an `ERR`.
+/// Not recovered: a panic mid-fan-out can leave shards ahead of `position`.
 fn lock(coordinator: &Mutex<ShardCoordinator>) -> MutexGuard<'_, ShardCoordinator> {
     coordinator
         .lock()
@@ -245,17 +246,24 @@ fn merge_expositions(bodies: &[(usize, String)]) -> String {
 }
 
 /// Appends the coordinator's own families to an exposition: its
-/// publication-time summary, the `AGGREGATE` reply bytes it read, and
-/// its exchanges by `kind="full"|"delta"`.
+/// publication-time and recombined-nodes summaries, its publications
+/// that took an `O(locals)` step, the `AGGREGATE` reply bytes it read,
+/// and its exchanges by `kind="full"|"delta"`.
 fn render_coordinator_metrics(out: &mut String, m: &CoordinatorMetrics) {
     const LABELS: &str = "tenant=\"default\"";
     let mut block = String::new();
-    let _ = writeln!(block, "# TYPE rept_coordinator_publish_micros summary");
-    write_summary(
-        &mut block,
-        "rept_coordinator_publish_micros",
-        LABELS,
-        &m.publish_micros,
+    for (name, h) in [
+        ("rept_coordinator_publish_micros", &m.publish_micros),
+        ("rept_coordinator_publish_nodes", &m.publish_nodes),
+    ] {
+        let _ = writeln!(block, "# TYPE {name} summary");
+        write_summary(&mut block, name, LABELS, h);
+    }
+    let _ = writeln!(block, "# TYPE rept_coordinator_publish_full_total counter");
+    let _ = writeln!(
+        block,
+        "rept_coordinator_publish_full_total{{{LABELS}}} {}",
+        m.publish_full.get()
     );
     let _ = writeln!(
         block,

@@ -97,7 +97,7 @@ fn main() {
         let snap = resumed.snapshot();
         assert_eq!(snap.global, uninterrupted.global, "{}: τ̂", engine.name());
         assert_eq!(
-            snap.locals,
+            *snap.locals,
             uninterrupted.locals,
             "{}: locals",
             engine.name()

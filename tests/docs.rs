@@ -185,6 +185,10 @@ fn readme_bench_tables_cite_committed_results() {
         "BENCH_serve.json lost its metrics_overhead section"
     );
     assert!(
+        serve.contains("\"publication\"") && readme.contains("`publication`"),
+        "BENCH_serve.json's publication section, cited by the README"
+    );
+    assert!(
         throughput.contains("\"batch_split\""),
         "BENCH_throughput.json lost its batch_split section"
     );

@@ -146,7 +146,7 @@ proptest! {
             let prefix_oracle =
                 Rept::new(cfg).run(Engine::PerWorker, &stream[..kill_at]);
             prop_assert_eq!(snap.global, prefix_oracle.global, "{}", engine.name());
-            prop_assert_eq!(&snap.locals, &prefix_oracle.locals);
+            prop_assert_eq!(&*snap.locals, &prefix_oracle.locals);
 
             // The recovered core keeps serving: feed the unacked
             // remainder and land bit-identical to the full run.
@@ -156,7 +156,7 @@ proptest! {
             resumed.flush();
             let snap = resumed.snapshot();
             prop_assert_eq!(snap.global, full_oracle.global);
-            prop_assert_eq!(&snap.locals, &full_oracle.locals);
+            prop_assert_eq!(&*snap.locals, &full_oracle.locals);
             resumed.shutdown();
             std::fs::remove_dir_all(&root).ok();
         }
@@ -220,12 +220,12 @@ proptest! {
             Rept::new(base).run(Engine::PerWorker, &stream[..kill_at]);
         let snap = resumed.tenant("default").unwrap().snapshot();
         prop_assert_eq!(snap.global, default_oracle.global);
-        prop_assert_eq!(&snap.locals, &default_oracle.locals);
+        prop_assert_eq!(&*snap.locals, &default_oracle.locals);
         let alpha_oracle = Rept::new(base.with_seed(seed ^ 0x9e37_79b9))
             .run(Engine::PerWorker, &stream[..kill_at]);
         let snap = resumed.tenant("alpha").unwrap().snapshot();
         prop_assert_eq!(snap.global, alpha_oracle.global);
-        prop_assert_eq!(&snap.locals, &alpha_oracle.locals);
+        prop_assert_eq!(&*snap.locals, &alpha_oracle.locals);
         resumed.shutdown();
         std::fs::remove_dir_all(&root).ok();
     }
@@ -311,7 +311,7 @@ fn stale_journal_surviving_a_checkpoint_is_skipped() {
         let oracle = Rept::new(cfg).run(Engine::PerWorker, &stream);
         let snap = resumed.snapshot();
         assert_eq!(snap.global, oracle.global, "{}", engine.name());
-        assert_eq!(snap.locals, oracle.locals);
+        assert_eq!(*snap.locals, oracle.locals);
         resumed.shutdown();
         std::fs::remove_dir_all(&root).ok();
     }
@@ -385,7 +385,7 @@ fn torn_journal_tail_drops_exactly_the_torn_record() {
         let snap = resumed.snapshot();
         let oracle = &oracles[survivor.saturating_sub(1)];
         assert_eq!(snap.global, oracle.global, "cut at byte {cut}");
-        assert_eq!(snap.locals, oracle.locals, "cut at byte {cut}");
+        assert_eq!(*snap.locals, oracle.locals, "cut at byte {cut}");
         resumed.shutdown();
     }
     std::fs::remove_dir_all(&root).ok();
@@ -426,7 +426,7 @@ fn crc_corrupt_record_is_dropped_with_its_suffix() {
     let oracle = Rept::new(cfg).run(Engine::PerWorker, &stream[..5]);
     let snap = resumed.snapshot();
     assert_eq!(snap.global, oracle.global);
-    assert_eq!(snap.locals, oracle.locals);
+    assert_eq!(*snap.locals, oracle.locals);
     resumed.shutdown();
     std::fs::remove_dir_all(&root).ok();
 }

@@ -160,6 +160,14 @@ fn every_scrape_is_a_valid_exposition() {
         );
         assert!(text.contains("rept_coordinator_publish_micros_count{tenant=\"default\"} "));
         assert!(
+            sample(&text, "rept_coordinator_publish_nodes_count", "default").is_some_and(|n| n > 0),
+            "{text}"
+        );
+        assert!(
+            sample(&text, "rept_coordinator_publish_full_total", "default").is_some(),
+            "{text}"
+        );
+        assert!(
             !text.contains("rept_publish_micros{tenant="),
             "no coordinator sample under a shard family"
         );
@@ -231,6 +239,45 @@ fn coordinator_exchanges_deltas_between_start_and_revive() {
     front.shutdown();
 }
 
+/// On a `c = m` stream every local only grows, so once the publisher
+/// holds both of its locals maps, no publication copies or rescans
+/// every local: `rept_publish_full_total` stops growing while
+/// publications go on, each recombining only the nodes that moved.
+#[test]
+fn publication_stays_incremental_in_steady_state() {
+    let stream: Vec<Edge> = (0..4_000u32)
+        .map(|i| Edge::new(i % 97, 97 + (i * 31 + 7) % 89))
+        .collect();
+    let cfg = ServeConfig::new(ReptConfig::new(4, 4).with_seed(3))
+        .with_snapshot_every(128)
+        .with_top_k(5);
+    let server = Server::start(cfg, "127.0.0.1:0", 1).expect("bind");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let scrape = |client: &mut Client| {
+        let text = client.metrics().expect("scrape");
+        let get = |name: &str| sample(&text, name, "default").expect(name);
+        (
+            get("rept_snapshots_published_total"),
+            get("rept_publish_full_total"),
+        )
+    };
+    let (warm, rest) = stream.split_at(1_000);
+    client.ingest(warm).expect("ingest");
+    client.flush().expect("flush");
+    let (published, full) = scrape(&mut client);
+    assert!(full >= 1, "the first publication has no spare map yet");
+    for chunk in rest.chunks(256) {
+        client.ingest(chunk).expect("ingest");
+    }
+    client.flush().expect("flush");
+    let (later, full_later) = scrape(&mut client);
+    // A cadence point per 256-edge batch, each past 128 edges.
+    assert!(later >= published + 10, "{published} → {later}");
+    assert_eq!(full_later, full, "no O(locals) step in steady state");
+    drop(client);
+    server.shutdown();
+}
+
 #[test]
 fn metrics_scrape_covers_required_series() {
     let root = unique_root("scrape");
@@ -288,6 +335,9 @@ fn metrics_scrape_covers_required_series() {
         "rept_last_group_commit",
         "rept_ingest_held",
         "rept_ingest_hold_micros_count",
+        "rept_publish_nodes_count",
+        "rept_publish_full_total",
+        "rept_publish_skipped_total",
     ] {
         assert!(
             sample(&text, series, "default").is_some(),

@@ -95,7 +95,7 @@ proptest! {
             let snap = resumed.snapshot();
             prop_assert_eq!(snap.global, oracle.global, "{}", engine.name());
             prop_assert_eq!(snap.eta_hat, oracle.eta_hat);
-            prop_assert_eq!(&snap.locals, &oracle.locals);
+            prop_assert_eq!(&*snap.locals, &oracle.locals);
             let final_est = resumed.shutdown();
             prop_assert_eq!(final_est.global, oracle.global);
             prop_assert_eq!(

@@ -1378,3 +1378,70 @@ fn a_poisoned_coordinator_answers_err_not_a_dead_server() {
     }
     assert_eq!(client.request("QUERY GLOBAL").expect("answered"), want);
 }
+
+/// A shard behind a coordinator publishes only at barriers: its
+/// coordinator reads its counters over `AGGREGATE SINCE`, so each of its
+/// cadence points after an exchange passes without a publication. Over
+/// N cadence intervals the coordinator's `seq` advances by N and each
+/// shard's stays put; `FLUSH` on a shard publishes at its exact
+/// position; and once the coordinator stops exchanging, the shard
+/// publishes at the first cadence point whose interval held no
+/// exchange.
+#[test]
+fn shards_behind_a_coordinator_publish_only_at_barriers() {
+    const EVERY: usize = 64;
+    const N: u64 = 5;
+    let cfg = ReptConfig::new(2, 8).with_seed(17).with_locals(true); // 4 hash groups
+    let engine = Engine::default();
+    let stream: Vec<Edge> = (0..(N as u32 + 2) * EVERY as u32 + 10)
+        .map(|i| Edge::new(i % 53, 53 + (i * 7 + 3) % 59))
+        .collect();
+    let (clustered, direct) = stream.split_at(N as usize * EVERY);
+    let cores = sliced_cores(cfg, engine, 2, EVERY as u64, None);
+    let published = |core: &ServeCore| core.metrics().snapshots_published.get();
+    let skipped = |core: &ServeCore| core.metrics().publish_skipped.get();
+
+    let mut coord = coordinator_over(&cores, cfg, engine, EVERY as u64);
+    let seq = coord.snapshot().seq;
+    for chunk in clustered.chunks(EVERY) {
+        coord.ingest(chunk.to_vec()).expect("ingest");
+    }
+    // Each cadence publication exchanged with every shard after the
+    // shard had applied the batch, so the shards stand where it does.
+    assert_eq!(coord.snapshot().seq, seq + N);
+    for core in &cores {
+        assert_eq!(
+            core.snapshot().seq,
+            0,
+            "no shard publication between barriers"
+        );
+        assert_eq!((published(core), skipped(core)), (0, N));
+    }
+
+    let position = clustered.len() as u64;
+    assert_eq!(cores[0].flush(), position);
+    let snap = cores[0].snapshot();
+    assert_eq!(
+        (snap.position, snap.seq),
+        (position, 1),
+        "FLUSH publishes at once"
+    );
+    drop(coord);
+
+    // Without a coordinator: the interval that held its last exchange
+    // ends in a skip, the next one in a publication; the FLUSH then
+    // publishes the 10 edges past it.
+    for core in &cores {
+        let before = (published(core), skipped(core));
+        for chunk in direct.chunks(EVERY) {
+            core.ingest(chunk.to_vec()).expect("direct ingest");
+        }
+        core.flush();
+        assert_eq!(core.position(), stream.len() as u64);
+        assert_eq!(
+            (published(core), skipped(core)),
+            (before.0 + 2, before.1 + 1),
+            "one skip, then a cadence publication and the FLUSH"
+        );
+    }
+}
