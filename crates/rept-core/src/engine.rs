@@ -451,9 +451,10 @@ impl EngineCore {
 
 /// Pads a sliced core's kept-group aggregates with zero aggregates for
 /// the groups it does not own, so [`Rept::finalize_groups`] — whose
-/// combination arithmetic indexes the *full* processor layout — sees a
-/// complete set. The padded groups' counter maps stay `None`; the
-/// combination only reads maps that are present.
+/// combination scales by the configuration's `c` and whose diagnostics
+/// list every processor — sees a complete set. The padded groups'
+/// counter maps stay `None`; the combination only reads maps that are
+/// present.
 fn pad_unkept(
     rept: &Rept,
     slice: GroupSlice,
@@ -667,6 +668,82 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// `groups` (layout order) renumbered onto contiguous starts: the
+    /// layout of the configuration they form on their own, with the
+    /// remainder last where a positional split finds it — the reference
+    /// a subset combined at its own starts must equal.
+    fn renumbered(groups: &[GroupAggregate]) -> Vec<GroupAggregate> {
+        let mut next = 0;
+        groups
+            .iter()
+            .map(|g| {
+                let start = next;
+                next += g.tau.len();
+                GroupAggregate { start, ..g.clone() }
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// A non-empty subset of a layout's groups, kept at its layout
+        /// starts and combined under the same `m` and `c' = Σ` its sizes,
+        /// equals the same subset renumbered onto contiguous starts, bit
+        /// for bit: through `finalize_groups`, and through
+        /// `refresh_estimate` from the subset's earlier counters on a
+        /// random touched set. Layouts with a remainder and one without,
+        /// η on and off, over duplicate-edge streams; the subsets include
+        /// the remainder alone and a single full group.
+        #[test]
+        fn survivors_combine_as_held(
+            pairs in vec((0u32..30, 0u32..30), 1..300),
+            layout in 0usize..4,
+            eta in any::<bool>(),
+            seed in any::<u64>(),
+            mask in any::<u32>(),
+            cut in 0usize..300,
+            touched in vec(0u32..32, 0..16),
+        ) {
+            let stream: Vec<Edge> = pairs
+                .into_iter()
+                .filter_map(|(u, v)| Edge::try_new(u, v))
+                .collect();
+            let (m, c) = [(3u64, 7u64), (3, 11), (4, 9), (4, 12)][layout];
+            let cfg = ReptConfig::new(m, c).with_seed(seed).with_eta(eta);
+            let mut core = EngineCore::with_engine(Rept::new(cfg), Engine::PerWorker);
+            let groups = core.rept().groups().len() as u32;
+            let keep = mask % ((1 << groups) - 1) + 1;
+            let subset = |all: Vec<GroupAggregate>| -> Vec<GroupAggregate> {
+                all.into_iter()
+                    .enumerate()
+                    .filter(|(gi, _)| keep >> gi & 1 == 1)
+                    .map(|(_, g)| g)
+                    .collect()
+            };
+            let cut = cut % (stream.len() + 1);
+            core.ingest_batch(&stream[..cut]);
+            let early = subset(core.snapshot_counters());
+            core.ingest_batch(&stream[cut..]);
+            let held = subset(core.snapshot_counters());
+            let c_survivors = held.iter().map(|g| g.tau.len() as u64).sum();
+            let survivors = Rept::new(ReptConfig { c: c_survivors, ..cfg });
+            prop_assert!(
+                same_bits(
+                    &survivors.finalize_groups(held.clone()),
+                    &survivors.finalize_groups(renumbered(&held))
+                ),
+                "m={} c={} keep={:#b}", m, c, keep
+            );
+            let touched = Touched::Nodes(touched.into_iter().collect());
+            let mut subject = survivors.finalize_groups(early.clone());
+            survivors.refresh_estimate(&mut subject, &held, &touched);
+            let mut reference = survivors.finalize_groups(renumbered(&early));
+            survivors.refresh_estimate(&mut reference, &renumbered(&held), &touched);
+            prop_assert!(same_bits(&subject, &reference), "m={} c={} keep={:#b}", m, c, keep);
         }
     }
 

@@ -36,9 +36,14 @@
 //! build/drain machinery lives entirely in [`crate::engine`] and
 //! [`crate::fused`]; what remains *here* is the configuration-derived
 //! group layout ([`Rept::new`] caches it) and the combination
-//! arithmetic
-//! ([`Rept::finalize_groups`] turns any engine's [`GroupAggregate`]s
-//! into a [`ReptEstimate`] via the paper's Graybill–Deal weights).
+//! arithmetic ([`Rept::finalize_groups`] turns any engine's
+//! [`GroupAggregate`]s into a [`ReptEstimate`] via the paper's
+//! Graybill–Deal weights). One step over integer sums combines the
+//! global estimate and every local alike. It tells the remainder group
+//! by its size (fewer than `m` processors), not by its position, so any
+//! subset of a layout's groups, kept at their own starts, combines as
+//! the configuration `c' = Σ` their sizes — how a shard coordinator
+//! answers from the survivors of a lost shard.
 //!
 //! All drivers are deterministic given the hash seed, so scheduling cannot
 //! affect the output — a property the integration tests assert.
@@ -302,7 +307,10 @@ impl Rept {
 
     /// [`Self::finalize_groups`] over borrowed aggregates already in
     /// layout order — for a caller that keeps the counters, as the shard
-    /// coordinator does between exchanges.
+    /// coordinator does between exchanges. The groups may be a subset of
+    /// a larger layout's, at their own starts, when this configuration
+    /// has the same `m` and `c` = the sum of their sizes: the remainder
+    /// is the group with fewer than `m` processors, wherever it sits.
     pub fn combine(&self, groups: &[GroupAggregate]) -> ReptEstimate {
         let mut est = self.combine_counts(groups);
         self.refresh_locals(&mut est.locals, groups, &Touched::All);
@@ -334,64 +342,22 @@ impl Rept {
 
     /// Everything of the estimate but the locals (left empty): the
     /// global estimate, `η̂` and the diagnostics, all `O(c)`. `groups`
-    /// are in layout order.
+    /// are in layout order. The global is the combination of the whole
+    /// layout's integer sums, the step every local takes over its own.
     fn combine_counts(&self, groups: &[GroupAggregate]) -> ReptEstimate {
         let m = self.cfg.m as f64;
         let c = self.cfg.c as f64;
-        let per_processor_tau: Vec<u64> =
-            groups.iter().flat_map(|g| g.tau.iter().copied()).collect();
-        let stored_edges: Vec<usize> = groups
-            .iter()
-            .flat_map(|g| g.stored.iter().copied())
-            .collect();
-        let total_bytes: usize = groups.iter().map(|g| g.bytes).sum();
-
-        let eta_hat = self.cfg.needs_eta().then(|| {
-            let sum: u64 = groups.iter().map(|g| g.eta_total).sum();
-            m * m * m * sum as f64 / c
-        });
-
-        let (global, combination, sub_estimates);
-        if self.cfg.c <= self.cfg.m {
-            // τ̂ = m²/c · Σ τ⁽ⁱ⁾ (Algorithm 1).
-            let sum: u64 = per_processor_tau.iter().sum();
-            global = m * m / c * sum as f64;
-            combination = CombinationPath::SingleGroup;
-            sub_estimates = None;
-        } else if self.cfg.c2() == 0 {
-            // τ̂ = m/c₁ · Σ τ⁽ⁱ⁾.
-            let c1 = self.cfg.c1() as f64;
-            let sum: u64 = per_processor_tau.iter().sum();
-            global = m / c1 * sum as f64;
-            combination = CombinationPath::FullGroups;
-            sub_estimates = None;
-        } else {
-            let (c1, c2) = (self.cfg.c1() as f64, self.cfg.c2() as f64);
-            let split = (self.cfg.c1() * self.cfg.m) as usize;
-            let sum1: u64 = per_processor_tau[..split].iter().sum();
-            let sum2: u64 = per_processor_tau[split..].iter().sum();
-            let t1 = m / c1 * sum1 as f64;
-            let t2 = m * m / c2 * sum2 as f64;
-            let eta = eta_hat.expect("needs_eta() is true on this path");
-            // Plug-in weights (§III-B): τ ← τ̂⁽¹⁾, η ← η̂.
-            let w1 = t1 * (m - 1.0) / c1;
-            let w2 = (t1 * (m * m - c2) + 2.0 * eta * (m - c2)) / c2;
-            match graybill_deal(t1, w1, t2, w2) {
-                Combined::Weighted(v) => {
-                    global = v;
-                    combination = CombinationPath::GraybillDeal;
-                }
-                Combined::Degenerate => {
-                    // Pooled unbiased fallback: every triangle is counted
-                    // with expectation c/m² across all processors.
-                    let sum: u64 = per_processor_tau.iter().sum();
-                    global = m * m / c * sum as f64;
-                    combination = CombinationPath::PooledFallback;
-                }
-            }
-            sub_estimates = Some((t1, t2));
+        let mixed = self.mixed();
+        let mut sums = NodeSums::default();
+        for g in groups {
+            sums.add_tau(self.full(mixed, g), g.tau.iter().sum());
+            sums.eta += g.eta_total;
         }
-
+        let eta_hat = self
+            .cfg
+            .needs_eta()
+            .then(|| m * m * m * sums.eta as f64 / c);
+        let (global, combination, sub_estimates) = self.combine_sums(sums);
         ReptEstimate {
             global,
             locals: FxHashMap::default(),
@@ -399,20 +365,32 @@ impl Rept {
             diagnostics: Diagnostics {
                 m: self.cfg.m,
                 c: self.cfg.c,
-                per_processor_tau,
-                stored_edges,
-                total_bytes,
+                per_processor_tau: groups.iter().flat_map(|g| g.tau.iter().copied()).collect(),
+                stored_edges: groups
+                    .iter()
+                    .flat_map(|g| g.stored.iter().copied())
+                    .collect(),
+                total_bytes: groups.iter().map(|g| g.bytes).sum(),
                 combination,
                 sub_estimates,
             },
         }
     }
 
-    /// Whether the locals take the mixed-group path (per-node
-    /// Graybill–Deal, which reads `η_v` and splits full groups from the
-    /// remainder) rather than a single scale.
-    fn combined_locals(&self) -> bool {
+    /// Whether this layout takes the mixed-group path (`c > m`,
+    /// `c₂ ≠ 0`): Graybill–Deal over the full groups and the remainder,
+    /// which reads `η`, rather than a single scale.
+    fn mixed(&self) -> bool {
         self.cfg.c > self.cfg.m && self.cfg.c2() != 0
+    }
+
+    /// Whether `g`'s counts go to the full groups' sum: every group's on
+    /// the single-scale paths; on the mixed path, every group's but the
+    /// remainder's — the one group with fewer than `m` processors,
+    /// wherever it sits, so any subset of a layout's groups combines as
+    /// held under `c' = Σ` their sizes.
+    fn full(&self, mixed: bool, g: &GroupAggregate) -> bool {
+        !mixed || g.tau.len() >= self.cfg.m as usize
     }
 
     /// Recomputes `locals` for the `touched` nodes of `groups` (layout
@@ -429,10 +407,9 @@ impl Rept {
             locals.clear();
             return;
         }
-        let split = self.remainder_start();
-        let combined = self.combined_locals();
+        let mixed = self.mixed();
         let Touched::Nodes(nodes) = touched else {
-            *locals = self.all_locals(groups, split, combined);
+            *locals = self.all_locals(groups, mixed);
             return;
         };
         for &v in nodes {
@@ -441,9 +418,9 @@ impl Rept {
             for g in groups {
                 if let Some(&count) = g.tau_v.as_ref().and_then(|tv| tv.get(&v)) {
                     held = true;
-                    sums.add_tau(g.start < split, count);
+                    sums.add_tau(self.full(mixed, g), count);
                 }
-                if combined {
+                if mixed {
                     if let Some(&count) = g.eta_v.as_ref().and_then(|ev| ev.get(&v)) {
                         held = true;
                         sums.eta += count;
@@ -451,7 +428,7 @@ impl Rept {
                 }
             }
             if held {
-                locals.insert(v, self.node_estimate(sums));
+                locals.insert(v, self.combine_sums(sums).0);
             } else {
                 locals.remove(&v);
             }
@@ -459,21 +436,16 @@ impl Rept {
     }
 
     /// Every node's local, merging the per-group maps in one pass each.
-    fn all_locals(
-        &self,
-        groups: &[GroupAggregate],
-        split: usize,
-        combined: bool,
-    ) -> FxHashMap<NodeId, f64> {
+    fn all_locals(&self, groups: &[GroupAggregate], mixed: bool) -> FxHashMap<NodeId, f64> {
         // The largest merged map bounds the node count from below:
         // reserving it up front saves the map's regrowth.
         let largest = groups
             .iter()
-            .flat_map(|g| g.tau_v.iter().chain(g.eta_v.iter().filter(|_| combined)))
+            .flat_map(|g| g.tau_v.iter().chain(g.eta_v.iter().filter(|_| mixed)))
             .map(FxHashMap::len)
             .max()
             .unwrap_or(0);
-        if !combined {
+        if !mixed {
             // One sum per node: a plain count map merges fastest.
             let mut acc: FxHashMap<NodeId, u64> =
                 FxHashMap::with_capacity_and_hasher(largest, Default::default());
@@ -489,16 +461,17 @@ impl Rept {
                         sum1,
                         ..NodeSums::default()
                     };
-                    (v, self.node_estimate(sums))
+                    (v, self.combine_sums(sums).0)
                 })
                 .collect();
         }
         let mut acc: FxHashMap<NodeId, NodeSums> =
             FxHashMap::with_capacity_and_hasher(largest, Default::default());
         for g in groups {
+            let full = self.full(mixed, g);
             if let Some(tv) = &g.tau_v {
                 for (&v, &count) in tv {
-                    acc.entry(v).or_default().add_tau(g.start < split, count);
+                    acc.entry(v).or_default().add_tau(full, count);
                 }
             }
             if let Some(ev) = &g.eta_v {
@@ -508,51 +481,54 @@ impl Rept {
             }
         }
         acc.into_iter()
-            .map(|(v, sums)| (v, self.node_estimate(sums)))
+            .map(|(v, sums)| (v, self.combine_sums(sums).0))
             .collect()
     }
 
-    /// The first processor of the remainder group on the mixed-group
-    /// path (`c₁·m`); past every group on the single-scale paths, whose
-    /// counts all sum into one.
-    fn remainder_start(&self) -> usize {
-        if self.combined_locals() {
-            (self.cfg.c1() * self.cfg.m) as usize
-        } else {
-            usize::MAX
-        }
-    }
-
-    /// `τ̂_v` from one node's integer sums — the per-node combination
-    /// every path shares. Single-scale paths: `τ̂_v = scale · Σ τ⁽ⁱ⁾_v`.
-    /// Mixed-group path: per-node Graybill–Deal with plug-in weights
-    /// (`τ ← τ̂⁽¹⁾_v`, `η ← η̂_v`), pooled fallback.
-    fn node_estimate(&self, sums: NodeSums) -> f64 {
+    /// The combination of one set of integer sums — a node's for its
+    /// local, the whole layout's for the global — with the path that
+    /// produced it and, on the mixed path, the sub-estimates
+    /// `(τ̂⁽¹⁾, τ̂⁽²⁾)`. Single-scale paths: `m²/c · Σ τ⁽ⁱ⁾` for `c ≤ m`
+    /// (Algorithm 1), `m/c₁ · Σ τ⁽ⁱ⁾` for `c = c₁m`. Mixed path:
+    /// Graybill–Deal with plug-in weights (§III-B: `τ ← τ̂⁽¹⁾`,
+    /// `η ← m³/c · Σ η⁽ⁱ⁾`), and when that degenerates the pooled
+    /// unbiased `m²/c · Σ τ⁽ⁱ⁾`, under which every triangle is counted
+    /// with expectation `c/m²` across all processors.
+    fn combine_sums(&self, sums: NodeSums) -> (f64, CombinationPath, Option<(f64, f64)>) {
         let m = self.cfg.m as f64;
         let c = self.cfg.c as f64;
         if self.cfg.c <= self.cfg.m {
-            return m * m / c * sums.sum1 as f64;
+            return (
+                m * m / c * sums.sum1 as f64,
+                CombinationPath::SingleGroup,
+                None,
+            );
         }
         let c1 = self.cfg.c1() as f64;
         if self.cfg.c2() == 0 {
-            return m / c1 * sums.sum1 as f64;
+            return (m / c1 * sums.sum1 as f64, CombinationPath::FullGroups, None);
         }
         let c2 = self.cfg.c2() as f64;
         let t1 = m / c1 * sums.sum1 as f64;
         let t2 = m * m / c2 * sums.sum2 as f64;
-        let eta_v = m * m * m * sums.eta as f64 / c;
+        let eta = m * m * m * sums.eta as f64 / c;
         let w1 = t1 * (m - 1.0) / c1;
-        let w2 = (t1 * (m * m - c2) + 2.0 * eta_v * (m - c2)) / c2;
-        match graybill_deal(t1, w1, t2, w2) {
-            Combined::Weighted(x) => x,
-            Combined::Degenerate => m * m / c * (sums.sum1 + sums.sum2) as f64,
-        }
+        let w2 = (t1 * (m * m - c2) + 2.0 * eta * (m - c2)) / c2;
+        let (value, path) = match graybill_deal(t1, w1, t2, w2) {
+            Combined::Weighted(x) => (x, CombinationPath::GraybillDeal),
+            Combined::Degenerate => (
+                m * m / c * (sums.sum1 + sums.sum2) as f64,
+                CombinationPath::PooledFallback,
+            ),
+        };
+        (value, path, Some((t1, t2)))
     }
 }
 
-/// One node's integer counters, summed across groups the way its
-/// combination reads them: `τ_v` of the full groups (of every group, on
-/// the single-scale paths), `τ_v` of the remainder, and `η_v`.
+/// Integer counters summed across groups the way a combination reads
+/// them — one node's `τ_v` and `η_v`, or the whole layout's `τ⁽ⁱ⁾` and
+/// `η⁽ⁱ⁾`: the full groups' `τ` (every group's, on the single-scale
+/// paths), the remainder's `τ`, and `η`.
 #[derive(Debug, Default, Clone, Copy)]
 struct NodeSums {
     sum1: u64,
@@ -561,7 +537,7 @@ struct NodeSums {
 }
 
 impl NodeSums {
-    /// Adds one group's `τ_v` to the full-group or the remainder sum.
+    /// Adds one group's `τ` to the full-group or the remainder sum.
     fn add_tau(&mut self, full: bool, count: u64) {
         if full {
             self.sum1 += count;

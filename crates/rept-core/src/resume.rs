@@ -2115,7 +2115,9 @@ mod tests {
     /// Real engine blobs: fused and per-worker, v4 full and v6 sliced,
     /// over one group (`c < m`), full groups (`c = 2m`) and full groups
     /// plus a remainder (`c = 2m + 1`), with locals and η each on and
-    /// off.
+    /// off; and the frozen encoders' v1–v3 blobs of the unsliced runs
+    /// (v1 and v2 code 0 per worker, v2 codes 1–2 and v3 codes 1–2
+    /// fused).
     fn engine_blobs() -> &'static [Vec<u8>] {
         static BLOBS: std::sync::OnceLock<Vec<Vec<u8>>> = std::sync::OnceLock::new();
         BLOBS.get_or_init(|| {
@@ -2140,6 +2142,20 @@ mod tests {
                                 ResumableRun::with_sliced_engine(rept.clone(), engine, slice);
                             run.process_batch(&stream[..120]);
                             blobs.push(run.checkpoint_bytes());
+                            if !slice.is_full() {
+                                continue;
+                            }
+                            match engine {
+                                Engine::PerWorker => {
+                                    blobs.push(frozen_v1_blob(&run));
+                                    blobs.push(frozen_blob(&run, 2, 0));
+                                }
+                                Engine::FusedHybrid => {
+                                    for (version, code) in [(2, 1), (2, 2), (3, 1), (3, 2)] {
+                                        blobs.push(frozen_blob(&run, version, code));
+                                    }
+                                }
+                            }
                         }
                     }
                 }

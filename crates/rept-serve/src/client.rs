@@ -64,11 +64,12 @@ pub struct GlobalEstimate {
     pub ci95: Option<(f64, f64)>,
 }
 
+/// Seed of the deterministic backoff jitter.
+const JITTER_SEED: u64 = 0x005E_EDC1_1E47;
+
 /// Connection and retry configuration for [`Client::connect_with`].
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
-    /// Per-address TCP connect timeout; `None` uses the OS default.
-    pub connect_timeout: Option<Duration>,
     /// Socket read timeout for replies; `None` blocks indefinitely.
     pub read_timeout: Option<Duration>,
     /// How many times an `ERR BUSY` reply is retried before surfacing.
@@ -81,20 +82,16 @@ pub struct ClientConfig {
     pub backoff_base: Duration,
     /// Backoff ceiling.
     pub backoff_cap: Duration,
-    /// Seed for the deterministic backoff jitter.
-    pub jitter_seed: u64,
 }
 
 impl Default for ClientConfig {
     fn default() -> Self {
         Self {
-            connect_timeout: None,
             read_timeout: None,
             busy_retries: 16,
             io_retries: 0,
             backoff_base: Duration::from_millis(10),
             backoff_cap: Duration::from_millis(500),
-            jitter_seed: 0x005E_EDC1_1E47,
         }
     }
 }
@@ -155,7 +152,7 @@ impl Client {
         Self::connect_with(addr, ClientConfig::default())
     }
 
-    /// Connects with explicit timeout/retry configuration.
+    /// Connects with explicit read-timeout/retry configuration.
     ///
     /// # Errors
     ///
@@ -164,7 +161,7 @@ impl Client {
         let addrs: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
         let stream = Self::open_stream(&addrs, &cfg)?;
         let writer = stream.try_clone()?;
-        let rng = SplitMix64::new(cfg.jitter_seed);
+        let rng = SplitMix64::new(JITTER_SEED);
         Ok(Self {
             reader: BufReader::new(stream),
             writer,
@@ -179,11 +176,7 @@ impl Client {
     fn open_stream(addrs: &[SocketAddr], cfg: &ClientConfig) -> std::io::Result<TcpStream> {
         let mut last_err = None;
         for a in addrs {
-            let attempt = match cfg.connect_timeout {
-                Some(t) => TcpStream::connect_timeout(a, t),
-                None => TcpStream::connect(a),
-            };
-            match attempt {
+            match TcpStream::connect(a) {
                 Ok(stream) => {
                     stream.set_nodelay(true).ok();
                     stream.set_read_timeout(cfg.read_timeout)?;

@@ -56,7 +56,7 @@ use rept_graph::edge::Edge;
 use crate::client::INGEST_CHUNK;
 use crate::dlq::DeadLetterQueue;
 use crate::journal::{numbered_siblings, sibling, Journal, SyncPolicy};
-use crate::metrics::ServeMetrics;
+use crate::metrics::{ServeMetrics, TenantScrape};
 use crate::snapshot::{DurabilityStats, Published, Publisher, Snapshot};
 
 /// Slow-op trace ring capacity per tenant (events, not bytes).
@@ -899,6 +899,17 @@ impl ServeCore {
     /// The tenant's metric set (counters, histograms, slow-op trace).
     pub fn metrics(&self) -> &Arc<ServeMetrics> {
         &self.metrics
+    }
+
+    /// This core's scrape unit under the name `tenant`: its engine, a
+    /// live health reading and its metric set — what `METRICS` renders.
+    pub fn scrape(&self, tenant: String) -> TenantScrape {
+        TenantScrape {
+            tenant,
+            engine: self.cfg.engine.name(),
+            health: self.health(),
+            metrics: Arc::clone(&self.metrics),
+        }
     }
 
     /// Drains the dead-letter file for replay: returns every captured

@@ -861,4 +861,90 @@ mod tests {
         j.append(4, &edges(0..4)).expect("contiguous append works");
         cleanup(&ckpt);
     }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(200))]
+
+        /// A journal of several small segments whose files take bit
+        /// flips, truncations, splices of two segments or arbitrary
+        /// bytes recovers above any base without a panic: the replay is
+        /// a prefix of the edges appended past the base, and an append
+        /// at `base + replay.len()` succeeds and recovers after it.
+        #[test]
+        fn damaged_segments_recover_a_prefix(
+            chunks in proptest::collection::vec(1usize..10, 4..16),
+            base in proptest::prelude::any::<u64>(),
+            damage in proptest::collection::vec(
+                (
+                    (0u8..4, proptest::prelude::any::<usize>()),
+                    (proptest::prelude::any::<usize>(), proptest::prelude::any::<usize>()),
+                    0u8..8,
+                ),
+                1..4,
+            ),
+            junk in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..80),
+        ) {
+            const SEGMENT: u64 = 64;
+            static CASE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+            let case = CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let ckpt = temp_ckpt(&format!("damaged-{case}"));
+            let total: usize = chunks.iter().sum();
+            let all = edges(0..total as u32);
+            let mut j = Journal::recover(&ckpt, SEGMENT, SyncPolicy::Batched, 0)
+                .expect("recover")
+                .journal;
+            let mut at = 0;
+            for n in chunks {
+                j.append(at as u64, &all[at..at + n]).expect("append");
+                at += n;
+            }
+            drop(j);
+            let segments = numbered_siblings(&ckpt, "wal.", "").expect("list segments");
+            proptest::prop_assert!(segments.len() >= 2, "{} segments", segments.len());
+            for ((kind, pick), (cut, other), bit) in damage {
+                let path = &segments[pick % segments.len()].1;
+                let mut bytes = std::fs::read(path).expect("read segment");
+                let cut = cut % (bytes.len() + 1);
+                match kind {
+                    0 => {
+                        if let Some(byte) = bytes.get_mut(cut) {
+                            *byte ^= 1 << bit;
+                        }
+                    }
+                    1 => bytes.truncate(cut),
+                    2 => {
+                        let spliced = std::fs::read(&segments[other % segments.len()].1)
+                            .expect("read segment");
+                        bytes.truncate(cut);
+                        bytes.extend_from_slice(&spliced[other % (spliced.len() + 1)..]);
+                    }
+                    _ => bytes.clone_from(&junk),
+                }
+                std::fs::write(path, bytes).expect("damage segment");
+            }
+            let base = base % (total as u64 + 1);
+            let rec = Journal::recover(&ckpt, SEGMENT, SyncPolicy::Batched, base);
+            let rec = rec.unwrap_or_else(|e| panic!("recovery above {base} failed: {e}"));
+            let past_base = &all[base as usize..];
+            proptest::prop_assert!(
+                past_base.starts_with(&rec.replay),
+                "replay {:?} is not a prefix of {:?}",
+                rec.replay,
+                past_base
+            );
+            let next = base + rec.replay.len() as u64;
+            proptest::prop_assert_eq!(rec.journal.position(), next);
+            let mut j = rec.journal;
+            let extra = Edge::new(1 << 30, (1 << 30) + 1);
+            proptest::prop_assert!(j.append(next, &[extra]).is_ok());
+            j.sync().expect("sync");
+            drop(j);
+            let again = Journal::recover(&ckpt, SEGMENT, SyncPolicy::Batched, base)
+                .expect("recover after the append");
+            let mut want = rec.replay;
+            want.push(extra);
+            proptest::prop_assert_eq!(again.replay, want);
+            cleanup(&ckpt);
+        }
+    }
 }

@@ -1822,6 +1822,192 @@ mod tests {
         }
     }
 
+    /// Tokens for lines assembled at random: every verb's words, tenant
+    /// options good and bad, digit runs that fit and overflow `u32` and
+    /// `u64`, signs, tenant names and scopes, and non-ASCII text —
+    /// Unicode whitespace included, which is not a separator.
+    const WORDS: &[&str] = &[
+        "INGEST",
+        "QUERY",
+        "GLOBAL",
+        "LOCAL",
+        "TOPK",
+        "STATS",
+        "JOURNAL",
+        "FLUSH",
+        "CHECKPOINT",
+        "SHUTDOWN",
+        "TENANT",
+        "CREATE",
+        "LIST",
+        "DROP",
+        "USE",
+        "HEALTH",
+        "DLQ",
+        "REPLAY",
+        "METRICS",
+        "TRACE",
+        "TAIL",
+        "AGGREGATE",
+        "SINCE",
+        "*",
+        "m=3",
+        "c=7",
+        "m=1",
+        "c=0",
+        "seed=5",
+        "interval=2",
+        "memory_budget=4096",
+        "quota=shed",
+        "quota=bogus",
+        "engine=fused",
+        "engine=x",
+        "m=",
+        "=",
+        "k=v",
+        "0",
+        "1",
+        "7",
+        "4294967295",
+        "4294967296",
+        "18446744073709551615",
+        "18446744073709551616",
+        "99999999999999999999999999",
+        "+5",
+        "-1",
+        "alpha",
+        "alpha,beta",
+        "alpha,alpha",
+        "9b",
+        "ingest",
+        "\u{e9}",
+        "\u{a0}",
+        "\u{2003}",
+        "\u{3000}",
+        "\u{85}",
+        "\u{feff}",
+        "\0",
+    ];
+
+    /// The first `VERBS` entries of [`WORDS`] — the verbs, sub-verbs
+    /// and `*` — are the words a line starts with.
+    const VERBS: usize = 24;
+
+    /// Runs between tokens: ASCII whitespace, and Unicode whitespace
+    /// and `\x0B`, which are not ASCII whitespace and so join tokens.
+    const GAPS: &[&str] = &[
+        " ", "\t", "  ", "\r\n", "\x0C", "\u{a0}", "\u{3000}", "\x0B", "",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(3000))]
+
+        /// Any line parses to a typed error or to a command that holds
+        /// what the grammar promises, without a panic: at most
+        /// [`MAX_INGEST_EDGES`] edges and no self-loop, valid and
+        /// distinct tenant names, consistent tenant options. The grammar
+        /// reads ASCII-whitespace-separated tokens only, so the line
+        /// with its tokens joined by single spaces parses the same.
+        #[test]
+        fn any_line_parses_to_a_command_or_an_error(
+            verb in 0..VERBS,
+            words in proptest::collection::vec(
+                (0..WORDS.len() + 2, 0..GAPS.len(), proptest::prelude::any::<u64>()),
+                0..9,
+            ),
+            lead in 0..GAPS.len(),
+        ) {
+            let mut line = GAPS[lead].to_string();
+            line.push_str(WORDS[verb]);
+            for (word, gap, x) in words {
+                line.push_str(GAPS[gap]);
+                match WORDS.get(word) {
+                    Some(w) => line.push_str(w),
+                    None if word == WORDS.len() => line.push_str(&x.to_string()),
+                    None => line.push_str(&format!("{x}{x}")),
+                }
+            }
+            let parsed = parse(&line);
+            let tokens: Vec<&str> = line.split_ascii_whitespace().collect();
+            proptest::prop_assert_eq!(&parsed, &parse(&tokens.join(" ")), "line {:?}", line);
+            let name_ok = |name: &str| validate_tenant_name(name).is_ok();
+            match parsed {
+                Ok(Command::Ingest(scope, edges)) => {
+                    proptest::prop_assert!((1..=MAX_INGEST_EDGES).contains(&edges.len()));
+                    proptest::prop_assert!(edges.iter().all(|e| e.u() != e.v()));
+                    if let Scope::Named(names) = scope {
+                        proptest::prop_assert!(names.iter().all(|n| name_ok(n)));
+                        let mut distinct = names.clone();
+                        distinct.sort_unstable();
+                        distinct.dedup();
+                        proptest::prop_assert_eq!(distinct.len(), names.len());
+                    }
+                }
+                Ok(Command::TenantCreate(name, opts)) => {
+                    proptest::prop_assert!(name_ok(&name));
+                    proptest::prop_assert!(opts.seed.is_none() || opts.interval.is_none());
+                    proptest::prop_assert!(opts.quota.is_none() || opts.memory_budget.is_some());
+                }
+                Ok(Command::TenantDrop(name) | Command::Use(name)) => {
+                    proptest::prop_assert!(name_ok(&name));
+                }
+                Ok(_) | Err(_) => {}
+            }
+        }
+
+        /// A reply's `since=` base, replaced by a decimal at, below or
+        /// past the position, a digit run past `u64`, a sign or junk —
+        /// and the header then perhaps cut or flipped — is a typed
+        /// error or a delta whose base is the field's value: refused
+        /// exactly when that value is above the position.
+        #[test]
+        fn aggregate_since_above_the_position_is_refused(
+            seed in proptest::prelude::any::<u64>(),
+            base in proptest::prelude::any::<u64>(),
+            form in 0..8usize,
+            damage in 0..4u64,
+        ) {
+            let mut rng = SplitMix64::new(seed);
+            let groups = arb_aggregates(&mut rng);
+            let position = arb_count(&mut rng);
+            let below = base % position.saturating_add(1);
+            let reply = format_aggregates(&Aggregates { position, since: Some(below), groups });
+            let mut lines = reply.split('\n').map(str::to_string);
+            let header = lines.next().expect("header line");
+            let body: Vec<String> = lines.collect();
+            let value = match form {
+                0 => below.to_string(),
+                1 => position.to_string(),
+                2 => (u128::from(position) + 1).to_string(),
+                3 => base.to_string(),
+                4 => format!("{base}0000000000"),
+                5 => format!("+{below}"),
+                6 => format!("-{below}"),
+                _ => ["", "x", "1x", "\u{663}", "0x10"][base as usize % 5].to_string(),
+            };
+            let mut header = header.replace(&format!("since={below}"), &format!("since={value}"));
+            if damage < 2 {
+                mutate_line(&mut header, &mut rng, 2);
+            }
+            let parsed = parse_aggregates(&header, &body);
+            let field = reply_field(&header, "since").map(str::parse::<u64>);
+            match (&parsed, &field) {
+                (Ok(reply), None) => proptest::prop_assert_eq!(reply.since, None),
+                (Ok(reply), Some(Ok(p))) => {
+                    proptest::prop_assert_eq!(reply.since, Some(*p));
+                    proptest::prop_assert!(*p <= reply.position);
+                }
+                (Ok(_), Some(Err(_))) => {
+                    proptest::prop_assert!(false, "malformed since accepted: {:?}", header);
+                }
+                (Err(_), _) => {}
+            }
+            if let (Some(Ok(p)), Ok((at, _))) = (field, parse_aggregate_reply(&header, &body)) {
+                proptest::prop_assert_eq!(parsed.is_ok(), p <= at, "header {:?}", header);
+            }
+        }
+    }
+
     #[test]
     fn float_formatting_roundtrips_exactly() {
         // The protocol's exactness guarantee: Display → parse is the

@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 use rept_core::ReptEstimate;
 
 use crate::core::{IngestError, ServeConfig, ServeCore};
-use crate::metrics::{render_exposition, TenantScrape};
+use crate::metrics::render_exposition;
 use crate::protocol::{self, Command, Scope, DEFAULT_TENANT};
 use crate::tenant::{RouterConfig, TenantRouter};
 
@@ -563,13 +563,7 @@ fn execute(
         }),
         Ok(Command::Metrics) => match router.tenant(tenant) {
             Some(core) => {
-                let scrape = TenantScrape {
-                    tenant: tenant.clone(),
-                    engine: core.config().engine.name(),
-                    health: core.health(),
-                    metrics: Arc::clone(core.metrics()),
-                };
-                protocol::format_metrics(&render_exposition(&[scrape], false))
+                protocol::format_metrics(&render_exposition(&[core.scrape(tenant.clone())], false))
             }
             None => format!("ERR unknown tenant {tenant:?}"),
         },

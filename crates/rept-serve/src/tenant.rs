@@ -284,24 +284,17 @@ impl TenantRouter {
 
     /// Resolves `TENANT CREATE` options against the base configuration:
     /// explicit overrides win, `interval=i` derives the seed from the
-    /// (possibly overridden) base via [`IntervalEstimator`].
-    ///
-    /// # Errors
-    ///
-    /// A description when the options are invalid (e.g. `m < 2`).
-    pub fn resolve_options(&self, opts: &TenantOptions) -> Result<(ReptConfig, Engine), String> {
-        self.resolve_options_full(opts).map(|(r, e, _, _)| (r, e))
-    }
-
-    /// [`Self::resolve_options`] including the overload-resilience
+    /// (possibly overridden) base via [`IntervalEstimator`]. Returns the
+    /// estimator configuration, the engine and the overload-resilience
     /// options: the memory budget (bytes) and the quota policy applied
     /// when the budget is reached.
     ///
     /// # Errors
     ///
-    /// A description when the options are invalid — including a
-    /// `quota=` policy without the `memory_budget=` it would enforce.
-    pub fn resolve_options_full(
+    /// A description when the options are invalid (e.g. `m < 2`) —
+    /// including a `quota=` policy without the `memory_budget=` it would
+    /// enforce.
+    pub fn resolve_options(
         &self,
         opts: &TenantOptions,
     ) -> Result<(ReptConfig, Engine, Option<u64>, QuotaPolicy), String> {
@@ -356,7 +349,7 @@ impl TenantRouter {
     /// or a checkpoint/manifest failure.
     pub fn create(&self, name: &str, opts: &TenantOptions) -> Result<(), String> {
         validate_tenant_name(name)?;
-        let (rept, engine, budget, quota) = self.resolve_options_full(opts)?;
+        let (rept, engine, budget, quota) = self.resolve_options(opts)?;
         let serve = self.tenant_serve_config(name, rept, engine, budget, quota);
         self.install(name.to_string(), serve, opts.interval)
             .map_err(|e| match e {
@@ -491,20 +484,9 @@ impl TenantRouter {
         // Queries hold the Arc only for the duration of a request, so a
         // short wait almost always gets exclusive ownership for a clean
         // shutdown; a wedged holder degrades to Drop-driven shutdown.
-        let mut core = entry.core;
-        for _ in 0..2000 {
-            match Arc::try_unwrap(core) {
-                Ok(owned) => {
-                    owned.shutdown();
-                    return removed;
-                }
-                Err(still_shared) => {
-                    core = still_shared;
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                }
-            }
+        if let Some(owned) = sole_owner(entry.core, 2000) {
+            owned.shutdown();
         }
-        drop(core);
         removed
     }
 
@@ -670,12 +652,7 @@ impl TenantRouter {
     pub fn scrape(&self) -> Vec<TenantScrape> {
         self.cores()
             .into_iter()
-            .map(|(tenant, core)| TenantScrape {
-                engine: core.config().engine.name(),
-                health: core.health(),
-                metrics: Arc::clone(core.metrics()),
-                tenant,
-            })
+            .map(|(tenant, core)| core.scrape(tenant))
             .collect()
     }
 
@@ -725,24 +702,30 @@ impl TenantRouter {
             .unwrap_or_else(PoisonError::into_inner);
         tenants
             .into_iter()
+            // Connection handlers are gone by the time the router shuts
+            // down, but be robust to a stray Arc anyway: a wedged core
+            // shuts down from Drop and has no estimate here.
             .filter_map(|(name, entry)| {
-                let mut core = entry.core;
-                // Connection handlers are gone by the time the router
-                // shuts down, but be robust to a stray Arc anyway.
-                for _ in 0..5000 {
-                    match Arc::try_unwrap(core) {
-                        Ok(owned) => return Some((name, owned.shutdown())),
-                        Err(still_shared) => {
-                            core = still_shared;
-                            std::thread::sleep(std::time::Duration::from_millis(1));
-                        }
-                    }
-                }
-                drop(core); // wedged: Drop-driven shutdown, no estimate
-                None
+                sole_owner(entry.core, 5000).map(|owned| (name, owned.shutdown()))
             })
             .collect()
     }
+}
+
+/// Takes `core` out of its `Arc` once every other handle is gone,
+/// trying up to `tries` times 1 ms apart. `None` when a handle outlasts
+/// the wait: the core then shuts down from Drop when that handle goes.
+fn sole_owner(mut core: Arc<ServeCore>, tries: u32) -> Option<ServeCore> {
+    for _ in 0..tries {
+        match Arc::try_unwrap(core) {
+            Ok(owned) => return Some(owned),
+            Err(still_shared) => {
+                core = still_shared;
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        }
+    }
+    None
 }
 
 /// A tenant directory's recorded configuration, as recovered at router
@@ -1367,5 +1350,141 @@ mod tests {
             }
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Manifests as the router writes them: both engines, both η modes,
+    /// `c` below, at and past `m`, with and without an interval, a
+    /// memory budget and each quota policy.
+    fn written_manifests() -> &'static [String] {
+        static TEXTS: std::sync::OnceLock<Vec<String>> = std::sync::OnceLock::new();
+        TEXTS.get_or_init(|| {
+            let dir = temp_root("meta-corpus");
+            std::fs::remove_dir_all(&dir).ok();
+            std::fs::create_dir_all(&dir).expect("mkdir");
+            let mut texts = Vec::new();
+            for (k, (m, c)) in [(2u64, 1u64), (4, 9), (300, 700), (64, MAX_PROCESSORS)]
+                .into_iter()
+                .enumerate()
+            {
+                for (engine, mode) in [
+                    (Engine::FusedHybrid, EtaMode::PaperInit),
+                    (Engine::PerWorker, EtaMode::StrictNonLast),
+                ] {
+                    let rept = ReptConfig::new(m, c)
+                        .with_seed(u64::MAX - k as u64)
+                        .with_locals(k % 2 == 0)
+                        .with_eta(k < 2)
+                        .with_eta_mode(mode);
+                    let mut serve = ServeConfig::new(rept).with_engine(engine);
+                    if engine == Engine::FusedHybrid {
+                        serve.memory_budget = Some(1 << (20 + k));
+                        serve.quota =
+                            [QuotaPolicy::Shed, QuotaPolicy::Reject, QuotaPolicy::Degrade][k % 3];
+                    }
+                    let interval = (k % 2 == 1).then_some(k as u64 * 1000);
+                    write_tenant_manifest(&dir, &serve, interval).expect("write manifest");
+                    texts.push(std::fs::read_to_string(dir.join(TENANT_META)).expect("read"));
+                }
+            }
+            std::fs::remove_dir_all(&dir).ok();
+            texts
+        })
+    }
+
+    /// Words of manifest lines for text assembled at random: every key,
+    /// values good and bad, digit runs past `u64`, and separators.
+    const MANIFEST_WORDS: &[&str] = &[
+        "m",
+        "c",
+        "seed",
+        "track_locals",
+        "track_eta",
+        "eta_mode",
+        "engine",
+        "interval",
+        "memory_budget",
+        "quota",
+        "=",
+        "==",
+        "\n",
+        "\r\n",
+        " ",
+        "0",
+        "1",
+        "2",
+        "65536",
+        "65537",
+        "18446744073709551615",
+        "18446744073709551616",
+        "-1",
+        "+2",
+        "paper",
+        "strict",
+        "fused",
+        "per-worker",
+        "bogus",
+        "shed",
+        "reject",
+        "degrade",
+        "\u{a0}",
+        "\u{e9}",
+        "\0",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2000))]
+
+        /// A written manifest under bit flips, a truncation or a splice
+        /// with another, and text assembled at random or from arbitrary
+        /// bytes, parse to a typed error or to a manifest the router
+        /// can start: `m ≥ 2` and `1 ≤ c ≤ MAX_PROCESSORS`. Never a panic.
+        #[test]
+        fn damaged_manifests_are_errors_or_startable(
+            picks in (proptest::prelude::any::<usize>(), proptest::prelude::any::<usize>()),
+            flips in proptest::collection::vec(
+                (proptest::prelude::any::<usize>(), 0u8..8),
+                1..4,
+            ),
+            cuts in (proptest::prelude::any::<usize>(), proptest::prelude::any::<usize>()),
+            words in proptest::collection::vec(0..MANIFEST_WORDS.len(), 0..40),
+            junk in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..96),
+        ) {
+            let texts = written_manifests();
+            let text = &texts[picks.0 % texts.len()];
+            proptest::prop_assert!(parse_tenant_manifest(text).is_ok(), "{}", text);
+            let (a, b) = (text.as_bytes(), texts[picks.1 % texts.len()].as_bytes());
+            let mut flipped = a.to_vec();
+            for &(at, bit) in &flips {
+                flipped[at % a.len()] ^= 1 << bit;
+            }
+            let cut = cuts.0 % (a.len() + 1);
+            let inputs = [
+                flipped,
+                a[..cut].to_vec(),
+                [&a[..cut], &b[cuts.1 % (b.len() + 1)..]].concat(),
+                words.iter().map(|&w| MANIFEST_WORDS[w]).collect::<String>().into_bytes(),
+                junk,
+            ];
+            for bytes in inputs {
+                prop_assert_startable(parse_tenant_manifest(&String::from_utf8_lossy(&bytes)))?;
+            }
+        }
+    }
+
+    /// Fails the case unless `parsed` is an error or a manifest with
+    /// `m ≥ 2` and `1 ≤ c ≤ MAX_PROCESSORS`.
+    fn prop_assert_startable(
+        parsed: Result<TenantManifest, SnapshotError>,
+    ) -> Result<(), proptest::prelude::TestCaseError> {
+        if let Ok(manifest) = parsed {
+            let (m, c) = (manifest.rept.m, manifest.rept.c);
+            proptest::prop_assert!(
+                m >= 2 && (1..=MAX_PROCESSORS).contains(&c),
+                "m={} c={}",
+                m,
+                c
+            );
+        }
+        Ok(())
     }
 }

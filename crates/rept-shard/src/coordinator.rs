@@ -20,9 +20,11 @@
 //! A dead shard removes its groups, not the service: the survivors
 //! still form a *valid* REPT configuration with fewer processors
 //! (`c' = Σ surviving group sizes`, same `m`, same per-group counters),
-//! so the coordinator re-bases the surviving aggregates onto that
-//! smaller layout and keeps answering — with the honestly wider
-//! confidence interval of the smaller `c'`. `HEALTH` reports
+//! so the coordinator combines them as held, at their layout starts,
+//! under that smaller configuration and keeps answering — with the
+//! honestly wider confidence interval of the smaller `c'`. The
+//! combination tells the remainder group by its size (fewer than `m`
+//! processors), so no group is renumbered. `HEALTH` reports
 //! `state=degraded shards=<k>/<n>` instead of erroring. Batches fanned
 //! while degraded are buffered; a revived shard (restored from its own
 //! checkpoint + journal) replays the buffered tail and rejoins.
@@ -37,9 +39,8 @@
 //! those nodes' locals are recombined ([`Rept::refresh_estimate`]). A
 //! shard that lost its base (a restart, another requester in between)
 //! answers in full, and the coordinator recombines in full once. A
-//! change in the set of live groups — a shard dying, the survivors
-//! re-based, a revival — rebuilds the combination once from the
-//! counters already held.
+//! change in the set of live groups — a shard dying, a revival —
+//! rebuilds the combination once from the counters already held.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -160,15 +161,10 @@ impl ShardLink {
     /// A description of the failure.
     pub fn metrics_body(&mut self) -> Result<String, String> {
         match self {
-            Self::Local(core) => {
-                let scrape = rept_serve::TenantScrape {
-                    tenant: "default".into(),
-                    engine: core.config().engine.name(),
-                    health: core.health(),
-                    metrics: Arc::clone(core.metrics()),
-                };
-                Ok(rept_serve::render_exposition(&[scrape], false))
-            }
+            Self::Local(core) => Ok(rept_serve::render_exposition(
+                &[core.scrape(protocol::DEFAULT_TENANT.into())],
+                false,
+            )),
             Self::Tcp(client) => client.metrics().map_err(|e| e.to_string()),
         }
     }
@@ -325,10 +321,10 @@ impl std::fmt::Display for ExchangeError {
 
 impl std::error::Error for ExchangeError {}
 
-/// Overwrites the held counters `held` — layout starts `starts`,
-/// sorted — with a shard's exchange `reply` for the groups it owns,
-/// `owned`. A full reply replaces the per-node maps; a delta overwrites
-/// the entries it carries. Returns the nodes whose entries changed
+/// Overwrites the held counters `held` — sorted by layout start — with
+/// a shard's exchange `reply` for the groups it owns, `owned`. A full
+/// reply replaces the per-node maps; a delta overwrites the entries it
+/// carries. Returns the nodes whose entries changed
 /// ([`Touched::All`] for a full reply), or a typed error — checked
 /// before anything is written.
 ///
@@ -339,7 +335,6 @@ impl std::error::Error for ExchangeError {}
 /// reply's groups are not exactly `owned`, shaped as held.
 pub fn apply_exchange(
     held: &mut [GroupAggregate],
-    starts: &[usize],
     owned: &[usize],
     asked: Option<u64>,
     reply: Aggregates,
@@ -354,8 +349,8 @@ pub fn apply_exchange(
         if !owned.contains(&g.start) {
             return Err(ExchangeError::UnknownGroup(g.start));
         }
-        let slot = starts
-            .binary_search(&g.start)
+        let slot = held
+            .binary_search_by_key(&g.start, |h| h.start)
             .map_err(|_| ExchangeError::UnknownGroup(g.start))?;
         let mine = &held[slot];
         let fits = owned.get(k) == Some(&g.start)
@@ -423,14 +418,12 @@ pub struct ShardCoordinator {
     /// Batches fanned while any shard was dead, with their start
     /// positions — the replay source for [`Self::revive_shard`].
     replay: Vec<(u64, Vec<Edge>)>,
-    /// The live shards' counters as last exchanged, sorted by layout
-    /// start and numbered onto `layout` — re-based while degraded.
+    /// The live shards' counters as last exchanged, at their layout
+    /// starts (the names their shards' replies use), sorted by start.
     held: Vec<GroupAggregate>,
-    /// Each held group's start in the full layout: the name its shard's
-    /// replies use.
-    held_starts: Vec<usize>,
-    /// The configuration the held groups form: the full one, or the
-    /// survivors' smaller one.
+    /// The configuration the held groups form: the same `m` and
+    /// `c' = Σ` their sizes — the full configuration, or the survivors'
+    /// smaller one.
     layout: Rept,
     metrics: CoordinatorMetrics,
 }
@@ -441,26 +434,6 @@ fn expected_starts(cfg: &ReptConfig) -> Vec<usize> {
     (0..cfg.group_count() as usize)
         .map(|g| g * cfg.m as usize)
         .collect()
-}
-
-/// Renumbers a set of group aggregates onto the configuration they form
-/// on their own: same `m`, `c' = Σ sizes`, full groups packed before the
-/// remainder (their original start order already guarantees that). The
-/// result is a complete aggregate set for the returned config, so the
-/// combination applies unchanged; the full set keeps its own layout.
-fn rebase_survivors(
-    base: &ReptConfig,
-    mut aggregates: Vec<GroupAggregate>,
-) -> (ReptConfig, Vec<GroupAggregate>) {
-    aggregates.sort_unstable_by_key(|g| g.start);
-    let c: u64 = aggregates.iter().map(|g| g.tau.len() as u64).sum();
-    let mut next = 0usize;
-    for g in &mut aggregates {
-        let size = g.tau.len();
-        g.start = next;
-        next += size;
-    }
-    (ReptConfig { c, ..*base }, aggregates)
 }
 
 impl ShardCoordinator {
@@ -532,7 +505,6 @@ impl ShardCoordinator {
         let layout = Rept::new(cfg.rept);
         let estimate = layout.combine(&held);
         Ok(Self {
-            held_starts: held.iter().map(|g| g.start).collect(),
             held,
             layout,
             publisher: Publisher::new(
@@ -720,13 +692,7 @@ impl ShardCoordinator {
     /// Only when no shard answers.
     pub fn aggregates(&mut self) -> Result<(u64, Vec<GroupAggregate>), String> {
         self.collect()?;
-        let groups = self
-            .held
-            .iter()
-            .zip(&self.held_starts)
-            .map(|(g, &start)| GroupAggregate { start, ..g.clone() })
-            .collect();
-        Ok((self.position, groups))
+        Ok((self.position, self.held.clone()))
     }
 
     /// Test/operations hook: marks a shard dead without waiting for an
@@ -801,8 +767,7 @@ impl ShardCoordinator {
         shard.alive = true;
         shard.since = pos;
         for g in reply.groups {
-            let at = self.held_starts.partition_point(|&s| s < g.start);
-            self.held_starts.insert(at, g.start);
+            let at = self.held.partition_point(|h| h.start < g.start);
             self.held.insert(at, g);
         }
         self.rebase();
@@ -845,13 +810,7 @@ impl ShardCoordinator {
                             got: reply.position,
                         });
                     }
-                    apply_exchange(
-                        &mut self.held,
-                        &self.held_starts,
-                        &shard.starts,
-                        Some(shard.since),
-                        reply,
-                    )
+                    apply_exchange(&mut self.held, &shard.starts, Some(shard.since), reply)
                 });
             match applied {
                 Ok(touched) => {
@@ -878,11 +837,11 @@ impl ShardCoordinator {
     }
 
     /// Re-derives the combination after the set of live groups changed:
-    /// drops dead shards' groups, numbers the rest onto the
-    /// configuration they form — the full one, or the survivors' smaller
-    /// but still exactly valid one, with its honestly wider interval —
-    /// and has the next publication recombine every node once from the
-    /// counters already held.
+    /// drops dead shards' groups and rebuilds `layout` as the
+    /// configuration the rest form where they stand — the full one, or
+    /// the survivors' smaller but still exactly valid one, with its
+    /// honestly wider interval — and has the next publication recombine
+    /// every node once from the counters already held.
     fn rebase(&mut self) {
         let dead: Vec<usize> = self
             .shards
@@ -890,20 +849,12 @@ impl ShardCoordinator {
             .filter(|s| !s.alive)
             .flat_map(|s| s.starts.iter().copied())
             .collect();
-        (self.held, self.held_starts) = std::mem::take(&mut self.held)
-            .into_iter()
-            .zip(std::mem::take(&mut self.held_starts))
-            .filter(|(_, start)| !dead.contains(start))
-            .unzip();
+        self.held.retain(|g| !dead.contains(&g.start));
         if self.held.is_empty() {
             return;
         }
-        for (g, &start) in self.held.iter_mut().zip(&self.held_starts) {
-            g.start = start;
-        }
-        let (effective, held) = rebase_survivors(&self.cfg.rept, std::mem::take(&mut self.held));
-        self.held = held;
-        self.layout = Rept::new(effective);
+        let c = self.held.iter().map(|g| g.tau.len() as u64).sum();
+        self.layout = Rept::new(ReptConfig { c, ..self.cfg.rept });
         self.publisher.touch(&Touched::All);
     }
 
@@ -1052,22 +1003,22 @@ mod tests {
                 let before = held.clone();
                 let wrong_base = Aggregates { since: Some(since + 1), ..parsed.clone() };
                 prop_assert_eq!(
-                    apply_exchange(&mut held, &owned, &owned, Some(since), wrong_base),
+                    apply_exchange(&mut held, &owned, Some(since), wrong_base),
                     Err(ExchangeError::Since { asked: Some(since), got: since + 1 })
                 );
                 prop_assert_eq!(
-                    apply_exchange(&mut held, &owned, &owned, None, parsed.clone()),
+                    apply_exchange(&mut held, &owned, None, parsed.clone()),
                     Err(ExchangeError::Since { asked: None, got: since })
                 );
                 let mut stranger = parsed.clone();
                 stranger.groups[0].start = c as usize + 1;
                 prop_assert_eq!(
-                    apply_exchange(&mut held, &owned, &owned, Some(since), stranger),
+                    apply_exchange(&mut held, &owned, Some(since), stranger),
                     Err(ExchangeError::UnknownGroup(c as usize + 1))
                 );
                 prop_assert_eq!(&held, &before);
 
-                let moved = apply_exchange(&mut held, &owned, &owned, Some(since), parsed)
+                let moved = apply_exchange(&mut held, &owned, Some(since), parsed)
                     .expect("the delta applies");
                 prop_assert!(matches!(moved, Touched::Nodes(_)));
 
@@ -1079,7 +1030,7 @@ mod tests {
                 prop_assert_eq!(full.since, None);
                 let mut replaced = before;
                 prop_assert_eq!(
-                    apply_exchange(&mut replaced, &owned, &owned, Some(u64::MAX), full.clone()),
+                    apply_exchange(&mut replaced, &owned, Some(u64::MAX), full.clone()),
                     Ok(Touched::All)
                 );
                 prop_assert_eq!(&replaced, &full.groups);
@@ -1109,37 +1060,19 @@ mod tests {
             groups,
         };
         assert_eq!(
-            apply_exchange(&mut held, &starts, &starts, Some(2), reply(vec![g(0, 3)])),
+            apply_exchange(&mut held, &starts, Some(2), reply(vec![g(0, 3)])),
             Err(ExchangeError::Shape(3))
         );
         assert_eq!(
-            apply_exchange(
-                &mut held,
-                &starts,
-                &starts,
-                Some(2),
-                reply(vec![g(0, 3), g(3, 2)])
-            ),
+            apply_exchange(&mut held, &starts, Some(2), reply(vec![g(0, 3), g(3, 2)])),
             Err(ExchangeError::Shape(3))
         );
         assert_eq!(
-            apply_exchange(
-                &mut held,
-                &starts,
-                &[0],
-                Some(2),
-                reply(vec![g(0, 3), g(3, 3)])
-            ),
+            apply_exchange(&mut held, &[0], Some(2), reply(vec![g(0, 3), g(3, 3)])),
             Err(ExchangeError::UnknownGroup(3))
         );
         assert_eq!(
-            apply_exchange(
-                &mut held,
-                &starts,
-                &starts,
-                Some(2),
-                reply(vec![g(0, 3), g(3, 3)])
-            ),
+            apply_exchange(&mut held, &starts, Some(2), reply(vec![g(0, 3), g(3, 3)])),
             Ok(Touched::none())
         );
     }
@@ -1162,29 +1095,6 @@ mod tests {
         assert_eq!(
             expected_starts(&ReptConfig::new(10, 32)),
             vec![0, 10, 20, 30]
-        );
-    }
-
-    #[test]
-    fn rebase_packs_survivors_contiguously() {
-        let base = ReptConfig::new(3, 11).with_seed(9); // groups: 0..3, 3..6, 9..11(r)
-        let g = |start: usize, size: usize| GroupAggregate {
-            start,
-            tau: vec![0; size],
-            stored: vec![0; size],
-            bytes: 0,
-            eta_total: 0,
-            tau_v: None,
-            eta_v: None,
-        };
-        // Survivors arrive out of order; the remainder keeps last place.
-        let (cfg, rebased) = rebase_survivors(&base, vec![g(9, 2), g(0, 3)]);
-        assert_eq!(cfg.c, 5);
-        assert_eq!(cfg.m, 3);
-        assert_eq!(cfg.seed, 9);
-        assert_eq!(
-            rebased.iter().map(|a| a.start).collect::<Vec<_>>(),
-            vec![0, 3]
         );
     }
 

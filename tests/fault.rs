@@ -559,7 +559,7 @@ fn parent_format_tenant_directory_resumes_on_the_hybrid_engine() {
     std::fs::write(dir.join("serve.rpck"), blob).expect("write checkpoint");
 
     let resumed = TenantRouter::start(cfg.clone()).expect("resume");
-    let (rept, engine) = resumed
+    let (rept, engine, _, _) = resumed
         .resolve_options(&TenantOptions::default())
         .expect("resolve");
     assert_eq!(engine, Engine::FusedHybrid);

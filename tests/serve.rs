@@ -211,7 +211,7 @@ proptest! {
                     .expect("standalone default")
             })];
         for (name, opts) in &extras {
-            let (rept, engine) = router.resolve_options(opts).expect("resolve");
+            let (rept, engine, _, _) = router.resolve_options(opts).expect("resolve");
             let standalone = ServeCore::start(
                 ServeConfig::new(rept)
                     .with_engine(engine)

@@ -24,7 +24,7 @@ use std::time::Duration;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use rept::core::{Engine, GroupSlice, ReptConfig};
+use rept::core::{Engine, EngineCore, GroupAggregate, GroupSlice, Rept, ReptConfig};
 use rept::graph::edge::Edge;
 use rept::serve::client::INGEST_CHUNK;
 use rept::serve::protocol;
@@ -508,6 +508,28 @@ fn killed_shard_degrades_health_and_rejoins_bit_identically() {
     assert_eq!(degraded.position, position);
     assert_eq!(degraded.c, 7);
     assert!(degraded.global >= 0.0);
+    // An independent reference: a standalone per-worker core's counters
+    // for the surviving groups, renumbered onto the configuration they
+    // form on their own (c' = 7) and combined. Shard 1 owned the full
+    // groups at starts 2 and 8, so the survivor at start 6 sits past
+    // that smaller layout's full groups.
+    let mut oracle = EngineCore::with_engine(Rept::new(cfg), Engine::PerWorker);
+    oracle.ingest_batch(&stream);
+    let mut next = 0;
+    let survivors: Vec<GroupAggregate> = oracle
+        .snapshot_counters()
+        .into_iter()
+        .filter(|g| ![2, 8].contains(&g.start))
+        .map(|g| {
+            let start = next;
+            next += g.tau.len();
+            GroupAggregate { start, ..g }
+        })
+        .collect();
+    assert_eq!(next, 7);
+    let reference = Rept::new(ReptConfig { c: 7, ..cfg }).finalize_groups(survivors);
+    assert_eq!(degraded.global.to_bits(), reference.global.to_bits());
+    assert_eq!(*degraded.locals, reference.locals);
 
     // Revive: shard 1's core never saw the buffered second half; the
     // replay buffer starts exactly at its position and closes the gap.
