@@ -1,10 +1,11 @@
 //! Machine-readable engine-throughput benchmark.
 //!
 //! Measures end-to-end edges/second of both execution engines (the
-//! per-worker reference and the fused hybrid sorted-vec/blocked-bitmap
-//! engine) on a fixed Barabási–Albert stream at `c ∈ {8, 64, 200, 256}`
-//! processors with `m = 64`, and writes the results as JSON so the
-//! performance trajectory stays comparable across PRs. `c = 8`
+//! per-worker reference and the fused hybrid inline / sorted-vec /
+//! blocked-bitmap engine) on a fixed Barabási–Albert stream at
+//! `c ∈ {8, 64, 200, 256}` processors with `m = 64`, and writes the
+//! results as JSON so the performance trajectory stays comparable
+//! across PRs. `c = 8`
 //! exercises the single-group `c ≤ m` path, `c = 64` the full-partition
 //! `c = m` point where REPT's variance is lowest, `c = 200` three full
 //! groups plus a `c mod m = 8` remainder group (the masked-remainder
@@ -22,8 +23,10 @@
 //! (γ = 2.1 on `5·nodes` nodes, `20·nodes` edges — servebench's
 //! `chunglu-hubs` stream at the default size), replayed through
 //! `match_then_insert` at several thresholds, each row with the
-//! structure's `approx_bytes` after the stream. The `never` row
-//! (`usize::MAX`, all sorted vecs) is the no-bitmap baseline.
+//! structure's `approx_bytes` after the stream and its `parts`: rows by
+//! form (inline, vec, bitmap) and bytes by part (rows with their inline
+//! ids, vecs, bitmaps). The `never` row (`usize::MAX`, inline rows and
+//! sorted vecs only) is the no-bitmap baseline.
 //!
 //! Every section runs its variants through
 //! [`rept_bench::reps::interleaved`]: rows carry the minimum and
@@ -40,6 +43,7 @@ use std::time::Instant;
 use rept_bench::reps::{host_parallelism, interleaved, seconds_json, REPS};
 use rept_core::{Engine, EngineCore, Rept, ReptConfig};
 use rept_gen::{barabasi_albert, chung_lu, GeneratorConfig};
+use rept_graph::hybrid::Parts;
 use rept_graph::HybridAdjacency;
 use rept_metrics::Spread;
 use rept_serve::client::INGEST_CHUNK;
@@ -150,7 +154,7 @@ fn main() {
         ("barabasi_albert", nodes, &stream),
         ("chung_lu", skewed_nodes, &skewed),
     ] {
-        let mut bytes = [0; THRESHOLDS.len()];
+        let mut parts = [Parts::default(); THRESHOLDS.len()];
         let spreads = interleaved(THRESHOLDS.len(), |k| {
             let start = Instant::now();
             let mut adj = HybridAdjacency::with_threshold(THRESHOLDS[k]);
@@ -160,22 +164,33 @@ fn main() {
             }
             let elapsed = start.elapsed();
             black_box(matches);
-            bytes[k] = adj.approx_bytes();
+            parts[k] = adj.parts();
             elapsed
         });
         eprintln!("\n  hybrid dense-promotion threshold on {generator} (median):");
         let mut rows = Vec::new();
-        for ((threshold, s), bytes) in THRESHOLDS.iter().zip(&spreads).zip(bytes) {
+        for ((threshold, s), p) in THRESHOLDS.iter().zip(&spreads).zip(parts) {
             let label = match *threshold {
                 usize::MAX => "\"never\"".to_string(),
                 t => t.to_string(),
             };
             let eps = edges.len() as f64 / s.median;
-            eprintln!("    {label:>7} {eps:>12.3e}/s {bytes:>12} B");
+            let bytes = p.bytes();
+            eprintln!(
+                "    {label:>7} {eps:>12.3e}/s {bytes:>12} B (rows {}, vecs {}, bitmaps {})",
+                p.row_bytes, p.vec_bytes, p.bitmap_bytes
+            );
             rows.push(format!(
                 "{{\"threshold\": {label}, \"seconds\": {}, \"edges_per_sec\": {eps:.1}, \
-                 \"approx_bytes\": {bytes}}}",
-                seconds_json(s)
+                 \"approx_bytes\": {bytes}, \"parts\": {{\"inline_rows\": {}, \"vec_rows\": {}, \
+                 \"bitmap_rows\": {}, \"row_bytes\": {}, \"vec_bytes\": {}, \"bitmap_bytes\": {}}}}}",
+                seconds_json(s),
+                p.inline_rows,
+                p.vec_rows,
+                p.bitmap_rows,
+                p.row_bytes,
+                p.vec_bytes,
+                p.bitmap_bytes
             ));
         }
         sweep.push(format!(

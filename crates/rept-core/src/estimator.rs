@@ -102,11 +102,11 @@ pub enum Engine {
     /// paper's cost model executed literally. Reference oracle.
     PerWorker,
     /// One shared adjacency and one intersection per edge for all hash
-    /// groups (see [`crate::fused`]), over the hybrid sorted-vec /
-    /// blocked-bitmap layout ([`rept_graph::hybrid`]):
-    /// low-degree nodes keep sorted vecs, high-degree nodes promote to
-    /// `u64` bitmaps so hub intersections run bit-parallel
-    /// (`AND` + `count_ones`). The fast default.
+    /// groups (see [`crate::fused`]), over the hybrid inline /
+    /// sorted-vec / blocked-bitmap layout ([`rept_graph::hybrid`]):
+    /// a node's first 7 neighbors live sorted in its row, more spill to
+    /// a sorted vec, and high-degree nodes promote to `u64` bitmaps so
+    /// hub intersections run bit-parallel. The fast default.
     #[default]
     FusedHybrid,
 }

@@ -478,7 +478,7 @@ mod tests {
     }
 
     /// The engine's own layout: at the default threshold no node of this
-    /// stream is promoted, so every row stays a sorted list.
+    /// stream is promoted, so every row stays inline or in a sorted vec.
     #[test]
     fn hybrid_backend_counters_match_workers_exactly() {
         counters_match_workers_exactly(DEFAULT_DENSE_THRESHOLD);
@@ -496,6 +496,14 @@ mod tests {
     #[test]
     fn mixed_rows_counters_match_workers_exactly() {
         counters_match_workers_exactly(24);
+    }
+
+    /// A threshold below the inline capacity: rows promote straight
+    /// from the inline form, with no vec in between, so the dense×sorted
+    /// kernel meets inline rows.
+    #[test]
+    fn inline_promoted_rows_counters_match_workers_exactly() {
+        counters_match_workers_exactly(3);
     }
 
     /// The remainder sharing the full groups' structure equals the split
@@ -563,11 +571,18 @@ mod tests {
     }
 
     /// At a threshold low enough that this stream's hubs are promoted
-    /// mid-stream, so both row representations and the promotion step
+    /// mid-stream, so every row form, the spill and the promotion step
     /// are held to the split layout.
     #[test]
     fn hybrid_masked_groups_equal_full_groups_plus_independent_remainder() {
         masked_groups_equal_split_layout(8);
+    }
+
+    /// Below the inline capacity: every row past three neighbors is a
+    /// bitmap promoted straight from the inline form.
+    #[test]
+    fn inline_promoted_masked_groups_equal_full_groups_plus_independent_remainder() {
+        masked_groups_equal_split_layout(3);
     }
 
     /// Unowned cells (`cell ≥ size`) must drop the edge.

@@ -40,12 +40,12 @@
 //!   of a run's hash groups — full, remainder or `c < m` alike — and
 //!   recovers all of the groups' counters from a single common-neighbor
 //!   pass per edge, recomputing each group's cells from its hash.
-//!   Low-degree nodes keep sorted neighbor vecs, high-degree nodes
-//!   promote to blocked bitmaps. Pick it whenever you just want the
-//!   estimate fast — accuracy experiments, production streams, and any
-//!   `c ≫ 1` configuration, where it is orders of magnitude faster
-//!   because it replaces `c` hash intersections per edge with one
-//!   structure walk.
+//!   A node's first 7 neighbors live sorted in its row, more spill to a
+//!   sorted vec, and high-degree nodes promote to blocked bitmaps. Pick
+//!   it whenever you just want the estimate fast — accuracy
+//!   experiments, production streams, and any `c ≫ 1` configuration,
+//!   where it is orders of magnitude faster because it replaces `c`
+//!   hash intersections per edge with one structure walk.
 //! * [`combine`] — inverse-variance combination of the two sub-estimates
 //!   with plug-in weights, exactly as §III-B prescribes.
 //! * [`variance`] — closed-form variances (Theorem 3 and §III-B/C) for

@@ -1,5 +1,5 @@
-//! Adjacency in a hybrid sorted-vec / blocked-bitmap layout — the
-//! storage of the fused execution engine.
+//! Adjacency in a hybrid inline / sorted-vec / blocked-bitmap layout —
+//! the storage of the fused execution engine.
 //!
 //! A hash group of `size` processors partitions the stream by one edge
 //! hash: processor `i` stores exactly the edges in cell `i`, so an
@@ -14,12 +14,17 @@
 //! of `u` and `v` once, from one intersection pass — and the engine
 //! applies the cell half per group.
 //!
-//! Each node's neighbor set lives in one of two representations:
+//! Each node's neighbor set lives in its 32-byte row, in one of three
+//! forms:
 //!
-//! * **sparse** (low degree): a neighbor vec kept sorted at all times.
-//!   Small pairs intersect by an all-pairs scan, larger ones by a
-//!   branchless merge, or by galloping when the degrees differ by more
-//!   than `GALLOP_RATIO`;
+//! * **inline** (at most `INLINE` = 7 neighbors): the sorted ids live in
+//!   the row itself, so a light endpoint costs one load and owns no heap
+//!   bytes;
+//! * **sparse** (up to the threshold): a heap vec kept sorted at all
+//!   times, created when the row outgrows its inline ids. The two sorted
+//!   forms share one slice view: small pairs intersect by an all-pairs
+//!   scan, larger ones by a branchless merge, or by galloping when the
+//!   degrees differ by more than `GALLOP_RATIO`;
 //! * **dense** (degree > threshold): a *blocked bitmap* — `u64`
 //!   membership words keyed by `neighbor_id / 64`, reached through a
 //!   paged direct-index block directory, so hub∩hub intersection is
@@ -28,22 +33,24 @@
 //!   search, no rank arithmetic. An insert into an existing block sets
 //!   one bit, so promoted nodes never shift and never rebuild.
 //!
-//! Promotion is automatic and one-way: a node crossing
-//! `dense_threshold` neighbors converts its sorted vec into a blocked
-//! bitmap (demotion never happens — degrees only grow in an insert-only
-//! stream). This is the heavy/light degree split: a light list holds at
-//! most `dense_threshold` entries, so a sparse insert appends when the
-//! new neighbor is the largest (every insert of a restore, which replays
-//! sorted edges) and otherwise binary-searches and shifts at most that
-//! many entries. Either way every list is query-ready after every
-//! insert: there is no pending state to fold in at batch boundaries.
+//! Growth is automatic and one-way: a full inline row spills into a vec,
+//! and a row crossing `dense_threshold` neighbors, from either sorted
+//! form, converts into a blocked bitmap (no row ever shrinks — degrees
+//! only grow in an insert-only stream). This is the heavy/light degree
+//! split: a light row holds at most `dense_threshold` entries, so a
+//! sorted insert appends when the new neighbor is the largest (every
+//! insert of a restore, which replays sorted edges) and otherwise
+//! binary-searches and shifts at most that many entries. Either way
+//! every row is query-ready after every insert: there is no pending
+//! state to fold in at batch boundaries.
 //!
 //! Byte accounting is O(1) as well: the structure keeps a running total
-//! of its lists' heap bytes, updated only where a capacity can change (a
-//! new list, a sparse push that reallocates, a new dense block, a
-//! promotion) and recounted once when a clone rebuilds the arena, so
-//! `approx_bytes` — read after every serving-tier batch — never walks
-//! the graph.
+//! of its rows' heap bytes, updated only where a capacity can change (a
+//! spill, a vec push that reallocates, a new dense block, a promotion)
+//! and recounted once when a clone rebuilds the arena, so `approx_bytes`
+//! — read after every serving-tier batch — never walks the graph.
+//! [`HybridAdjacency::parts`] is the walk: rows by form and bytes by
+//! part, summing to `approx_bytes`.
 //!
 //! Every call keeps one contract: a duplicate insert returns `false`,
 //! and a query reports each structural common neighbor exactly once, in
@@ -61,17 +68,26 @@ use crate::edge::{Edge, NodeId};
 /// Below that ratio the merge's branchless linear walk wins.
 const GALLOP_RATIO: usize = 8;
 
-/// Comparison budget below which a sparse×sparse intersection uses the
+/// Comparison budget below which a sorted×sorted intersection uses the
 /// vectorizable all-pairs scan instead of the sorted merge kernel.
 const BRUTE_LIMIT: usize = 2048;
 
-/// Default degree at which a node's neighbor set is promoted from the
-/// sorted-vec to the blocked-bitmap representation. Two cache lines of
-/// sorted `u32` neighbors intersect about as fast as the bitmap probes
-/// that would replace them; beyond that the bitmap's word-parallel
-/// `AND` and in-place inserts win. Tunable per structure via
-/// [`HybridAdjacency::with_threshold`] (the bench sweeps it).
+/// Default degree at which a node's neighbor set is promoted from a
+/// sorted form to the blocked-bitmap representation. Eight cache lines
+/// of sorted `u32` neighbors intersect about as fast as the bitmap
+/// probes that would replace them; beyond that the bitmap's
+/// word-parallel `AND` and in-place inserts win. Tunable per structure
+/// via [`HybridAdjacency::with_threshold`] (the bench sweeps it).
 pub const DEFAULT_DENSE_THRESHOLD: usize = 128;
+
+/// Neighbors a row holds in place: as many `u32` ids as fit in the
+/// 32-byte row beside its form tag and length byte.
+const INLINE: usize = 7;
+
+/// Capacity of the vec a full inline row spills into: room for the row's
+/// `INLINE + 1` ids and then some, so a row of about ten neighbors (a
+/// ring-lattice node's) never reallocates.
+const SPILL: usize = 12;
 
 /// The blocked-bitmap core of a promoted (dense) node.
 ///
@@ -125,33 +141,51 @@ impl DenseCore {
     }
 }
 
-/// One node's neighbor set in either representation.
-///
-/// Sparse (`dense == None`): `nbrs` is strictly increasing. Dense: the
-/// whole set lives in `dense` (inserts land in the bitmap directly) and
-/// `nbrs` stays empty.
+/// One node's neighbor set. Both sorted forms hold strictly increasing
+/// ids and answer through one slice view ([`NodeList::view`]), so every
+/// sorted kernel serves both.
 #[derive(Debug, Clone)]
-struct NodeList {
-    nbrs: Vec<NodeId>,
-    dense: Option<Box<DenseCore>>,
+enum NodeList {
+    /// Up to [`INLINE`] neighbors in the row itself; owns no heap.
+    Inline { len: u8, ids: [NodeId; INLINE] },
+    /// A heap vec, from the `INLINE + 1`-th neighbor to the threshold.
+    Sparse(Vec<NodeId>),
+    /// The whole set in a bitmap, past the threshold.
+    Dense(Box<DenseCore>),
+}
+
+const _: () = assert!(size_of::<NodeList>() == 32);
+
+/// A row as the intersection kernels see it.
+enum Row<'a> {
+    Sorted(&'a [NodeId]),
+    Dense(&'a DenseCore),
 }
 
 impl NodeList {
-    /// True if `w` is a neighbor.
+    /// A fresh node's row.
+    const EMPTY: Self = Self::Inline {
+        len: 0,
+        ids: [0; INLINE],
+    };
+
     #[inline]
-    fn contains(&self, w: NodeId) -> bool {
-        match &self.dense {
-            Some(d) => d.contains(w),
-            None => self.nbrs.binary_search(&w).is_ok(),
+    fn view(&self) -> Row<'_> {
+        match self {
+            Self::Inline { len, ids } => Row::Sorted(&ids[..usize::from(*len)]),
+            Self::Sparse(nbrs) => Row::Sorted(nbrs),
+            Self::Dense(d) => Row::Dense(d),
         }
     }
 
-    /// Heap bytes this list owns (its vec and, once promoted, its dense
-    /// core), in O(1).
+    /// Heap bytes this row owns (its vec or its dense core), in O(1).
     #[inline]
     fn heap_bytes(&self) -> usize {
-        self.nbrs.capacity() * size_of::<NodeId>()
-            + self.dense.as_ref().map_or(0, |d| d.heap_bytes())
+        match self {
+            Self::Inline { .. } => 0,
+            Self::Sparse(nbrs) => nbrs.capacity() * size_of::<NodeId>(),
+            Self::Dense(d) => d.heap_bytes(),
+        }
     }
 }
 
@@ -209,7 +243,6 @@ impl<const PAGE_BITS: u32> PagedIndex<PAGE_BITS> {
 
     /// [`Self::approx_bytes`] by scanning the page vector — the
     /// reference the page count is checked against.
-    #[cfg(any(test, debug_assertions))]
     fn recount_bytes(&self) -> usize {
         self.pages.capacity() * size_of::<Option<Box<[u32]>>>()
             + self.pages.iter().flatten().count() * Self::PAGE * size_of::<u32>()
@@ -223,10 +256,36 @@ type SlotTable = PagedIndex<12>;
 /// neighbor ids).
 type BlockDir = PagedIndex<9>;
 
+/// Where a structure's rows and bytes go, by form and by part, from one
+/// walk ([`HybridAdjacency::parts`]).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Parts {
+    /// Rows holding their neighbors in place.
+    pub inline_rows: usize,
+    /// Rows holding a sorted heap vec.
+    pub vec_rows: usize,
+    /// Rows promoted to a blocked bitmap.
+    pub bitmap_rows: usize,
+    /// The row arena, the slot → id vec and the id → slot pages; inline
+    /// neighbors live here.
+    pub row_bytes: usize,
+    /// The sorted heap vecs.
+    pub vec_bytes: usize,
+    /// The dense cores, with their blocks and block directories.
+    pub bitmap_bytes: usize,
+}
+
+impl Parts {
+    /// Bytes over every part: [`HybridAdjacency::approx_bytes`].
+    pub fn bytes(&self) -> usize {
+        self.row_bytes + self.vec_bytes + self.bitmap_bytes
+    }
+}
+
 /// A mutable undirected graph with duplicate-free edge insertion and
-/// exactly-once common-neighbor enumeration: a node arena of sorted
-/// vecs and blocked bitmaps. The fused engine holds the union of every
-/// kept group's stored edges in one.
+/// exactly-once common-neighbor enumeration: a node arena of inline
+/// rows, sorted vecs and blocked bitmaps. The fused engine holds the
+/// union of every kept group's stored edges in one.
 #[derive(Debug)]
 pub struct HybridAdjacency {
     /// Degree above which a node is promoted to the dense core.
@@ -235,10 +294,10 @@ pub struct HybridAdjacency {
     slots: SlotTable,
     /// Slot → node id (the table's inverse, for edge enumeration).
     nodes: Vec<NodeId>,
-    /// Per-node lists, indexed by slot.
+    /// Per-node rows, indexed by slot.
     lists: Vec<NodeList>,
     /// Running sum of [`NodeList::heap_bytes`] over `lists`, updated
-    /// wherever a list's capacity can change, so [`Self::approx_bytes`]
+    /// wherever a row's capacity can change, so [`Self::approx_bytes`]
     /// never walks the arena.
     list_bytes: usize,
     edge_count: usize,
@@ -311,7 +370,7 @@ impl HybridAdjacency {
             }
             return false;
         }
-        // A fresh slot is an empty list, so it contributes no matches.
+        // A fresh slot is an empty row, so it contributes no matches.
         let (su, sv) = (self.ensure_slot(u), self.ensure_slot(v));
         self.match_slots(su, sv, &mut f);
         self.store(su, sv, u, v)
@@ -325,23 +384,52 @@ impl HybridAdjacency {
                     f(Edge::new(u, w));
                 }
             };
-            if let Some(d) = &list.dense {
-                for (&key, &word) in d.keys.iter().zip(&d.words) {
-                    for_each_bit(word, |bit| emit((key << 6) | bit));
+            match list.view() {
+                Row::Sorted(nbrs) => nbrs.iter().for_each(|&w| emit(w)),
+                Row::Dense(d) => {
+                    for (&key, &word) in d.keys.iter().zip(&d.words) {
+                        for_each_bit(word, |bit| emit((key << 6) | bit));
+                    }
                 }
             }
-            list.nbrs.iter().for_each(|&w| emit(w));
         }
     }
 
     /// Heap footprint in bytes — every allocation the structure owns
-    /// (lists, dense cores, arena, id table). O(1): the lists' share is
-    /// the running `list_bytes`.
+    /// (rows, vecs, dense cores, id table). O(1): the rows' share is the
+    /// running `list_bytes`.
     pub fn approx_bytes(&self) -> usize {
-        let bytes = self.list_bytes + self.slots.approx_bytes() + self.vec_bytes();
+        let bytes = self.list_bytes + self.slots.approx_bytes() + self.arena_bytes();
         #[cfg(debug_assertions)]
-        assert_eq!(bytes, self.recount_bytes(), "running byte count drifted");
+        assert_eq!(bytes, self.parts().bytes(), "running byte count drifted");
         bytes
+    }
+
+    /// Rows by form and bytes by part, by walking every row, dense core
+    /// and id page — the reference the running count is checked
+    /// against, so [`Parts::bytes`] equals [`Self::approx_bytes`].
+    pub fn parts(&self) -> Parts {
+        let mut p = Parts {
+            row_bytes: self.arena_bytes() + self.slots.recount_bytes(),
+            ..Parts::default()
+        };
+        for list in &self.lists {
+            match list {
+                NodeList::Inline { .. } => p.inline_rows += 1,
+                NodeList::Sparse(nbrs) => {
+                    p.vec_rows += 1;
+                    p.vec_bytes += nbrs.capacity() * size_of::<NodeId>();
+                }
+                NodeList::Dense(d) => {
+                    p.bitmap_rows += 1;
+                    p.bitmap_bytes += size_of::<DenseCore>()
+                        + d.keys.capacity() * size_of::<NodeId>()
+                        + d.words.capacity() * size_of::<u64>()
+                        + d.dir.recount_bytes();
+                }
+            }
+        }
+        p
     }
 
     #[inline]
@@ -354,12 +442,7 @@ impl HybridAdjacency {
         let next = self.lists.len() as u32;
         *self.slots.entry(n) = next;
         self.nodes.push(n);
-        let list = NodeList {
-            nbrs: Vec::with_capacity(8),
-            dense: None,
-        };
-        self.list_bytes += list.heap_bytes();
-        self.lists.push(list);
+        self.lists.push(NodeList::EMPTY);
         next as usize
     }
 
@@ -382,70 +465,90 @@ impl HybridAdjacency {
     /// short one costs a near-trivial binary search.
     #[inline]
     fn is_duplicate(&self, su: usize, sv: usize, u: NodeId, v: NodeId) -> bool {
-        let (la, lb) = (&self.lists[su], &self.lists[sv]);
-        if la.dense.is_some() {
-            la.contains(v)
-        } else if lb.dense.is_some() || lb.nbrs.len() < la.nbrs.len() {
-            lb.contains(u)
-        } else {
-            la.contains(v)
+        match (self.lists[su].view(), self.lists[sv].view()) {
+            (Row::Dense(d), _) => d.contains(v),
+            (Row::Sorted(_), Row::Dense(d)) => d.contains(u),
+            (Row::Sorted(a), Row::Sorted(b)) if b.len() < a.len() => b.binary_search(&u).is_ok(),
+            (Row::Sorted(a), Row::Sorted(_)) => a.binary_search(&v).is_ok(),
         }
     }
 
-    /// Adds `w` to the slot's list, `w` being absent. Dense lists take
-    /// it in place; sparse lists append it when `w` is their largest
-    /// neighbor, otherwise shift it into sorted position, and promote
-    /// past the threshold.
+    /// Adds `w` to the slot's row, `w` being absent. Dense rows take it
+    /// in place; sorted rows append it when `w` is their largest
+    /// neighbor, otherwise shift it into sorted position. A full inline
+    /// row spills into a vec, and a sorted row past the threshold is
+    /// promoted.
     #[inline]
     fn push_entry(&mut self, slot: usize, w: NodeId) {
         let list = &mut self.lists[slot];
-        if let Some(d) = list.dense.as_deref_mut() {
-            self.list_bytes += d.insert(w);
-            return;
-        }
-        let before = list.heap_bytes();
-        if list.nbrs.last().is_none_or(|&last| last < w) {
-            list.nbrs.push(w);
-        } else {
-            let pos = list.nbrs.partition_point(|&x| x < w);
-            list.nbrs.insert(pos, w);
-        }
-        self.list_bytes += list.heap_bytes() - before;
-        if list.nbrs.len() > self.threshold {
+        let degree = match list {
+            NodeList::Dense(d) => {
+                self.list_bytes += d.insert(w);
+                return;
+            }
+            NodeList::Inline { len, ids } if usize::from(*len) < INLINE => {
+                let n = usize::from(*len);
+                let pos = ids[..n].partition_point(|&x| x < w);
+                ids.copy_within(pos..n, pos + 1);
+                ids[pos] = w;
+                *len += 1;
+                n + 1
+            }
+            NodeList::Inline { ids, .. } => {
+                let pos = ids.partition_point(|&x| x < w);
+                let mut nbrs = Vec::with_capacity(SPILL);
+                nbrs.extend_from_slice(&ids[..pos]);
+                nbrs.push(w);
+                nbrs.extend_from_slice(&ids[pos..]);
+                self.list_bytes += nbrs.capacity() * size_of::<NodeId>();
+                *list = NodeList::Sparse(nbrs);
+                INLINE + 1
+            }
+            NodeList::Sparse(nbrs) => {
+                let before = nbrs.capacity();
+                if nbrs.last().is_none_or(|&last| last < w) {
+                    nbrs.push(w);
+                } else {
+                    let pos = nbrs.partition_point(|&x| x < w);
+                    nbrs.insert(pos, w);
+                }
+                self.list_bytes += (nbrs.capacity() - before) * size_of::<NodeId>();
+                nbrs.len()
+            }
+        };
+        if degree > self.threshold {
             self.promote(slot);
         }
     }
 
-    /// Converts a sparse slot into the dense representation.
+    /// Converts a sorted row, of either form, into the dense
+    /// representation.
     fn promote(&mut self, slot: usize) {
         let list = &mut self.lists[slot];
-        let sparse_bytes = list.heap_bytes();
         let mut d = DenseCore::default();
-        for &w in &list.nbrs {
-            d.insert(w);
+        if let Row::Sorted(nbrs) = list.view() {
+            for &w in nbrs {
+                d.insert(w);
+            }
         }
-        list.nbrs = Vec::new();
-        list.dense = Some(Box::new(d));
-        self.list_bytes = self.list_bytes - sparse_bytes + list.heap_bytes();
+        let dense = NodeList::Dense(Box::new(d));
+        self.list_bytes = self.list_bytes + dense.heap_bytes() - list.heap_bytes();
+        *list = dense;
     }
 
     /// The structural intersection of two slots, dispatched by
-    /// representation: an all-pairs equality scan (small sparse×sparse,
+    /// representation: an all-pairs equality scan (small sorted×sorted,
     /// under the [`BRUTE_LIMIT`] comparison budget) or the sorted
-    /// merge/gallop kernel (larger sparse×sparse), bitmap∧bitmap
-    /// (dense×dense), or a directory probe per sparse entry
-    /// (dense×sparse). Each pairing covers the intersection exactly
-    /// once on its own — there are no cross-representation fixup legs.
+    /// merge/gallop kernel (larger sorted×sorted), bitmap∧bitmap
+    /// (dense×dense), or a directory probe per sorted entry
+    /// (dense×sorted). Inline and vec rows both arrive as a sorted
+    /// slice. Each pairing covers the intersection exactly once on its
+    /// own — there are no cross-representation fixup legs.
     #[inline]
     fn match_slots<F: FnMut(NodeId)>(&self, sa: usize, sb: usize, f: &mut F) {
-        let (la, lb) = (&self.lists[sa], &self.lists[sb]);
-        match (&la.dense, &lb.dense) {
-            (None, None) => {
-                let (small, large) = if la.nbrs.len() <= lb.nbrs.len() {
-                    (&la.nbrs[..], &lb.nbrs[..])
-                } else {
-                    (&lb.nbrs[..], &la.nbrs[..])
-                };
+        match (self.lists[sa].view(), self.lists[sb].view()) {
+            (Row::Sorted(a), Row::Sorted(b)) => {
+                let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
                 if small.len() * large.len() <= BRUTE_LIMIT {
                     // Small×small pairs — the bulk of a skewed stream —
                     // skip the merge machinery: the inner pass is a pure
@@ -464,35 +567,16 @@ impl HybridAdjacency {
                     for_each_common(small, large, f);
                 }
             }
-            (Some(da), Some(db)) => dense_dense(da, db, f),
-            (Some(d), None) => dense_sparse(d, &lb.nbrs, f),
-            (None, Some(d)) => dense_sparse(d, &la.nbrs, f),
+            (Row::Dense(da), Row::Dense(db)) => dense_dense(da, db, f),
+            (Row::Dense(d), Row::Sorted(s)) | (Row::Sorted(s), Row::Dense(d)) => {
+                dense_sparse(d, s, f)
+            }
         }
     }
 
-    /// The arena — capacity reads.
-    fn vec_bytes(&self) -> usize {
+    /// The arena and the slot → id vec — capacity reads.
+    fn arena_bytes(&self) -> usize {
         self.lists.capacity() * size_of::<NodeList>() + self.nodes.capacity() * size_of::<NodeId>()
-    }
-
-    /// [`Self::approx_bytes`] by walking every list, dense core and id
-    /// page — the reference the running count is checked against.
-    #[cfg(any(test, debug_assertions))]
-    fn recount_bytes(&self) -> usize {
-        let lists: usize = self
-            .lists
-            .iter()
-            .map(|l| {
-                l.nbrs.capacity() * size_of::<NodeId>()
-                    + l.dense.as_ref().map_or(0, |d| {
-                        size_of::<DenseCore>()
-                            + d.keys.capacity() * size_of::<NodeId>()
-                            + d.words.capacity() * size_of::<u64>()
-                            + d.dir.recount_bytes()
-                    })
-            })
-            .sum();
-        lists + self.slots.recount_bytes() + self.vec_bytes()
     }
 }
 
@@ -583,11 +667,11 @@ fn dense_dense<F: FnMut(NodeId)>(da: &DenseCore, db: &DenseCore, f: &mut F) {
     }
 }
 
-/// Bitmap × sparse-list intersection: one O(1) directory probe and bit
-/// test per sparse entry.
+/// Bitmap × sorted-row intersection: one O(1) directory probe and bit
+/// test per entry of the inline or vec row.
 #[inline]
-fn dense_sparse<F: FnMut(NodeId)>(d: &DenseCore, sparse: &[NodeId], f: &mut F) {
-    for &w in sparse {
+fn dense_sparse<F: FnMut(NodeId)>(d: &DenseCore, sorted: &[NodeId], f: &mut F) {
+    for &w in sorted {
         if d.contains(w) {
             f(w);
         }
@@ -603,7 +687,9 @@ mod tests {
     use std::collections::BTreeSet;
 
     /// Thresholds covering all-dense, mixed and all-sparse operation.
-    const THRESHOLDS: [usize; 3] = [0, 24, usize::MAX];
+    /// At 3, below the inline capacity, rows promote straight from the
+    /// inline form; at 24 they pass through a vec first.
+    const THRESHOLDS: [usize; 4] = [0, 3, 24, usize::MAX];
 
     fn edge(u: NodeId, v: NodeId) -> Edge {
         Edge::new(u, v)
@@ -627,17 +713,19 @@ mod tests {
         fn contains(&self, e: Edge) -> bool {
             self.slots
                 .get(e.u())
-                .is_some_and(|s| self.lists[s as usize].contains(e.v()))
+                .is_some_and(|s| match self.lists[s as usize].view() {
+                    Row::Sorted(nbrs) => nbrs.binary_search(&e.v()).is_ok(),
+                    Row::Dense(d) => d.contains(e.v()),
+                })
         }
 
         fn degree(&self, n: NodeId) -> usize {
-            self.slots.get(n).map_or(0, |s| {
-                let l = &self.lists[s as usize];
-                l.nbrs.len()
-                    + l.dense
-                        .as_ref()
-                        .map_or(0, |d| d.words.iter().map(|w| w.count_ones() as usize).sum())
-            })
+            self.slots
+                .get(n)
+                .map_or(0, |s| match self.lists[s as usize].view() {
+                    Row::Sorted(nbrs) => nbrs.len(),
+                    Row::Dense(d) => d.words.iter().map(|w| w.count_ones() as usize).sum(),
+                })
         }
 
         fn node_count(&self) -> usize {
@@ -659,11 +747,13 @@ mod tests {
             out
         }
 
-        /// Every sparse list strictly increasing, every dense list's
-        /// vec empty.
-        fn sparse_lists_sorted(&self) -> bool {
-            self.lists.iter().all(|l| {
-                l.nbrs.windows(2).all(|p| p[0] < p[1]) && (l.dense.is_none() || l.nbrs.is_empty())
+        /// Every inline and vec row strictly increasing, and every vec
+        /// row past the inline capacity.
+        fn sorted_rows_sorted(&self) -> bool {
+            self.lists.iter().all(|l| match (l, l.view()) {
+                (NodeList::Sparse(nbrs), _) if nbrs.len() <= INLINE => false,
+                (_, Row::Sorted(nbrs)) => nbrs.windows(2).all(|p| p[0] < p[1]),
+                (_, Row::Dense(_)) => true,
             })
         }
 
@@ -675,9 +765,9 @@ mod tests {
             edges
         }
 
-        /// The running byte count next to the full walk it replaces.
+        /// The running byte count next to the walk's sum of parts.
         fn byte_counts(&self) -> (usize, usize) {
-            (self.approx_bytes(), self.recount_bytes())
+            (self.approx_bytes(), self.parts().bytes())
         }
     }
 
@@ -785,7 +875,7 @@ mod tests {
     }
 
     // The small checks below each run twice: on `new()`, which keeps
-    // these tiny graphs in sorted rows, and on threshold 0, which
+    // these tiny graphs in inline rows, and on threshold 0, which
     // promotes every row to a bitmap from its first edge.
 
     fn check_insert_and_duplicates(mut a: HybridAdjacency) {
@@ -914,7 +1004,7 @@ mod tests {
         check_bytes_grow_with_inserts(HybridAdjacency::with_threshold(0));
     }
 
-    /// The two row representations are interchangeable: on any insert
+    /// Sorted and bitmap rows are interchangeable: on any insert
     /// sequence a never-promoting structure (sorted rows only) answers
     /// every query exactly like an always-promoting one (bitmap rows
     /// only) — including skewed degrees (galloping path).
@@ -1021,11 +1111,11 @@ mod tests {
         }
     }
 
-    /// Sorted sparse inserts: a hundred neighbors of one never-promoted
-    /// node in descending order (every insert shifts the whole list),
-    /// with duplicates sprinkled in.
+    /// Sorted inserts: a hundred neighbors of one never-promoted node in
+    /// descending order (every insert shifts the whole row, inline and
+    /// then in its vec), with duplicates sprinkled in.
     #[test]
-    fn tail_merge_keeps_prefix_sorted_and_lookups_exact() {
+    fn shifting_inserts_keep_rows_sorted_and_lookups_exact() {
         let mut a = HybridAdjacency::with_threshold(usize::MAX);
         let mut inserted = 0;
         for v in (1..100u32).rev() {
@@ -1036,7 +1126,7 @@ mod tests {
             }
         }
         assert_eq!(a.degree(0), inserted);
-        assert!(a.sparse_lists_sorted());
+        assert!(a.sorted_rows_sorted());
         for v in 1..100u32 {
             assert!(a.contains(edge(0, v)), "lookup {v}");
         }
@@ -1044,7 +1134,7 @@ mod tests {
     }
 
     /// Dense-core maintenance: one hub receives hundreds of neighbors in
-    /// descending order (each one shifted into its sparse list until the
+    /// descending order (each one shifted into its sorted row until the
     /// promotion) with duplicates sprinkled in; every lookup must stay
     /// exact.
     #[test]
@@ -1066,6 +1156,38 @@ mod tests {
         assert_eq!(a.common_neighbors(1, 2), vec![0]);
     }
 
+    /// An inline row owns no heap: a star of `INLINE` leaves costs the
+    /// arena and its one slot page and nothing more, and the next leaf
+    /// adds exactly the spill vec.
+    #[test]
+    fn short_rows_own_no_list_bytes() {
+        let mut a = HybridAdjacency::new();
+        for leaf in 1..=INLINE as u32 {
+            a.insert(edge(0, leaf));
+        }
+        let p = a.parts();
+        assert_eq!(
+            (p.inline_rows, p.vec_rows, p.bitmap_rows),
+            (INLINE + 1, 0, 0)
+        );
+        let arena =
+            a.lists.capacity() * size_of::<NodeList>() + a.nodes.capacity() * size_of::<NodeId>();
+        let page = a.slots.pages.capacity() * size_of::<Option<Box<[u32]>>>()
+            + SlotTable::PAGE * size_of::<u32>();
+        assert_eq!(a.approx_bytes(), arena + page);
+        assert_eq!(p.bytes(), p.row_bytes);
+
+        a.insert(edge(0, INLINE as u32 + 1));
+        let p = a.parts();
+        assert_eq!(
+            (p.inline_rows, p.vec_rows, p.bitmap_rows),
+            (INLINE + 1, 1, 0)
+        );
+        assert_eq!(p.vec_bytes, SPILL * size_of::<NodeId>());
+        assert_eq!(a.approx_bytes() - p.row_bytes, SPILL * size_of::<NodeId>());
+        assert_eq!(a.degree(0), INLINE + 1);
+    }
+
     #[test]
     fn bytes_grow_and_parameters_reported() {
         let mut a = HybridAdjacency::with_threshold(8);
@@ -1085,9 +1207,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// `approx_bytes` is O(1) yet equals the walk over every list,
-        /// dense core and id page after every insert and match-only
-        /// call — at every threshold, through promotions, `clone()`
+        /// `approx_bytes` is O(1) yet equals the sum of `parts()`, the
+        /// walk over every row, dense core and id page, after every
+        /// insert and match-only call — at every threshold, through
+        /// spills, promotions, `clone()`
         /// (whose vecs shrink to their lengths), a clone grown further
         /// and a rebuild from the edge enumeration (what an RPCK
         /// restore does).
@@ -1140,19 +1263,22 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
-        /// Sparse lists stay sorted whatever order the edges arrive in:
-        /// ascending (every sparse insert appends), descending (every one
+        /// Sorted rows stay sorted whatever order the edges arrive in:
+        /// ascending (every sorted insert appends), descending (every one
         /// shifts) and random, at every threshold. After every insert
-        /// each sparse list is strictly increasing, the insert matched
-        /// what the model matches, the structure holds exactly the
-        /// model's edges, and the running byte count equals the recount.
+        /// each inline and vec row is strictly increasing, the insert
+        /// matched what the model matches, the structure holds exactly
+        /// the model's edges, and the running byte count equals the
+        /// recount. A star of `INLINE + 1` leaves of node 0 comes first
+        /// in the random order, so at every threshold that keeps vec
+        /// rows some row crosses from inline to vec in every order.
         #[test]
         fn sparse_lists_stay_sorted_in_any_insert_order(
             pairs in vec((0u32..10, 0u32..90), 1..160),
         ) {
-            let random: Vec<Edge> = pairs
-                .iter()
-                .filter_map(|&(u, v)| Edge::try_new(u, v))
+            let random: Vec<Edge> = (0..=INLINE as u32)
+                .map(|leaf| edge(0, 100 + leaf))
+                .chain(pairs.iter().filter_map(|&(u, v)| Edge::try_new(u, v)))
                 .collect();
             let mut ascending = random.clone();
             ascending.sort_unstable();
@@ -1161,6 +1287,7 @@ mod tests {
                 for threshold in THRESHOLDS {
                     let mut adj = HybridAdjacency::with_threshold(threshold);
                     let mut model = Model::default();
+                    let mut spilled = false;
                     for (i, &e) in stream.iter().enumerate() {
                         let what = format!("{order} threshold {threshold} edge {i}");
                         let want = model.common(e.u(), e.v());
@@ -1169,12 +1296,14 @@ mod tests {
                         got.sort_unstable();
                         prop_assert_eq!(fresh, model.insert(e), "{}", what);
                         prop_assert_eq!(got, want, "{}", what);
-                        prop_assert!(adj.sparse_lists_sorted(), "{}", what);
+                        prop_assert!(adj.sorted_rows_sorted(), "{}", what);
                         prop_assert_eq!(adj.edges(), model.edges(), "{}", what);
                         prop_assert_eq!(adj.node_count(), model.node_count(), "{}", what);
                         let (running, walked) = adj.byte_counts();
                         prop_assert_eq!(running, walked, "{}", what);
+                        spilled |= adj.parts().vec_rows > 0;
                     }
+                    prop_assert_eq!(spilled, threshold > INLINE, "{} threshold {}", order, threshold);
                 }
             }
         }

@@ -18,9 +18,11 @@
 //!   fused execution engine: the union of every kept hash group's
 //!   stored edges, held once as neighbor ids (an edge's partition cell
 //!   is recomputed from its group's hash where a match needs it);
-//!   low-degree nodes keep sorted vecs, high-degree nodes promote to
-//!   blocked `u64` bitmaps so hub intersections run as a word `AND`
-//!   (64-way bit-parallel, zero `unsafe`).
+//!   a node's first 7 neighbors live sorted in its 32-byte row, more
+//!   spill to a sorted vec, and high-degree nodes promote to blocked
+//!   `u64` bitmaps so hub intersections run as a word `AND` (64-way
+//!   bit-parallel, zero `unsafe`). [`hybrid::HybridAdjacency::parts`]
+//!   says where its bytes go.
 //! * [`csr`] — [`csr::CsrGraph`], a compact sorted-neighbor static
 //!   graph for the exact forward algorithm and statistics.
 //! * [`builder`] — [`builder::GraphBuilder`] normalises raw
